@@ -17,11 +17,38 @@ with three cuts:
   * a prefix that compares worse than the best full string found so far
     is abandoned.
 
-enumerate_graphs grows the catalogue level by level on edge count:
-every (m+1)-edge class is reachable by adding one edge to some m-edge
-class representative, and canonical forms weed out duplicates.  The
-stream is deterministic: levels ascend, first discovery wins within a
-level.
+The same search also yields the last orbit: the vertices that sit last
+in some optimal ordering.  Two optimal orderings spell the same string,
+so one maps onto the other by an automorphism; the last vertices of all
+optimal orderings are therefore exactly one orbit of Aut(g).  Leaves
+hidden by the twin cut are images of visited ones under the skipped
+twin transposition, so the visited last vertices closed under those
+transpositions give the whole orbit.
+
+enumerate_graphs builds order n by canonical vertex augmentation (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998) over the
+memoised order n-1 catalogue.  A child is a parent P plus a new vertex
+v = n-1 joined to a subset S, and it is accepted only if v lies in its
+last orbit.  Every class G arises this way from exactly one parent
+class, namely G minus any last-orbit vertex (one orbit, so one class).
+Two accepted children of the same parent that are isomorphic are
+related by an isomorphism fixing v (compose with an automorphism moving
+one last-orbit vertex onto the other), i.e. by an automorphism of P
+carrying one S onto the other; so duplicates only arise among one
+parent's children, and a per-parent set of records removes them.  No
+level-wide seen-set exists.
+
+Because degree-sorted orderings end on a vertex of maximum degree, v
+can only be last if |S| = k >= max degree of P and every member of S
+has parent degree below k; only those subsets are generated.  Twins of
+P (vertices with equal neighborhoods outside their pair, an equivalence
+relation) are swapped by an automorphism of P, which, fixing v, maps
+the child for S onto the child for the swapped S.  So S is also
+required to meet each twin class in a prefix of its members; the
+subsets skipped that way only repeat children.
+
+The stream of each order is sorted by (edge count, record), so it is
+deterministic and independent of generation order.
 """
 
 from itertools import combinations
@@ -34,15 +61,17 @@ MAX_ENUM = 9
 
 
 def canonical_form(g: Graph) -> bytes:
+    return _canonical_search(g)[0]
+
+
+def _canonical_search(g: Graph):
+    """(canonical record, last orbit as a vertex mask) from one search."""
     if g.n > MAX_CANON:
         raise OrderTooLarge(f"canonical form capped at order {MAX_CANON}")
     n = g.n
     rows = g.rows
     degs = g.degrees
     position_degree = sorted(degs)
-    pool = {}
-    for v in range(n):
-        pool.setdefault(degs[v], []).append(v)
 
     poolmask = {}
     for v, d in enumerate(degs):
@@ -52,6 +81,8 @@ def canonical_form(g: Graph) -> bytes:
     acc = [0] * n  # adjacency bits of each vertex toward the placed prefix
     cur = [0] * n
     best = [None, None]  # [prefix-per-level list, chunk list]
+    last = 0  # last vertices of the optimal orderings visited so far
+    twins = set()  # skipped twin pairs as masks; each swap is in Aut(g)
 
     def record():
         pref = [0] * (n + 1)
@@ -79,10 +110,7 @@ def canonical_form(g: Graph) -> bytes:
             t ^= low
 
     def dfs(level, code, used):
-        if level == n:
-            if best[0] is None or code < best[0][n]:
-                record()
-            return
+        nonlocal last
         cm = poolmask[position_degree[level]] & ~used
         bp = best[0]
         if cm & (cm - 1) == 0:
@@ -92,6 +120,13 @@ def canonical_form(g: Graph) -> bytes:
             if bp is not None and child > bp[level + 1]:
                 return
             cur[level] = m
+            if level == n - 1:
+                # a full ordering, ended by the one vertex left in cm
+                if bp is None or child < bp[n]:
+                    record()
+                    last = 0
+                last |= cm
+                return
             descend(level, child, v, used)
             return
         m = -1
@@ -119,6 +154,7 @@ def canonical_form(g: Graph) -> bytes:
             for u in kept:
                 bu = 1 << u
                 if (rows[u] | bu | low) == (merged | bu):
+                    twins.add(bu | low)
                     twin = True
                     break
             if not twin:
@@ -127,6 +163,15 @@ def canonical_form(g: Graph) -> bytes:
             descend(level, child, v, used)
 
     dfs(0, 0, 0)
+    del dfs, descend  # the nested functions form a cycle; free it now, not at gc
+
+    grown = True
+    while grown:
+        grown = False
+        for pair in twins:
+            if last & pair and last & pair != pair:
+                last |= pair
+                grown = True
 
     out = bytearray([63 + n])
     group = 0
@@ -143,49 +188,63 @@ def canonical_form(g: Graph) -> bytes:
                 nbits = 0
     if nbits:
         out.append(63 + (group << (6 - nbits)))
-    return bytes(out)
+    return bytes(out), last
 
 
 _catalogue = {}  # n -> list of canonical graph6 records in stream order
 
 
+def _records(n):
+    if n not in _catalogue:
+        _catalogue[n] = _generate(n)
+    return _catalogue[n]
+
+
 def _generate(n):
-    levels = [parse_graph6(canonical_form(Graph(n, (0,) * n)))]
-    stream = [canonical_form(levels[0])]
-    current = levels
-    while True:
-        seen = set()
-        nxt = []
-        for g in current:
-            rws = g.rows
-            for u, v in combinations(range(n), 2):
-                if (rws[u] >> v) & 1:
+    if n == 1:
+        return [canonical_form(Graph(1, (0,)))]
+    top = 1 << (n - 1)
+    levels = [[] for _ in range(n * (n - 1) // 2 + 1)]  # records by edge count
+    for rec in _records(n - 1):
+        parent = parse_graph6(rec)
+        rows = parent.rows
+        degs = parent.degrees
+        edges = parent.edge_count()
+        seen = set()  # isomorphic children of one parent only
+        links = []  # (u, w) masks, u the previous twin of w in P
+        for w in range(1, n - 1):
+            for u in range(w - 1, -1, -1):
+                if rows[u] & ~(1 << w) == rows[w] & ~(1 << u):
+                    links.append((1 << u, 1 << w))
+                    break
+        for k in range(max(degs), n):
+            pool = [u for u in range(n - 1) if degs[u] < k]
+            for s in combinations(pool, k):
+                mask = 0
+                for u in s:
+                    mask |= 1 << u
+                if any(mask & b and not mask & a for a, b in links):
                     continue
-                child_rows = list(rws)
-                child_rows[u] |= 1 << v
-                child_rows[v] |= 1 << u
-                form = canonical_form(Graph(n, tuple(child_rows)))
-                if form not in seen:
+                child = tuple(
+                    r | top if (mask >> u) & 1 else r for u, r in enumerate(rows)
+                )
+                form, orbit = _canonical_search(Graph(n, child + (mask,)))
+                if orbit & top and form not in seen:
                     seen.add(form)
-                    nxt.append(form)
-        if not nxt:
-            break
-        stream.extend(nxt)
-        current = [parse_graph6(f) for f in nxt]
-    return stream
+                    levels[edges + k].append(form)
+    return [form for level in levels for form in sorted(level)]
 
 
 def enumerate_graphs(n: int):
     """One representative per isomorphism class of order n, 1 <= n <= 9.
 
-    Yields canonically labeled graphs; the sequence is identical across
-    calls (results are memoised as graph6 records).
+    Yields canonically labeled graphs, sorted by (edge count, graph6
+    record); the sequence is identical across calls (results are
+    memoised as graph6 records, together with every lower order).
     """
     if not 1 <= n <= MAX_ENUM:
         raise OrderTooLarge(f"enumeration supports orders 1..{MAX_ENUM}, got {n}")
-    if n not in _catalogue:
-        _catalogue[n] = _generate(n)
-    for form in _catalogue[n]:
+    for form in _records(n):
         yield parse_graph6(form)
 
 

@@ -114,15 +114,22 @@ def _vertex_mask(g: Graph, vs) -> int:
     return m
 
 
+def _is_index(x) -> bool:
+    # bool is an int subclass, but True is no vertex count or index
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def from_edge_list(n: int, edges) -> Graph:
     """Build a graph from unordered endpoint pairs.
 
     Duplicate pairs (in either orientation) collapse to a single edge.
     """
-    if not isinstance(n, int) or not 1 <= n <= MAX_ORDER:
-        raise OrderOutOfRange(f"order must be in [1, {MAX_ORDER}], got {n!r}")
+    if not _is_index(n) or not 1 <= n <= MAX_ORDER:
+        raise OrderOutOfRange(f"order must be an int in [1, {MAX_ORDER}], got {n!r}")
     rows = [0] * n
     for u, v in edges:
+        if not (_is_index(u) and _is_index(v)):
+            raise EndpointOutOfRange(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
         if u == v:
             raise LoopEdge(f"loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):

@@ -55,9 +55,13 @@ class VerificationReport:
     per_n: dict
     lemma_results: dict
     elapsed: float
+    skipped: int = 0  # input graphs whose order lay outside the swept range
 
     @property
     def verified(self) -> bool:
+        # a theorem sweep over zero graphs has verified nothing
+        if self.per_n and not any(e["graph_count"] for e in self.per_n.values()):
+            return False
         return all(not e["violations"] for e in self.per_n.values()) and all(
             not s["violations"] for s in self.lemma_results.values()
         )
@@ -66,6 +70,7 @@ class VerificationReport:
         return {
             "per_n": {str(n): e for n, e in sorted(self.per_n.items())},
             "lemma_results": dict(sorted(self.lemma_results.items())),
+            "skipped": self.skipped,
             "verified": self.verified,
             "elapsed": round(self.elapsed, 6),
         }
@@ -99,6 +104,8 @@ class VerificationReport:
                 f"{name}: {s['instances_checked']} instances,"
                 f" {len(s['violations'])} violations{extra}"
             )
+        if self.skipped:
+            lines.append(f"skipped {self.skipped} graphs of other orders")
         lines.append(f"elapsed {self.elapsed:.2f}s")
         lines.append("status: " + ("verified" if self.verified else "VIOLATIONS FOUND"))
         return "\n".join(lines)
@@ -144,13 +151,16 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
     """Solve and re-check every graph of each order in [min_n, max_n].
 
     source None enumerates the catalogue; otherwise any iterable of
-    graphs works and orders outside the range are skipped.  Graphs with
-    minimum deletion 3 are collected as lower-bound witnesses.
+    graphs works, and graphs of orders outside the range are counted in
+    the report's skipped field.  A sweep that checks no graph at all is
+    not verified.  Graphs with minimum deletion 3 are collected as
+    lower-bound witnesses.
     """
     if not 5 <= min_n <= max_n <= 9:
         raise OrderOutOfRange(f"need 5 <= min_n <= max_n <= 9, got {min_n}..{max_n}")
     t0 = time.perf_counter()
     buckets = {n: [] for n in range(min_n, max_n + 1)}
+    skipped = 0
     if source is None:
         for n in buckets:
             buckets[n] = [write_graph6(g) for g in enumerate_graphs(n)]
@@ -158,6 +168,8 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
         for g in source:
             if g.n in buckets:
                 buckets[g.n].append(write_graph6(g))
+            else:
+                skipped += 1
     per_n = {}
     for n in sorted(buckets):
         hist = [0, 0, 0, 0]
@@ -176,7 +188,7 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
             "violations": violations,
             "extremal_witnesses": witnesses,
         }
-    return VerificationReport(per_n, {}, time.perf_counter() - t0)
+    return VerificationReport(per_n, {}, time.perf_counter() - t0, skipped)
 
 
 def _lemma_worker(rec: bytes):

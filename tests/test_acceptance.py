@@ -2,7 +2,7 @@
 
 Tolerances are exact throughout: zero violations, exact class counts,
 byte equality.  The order-9 leg of the first check runs under the
-`extended` marker (about seven minutes single-core); everything else
+`extended` marker (about a minute on two cores); everything else
 stays in the default suite.  Session fixtures share the two expensive
 sweeps so no suite is computed twice.
 """

@@ -5,6 +5,9 @@ asserted bytes are exactly what a shell would see.
 """
 
 import json
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -81,6 +84,20 @@ def test_classify_edge_file(capsys, tmp_path):
     f.write_text('{"n":4,"edges":[[0,1],[0,2],[1,2],[0,3]]}')
     assert run(["classify", "--graph", "@" + str(f), "--triple", "0,1,2"]) == 0
     assert out_of(capsys) == '{"condition":"C2","labeling":[1,2,0],"p":1,"q":0}\n'
+
+
+@pytest.mark.parametrize("doc", [
+    '{"n": 5, "edges": [["a", 1]]}',
+    '{"n": 5, "edges": [[0.0, 1]]}',
+    '{"n": true, "edges": []}',
+])
+def test_solve_rejects_non_integer_json(capsys, tmp_path, doc):
+    f = tmp_path / "bad.json"
+    f.write_text(doc)
+    assert run(["solve", "--graph", "@" + str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_classify_infeasible_is_not_an_error(capsys):
@@ -164,6 +181,26 @@ def test_verify_input_file_filters_by_order(capsys, tmp_path):
     assert json.loads(out_of(capsys))["per_n"]["5"]["graph_count"] == 1
 
 
+def test_verify_input_counts_skipped_orders(capsys, tmp_path):
+    f = tmp_path / "mixed.g6"
+    f.write_text(PATH4 + "\nDQo\n")
+    assert run(["verify", "--min-n", "5", "--max-n", "5",
+                "--input", str(f), "--jobs", "1"]) == 0
+    report = json.loads(out_of(capsys))
+    assert report["per_n"]["5"]["graph_count"] == 1
+    assert report["skipped"] == 1
+
+
+def test_verify_empty_input_is_not_verified(capsys, tmp_path):
+    f = tmp_path / "empty.g6"
+    f.write_text("")
+    assert run(["verify", "--min-n", "5", "--max-n", "5",
+                "--input", str(f), "--jobs", "1"]) == 1
+    report = json.loads(out_of(capsys))
+    assert report["per_n"]["5"]["graph_count"] == 0
+    assert report["verified"] is False
+
+
 def test_verify_malformed_input(capsys, tmp_path):
     f = tmp_path / "bad.g6"
     f.write_text("Bw\nB\n")
@@ -232,3 +269,18 @@ def test_main_exit_status(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main()
     assert exc.value.code == 1
+
+
+def test_module_entry_point():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "rep3.cli", "gen", "--n", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert len(done.stdout.splitlines()) == 4
+    assert done.stdout.splitlines() == [
+        write_graph6(g).decode("ascii") for g in enumerate_graphs(3)
+    ]

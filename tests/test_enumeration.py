@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rep3 import errors
-from rep3.enumeration import canonical_form, enumerate_graphs, read_graph6_stream
+from rep3.enumeration import (
+    _canonical_search,
+    canonical_form,
+    enumerate_graphs,
+    read_graph6_stream,
+)
 from rep3.graphcore import from_edge_list, parse_graph6, write_graph6
 
 import helpers
@@ -79,6 +84,38 @@ class TestCanonicalForm:
         assert (canonical_form(g) == canonical_form(h)) == isomorphic_naive(g, h)
 
 
+def last_orbit_naive(g):
+    """Vertices ending some lex-least degree-sorted ordering, by brute force."""
+    best, last = None, set()
+    for perm in itertools.permutations(range(g.n)):
+        if any(g.degrees[a] > g.degrees[b] for a, b in zip(perm, perm[1:])):
+            continue
+        bits = tuple(
+            g.has_edge(perm[i], perm[j]) for j in range(1, g.n) for i in range(j)
+        )
+        if best is None or bits < best:
+            best, last = bits, set()
+        if bits == best:
+            last.add(perm[-1])
+    return last
+
+
+class TestLastOrbit:
+    def test_twin_heavy_graphs(self):
+        k23 = from_edge_list(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
+        for g in [k23, helpers.empty(5), helpers.star(4), helpers.c5(), helpers.paw()]:
+            orbit = _canonical_search(g)[1]
+            assert {v for v in range(g.n) if (orbit >> v) & 1} == last_orbit_naive(g)
+
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, n, data):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = from_edge_list(n, [p for p in pairs if data.draw(st.booleans())])
+        orbit = _canonical_search(g)[1]
+        assert {v for v in range(n) if (orbit >> v) & 1} == last_orbit_naive(g)
+
+
 class TestEnumerate:
     @pytest.mark.parametrize(
         "n,count", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156), (7, 1044)]
@@ -87,18 +124,23 @@ class TestEnumerate:
         assert len(graphs_by_n(n)) == count
 
     def test_no_duplicates(self, graphs_by_n):
-        for n in range(1, 7):
-            forms = [canonical_form(g) for g in graphs_by_n(n)]
-            assert len(set(forms)) == len(forms)
+        # every record is its own canonical form, so distinct records
+        # are distinct classes
+        for n in range(1, 8):
+            records = [write_graph6(g) for g in graphs_by_n(n)]
+            assert len(set(records)) == len(records)
+            for rec in records:
+                assert canonical_form(parse_graph6(rec)) == rec
 
-    def test_closure_small(self, graphs_by_n):
-        # every labeled graph on 4 vertices maps onto exactly one element
-        stream_forms = {canonical_form(g) for g in graphs_by_n(4)}
-        pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_closure_small(self, n, graphs_by_n):
+        # every labeled graph on n vertices maps onto an element
+        stream_forms = {canonical_form(g) for g in graphs_by_n(n)}
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         seen = set()
-        for bits in range(1 << 6):
+        for bits in range(1 << len(pairs)):
             edges = [p for i, p in enumerate(pairs) if (bits >> i) & 1]
-            seen.add(canonical_form(from_edge_list(4, edges)))
+            seen.add(canonical_form(from_edge_list(n, edges)))
         assert seen == stream_forms
 
     def test_deterministic_order(self):
@@ -107,8 +149,8 @@ class TestEnumerate:
         assert a == b
 
     def test_stream_sorted_by_edge_count(self, graphs_by_n):
-        sizes = [g.edge_count() for g in graphs_by_n(5)]
-        assert sizes == sorted(sizes)
+        keys = [(g.edge_count(), write_graph6(g)) for g in graphs_by_n(5)]
+        assert keys == sorted(keys)
 
     def test_order_guard(self):
         with pytest.raises(errors.OrderTooLarge):
