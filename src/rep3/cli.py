@@ -14,10 +14,10 @@ import argparse
 import json
 import sys
 
-from .enumeration import enumerate_graphs, read_graph6_stream
+from .enumeration import catalogue_records, read_graph6_stream
 from .errors import NotFeasible, Rep3Error, TheoremViolation
 from .feasible import budget, classify_triple, equalize_triple
-from .graphcore import from_edge_json, parse_graph6, write_graph6
+from .graphcore import from_edge_json, parse_graph6
 from .harness import (
     counting_identity_suite,
     find_extremal,
@@ -142,9 +142,7 @@ def _cmd_equalize(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    text = "".join(
-        write_graph6(g).decode("ascii") + "\n" for g in enumerate_graphs(args.n)
-    )
+    text = "".join(rec.decode("ascii") + "\n" for rec in catalogue_records(args.n))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)

@@ -191,10 +191,18 @@ def _canonical_search(g: Graph):
     return bytes(out), last
 
 
-_catalogue = {}  # n -> list of canonical graph6 records in stream order
+_catalogue = {}  # n -> tuple of canonical graph6 records in stream order
 
 
-def _records(n):
+def catalogue_records(n: int) -> tuple:
+    """The canonical graph6 record of every class of order n, 1 <= n <= 9.
+
+    Sorted by (edge count, record) and memoised together with every
+    lower order, so callers that only pass records on (to a worker pool,
+    to a file) need not parse and re-encode them.
+    """
+    if not 1 <= n <= MAX_ENUM:
+        raise OrderTooLarge(f"enumeration supports orders 1..{MAX_ENUM}, got {n}")
     if n not in _catalogue:
         _catalogue[n] = _generate(n)
     return _catalogue[n]
@@ -202,10 +210,10 @@ def _records(n):
 
 def _generate(n):
     if n == 1:
-        return [canonical_form(Graph(1, (0,)))]
+        return (canonical_form(Graph(1, (0,))),)
     top = 1 << (n - 1)
     levels = [[] for _ in range(n * (n - 1) // 2 + 1)]  # records by edge count
-    for rec in _records(n - 1):
+    for rec in catalogue_records(n - 1):
         parent = parse_graph6(rec)
         rows = parent.rows
         degs = parent.degrees
@@ -232,19 +240,16 @@ def _generate(n):
                 if orbit & top and form not in seen:
                     seen.add(form)
                     levels[edges + k].append(form)
-    return [form for level in levels for form in sorted(level)]
+    return tuple(form for level in levels for form in sorted(level))
 
 
 def enumerate_graphs(n: int):
     """One representative per isomorphism class of order n, 1 <= n <= 9.
 
-    Yields canonically labeled graphs, sorted by (edge count, graph6
-    record); the sequence is identical across calls (results are
-    memoised as graph6 records, together with every lower order).
+    Yields the graphs of catalogue_records(n), parsed in stream order,
+    so the sequence is canonically labeled and identical across calls.
     """
-    if not 1 <= n <= MAX_ENUM:
-        raise OrderTooLarge(f"enumeration supports orders 1..{MAX_ENUM}, got {n}")
-    for form in _records(n):
+    for form in catalogue_records(n):
         yield parse_graph6(form)
 
 

@@ -13,6 +13,12 @@ Degree ties make the labeling ambiguous, so a set satisfies a shape if
 ANY degree-consistent labeling does.  Shapes are tried in the fixed
 order C1..C8 and labelings in lexicographic vertex order, which makes
 the reported (condition, labeling) pair reproducible.
+
+classify_triple is the only classifier.  classify_triples(g) runs it
+once over every 3-set of g; the 4-set and 5-set structure checks
+(p4_structure, find_feasible_in_five) read that table rather than
+classifying again, so a graph's triples are classified once however
+many suites ask about them.
 """
 
 from dataclasses import dataclass
@@ -127,6 +133,12 @@ def classify_triple(g: Graph, s) -> TripleClassification:
     return TripleClassification(None, None, False, False, p, q)
 
 
+def classify_triples(g: Graph) -> dict:
+    """The triple table of g: classify_triple for every 3-set, keyed by
+    the sorted vertex tuple."""
+    return {s: classify_triple(g, s) for s in combinations(range(g.n), 3)}
+
+
 def budget(tc: TripleClassification) -> int:
     """Deletion allowance p + q + max(p, q) of a classified set."""
     if tc.condition is None:
@@ -163,14 +175,14 @@ def equalize_triple(g: Graph, s, max_delete: int):
     return None
 
 
-def find_feasible_in_five(g: Graph, u):
+def find_feasible_in_five(g: Graph, u, table):
     """A feasible 3-subset of a 5-set through its median-degree vertex.
 
     Vertices are sorted by (degree, index); the scan walks 3-subsets of
     sorted positions in lexicographic order, restricted to those
-    containing position 2.  Failure raises NoFeasibleTriple, which the
-    verification harness treats as a fatal finding: every 5-set is
-    expected to contain such a triple.
+    containing position 2, each looked up in g's triple table.  Failure
+    raises NoFeasibleTriple, which the verification harness treats as a
+    fatal finding: every 5-set is expected to contain such a triple.
     """
     u5 = _distinct_sorted(g, u, 5, WrongSetSize)
     degs = g.degrees
@@ -179,7 +191,7 @@ def find_feasible_in_five(g: Graph, u):
         if 2 not in pos:
             continue
         triple = tuple(sorted(order[i] for i in pos))
-        tc = classify_triple(g, triple)
+        tc = table[triple]
         if tc.condition is not None:
             return triple, tc
     raise NoFeasibleTriple(
@@ -192,29 +204,8 @@ class StructureVerdict(NamedTuple):
     triple: Optional[tuple]
 
 
-def _balanceable_any_labeling(g: Graph, a, b, c) -> bool:
-    # edge-shape-only reading of C1..C4 under the any-labeling rule
-    degs = g.degrees
-    present = [
-        (u, v) for u, v in ((a, b), (a, c), (b, c)) if g.has_edge(u, v)
-    ]
-    k = len(present)
-    if k == 0 or k == 3:
-        return True
-    if k == 1:
-        u, v = present[0]
-        w = a ^ b ^ c ^ u ^ v
-        # lone edge must be nameable xy: third vertex takes the top slot
-        return degs[w] >= degs[u] and degs[w] >= degs[v]
-    (u1, v1), (u2, v2) = present
-    shared = u1 if u1 in (u2, v2) else v1
-    r, t = (u1 ^ v1 ^ shared), (u2 ^ v2 ^ shared)
-    # both edges at one vertex: that vertex must be nameable x
-    return degs[shared] <= degs[r] and degs[shared] <= degs[t]
-
-
-def p4_structure(g: Graph, x) -> StructureVerdict:
-    """Structure verdict for a 4-set.
+def p4_structure(g: Graph, x, table) -> StructureVerdict:
+    """Structure verdict for a 4-set, reading g's triple table.
 
     If some 3-subset matches one of the edge-pattern shapes C1..C4, the
     verdict is has_balanceable with the first such subset.  Otherwise
@@ -224,7 +215,7 @@ def p4_structure(g: Graph, x) -> StructureVerdict:
     """
     x4 = _distinct_sorted(g, x, 4, WrongSetSize)
     for s in combinations(x4, 3):
-        if _balanceable_any_labeling(g, *s):
+        if table[s].balanceable:
             return StructureVerdict("has_balanceable", s)
     inside = {v: [w for w in x4 if w != v and g.has_edge(v, w)] for v in x4}
     counts = sorted(len(ns) for ns in inside.values())

@@ -23,6 +23,9 @@ plus the counting identity suite: in a graph where no degree repeats
 three times and no vertex is isolated, the degrees in [1, n-1] missed
 entirely are one fewer than those hit exactly twice.
 
+The lemma suites classify each graph's triples once, into the table of
+feasible.classify_triples, and all of them read that table.
+
 Reports are deterministic: worker-pool sharding preserves stream order,
 so any jobs count produces the same report, elapsed time aside.
 """
@@ -34,11 +37,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from multiprocessing import get_context
 
-from .enumeration import enumerate_graphs
+from .enumeration import catalogue_records, enumerate_graphs
 from .errors import NoFeasibleTriple, OrderOutOfRange, OrderTooLarge, TheoremViolation
 from .feasible import (
     budget,
-    classify_triple,
+    classify_triples,
     equalize_triple,
     find_feasible_in_five,
     p4_structure,
@@ -58,9 +61,16 @@ class VerificationReport:
     skipped: int = 0  # input graphs whose order lay outside the swept range
 
     @property
+    def checked(self) -> int:
+        """Graphs and lemma or identity instances the report covers."""
+        return sum(e["graph_count"] for e in self.per_n.values()) + sum(
+            s["instances_checked"] for s in self.lemma_results.values()
+        )
+
+    @property
     def verified(self) -> bool:
-        # a theorem sweep over zero graphs has verified nothing
-        if self.per_n and not any(e["graph_count"] for e in self.per_n.values()):
+        # a report that checked nothing at all has verified nothing
+        if not self.checked:
             return False
         return all(not e["violations"] for e in self.per_n.values()) and all(
             not s["violations"] for s in self.lemma_results.values()
@@ -107,7 +117,13 @@ class VerificationReport:
         if self.skipped:
             lines.append(f"skipped {self.skipped} graphs of other orders")
         lines.append(f"elapsed {self.elapsed:.2f}s")
-        lines.append("status: " + ("verified" if self.verified else "VIOLATIONS FOUND"))
+        if self.verified:
+            status = "verified"
+        elif self.checked:
+            status = "VIOLATIONS FOUND"
+        else:
+            status = "nothing checked"
+        lines.append("status: " + status)
         return "\n".join(lines)
 
 
@@ -163,7 +179,7 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
     skipped = 0
     if source is None:
         for n in buckets:
-            buckets[n] = [write_graph6(g) for g in enumerate_graphs(n)]
+            buckets[n] = catalogue_records(n)
     else:
         for g in source:
             if g.n in buckets:
@@ -208,8 +224,9 @@ def _lemma_worker(rec: bytes):
         cert = min_deletion_for_rep3(g, n - 3)
         oracle_min = None if cert is None else len(cert.deleted)
 
+    table = classify_triples(g)
     for x in combinations(range(n), 4):
-        verdict = p4_structure(g, x)
+        verdict = p4_structure(g, x, table)
         out["induced"][0] += 1
         if verdict.kind == "violation":
             out["induced"][1].append({"n": n, "graph": name, "subset": list(x)})
@@ -230,12 +247,11 @@ def _lemma_worker(rec: bytes):
     for u in combinations(range(n), 5):
         out["median"][0] += 1
         try:
-            find_feasible_in_five(g, u)
+            find_feasible_in_five(g, u, table)
         except NoFeasibleTriple:
             out["median"][1].append({"n": n, "graph": name, "subset": list(u)})
 
-    for s in combinations(range(n), 3):
-        tc = classify_triple(g, s)
+    for s, tc in table.items():
         if tc.condition is None:
             continue
         b = budget(tc)
@@ -274,8 +290,7 @@ def verify_lemmas(max_n: int, jobs=None) -> VerificationReport:
         "paired_degree_gap": {"instances_checked": 0, "violations": []},
     }
     for n in range(1, max_n + 1):
-        records = [write_graph6(g) for g in enumerate_graphs(n)]
-        for out in _run(_lemma_worker, records, jobs):
+        for out in _run(_lemma_worker, catalogue_records(n), jobs):
             for key, lemma in (
                 ("induced", "induced_path"),
                 ("median", "median_feasible"),
@@ -320,17 +335,17 @@ def find_extremal(n: int, target=None):
     """graph6 records of classes whose exact minimum deletion hits target.
 
     target defaults to min(3, n-3), the largest value the order allows.
+    Each class is solved by solve3, so a class the theorem misses
+    raises TheoremViolation rather than dropping out of the listing.
     Output is exploratory: which orders contain maximal-cost classes is
     recorded, not asserted.
     """
     if not 5 <= n <= 9:
         raise OrderOutOfRange(f"extremal search covers orders 5..9, got {n}")
-    cap = min(3, n - 3)
     if target is None:
-        target = cap
+        target = min(3, n - 3)
     hits = []
     for g in enumerate_graphs(n):
-        cert = min_deletion_for_rep3(g, cap)
-        if cert is not None and len(cert.deleted) == target:
+        if len(solve3(g).deleted) == target:
             hits.append(write_graph6(g).decode("ascii"))
     return hits

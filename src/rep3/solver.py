@@ -1,13 +1,12 @@
 """Minimum-deletion search for three equal degrees.
 
-min_deletion_for_rep3 is the ground-truth oracle: plain brute force over
-deletion sets by increasing size with lexicographic tie-break.  solve3
-answers the same question for the fixed allowance min(3, n-3) but walks
-singleton candidates in a guided order (vertices whose removal closes a
-near-tied degree pair come first); since the walk is stratified by size
-it returns a set of exactly the oracle's minimum size.  Certificates
-carry original vertex indices and can be re-checked from scratch by
-check_certificate, which shares no code with either search.
+min_deletion_for_rep3 is the one search: plain brute force over
+deletion sets by increasing size, sets of one size in lexicographic
+order, so the first hit is a minimum and the same on every run.  solve3
+is that search at the theorem's allowance min(3, n-3), with a miss
+raised as TheoremViolation.  Certificates carry original vertex indices
+and can be re-checked from scratch by check_certificate, which shares
+no code with the search.
 """
 
 from dataclasses import dataclass
@@ -82,32 +81,8 @@ def min_deletion_for_rep3(g: Graph, max_k: int):
     return None
 
 
-def _guided_vertex_order(g: Graph):
-    """Vertices likely to finish the job first: those adjacent to exactly
-    one member of a degree pair differing by at most one.  Deleting such
-    a vertex levels that pair, growing a degree plateau."""
-    degs = g.degrees
-    pool = []
-    seen = set()
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if abs(degs[u] - degs[v]) > 1:
-                continue
-            split = g.rows[u] ^ g.rows[v]
-            m = split & ~((1 << u) | (1 << v))
-            while m:
-                low = m & -m
-                w = low.bit_length() - 1
-                if w not in seen:
-                    seen.add(w)
-                    pool.append(w)
-                m ^= low
-    rest = [v for v in range(g.n) if v not in seen]
-    return pool + rest
-
-
 def solve3(g: Graph) -> DeletionCertificate:
-    """Certificate with at most min(3, n-3) deletions.
+    """The oracle's certificate at the allowance min(3, n-3).
 
     Every graph of order at least five admits one; a miss therefore
     signals a bug and raises TheoremViolation instead of returning.
@@ -115,17 +90,12 @@ def solve3(g: Graph) -> DeletionCertificate:
     if g.n < 5:
         raise OrderTooSmall(f"need at least 5 vertices, got {g.n}")
     allowance = min(3, g.n - 3)
-    order = _guided_vertex_order(g)
-    for k in range(allowance + 1):
-        for combo in combinations(order, k):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            if _rep3_after(g, mask):
-                return _certificate_for(g, tuple(sorted(combo)))
-    raise TheoremViolation(
-        f"no deletion set of size <= {allowance} found for {g!r}"
-    )
+    cert = min_deletion_for_rep3(g, allowance)
+    if cert is None:
+        raise TheoremViolation(
+            f"no deletion set of size <= {allowance} found for {g!r}"
+        )
+    return cert
 
 
 def check_certificate(g: Graph, c: DeletionCertificate) -> bool:

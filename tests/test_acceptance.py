@@ -49,6 +49,7 @@ def test_a01_exhaustive_sweep_order_9():
     report = verify_theorem(9, 9)
     assert report.per_n[9]["graph_count"] == 274668
     assert report.per_n[9]["violations"] == []
+    assert report.per_n[9]["min_deletion_histogram"] == [259827, 14822, 19, 0]
     assert report.verified
 
 

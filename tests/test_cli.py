@@ -225,6 +225,15 @@ def test_identity_report(capsys):
     assert report["lemma_results"]["counting_identity"]["instances_checked"] == 2
 
 
+def test_lemmas_and_identity_over_nothing_exit_1(capsys):
+    assert run(["identity", "--max-n", "1"]) == 1
+    assert json.loads(out_of(capsys))["verified"] is False
+    assert run(["identity", "--max-n", "1", "--format", "table"]) == 1
+    assert out_of(capsys).endswith("status: nothing checked\n")
+    assert run(["lemmas", "--max-n", "2"]) == 1
+    assert json.loads(out_of(capsys))["verified"] is False
+
+
 def test_extremal_json(capsys):
     assert run(["extremal", "--n", "5"]) == 0
     report = json.loads(out_of(capsys))

@@ -8,6 +8,7 @@ from rep3 import errors
 from rep3.enumeration import (
     _canonical_search,
     canonical_form,
+    catalogue_records,
     enumerate_graphs,
     read_graph6_stream,
 )
@@ -157,6 +158,13 @@ class TestEnumerate:
             list(enumerate_graphs(0))
         with pytest.raises(errors.OrderTooLarge):
             list(enumerate_graphs(10))
+        for n in (0, 10):
+            with pytest.raises(errors.OrderTooLarge):
+                catalogue_records(n)
+
+    def test_records_are_the_stream(self, graphs_by_n):
+        for n in range(1, 8):
+            assert list(catalogue_records(n)) == [write_graph6(g) for g in graphs_by_n(n)]
 
     def test_every_member_has_right_order(self, graphs_by_n):
         assert all(g.n == 5 for g in graphs_by_n(5))

@@ -7,6 +7,7 @@ from rep3 import errors
 from rep3.feasible import (
     budget,
     classify_triple,
+    classify_triples,
     equalize_triple,
     find_feasible_in_five,
     p4_structure,
@@ -165,6 +166,17 @@ class TestClassify:
         )
 
 
+class TestClassifyTriples:
+    @given(st.integers(1, 7), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_classify_triple(self, n, data):
+        g = random_graph(n, data)
+        table = classify_triples(g)
+        assert list(table) == list(itertools.combinations(range(n), 3))
+        for s, tc in table.items():
+            assert tc == classify_triple(g, s)
+
+
 class TestBudget:
     def test_values(self):
         k3 = classify_triple(helpers.k3(), (0, 1, 2))
@@ -235,20 +247,22 @@ class TestEqualize:
 
 class TestFindFeasibleInFive:
     def test_antiregular5(self):
-        triple, tc = find_feasible_in_five(helpers.antiregular5(), range(5))
+        g = helpers.antiregular5()
+        triple, tc = find_feasible_in_five(g, range(5), classify_triples(g))
         assert triple == (2, 3, 4)
         assert tc.condition == "C1"
         assert 3 in triple  # median of the degree sort
 
     def test_c5(self):
-        triple, tc = find_feasible_in_five(helpers.c5(), range(5))
+        g = helpers.c5()
+        triple, tc = find_feasible_in_five(g, range(5), classify_triples(g))
         assert triple == (0, 1, 2)
         assert tc.condition == "C4"
         assert 2 in triple
 
     def test_star4_leaves(self):
         g = helpers.star(4)
-        triple, tc = find_feasible_in_five(g, range(5))
+        triple, tc = find_feasible_in_five(g, range(5), classify_triples(g))
         assert triple == (1, 2, 3)
         assert tc.condition == "C1"
 
@@ -256,13 +270,14 @@ class TestFindFeasibleInFive:
         g = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
         u = [0, 1, 2, 3, 4]
         order = sorted(u, key=lambda v: (g.degree(v), v))
-        triple, tc = find_feasible_in_five(g, u)
+        triple, tc = find_feasible_in_five(g, u, classify_triples(g))
         assert order[2] in triple
         assert tc.condition is not None
 
     def test_wrong_size(self):
         with pytest.raises(errors.WrongSetSize):
-            find_feasible_in_five(helpers.c5(), (0, 1, 2))
+            g = helpers.c5()
+            find_feasible_in_five(g, (0, 1, 2), classify_triples(g))
 
     @given(st.integers(5, 7), st.data())
     @settings(max_examples=150, deadline=None)
@@ -271,7 +286,7 @@ class TestFindFeasibleInFive:
         u = data.draw(
             st.lists(st.integers(0, n - 1), min_size=5, max_size=5, unique=True)
         )
-        triple, tc = find_feasible_in_five(g, u)
+        triple, tc = find_feasible_in_five(g, u, classify_triples(g))
         order = sorted(u, key=lambda v: (g.degree(v), v))
         assert order[2] in triple
         assert set(triple) <= set(u)
@@ -280,28 +295,32 @@ class TestFindFeasibleInFive:
 
 class TestP4Structure:
     def test_p4_is_induced_path(self):
-        verdict = p4_structure(helpers.p4(), range(4))
+        g = helpers.p4()
+        verdict = p4_structure(g, range(4), classify_triples(g))
         assert verdict.kind == "induced_path_ok"
         assert verdict.triple is None
 
     def test_k4(self):
-        verdict = p4_structure(helpers.k4(), range(4))
+        g = helpers.k4()
+        verdict = p4_structure(g, range(4), classify_triples(g))
         assert verdict.kind == "has_balanceable"
         assert verdict.triple == (0, 1, 2)
 
     def test_c4(self):
-        verdict = p4_structure(helpers.c4(), range(4))
+        g = helpers.c4()
+        verdict = p4_structure(g, range(4), classify_triples(g))
         assert verdict.kind == "has_balanceable"
 
     def test_inside_larger_graph(self):
         # C6 restricted to four consecutive vertices: induced path, but
         # the whole 4-set is regular so a balanceable triple exists
         g = from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)])
-        assert p4_structure(g, (0, 1, 2, 3)).kind == "has_balanceable"
+        assert p4_structure(g, (0, 1, 2, 3), classify_triples(g)).kind == "has_balanceable"
 
     def test_wrong_size(self):
         with pytest.raises(errors.WrongSetSize):
-            p4_structure(helpers.p4(), (0, 1, 2))
+            g = helpers.p4()
+            p4_structure(g, (0, 1, 2), classify_triples(g))
 
     @given(st.integers(4, 7), st.data())
     @settings(max_examples=200, deadline=None)
@@ -310,7 +329,7 @@ class TestP4Structure:
         x = data.draw(
             st.lists(st.integers(0, n - 1), min_size=4, max_size=4, unique=True)
         )
-        assert p4_structure(g, x).kind != "violation"
+        assert p4_structure(g, x, classify_triples(g)).kind != "violation"
 
     @given(st.integers(4, 7), st.data())
     @settings(max_examples=200, deadline=None)
@@ -319,7 +338,7 @@ class TestP4Structure:
         x = data.draw(
             st.lists(st.integers(0, n - 1), min_size=4, max_size=4, unique=True)
         )
-        verdict = p4_structure(g, x)
+        verdict = p4_structure(g, x, classify_triples(g))
         found = any(
             classify_triple(g, s).balanceable
             for s in itertools.combinations(sorted(x), 3)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rep3 import errors
+from rep3 import errors, solver
 from rep3.enumeration import enumerate_graphs
 from rep3.graphcore import parse_graph6
 from rep3.harness import (
@@ -88,6 +88,12 @@ class TestVerifyLemmas:
         sf = r.lemma_results["feasible_budget"]["strong_form_failures"]
         assert isinstance(sf, int) and sf >= 0
 
+    def test_zero_instances_not_verified(self):
+        # no 3-set exists below order 3, so every suite checks nothing
+        r = verify_lemmas(2)
+        assert all(s["instances_checked"] == 0 for s in r.lemma_results.values())
+        assert not r.verified
+
     def test_jobs_equivalent(self):
         assert verify_lemmas(5, jobs=1).comparable() == verify_lemmas(5, jobs=2).comparable()
 
@@ -130,6 +136,12 @@ class TestFindExtremal:
         for rec in hits:
             g = parse_graph6(rec)
             assert len(min_deletion_for_rep3(g, 3).deleted) == 3
+
+    def test_theorem_miss_raises(self, monkeypatch):
+        # a class the search cannot solve must not drop out of the listing
+        monkeypatch.setattr(solver, "min_deletion_for_rep3", lambda g, k: None)
+        with pytest.raises(errors.TheoremViolation):
+            find_extremal(5)
 
     def test_range(self):
         with pytest.raises(errors.OrderOutOfRange):

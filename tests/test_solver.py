@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rep3 import errors
+from rep3 import errors, solver
 from rep3.graphcore import complement, from_edge_list
 from rep3.repetition import rep
 from rep3.solver import (
@@ -81,6 +81,16 @@ class TestSolve3:
         # only two deletions are allowed at order 5
         for g in [helpers.c5(), helpers.antiregular5(), helpers.star(4)]:
             assert len(solve3(g).deleted) <= 2
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_is_the_oracle_on_every_class(self, n, graphs_by_n):
+        for g in graphs_by_n(n):
+            assert solve3(g) == min_deletion_for_rep3(g, min(3, n - 3))
+
+    def test_oracle_miss_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "min_deletion_for_rep3", lambda g, k: None)
+        with pytest.raises(errors.TheoremViolation):
+            solve3(helpers.c5())
 
     @given(st.integers(5, 7), st.data())
     @settings(max_examples=100, deadline=None)
