@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .enumeration import catalogue_records, read_graph6_stream
+from .enumeration import catalogue_records, read_graph6_records
 from .errors import NotFeasible, Rep3Error, TheoremViolation
 from .feasible import budget, classify_triple, equalize_triple
 from .graphcore import from_edge_json, parse_graph6
@@ -159,10 +159,13 @@ def _report_exit(report, fmt: str) -> int:
 def _cmd_verify(args) -> int:
     if args.input:
         with open(args.input, "rb") as fh:
-            source = list(read_graph6_stream(fh))
+            # read while the sweep buckets it: only each record's own
+            # bytes are kept, never the parsed graph
+            report = verify_theorem(
+                args.min_n, args.max_n, source=read_graph6_records(fh), jobs=args.jobs
+            )
     else:
-        source = None
-    report = verify_theorem(args.min_n, args.max_n, source=source, jobs=args.jobs)
+        report = verify_theorem(args.min_n, args.max_n, jobs=args.jobs)
     return _report_exit(report, args.format)
 
 

@@ -54,7 +54,7 @@ deterministic and independent of generation order.
 from itertools import combinations
 
 from .errors import MalformedRecord, OrderTooLarge
-from .graphcore import Graph, parse_graph6
+from .graphcore import _HEADER, Graph, parse_graph6
 
 MAX_CANON = 10
 MAX_ENUM = 9
@@ -266,21 +266,31 @@ def _byte_lines(source):
         yield line.rstrip(b"\r\n")
 
 
-def read_graph6_stream(source):
-    """Graphs from newline-separated graph6 records, in file order.
+def read_graph6_records(source):
+    """(record, graph) pairs from newline-separated graph6 records, in
+    file order.
 
     source may be bytes, str, or any iterable of lines (an open binary
     file works).  Blank lines and a leading ">>graph6<<" header are
     tolerated; anything else malformed is reported with its 1-based
-    line number.
+    line number.  record is the line's own bytes without the header and
+    surrounding whitespace; parsing is strict, so it equals
+    write_graph6(graph).
     """
     for lineno, raw in enumerate(_byte_lines(source), start=1):
-        line = raw.strip()
-        if line.startswith(b">>graph6<<"):
-            line = line[len(b">>graph6<<"):]
+        line = raw.strip().removeprefix(_HEADER)
         if not line:
             continue
         try:
-            yield parse_graph6(line)
+            g = parse_graph6(line)
         except MalformedRecord as exc:
             raise MalformedRecord(str(exc), line=lineno) from None
+        # parse_graph6 drops one more header of its own
+        yield line.removeprefix(_HEADER), g
+
+
+def read_graph6_stream(source):
+    """Graphs from newline-separated graph6 records, in file order, as
+    read_graph6_records reads them."""
+    for _, g in read_graph6_records(source):
+        yield g

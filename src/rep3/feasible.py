@@ -2,23 +2,32 @@
 
 A 3-set is examined under every labeling (x, y, z) of its vertices that
 respects the degree sort d(x) <= d(y) <= d(z).  Eight shapes C1..C8 are
-recognised.  C1 to C4 depend only on which of the three possible edges
-are present (independent set, clique, lone edge xy, exactly the two
-edges at x); C5 to C8 additionally require stated neighborhood
+recognised, and each allows exactly one edge pattern (exy, exz, eyz):
+C1 none (000), C2 all three (111), C3 the lone edge xy (100), C4 the two
+edges at x (110), C5 the lone edge xz (010), C6 the path x-y-z (101),
+C7 the lone edge yz (001), C8 the two edges at z (011).  C1 to C4 are
+the pattern alone; C5 to C8 additionally require stated neighborhood
 differences to be nonempty.  A set matching any shape admits a bounded
 equalization: the deletion price is at most p + q + max(p, q), where
 p and q are the upper and lower degree gaps of the sorted triple.
 
 Degree ties make the labeling ambiguous, so a set satisfies a shape if
-ANY degree-consistent labeling does.  Shapes are tried in the fixed
-order C1..C8 and labelings in lexicographic vertex order, which makes
-the reported (condition, labeling) pair reproducible.
+ANY degree-consistent labeling does.  A labeling's edge pattern names
+the one shape it can match; the set takes the smallest shape any of
+its labelings matches, and on a tie the first such labeling in
+lexicographic vertex order, which makes the reported (condition,
+labeling) pair reproducible.
 
-classify_triple is the only classifier.  classify_triples(g) runs it
-once over every 3-set of g; the 4-set and 5-set structure checks
-(p4_structure, find_feasible_in_five) read that table rather than
-classifying again, so a graph's triples are classified once however
-many suites ask about them.
+Input is checked once, at the public boundary: classify_triple,
+equalize_triple, find_feasible_in_five and p4_structure each validate
+their vertex set and then call one private core that takes a sorted
+tuple of distinct in-range vertices.  Internal callers whose sets are
+valid by construction (classify_triples and the verification harness,
+which walk combinations(range(n), k)) call the cores directly.
+classify_triples(g) classifies every 3-set of g once; the 4-set and
+5-set structure checks read that table rather than classifying again,
+so a graph's triples are classified once however many suites ask about
+them.
 """
 
 from dataclasses import dataclass
@@ -58,7 +67,7 @@ class TripleClassification:
 
 
 def _distinct_sorted(g: Graph, vs, size, exc):
-    out = sorted(set(vs))
+    out = tuple(sorted(set(vs)))
     if len(out) != size:
         raise exc(f"need exactly {size} distinct vertices, got {vs!r}")
     if out[0] < 0 or out[-1] >= g.n:
@@ -66,77 +75,61 @@ def _distinct_sorted(g: Graph, vs, size, exc):
     return out
 
 
-def _condition_holds(cond, rows, x, y, z):
-    exy = (rows[x] >> y) & 1
-    exz = (rows[x] >> z) & 1
-    eyz = (rows[y] >> z) & 1
-    if cond == 1:
-        return not (exy or exz or eyz)
-    if cond == 2:
-        return exy and exz and eyz
-    if cond == 3:
-        return exy and not exz and not eyz
-    if cond == 4:
-        return exy and exz and not eyz
+# the shape a labeling can match, indexed by its edge pattern read as
+# the number 4*exy + 2*exz + eyz
+_SHAPE_OF_PATTERN = (1, 7, 5, 8, 3, 6, 4, 2)
+
+
+def _clause_holds(cond, rows, x, y, z):
+    """The neighborhood clause C5..C8 add to their edge pattern."""
     if cond == 5:
-        return (
-            exz and not exy and not eyz and rows[y] & ~rows[z] != 0
-        )
+        return rows[y] & ~rows[z] != 0
     if cond == 6:
-        return (
-            exy and eyz and not exz and rows[x] & ~(rows[y] | (1 << y)) != 0
-        )
+        return rows[x] & ~(rows[y] | (1 << y)) != 0
     if cond == 7:
-        return (
-            eyz
-            and not exy
-            and not exz
-            and rows[x] & ~rows[y] != 0
-            and rows[x] & ~rows[z] != 0
-        )
-    if cond == 8:
-        closed_z = rows[z] | (1 << z)
-        return (
-            exz
-            and eyz
-            and not exy
-            and rows[x] & ~closed_z != 0
-            and rows[y] & ~closed_z != 0
-        )
-    raise AssertionError(cond)
+        return rows[x] & ~rows[y] != 0 and rows[x] & ~rows[z] != 0
+    closed_z = rows[z] | (1 << z)
+    return rows[x] & ~closed_z != 0 and rows[y] & ~closed_z != 0
+
+
+def _classify(g: Graph, s3) -> TripleClassification:
+    degs = g.degrees
+    rows = g.rows
+    a, b, c = s3
+    lo, mid, hi = sorted((degs[a], degs[b], degs[c]))
+    best = 9
+    labeling = None
+    for x, y, z in permutations(s3):
+        if not degs[x] <= degs[y] <= degs[z]:
+            continue
+        rx = rows[x]
+        cond = _SHAPE_OF_PATTERN[
+            ((rx >> y) & 1) << 2 | ((rx >> z) & 1) << 1 | (rows[y] >> z) & 1
+        ]
+        if cond < best and (cond <= 4 or _clause_holds(cond, rows, x, y, z)):
+            best, labeling = cond, (x, y, z)
+    if labeling is None:
+        return TripleClassification(None, None, False, False, hi - mid, mid - lo)
+    return TripleClassification(
+        f"C{best}", labeling, best <= 4, best >= 5, hi - mid, mid - lo
+    )
 
 
 def classify_triple(g: Graph, s) -> TripleClassification:
     """Match a 3-set against the eight shapes.
 
-    Returns the first (condition, labeling) hit in the fixed scan order,
-    or a classification with condition None when nothing matches.  The
+    Returns the smallest shape any degree-consistent labeling matches,
+    with the first such labeling in lexicographic vertex order, or a
+    classification with condition None when nothing matches.  The
     degree gaps p and q are reported either way.
     """
-    s3 = _distinct_sorted(g, s, 3, NotATriple)
-    degs = g.degrees
-    t0, t1, t2 = sorted(s3, key=lambda v: (degs[v], v))
-    p = degs[t2] - degs[t1]
-    q = degs[t1] - degs[t0]
-    labelings = [
-        (x, y, z)
-        for x, y, z in permutations(s3)
-        if degs[x] <= degs[y] <= degs[z]
-    ]
-    rows = g.rows
-    for cond in range(1, 9):
-        for x, y, z in labelings:
-            if _condition_holds(cond, rows, x, y, z):
-                return TripleClassification(
-                    f"C{cond}", (x, y, z), cond <= 4, cond >= 5, p, q
-                )
-    return TripleClassification(None, None, False, False, p, q)
+    return _classify(g, _distinct_sorted(g, s, 3, NotATriple))
 
 
 def classify_triples(g: Graph) -> dict:
     """The triple table of g: classify_triple for every 3-set, keyed by
     the sorted vertex tuple."""
-    return {s: classify_triple(g, s) for s in combinations(range(g.n), 3)}
+    return {s: _classify(g, s) for s in combinations(range(g.n), 3)}
 
 
 def budget(tc: TripleClassification) -> int:
@@ -146,15 +139,7 @@ def budget(tc: TripleClassification) -> int:
     return tc.p + tc.q + max(tc.p, tc.q)
 
 
-def equalize_triple(g: Graph, s, max_delete: int):
-    """Smallest deletion set outside s making the three degrees equal.
-
-    Searches sizes 0, 1, ... up to max_delete with lexicographic
-    tie-break, so the result is the minimum and deterministic.  Returns
-    None when no deletion set within the allowance works.  The effective
-    allowance is capped at n - 3: the triple itself must survive.
-    """
-    s3 = _distinct_sorted(g, s, 3, NotATriple)
+def _equalize(g: Graph, s3, max_delete: int):
     max_delete = min(max_delete, g.n - 3)
     a, b, c = s3
     da, db, dc = g.degrees[a], g.degrees[b], g.degrees[c]
@@ -175,6 +160,35 @@ def equalize_triple(g: Graph, s, max_delete: int):
     return None
 
 
+def equalize_triple(g: Graph, s, max_delete: int):
+    """Smallest deletion set outside s making the three degrees equal.
+
+    Searches sizes 0, 1, ... up to max_delete with lexicographic
+    tie-break, so the result is the minimum and deterministic.  Returns
+    None when no deletion set within the allowance works.  The effective
+    allowance is capped at n - 3: the triple itself must survive.
+    """
+    return _equalize(g, _distinct_sorted(g, s, 3, NotATriple), max_delete)
+
+
+def _median_triple(u5, table, keys):
+    # keys[v] is (degree, index) of v: built once per graph by callers
+    order = sorted(u5, key=keys.__getitem__)
+    m = order.pop(2)
+    # the remaining pairs in lexicographic position order, so the scan
+    # walks 3-subsets of sorted positions through position 2 in order
+    for a, b in combinations(order, 2):
+        if a > b:
+            a, b = b, a
+        triple = (m, a, b) if m < a else (a, m, b) if m < b else (a, b, m)
+        tc = table[triple]
+        if tc.condition is not None:
+            return triple, tc
+    raise NoFeasibleTriple(
+        f"no feasible triple through median vertex {m} of {tuple(u5)}"
+    )
+
+
 def find_feasible_in_five(g: Graph, u, table):
     """A feasible 3-subset of a 5-set through its median-degree vertex.
 
@@ -185,18 +199,7 @@ def find_feasible_in_five(g: Graph, u, table):
     fatal finding: every 5-set is expected to contain such a triple.
     """
     u5 = _distinct_sorted(g, u, 5, WrongSetSize)
-    degs = g.degrees
-    order = sorted(u5, key=lambda v: (degs[v], v))
-    for pos in combinations(range(5), 3):
-        if 2 not in pos:
-            continue
-        triple = tuple(sorted(order[i] for i in pos))
-        tc = table[triple]
-        if tc.condition is not None:
-            return triple, tc
-    raise NoFeasibleTriple(
-        f"no feasible triple through median vertex {order[2]} of {tuple(u5)}"
-    )
+    return _median_triple(u5, table, list(zip(g.degrees, range(g.n))))
 
 
 class StructureVerdict(NamedTuple):
@@ -204,16 +207,7 @@ class StructureVerdict(NamedTuple):
     triple: Optional[tuple]
 
 
-def p4_structure(g: Graph, x, table) -> StructureVerdict:
-    """Structure verdict for a 4-set, reading g's triple table.
-
-    If some 3-subset matches one of the edge-pattern shapes C1..C4, the
-    verdict is has_balanceable with the first such subset.  Otherwise
-    the induced subgraph must be a path whose endpoints carry the two
-    smallest degrees of the set (compared as a multiset, so ties are
-    accepted either way round); anything else is a violation.
-    """
-    x4 = _distinct_sorted(g, x, 4, WrongSetSize)
+def _p4(g: Graph, x4, table) -> StructureVerdict:
     for s in combinations(x4, 3):
         if table[s].balanceable:
             return StructureVerdict("has_balanceable", s)
@@ -227,3 +221,15 @@ def p4_structure(g: Graph, x, table) -> StructureVerdict:
     if sorted(g.degrees[v] for v in ends) == degs[:2]:
         return StructureVerdict("induced_path_ok", None)
     return StructureVerdict("violation", None)
+
+
+def p4_structure(g: Graph, x, table) -> StructureVerdict:
+    """Structure verdict for a 4-set, reading g's triple table.
+
+    If some 3-subset matches one of the edge-pattern shapes C1..C4, the
+    verdict is has_balanceable with the first such subset.  Otherwise
+    the induced subgraph must be a path whose endpoints carry the two
+    smallest degrees of the set (compared as a multiset, so ties are
+    accepted either way round); anything else is a violation.
+    """
+    return _p4(g, _distinct_sorted(g, x, 4, WrongSetSize), table)

@@ -282,6 +282,9 @@ def from_edge_json(text: str) -> Graph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedRecord(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        # the decoder recurses once per nesting level
+        raise MalformedRecord("invalid JSON: nested too deeply to decode") from None
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise MalformedRecord('edge-list JSON needs keys "n" and "edges"')
     edges = doc["edges"]

@@ -24,7 +24,9 @@ three times and no vertex is isolated, the degrees in [1, n-1] missed
 entirely are one fewer than those hit exactly twice.
 
 The lemma suites classify each graph's triples once, into the table of
-feasible.classify_triples, and all of them read that table.
+feasible.classify_triples, and all of them read that table.  Their
+vertex sets come from combinations(range(n), k), so they call the
+feasible cores that skip the public input checks.
 
 Reports are deterministic: worker-pool sharding preserves stream order,
 so any jobs count produces the same report, elapsed time aside.
@@ -40,11 +42,11 @@ from multiprocessing import get_context
 from .enumeration import catalogue_records, enumerate_graphs
 from .errors import NoFeasibleTriple, OrderOutOfRange, OrderTooLarge, TheoremViolation
 from .feasible import (
+    _equalize,
+    _median_triple,
+    _p4,
     budget,
     classify_triples,
-    equalize_triple,
-    find_feasible_in_five,
-    p4_structure,
 )
 from .graphcore import parse_graph6, write_graph6
 from .repetition import profile
@@ -167,10 +169,11 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
     """Solve and re-check every graph of each order in [min_n, max_n].
 
     source None enumerates the catalogue; otherwise any iterable of
-    graphs works, and graphs of orders outside the range are counted in
-    the report's skipped field.  A sweep that checks no graph at all is
-    not verified.  Graphs with minimum deletion 3 are collected as
-    lower-bound witnesses.
+    graphs works, or of (record, graph) pairs as read_graph6_records
+    yields them, whose records go to the workers unchanged.  Graphs of
+    orders outside the range are counted in the report's skipped field.
+    A sweep that checks no graph at all is not verified.  Graphs with
+    minimum deletion 3 are collected as lower-bound witnesses.
     """
     if not 5 <= min_n <= max_n <= 9:
         raise OrderOutOfRange(f"need 5 <= min_n <= max_n <= 9, got {min_n}..{max_n}")
@@ -181,9 +184,10 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
         for n in buckets:
             buckets[n] = catalogue_records(n)
     else:
-        for g in source:
+        for item in source:
+            rec, g = item if isinstance(item, tuple) else (None, item)
             if g.n in buckets:
-                buckets[g.n].append(write_graph6(g))
+                buckets[g.n].append(rec or write_graph6(g))
             else:
                 skipped += 1
     per_n = {}
@@ -226,11 +230,12 @@ def _lemma_worker(rec: bytes):
 
     table = classify_triples(g)
     for x in combinations(range(n), 4):
-        verdict = p4_structure(g, x, table)
+        verdict = _p4(g, x, table)
         out["induced"][0] += 1
         if verdict.kind == "violation":
             out["induced"][1].append({"n": n, "graph": name, "subset": list(x)})
-        ds = sorted(degs[v] for v in x)
+        a, b, c, d = x
+        ds = sorted((degs[a], degs[b], degs[c], degs[d]))
         if (
             ds[0] == ds[1]
             and ds[2] == ds[3]
@@ -244,10 +249,11 @@ def _lemma_worker(rec: bytes):
                     {"n": n, "graph": name, "subset": list(x), "oracle_min": oracle_min}
                 )
 
+    keys = list(zip(degs, range(n)))
     for u in combinations(range(n), 5):
         out["median"][0] += 1
         try:
-            find_feasible_in_five(g, u, table)
+            _median_triple(u, table, keys)
         except NoFeasibleTriple:
             out["median"][1].append({"n": n, "graph": name, "subset": list(u)})
 
@@ -268,7 +274,7 @@ def _lemma_worker(rec: bytes):
                     "oracle_min": oracle_min,
                 }
             )
-        if equalize_triple(g, s, b) is None:
+        if _equalize(g, s, b) is None:
             out["budget"][2] += 1
 
     return out

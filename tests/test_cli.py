@@ -100,6 +100,15 @@ def test_solve_rejects_non_integer_json(capsys, tmp_path, doc):
     assert captured.err.startswith("error: ")
 
 
+def test_solve_rejects_deeply_nested_json(capsys, tmp_path):
+    f = tmp_path / "deep.json"
+    f.write_text('{"n": 5, "edges": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    assert run(["solve", "--graph", "@" + str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_classify_infeasible_is_not_an_error(capsys):
     assert run(["classify", "--graph", PATH4, "--triple", "0,1,2"]) == 0
     assert out_of(capsys) == '{"condition":null,"p":0,"q":1}\n'
@@ -189,6 +198,15 @@ def test_verify_input_counts_skipped_orders(capsys, tmp_path):
     report = json.loads(out_of(capsys))
     assert report["per_n"]["5"]["graph_count"] == 1
     assert report["skipped"] == 1
+
+
+def test_verify_input_names_records_without_header(capsys, tmp_path):
+    # the one order-8 class that needs three deletions
+    f = tmp_path / "extremal.g6"
+    f.write_text(">>graph6<<G?Cj|{  \n")
+    assert run(["verify", "--min-n", "8", "--max-n", "8",
+                "--input", str(f), "--jobs", "1"]) == 0
+    assert json.loads(out_of(capsys))["per_n"]["8"]["extremal_witnesses"] == ["G?Cj|{"]
 
 
 def test_verify_empty_input_is_not_verified(capsys, tmp_path):

@@ -10,6 +10,7 @@ from rep3.enumeration import (
     canonical_form,
     catalogue_records,
     enumerate_graphs,
+    read_graph6_records,
     read_graph6_stream,
 )
 from rep3.graphcore import from_edge_list, parse_graph6, write_graph6
@@ -188,6 +189,12 @@ class TestReadStream:
 
     def test_str_content(self):
         assert len(list(read_graph6_stream("Bw\nCh\n"))) == 2
+
+    def test_records_are_the_lines_own_bytes(self):
+        text = b">>graph6<<Bw\n  Ch \r\n>>graph6<<>>graph6<<Bw\n"
+        pairs = list(read_graph6_records(text))
+        assert [rec for rec, _ in pairs] == [b"Bw", b"Ch", b"Bw"]
+        assert all(rec == write_graph6(g) for rec, g in pairs)
 
     def test_malformed_line_number(self):
         with pytest.raises(errors.MalformedRecord) as exc:

@@ -1,0 +1,98 @@
+"""Fuzzing of the three places outside input enters.
+
+Whatever bytes or text arrive, parse_graph6 and from_edge_json return a
+Graph or raise a Rep3Error, and `rep3 solve --graph` built from either
+kind of input exits 0, 1 or 2 without raising.
+"""
+
+import json
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from rep3.cli import run
+from rep3.errors import Rep3Error
+from rep3.graphcore import Graph, from_edge_json, parse_graph6, write_graph6
+
+# orders kept small so that solving a decoded graph stays quick
+_small_order = st.integers(1, 9)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "edges", "x"]), inner, max_size=3),
+    max_leaves=20,
+)
+
+
+@st.composite
+def edge_docs(draw):
+    """Edge-list JSON text: mostly near-valid documents, some arbitrary
+    values, and some nested past the decoder's recursion limit."""
+    kind = draw(st.sampled_from(["near", "any", "deep"]))
+    if kind == "deep":
+        depth = draw(st.integers(900, 5000))
+        return '{"n": 4, "edges": ' + "[" * depth + "]" * depth + "}"
+    if kind == "any":
+        return json.dumps(draw(json_values))
+    n = draw(st.one_of(_small_order, json_values))
+    edges = draw(st.lists(st.one_of(
+        st.lists(st.integers(-1, 10), min_size=2, max_size=2), json_values,
+    ), max_size=12))
+    return json.dumps({"n": n, "edges": edges})
+
+
+@st.composite
+def graph6_specs(draw):
+    """graph6 text: the record of a small graph, possibly mutated, or
+    arbitrary printable bytes."""
+    if draw(st.booleans()):
+        n = draw(_small_order)
+        bits = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                             max_size=n * (n - 1) // 2))
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        rows = [0] * n
+        for (u, v), bit in zip(pairs, bits):
+            if bit:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        rec = bytearray(write_graph6(Graph(n, tuple(rows))))
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(rec)))
+            rec[i:i + draw(st.integers(0, 1))] = bytes([draw(st.integers(33, 126))])
+        return rec.decode("ascii")
+    return draw(st.text(st.characters(min_codepoint=33, max_codepoint=126),
+                        min_size=1, max_size=12))
+
+
+def _returns_graph_or_typed_error(parse, arg):
+    try:
+        assert isinstance(parse(arg), Graph)
+    except Rep3Error:
+        pass
+
+
+@given(st.binary(max_size=64))
+@settings(max_examples=400, deadline=None)
+def test_parse_graph6_arbitrary_bytes(data):
+    _returns_graph_or_typed_error(parse_graph6, data)
+
+
+@given(st.one_of(st.text(max_size=40), edge_docs()))
+@settings(max_examples=400, deadline=None)
+def test_from_edge_json_arbitrary_text(text):
+    _returns_graph_or_typed_error(from_edge_json, text)
+
+
+@given(st.one_of(graph6_specs().map(lambda s: (s, None)),
+                 edge_docs().map(lambda t: (None, t))))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_solve_exits_0_1_or_2(capsys, tmp_path, case):
+    spec, doc = case
+    if doc is not None:
+        path = tmp_path / "graph.json"
+        path.write_text(doc)
+        spec = "@" + str(path)
+    assert run(["solve", "--graph", spec]) in (0, 1, 2)
+    capsys.readouterr()

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from rep3 import errors, solver
-from rep3.enumeration import enumerate_graphs
+from rep3.enumeration import catalogue_records, enumerate_graphs, read_graph6_records
 from rep3.graphcore import parse_graph6
 from rep3.harness import (
     VerificationReport,
@@ -37,6 +37,11 @@ class TestVerifyTheorem:
         gen = verify_theorem(5, 5)
         streamed = verify_theorem(5, 5, source=enumerate_graphs(5))
         assert gen.comparable() == streamed.comparable()
+
+    def test_record_source_equivalent(self):
+        text = b"".join(rec + b"\n" for rec in catalogue_records(5))
+        streamed = verify_theorem(5, 5, source=read_graph6_records(text))
+        assert verify_theorem(5, 5).comparable() == streamed.comparable()
 
     def test_jobs_equivalent(self):
         serial = verify_theorem(5, 5, jobs=1)
