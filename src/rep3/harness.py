@@ -23,10 +23,15 @@ plus the counting identity suite: in a graph where no degree repeats
 three times and no vertex is isolated, the degrees in [1, n-1] missed
 entirely are one fewer than those hit exactly twice.
 
-The lemma suites classify each graph's triples once, into the table of
-feasible.classify_triples, and all of them read that table.  Their
-vertex sets come from combinations(range(n), k), so they call the
-feasible cores that skip the public input checks.
+The lemma suites read one verdict table per graph, built by
+feasible._triple_verdicts: each 3-set's shape, balanceability, budget
+and strong-form answer, worked out once per triple signature and
+shared by every graph with that signature.  The paired_degree_gap
+4-sets come from the graph's degree classes.  Each worker returns its
+counts and a tuple of (suite, violation) pairs, so the parent holds
+little per class while the pool runs.  The suites' vertex sets come
+from combinations(range(n), k), so they call the feasible cores that
+skip the public input checks.
 
 Reports are deterministic: worker-pool sharding preserves stream order,
 so any jobs count produces the same report, elapsed time aside.
@@ -37,17 +42,12 @@ import os
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from multiprocessing import get_context
 
 from .enumeration import catalogue_records, enumerate_graphs
 from .errors import NoFeasibleTriple, OrderOutOfRange, OrderTooLarge, TheoremViolation
-from .feasible import (
-    _equalize,
-    _median_triple,
-    _p4,
-    budget,
-    classify_triples,
-)
+from .feasible import _median_triple, _p4, _triple_verdicts
 from .graphcore import parse_graph6, write_graph6
 from .repetition import profile
 from .solver import check_certificate, min_deletion_for_rep3, solve3
@@ -211,73 +211,85 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
     return VerificationReport(per_n, {}, time.perf_counter() - t0, skipped)
 
 
+def _paired_gap_sets(degs):
+    """The 4-sets with degrees (d, d, d+2, d+2), in lexicographic order."""
+    by_degree = {}
+    for v, d in enumerate(degs):
+        by_degree.setdefault(d, []).append(v)
+    out = []
+    for d, low in by_degree.items():
+        for pair in combinations(low, 2):
+            for high in combinations(by_degree.get(d + 2, ()), 2):
+                out.append(tuple(sorted(pair + high)))
+    out.sort()
+    return out
+
+
 def _lemma_worker(rec: bytes):
+    """One class's lemma results: (feasible_budget instances,
+    paired_degree_gap instances, strong-form failures, violations).
+
+    Every 4-set and 5-set is checked, so those suites' instance counts
+    are C(n, 4) and C(n, 5), added by the caller.  violations is a
+    tuple of (suite, violation) pairs, each suite's in scan order.
+    """
     g = parse_graph6(rec)
     n = g.n
     name = rec.decode("ascii")
-    degs = g.degrees
-    out = {
-        "induced": [0, []],
-        "median": [0, []],
-        "budget": [0, [], 0],
-        "paired": [0, []],
-    }
+    found = []
 
     oracle_min = None
     if n >= 3:
         cert = min_deletion_for_rep3(g, n - 3)
         oracle_min = None if cert is None else len(cert.deleted)
 
-    table = classify_triples(g)
+    table = _triple_verdicts(g)
     for x in combinations(range(n), 4):
-        verdict = _p4(g, x, table)
-        out["induced"][0] += 1
-        if verdict.kind == "violation":
-            out["induced"][1].append({"n": n, "graph": name, "subset": list(x)})
-        a, b, c, d = x
-        ds = sorted((degs[a], degs[b], degs[c], degs[d]))
-        if (
-            ds[0] == ds[1]
-            and ds[2] == ds[3]
-            and ds[2] - ds[0] == 2
-            and verdict.kind == "has_balanceable"
-        ):
-            out["paired"][0] += 1
-            cap = min(3, n - 3)
-            if oracle_min is None or oracle_min > cap:
-                out["paired"][1].append(
-                    {"n": n, "graph": name, "subset": list(x), "oracle_min": oracle_min}
-                )
+        if _p4(g, x, table).kind == "violation":
+            found.append(("induced_path", {"n": n, "graph": name, "subset": list(x)}))
 
-    keys = list(zip(degs, range(n)))
+    paired = [
+        x
+        for x in _paired_gap_sets(g.degrees)
+        if _p4(g, x, table).kind == "has_balanceable"
+    ]
+    if oracle_min is None or oracle_min > min(3, n - 3):
+        for x in paired:
+            found.append(
+                (
+                    "paired_degree_gap",
+                    {"n": n, "graph": name, "subset": list(x), "oracle_min": oracle_min},
+                )
+            )
+
+    keys = list(zip(g.degrees, range(n)))
     for u in combinations(range(n), 5):
-        out["median"][0] += 1
         try:
             _median_triple(u, table, keys)
         except NoFeasibleTriple:
-            out["median"][1].append({"n": n, "graph": name, "subset": list(u)})
+            found.append(("median_feasible", {"n": n, "graph": name, "subset": list(u)}))
 
-    for s, tc in table.items():
-        if tc.condition is None:
+    budgeted = failures = 0
+    for s, v in table.items():
+        if v.budget is None:
             continue
-        b = budget(tc)
-        if b > n - 3:
-            continue
-        out["budget"][0] += 1
-        if oracle_min is None or oracle_min > b:
-            out["budget"][1].append(
-                {
-                    "n": n,
-                    "graph": name,
-                    "triple": list(s),
-                    "budget": b,
-                    "oracle_min": oracle_min,
-                }
+        budgeted += 1
+        failures += v.unequalizable
+        if oracle_min is None or oracle_min > v.budget:
+            found.append(
+                (
+                    "feasible_budget",
+                    {
+                        "n": n,
+                        "graph": name,
+                        "triple": list(s),
+                        "budget": v.budget,
+                        "oracle_min": oracle_min,
+                    },
+                )
             )
-        if _equalize(g, s, b) is None:
-            out["budget"][2] += 1
 
-    return out
+    return budgeted, len(paired), failures, tuple(found)
 
 
 def verify_lemmas(max_n: int, jobs=None) -> VerificationReport:
@@ -296,16 +308,15 @@ def verify_lemmas(max_n: int, jobs=None) -> VerificationReport:
         "paired_degree_gap": {"instances_checked": 0, "violations": []},
     }
     for n in range(1, max_n + 1):
-        for out in _run(_lemma_worker, catalogue_records(n), jobs):
-            for key, lemma in (
-                ("induced", "induced_path"),
-                ("median", "median_feasible"),
-                ("budget", "feasible_budget"),
-                ("paired", "paired_degree_gap"),
-            ):
-                results[lemma]["instances_checked"] += out[key][0]
-                results[lemma]["violations"].extend(out[key][1])
-            results["feasible_budget"]["strong_form_failures"] += out["budget"][2]
+        records = catalogue_records(n)
+        results["induced_path"]["instances_checked"] += comb(n, 4) * len(records)
+        results["median_feasible"]["instances_checked"] += comb(n, 5) * len(records)
+        for budgeted, paired, failures, found in _run(_lemma_worker, records, jobs):
+            results["feasible_budget"]["instances_checked"] += budgeted
+            results["feasible_budget"]["strong_form_failures"] += failures
+            results["paired_degree_gap"]["instances_checked"] += paired
+            for lemma, violation in found:
+                results[lemma]["violations"].append(violation)
     return VerificationReport({}, results, time.perf_counter() - t0)
 
 

@@ -19,6 +19,21 @@ import helpers
 
 CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
+# instances checked by each lemma suite through orders 7 and 8
+SUITE_COUNTS = {
+    7: {"induced_path": 39061, "median_feasible": 22894,
+        "feasible_budget": 22826, "paired_degree_gap": 1246},
+    8: {"induced_path": 903281, "median_feasible": 714270,
+        "feasible_budget": 475642, "paired_degree_gap": 25808},
+}
+
+
+def assert_suite_counts(name, *reports):
+    for max_n, report in zip((7, 8), reports):
+        suite = report.lemma_results[name]
+        assert suite["violations"] == []
+        assert suite["instances_checked"] == SUITE_COUNTS[max_n][name]
+
 
 @pytest.fixture(scope="module")
 def theorem_report():
@@ -59,31 +74,26 @@ def test_a02_path_on_four_vertices_never_solvable():
         assert min_deletion_for_rep3(g, max_k) is None
 
 
-def test_a03_induced_path_suite_through_order_8(lemma_suite_8):
-    suite = lemma_suite_8.lemma_results["induced_path"]
-    assert suite["violations"] == []
-    assert suite["instances_checked"] > 0
+def test_a03_induced_path_suite_through_order_8(lemma_suite_7, lemma_suite_8):
+    assert_suite_counts("induced_path", lemma_suite_7, lemma_suite_8)
 
 
-def test_a04_median_feasible_suite_through_order_8(lemma_suite_8):
-    suite = lemma_suite_8.lemma_results["median_feasible"]
-    assert suite["violations"] == []
-    assert suite["instances_checked"] > 0
+def test_a04_median_feasible_suite_through_order_8(lemma_suite_7, lemma_suite_8):
+    assert_suite_counts("median_feasible", lemma_suite_7, lemma_suite_8)
 
 
-def test_a05_feasible_budget_weak_form_through_order_7(lemma_suite_7):
-    suite = lemma_suite_7.lemma_results["feasible_budget"]
-    assert suite["violations"] == []
-    assert suite["instances_checked"] > 0
-    # strong form (equalizing the triple itself within its allowance)
-    # is reported, target zero, deliberately not asserted
-    print(f"strong-form failures through order 7: {suite['strong_form_failures']}")
+def test_a05_feasible_budget_weak_form_through_order_7(lemma_suite_7, lemma_suite_8):
+    assert_suite_counts("feasible_budget", lemma_suite_7, lemma_suite_8)
+    # the strong form (equalizing the triple itself within its
+    # allowance) is not part of the lemma, and a failure would not
+    # unverify a report; its measured count is pinned so that a change
+    # to the budget search shows here
+    for report in (lemma_suite_7, lemma_suite_8):
+        assert report.lemma_results["feasible_budget"]["strong_form_failures"] == 0
 
 
-def test_a06_paired_degree_gap_suite_through_order_8(lemma_suite_8):
-    suite = lemma_suite_8.lemma_results["paired_degree_gap"]
-    assert suite["violations"] == []
-    assert suite["instances_checked"] > 0
+def test_a06_paired_degree_gap_suite_through_order_8(lemma_suite_7, lemma_suite_8):
+    assert_suite_counts("paired_degree_gap", lemma_suite_7, lemma_suite_8)
 
 
 def test_a07_counting_identity_through_order_8():

@@ -3,8 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rep3 import errors
+from rep3 import errors, feasible
+from rep3.enumeration import enumerate_graphs
 from rep3.feasible import (
+    TripleVerdict,
+    _triple_signatures,
+    _triple_verdicts,
     budget,
     classify_triple,
     classify_triples,
@@ -187,6 +191,65 @@ class TestClassifyTriples:
         assert list(table) == list(itertools.combinations(range(n), 3))
         for s, tc in table.items():
             assert tc == classify_triple(g, s)
+
+
+def region_signature(g, nbr, s):
+    """A triple's signature by its definition: the three internal edge
+    bits and how many of the other vertices fall in each of the eight
+    adjacency regions relative to the triple.  nbr[v] is v's neighbour
+    set."""
+    a, b, c = s
+    regions = [0] * 8
+    for v in range(g.n):
+        if v not in s:
+            regions[(v in nbr[a]) + 2 * (v in nbr[b]) + 4 * (v in nbr[c])] += 1
+    return (b in nbr[a], c in nbr[a], c in nbr[b], *regions)
+
+
+def check_signature_exactness(graphs):
+    """The table's signature and the region signature fix each other;
+    triples sharing a signature get the same direct answers, at every
+    allowance 0..n-3; and the verdict table equals the direct answer for
+    every triple."""
+    region_of, key_of, answer_of = {}, {}, {}
+    for g in graphs:
+        nbr = [set(g.neighbors(v)) for v in range(g.n)]
+        keys = dict(_triple_signatures(g))
+        table = _triple_verdicts(g)
+        assert list(table) == list(keys) == list(itertools.combinations(range(g.n), 3))
+        for s, verdict in table.items():
+            key, region = keys[s], region_signature(g, nbr, s)
+            assert region_of.setdefault(key, region) == region
+            assert key_of.setdefault(region, key) == key
+            tc = classify_triple(g, s)
+            # the search tries sizes in increasing order, so the smallest
+            # set answers every allowance at once
+            d = equalize_triple(g, s, g.n - 3)
+            unequalizable = tuple(d is None or len(d) > k for k in range(g.n - 2))
+            answer = (tc.condition is None, tc.balanceable, tc.p, tc.q, unequalizable)
+            assert answer_of.setdefault(key, answer) == answer
+            b = budget(tc) if tc.feasible else None
+            if b is not None and b > g.n - 3:
+                b = None
+            strong_fail = b is not None and unequalizable[b]
+            assert verdict == TripleVerdict(tc.condition, tc.balanceable, b, strong_fail)
+
+
+class TestTripleVerdicts:
+    # the reports cannot catch a wrong memo: strong_form_failures is 0 at
+    # every order, so a memo answering "equalizable" throughout would
+    # leave every report unchanged.  Hence the triple-by-triple check,
+    # and the check that a signature fixes the answer at every
+    # allowance, not only at the budget the memo is asked about.
+
+    def test_signature_exact_through_order_7(self, graphs_by_n, monkeypatch):
+        monkeypatch.setattr(feasible, "_VERDICTS", {})
+        check_signature_exactness(g for n in range(1, 8) for g in graphs_by_n(n))
+
+    @pytest.mark.extended
+    def test_signature_exact_order_8(self, monkeypatch):
+        monkeypatch.setattr(feasible, "_VERDICTS", {})
+        check_signature_exactness(enumerate_graphs(8))
 
 
 class TestBudget:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rep3 import errors, solver
+from rep3 import errors, feasible, harness, solver
 from rep3.enumeration import catalogue_records, enumerate_graphs, read_graph6_records
 from rep3.graphcore import parse_graph6
 from rep3.harness import (
@@ -105,6 +105,39 @@ class TestVerifyLemmas:
     def test_cap(self):
         with pytest.raises(errors.OrderTooLarge):
             verify_lemmas(9)
+
+    def test_violations_reach_report(self, monkeypatch):
+        # no real class violates a lemma, so plant one 4-set and one
+        # 5-set violation in every class that has them
+        real_p4 = harness._p4
+
+        def p4(g, x, table):
+            if x == (0, 1, 2, 3):
+                return feasible.StructureVerdict("violation", None)
+            return real_p4(g, x, table)
+
+        def median(u, table, keys):
+            if u == (0, 1, 2, 3, 4):
+                raise errors.NoFeasibleTriple("planted")
+
+        monkeypatch.setattr(harness, "_p4", p4)
+        monkeypatch.setattr(harness, "_median_triple", median)
+        expected = {
+            "induced_path": [
+                (n, rec.decode("ascii"), [0, 1, 2, 3])
+                for n in (4, 5)
+                for rec in catalogue_records(n)
+            ],
+            "median_feasible": [
+                (5, rec.decode("ascii"), [0, 1, 2, 3, 4]) for rec in catalogue_records(5)
+            ],
+        }
+        for jobs in (1, 2):
+            r = verify_lemmas(5, jobs=jobs)
+            assert not r.verified
+            for name, suite in r.lemma_results.items():
+                named = [(v["n"], v["graph"], v["subset"]) for v in suite["violations"]]
+                assert named == expected.get(name, [])
 
 
 class TestCountingIdentity:
