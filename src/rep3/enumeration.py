@@ -54,7 +54,7 @@ deterministic and independent of generation order.
 from itertools import combinations
 
 from .errors import MalformedRecord, OrderTooLarge
-from .graphcore import _HEADER, Graph, parse_graph6
+from .graphcore import _HEADER, Graph, _pack, parse_graph6
 
 MAX_CANON = 10
 MAX_ENUM = 9
@@ -80,7 +80,7 @@ def _canonical_search(g: Graph):
     full = (1 << n) - 1
     acc = [0] * n  # adjacency bits of each vertex toward the placed prefix
     cur = [0] * n
-    best = [None, None]  # [prefix-per-level list, chunk list]
+    best = [None]  # code prefix per level of the best ordering so far
     last = 0  # last vertices of the optimal orderings visited so far
     twins = set()  # skipped twin pairs as masks; each swap is in Aut(g)
 
@@ -91,7 +91,6 @@ def _canonical_search(g: Graph):
             code = (code << lvl) | cur[lvl]
             pref[lvl + 1] = code
         best[0] = pref
-        best[1] = cur[:]
 
     def descend(level, child, v, used):
         rest = full & ~used & ~(1 << v)
@@ -173,22 +172,8 @@ def _canonical_search(g: Graph):
                 last |= pair
                 grown = True
 
-    out = bytearray([63 + n])
-    group = 0
-    nbits = 0
-    chunks = best[1]
-    for lvl in range(1, n):
-        chunk = chunks[lvl]
-        for k in range(lvl - 1, -1, -1):
-            group = (group << 1) | ((chunk >> k) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(63 + group)
-                group = 0
-                nbits = 0
-    if nbits:
-        out.append(63 + (group << (6 - nbits)))
-    return bytes(out), last
+    # the full code is the upper triangle, column by column
+    return _pack(n, best[0][n]), last
 
 
 _catalogue = {}  # n -> tuple of canonical graph6 records in stream order
@@ -254,16 +239,16 @@ def enumerate_graphs(n: int):
 
 
 def _byte_lines(source):
-    if isinstance(source, bytes):
-        yield from source.splitlines()
-        return
+    # text is taken as UTF-8, which keeps every line break where it was
+    # and leaves non-ASCII text on its own line, to be rejected there
     if isinstance(source, str):
-        yield from source.encode("ascii").splitlines()
-        return
-    for line in source:
-        if isinstance(line, str):
-            line = line.encode("ascii")
-        yield line.rstrip(b"\r\n")
+        source = source.encode("utf-8", "surrogatepass")
+    if isinstance(source, bytes):
+        return source.splitlines()
+    return (
+        line.encode("utf-8", "surrogatepass") if isinstance(line, str) else line
+        for line in source
+    )
 
 
 def read_graph6_records(source):
@@ -272,25 +257,20 @@ def read_graph6_records(source):
 
     source may be bytes, str, or any iterable of lines (an open binary
     file works).  Blank lines and a leading ">>graph6<<" header are
-    tolerated; anything else malformed is reported with its 1-based
-    line number.  record is the line's own bytes without the header and
-    surrounding whitespace; parsing is strict, so it equals
-    write_graph6(graph).
+    tolerated; anything else malformed, non-ASCII text included, is
+    reported with its 1-based line number.  record is the line's own
+    bytes without the header and surrounding whitespace; parsing is
+    strict, so it equals write_graph6(graph).
     """
     for lineno, raw in enumerate(_byte_lines(source), start=1):
         line = raw.strip().removeprefix(_HEADER)
         if not line:
             continue
+        if not line.isascii():
+            raise MalformedRecord("non-ascii record", line=lineno)
         try:
             g = parse_graph6(line)
         except MalformedRecord as exc:
             raise MalformedRecord(str(exc), line=lineno) from None
         # parse_graph6 drops one more header of its own
         yield line.removeprefix(_HEADER), g
-
-
-def read_graph6_stream(source):
-    """Graphs from newline-separated graph6 records, in file order, as
-    read_graph6_records reads them."""
-    for _, g in read_graph6_records(source):
-        yield g

@@ -22,17 +22,15 @@ Input is checked once, at the public boundary: classify_triple,
 equalize_triple, find_feasible_in_five and p4_structure each validate
 their vertex set and then call one private core that takes a sorted
 tuple of distinct in-range vertices.  Internal callers whose sets are
-valid by construction (the triple tables and the verification
-harness, which walk combinations(range(n), k)) call the cores directly.
-The 4-set and 5-set structure checks read a per-graph table of every
-3-set rather than classifying again.
+valid by construction (the triple table and the verification harness,
+which walk combinations(range(n), k)) call the cores directly.
 
-There are two such tables.  classify_triples(g) holds each 3-set's
-full classification.  The lemma suites read _triple_verdicts(g), which
-holds only what they ask: whether the set is feasible and balanceable,
-its budget when that is at most n - 3, and whether _equalize finds a
-set within that budget.  These depend only on the triple's signature
-(its edge pattern and how many other vertices lie in each of the eight
+The 4-set and 5-set structure checks and the lemma suites read one
+per-graph table of every 3-set, _triple_verdicts(g).  It holds only
+what they ask: whether the set is feasible and balanceable, its budget
+when that is at most n - 3, and whether _equalize finds a set within
+that budget.  These depend only on the triple's signature (its edge
+pattern and how many other vertices lie in each of the eight
 adjacency regions around it), so _triple_verdicts runs _classify and
 _equalize on the first triple of each signature and reuses the answer
 for every later triple, in any graph, that shares it.  Through order 8
@@ -133,12 +131,6 @@ def classify_triple(g: Graph, s) -> TripleClassification:
     degree gaps p and q are reported either way.
     """
     return _classify(g, _distinct_sorted(g, s, 3, NotATriple))
-
-
-def classify_triples(g: Graph) -> dict:
-    """The triple table of g: classify_triple for every 3-set, keyed by
-    the sorted vertex tuple."""
-    return {s: _classify(g, s) for s in combinations(range(g.n), 3)}
 
 
 def budget(tc: TripleClassification) -> int:
@@ -273,17 +265,18 @@ def _median_triple(u5, table, keys):
     )
 
 
-def find_feasible_in_five(g: Graph, u, table):
-    """A feasible 3-subset of a 5-set through its median-degree vertex.
+def find_feasible_in_five(g: Graph, u):
+    """A feasible 3-subset of a 5-set through its median-degree vertex,
+    with its verdict.
 
     Vertices are sorted by (degree, index); the scan walks 3-subsets of
     sorted positions in lexicographic order, restricted to those
-    containing position 2, each looked up in g's triple table.  Failure
+    containing position 2, each looked up in _triple_verdicts(g).  Failure
     raises NoFeasibleTriple, which the verification harness treats as a
     fatal finding: every 5-set is expected to contain such a triple.
     """
     u5 = _distinct_sorted(g, u, 5, WrongSetSize)
-    return _median_triple(u5, table, list(zip(g.degrees, range(g.n))))
+    return _median_triple(u5, _triple_verdicts(g), list(zip(g.degrees, range(g.n))))
 
 
 class StructureVerdict(NamedTuple):
@@ -307,8 +300,8 @@ def _p4(g: Graph, x4, table) -> StructureVerdict:
     return StructureVerdict("violation", None)
 
 
-def p4_structure(g: Graph, x, table) -> StructureVerdict:
-    """Structure verdict for a 4-set, reading g's triple table.
+def p4_structure(g: Graph, x) -> StructureVerdict:
+    """Structure verdict for a 4-set, reading _triple_verdicts(g).
 
     If some 3-subset matches one of the edge-pattern shapes C1..C4, the
     verdict is has_balanceable with the first such subset.  Otherwise
@@ -316,4 +309,4 @@ def p4_structure(g: Graph, x, table) -> StructureVerdict:
     smallest degrees of the set (compared as a multiset, so ties are
     accepted either way round); anything else is a violation.
     """
-    return _p4(g, _distinct_sorted(g, x, 4, WrongSetSize), table)
+    return _p4(g, _distinct_sorted(g, x, 4, WrongSetSize), _triple_verdicts(g))

@@ -169,60 +169,29 @@ def complement(g: Graph) -> Graph:
     return _raw(g.n, rows)
 
 
-def edges_between(g: Graph, a, b) -> int:
-    """Number of edges meeting both sets.
-
-    Each unordered edge counts once when one end lies in a and the other
-    in b; in particular edges with both ends in the intersection count
-    once, so edges_between(g, s, s) is the edge count inside s.
-    """
-    amask = _vertex_mask(g, a)
-    bmask = _vertex_mask(g, b)
-    ordered = 0
-    m = amask
-    while m:
-        low = m & -m
-        ordered += (g.rows[low.bit_length() - 1] & bmask).bit_count()
-        m ^= low
-    # ordered counts edges inside a&b twice, once per orientation
-    both = amask & bmask
-    inside = 0
-    m = both
-    while m:
-        low = m & -m
-        inside += (g.rows[low.bit_length() - 1] & both).bit_count()
-        m ^= low
-    return ordered - inside // 2
-
-
 _HEADER = b">>graph6<<"
 
 
-def _triangle_bits(g: Graph):
-    # column-major upper triangle: for column j, rows 0..j-1
-    for j in range(1, g.n):
-        col = g.rows[j]
-        for i in range(j):
-            yield (col >> i) & 1
+def _pack(n: int, code: int) -> bytes:
+    """The graph6 record of order n whose upper-triangle bits, column by
+    column, are those of code, the first bit most significant."""
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    code <<= pad
+    shifts = range(nbits + pad - 6, -1, -6)
+    return bytes([63 + n, *(63 + ((code >> k) & 63) for k in shifts)])
 
 
 def write_graph6(g: Graph) -> bytes:
     """Encode as a canonical single-byte-order graph6 record."""
     if g.n > _G6_MAX:
         raise UnsupportedOrder(f"graph6 single-byte form caps at {_G6_MAX}, got {g.n}")
-    out = [63 + g.n]
-    acc = 0
-    nbits = 0
-    for bit in _triangle_bits(g):
-        acc = (acc << 1) | bit
-        nbits += 1
-        if nbits == 6:
-            out.append(63 + acc)
-            acc = 0
-            nbits = 0
-    if nbits:
-        out.append(63 + (acc << (6 - nbits)))
-    return bytes(out)
+    code = 0
+    for j in range(1, g.n):
+        col = g.rows[j]
+        for i in range(j):
+            code = (code << 1) | ((col >> i) & 1)
+    return _pack(g.n, code)
 
 
 def parse_graph6(record) -> Graph:

@@ -33,6 +33,11 @@ little per class while the pool runs.  The suites' vertex sets come
 from combinations(range(n), k), so they call the feasible cores that
 skip the public input checks.
 
+find_extremal runs the headline sweep's worker over the catalogue, so
+both solve and check each class the same way; each worker returns its
+class's minimum deletion size or a violation, and callers name classes
+from their own record lists.
+
 Reports are deterministic: worker-pool sharding preserves stream order,
 so any jobs count produces the same report, elapsed time aside.
 """
@@ -143,26 +148,22 @@ def _run(worker, records, jobs):
 
 
 def _theorem_worker(rec: bytes):
+    """(minimum deletion size, None) for a class the theorem holds on,
+    or (None, violation); callers zip results with their records."""
     g = parse_graph6(rec)
-    name = rec.decode("ascii")
     cap = min(3, g.n - 3)
     try:
         cert = solve3(g)
     except TheoremViolation as exc:
-        return None, name, {"n": g.n, "graph": name, "reason": str(exc)}
-    if len(cert.deleted) > cap:
-        return None, name, {
-            "n": g.n,
-            "graph": name,
-            "reason": f"deletion set {cert.deleted} exceeds allowance {cap}",
-        }
-    if not check_certificate(g, cert):
-        return None, name, {
-            "n": g.n,
-            "graph": name,
-            "reason": f"certificate {cert.to_dict()} failed the independent check",
-        }
-    return len(cert.deleted), name, None
+        reason = str(exc)
+    else:
+        if len(cert.deleted) > cap:
+            reason = f"deletion set {cert.deleted} exceeds allowance {cap}"
+        elif not check_certificate(g, cert):
+            reason = f"certificate {cert.to_dict()} failed the independent check"
+        else:
+            return len(cert.deleted), None
+    return None, {"n": g.n, "graph": rec.decode("ascii"), "reason": reason}
 
 
 def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> VerificationReport:
@@ -195,15 +196,16 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
         hist = [0, 0, 0, 0]
         violations = []
         witnesses = []
-        for size, name, viol in _run(_theorem_worker, buckets[n], jobs):
+        records = buckets[n]
+        for rec, (size, viol) in zip(records, _run(_theorem_worker, records, jobs)):
             if viol is not None:
                 violations.append(viol)
                 continue
             hist[size] += 1
             if size == 3:
-                witnesses.append(name)
+                witnesses.append(rec.decode("ascii"))
         per_n[n] = {
-            "graph_count": len(buckets[n]),
+            "graph_count": len(records),
             "min_deletion_histogram": hist,
             "violations": violations,
             "extremal_witnesses": witnesses,
@@ -352,17 +354,21 @@ def find_extremal(n: int, target=None):
     """graph6 records of classes whose exact minimum deletion hits target.
 
     target defaults to min(3, n-3), the largest value the order allows.
-    Each class is solved by solve3, so a class the theorem misses
-    raises TheoremViolation rather than dropping out of the listing.
-    Output is exploratory: which orders contain maximal-cost classes is
-    recorded, not asserted.
+    Each class goes through the theorem sweep's worker, over a worker
+    pool, so a class the theorem misses, or whose certificate fails the
+    independent check, raises TheoremViolation rather than dropping out
+    of the listing.  Output is exploratory: which orders contain
+    maximal-cost classes is recorded, not asserted.
     """
     if not 5 <= n <= 9:
         raise OrderOutOfRange(f"extremal search covers orders 5..9, got {n}")
     if target is None:
         target = min(3, n - 3)
+    records = catalogue_records(n)
     hits = []
-    for g in enumerate_graphs(n):
-        if len(solve3(g).deleted) == target:
-            hits.append(write_graph6(g).decode("ascii"))
+    for rec, (size, viol) in zip(records, _run(_theorem_worker, records, None)):
+        if viol is not None:
+            raise TheoremViolation(f"{viol['graph']}: {viol['reason']}")
+        if size == target:
+            hits.append(rec.decode("ascii"))
     return hits

@@ -1,10 +1,11 @@
 """Degree statistics built on the degree histogram.
 
-rep(g) is the repetition number: the largest number of vertices sharing
-one degree value.  The profile adds two degree-class sets used by the
-counting identity: over the value range [1, n-1], s_set collects degrees
-hit by exactly two vertices and t_set collects degrees hit by none.
-Degree 0 and degree n-1 outside that range are deliberately not tracked.
+profile(g).rep is the repetition number: the largest number of vertices
+sharing one degree value.  The profile adds two degree-class sets used
+by the counting identity: over the value range [1, n-1], s_set collects
+degrees hit by exactly two vertices and t_set collects degrees hit by
+none.  Degree 0 and degree n-1 outside that range are deliberately not
+tracked.
 """
 
 from collections import Counter
@@ -20,39 +21,9 @@ class DegreeProfile:
     s_set: frozenset
     t_set: frozenset
 
-    def as_dict(self):
-        return {
-            "histogram": {str(d): m for d, m in sorted(self.histogram.items())},
-            "rep": self.rep,
-            "s_set": sorted(self.s_set),
-            "t_set": sorted(self.t_set),
-        }
-
-
-def rep(g: Graph) -> int:
-    return max(Counter(g.degrees).values())
-
 
 def profile(g: Graph) -> DegreeProfile:
     hist = Counter(g.degrees)
     s = frozenset(d for d in range(1, g.n) if hist.get(d, 0) == 2)
     t = frozenset(d for d in range(1, g.n) if d not in hist)
     return DegreeProfile(dict(hist), max(hist.values()), s, t)
-
-
-def has_three_equal(g: Graph):
-    """Three distinct vertices of equal degree, or None.
-
-    Tie-break is lexicographic by (degree value, vertex indices), so the
-    returned witness is stable across runs.
-    """
-    by_degree = {}
-    for v, d in enumerate(g.degrees):
-        by_degree.setdefault(d, []).append(v)
-    best = None
-    for d, vs in by_degree.items():
-        if len(vs) >= 3:
-            cand = (d, tuple(vs[:3]))
-            if best is None or cand < best:
-                best = cand
-    return best[1] if best else None

@@ -4,9 +4,16 @@ min_deletion_for_rep3 is the one search: plain brute force over
 deletion sets by increasing size, sets of one size in lexicographic
 order, so the first hit is a minimum and the same on every run.  solve3
 is that search at the theorem's allowance min(3, n-3), with a miss
-raised as TheoremViolation.  Certificates carry original vertex indices
-and can be re-checked from scratch by check_certificate, which shares
-no code with the search.
+raised as TheoremViolation.
+
+Each deletion set is tested on its bit mask alone: a survivor's reduced
+degree is its degree less its deleted neighbours, and the set is a hit
+once three survivors share one.  The certificate is read off the same
+mask: its witness is the first three survivors, by index, of the
+smallest reduced degree that three or more survivors share.
+Certificates carry original vertex indices and can be re-checked from
+scratch by check_certificate, which builds the reduced graph with
+delete_vertices and shares no code with the search.
 """
 
 from dataclasses import dataclass
@@ -14,7 +21,6 @@ from itertools import combinations
 
 from .errors import BudgetExceedsOrder, OrderTooSmall, TheoremViolation
 from .graphcore import Graph, delete_vertices
-from .repetition import has_three_equal
 
 
 @dataclass(frozen=True)
@@ -33,17 +39,6 @@ class DeletionCertificate:
         }
 
 
-def _certificate_for(g: Graph, combo) -> DeletionCertificate | None:
-    """Build a certificate if deleting combo leaves three equal degrees."""
-    h, remap = delete_vertices(g, combo)
-    w = has_three_equal(h)
-    if w is None:
-        return None
-    back = {new: old for old, new in remap.items()}
-    witness = tuple(back[v] for v in w)
-    return DeletionCertificate(g.n, tuple(combo), witness, h.degree(w[0]))
-
-
 def _rep3_after(g: Graph, mask: int) -> bool:
     # cheap filter: reduced degrees from bit masks, no graph built
     counts = {}
@@ -58,6 +53,19 @@ def _rep3_after(g: Graph, mask: int) -> bool:
             return True
         counts[d] = c
     return False
+
+
+def _certificate_for(g: Graph, combo, mask: int) -> DeletionCertificate:
+    """The certificate for a deletion set _rep3_after accepted: the first
+    three survivors, by index, of the smallest reduced degree that three
+    or more survivors share."""
+    by_degree = {}
+    for v in range(g.n):
+        if not (mask >> v) & 1:
+            d = g.degrees[v] - (g.rows[v] & mask).bit_count()
+            by_degree.setdefault(d, []).append(v)
+    d = min(d for d, vs in by_degree.items() if len(vs) >= 3)
+    return DeletionCertificate(g.n, combo, tuple(by_degree[d][:3]), d)
 
 
 def min_deletion_for_rep3(g: Graph, max_k: int):
@@ -77,7 +85,7 @@ def min_deletion_for_rep3(g: Graph, max_k: int):
             for v in combo:
                 mask |= 1 << v
             if _rep3_after(g, mask):
-                return _certificate_for(g, combo)
+                return _certificate_for(g, combo, mask)
     return None
 
 

@@ -11,7 +11,6 @@ from rep3.enumeration import (
     catalogue_records,
     enumerate_graphs,
     read_graph6_records,
-    read_graph6_stream,
 )
 from rep3.graphcore import from_edge_list, parse_graph6, write_graph6
 
@@ -173,22 +172,21 @@ class TestEnumerate:
 
 class TestReadStream:
     def test_two_records(self):
-        gs = list(read_graph6_stream(io.BytesIO(b"Bw\nCh\n")))
+        gs = [g for _, g in read_graph6_records(io.BytesIO(b"Bw\nCh\n"))]
         assert gs[0].degrees == (2, 2, 2)
         assert gs[1].degrees == (1, 2, 2, 1)
 
     def test_empty(self):
-        assert list(read_graph6_stream(io.BytesIO(b""))) == []
+        assert list(read_graph6_records(io.BytesIO(b""))) == []
 
     def test_blank_lines_skipped(self):
-        assert len(list(read_graph6_stream(io.BytesIO(b"Bw\n\nCh\n")))) == 2
+        assert len(list(read_graph6_records(io.BytesIO(b"Bw\n\nCh\n")))) == 2
 
     def test_header_line(self):
-        gs = list(read_graph6_stream(io.BytesIO(b">>graph6<<Bw\nCh\n")))
-        assert len(gs) == 2
+        assert len(list(read_graph6_records(io.BytesIO(b">>graph6<<Bw\nCh\n")))) == 2
 
     def test_str_content(self):
-        assert len(list(read_graph6_stream("Bw\nCh\n"))) == 2
+        assert len(list(read_graph6_records("Bw\nCh\n"))) == 2
 
     def test_records_are_the_lines_own_bytes(self):
         text = b">>graph6<<Bw\n  Ch \r\n>>graph6<<>>graph6<<Bw\n"
@@ -198,9 +196,18 @@ class TestReadStream:
 
     def test_malformed_line_number(self):
         with pytest.raises(errors.MalformedRecord) as exc:
-            list(read_graph6_stream(io.BytesIO(b"Bw\nB%w\nCh\n")))
+            list(read_graph6_records(io.BytesIO(b"Bw\nB%w\nCh\n")))
         assert exc.value.line == 2
         assert "line 2" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "source", ["Bw\n\u00e9\n", ["Bw\n", "Ch\u2028\n"], "Bw\n~\u00e9\n"]
+    )
+    def test_non_ascii_text_line_number(self, source):
+        with pytest.raises(errors.MalformedRecord) as exc:
+            list(read_graph6_records(source))
+        assert exc.value.line == 2
+        assert "non-ascii" in str(exc.value)
 
     def test_file_round_trip(self, tmp_path, graphs_by_n):
         path = tmp_path / "five.g6"
@@ -208,7 +215,7 @@ class TestReadStream:
             for g in graphs_by_n(5):
                 fh.write(write_graph6(g) + b"\n")
         with open(path, "rb") as fh:
-            back = list(read_graph6_stream(fh))
+            back = [g for _, g in read_graph6_records(fh)]
         assert [write_graph6(g) for g in back] == [
             write_graph6(g) for g in graphs_by_n(5)
         ]

@@ -11,7 +11,6 @@ from rep3.feasible import (
     _triple_verdicts,
     budget,
     classify_triple,
-    classify_triples,
     equalize_triple,
     find_feasible_in_five,
     p4_structure,
@@ -180,17 +179,9 @@ class TestClassifyTriples:
         # reports and rep3 classify print the (condition, labeling) pair
         for n in range(3, 7):
             for g in graphs_by_n(n):
-                for s, tc in classify_triples(g).items():
+                for s in itertools.combinations(range(n), 3):
+                    tc = classify_triple(g, s)
                     assert (tc.condition, tc.labeling) == naive_classify(g, s)
-
-    @given(st.integers(1, 7), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_matches_classify_triple(self, n, data):
-        g = random_graph(n, data)
-        table = classify_triples(g)
-        assert list(table) == list(itertools.combinations(range(n), 3))
-        for s, tc in table.items():
-            assert tc == classify_triple(g, s)
 
 
 def region_signature(g, nbr, s):
@@ -323,21 +314,21 @@ class TestEqualize:
 class TestFindFeasibleInFive:
     def test_antiregular5(self):
         g = helpers.antiregular5()
-        triple, tc = find_feasible_in_five(g, range(5), classify_triples(g))
+        triple, tc = find_feasible_in_five(g, range(5))
         assert triple == (2, 3, 4)
         assert tc.condition == "C1"
         assert 3 in triple  # median of the degree sort
 
     def test_c5(self):
         g = helpers.c5()
-        triple, tc = find_feasible_in_five(g, range(5), classify_triples(g))
+        triple, tc = find_feasible_in_five(g, range(5))
         assert triple == (0, 1, 2)
         assert tc.condition == "C4"
         assert 2 in triple
 
     def test_star4_leaves(self):
         g = helpers.star(4)
-        triple, tc = find_feasible_in_five(g, range(5), classify_triples(g))
+        triple, tc = find_feasible_in_five(g, range(5))
         assert triple == (1, 2, 3)
         assert tc.condition == "C1"
 
@@ -345,14 +336,14 @@ class TestFindFeasibleInFive:
         g = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
         u = [0, 1, 2, 3, 4]
         order = sorted(u, key=lambda v: (g.degree(v), v))
-        triple, tc = find_feasible_in_five(g, u, classify_triples(g))
+        triple, tc = find_feasible_in_five(g, u)
         assert order[2] in triple
         assert tc.condition is not None
 
     def test_wrong_size(self):
         with pytest.raises(errors.WrongSetSize):
             g = helpers.c5()
-            find_feasible_in_five(g, (0, 1, 2), classify_triples(g))
+            find_feasible_in_five(g, (0, 1, 2))
 
     @given(st.integers(5, 7), st.data())
     @settings(max_examples=150, deadline=None)
@@ -361,7 +352,7 @@ class TestFindFeasibleInFive:
         u = data.draw(
             st.lists(st.integers(0, n - 1), min_size=5, max_size=5, unique=True)
         )
-        triple, tc = find_feasible_in_five(g, u, classify_triples(g))
+        triple, tc = find_feasible_in_five(g, u)
         order = sorted(u, key=lambda v: (g.degree(v), v))
         assert order[2] in triple
         assert set(triple) <= set(u)
@@ -371,31 +362,31 @@ class TestFindFeasibleInFive:
 class TestP4Structure:
     def test_p4_is_induced_path(self):
         g = helpers.p4()
-        verdict = p4_structure(g, range(4), classify_triples(g))
+        verdict = p4_structure(g, range(4))
         assert verdict.kind == "induced_path_ok"
         assert verdict.triple is None
 
     def test_k4(self):
         g = helpers.k4()
-        verdict = p4_structure(g, range(4), classify_triples(g))
+        verdict = p4_structure(g, range(4))
         assert verdict.kind == "has_balanceable"
         assert verdict.triple == (0, 1, 2)
 
     def test_c4(self):
         g = helpers.c4()
-        verdict = p4_structure(g, range(4), classify_triples(g))
+        verdict = p4_structure(g, range(4))
         assert verdict.kind == "has_balanceable"
 
     def test_inside_larger_graph(self):
         # C6 restricted to four consecutive vertices: induced path, but
         # the whole 4-set is regular so a balanceable triple exists
         g = from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)])
-        assert p4_structure(g, (0, 1, 2, 3), classify_triples(g)).kind == "has_balanceable"
+        assert p4_structure(g, (0, 1, 2, 3)).kind == "has_balanceable"
 
     def test_wrong_size(self):
         with pytest.raises(errors.WrongSetSize):
             g = helpers.p4()
-            p4_structure(g, (0, 1, 2), classify_triples(g))
+            p4_structure(g, (0, 1, 2))
 
     @given(st.integers(4, 7), st.data())
     @settings(max_examples=200, deadline=None)
@@ -404,7 +395,7 @@ class TestP4Structure:
         x = data.draw(
             st.lists(st.integers(0, n - 1), min_size=4, max_size=4, unique=True)
         )
-        assert p4_structure(g, x, classify_triples(g)).kind != "violation"
+        assert p4_structure(g, x).kind != "violation"
 
     @given(st.integers(4, 7), st.data())
     @settings(max_examples=200, deadline=None)
@@ -413,7 +404,7 @@ class TestP4Structure:
         x = data.draw(
             st.lists(st.integers(0, n - 1), min_size=4, max_size=4, unique=True)
         )
-        verdict = p4_structure(g, x, classify_triples(g))
+        verdict = p4_structure(g, x)
         found = any(
             classify_triple(g, s).balanceable
             for s in itertools.combinations(sorted(x), 3)

@@ -1,7 +1,8 @@
-"""Fuzzing of the three places outside input enters.
+"""Fuzzing of the places outside input enters.
 
 Whatever bytes or text arrive, parse_graph6 and from_edge_json return a
-Graph or raise a Rep3Error, and `rep3 solve --graph` built from either
+Graph or raise a Rep3Error, read_graph6_records yields (record, graph)
+pairs or raises a Rep3Error, and `rep3 solve --graph` built from either
 kind of input exits 0, 1 or 2 without raising.
 """
 
@@ -10,6 +11,7 @@ import json
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rep3.cli import run
+from rep3.enumeration import read_graph6_records
 from rep3.errors import Rep3Error
 from rep3.graphcore import Graph, from_edge_json, parse_graph6, write_graph6
 
@@ -82,6 +84,20 @@ def test_parse_graph6_arbitrary_bytes(data):
 @settings(max_examples=400, deadline=None)
 def test_from_edge_json_arbitrary_text(text):
     _returns_graph_or_typed_error(from_edge_json, text)
+
+
+@given(st.one_of(
+    st.text(max_size=40),
+    st.lists(graph6_specs(), max_size=4).map("\n".join),
+    st.lists(st.text(max_size=12), max_size=4),
+))
+@settings(max_examples=400, deadline=None)
+def test_read_graph6_records_arbitrary_text(source):
+    try:
+        for rec, g in read_graph6_records(source):
+            assert isinstance(rec, bytes) and isinstance(g, Graph)
+    except Rep3Error:
+        pass
 
 
 @given(st.one_of(graph6_specs().map(lambda s: (s, None)),

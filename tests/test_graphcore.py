@@ -7,7 +7,6 @@ from rep3.graphcore import (
     Graph,
     complement,
     delete_vertices,
-    edges_between,
     from_edge_json,
     from_edge_list,
     parse_graph6,
@@ -156,33 +155,6 @@ class TestComplement:
         sigma = {0: 0, 1: 2, 2: 4, 3: 1, 4: 3}
         mapped = {tuple(sorted((sigma[u], sigma[v]))) for (u, v) in edge_set(h)}
         assert mapped == edge_set(g)
-
-
-class TestEdgesBetween:
-    def test_k3_split(self):
-        g = helpers.k3()
-        assert edges_between(g, [0], [1, 2]) == 2
-
-    def test_empty_side(self):
-        assert edges_between(helpers.k3(), [], [0, 1, 2]) == 0
-
-    def test_p4_middle_edge(self):
-        assert edges_between(helpers.p4(), [0, 1], [2, 3]) == 1
-
-    def test_same_set_counts_internal_edges_once(self):
-        g = helpers.k3()
-        assert edges_between(g, [0, 1, 2], [0, 1, 2]) == 3
-        assert edges_between(g, [0, 1], [0, 1]) == 1
-
-    def test_symmetric(self):
-        g = helpers.antiregular5()
-        a, b = [0, 1, 2], [2, 3, 4]
-        assert edges_between(g, a, b) == edges_between(g, b, a)
-
-    def test_overlap_convention(self):
-        # edge 0-1 has 0 in both sets, 1 only in b: counted once
-        g = helpers.k3()
-        assert edges_between(g, [0], [0, 1]) == 1
 
 
 class TestGraph6:

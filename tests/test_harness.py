@@ -181,6 +181,12 @@ class TestFindExtremal:
         with pytest.raises(errors.TheoremViolation):
             find_extremal(5)
 
+    def test_failed_check_raises(self, monkeypatch):
+        # every class goes through the theorem sweep's independent check
+        monkeypatch.setattr(harness, "check_certificate", lambda g, c: False)
+        with pytest.raises(errors.TheoremViolation):
+            find_extremal(5)
+
     def test_range(self):
         with pytest.raises(errors.OrderOutOfRange):
             find_extremal(4)

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rep3.graphcore import complement, from_edge_list
-from rep3.repetition import has_three_equal, profile, rep
+from rep3.repetition import profile
+from rep3.solver import min_deletion_for_rep3
 
 import helpers
 
@@ -14,25 +15,25 @@ def random_graph(n, data):
 
 class TestRep:
     def test_c5_all_equal(self):
-        assert rep(helpers.c5()) == 5
+        assert profile(helpers.c5()).rep == 5
 
     def test_p4(self):
-        assert rep(helpers.p4()) == 2
+        assert profile(helpers.p4()).rep == 2
 
     def test_star(self):
-        assert rep(helpers.star(3)) == 3
+        assert profile(helpers.star(3)).rep == 3
 
     def test_k1(self):
-        assert rep(helpers.k1()) == 1
+        assert profile(helpers.k1()).rep == 1
 
     def test_antiregular5(self):
-        assert rep(helpers.antiregular5()) == 2
+        assert profile(helpers.antiregular5()).rep == 2
 
     @given(st.integers(1, 7), st.data())
     @settings(max_examples=150, deadline=None)
     def test_complement_invariant(self, n, data):
         g = random_graph(n, data)
-        assert rep(g) == rep(complement(g))
+        assert profile(g).rep == profile(complement(g)).rep
 
 
 class TestProfile:
@@ -82,38 +83,48 @@ class TestProfile:
 
 
 class TestHasThreeEqual:
+    # three equal degrees with nothing deleted: the solver's witness rule
+    # is the first three vertices, by index, of the smallest degree held
+    # by three or more
+
+    @staticmethod
+    def witness(g):
+        c = min_deletion_for_rep3(g, 0)
+        return None if c is None else c.witness
+
     def test_c5(self):
-        assert has_three_equal(helpers.c5()) == (0, 1, 2)
+        assert self.witness(helpers.c5()) == (0, 1, 2)
 
     def test_p4_none(self):
-        assert has_three_equal(helpers.p4()) is None
+        assert self.witness(helpers.p4()) is None
 
     def test_star_leaves(self):
-        assert has_three_equal(helpers.star(3)) == (1, 2, 3)
+        assert self.witness(helpers.star(3)) == (1, 2, 3)
 
     def test_smallest_degree_wins(self):
         # isolated triple (degree 0) beats the triangle (degree 2)
         g = from_edge_list(6, [(3, 4), (3, 5), (4, 5)])
-        assert has_three_equal(g) == (0, 1, 2)
+        assert self.witness(g) == (0, 1, 2)
 
     def test_degree_order_not_index_order(self):
         # vertex 0 has the unique low degree; witness is the repeated one
         g = complement(helpers.star(3))
         assert g.degrees == (0, 2, 2, 2)
-        assert has_three_equal(g) == (1, 2, 3)
+        assert self.witness(g) == (1, 2, 3)
 
     def test_index_tiebreak_within_degree(self):
         # four vertices of equal degree: lexicographically first triple
-        assert has_three_equal(helpers.c4()) == (0, 1, 2)
+        assert self.witness(helpers.c4()) == (0, 1, 2)
 
-    @given(st.integers(1, 7), st.data())
+    @given(st.integers(3, 7), st.data())
     @settings(max_examples=150, deadline=None)
     def test_witness_iff_rep3(self, n, data):
         g = random_graph(n, data)
-        w = has_three_equal(g)
-        if rep(g) >= 3:
-            a, b, c = w
+        cert = min_deletion_for_rep3(g, 0)
+        if profile(g).rep >= 3:
+            a, b, c = cert.witness
+            assert cert.deleted == ()
             assert len({a, b, c}) == 3
-            assert g.degree(a) == g.degree(b) == g.degree(c)
+            assert g.degree(a) == g.degree(b) == g.degree(c) == cert.witness_degree
         else:
-            assert w is None
+            assert cert is None

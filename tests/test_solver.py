@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from itertools import combinations
+
 from rep3 import errors, solver
-from rep3.graphcore import complement, from_edge_list
-from rep3.repetition import rep
+from rep3.graphcore import complement, delete_vertices, from_edge_list
+from rep3.repetition import profile
 from rep3.solver import (
     DeletionCertificate,
     check_certificate,
@@ -17,6 +19,25 @@ import helpers
 def random_graph(n, data):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return from_edge_list(n, [p for p in pairs if data.draw(st.booleans())])
+
+
+def reference_certificate(g, max_k):
+    """The minimum-deletion certificate by building each reduced graph:
+    sets by increasing size, then lexicographically; the witness is the
+    first three vertices, by index, of the smallest reduced degree that
+    three or more share."""
+    for k in range(max_k + 1):
+        for d in combinations(range(g.n), k):
+            h, remap = delete_vertices(g, d)
+            by_degree = {}
+            for v in range(g.n):
+                if v in remap:
+                    by_degree.setdefault(h.degree(remap[v]), []).append(v)
+            shared = [deg for deg, vs in by_degree.items() if len(vs) >= 3]
+            if shared:
+                deg = min(shared)
+                return DeletionCertificate(g.n, d, tuple(by_degree[deg][:3]), deg)
+    return None
 
 
 class TestOracle:
@@ -50,6 +71,23 @@ class TestOracle:
         # first hit is reported at the smallest size
         g = helpers.c5()
         assert min_deletion_for_rep3(g, 2).deleted == ()
+
+    def test_builds_no_reduced_graph(self, graphs_by_n, monkeypatch):
+        # the search reads its certificate off the accepted mask; only
+        # check_certificate builds reduced graphs
+        expected = {
+            (g, k): reference_certificate(g, k)
+            for n in (5, 6, 7)
+            for g in graphs_by_n(n)
+            for k in range(n - 2)
+        }
+
+        def refuse(g, d):
+            raise AssertionError("the search built a reduced graph")
+
+        monkeypatch.setattr(solver, "delete_vertices", refuse)
+        for (g, k), cert in expected.items():
+            assert min_deletion_for_rep3(g, k) == cert
 
     @given(st.integers(5, 7), st.data())
     @settings(max_examples=100, deadline=None)
@@ -116,7 +154,7 @@ class TestSolve3:
         g = random_graph(n, data)
         c = solve3(g)
         h, _ = delete_vertices(g, c.deleted)
-        assert rep(h) >= 3
+        assert profile(h).rep >= 3
 
 
 class TestCheckCertificate:
