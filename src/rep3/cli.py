@@ -24,7 +24,7 @@ from .harness import (
     verify_lemmas,
     verify_theorem,
 )
-from .solver import min_deletion_for_rep3, solve3
+from .solver import allowance, min_deletion_for_rep3, solve3
 
 
 def _load_graph(spec: str):
@@ -159,8 +159,6 @@ def _report_exit(report, fmt: str) -> int:
 def _cmd_verify(args) -> int:
     if args.input:
         with open(args.input, "rb") as fh:
-            # read while the sweep buckets it: only each record's own
-            # bytes are kept, never the parsed graph
             report = verify_theorem(
                 args.min_n, args.max_n, source=read_graph6_records(fh), jobs=args.jobs
             )
@@ -180,7 +178,7 @@ def _cmd_identity(args) -> int:
 def _cmd_extremal(args) -> int:
     hits = find_extremal(args.n)
     if args.format == "json":
-        _emit({"n": args.n, "target": min(3, args.n - 3), "witnesses": hits})
+        _emit({"n": args.n, "target": allowance(args.n), "witnesses": hits})
     else:
         for rec in hits:
             print(rec)

@@ -53,8 +53,8 @@ deterministic and independent of generation order.
 
 from itertools import combinations
 
-from .errors import MalformedRecord, OrderTooLarge
-from .graphcore import _HEADER, Graph, _pack, parse_graph6
+from .errors import MalformedRecord, OrderTooLarge, UnsupportedOrder
+from .graphcore import _HEADER, Graph, _pack, _unpack, parse_graph6
 
 MAX_CANON = 10
 MAX_ENUM = 9
@@ -252,15 +252,15 @@ def _byte_lines(source):
 
 
 def read_graph6_records(source):
-    """(record, graph) pairs from newline-separated graph6 records, in
-    file order.
+    """The graph6 records of newline-separated text, as bytes, in file
+    order.
 
     source may be bytes, str, or any iterable of lines (an open binary
     file works).  Blank lines and a leading ">>graph6<<" header are
-    tolerated; anything else malformed, non-ASCII text included, is
-    reported with its 1-based line number.  record is the line's own
-    bytes without the header and surrounding whitespace; parsing is
-    strict, so it equals write_graph6(graph).
+    tolerated; anything else malformed, non-ASCII text and multi-byte
+    orders included, is a MalformedRecord naming its 1-based line.  A
+    record is the line's own bytes without the header and surrounding
+    whitespace, checked as strictly as parse_graph6 but not parsed.
     """
     for lineno, raw in enumerate(_byte_lines(source), start=1):
         line = raw.strip().removeprefix(_HEADER)
@@ -268,9 +268,10 @@ def read_graph6_records(source):
             continue
         if not line.isascii():
             raise MalformedRecord("non-ascii record", line=lineno)
-        try:
-            g = parse_graph6(line)
-        except MalformedRecord as exc:
-            raise MalformedRecord(str(exc), line=lineno) from None
         # parse_graph6 drops one more header of its own
-        yield line.removeprefix(_HEADER), g
+        rec = line.removeprefix(_HEADER)
+        try:
+            _unpack(rec)
+        except (MalformedRecord, UnsupportedOrder) as exc:
+            raise MalformedRecord(str(exc), line=lineno) from None
+        yield rec

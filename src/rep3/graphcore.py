@@ -89,16 +89,6 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()!r})"
 
 
-def _raw(n, rows):
-    # construction fast path for internal callers that already hold
-    # validated symmetric rows
-    g = object.__new__(Graph)
-    g.n = n
-    g.rows = rows
-    g.degrees = tuple(r.bit_count() for r in rows)
-    return g
-
-
 def _vertex_mask(g: Graph, vs) -> int:
     """Normalize a vertex-set argument: an int is taken as a bit mask,
     anything else as an iterable of vertex indices."""
@@ -136,7 +126,7 @@ def from_edge_list(n: int, edges) -> Graph:
             raise EndpointOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return _raw(n, tuple(rows))
+    return Graph(n, tuple(rows))
 
 
 def delete_vertices(g: Graph, d):
@@ -160,13 +150,13 @@ def delete_vertices(g: Graph, d):
             packed |= 1 << remap[low.bit_length() - 1]
             r ^= low
         rows.append(packed)
-    return _raw(len(keep), tuple(rows)), remap
+    return Graph(len(keep), tuple(rows)), remap
 
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     rows = tuple((full ^ g.rows[v]) & ~(1 << v) for v in range(g.n))
-    return _raw(g.n, rows)
+    return Graph(g.n, rows)
 
 
 _HEADER = b">>graph6<<"
@@ -194,6 +184,33 @@ def write_graph6(g: Graph) -> bytes:
     return _pack(g.n, code)
 
 
+def _unpack(record: bytes):
+    """(n, code) of a header-free graph6 record: the strict inverse of
+    _pack."""
+    if not record:
+        raise MalformedRecord("empty record")
+    if record[0] == 126:
+        raise UnsupportedOrder("multi-byte order encoding not supported")
+    n = record[0] - 63
+    if n < 1 or n > _G6_MAX:
+        raise MalformedRecord(f"order byte decodes to {n}, outside [1, {_G6_MAX}]")
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    if len(record) - 1 != need:
+        raise MalformedRecord(
+            f"expected {need} data bytes for order {n}, got {len(record) - 1}"
+        )
+    code = 0
+    for byte in record[1:]:
+        if not 63 <= byte <= 126:
+            raise MalformedRecord(f"data byte {byte} outside [63, 126]")
+        code = (code << 6) | (byte - 63)
+    pad = 6 * need - nbits
+    if code & ((1 << pad) - 1):
+        raise MalformedRecord("nonzero padding bits")
+    return n, code >> pad
+
+
 def parse_graph6(record) -> Graph:
     """Decode one graph6 record (bytes or str).
 
@@ -205,40 +222,16 @@ def parse_graph6(record) -> Graph:
             record = record.encode("ascii")
         except UnicodeEncodeError as exc:
             raise MalformedRecord(f"non-ascii record: {exc}") from None
-    if record.startswith(_HEADER):
-        record = record[len(_HEADER):]
-    if not record:
-        raise MalformedRecord("empty record")
-    if record[0] == 126:
-        raise UnsupportedOrder("multi-byte order encoding not supported")
-    n = record[0] - 63
-    if n < 1 or n > _G6_MAX:
-        raise MalformedRecord(f"order byte decodes to {n}, outside [1, {_G6_MAX}]")
-    nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
-    body = record[1:]
-    if len(body) != need:
-        raise MalformedRecord(
-            f"expected {need} data bytes for order {n}, got {len(body)}"
-        )
-    bits = []
-    for byte in body:
-        val = byte - 63
-        if not 0 <= val < 64:
-            raise MalformedRecord(f"data byte {byte} outside [63, 126]")
-        for k in range(5, -1, -1):
-            bits.append((val >> k) & 1)
-    if any(bits[nbits:]):
-        raise MalformedRecord("nonzero padding bits")
+    n, code = _unpack(record.removeprefix(_HEADER))
     rows = [0] * n
-    idx = 0
+    bit = n * (n - 1) // 2
     for j in range(1, n):
         for i in range(j):
-            if bits[idx]:
+            bit -= 1
+            if (code >> bit) & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-            idx += 1
-    return _raw(n, tuple(rows))
+    return Graph(n, tuple(rows))
 
 
 def to_edge_json(g: Graph) -> str:

@@ -23,6 +23,11 @@ plus the counting identity suite: in a graph where no degree repeats
 three times and no vertex is isolated, the degrees in [1, n-1] missed
 entirely are one fewer than those hit exactly twice.
 
+Sweeps move graph6 records only, as the catalogue and
+read_graph6_records hand them out; each worker parses its own record.
+Each sweep maps its worker once over all its orders' records, and each
+result carries its class's order, folded in as results arrive.
+
 The lemma suites read one verdict table per graph, built by
 feasible._triple_verdicts: each 3-set's shape, balanceability, budget
 and strong-form answer, worked out once per triple signature and
@@ -38,8 +43,8 @@ both solve and check each class the same way; each worker returns its
 class's minimum deletion size or a violation, and callers name classes
 from their own record lists.
 
-Reports are deterministic: worker-pool sharding preserves stream order,
-so any jobs count produces the same report, elapsed time aside.
+Reports are deterministic: the worker pool yields results in record
+order, so any jobs count produces the same report, elapsed time aside.
 """
 
 import json
@@ -50,15 +55,12 @@ from itertools import combinations
 from math import comb
 from multiprocessing import get_context
 
-from .enumeration import catalogue_records, enumerate_graphs
+from .enumeration import catalogue_records
 from .errors import NoFeasibleTriple, OrderOutOfRange, OrderTooLarge, TheoremViolation
 from .feasible import _median_triple, _p4, _triple_verdicts
-from .graphcore import parse_graph6, write_graph6
+from .graphcore import parse_graph6
 from .repetition import profile
-from .solver import check_certificate, min_deletion_for_rep3, solve3
-
-LEMMA_IDS = ("induced_path", "median_feasible", "feasible_budget", "paired_degree_gap")
-
+from .solver import allowance, check_certificate, min_deletion_for_rep3, solve3
 
 @dataclass
 class VerificationReport:
@@ -135,23 +137,25 @@ class VerificationReport:
 
 
 def _run(worker, records, jobs):
+    # results are yielded as they arrive, for callers to fold, not kept
     if jobs is None:
         jobs = os.cpu_count() or 1
     jobs = max(1, int(jobs))
     if jobs == 1 or len(records) < 2:
-        return [worker(r) for r in records]
-    # fork keeps the imported module state; map preserves input order, so
-    # the merged report is independent of scheduling
+        yield from map(worker, records)
+        return
+    # fork keeps the imported module state; imap preserves input order,
+    # so the merged report is independent of scheduling
     with get_context("fork").Pool(jobs) as pool:
         chunk = max(1, len(records) // (jobs * 4))
-        return pool.map(worker, records, chunksize=chunk)
+        yield from pool.imap(worker, records, chunksize=chunk)
 
 
 def _theorem_worker(rec: bytes):
-    """(minimum deletion size, None) for a class the theorem holds on,
-    or (None, violation); callers zip results with their records."""
+    """(n, minimum deletion size, None) for a class of order n the
+    theorem holds on, or (n, None, violation)."""
     g = parse_graph6(rec)
-    cap = min(3, g.n - 3)
+    cap = allowance(g.n)
     try:
         cert = solve3(g)
     except TheoremViolation as exc:
@@ -162,54 +166,52 @@ def _theorem_worker(rec: bytes):
         elif not check_certificate(g, cert):
             reason = f"certificate {cert.to_dict()} failed the independent check"
         else:
-            return len(cert.deleted), None
-    return None, {"n": g.n, "graph": rec.decode("ascii"), "reason": reason}
+            return g.n, len(cert.deleted), None
+    return g.n, None, {"n": g.n, "graph": rec.decode("ascii"), "reason": reason}
 
 
 def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> VerificationReport:
     """Solve and re-check every graph of each order in [min_n, max_n].
 
-    source None enumerates the catalogue; otherwise any iterable of
-    graphs works, or of (record, graph) pairs as read_graph6_records
-    yields them, whose records go to the workers unchanged.  Graphs of
-    orders outside the range are counted in the report's skipped field.
-    A sweep that checks no graph at all is not verified.  Graphs with
-    minimum deletion 3 are collected as lower-bound witnesses.
+    source None sweeps the catalogue; otherwise it is any iterable of
+    graph6 records as read_graph6_records yields them.  Records whose
+    order byte lies outside the range are counted in the report's
+    skipped field and never solved; the rest go to one worker pool,
+    which parses each record itself.  A sweep that checks no graph at
+    all is not verified.  Graphs with minimum deletion 3 are collected
+    as lower-bound witnesses.
     """
     if not 5 <= min_n <= max_n <= 9:
         raise OrderOutOfRange(f"need 5 <= min_n <= max_n <= 9, got {min_n}..{max_n}")
     t0 = time.perf_counter()
-    buckets = {n: [] for n in range(min_n, max_n + 1)}
-    skipped = 0
+    orders = range(min_n, max_n + 1)
     if source is None:
-        for n in buckets:
-            buckets[n] = catalogue_records(n)
-    else:
-        for item in source:
-            rec, g = item if isinstance(item, tuple) else (None, item)
-            if g.n in buckets:
-                buckets[g.n].append(rec or write_graph6(g))
-            else:
-                skipped += 1
-    per_n = {}
-    for n in sorted(buckets):
-        hist = [0, 0, 0, 0]
-        violations = []
-        witnesses = []
-        records = buckets[n]
-        for rec, (size, viol) in zip(records, _run(_theorem_worker, records, jobs)):
-            if viol is not None:
-                violations.append(viol)
-                continue
-            hist[size] += 1
-            if size == 3:
-                witnesses.append(rec.decode("ascii"))
-        per_n[n] = {
-            "graph_count": len(records),
-            "min_deletion_histogram": hist,
-            "violations": violations,
-            "extremal_witnesses": witnesses,
+        source = (rec for n in orders for rec in catalogue_records(n))
+    records = []
+    skipped = 0
+    for rec in source:
+        if rec[0] - 63 in orders:
+            records.append(rec)
+        else:
+            skipped += 1
+    per_n = {
+        n: {
+            "graph_count": 0,
+            "min_deletion_histogram": [0, 0, 0, 0],
+            "violations": [],
+            "extremal_witnesses": [],
         }
+        for n in orders
+    }
+    for rec, (n, size, viol) in zip(records, _run(_theorem_worker, records, jobs)):
+        entry = per_n[n]
+        entry["graph_count"] += 1
+        if viol is not None:
+            entry["violations"].append(viol)
+            continue
+        entry["min_deletion_histogram"][size] += 1
+        if size == 3:
+            entry["extremal_witnesses"].append(rec.decode("ascii"))
     return VerificationReport(per_n, {}, time.perf_counter() - t0, skipped)
 
 
@@ -228,7 +230,7 @@ def _paired_gap_sets(degs):
 
 
 def _lemma_worker(rec: bytes):
-    """One class's lemma results: (feasible_budget instances,
+    """One class's lemma results: (n, feasible_budget instances,
     paired_degree_gap instances, strong-form failures, violations).
 
     Every 4-set and 5-set is checked, so those suites' instance counts
@@ -255,7 +257,7 @@ def _lemma_worker(rec: bytes):
         for x in _paired_gap_sets(g.degrees)
         if _p4(g, x, table).kind == "has_balanceable"
     ]
-    if oracle_min is None or oracle_min > min(3, n - 3):
+    if oracle_min is None or oracle_min > allowance(n):
         for x in paired:
             found.append(
                 (
@@ -291,7 +293,7 @@ def _lemma_worker(rec: bytes):
                 )
             )
 
-    return budgeted, len(paired), failures, tuple(found)
+    return n, budgeted, len(paired), failures, tuple(found)
 
 
 def verify_lemmas(max_n: int, jobs=None) -> VerificationReport:
@@ -309,16 +311,15 @@ def verify_lemmas(max_n: int, jobs=None) -> VerificationReport:
         },
         "paired_degree_gap": {"instances_checked": 0, "violations": []},
     }
-    for n in range(1, max_n + 1):
-        records = catalogue_records(n)
-        results["induced_path"]["instances_checked"] += comb(n, 4) * len(records)
-        results["median_feasible"]["instances_checked"] += comb(n, 5) * len(records)
-        for budgeted, paired, failures, found in _run(_lemma_worker, records, jobs):
-            results["feasible_budget"]["instances_checked"] += budgeted
-            results["feasible_budget"]["strong_form_failures"] += failures
-            results["paired_degree_gap"]["instances_checked"] += paired
-            for lemma, violation in found:
-                results[lemma]["violations"].append(violation)
+    records = [rec for n in range(1, max_n + 1) for rec in catalogue_records(n)]
+    for n, budgeted, paired, failures, found in _run(_lemma_worker, records, jobs):
+        results["induced_path"]["instances_checked"] += comb(n, 4)
+        results["median_feasible"]["instances_checked"] += comb(n, 5)
+        results["feasible_budget"]["instances_checked"] += budgeted
+        results["feasible_budget"]["strong_form_failures"] += failures
+        results["paired_degree_gap"]["instances_checked"] += paired
+        for lemma, violation in found:
+            results[lemma]["violations"].append(violation)
     return VerificationReport({}, results, time.perf_counter() - t0)
 
 
@@ -330,7 +331,8 @@ def counting_identity_suite(max_n: int) -> VerificationReport:
     checked = 0
     violations = []
     for n in range(1, max_n + 1):
-        for g in enumerate_graphs(n):
+        for rec in catalogue_records(n):
+            g = parse_graph6(rec)
             p = profile(g)
             if p.rep > 2 or min(g.degrees) < 1:
                 continue
@@ -339,7 +341,7 @@ def counting_identity_suite(max_n: int) -> VerificationReport:
                 violations.append(
                     {
                         "n": n,
-                        "graph": write_graph6(g).decode("ascii"),
+                        "graph": rec.decode("ascii"),
                         "s_size": len(p.s_set),
                         "t_size": len(p.t_set),
                     }
@@ -363,10 +365,10 @@ def find_extremal(n: int, target=None):
     if not 5 <= n <= 9:
         raise OrderOutOfRange(f"extremal search covers orders 5..9, got {n}")
     if target is None:
-        target = min(3, n - 3)
+        target = allowance(n)
     records = catalogue_records(n)
     hits = []
-    for rec, (size, viol) in zip(records, _run(_theorem_worker, records, None)):
+    for rec, (_, size, viol) in zip(records, _run(_theorem_worker, records, None)):
         if viol is not None:
             raise TheoremViolation(f"{viol['graph']}: {viol['reason']}")
         if size == target:

@@ -68,6 +68,11 @@ def _certificate_for(g: Graph, combo, mask: int) -> DeletionCertificate:
     return DeletionCertificate(g.n, combo, tuple(by_degree[d][:3]), d)
 
 
+def allowance(n: int) -> int:
+    """The theorem's deletion allowance at order n: min(3, n-3)."""
+    return min(3, n - 3)
+
+
 def min_deletion_for_rep3(g: Graph, max_k: int):
     """Smallest deletion set (size <= max_k) leaving three equal degrees.
 
@@ -97,12 +102,10 @@ def solve3(g: Graph) -> DeletionCertificate:
     """
     if g.n < 5:
         raise OrderTooSmall(f"need at least 5 vertices, got {g.n}")
-    allowance = min(3, g.n - 3)
-    cert = min_deletion_for_rep3(g, allowance)
+    k = allowance(g.n)
+    cert = min_deletion_for_rep3(g, k)
     if cert is None:
-        raise TheoremViolation(
-            f"no deletion set of size <= {allowance} found for {g!r}"
-        )
+        raise TheoremViolation(f"no deletion set of size <= {k} found for {g!r}")
     return cert
 
 

@@ -226,6 +226,14 @@ def test_verify_malformed_input(capsys, tmp_path):
                 "--input", str(f)]) == 2
 
 
+def test_verify_input_multi_byte_order_names_line(capsys, tmp_path):
+    f = tmp_path / "wide.g6"
+    f.write_bytes(b"Bw\n~abc\n")
+    assert run(["verify", "--min-n", "5", "--max-n", "5", "--input", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 2: multi-byte order encoding not supported\n"
+
+
 # ----------------------------------------------- lemmas, identity, extremal
 
 def test_lemmas_report(capsys):

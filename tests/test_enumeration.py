@@ -172,7 +172,7 @@ class TestEnumerate:
 
 class TestReadStream:
     def test_two_records(self):
-        gs = [g for _, g in read_graph6_records(io.BytesIO(b"Bw\nCh\n"))]
+        gs = [parse_graph6(rec) for rec in read_graph6_records(io.BytesIO(b"Bw\nCh\n"))]
         assert gs[0].degrees == (2, 2, 2)
         assert gs[1].degrees == (1, 2, 2, 1)
 
@@ -190,13 +190,20 @@ class TestReadStream:
 
     def test_records_are_the_lines_own_bytes(self):
         text = b">>graph6<<Bw\n  Ch \r\n>>graph6<<>>graph6<<Bw\n"
-        pairs = list(read_graph6_records(text))
-        assert [rec for rec, _ in pairs] == [b"Bw", b"Ch", b"Bw"]
-        assert all(rec == write_graph6(g) for rec, g in pairs)
+        records = list(read_graph6_records(text))
+        assert records == [b"Bw", b"Ch", b"Bw"]
+        assert all(rec == write_graph6(parse_graph6(rec)) for rec in records)
 
-    def test_malformed_line_number(self):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(b"Bw\nB%w\nCh\n", id="bad_byte"),
+            pytest.param(b"Bw\n~abc\n", id="multi_byte_order"),
+        ],
+    )
+    def test_malformed_line_number(self, text):
         with pytest.raises(errors.MalformedRecord) as exc:
-            list(read_graph6_records(io.BytesIO(b"Bw\nB%w\nCh\n")))
+            list(read_graph6_records(io.BytesIO(text)))
         assert exc.value.line == 2
         assert "line 2" in str(exc.value)
 
@@ -215,7 +222,7 @@ class TestReadStream:
             for g in graphs_by_n(5):
                 fh.write(write_graph6(g) + b"\n")
         with open(path, "rb") as fh:
-            back = [g for _, g in read_graph6_records(fh)]
+            back = [parse_graph6(rec) for rec in read_graph6_records(fh)]
         assert [write_graph6(g) for g in back] == [
             write_graph6(g) for g in graphs_by_n(5)
         ]

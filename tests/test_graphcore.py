@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from rep3 import errors
 from rep3.graphcore import (
     Graph,
+    _pack,
+    _unpack,
     complement,
     delete_vertices,
     from_edge_json,
@@ -214,6 +216,8 @@ class TestGraph6:
         edges = [p for p in pairs if data.draw(st.booleans())]
         g = from_edge_list(n, edges)
         assert edge_set(parse_graph6(write_graph6(g))) == set(edges)
+        code = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+        assert _unpack(_pack(n, code)) == (n, code)
 
 
 class TestEdgeJson:

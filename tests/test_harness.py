@@ -3,8 +3,8 @@ import json
 import pytest
 
 from rep3 import errors, feasible, harness, solver
-from rep3.enumeration import catalogue_records, enumerate_graphs, read_graph6_records
-from rep3.graphcore import parse_graph6
+from rep3.enumeration import catalogue_records, read_graph6_records
+from rep3.graphcore import from_edge_list, parse_graph6, write_graph6
 from rep3.harness import (
     VerificationReport,
     counting_identity_suite,
@@ -35,13 +35,30 @@ class TestVerifyTheorem:
 
     def test_stream_source_equivalent(self):
         gen = verify_theorem(5, 5)
-        streamed = verify_theorem(5, 5, source=enumerate_graphs(5))
+        streamed = verify_theorem(5, 5, source=catalogue_records(5))
         assert gen.comparable() == streamed.comparable()
 
     def test_record_source_equivalent(self):
         text = b"".join(rec + b"\n" for rec in catalogue_records(5))
         streamed = verify_theorem(5, 5, source=read_graph6_records(text))
         assert verify_theorem(5, 5).comparable() == streamed.comparable()
+
+    def test_other_orders_skipped_and_never_solved(self, monkeypatch):
+        solved = []
+        real_solve3 = harness.solve3
+
+        def solve3(g):
+            solved.append(g.n)
+            return real_solve3(g)
+
+        monkeypatch.setattr(harness, "solve3", solve3)
+        source = [
+            write_graph6(from_edge_list(n, [(0, 1)])) for n in (4, 5, 7, 6, 10)
+        ]
+        r = verify_theorem(5, 6, source=source, jobs=1)
+        assert r.skipped == 3
+        assert r.per_n[5]["graph_count"] == r.per_n[6]["graph_count"] == 1
+        assert solved == [5, 6]
 
     def test_jobs_equivalent(self):
         serial = verify_theorem(5, 5, jobs=1)
@@ -192,6 +209,28 @@ class TestFindExtremal:
             find_extremal(4)
         with pytest.raises(errors.OrderOutOfRange):
             find_extremal(10)
+
+
+def test_each_sweep_opens_at_most_one_pool(monkeypatch):
+    real_get_context = harness.get_context
+    opened = []
+
+    class CountingContext:
+        def __init__(self, method):
+            self.ctx = real_get_context(method)
+
+        def Pool(self, *args, **kwargs):
+            opened.append(args)
+            return self.ctx.Pool(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "get_context", CountingContext)
+    lemmas = verify_lemmas(6, jobs=2)
+    assert len(opened) == 1
+    theorem = verify_theorem(5, 7, jobs=2)
+    assert len(opened) == 2
+    assert lemmas.comparable() == verify_lemmas(6, jobs=1).comparable()
+    assert theorem.comparable() == verify_theorem(5, 7, jobs=1).comparable()
+    assert len(opened) == 2
 
 
 class TestReport:
