@@ -47,11 +47,19 @@ the child for S onto the child for the swapped S.  So S is also
 required to meet each twin class in a prefix of its members; the
 subsets skipped that way only repeat children.
 
-The stream of each order is sorted by (edge count, record), so it is
-deterministic and independent of generation order.
+Since each class has exactly one parent class and duplicates only
+arise among one parent's children, the parents of an order are
+independent shards, as in the res/mod splitting of nauty's geng:
+_generate maps the per-parent worker _children over the order n-1
+records, in a worker pool when jobs allows, and needs no state shared
+between shards.  The stream of each order is then sorted by (edge
+count, record), so its bytes do not depend on jobs, on the shard each
+parent went to or on the order in which shards finish.
 """
 
+import os
 from itertools import combinations
+from multiprocessing import get_context
 
 from .errors import MalformedRecord, OrderTooLarge, UnsupportedOrder
 from .graphcore import _HEADER, Graph, _pack, _unpack, parse_graph6
@@ -179,53 +187,88 @@ def _canonical_search(g: Graph):
 _catalogue = {}  # n -> tuple of canonical graph6 records in stream order
 
 
-def catalogue_records(n: int) -> tuple:
+def _run(worker, records, jobs):
+    """worker over records, results yielded in record order.
+
+    jobs None means os.cpu_count(), and no more workers start than
+    there are records; jobs 1, or fewer than two records, maps in this
+    process and starts none.  Results are yielded as they arrive, for
+    callers to fold, not kept.
+    """
+    if jobs is None:
+        jobs = os.cpu_count() or 1
+    jobs = min(max(1, int(jobs)), len(records))
+    if jobs < 2:
+        yield from map(worker, records)
+        return
+    # fork keeps the imported module state; imap preserves input order,
+    # so the merged result is independent of scheduling
+    with get_context("fork").Pool(jobs) as pool:
+        chunk = max(1, len(records) // (jobs * 4))
+        yield from pool.imap(worker, records, chunksize=chunk)
+
+
+def catalogue_records(n: int, jobs=None) -> tuple:
     """The canonical graph6 record of every class of order n, 1 <= n <= 9.
 
     Sorted by (edge count, record) and memoised together with every
     lower order, so callers that only pass records on (to a worker pool,
-    to a file) need not parse and re-encode them.
+    to a file) need not parse and re-encode them.  Orders not yet
+    memoised are generated over jobs worker processes (None: one per
+    core, 1: none); the records do not depend on jobs.
     """
     if not 1 <= n <= MAX_ENUM:
         raise OrderTooLarge(f"enumeration supports orders 1..{MAX_ENUM}, got {n}")
     if n not in _catalogue:
-        _catalogue[n] = _generate(n)
+        _catalogue[n] = _generate(n, jobs)
     return _catalogue[n]
 
 
-def _generate(n):
+def _generate(n, jobs):
     if n == 1:
         return (canonical_form(Graph(1, (0,))),)
-    top = 1 << (n - 1)
     levels = [[] for _ in range(n * (n - 1) // 2 + 1)]  # records by edge count
-    for rec in catalogue_records(n - 1):
-        parent = parse_graph6(rec)
-        rows = parent.rows
-        degs = parent.degrees
-        edges = parent.edge_count()
-        seen = set()  # isomorphic children of one parent only
-        links = []  # (u, w) masks, u the previous twin of w in P
-        for w in range(1, n - 1):
-            for u in range(w - 1, -1, -1):
-                if rows[u] & ~(1 << w) == rows[w] & ~(1 << u):
-                    links.append((1 << u, 1 << w))
-                    break
-        for k in range(max(degs), n):
-            pool = [u for u in range(n - 1) if degs[u] < k]
-            for s in combinations(pool, k):
-                mask = 0
-                for u in s:
-                    mask |= 1 << u
-                if any(mask & b and not mask & a for a, b in links):
-                    continue
-                child = tuple(
-                    r | top if (mask >> u) & 1 else r for u, r in enumerate(rows)
-                )
-                form, orbit = _canonical_search(Graph(n, child + (mask,)))
-                if orbit & top and form not in seen:
-                    seen.add(form)
-                    levels[edges + k].append(form)
+    for children in _run(_children, catalogue_records(n - 1, jobs), jobs):
+        for edges, forms in children:
+            levels[edges] += forms
     return tuple(form for level in levels for form in sorted(level))
+
+
+def _children(rec):
+    """The accepted children of one parent class, each once, as
+    (edge count, canonical records) pairs, one per edge count."""
+    parent = parse_graph6(rec)
+    n = parent.n + 1
+    top = 1 << (n - 1)
+    rows = parent.rows
+    degs = parent.degrees
+    edges = parent.edge_count()
+    seen = set()  # isomorphic children of one parent only
+    out = []
+    links = []  # (u, w) masks, u the previous twin of w in P
+    for w in range(1, n - 1):
+        for u in range(w - 1, -1, -1):
+            if rows[u] & ~(1 << w) == rows[w] & ~(1 << u):
+                links.append((1 << u, 1 << w))
+                break
+    for k in range(max(degs), n):
+        pool = [u for u in range(n - 1) if degs[u] < k]
+        forms = []
+        for s in combinations(pool, k):
+            mask = 0
+            for u in s:
+                mask |= 1 << u
+            if any(mask & b and not mask & a for a, b in links):
+                continue
+            child = tuple(
+                r | top if (mask >> u) & 1 else r for u, r in enumerate(rows)
+            )
+            form, orbit = _canonical_search(Graph(n, child + (mask,)))
+            if orbit & top and form not in seen:
+                seen.add(form)
+                forms.append(form)
+        out.append((edges + k, forms))
+    return out
 
 
 def enumerate_graphs(n: int):
@@ -240,11 +283,12 @@ def enumerate_graphs(n: int):
 
 def _byte_lines(source):
     # text is taken as UTF-8, which keeps every line break where it was
-    # and leaves non-ASCII text on its own line, to be rejected there
+    # and leaves non-ASCII text on its own line, to be rejected there;
+    # every source is split at b"\n" only, as iterating a binary file is
     if isinstance(source, str):
         source = source.encode("utf-8", "surrogatepass")
     if isinstance(source, bytes):
-        return source.splitlines()
+        return source.split(b"\n")
     return (
         line.encode("utf-8", "surrogatepass") if isinstance(line, str) else line
         for line in source
@@ -256,11 +300,13 @@ def read_graph6_records(source):
     order.
 
     source may be bytes, str, or any iterable of lines (an open binary
-    file works).  Blank lines and a leading ">>graph6<<" header are
-    tolerated; anything else malformed, non-ASCII text and multi-byte
-    orders included, is a MalformedRecord naming its 1-based line.  A
-    record is the line's own bytes without the header and surrounding
-    whitespace, checked as strictly as parse_graph6 but not parsed.
+    file works).  Lines end at "\n" only, whatever the source, so a
+    lone "\r" stays inside its line.  Blank lines and a leading
+    ">>graph6<<" header are tolerated; anything else malformed,
+    non-ASCII text and multi-byte orders included, is a MalformedRecord
+    naming its 1-based line.  A record is the line's own bytes without
+    the header and surrounding whitespace, checked as strictly as
+    parse_graph6 but not parsed.
     """
     for lineno, raw in enumerate(_byte_lines(source), start=1):
         line = raw.strip().removeprefix(_HEADER)

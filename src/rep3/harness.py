@@ -48,17 +48,15 @@ order, so any jobs count produces the same report, elapsed time aside.
 """
 
 import json
-import os
 import time
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from multiprocessing import get_context
 
-from .enumeration import catalogue_records
+from .enumeration import _run, catalogue_records
 from .errors import NoFeasibleTriple, OrderOutOfRange, OrderTooLarge, TheoremViolation
 from .feasible import _median_triple, _p4, _triple_verdicts
-from .graphcore import parse_graph6
+from .graphcore import _unpack, parse_graph6
 from .repetition import profile
 from .solver import allowance, check_certificate, min_deletion_for_rep3, solve3
 
@@ -136,21 +134,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _run(worker, records, jobs):
-    # results are yielded as they arrive, for callers to fold, not kept
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    jobs = max(1, int(jobs))
-    if jobs == 1 or len(records) < 2:
-        yield from map(worker, records)
-        return
-    # fork keeps the imported module state; imap preserves input order,
-    # so the merged report is independent of scheduling
-    with get_context("fork").Pool(jobs) as pool:
-        chunk = max(1, len(records) // (jobs * 4))
-        yield from pool.imap(worker, records, chunksize=chunk)
-
-
 def _theorem_worker(rec: bytes):
     """(n, minimum deletion size, None) for a class of order n the
     theorem holds on, or (n, None, violation)."""
@@ -175,24 +158,28 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
 
     source None sweeps the catalogue; otherwise it is any iterable of
     graph6 records as read_graph6_records yields them.  Records whose
-    order byte lies outside the range are counted in the report's
-    skipped field and never solved; the rest go to one worker pool,
-    which parses each record itself.  A sweep that checks no graph at
-    all is not verified.  Graphs with minimum deletion 3 are collected
-    as lower-bound witnesses.
+    order byte lies outside the range are validated, counted in the
+    report's skipped field and never solved; the rest go to one worker
+    pool, which parses each record itself.  A malformed record raises
+    MalformedRecord either way (UnsupportedOrder for the multi-byte
+    order form).  jobs also sets the worker count for any catalogue
+    order not yet generated.  A sweep that checks no graph at all is
+    not verified.  Graphs with minimum deletion 3 are collected as
+    lower-bound witnesses.
     """
     if not 5 <= min_n <= max_n <= 9:
         raise OrderOutOfRange(f"need 5 <= min_n <= max_n <= 9, got {min_n}..{max_n}")
     t0 = time.perf_counter()
     orders = range(min_n, max_n + 1)
     if source is None:
-        source = (rec for n in orders for rec in catalogue_records(n))
+        source = (rec for n in orders for rec in catalogue_records(n, jobs))
     records = []
     skipped = 0
     for rec in source:
-        if rec[0] - 63 in orders:
+        if rec and rec[0] - 63 in orders:
             records.append(rec)
         else:
+            _unpack(rec)  # raises unless a well-formed record of another order
             skipped += 1
     per_n = {
         n: {
@@ -311,7 +298,7 @@ def verify_lemmas(max_n: int, jobs=None) -> VerificationReport:
         },
         "paired_degree_gap": {"instances_checked": 0, "violations": []},
     }
-    records = [rec for n in range(1, max_n + 1) for rec in catalogue_records(n)]
+    records = [rec for n in range(1, max_n + 1) for rec in catalogue_records(n, jobs)]
     for n, budgeted, paired, failures, found in _run(_lemma_worker, records, jobs):
         results["induced_path"]["instances_checked"] += comb(n, 4)
         results["median_feasible"]["instances_checked"] += comb(n, 5)

@@ -2,9 +2,9 @@
 
 Tolerances are exact throughout: zero violations, exact class counts,
 byte equality.  The order-9 leg of the first check runs under the
-`extended` marker (about a minute on two cores); everything else
-stays in the default suite.  Session fixtures share the two expensive
-sweeps so no suite is computed twice.
+`extended` marker (about 35 s on two cores, generation included);
+everything else stays in the default suite.  Session fixtures share the
+two expensive sweeps so no suite is computed twice.
 """
 
 from itertools import combinations, permutations

@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rep3 import errors
+from rep3 import enumeration, errors
 from rep3.enumeration import (
     _canonical_search,
     canonical_form,
@@ -170,6 +170,25 @@ class TestEnumerate:
         assert all(g.n == 5 for g in graphs_by_n(5))
 
 
+def generated(monkeypatch, max_n, jobs):
+    """catalogue_records(1..max_n) generated afresh over jobs workers."""
+    monkeypatch.setattr(enumeration, "_catalogue", {})
+    return [catalogue_records(n, jobs=jobs) for n in range(1, max_n + 1)]
+
+
+def test_records_do_not_depend_on_jobs(monkeypatch):
+    serial = generated(monkeypatch, 8, 1)
+    assert generated(monkeypatch, 8, 2) == serial
+    assert [len(r) for r in serial] == [1, 2, 4, 11, 34, 156, 1044, 12346]
+
+
+@pytest.mark.extended
+def test_order_9_records_do_not_depend_on_jobs(monkeypatch):
+    serial = generated(monkeypatch, 9, 1)[-1]
+    assert generated(monkeypatch, 9, 2)[-1] == serial
+    assert len(serial) == 274668
+
+
 class TestReadStream:
     def test_two_records(self):
         gs = [parse_graph6(rec) for rec in read_graph6_records(io.BytesIO(b"Bw\nCh\n"))]
@@ -215,6 +234,27 @@ class TestReadStream:
             list(read_graph6_records(source))
         assert exc.value.line == 2
         assert "non-ascii" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            pytest.param(b"Bw\rCh\n", 1, id="lone_cr"),
+            pytest.param(b"Bw\r\nCh\r\n", [b"Bw", b"Ch"], id="crlf"),
+            pytest.param(b"Bw\n\rCh", [b"Bw", b"Ch"], id="cr_leads_line"),
+            pytest.param(b"Bw\n\nCh\rB%w\n", 3, id="cr_hides_bad_record"),
+            pytest.param(b"Bw\x0bCh\n", 1, id="vertical_tab"),
+        ],
+    )
+    def test_every_source_splits_at_newline_only(self, text, expected):
+        def outcome(source):
+            try:
+                return list(read_graph6_records(source))
+            except errors.MalformedRecord as exc:
+                return exc.line
+
+        assert outcome(text) == expected
+        assert outcome(text.decode("ascii")) == expected
+        assert outcome(io.BytesIO(text)) == expected
 
     def test_file_round_trip(self, tmp_path, graphs_by_n):
         path = tmp_path / "five.g6"

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rep3 import errors, feasible, harness, solver
+from rep3 import enumeration, errors, feasible, harness, solver
 from rep3.enumeration import catalogue_records, read_graph6_records
 from rep3.graphcore import from_edge_list, parse_graph6, write_graph6
 from rep3.harness import (
@@ -59,6 +59,20 @@ class TestVerifyTheorem:
         assert r.skipped == 3
         assert r.per_n[5]["graph_count"] == r.per_n[6]["graph_count"] == 1
         assert solved == [5, 6]
+
+    @pytest.mark.parametrize(
+        "rec",
+        [
+            pytest.param(b"", id="empty"),
+            pytest.param(b"B!!!!", id="order_3_bad_bytes"),
+            pytest.param(b"\x7f", id="order_64"),
+            pytest.param(b"D!!!", id="order_5_bad_bytes"),
+        ],
+    )
+    def test_malformed_source_record_raises(self, rec):
+        # records outside the swept orders are validated before skipping
+        with pytest.raises(errors.MalformedRecord):
+            verify_theorem(5, 5, source=[rec], jobs=1)
 
     def test_jobs_equivalent(self):
         serial = verify_theorem(5, 5, jobs=1)
@@ -211,8 +225,10 @@ class TestFindExtremal:
             find_extremal(10)
 
 
-def test_each_sweep_opens_at_most_one_pool(monkeypatch):
-    real_get_context = harness.get_context
+@pytest.fixture
+def opened_pools(monkeypatch):
+    """The args of every worker pool opened while the test runs."""
+    real_get_context = enumeration.get_context
     opened = []
 
     class CountingContext:
@@ -223,14 +239,34 @@ def test_each_sweep_opens_at_most_one_pool(monkeypatch):
             opened.append(args)
             return self.ctx.Pool(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "get_context", CountingContext)
+    monkeypatch.setattr(enumeration, "get_context", CountingContext)
+    return opened
+
+
+def test_each_sweep_opens_at_most_one_pool(opened_pools):
+    catalogue_records(7, jobs=1)  # a warm catalogue: no generation below
     lemmas = verify_lemmas(6, jobs=2)
-    assert len(opened) == 1
+    assert len(opened_pools) == 1
     theorem = verify_theorem(5, 7, jobs=2)
-    assert len(opened) == 2
+    assert len(opened_pools) == 2
     assert lemmas.comparable() == verify_lemmas(6, jobs=1).comparable()
     assert theorem.comparable() == verify_theorem(5, 7, jobs=1).comparable()
-    assert len(opened) == 2
+    assert len(opened_pools) == 2
+
+
+def test_cold_catalogue_pools_only_when_jobs_allow(opened_pools, monkeypatch):
+    monkeypatch.setattr(enumeration, "_catalogue", {})
+    serial = verify_theorem(5, 6, jobs=1)
+    assert opened_pools == []
+    monkeypatch.setattr(enumeration, "_catalogue", {})
+    pooled = verify_theorem(5, 6, jobs=2)
+    assert opened_pools
+    assert pooled.comparable() == serial.comparable()
+
+
+def test_pool_never_exceeds_the_records(opened_pools):
+    assert list(enumeration._run(abs, [1, -2], 8)) == [1, 2]
+    assert opened_pools == [(2,)]
 
 
 class TestReport:
