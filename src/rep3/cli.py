@@ -121,16 +121,16 @@ def _cmd_classify(args) -> int:
 
 def _cmd_equalize(args) -> int:
     g = _load_graph(args.graph)
-    allowance = args.budget
-    if allowance is None:
+    max_delete = args.budget
+    if max_delete is None:
         tc = classify_triple(g, args.triple)
         if not tc.feasible:
             raise NotFeasible(
                 "triple satisfies no condition, so it has no implied "
                 "allowance; pass --budget explicitly"
             )
-        allowance = budget(tc)
-    deleted = equalize_triple(g, args.triple, allowance)
+        max_delete = budget(tc)
+    deleted = equalize_triple(g, args.triple, max_delete)
     if deleted is None:
         print("none")
         return 1

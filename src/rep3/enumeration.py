@@ -54,7 +54,12 @@ _generate maps the per-parent worker _children over the order n-1
 records, in a worker pool when jobs allows, and needs no state shared
 between shards.  The stream of each order is then sorted by (edge
 count, record), so its bytes do not depend on jobs, on the shard each
-parent went to or on the order in which shards finish.
+parent went to or on the order in which shards finish.  _run, the pool
+map every sweep shares, starts at most one worker per core.
+
+read_graph6_records turns the byte lines of a graph6 file, as iterating
+the open binary file gives them, into validated record bytes without
+building a graph.
 """
 
 import os
@@ -190,14 +195,15 @@ _catalogue = {}  # n -> tuple of canonical graph6 records in stream order
 def _run(worker, records, jobs):
     """worker over records, results yielded in record order.
 
-    jobs None means os.cpu_count(), and no more workers start than
-    there are records; jobs 1, or fewer than two records, maps in this
-    process and starts none.  Results are yielded as they arrive, for
-    callers to fold, not kept.
+    jobs None means os.cpu_count().  No more workers start than there
+    are cores or records; jobs 1, or fewer than two records, maps in
+    this process and starts none.  Results are yielded as they arrive,
+    for callers to fold, not kept.
     """
+    cores = os.cpu_count() or 1
     if jobs is None:
-        jobs = os.cpu_count() or 1
-    jobs = min(max(1, int(jobs)), len(records))
+        jobs = cores
+    jobs = min(max(1, int(jobs)), cores, len(records))
     if jobs < 2:
         yield from map(worker, records)
         return
@@ -281,34 +287,19 @@ def enumerate_graphs(n: int):
         yield parse_graph6(form)
 
 
-def _byte_lines(source):
-    # text is taken as UTF-8, which keeps every line break where it was
-    # and leaves non-ASCII text on its own line, to be rejected there;
-    # every source is split at b"\n" only, as iterating a binary file is
-    if isinstance(source, str):
-        source = source.encode("utf-8", "surrogatepass")
-    if isinstance(source, bytes):
-        return source.split(b"\n")
-    return (
-        line.encode("utf-8", "surrogatepass") if isinstance(line, str) else line
-        for line in source
-    )
+def read_graph6_records(lines):
+    """The graph6 records of an iterable of byte lines, as bytes, in
+    line order.
 
-
-def read_graph6_records(source):
-    """The graph6 records of newline-separated text, as bytes, in file
-    order.
-
-    source may be bytes, str, or any iterable of lines (an open binary
-    file works).  Lines end at "\n" only, whatever the source, so a
-    lone "\r" stays inside its line.  Blank lines and a leading
-    ">>graph6<<" header are tolerated; anything else malformed,
-    non-ASCII text and multi-byte orders included, is a MalformedRecord
+    lines is what iterating a binary file gives: each line ends at
+    b"\n", so a lone b"\r" stays inside its line.  Blank lines and a
+    leading ">>graph6<<" header are tolerated; anything else malformed,
+    non-ASCII bytes and multi-byte orders included, is a MalformedRecord
     naming its 1-based line.  A record is the line's own bytes without
     the header and surrounding whitespace, checked as strictly as
     parse_graph6 but not parsed.
     """
-    for lineno, raw in enumerate(_byte_lines(source), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip().removeprefix(_HEADER)
         if not line:
             continue

@@ -50,21 +50,8 @@ class NotATriple(Rep3Error, ValueError):
     """A 3-set argument did not contain exactly three distinct vertices."""
 
 
-class WrongSetSize(Rep3Error, ValueError):
-    """A fixed-size vertex-set argument had the wrong number of distinct
-    vertices (4-set and 5-set taking operations)."""
-
-
 class NotFeasible(Rep3Error, ValueError):
     """A budget was requested for a triple that matched no condition."""
-
-
-class NoFeasibleTriple(Rep3Error):
-    """No feasible triple through the median vertex of a 5-set.
-
-    The verification harness treats this as a fatal finding: it would
-    contradict a property the whole construction relies on.
-    """
 
 
 class BudgetExceedsOrder(Rep3Error, ValueError):

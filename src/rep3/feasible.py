@@ -18,36 +18,31 @@ its labelings matches, and on a tie the first such labeling in
 lexicographic vertex order, which makes the reported (condition,
 labeling) pair reproducible.
 
-Input is checked once, at the public boundary: classify_triple,
-equalize_triple, find_feasible_in_five and p4_structure each validate
-their vertex set and then call one private core that takes a sorted
-tuple of distinct in-range vertices.  Internal callers whose sets are
-valid by construction (the triple table and the verification harness,
-which walk combinations(range(n), k)) call the cores directly.
+Input is checked once, at the public boundary: classify_triple and
+equalize_triple validate their triple and then call one private core
+that takes a sorted tuple of three distinct in-range vertices.
+Internal callers whose sets are valid by construction (the triple
+table and the lemma worker, which walk combinations(range(n), k)) call
+the cores directly.
 
-The 4-set and 5-set structure checks and the lemma suites read one
-per-graph table of every 3-set, _triple_verdicts(g).  It holds only
-what they ask: whether the set is feasible and balanceable, its budget
-when that is at most n - 3, and whether _equalize finds a set within
-that budget.  These depend only on the triple's signature (its edge
-pattern and how many other vertices lie in each of the eight
-adjacency regions around it), so _triple_verdicts runs _classify and
-_equalize on the first triple of each signature and reuses the answer
-for every later triple, in any graph, that shares it.  Through order 8
-the 731,424 triples have 2,946 signatures.
+The lemma suites, through the 4-set check _p4 and the 5-set scan
+_median_triple, read one per-graph table of every 3-set,
+_triple_verdicts(g).  It holds only what they ask: whether the set is
+feasible and balanceable, its budget when that is at most n - 3, and
+whether _equalize finds a set within that budget.  These depend only
+on the triple's signature (its edge pattern and how many other
+vertices lie in each of the eight adjacency regions around it), so
+_triple_verdicts runs _classify and _equalize on the first triple of
+each signature and reuses the answer for every later triple, in any
+graph, that shares it.  Through order 8 the 731,424 triples have 2,946
+signatures.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import NamedTuple, Optional
 
-from .errors import (
-    NoFeasibleTriple,
-    NotATriple,
-    NotFeasible,
-    VertexOutOfRange,
-    WrongSetSize,
-)
+from .errors import NotATriple, NotFeasible, VertexOutOfRange
 from .graphcore import Graph
 
 
@@ -56,7 +51,6 @@ class TripleClassification:
     condition: Optional[str]
     labeling: Optional[tuple]
     balanceable: bool
-    accessible: bool
     p: int
     q: int
 
@@ -73,10 +67,10 @@ class TripleClassification:
         return d
 
 
-def _distinct_sorted(g: Graph, vs, size, exc):
+def _distinct_sorted(g: Graph, vs):
     out = tuple(sorted(set(vs)))
-    if len(out) != size:
-        raise exc(f"need exactly {size} distinct vertices, got {vs!r}")
+    if len(out) != 3:
+        raise NotATriple(f"need exactly 3 distinct vertices, got {vs!r}")
     if out[0] < 0 or out[-1] >= g.n:
         raise VertexOutOfRange(f"{out} outside 0..{g.n - 1}")
     return out
@@ -116,10 +110,8 @@ def _classify(g: Graph, s3) -> TripleClassification:
         if cond < best and (cond <= 4 or _clause_holds(cond, rows, x, y, z)):
             best, labeling = cond, (x, y, z)
     if labeling is None:
-        return TripleClassification(None, None, False, False, hi - mid, mid - lo)
-    return TripleClassification(
-        f"C{best}", labeling, best <= 4, best >= 5, hi - mid, mid - lo
-    )
+        return TripleClassification(None, None, False, hi - mid, mid - lo)
+    return TripleClassification(f"C{best}", labeling, best <= 4, hi - mid, mid - lo)
 
 
 def classify_triple(g: Graph, s) -> TripleClassification:
@@ -130,7 +122,7 @@ def classify_triple(g: Graph, s) -> TripleClassification:
     classification with condition None when nothing matches.  The
     degree gaps p and q are reported either way.
     """
-    return _classify(g, _distinct_sorted(g, s, 3, NotATriple))
+    return _classify(g, _distinct_sorted(g, s))
 
 
 def budget(tc: TripleClassification) -> int:
@@ -169,7 +161,7 @@ def equalize_triple(g: Graph, s, max_delete: int):
     None when no deletion set within the allowance works.  The effective
     allowance is capped at n - 3: the triple itself must survive.
     """
-    return _equalize(g, _distinct_sorted(g, s, 3, NotATriple), max_delete)
+    return _equalize(g, _distinct_sorted(g, s), max_delete)
 
 
 class TripleVerdict(NamedTuple):
@@ -248,7 +240,13 @@ def _triple_verdicts(g: Graph) -> dict:
 
 
 def _median_triple(u5, table, keys):
-    # keys[v] is (degree, index) of v: built once per graph by callers
+    """The first feasible 3-subset of the 5-set u5 through its
+    median-degree vertex, or None.
+
+    Vertices are sorted by keys[v], (degree, index) of v, built once per
+    graph by callers; the scan walks 3-subsets of sorted positions in
+    lexicographic order, restricted to those containing position 2.
+    """
     order = sorted(u5, key=keys.__getitem__)
     m = order.pop(2)
     # the remaining pairs in lexicographic position order, so the scan
@@ -257,56 +255,30 @@ def _median_triple(u5, table, keys):
         if a > b:
             a, b = b, a
         triple = (m, a, b) if m < a else (a, m, b) if m < b else (a, b, m)
-        tc = table[triple]
-        if tc.condition is not None:
-            return triple, tc
-    raise NoFeasibleTriple(
-        f"no feasible triple through median vertex {m} of {tuple(u5)}"
-    )
+        if table[triple].condition is not None:
+            return triple
+    return None
 
 
-def find_feasible_in_five(g: Graph, u):
-    """A feasible 3-subset of a 5-set through its median-degree vertex,
-    with its verdict.
+def _p4(g: Graph, x4, table) -> str:
+    """The structure kind of the 4-set x4, a sorted tuple.
 
-    Vertices are sorted by (degree, index); the scan walks 3-subsets of
-    sorted positions in lexicographic order, restricted to those
-    containing position 2, each looked up in _triple_verdicts(g).  Failure
-    raises NoFeasibleTriple, which the verification harness treats as a
-    fatal finding: every 5-set is expected to contain such a triple.
+    "has_balanceable" if some 3-subset matches one of the edge-pattern
+    shapes C1..C4.  Otherwise the induced subgraph must be a path whose
+    endpoints carry the two smallest degrees of the set (compared as a
+    multiset, so ties are accepted either way round): "induced_path_ok",
+    and anything else is a "violation".
     """
-    u5 = _distinct_sorted(g, u, 5, WrongSetSize)
-    return _median_triple(u5, _triple_verdicts(g), list(zip(g.degrees, range(g.n))))
-
-
-class StructureVerdict(NamedTuple):
-    kind: str  # "has_balanceable" | "induced_path_ok" | "violation"
-    triple: Optional[tuple]
-
-
-def _p4(g: Graph, x4, table) -> StructureVerdict:
     for s in combinations(x4, 3):
         if table[s].balanceable:
-            return StructureVerdict("has_balanceable", s)
+            return "has_balanceable"
     inside = {v: [w for w in x4 if w != v and g.has_edge(v, w)] for v in x4}
     counts = sorted(len(ns) for ns in inside.values())
     if counts != [1, 1, 2, 2]:
-        return StructureVerdict("violation", None)
+        return "violation"
     # 3 edges on 4 vertices with degree multiset (1,1,2,2) is a path
     ends = [v for v in x4 if len(inside[v]) == 1]
     degs = sorted(g.degrees[v] for v in x4)
     if sorted(g.degrees[v] for v in ends) == degs[:2]:
-        return StructureVerdict("induced_path_ok", None)
-    return StructureVerdict("violation", None)
-
-
-def p4_structure(g: Graph, x) -> StructureVerdict:
-    """Structure verdict for a 4-set, reading _triple_verdicts(g).
-
-    If some 3-subset matches one of the edge-pattern shapes C1..C4, the
-    verdict is has_balanceable with the first such subset.  Otherwise
-    the induced subgraph must be a path whose endpoints carry the two
-    smallest degrees of the set (compared as a multiset, so ties are
-    accepted either way round); anything else is a violation.
-    """
-    return _p4(g, _distinct_sorted(g, x, 4, WrongSetSize), _triple_verdicts(g))
+        return "induced_path_ok"
+    return "violation"

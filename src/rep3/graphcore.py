@@ -1,18 +1,20 @@
-"""Immutable bitset graphs with graph6 I/O.
+"""Immutable bitset graphs, graph6 records in and out, edge-list JSON in.
 
 A Graph stores one adjacency row per vertex as a Python int used as a bit
 mask, so neighborhood algebra (intersection, difference, popcount) is a
 couple of machine-word operations for any order up to 64.  All operations
 are pure: deletion and complement build new values and never touch their
-input.
+input.  A deletion set is an iterable of vertex indices.
 
 graph6 records are the usual ASCII encoding of small graphs: one byte
 63+n for the order (single-byte form only, n <= 62), then the upper
 triangle of the adjacency matrix read column by column, packed into 6-bit
 groups most significant bit first, zero-padded to a whole group, each
-group emitted as one byte offset by 63.  Parsing is strict: wrong record
-length, a data byte outside [63, 126], or a nonzero padding bit all
-reject the record.
+group emitted as one byte offset by 63.  parse_graph6 takes the record as
+bytes and is strict: wrong record length, a data byte outside [63, 126],
+or a nonzero padding bit all reject the record.  from_edge_json reads
+{"n": ..., "edges": [[u, v], ...]} text and checks its shape and every
+endpoint.
 """
 
 import json
@@ -52,19 +54,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (self.rows[u] >> v) & 1 == 1
 
-    def neighbor_mask(self, v: int) -> int:
-        return self.rows[v]
-
-    def neighbors(self, v: int):
-        """Neighbors of v in increasing order."""
-        m = self.rows[v]
-        out = []
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return tuple(out)
-
     def edges(self):
         """All edges as (u, v) pairs with u < v, lexicographically."""
         return [
@@ -87,21 +76,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edges()!r})"
-
-
-def _vertex_mask(g: Graph, vs) -> int:
-    """Normalize a vertex-set argument: an int is taken as a bit mask,
-    anything else as an iterable of vertex indices."""
-    if isinstance(vs, int):
-        if vs < 0 or vs >> g.n:
-            raise VertexOutOfRange(f"mask {bin(vs)} has bits outside 0..{g.n - 1}")
-        return vs
-    m = 0
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise VertexOutOfRange(f"vertex {v} outside 0..{g.n - 1}")
-        m |= 1 << v
-    return m
 
 
 def _is_index(x) -> bool:
@@ -132,11 +106,16 @@ def from_edge_list(n: int, edges) -> Graph:
 def delete_vertices(g: Graph, d):
     """Induced subgraph on the survivors of g after removing d.
 
-    Returns (reduced graph, map old index -> new index).  The map is
-    order preserving.  Removing every vertex is rejected because a graph
-    here always has at least one vertex.
+    d is an iterable of vertex indices.  Returns (reduced graph, map old
+    index -> new index).  The map is order preserving.  Removing every
+    vertex is rejected because a graph here always has at least one
+    vertex.
     """
-    dmask = _vertex_mask(g, d)
+    dmask = 0
+    for v in d:
+        if not 0 <= v < g.n:
+            raise VertexOutOfRange(f"vertex {v} outside 0..{g.n - 1}")
+        dmask |= 1 << v
     keep = [v for v in range(g.n) if not (dmask >> v) & 1]
     if not keep:
         raise EmptyResult("deletion set equals the whole vertex set")
@@ -211,17 +190,12 @@ def _unpack(record: bytes):
     return n, code >> pad
 
 
-def parse_graph6(record) -> Graph:
-    """Decode one graph6 record (bytes or str).
+def parse_graph6(record: bytes) -> Graph:
+    """Decode one graph6 record.
 
     The optional ">>graph6<<" header is tolerated; everything else is
     validated strictly.
     """
-    if isinstance(record, str):
-        try:
-            record = record.encode("ascii")
-        except UnicodeEncodeError as exc:
-            raise MalformedRecord(f"non-ascii record: {exc}") from None
     n, code = _unpack(record.removeprefix(_HEADER))
     rows = [0] * n
     bit = n * (n - 1) // 2
@@ -232,11 +206,6 @@ def parse_graph6(record) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return Graph(n, tuple(rows))
-
-
-def to_edge_json(g: Graph) -> str:
-    """Serialize as {"n": ..., "edges": [[u, v], ...]} with u < v."""
-    return json.dumps({"n": g.n, "edges": [[u, v] for u, v in g.edges()]})
 
 
 def from_edge_json(text: str) -> Graph:
@@ -251,7 +220,7 @@ def from_edge_json(text: str) -> Graph:
         raise MalformedRecord('edge-list JSON needs keys "n" and "edges"')
     edges = doc["edges"]
     if not isinstance(edges, list) or any(
-        not isinstance(e, (list, tuple)) or len(e) != 2 for e in edges
+        not isinstance(e, list) or len(e) != 2 for e in edges
     ):
         raise MalformedRecord('"edges" must be a list of [u, v] pairs')
-    return from_edge_list(doc["n"], [tuple(e) for e in edges])
+    return from_edge_list(doc["n"], edges)

@@ -31,8 +31,9 @@ result carries its class's order, folded in as results arrive.
 The lemma suites read one verdict table per graph, built by
 feasible._triple_verdicts: each 3-set's shape, balanceability, budget
 and strong-form answer, worked out once per triple signature and
-shared by every graph with that signature.  The paired_degree_gap
-4-sets come from the graph's degree classes.  Each worker returns its
+shared by every graph with that signature.  Each 4-set's structure
+kind is worked out once, and the paired_degree_gap suite reads it for
+the 4-sets the graph's degree classes name.  Each worker returns its
 counts and a tuple of (suite, violation) pairs, so the parent holds
 little per class while the pool runs.  The suites' vertex sets come
 from combinations(range(n), k), so they call the feasible cores that
@@ -54,7 +55,7 @@ from itertools import combinations
 from math import comb
 
 from .enumeration import _run, catalogue_records
-from .errors import NoFeasibleTriple, OrderOutOfRange, OrderTooLarge, TheoremViolation
+from .errors import OrderOutOfRange, OrderTooLarge, TheoremViolation
 from .feasible import _median_triple, _p4, _triple_verdicts
 from .graphcore import _unpack, parse_graph6
 from .repetition import profile
@@ -203,17 +204,16 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
 
 
 def _paired_gap_sets(degs):
-    """The 4-sets with degrees (d, d, d+2, d+2), in lexicographic order."""
+    """The 4-sets with degrees (d, d, d+2, d+2), as sorted tuples."""
     by_degree = {}
     for v, d in enumerate(degs):
         by_degree.setdefault(d, []).append(v)
-    out = []
-    for d, low in by_degree.items():
-        for pair in combinations(low, 2):
-            for high in combinations(by_degree.get(d + 2, ()), 2):
-                out.append(tuple(sorted(pair + high)))
-    out.sort()
-    return out
+    return {
+        tuple(sorted(pair + high))
+        for d, low in by_degree.items()
+        for pair in combinations(low, 2)
+        for high in combinations(by_degree.get(d + 2, ()), 2)
+    }
 
 
 def _lemma_worker(rec: bytes):
@@ -235,15 +235,16 @@ def _lemma_worker(rec: bytes):
         oracle_min = None if cert is None else len(cert.deleted)
 
     table = _triple_verdicts(g)
+    # each 4-set's kind is worked out once; the paired_degree_gap
+    # candidates read it in the same lexicographic scan
+    gap_sets = _paired_gap_sets(g.degrees)
+    paired = []
     for x in combinations(range(n), 4):
-        if _p4(g, x, table).kind == "violation":
+        kind = _p4(g, x, table)
+        if kind == "violation":
             found.append(("induced_path", {"n": n, "graph": name, "subset": list(x)}))
-
-    paired = [
-        x
-        for x in _paired_gap_sets(g.degrees)
-        if _p4(g, x, table).kind == "has_balanceable"
-    ]
+        elif kind == "has_balanceable" and x in gap_sets:
+            paired.append(x)
     if oracle_min is None or oracle_min > allowance(n):
         for x in paired:
             found.append(
@@ -255,9 +256,7 @@ def _lemma_worker(rec: bytes):
 
     keys = list(zip(g.degrees, range(n)))
     for u in combinations(range(n), 5):
-        try:
-            _median_triple(u, table, keys)
-        except NoFeasibleTriple:
+        if _median_triple(u, table, keys) is None:
             found.append(("median_feasible", {"n": n, "graph": name, "subset": list(u)}))
 
     budgeted = failures = 0
@@ -339,10 +338,10 @@ def counting_identity_suite(max_n: int) -> VerificationReport:
     return VerificationReport({}, results, time.perf_counter() - t0)
 
 
-def find_extremal(n: int, target=None):
-    """graph6 records of classes whose exact minimum deletion hits target.
+def find_extremal(n: int):
+    """graph6 records of classes whose exact minimum deletion is
+    min(3, n-3), the largest value the order allows.
 
-    target defaults to min(3, n-3), the largest value the order allows.
     Each class goes through the theorem sweep's worker, over a worker
     pool, so a class the theorem misses, or whose certificate fails the
     independent check, raises TheoremViolation rather than dropping out
@@ -351,8 +350,7 @@ def find_extremal(n: int, target=None):
     """
     if not 5 <= n <= 9:
         raise OrderOutOfRange(f"extremal search covers orders 5..9, got {n}")
-    if target is None:
-        target = allowance(n)
+    target = allowance(n)
     records = catalogue_records(n)
     hits = []
     for rec, (_, size, viol) in zip(records, _run(_theorem_worker, records, None)):

@@ -16,7 +16,6 @@ from .graphcore import Graph
 
 @dataclass(frozen=True)
 class DegreeProfile:
-    histogram: dict
     rep: int
     s_set: frozenset
     t_set: frozenset
@@ -26,4 +25,4 @@ def profile(g: Graph) -> DegreeProfile:
     hist = Counter(g.degrees)
     s = frozenset(d for d in range(1, g.n) if hist.get(d, 0) == 2)
     t = frozenset(d for d in range(1, g.n) if d not in hist)
-    return DegreeProfile(dict(hist), max(hist.values()), s, t)
+    return DegreeProfile(max(hist.values()), s, t)

@@ -61,3 +61,8 @@ def antiregular5():
 
 def empty(n):
     return from_edge_list(n, [])
+
+
+def neighbor_sets(g):
+    """The neighbourhood of each vertex of g as a plain set."""
+    return [{w for w in range(g.n) if g.has_edge(v, w)} for v in range(g.n)]

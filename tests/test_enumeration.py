@@ -204,12 +204,9 @@ class TestReadStream:
     def test_header_line(self):
         assert len(list(read_graph6_records(io.BytesIO(b">>graph6<<Bw\nCh\n")))) == 2
 
-    def test_str_content(self):
-        assert len(list(read_graph6_records("Bw\nCh\n"))) == 2
-
     def test_records_are_the_lines_own_bytes(self):
         text = b">>graph6<<Bw\n  Ch \r\n>>graph6<<>>graph6<<Bw\n"
-        records = list(read_graph6_records(text))
+        records = list(read_graph6_records(io.BytesIO(text)))
         assert records == [b"Bw", b"Ch", b"Bw"]
         assert all(rec == write_graph6(parse_graph6(rec)) for rec in records)
 
@@ -230,8 +227,13 @@ class TestReadStream:
         "source", ["Bw\n\u00e9\n", ["Bw\n", "Ch\u2028\n"], "Bw\n~\u00e9\n"]
     )
     def test_non_ascii_text_line_number(self, source):
+        # text written to a file as UTF-8, read back as byte lines
+        if isinstance(source, str):
+            lines = io.BytesIO(source.encode("utf-8"))
+        else:
+            lines = [line.encode("utf-8") for line in source]
         with pytest.raises(errors.MalformedRecord) as exc:
-            list(read_graph6_records(source))
+            list(read_graph6_records(lines))
         assert exc.value.line == 2
         assert "non-ascii" in str(exc.value)
 
@@ -246,15 +248,12 @@ class TestReadStream:
         ],
     )
     def test_every_source_splits_at_newline_only(self, text, expected):
-        def outcome(source):
-            try:
-                return list(read_graph6_records(source))
-            except errors.MalformedRecord as exc:
-                return exc.line
-
-        assert outcome(text) == expected
-        assert outcome(text.decode("ascii")) == expected
-        assert outcome(io.BytesIO(text)) == expected
+        # a binary file's lines end at b"\n" only
+        try:
+            outcome = list(read_graph6_records(io.BytesIO(text)))
+        except errors.MalformedRecord as exc:
+            outcome = exc.line
+        assert outcome == expected
 
     def test_file_round_trip(self, tmp_path, graphs_by_n):
         path = tmp_path / "five.g6"

@@ -6,14 +6,15 @@ from hypothesis import given, settings, strategies as st
 from rep3 import errors, feasible
 from rep3.enumeration import enumerate_graphs
 from rep3.feasible import (
+    TripleClassification,
     TripleVerdict,
+    _median_triple,
+    _p4,
     _triple_signatures,
     _triple_verdicts,
     budget,
     classify_triple,
     equalize_triple,
-    find_feasible_in_five,
-    p4_structure,
 )
 from rep3.graphcore import from_edge_list
 
@@ -31,7 +32,7 @@ def naive_classify(g, s):
     (condition, labeling) for the first condition, and its first
     labeling in lexicographic order, that holds; (None, None) if none
     does."""
-    nbr = [set(g.neighbors(v)) for v in range(g.n)]
+    nbr = helpers.neighbor_sets(g)
     closed = [nbr[v] | {v} for v in range(g.n)]
 
     def holds(cond, x, y, z):
@@ -82,7 +83,7 @@ class TestClassify:
     def test_k3_clique(self):
         tc = classify_triple(helpers.k3(), (0, 1, 2))
         assert tc.condition == "C2"
-        assert tc.balanceable and not tc.accessible
+        assert tc.balanceable
         assert (tc.p, tc.q) == (0, 0)
         assert tc.labeling == (0, 1, 2)
 
@@ -90,7 +91,7 @@ class TestClassify:
         tc = classify_triple(helpers.p4(), (0, 1, 2))
         assert tc.condition is None
         assert tc.labeling is None
-        assert not tc.balanceable and not tc.accessible
+        assert not tc.balanceable
         assert (tc.p, tc.q) == (0, 1)
 
     def test_p4_other_triples_infeasible(self):
@@ -127,7 +128,7 @@ class TestClassify:
         g = from_edge_list(6, [(0, 1), (1, 3), (1, 4), (2, 3), (2, 5)])
         tc = classify_triple(g, (0, 1, 2))
         assert tc.condition == "C5"
-        assert tc.accessible and not tc.balanceable
+        assert tc.feasible and not tc.balanceable
         assert naive_classify(g, (0, 1, 2)) == ("C5", tc.labeling)
 
     def test_not_a_triple(self):
@@ -204,7 +205,7 @@ def check_signature_exactness(graphs):
     every triple."""
     region_of, key_of, answer_of = {}, {}, {}
     for g in graphs:
-        nbr = [set(g.neighbors(v)) for v in range(g.n)]
+        nbr = helpers.neighbor_sets(g)
         keys = dict(_triple_signatures(g))
         table = _triple_verdicts(g)
         assert list(table) == list(keys) == list(itertools.combinations(range(g.n), 3))
@@ -265,9 +266,7 @@ class TestBudget:
 
     @given(st.integers(0, 4), st.integers(0, 4))
     def test_direct_substitution(self, p, q):
-        from rep3.feasible import TripleClassification
-
-        tc = TripleClassification("C1", (0, 1, 2), True, False, p, q)
+        tc = TripleClassification("C1", (0, 1, 2), True, p, q)
         assert budget(tc) == p + q + max(p, q)
 
 
@@ -311,39 +310,46 @@ class TestEqualize:
             assert h.degree(a) == h.degree(b) == h.degree(c)
 
 
+def median_triple(g, u):
+    """_median_triple on the 5-set u of g, as the lemma worker calls it."""
+    return _median_triple(
+        tuple(sorted(u)), _triple_verdicts(g), list(zip(g.degrees, range(g.n)))
+    )
+
+
+def p4_kind(g, x):
+    """_p4 on the 4-set x of g, as the lemma worker calls it."""
+    return _p4(g, tuple(sorted(x)), _triple_verdicts(g))
+
+
 class TestFindFeasibleInFive:
     def test_antiregular5(self):
         g = helpers.antiregular5()
-        triple, tc = find_feasible_in_five(g, range(5))
+        triple = median_triple(g, range(5))
         assert triple == (2, 3, 4)
-        assert tc.condition == "C1"
+        assert classify_triple(g, triple).condition == "C1"
         assert 3 in triple  # median of the degree sort
 
     def test_c5(self):
         g = helpers.c5()
-        triple, tc = find_feasible_in_five(g, range(5))
+        triple = median_triple(g, range(5))
         assert triple == (0, 1, 2)
-        assert tc.condition == "C4"
+        assert classify_triple(g, triple).condition == "C4"
         assert 2 in triple
 
     def test_star4_leaves(self):
         g = helpers.star(4)
-        triple, tc = find_feasible_in_five(g, range(5))
+        triple = median_triple(g, range(5))
         assert triple == (1, 2, 3)
-        assert tc.condition == "C1"
+        assert classify_triple(g, triple).condition == "C1"
 
     def test_median_always_inside(self):
         g = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
         u = [0, 1, 2, 3, 4]
         order = sorted(u, key=lambda v: (g.degree(v), v))
-        triple, tc = find_feasible_in_five(g, u)
+        triple = median_triple(g, u)
         assert order[2] in triple
-        assert tc.condition is not None
-
-    def test_wrong_size(self):
-        with pytest.raises(errors.WrongSetSize):
-            g = helpers.c5()
-            find_feasible_in_five(g, (0, 1, 2))
+        assert classify_triple(g, triple).condition is not None
 
     @given(st.integers(5, 7), st.data())
     @settings(max_examples=150, deadline=None)
@@ -352,41 +358,29 @@ class TestFindFeasibleInFive:
         u = data.draw(
             st.lists(st.integers(0, n - 1), min_size=5, max_size=5, unique=True)
         )
-        triple, tc = find_feasible_in_five(g, u)
+        triple = median_triple(g, u)
         order = sorted(u, key=lambda v: (g.degree(v), v))
+        assert triple is not None
         assert order[2] in triple
         assert set(triple) <= set(u)
-        assert tc.condition is not None
+        assert classify_triple(g, triple).condition is not None
 
 
 class TestP4Structure:
     def test_p4_is_induced_path(self):
-        g = helpers.p4()
-        verdict = p4_structure(g, range(4))
-        assert verdict.kind == "induced_path_ok"
-        assert verdict.triple is None
+        assert p4_kind(helpers.p4(), range(4)) == "induced_path_ok"
 
     def test_k4(self):
-        g = helpers.k4()
-        verdict = p4_structure(g, range(4))
-        assert verdict.kind == "has_balanceable"
-        assert verdict.triple == (0, 1, 2)
+        assert p4_kind(helpers.k4(), range(4)) == "has_balanceable"
 
     def test_c4(self):
-        g = helpers.c4()
-        verdict = p4_structure(g, range(4))
-        assert verdict.kind == "has_balanceable"
+        assert p4_kind(helpers.c4(), range(4)) == "has_balanceable"
 
     def test_inside_larger_graph(self):
         # C6 restricted to four consecutive vertices: induced path, but
         # the whole 4-set is regular so a balanceable triple exists
         g = from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)])
-        assert p4_structure(g, (0, 1, 2, 3)).kind == "has_balanceable"
-
-    def test_wrong_size(self):
-        with pytest.raises(errors.WrongSetSize):
-            g = helpers.p4()
-            p4_structure(g, (0, 1, 2))
+        assert p4_kind(g, (0, 1, 2, 3)) == "has_balanceable"
 
     @given(st.integers(4, 7), st.data())
     @settings(max_examples=200, deadline=None)
@@ -395,7 +389,7 @@ class TestP4Structure:
         x = data.draw(
             st.lists(st.integers(0, n - 1), min_size=4, max_size=4, unique=True)
         )
-        assert p4_structure(g, x).kind != "violation"
+        assert p4_kind(g, x) != "violation"
 
     @given(st.integers(4, 7), st.data())
     @settings(max_examples=200, deadline=None)
@@ -404,9 +398,8 @@ class TestP4Structure:
         x = data.draw(
             st.lists(st.integers(0, n - 1), min_size=4, max_size=4, unique=True)
         )
-        verdict = p4_structure(g, x)
         found = any(
             classify_triple(g, s).balanceable
             for s in itertools.combinations(sorted(x), 3)
         )
-        assert (verdict.kind == "has_balanceable") == found
+        assert (p4_kind(g, x) == "has_balanceable") == found

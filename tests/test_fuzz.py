@@ -1,12 +1,14 @@
 """Fuzzing of the places outside input enters.
 
-Whatever bytes or text arrive, parse_graph6 and from_edge_json return a
-Graph or raise a Rep3Error, read_graph6_records yields graph6 records
-(bytes that parse_graph6 accepts) or raises a Rep3Error, and
-`rep3 solve --graph` built from either kind of input exits 0, 1 or 2
-without raising.
+Whatever bytes arrive, parse_graph6 returns a Graph or raises a
+Rep3Error, and so does from_edge_json on any text.  Whatever byte lines
+arrive, read_graph6_records yields graph6 records (bytes that
+parse_graph6 accepts) or raises a Rep3Error.  `rep3 solve --graph`
+built from inline graph6 text or an edge-list JSON file exits 0, 1 or
+2 without raising.
 """
 
+import io
 import json
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -88,14 +90,22 @@ def test_from_edge_json_arbitrary_text(text):
 
 
 @given(st.one_of(
+    st.binary(max_size=40),
     st.text(max_size=40),
     st.lists(graph6_specs(), max_size=4).map("\n".join),
     st.lists(st.text(max_size=12), max_size=4),
 ))
 @settings(max_examples=400, deadline=None)
 def test_read_graph6_records_arbitrary_text(source):
+    # a file's bytes, text written as UTF-8, or a list of encoded lines
+    if isinstance(source, str):
+        source = source.encode("utf-8", "surrogatepass")
+    if isinstance(source, bytes):
+        lines = io.BytesIO(source)
+    else:
+        lines = [line.encode("utf-8", "surrogatepass") for line in source]
     try:
-        records = list(read_graph6_records(source))
+        records = list(read_graph6_records(lines))
     except Rep3Error:
         return
     for rec in records:

@@ -12,7 +12,6 @@ from rep3.graphcore import (
     from_edge_json,
     from_edge_list,
     parse_graph6,
-    to_edge_json,
     write_graph6,
 )
 
@@ -84,12 +83,6 @@ class TestConstruction:
         g = helpers.antiregular5()
         assert sum(g.degrees) % 2 == 0
 
-    def test_neighbors(self):
-        g = helpers.p4()
-        assert g.neighbors(0) == (1,)
-        assert g.neighbors(1) == (0, 2)
-        assert g.neighbor_mask(2) == (1 << 1) | (1 << 3)
-
 
 class TestDeletion:
     def test_p4_minus_end_is_p3(self):
@@ -130,11 +123,6 @@ class TestDeletion:
         with pytest.raises(errors.VertexOutOfRange):
             delete_vertices(helpers.k3(), [5])
 
-    def test_mask_argument(self):
-        # an int is read as a bit mask, not a single index
-        g, remap = delete_vertices(helpers.p4(), 0b1000)
-        assert g.n == 3 and remap == {0: 0, 1: 1, 2: 2}
-
 
 class TestComplement:
     def test_k3_complement_empty(self):
@@ -169,9 +157,6 @@ class TestGraph6:
     @pytest.mark.parametrize("record,n,edges", G6_CASES)
     def test_write_known_records(self, record, n, edges):
         assert write_graph6(from_edge_list(n, edges)) == record
-
-    def test_str_input_accepted(self):
-        assert parse_graph6("Bw").degrees == (2, 2, 2)
 
     def test_header_tolerated(self):
         assert parse_graph6(b">>graph6<<Bw").degrees == (2, 2, 2)
@@ -223,12 +208,8 @@ class TestGraph6:
 class TestEdgeJson:
     def test_roundtrip(self):
         g = helpers.antiregular5()
-        h = from_edge_json(to_edge_json(g))
+        h = from_edge_json(json.dumps({"n": g.n, "edges": g.edges()}))
         assert h.n == g.n and edge_set(h) == edge_set(g)
-
-    def test_shape(self):
-        doc = json.loads(to_edge_json(helpers.k2()))
-        assert doc == {"n": 2, "edges": [[0, 1]]}
 
     def test_parse_explicit(self):
         g = from_edge_json('{"n": 4, "edges": [[0,1],[1,2],[2,3]]}')

@@ -1,8 +1,10 @@
+import io
 import json
+import os
 
 import pytest
 
-from rep3 import enumeration, errors, feasible, harness, solver
+from rep3 import enumeration, errors, harness, solver
 from rep3.enumeration import catalogue_records, read_graph6_records
 from rep3.graphcore import from_edge_list, parse_graph6, write_graph6
 from rep3.harness import (
@@ -40,7 +42,7 @@ class TestVerifyTheorem:
 
     def test_record_source_equivalent(self):
         text = b"".join(rec + b"\n" for rec in catalogue_records(5))
-        streamed = verify_theorem(5, 5, source=read_graph6_records(text))
+        streamed = verify_theorem(5, 5, source=read_graph6_records(io.BytesIO(text)))
         assert verify_theorem(5, 5).comparable() == streamed.comparable()
 
     def test_other_orders_skipped_and_never_solved(self, monkeypatch):
@@ -61,18 +63,25 @@ class TestVerifyTheorem:
         assert solved == [5, 6]
 
     @pytest.mark.parametrize(
-        "rec",
+        "rec,jobs",
         [
-            pytest.param(b"", id="empty"),
-            pytest.param(b"B!!!!", id="order_3_bad_bytes"),
-            pytest.param(b"\x7f", id="order_64"),
-            pytest.param(b"D!!!", id="order_5_bad_bytes"),
+            pytest.param(rec, jobs, id=name if jobs == 1 else f"{name}_pooled")
+            for jobs in (1, 2)
+            for name, rec in [
+                ("empty", b""),
+                ("order_3_bad_bytes", b"B!!!!"),
+                ("order_64", b"\x7f"),
+                ("order_5_bad_bytes", b"D!!!"),
+            ]
         ],
     )
-    def test_malformed_source_record_raises(self, rec):
-        # records outside the swept orders are validated before skipping
+    def test_malformed_source_record_raises(self, rec, jobs):
+        # records outside the swept orders are validated before skipping;
+        # a bad record of a swept order fails in the worker that parses
+        # it, and one per job makes _run open a pool (one record maps in
+        # process), so the error must arrive typed across it
         with pytest.raises(errors.MalformedRecord):
-            verify_theorem(5, 5, source=[rec], jobs=1)
+            verify_theorem(5, 5, source=[rec] * jobs, jobs=jobs)
 
     def test_jobs_equivalent(self):
         serial = verify_theorem(5, 5, jobs=1)
@@ -141,15 +150,17 @@ class TestVerifyLemmas:
         # no real class violates a lemma, so plant one 4-set and one
         # 5-set violation in every class that has them
         real_p4 = harness._p4
+        real_median = harness._median_triple
 
         def p4(g, x, table):
             if x == (0, 1, 2, 3):
-                return feasible.StructureVerdict("violation", None)
+                return "violation"
             return real_p4(g, x, table)
 
         def median(u, table, keys):
             if u == (0, 1, 2, 3, 4):
-                raise errors.NoFeasibleTriple("planted")
+                return None
+            return real_median(u, table, keys)
 
         monkeypatch.setattr(harness, "_p4", p4)
         monkeypatch.setattr(harness, "_median_triple", median)
@@ -193,17 +204,14 @@ class TestCountingIdentity:
 class TestFindExtremal:
     def test_n5_default_target(self):
         for rec in find_extremal(5):
-            g = parse_graph6(rec)
+            g = parse_graph6(rec.encode("ascii"))
             c = min_deletion_for_rep3(g, 2)
             assert c is not None and len(c.deleted) == 2
-
-    def test_n5_three_impossible(self):
-        assert find_extremal(5, target=3) == []
 
     def test_n6(self):
         hits = find_extremal(6)
         for rec in hits:
-            g = parse_graph6(rec)
+            g = parse_graph6(rec.encode("ascii"))
             assert len(min_deletion_for_rep3(g, 3).deleted) == 3
 
     def test_theorem_miss_raises(self, monkeypatch):
@@ -227,7 +235,10 @@ class TestFindExtremal:
 
 @pytest.fixture
 def opened_pools(monkeypatch):
-    """The args of every worker pool opened while the test runs."""
+    """The args of every worker pool opened while the test runs, on a
+    host taken to have two cores, since _run starts at most one worker
+    per core."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     real_get_context = enumeration.get_context
     opened = []
 
@@ -264,9 +275,36 @@ def test_cold_catalogue_pools_only_when_jobs_allow(opened_pools, monkeypatch):
     assert pooled.comparable() == serial.comparable()
 
 
-def test_pool_never_exceeds_the_records(opened_pools):
+def test_pool_never_exceeds_the_records(opened_pools, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert list(enumeration._run(abs, [1, -2], 8)) == [1, 2]
     assert opened_pools == [(2,)]
+
+
+@pytest.mark.parametrize("jobs", [3, 1000, None])
+def test_pool_never_exceeds_the_cores(opened_pools, jobs):
+    # a huge --jobs must not ask for a huge pool; opened_pools reports
+    # two cores, so at most two processes start
+    assert list(enumeration._run(abs, list(range(-5, 5)), jobs)) == [
+        abs(v) for v in range(-5, 5)
+    ]
+    assert opened_pools == [(2,)]
+
+
+def test_each_4_set_is_checked_once(monkeypatch):
+    # the induced_path and paired_degree_gap suites share one _p4 call
+    # per 4-set
+    calls = []
+    real_p4 = harness._p4
+
+    def p4(g, x, table):
+        calls.append(x)
+        return real_p4(g, x, table)
+
+    monkeypatch.setattr(harness, "_p4", p4)
+    report = verify_lemmas(7, jobs=1)
+    assert len(calls) == report.lemma_results["induced_path"]["instances_checked"]
+    assert len(calls) == 39061
 
 
 class TestReport:

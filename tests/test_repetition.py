@@ -1,4 +1,5 @@
-import pytest
+from collections import Counter
+
 from hypothesis import given, settings, strategies as st
 
 from rep3.graphcore import complement, from_edge_list
@@ -40,7 +41,6 @@ class TestProfile:
     def test_antiregular5(self):
         p = profile(helpers.antiregular5())
         assert p.rep == 2
-        assert p.histogram == {4: 1, 3: 1, 2: 2, 1: 1}
         assert p.s_set == frozenset({2})
         assert p.t_set == frozenset()
 
@@ -68,7 +68,7 @@ class TestProfile:
 
     def test_k1_ranges_empty(self):
         p = profile(helpers.k1())
-        assert p.histogram == {0: 1}
+        assert p.rep == 1
         assert p.s_set == frozenset() and p.t_set == frozenset()
 
     @given(st.integers(1, 7), st.data())
@@ -76,8 +76,7 @@ class TestProfile:
     def test_multiplicities_sum_to_n(self, n, data):
         g = random_graph(n, data)
         p = profile(g)
-        assert sum(p.histogram.values()) == n
-        assert p.rep == max(p.histogram.values())
+        assert p.rep == max(Counter(g.degrees).values())
         assert not (p.s_set & p.t_set)
         assert all(1 <= d <= n - 1 for d in p.s_set | p.t_set)
 
