@@ -15,7 +15,7 @@ import json
 import sys
 
 from .enumeration import catalogue_records, read_graph6_records
-from .errors import NotFeasible, Rep3Error, TheoremViolation
+from .errors import MalformedRecord, NotFeasible, Rep3Error, TheoremViolation
 from .feasible import budget, classify_triple, equalize_triple
 from .graphcore import from_edge_json, parse_graph6
 from .harness import (
@@ -32,6 +32,8 @@ def _load_graph(spec: str):
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="utf-8") as fh:
             return from_edge_json(fh.read())
+    if not spec.isascii():
+        raise MalformedRecord("non-ascii record")
     return parse_graph6(spec.encode("ascii"))
 
 

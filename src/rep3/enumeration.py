@@ -17,6 +17,12 @@ with three cuts:
   * a prefix that compares worse than the best full string found so far
     is abandoned.
 
+The search carries its state down one recursive function: each call
+gets acc, the adjacency bits of each unplaced vertex toward the placed
+prefix, as a fresh list built from its caller's, and the best string so
+far is one integer, whose prefix after k placed vertices is a right
+shift of it.
+
 The same search also yields the last orbit: the vertices that sit last
 in some optimal ordering.  Two optimal orderings spell the same string,
 so one maps onto the other by an automorphism; the last vertices of all
@@ -90,57 +96,17 @@ def _canonical_search(g: Graph):
     for v, d in enumerate(degs):
         poolmask[d] = poolmask.get(d, 0) | (1 << v)
 
-    full = (1 << n) - 1
-    acc = [0] * n  # adjacency bits of each vertex toward the placed prefix
-    cur = [0] * n
-    best = [None]  # code prefix per level of the best ordering so far
+    total = n * (n - 1) // 2
+    # the code of the first k placed vertices is the full code >> shift[k]
+    shift = [total - k * (k - 1) // 2 for k in range(n + 1)]
+    best = 1 << total  # the best code so far; above every code at first
     last = 0  # last vertices of the optimal orderings visited so far
     twins = set()  # skipped twin pairs as masks; each swap is in Aut(g)
 
-    def record():
-        pref = [0] * (n + 1)
-        code = 0
-        for lvl in range(n):
-            code = (code << lvl) | cur[lvl]
-            pref[lvl + 1] = code
-        best[0] = pref
-
-    def descend(level, child, v, used):
-        rest = full & ~used & ~(1 << v)
-        rv = rows[v]
-        t = rest
-        while t:
-            low = t & -t
-            w = low.bit_length() - 1
-            acc[w] = (acc[w] << 1) | ((rv >> w) & 1)
-            t ^= low
-        dfs(level + 1, child, used | (1 << v))
-        t = rest
-        while t:
-            low = t & -t
-            acc[low.bit_length() - 1] >>= 1
-            t ^= low
-
-    def dfs(level, code, used):
-        nonlocal last
+    def dfs(level, code, used, acc):
+        # acc[w]: adjacency bits of an unplaced w toward the placed prefix
+        nonlocal best, last
         cm = poolmask[position_degree[level]] & ~used
-        bp = best[0]
-        if cm & (cm - 1) == 0:
-            v = cm.bit_length() - 1
-            m = acc[v]
-            child = (code << level) | m
-            if bp is not None and child > bp[level + 1]:
-                return
-            cur[level] = m
-            if level == n - 1:
-                # a full ordering, ended by the one vertex left in cm
-                if bp is None or child < bp[n]:
-                    record()
-                    last = 0
-                last |= cm
-                return
-            descend(level, child, v, used)
-            return
         m = -1
         t = cm
         while t:
@@ -149,10 +115,16 @@ def _canonical_search(g: Graph):
             if m < 0 or a < m:
                 m = a
             t ^= low
-        child = (code << level) | m
-        if bp is not None and child > bp[level + 1]:
+        code = (code << level) | m
+        if code > best >> shift[level + 1]:
             return
-        cur[level] = m
+        if level == n - 1:
+            # a full ordering, ended by the one vertex left in cm
+            if code < best:
+                best = code
+                last = 0
+            last |= cm
+            return
         kept = []
         t = cm
         while t:
@@ -162,20 +134,19 @@ def _canonical_search(g: Graph):
             if acc[v] != m:
                 continue
             merged = rows[v] | low
-            twin = False
             for u in kept:
                 bu = 1 << u
                 if (rows[u] | bu | low) == (merged | bu):
                     twins.add(bu | low)
-                    twin = True
                     break
-            if not twin:
+            else:
                 kept.append(v)
-        for v in kept:
-            descend(level, child, v, used)
+                rv = rows[v]
+                dfs(level + 1, code, used | low,
+                    [(a << 1) | (rv >> w) & 1 for w, a in enumerate(acc)])
 
-    dfs(0, 0, 0)
-    del dfs, descend  # the nested functions form a cycle; free it now, not at gc
+    dfs(0, 0, 0, [0] * n)
+    del dfs  # dfs is its own closure cycle; free it now, not at gc
 
     grown = True
     while grown:
@@ -186,7 +157,7 @@ def _canonical_search(g: Graph):
                 grown = True
 
     # the full code is the upper triangle, column by column
-    return _pack(n, best[0][n]), last
+    return _pack(n, best), last
 
 
 _catalogue = {}  # n -> tuple of canonical graph6 records in stream order

@@ -109,6 +109,12 @@ def test_solve_rejects_deeply_nested_json(capsys, tmp_path):
     assert captured.err.startswith("error: ")
 
 
+def test_solve_non_ascii_graph_is_malformed(capsys):
+    # the same typed error a graph6 file with these bytes gives
+    assert run(["solve", "--graph", "D\u00e9"]) == 2
+    assert capsys.readouterr().err == "error: non-ascii record\n"
+
+
 def test_classify_infeasible_is_not_an_error(capsys):
     assert run(["classify", "--graph", PATH4, "--triple", "0,1,2"]) == 0
     assert out_of(capsys) == '{"condition":null,"p":0,"q":1}\n'

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 
@@ -12,7 +13,7 @@ from rep3.enumeration import (
     enumerate_graphs,
     read_graph6_records,
 )
-from rep3.graphcore import from_edge_list, parse_graph6, write_graph6
+from rep3.graphcore import _pack, from_edge_list, parse_graph6, write_graph6
 
 import helpers
 
@@ -86,35 +87,43 @@ class TestCanonicalForm:
 
 
 def last_orbit_naive(g):
-    """Vertices ending some lex-least degree-sorted ordering, by brute force."""
+    """(least code, vertices ending an ordering that spells it) over the
+    degree-sorted orderings, by brute force.  A code is the ordering's
+    upper-triangle bits, column by column, the first bit most significant."""
     best, last = None, set()
     for perm in itertools.permutations(range(g.n)):
         if any(g.degrees[a] > g.degrees[b] for a, b in zip(perm, perm[1:])):
             continue
-        bits = tuple(
-            g.has_edge(perm[i], perm[j]) for j in range(1, g.n) for i in range(j)
-        )
-        if best is None or bits < best:
-            best, last = bits, set()
-        if bits == best:
+        code = 0
+        for j in range(1, g.n):
+            for i in range(j):
+                code = (code << 1) | g.has_edge(perm[i], perm[j])
+        if best is None or code < best:
+            best, last = code, set()
+        if code == best:
             last.add(perm[-1])
-    return last
+    return best, last
+
+
+def assert_search_matches_brute_force(g):
+    form, orbit = _canonical_search(g)
+    code, last = last_orbit_naive(g)
+    assert form == _pack(g.n, code)
+    assert {v for v in range(g.n) if (orbit >> v) & 1} == last
 
 
 class TestLastOrbit:
     def test_twin_heavy_graphs(self):
         k23 = from_edge_list(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
         for g in [k23, helpers.empty(5), helpers.star(4), helpers.c5(), helpers.paw()]:
-            orbit = _canonical_search(g)[1]
-            assert {v for v in range(g.n) if (orbit >> v) & 1} == last_orbit_naive(g)
+            assert_search_matches_brute_force(g)
 
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_force(self, n, data):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         g = from_edge_list(n, [p for p in pairs if data.draw(st.booleans())])
-        orbit = _canonical_search(g)[1]
-        assert {v for v in range(n) if (orbit >> v) & 1} == last_orbit_naive(g)
+        assert_search_matches_brute_force(g)
 
 
 class TestEnumerate:
@@ -176,10 +185,19 @@ def generated(monkeypatch, max_n, jobs):
     return [catalogue_records(n, jobs=jobs) for n in range(1, max_n + 1)]
 
 
+def sha256_lines(records):
+    """SHA-256 of the records as rep3 gen prints them, one a line."""
+    return hashlib.sha256(b"".join(rec + b"\n" for rec in records)).hexdigest()
+
+
 def test_records_do_not_depend_on_jobs(monkeypatch):
     serial = generated(monkeypatch, 8, 1)
     assert generated(monkeypatch, 8, 2) == serial
     assert [len(r) for r in serial] == [1, 2, 4, 11, 34, 156, 1044, 12346]
+    # the catalogue bytes themselves, pinned
+    assert sha256_lines(rec for level in serial for rec in level) == (
+        "479b003ab5b61e68593f53081253247b0913f90736b492d6ae1e527044e7d197"
+    )
 
 
 @pytest.mark.extended
@@ -187,6 +205,9 @@ def test_order_9_records_do_not_depend_on_jobs(monkeypatch):
     serial = generated(monkeypatch, 9, 1)[-1]
     assert generated(monkeypatch, 9, 2)[-1] == serial
     assert len(serial) == 274668
+    assert sha256_lines(serial) == (
+        "47ac6131c6d03adcd6babbb21a5790596207baa263d8bc6378fbcfe5f6d01c2e"
+    )
 
 
 class TestReadStream:
