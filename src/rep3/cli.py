@@ -31,7 +31,11 @@ def _load_graph(spec: str):
     """Inline graph6, or @path pointing at an edge-list JSON file."""
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="utf-8") as fh:
-            return from_edge_json(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError:
+                raise MalformedRecord("edge-list file is not UTF-8") from None
+        return from_edge_json(text)
     if not spec.isascii():
         raise MalformedRecord("non-ascii record")
     return parse_graph6(spec.encode("ascii"))

@@ -1,7 +1,7 @@
 """Non-isomorphic small-graph generation and canonical forms.
 
-canonical_form returns the graph6 record of a canonical relabeling: the
-lexicographically least upper-triangle bit string over all vertex
+_canonical_search returns the graph6 record of a canonical relabeling:
+the lexicographically least upper-triangle bit string over all vertex
 orderings sorted by ascending degree.  Restricting to degree-sorted
 orderings is safe (the degree multiset is preserved by isomorphism, so
 the restricted ordering class is mapped onto itself) and prunes most of
@@ -31,12 +31,13 @@ hidden by the twin cut are images of visited ones under the skipped
 twin transposition, so the visited last vertices closed under those
 transpositions give the whole orbit.
 
-enumerate_graphs builds order n by canonical vertex augmentation (McKay,
-"Isomorph-free exhaustive generation", J. Algorithms 26, 1998) over the
-memoised order n-1 catalogue.  A child is a parent P plus a new vertex
-v = n-1 joined to a subset S, and it is accepted only if v lies in its
-last orbit.  Every class G arises this way from exactly one parent
-class, namely G minus any last-orbit vertex (one orbit, so one class).
+catalogue_records builds order n by canonical vertex augmentation
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998)
+over the memoised order n-1 catalogue, which K1 seeds.  A child is a
+parent P plus a new vertex v = n-1 joined to a subset S, and it is
+accepted only if v lies in its last orbit.  Every class G arises this
+way from exactly one parent class, namely G minus any last-orbit vertex
+(one orbit, so one class).
 Two accepted children of the same parent that are isomorphic are
 related by an isomorphism fixing v (compose with an automorphism moving
 one last-orbit vertex onto the other), i.e. by an automorphism of P
@@ -56,12 +57,13 @@ subsets skipped that way only repeat children.
 Since each class has exactly one parent class and duplicates only
 arise among one parent's children, the parents of an order are
 independent shards, as in the res/mod splitting of nauty's geng:
-_generate maps the per-parent worker _children over the order n-1
-records, in a worker pool when jobs allows, and needs no state shared
-between shards.  The stream of each order is then sorted by (edge
-count, record), so its bytes do not depend on jobs, on the shard each
-parent went to or on the order in which shards finish.  _run, the pool
-map every sweep shares, starts at most one worker per core.
+_fill maps the per-parent worker _children over the order n-1 records
+with the ordered map it is given, and needs no state shared between
+shards.  The stream of each order is then sorted by (edge count,
+record), so its bytes do not depend on jobs, on the shard each parent
+went to or on the order in which shards finish.  _pool opens that map
+once per public call, so one worker pool, of at most one worker per
+core, serves every order the call generates and the sweep after them.
 
 read_graph6_records turns the byte lines of a graph6 file, as iterating
 the open binary file gives them, into validated record bytes without
@@ -69,6 +71,7 @@ building a graph.
 """
 
 import os
+from contextlib import contextmanager
 from itertools import combinations
 from multiprocessing import get_context
 
@@ -77,10 +80,6 @@ from .graphcore import _HEADER, Graph, _pack, _unpack, parse_graph6
 
 MAX_CANON = 10
 MAX_ENUM = 9
-
-
-def canonical_form(g: Graph) -> bytes:
-    return _canonical_search(g)[0]
 
 
 def _canonical_search(g: Graph):
@@ -160,55 +159,56 @@ def _canonical_search(g: Graph):
     return _pack(n, best), last
 
 
-_catalogue = {}  # n -> tuple of canonical graph6 records in stream order
+_catalogue = {1: (b"@",)}  # n -> canonical records in stream order; K1 seeds it
 
 
-def _run(worker, records, jobs):
-    """worker over records, results yielded in record order.
+@contextmanager
+def _pool(jobs):
+    """An ordered map, imap(worker, records), for one public call.
 
-    jobs None means os.cpu_count().  No more workers start than there
-    are cores or records; jobs 1, or fewer than two records, maps in
-    this process and starts none.  Results are yielded as they arrive,
-    for callers to fold, not kept.
+    jobs None means os.cpu_count(), and no more workers start than there
+    are cores; jobs 1 is the builtin map, which starts none.  Otherwise
+    one worker pool serves every imap call inside the context.  Results
+    are yielded as they arrive, for callers to fold, not kept.
     """
     cores = os.cpu_count() or 1
-    if jobs is None:
-        jobs = cores
-    jobs = min(max(1, int(jobs)), cores, len(records))
+    jobs = min(max(1, int(cores if jobs is None else jobs)), cores)
     if jobs < 2:
-        yield from map(worker, records)
+        yield map
         return
     # fork keeps the imported module state; imap preserves input order,
     # so the merged result is independent of scheduling
     with get_context("fork").Pool(jobs) as pool:
-        chunk = max(1, len(records) // (jobs * 4))
-        yield from pool.imap(worker, records, chunksize=chunk)
+        yield lambda worker, records: pool.imap(
+            worker, records, chunksize=max(1, len(records) // (jobs * 4))
+        )
 
 
-def catalogue_records(n: int, jobs=None) -> tuple:
+def catalogue_records(n: int) -> tuple:
     """The canonical graph6 record of every class of order n, 1 <= n <= 9.
 
     Sorted by (edge count, record) and memoised together with every
     lower order, so callers that only pass records on (to a worker pool,
     to a file) need not parse and re-encode them.  Orders not yet
-    memoised are generated over jobs worker processes (None: one per
-    core, 1: none); the records do not depend on jobs.
+    memoised are generated over one worker per core; a memoised order
+    starts no process.
     """
     if not 1 <= n <= MAX_ENUM:
         raise OrderTooLarge(f"enumeration supports orders 1..{MAX_ENUM}, got {n}")
+    with _pool(1 if n in _catalogue else None) as imap:
+        return _fill(n, imap)
+
+
+def _fill(n, imap):
+    """catalogue_records(n), generating each order up to n that is not
+    memoised yet with the ordered map imap."""
     if n not in _catalogue:
-        _catalogue[n] = _generate(n, jobs)
+        levels = [[] for _ in range(n * (n - 1) // 2 + 1)]  # records by edge count
+        for children in imap(_children, _fill(n - 1, imap)):
+            for edges, forms in children:
+                levels[edges] += forms
+        _catalogue[n] = tuple(form for level in levels for form in sorted(level))
     return _catalogue[n]
-
-
-def _generate(n, jobs):
-    if n == 1:
-        return (canonical_form(Graph(1, (0,))),)
-    levels = [[] for _ in range(n * (n - 1) // 2 + 1)]  # records by edge count
-    for children in _run(_children, catalogue_records(n - 1, jobs), jobs):
-        for edges, forms in children:
-            levels[edges] += forms
-    return tuple(form for level in levels for form in sorted(level))
 
 
 def _children(rec):

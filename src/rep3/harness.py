@@ -25,8 +25,11 @@ entirely are one fewer than those hit exactly twice.
 
 Sweeps move graph6 records only, as the catalogue and
 read_graph6_records hand them out; each worker parses its own record.
-Each sweep maps its worker once over all its orders' records, and each
-result carries its class's order, folded in as results arrive.
+All four sweeps fold over one driver, _sweep, which opens one ordered
+map from enumeration._pool per call: that map first generates any
+catalogue order the sweep needs and is not memoised yet, then runs the
+worker once over all the sweep's records.  Each result carries its
+class's order and is folded in as it arrives.
 
 The lemma suites read one verdict table per graph, built by
 feasible._triple_verdicts: each 3-set's shape, balanceability, budget
@@ -41,8 +44,10 @@ skip the public input checks.
 
 find_extremal runs the headline sweep's worker over the catalogue, so
 both solve and check each class the same way; each worker returns its
-class's minimum deletion size or a violation, and callers name classes
-from their own record lists.
+class's minimum deletion size or a violation, and each fold names
+classes by the record _sweep pairs with the result.  The identity
+worker likewise returns only its counts, and its fold builds the
+violation.
 
 Reports are deterministic: the worker pool yields results in record
 order, so any jobs count produces the same report, elapsed time aside.
@@ -54,7 +59,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .enumeration import _run, catalogue_records
+from .enumeration import _fill, _pool
 from .errors import OrderOutOfRange, OrderTooLarge, TheoremViolation
 from .feasible import _median_triple, _p4, _triple_verdicts
 from .graphcore import _unpack, parse_graph6
@@ -135,6 +140,19 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _sweep(worker, jobs, orders, records=None):
+    """(record, worker(record)) pairs in record order, over records or,
+    when records is None, over the catalogue of each of orders.
+
+    One ordered map, _pool(jobs), serves the whole call: catalogue
+    orders not memoised yet are generated with it before the sweep.
+    """
+    with _pool(jobs) as imap:
+        if records is None:
+            records = [rec for n in orders for rec in _fill(n, imap)]
+        yield from zip(records, imap(worker, records))
+
+
 def _theorem_worker(rec: bytes):
     """(n, minimum deletion size, None) for a class of order n the
     theorem holds on, or (n, None, violation)."""
@@ -164,24 +182,25 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
     pool, which parses each record itself.  A malformed record raises
     MalformedRecord either way (UnsupportedOrder for the multi-byte
     order form).  jobs also sets the worker count for any catalogue
-    order not yet generated.  A sweep that checks no graph at all is
-    not verified.  Graphs with minimum deletion 3 are collected as
-    lower-bound witnesses.
+    order not yet generated, and one pool serves that generation and
+    the sweep.  A sweep that checks no graph at all is not verified.
+    Graphs with minimum deletion 3 are collected as lower-bound
+    witnesses.
     """
     if not 5 <= min_n <= max_n <= 9:
         raise OrderOutOfRange(f"need 5 <= min_n <= max_n <= 9, got {min_n}..{max_n}")
     t0 = time.perf_counter()
     orders = range(min_n, max_n + 1)
-    if source is None:
-        source = (rec for n in orders for rec in catalogue_records(n, jobs))
-    records = []
+    records = None  # the catalogue of each order
     skipped = 0
-    for rec in source:
-        if rec and rec[0] - 63 in orders:
-            records.append(rec)
-        else:
-            _unpack(rec)  # raises unless a well-formed record of another order
-            skipped += 1
+    if source is not None:
+        records = []
+        for rec in source:
+            if rec and rec[0] - 63 in orders:
+                records.append(rec)
+            else:
+                _unpack(rec)  # raises unless a well-formed record of another order
+                skipped += 1
     per_n = {
         n: {
             "graph_count": 0,
@@ -191,7 +210,7 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
         }
         for n in orders
     }
-    for rec, (n, size, viol) in zip(records, _run(_theorem_worker, records, jobs)):
+    for rec, (n, size, viol) in _sweep(_theorem_worker, jobs, orders, records):
         entry = per_n[n]
         entry["graph_count"] += 1
         if viol is not None:
@@ -297,8 +316,8 @@ def verify_lemmas(max_n: int, jobs=None) -> VerificationReport:
         },
         "paired_degree_gap": {"instances_checked": 0, "violations": []},
     }
-    records = [rec for n in range(1, max_n + 1) for rec in catalogue_records(n, jobs)]
-    for n, budgeted, paired, failures, found in _run(_lemma_worker, records, jobs):
+    orders = range(1, max_n + 1)
+    for _, (n, budgeted, paired, failures, found) in _sweep(_lemma_worker, jobs, orders):
         results["induced_path"]["instances_checked"] += comb(n, 4)
         results["median_feasible"]["instances_checked"] += comb(n, 5)
         results["feasible_budget"]["instances_checked"] += budgeted
@@ -309,6 +328,14 @@ def verify_lemmas(max_n: int, jobs=None) -> VerificationReport:
     return VerificationReport({}, results, time.perf_counter() - t0)
 
 
+def _identity_worker(rec: bytes):
+    """(n, whether the identity applies, |doubled|, |missing|) for one
+    class: it applies with no degree tripled and no isolated vertex."""
+    g = parse_graph6(rec)
+    p = profile(g)
+    return g.n, p.rep <= 2 and min(g.degrees) >= 1, len(p.s_set), len(p.t_set)
+
+
 def counting_identity_suite(max_n: int) -> VerificationReport:
     """Check |missing degrees| = |doubled degrees| - 1 where it applies."""
     if not 1 <= max_n <= 8:
@@ -316,22 +343,12 @@ def counting_identity_suite(max_n: int) -> VerificationReport:
     t0 = time.perf_counter()
     checked = 0
     violations = []
-    for n in range(1, max_n + 1):
-        for rec in catalogue_records(n):
-            g = parse_graph6(rec)
-            p = profile(g)
-            if p.rep > 2 or min(g.degrees) < 1:
-                continue
-            checked += 1
-            if len(p.t_set) != len(p.s_set) - 1:
-                violations.append(
-                    {
-                        "n": n,
-                        "graph": rec.decode("ascii"),
-                        "s_size": len(p.s_set),
-                        "t_size": len(p.t_set),
-                    }
-                )
+    orders = range(1, max_n + 1)
+    for rec, (n, applies, s_size, t_size) in _sweep(_identity_worker, None, orders):
+        checked += applies
+        if applies and t_size != s_size - 1:
+            graph = rec.decode("ascii")
+            violations.append({"n": n, "graph": graph, "s_size": s_size, "t_size": t_size})
     results = {
         "counting_identity": {"instances_checked": checked, "violations": violations}
     }
@@ -351,9 +368,8 @@ def find_extremal(n: int):
     if not 5 <= n <= 9:
         raise OrderOutOfRange(f"extremal search covers orders 5..9, got {n}")
     target = allowance(n)
-    records = catalogue_records(n)
     hits = []
-    for rec, (_, size, viol) in zip(records, _run(_theorem_worker, records, None)):
+    for rec, (_, size, viol) in _sweep(_theorem_worker, None, [n]):
         if viol is not None:
             raise TheoremViolation(f"{viol['graph']}: {viol['reason']}")
         if size == target:

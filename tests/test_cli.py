@@ -115,6 +115,16 @@ def test_solve_non_ascii_graph_is_malformed(capsys):
     assert capsys.readouterr().err == "error: non-ascii record\n"
 
 
+def test_solve_non_utf8_edge_file_is_malformed(capsys, tmp_path):
+    # an edge-list file must be UTF-8 text; a stray 0xff byte is typed
+    f = tmp_path / "bad.json"
+    f.write_bytes(b'{"n": 3, "edges": [[0, 1]], "x": "\xff"}')
+    assert run(["solve", "--graph", "@" + str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: edge-list file is not UTF-8\n"
+
+
 def test_classify_infeasible_is_not_an_error(capsys):
     assert run(["classify", "--graph", PATH4, "--triple", "0,1,2"]) == 0
     assert out_of(capsys) == '{"condition":null,"p":0,"q":1}\n'

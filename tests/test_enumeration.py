@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from rep3 import enumeration, errors
 from rep3.enumeration import (
     _canonical_search,
-    canonical_form,
     catalogue_records,
     enumerate_graphs,
     read_graph6_records,
@@ -35,39 +34,39 @@ def isomorphic_naive(a, b):
 class TestCanonicalForm:
     def test_invariant_under_relabeling(self):
         for g in [helpers.p4(), helpers.c5(), helpers.paw(), helpers.antiregular5()]:
-            base = canonical_form(g)
+            base = _canonical_search(g)[0]
             for perm in itertools.permutations(range(g.n)):
-                assert canonical_form(relabel(g, list(perm))) == base
+                assert _canonical_search(relabel(g, list(perm)))[0] == base
 
     def test_distinguishes_p4_c4(self):
-        assert canonical_form(helpers.p4()) != canonical_form(helpers.c4())
+        assert _canonical_search(helpers.p4())[0] != _canonical_search(helpers.c4())[0]
 
     def test_is_a_graph6_record_of_an_isomorph(self):
         for g in [helpers.paw(), helpers.antiregular5(), helpers.star(4)]:
-            h = parse_graph6(canonical_form(g))
+            h = parse_graph6(_canonical_search(g)[0])
             assert isomorphic_naive(g, h)
 
     def test_regular_graphs(self):
         # highly symmetric inputs exercise the tie handling
         for g in [helpers.k5(), helpers.c5(), helpers.empty(5), helpers.c4()]:
-            h = parse_graph6(canonical_form(g))
+            h = parse_graph6(_canonical_search(g)[0])
             assert sorted(h.degrees) == sorted(g.degrees)
             assert h.edge_count() == g.edge_count()
 
     def test_twin_heavy_graph(self):
         # complete bipartite K2,3 is full of interchangeable vertices
         g = from_edge_list(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
-        base = canonical_form(g)
+        base = _canonical_search(g)[0]
         for perm in itertools.permutations(range(5)):
-            assert canonical_form(relabel(g, list(perm))) == base
+            assert _canonical_search(relabel(g, list(perm)))[0] == base
 
     def test_order_guard(self):
-        assert canonical_form(from_edge_list(10, [(0, 9)]))
+        assert _canonical_search(from_edge_list(10, [(0, 9)]))[0]
         with pytest.raises(errors.OrderTooLarge):
-            canonical_form(from_edge_list(11, []))
+            _canonical_search(from_edge_list(11, []))[0]
 
     def test_k1(self):
-        assert canonical_form(helpers.k1()) == b"@"
+        assert _canonical_search(helpers.k1())[0] == b"@"
 
     @given(st.integers(2, 6), st.data())
     @settings(max_examples=150, deadline=None)
@@ -75,7 +74,7 @@ class TestCanonicalForm:
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         g = from_edge_list(n, [p for p in pairs if data.draw(st.booleans())])
         perm = data.draw(st.permutations(range(n)))
-        assert canonical_form(g) == canonical_form(relabel(g, perm))
+        assert _canonical_search(g)[0] == _canonical_search(relabel(g, perm))[0]
 
     @given(st.integers(2, 5), st.data())
     @settings(max_examples=80, deadline=None)
@@ -83,7 +82,7 @@ class TestCanonicalForm:
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         g = from_edge_list(n, [p for p in pairs if data.draw(st.booleans())])
         h = from_edge_list(n, [p for p in pairs if data.draw(st.booleans())])
-        assert (canonical_form(g) == canonical_form(h)) == isomorphic_naive(g, h)
+        assert (_canonical_search(g)[0] == _canonical_search(h)[0]) == isomorphic_naive(g, h)
 
 
 def last_orbit_naive(g):
@@ -140,17 +139,17 @@ class TestEnumerate:
             records = [write_graph6(g) for g in graphs_by_n(n)]
             assert len(set(records)) == len(records)
             for rec in records:
-                assert canonical_form(parse_graph6(rec)) == rec
+                assert _canonical_search(parse_graph6(rec))[0] == rec
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_closure_small(self, n, graphs_by_n):
         # every labeled graph on n vertices maps onto an element
-        stream_forms = {canonical_form(g) for g in graphs_by_n(n)}
+        stream_forms = {_canonical_search(g)[0] for g in graphs_by_n(n)}
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         seen = set()
         for bits in range(1 << len(pairs)):
             edges = [p for i, p in enumerate(pairs) if (bits >> i) & 1]
-            seen.add(canonical_form(from_edge_list(n, edges)))
+            seen.add(_canonical_search(from_edge_list(n, edges))[0])
         assert seen == stream_forms
 
     def test_deterministic_order(self):
@@ -180,9 +179,10 @@ class TestEnumerate:
 
 
 def generated(monkeypatch, max_n, jobs):
-    """catalogue_records(1..max_n) generated afresh over jobs workers."""
-    monkeypatch.setattr(enumeration, "_catalogue", {})
-    return [catalogue_records(n, jobs=jobs) for n in range(1, max_n + 1)]
+    """Orders 1..max_n generated afresh through one _pool(jobs) map."""
+    monkeypatch.setattr(enumeration, "_catalogue", {1: (b"@",)})
+    with enumeration._pool(jobs) as imap:
+        return [enumeration._fill(n, imap) for n in range(1, max_n + 1)]
 
 
 def sha256_lines(records):

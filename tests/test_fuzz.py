@@ -5,7 +5,8 @@ Rep3Error, and so does from_edge_json on any text.  Whatever byte lines
 arrive, read_graph6_records yields graph6 records (bytes that
 parse_graph6 accepts) or raises a Rep3Error.  `rep3 solve --graph`
 built from inline graph6 text or an edge-list JSON file exits 0, 1 or
-2 without raising.
+2 without raising, and names non-ASCII inline text and a file that is
+not UTF-8 with their typed errors.
 """
 
 import io
@@ -70,6 +71,37 @@ def graph6_specs(draw):
                         min_size=1, max_size=12))
 
 
+@st.composite
+def non_ascii_specs(draw):
+    """graph6 text with a non-ASCII character inserted."""
+    spec = draw(graph6_specs())
+    i = draw(st.integers(0, len(spec)))
+    return spec[:i] + draw(st.characters(min_codepoint=128)) + spec[i:]
+
+
+@st.composite
+def non_utf8_docs(draw):
+    """Edge-list JSON bytes with one byte inserted that no UTF-8 text
+    holds (0xc0, 0xc1, 0xf5..0xff)."""
+    data = draw(edge_docs()).encode("utf-8")
+    i = draw(st.integers(0, len(data)))
+    bad = draw(st.sampled_from([0xC0, 0xC1, *range(0xF5, 0x100)]))
+    return data[:i] + bytes([bad]) + data[i:]
+
+
+def _decided_error(spec, data):
+    """The stderr `rep3 solve` must print for input the encoding alone
+    rules out, or None."""
+    if data is not None:
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return "error: edge-list file is not UTF-8\n"
+    elif not spec.isascii() and not spec.startswith("@"):
+        return "error: non-ascii record\n"
+    return None
+
+
 def _returns_graph_or_typed_error(parse, arg):
     try:
         assert isinstance(parse(arg), Graph)
@@ -112,15 +144,22 @@ def test_read_graph6_records_arbitrary_text(source):
         assert isinstance(rec, bytes) and isinstance(parse_graph6(rec), Graph)
 
 
-@given(st.one_of(graph6_specs().map(lambda s: (s, None)),
-                 edge_docs().map(lambda t: (None, t))))
-@settings(max_examples=150, deadline=None,
+@given(st.one_of(
+    st.one_of(graph6_specs(), non_ascii_specs()).map(lambda s: (s, None)),
+    st.one_of(edge_docs().map(str.encode), non_utf8_docs(), st.binary(max_size=40))
+    .map(lambda b: (None, b)),
+))
+@settings(max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_solve_exits_0_1_or_2(capsys, tmp_path, case):
-    spec, doc = case
-    if doc is not None:
+    # inline text, or the raw bytes of an edge-list file
+    spec, data = case
+    err = _decided_error(spec, data)
+    if data is not None:
         path = tmp_path / "graph.json"
-        path.write_text(doc)
+        path.write_bytes(data)
         spec = "@" + str(path)
     assert run(["solve", "--graph", spec]) in (0, 1, 2)
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    if err is not None:
+        assert captured.err == err

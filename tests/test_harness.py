@@ -78,8 +78,8 @@ class TestVerifyTheorem:
     def test_malformed_source_record_raises(self, rec, jobs):
         # records outside the swept orders are validated before skipping;
         # a bad record of a swept order fails in the worker that parses
-        # it, and one per job makes _run open a pool (one record maps in
-        # process), so the error must arrive typed across it
+        # it, which at jobs 2 runs in a pool, so the error must arrive
+        # typed across it
         with pytest.raises(errors.MalformedRecord):
             verify_theorem(5, 5, source=[rec] * jobs, jobs=jobs)
 
@@ -236,7 +236,7 @@ class TestFindExtremal:
 @pytest.fixture
 def opened_pools(monkeypatch):
     """The args of every worker pool opened while the test runs, on a
-    host taken to have two cores, since _run starts at most one worker
+    host taken to have two cores, since _pool starts at most one worker
     per core."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     real_get_context = enumeration.get_context
@@ -254,8 +254,19 @@ def opened_pools(monkeypatch):
     return opened
 
 
+def _no_lemma_work(rec):
+    """_lemma_worker's result shape for a class, with nothing checked."""
+    return rec[0] - 63, 0, 0, 0, ()
+
+
+def cold(monkeypatch):
+    """Empty the catalogue down to its order-1 seed, as in a new process."""
+    monkeypatch.setattr(enumeration, "_catalogue", {1: (b"@",)})
+
+
 def test_each_sweep_opens_at_most_one_pool(opened_pools):
-    catalogue_records(7, jobs=1)  # a warm catalogue: no generation below
+    catalogue_records(7)  # a warm catalogue: no generation below
+    opened_pools.clear()
     lemmas = verify_lemmas(6, jobs=2)
     assert len(opened_pools) == 1
     theorem = verify_theorem(5, 7, jobs=2)
@@ -265,19 +276,57 @@ def test_each_sweep_opens_at_most_one_pool(opened_pools):
     assert len(opened_pools) == 2
 
 
-def test_cold_catalogue_pools_only_when_jobs_allow(opened_pools, monkeypatch):
-    monkeypatch.setattr(enumeration, "_catalogue", {})
-    serial = verify_theorem(5, 6, jobs=1)
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: verify_theorem(5, 8, jobs=2), id="verify_theorem"),
+        pytest.param(lambda: verify_lemmas(8, jobs=2), id="verify_lemmas"),
+        pytest.param(lambda: catalogue_records(8), id="catalogue_records"),
+    ],
+)
+def test_cold_call_opens_one_pool(opened_pools, monkeypatch, call):
+    # generating orders 2..8 and the sweep after them share one pool;
+    # only pools are counted here, so the lemma suites check nothing
+    monkeypatch.setattr(harness, "_lemma_worker", _no_lemma_work)
+    cold(monkeypatch)
+    call()
+    assert opened_pools == [(2,)]
+
+
+def test_warm_catalogue_starts_nothing(opened_pools):
+    catalogue_records(8)
+    opened_pools.clear()
+    assert len(catalogue_records(8)) == 12346
     assert opened_pools == []
-    monkeypatch.setattr(enumeration, "_catalogue", {})
+
+
+def test_cold_catalogue_pools_only_when_jobs_allow(opened_pools, monkeypatch):
+    cold(monkeypatch)
+    serial = verify_theorem(5, 6, jobs=1)
+    cold(monkeypatch)
+    serial_lemmas = verify_lemmas(6, jobs=1)
+    assert opened_pools == []
+    cold(monkeypatch)
     pooled = verify_theorem(5, 6, jobs=2)
-    assert opened_pools
+    assert opened_pools == [(2,)]
     assert pooled.comparable() == serial.comparable()
+    assert verify_lemmas(6, jobs=2).comparable() == serial_lemmas.comparable()
 
 
-def test_pool_never_exceeds_the_records(opened_pools, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert list(enumeration._run(abs, [1, -2], 8)) == [1, 2]
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: counting_identity_suite(8).comparable(), id="identity"),
+        pytest.param(lambda: find_extremal(8), id="extremal"),
+    ],
+)
+def test_one_worker_per_core_opens_one_pool(opened_pools, monkeypatch, call):
+    # these calls take no jobs: one pool on two cores, none on one,
+    # and the same result either way
+    pooled = call()
+    assert opened_pools == [(2,)]
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert call() == pooled
     assert opened_pools == [(2,)]
 
 
@@ -285,9 +334,8 @@ def test_pool_never_exceeds_the_records(opened_pools, monkeypatch):
 def test_pool_never_exceeds_the_cores(opened_pools, jobs):
     # a huge --jobs must not ask for a huge pool; opened_pools reports
     # two cores, so at most two processes start
-    assert list(enumeration._run(abs, list(range(-5, 5)), jobs)) == [
-        abs(v) for v in range(-5, 5)
-    ]
+    with enumeration._pool(jobs) as imap:
+        assert list(imap(abs, list(range(-5, 5)))) == [abs(v) for v in range(-5, 5)]
     assert opened_pools == [(2,)]
 
 
