@@ -21,24 +21,33 @@ labeling) pair reproducible.
 Input is checked once, at the public boundary: classify_triple and
 equalize_triple validate their triple and then call one private core
 that takes a sorted tuple of three distinct in-range vertices.
-Internal callers whose sets are valid by construction (the triple
-table and the lemma worker, which walk combinations(range(n), k)) call
-the cores directly.
+The verdict table, whose sets come from walking every 3-set of
+range(n) and so are valid by construction, calls the cores directly.
 
-The lemma suites, through the 4-set check _p4 and the 5-set scan
-_median_triple, read one per-graph table of every 3-set,
-_triple_verdicts(g).  It holds only what they ask: whether the set is
-feasible and balanceable, its budget when that is at most n - 3, and
-whether _equalize finds a set within that budget.  These depend only
-on the triple's signature (its edge pattern and how many other
-vertices lie in each of the eight adjacency regions around it), so
-_triple_verdicts runs _classify and _equalize on the first triple of
-each signature and reuses the answer for every later triple, in any
-graph, that shares it.  Through order 8 the 731,424 triples have 2,946
-signatures.
+The lemma suites read the verdicts of every 3-set, _triple_verdicts(g):
+whether the set is feasible and balanceable, its budget when that is at
+most n - 3, and whether _equalize finds a set within that budget.
+These depend only on the triple's signature (its edge pattern and how
+many other vertices lie in each of the eight adjacency regions around
+it), so _triple_verdicts runs _classify and _equalize on the first
+triple of each signature and reuses the answer for every later triple,
+in any graph, that shares it.  Through order 8 the 731,424 triples have
+2,946 signatures.
+
+The 4-set and 5-set checks are bit masks over the sets' indices in
+combinations order.  _cover_tables(n) holds, for each 3-set t, the mask
+of the 4-sets that contain t and the mask of the 5-sets that contain t
+and whose median position lies in t.  The worker relabels a graph by
+(degree, index) with _degree_sorted, so that a 5-set's median-degree
+vertex is its median position, and _covers walks its 3-sets once: each
+balanceable one ORs its 4-set mask into one cover and each feasible one
+its 5-set mask into another.  Only the 4-sets left uncovered reach the
+induced-path test, _induced_path_ok, and the 5-sets left uncovered are
+the violations.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
 from typing import NamedTuple, Optional
 
@@ -226,59 +235,92 @@ def _triple_signatures(g: Graph):
                 )
 
 
-def _triple_verdicts(g: Graph) -> dict:
-    """The verdict table of g: _verdict for every 3-set, keyed by the
-    sorted vertex tuple, computed once per signature."""
+def _triple_verdicts(g: Graph):
+    """(s, verdict) for every 3-set s of g, in lexicographic order, each
+    verdict computed once per signature."""
     memo = _VERDICTS
-    table = {}
     for s, key in _triple_signatures(g):
         v = memo.get(key)
         if v is None:
             v = memo[key] = _verdict(g, s)
-        table[s] = v
-    return table
+        yield s, v
 
 
-def _median_triple(u5, table, keys):
-    """The first feasible 3-subset of the 5-set u5 through its
-    median-degree vertex, or None.
+class CoverTables(NamedTuple):
+    """The 4-sets and 5-sets of range(n) in combinations order, and what
+    the t-th 3-set in that order covers of them, as masks over their
+    indices."""
 
-    Vertices are sorted by keys[v], (degree, index) of v, built once per
-    graph by callers; the scan walks 3-subsets of sorted positions in
-    lexicographic order, restricted to those containing position 2.
+    fours: tuple
+    four_index: dict  # each 4-set to its index
+    fives: tuple
+    m4: tuple  # m4[t]: the 4-sets containing the 3-set
+    m5: tuple  # m5[t]: the 5-sets containing it whose median position it holds
+
+
+@cache
+def _cover_tables(n: int) -> CoverTables:
+    triples = [set(t) for t in combinations(range(n), 3)]
+    fours = tuple(combinations(range(n), 4))
+    fives = tuple(combinations(range(n), 5))
+    return CoverTables(
+        fours,
+        {x: i for i, x in enumerate(fours)},
+        fives,
+        tuple(sum(1 << i for i, x in enumerate(fours) if t.issubset(x)) for t in triples),
+        tuple(
+            sum(1 << i for i, u in enumerate(fives) if u[2] in t and t.issubset(u))
+            for t in triples
+        ),
+    )
+
+
+def _degree_sorted(g: Graph):
+    """(h, order): g relabeled so that h's vertex i is order[i], the i-th
+    vertex of g by (degree, index).  A canonical record is already
+    degree-sorted, and then h is g."""
+    order = sorted(range(g.n), key=g.degrees.__getitem__)
+    if order == list(range(g.n)):
+        return g, order
+    pos = {v: i for i, v in enumerate(order)}
+    rows = [sum(1 << pos[w] for w in range(g.n) if g.rows[v] >> w & 1) for v in order]
+    return Graph(g.n, tuple(rows)), order
+
+
+def _covers(h: Graph):
+    """One pass over the 3-sets of the degree-sorted graph h.
+
+    Returns (cov4, cov5, budgeted): the masks of the 4-sets holding a
+    balanceable 3-set and of the 5-sets holding a feasible 3-set through
+    their median-degree vertex, which in h is the median position, and
+    the (s, verdict) pairs whose budget is at most n - 3.
     """
-    order = sorted(u5, key=keys.__getitem__)
-    m = order.pop(2)
-    # the remaining pairs in lexicographic position order, so the scan
-    # walks 3-subsets of sorted positions through position 2 in order
-    for a, b in combinations(order, 2):
-        if a > b:
-            a, b = b, a
-        triple = (m, a, b) if m < a else (a, m, b) if m < b else (a, b, m)
-        if table[triple].condition is not None:
-            return triple
-    return None
+    tables = _cover_tables(h.n)
+    cov4 = cov5 = 0
+    budgeted = []
+    for t, (s, v) in enumerate(_triple_verdicts(h)):
+        if v.condition is None:
+            continue
+        cov5 |= tables.m5[t]
+        if v.balanceable:
+            cov4 |= tables.m4[t]
+        if v.budget is not None:
+            budgeted.append((s, v))
+    return cov4, cov5, budgeted
 
 
-def _p4(g: Graph, x4, table) -> str:
-    """The structure kind of the 4-set x4, a sorted tuple.
-
-    "has_balanceable" if some 3-subset matches one of the edge-pattern
-    shapes C1..C4.  Otherwise the induced subgraph must be a path whose
-    endpoints carry the two smallest degrees of the set (compared as a
-    multiset, so ties are accepted either way round): "induced_path_ok",
-    and anything else is a "violation".
-    """
-    for s in combinations(x4, 3):
-        if table[s].balanceable:
-            return "has_balanceable"
-    inside = {v: [w for w in x4 if w != v and g.has_edge(v, w)] for v in x4}
-    counts = sorted(len(ns) for ns in inside.values())
-    if counts != [1, 1, 2, 2]:
-        return "violation"
+def _induced_path_ok(h: Graph, x) -> bool:
+    """Whether the sorted 4-set x of the degree-sorted graph h induces a
+    path whose endpoints carry the two smallest degrees of the set
+    (compared as a multiset, so ties are accepted either way round)."""
+    inside = 0
+    for v in x:
+        inside |= 1 << v
+    counts = [(h.rows[v] & inside).bit_count() for v in x]
     # 3 edges on 4 vertices with degree multiset (1,1,2,2) is a path
-    ends = [v for v in x4 if len(inside[v]) == 1]
-    degs = sorted(g.degrees[v] for v in x4)
-    if sorted(g.degrees[v] for v in ends) == degs[:2]:
-        return "induced_path_ok"
-    return "violation"
+    if sorted(counts) != [1, 1, 2, 2]:
+        return False
+    # in h, degrees do not fall as labels rise
+    degs = h.degrees
+    ends = [degs[v] for v, k in zip(x, counts) if k == 1]
+    return ends == [degs[x[0]], degs[x[1]]]

@@ -1,6 +1,6 @@
 """Exhaustive verification over the small-graph catalogue.
 
-Four statements are checked wall to wall, each over every isomorphism
+Five statements are checked wall to wall, each over every isomorphism
 class up to a requested order:
 
   * the headline sweep (verify_theorem): every graph of order 5..9 has
@@ -31,16 +31,20 @@ catalogue order the sweep needs and is not memoised yet, then runs the
 worker once over all the sweep's records.  Each result carries its
 class's order and is folded in as it arrives.
 
-The lemma suites read one verdict table per graph, built by
-feasible._triple_verdicts: each 3-set's shape, balanceability, budget
-and strong-form answer, worked out once per triple signature and
-shared by every graph with that signature.  Each 4-set's structure
-kind is worked out once, and the paired_degree_gap suite reads it for
-the 4-sets the graph's degree classes name.  Each worker returns its
+The lemma worker walks a graph's 3-sets once, reading each verdict
+from feasible._triple_verdicts (shape, balanceability, budget and
+strong-form answer, worked out once per triple signature and shared by
+every graph with that signature).  Each balanceable 3-set ORs the mask
+of the 4-sets containing it into one cover, and each feasible 3-set
+the mask of the 5-sets whose median it holds into another, so the
+induced-path test runs only on the 4-sets no balanceable 3-set covers,
+the 5-sets left uncovered are the median_feasible violations, and the
+paired_degree_gap suite reads its 4-sets' bits from the first cover.
+The worker scans the graph relabeled by (degree, index), which leaves
+every catalogue class as it is, and maps every set it reports back to
+the record's labels in lexicographic scan order.  It returns its
 counts and a tuple of (suite, violation) pairs, so the parent holds
-little per class while the pool runs.  The suites' vertex sets come
-from combinations(range(n), k), so they call the feasible cores that
-skip the public input checks.
+little per class while the pool runs.
 
 find_extremal runs the headline sweep's worker over the catalogue, so
 both solve and check each class the same way; each worker returns its
@@ -61,7 +65,7 @@ from math import comb
 
 from .enumeration import _fill, _pool
 from .errors import OrderOutOfRange, OrderTooLarge, TheoremViolation
-from .feasible import _median_triple, _p4, _triple_verdicts
+from .feasible import _cover_tables, _covers, _degree_sorted, _induced_path_ok
 from .graphcore import _unpack, parse_graph6
 from .repetition import profile
 from .solver import allowance, check_certificate, min_deletion_for_rep3, solve3
@@ -146,7 +150,10 @@ def _sweep(worker, jobs, orders, records=None):
 
     One ordered map, _pool(jobs), serves the whole call: catalogue
     orders not memoised yet are generated with it before the sweep.
+    Fewer than two records are mapped in this process, with no pool.
     """
+    if records is not None and len(records) < 2:
+        jobs = 1
     with _pool(jobs) as imap:
         if records is None:
             records = [rec for n in orders for rec in _fill(n, imap)]
@@ -235,6 +242,15 @@ def _paired_gap_sets(degs):
     }
 
 
+def _clear_bits(mask, sets):
+    """The members of sets whose bit in mask is clear, in index order."""
+    rest = ~mask & ((1 << len(sets)) - 1)
+    while rest:
+        low = rest & -rest
+        yield sets[low.bit_length() - 1]
+        rest ^= low
+
+
 def _lemma_worker(rec: bytes):
     """One class's lemma results: (n, feasible_budget instances,
     paired_degree_gap instances, strong-form failures, violations).
@@ -245,60 +261,41 @@ def _lemma_worker(rec: bytes):
     """
     g = parse_graph6(rec)
     n = g.n
-    name = rec.decode("ascii")
-    found = []
-
     oracle_min = None
     if n >= 3:
         cert = min_deletion_for_rep3(g, n - 3)
         oracle_min = None if cert is None else len(cert.deleted)
 
-    table = _triple_verdicts(g)
-    # each 4-set's kind is worked out once; the paired_degree_gap
-    # candidates read it in the same lexicographic scan
-    gap_sets = _paired_gap_sets(g.degrees)
-    paired = []
-    for x in combinations(range(n), 4):
-        kind = _p4(g, x, table)
-        if kind == "violation":
-            found.append(("induced_path", {"n": n, "graph": name, "subset": list(x)}))
-        elif kind == "has_balanceable" and x in gap_sets:
-            paired.append(x)
+    # the scans run on h, where a 5-set's median-degree vertex is its
+    # median position; every set found goes back to g's labels
+    h, order = _degree_sorted(g)
+    tables = _cover_tables(n)
+    cov4, cov5, budgeted = _covers(h)
+    paired = [x for x in _paired_gap_sets(h.degrees) if cov4 >> tables.four_index[x] & 1]
+    suites = {
+        "induced_path": [
+            (x, {}) for x in _clear_bits(cov4, tables.fours) if not _induced_path_ok(h, x)
+        ],
+        "paired_degree_gap": [],
+        "median_feasible": [(u, {}) for u in _clear_bits(cov5, tables.fives)],
+        "feasible_budget": [
+            (s, {"budget": v.budget, "oracle_min": oracle_min})
+            for s, v in budgeted
+            if oracle_min is None or oracle_min > v.budget
+        ],
+    }
     if oracle_min is None or oracle_min > allowance(n):
-        for x in paired:
-            found.append(
-                (
-                    "paired_degree_gap",
-                    {"n": n, "graph": name, "subset": list(x), "oracle_min": oracle_min},
-                )
-            )
+        suites["paired_degree_gap"] = [(x, {"oracle_min": oracle_min}) for x in paired]
 
-    keys = list(zip(g.degrees, range(n)))
-    for u in combinations(range(n), 5):
-        if _median_triple(u, table, keys) is None:
-            found.append(("median_feasible", {"n": n, "graph": name, "subset": list(u)}))
-
-    budgeted = failures = 0
-    for s, v in table.items():
-        if v.budget is None:
-            continue
-        budgeted += 1
-        failures += v.unequalizable
-        if oracle_min is None or oracle_min > v.budget:
-            found.append(
-                (
-                    "feasible_budget",
-                    {
-                        "n": n,
-                        "graph": name,
-                        "triple": list(s),
-                        "budget": v.budget,
-                        "oracle_min": oracle_min,
-                    },
-                )
-            )
-
-    return n, budgeted, len(paired), failures, tuple(found)
+    name = rec.decode("ascii")
+    found = []
+    for suite, hits in suites.items():
+        key = "triple" if suite == "feasible_budget" else "subset"
+        back = [(sorted(order[v] for v in s), extra) for s, extra in hits]
+        for s, extra in sorted(back, key=lambda hit: hit[0]):
+            found.append((suite, {"n": n, "graph": name, key: s, **extra}))
+    failures = sum(v.unequalizable for _, v in budgeted)
+    return n, len(budgeted), len(paired), failures, tuple(found)
 
 
 def verify_lemmas(max_n: int, jobs=None) -> VerificationReport:

@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven checks, one test and one pass/fail line each.
+"""Acceptance gate: twelve checks, one test and one pass/fail line each.
 
 Tolerances are exact throughout: zero violations, exact class counts,
 byte equality.  The order-9 leg of the first check runs under the
@@ -7,6 +7,8 @@ everything else stays in the default suite.  Session fixtures share the
 two expensive sweeps so no suite is computed twice.
 """
 
+import hashlib
+import json
 from itertools import combinations, permutations
 
 import pytest
@@ -26,6 +28,10 @@ SUITE_COUNTS = {
     8: {"induced_path": 903281, "median_feasible": 714270,
         "feasible_budget": 475642, "paired_degree_gap": 25808},
 }
+
+# SHA-256 of json.dumps(verify_lemmas(8).comparable(), sort_keys=True):
+# every count and violation list of the four suites, byte for byte
+LEMMAS_8_SHA256 = "754b6170868c62417c1e63f75e10227accac889dcf824e0742ba583a8fe7ee1b"
 
 
 def assert_suite_counts(name, *reports):
@@ -158,3 +164,8 @@ def test_a10_graph6_round_trips(graphs_by_n, catalogue_records):
 def test_a11_report_identical_across_worker_counts(theorem_report):
     wide = verify_theorem(5, 8, jobs=8)
     assert wide.comparable() == theorem_report.comparable()
+
+
+def test_a12_lemma_report_pinned(lemma_suite_8):
+    text = json.dumps(lemma_suite_8.comparable(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == LEMMAS_8_SHA256

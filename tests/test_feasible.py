@@ -8,8 +8,10 @@ from rep3.enumeration import enumerate_graphs
 from rep3.feasible import (
     TripleClassification,
     TripleVerdict,
-    _median_triple,
-    _p4,
+    _cover_tables,
+    _covers,
+    _degree_sorted,
+    _induced_path_ok,
     _triple_signatures,
     _triple_verdicts,
     budget,
@@ -207,7 +209,7 @@ def check_signature_exactness(graphs):
     for g in graphs:
         nbr = helpers.neighbor_sets(g)
         keys = dict(_triple_signatures(g))
-        table = _triple_verdicts(g)
+        table = dict(_triple_verdicts(g))
         assert list(table) == list(keys) == list(itertools.combinations(range(g.n), 3))
         for s, verdict in table.items():
             key, region = keys[s], region_signature(g, nbr, s)
@@ -310,46 +312,69 @@ class TestEqualize:
             assert h.degree(a) == h.degree(b) == h.degree(c)
 
 
-def median_triple(g, u):
-    """_median_triple on the 5-set u of g, as the lemma worker calls it."""
-    return _median_triple(
-        tuple(sorted(u)), _triple_verdicts(g), list(zip(g.degrees, range(g.n)))
+def cover_bit(g, x):
+    """The bit of the set x of g (a 4-set or a 5-set) in the cover mask
+    the lemma worker builds, and x relabeled as the worker scans it."""
+    h, order = _degree_sorted(g)
+    y = tuple(sorted(order.index(v) for v in x))
+    cov4, cov5, _ = _covers(h)
+    tables = _cover_tables(g.n)
+    if len(y) == 4:
+        return cov4 >> tables.four_index[y] & 1, h, y
+    return cov5 >> tables.fives.index(y) & 1, h, y
+
+
+def median_covered(g, u):
+    """Whether the cover masks mark the 5-set u of g as holding a
+    feasible 3-subset through its median-degree vertex."""
+    return cover_bit(g, u)[0] == 1
+
+
+def feasible_through_median(g, u):
+    """The classifier's answer to the same question, in g's labels."""
+    m = sorted(u, key=lambda v: (g.degree(v), v))[2]
+    return any(
+        classify_triple(g, s).feasible
+        for s in itertools.combinations(sorted(u), 3)
+        if m in s
     )
 
 
 def p4_kind(g, x):
-    """_p4 on the 4-set x of g, as the lemma worker calls it."""
-    return _p4(g, tuple(sorted(x)), _triple_verdicts(g))
+    """The structure kind of the 4-set x of g, as the lemma worker reads
+    it: covered by a balanceable 3-subset, or else the induced-path test
+    on the relabeled graph."""
+    bit, h, y = cover_bit(g, x)
+    if bit:
+        return "has_balanceable"
+    return "induced_path_ok" if _induced_path_ok(h, y) else "violation"
 
 
 class TestFindFeasibleInFive:
+    # the cover masks say whether a feasible triple through the median
+    # exists, not which one; each graph keeps its witness triple, checked
+    # with the classifier
     def test_antiregular5(self):
         g = helpers.antiregular5()
-        triple = median_triple(g, range(5))
-        assert triple == (2, 3, 4)
-        assert classify_triple(g, triple).condition == "C1"
-        assert 3 in triple  # median of the degree sort
+        assert median_covered(g, range(5))
+        # vertex 3 is the median of the degree sort
+        assert classify_triple(g, (2, 3, 4)).condition == "C1"
 
     def test_c5(self):
         g = helpers.c5()
-        triple = median_triple(g, range(5))
-        assert triple == (0, 1, 2)
-        assert classify_triple(g, triple).condition == "C4"
-        assert 2 in triple
+        assert median_covered(g, range(5))
+        assert classify_triple(g, (0, 1, 2)).condition == "C4"
 
     def test_star4_leaves(self):
         g = helpers.star(4)
-        triple = median_triple(g, range(5))
-        assert triple == (1, 2, 3)
-        assert classify_triple(g, triple).condition == "C1"
+        assert median_covered(g, range(5))
+        assert classify_triple(g, (1, 2, 3)).condition == "C1"
 
     def test_median_always_inside(self):
         g = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
         u = [0, 1, 2, 3, 4]
-        order = sorted(u, key=lambda v: (g.degree(v), v))
-        triple = median_triple(g, u)
-        assert order[2] in triple
-        assert classify_triple(g, triple).condition is not None
+        assert median_covered(g, u)
+        assert feasible_through_median(g, u)
 
     @given(st.integers(5, 7), st.data())
     @settings(max_examples=150, deadline=None)
@@ -358,12 +383,8 @@ class TestFindFeasibleInFive:
         u = data.draw(
             st.lists(st.integers(0, n - 1), min_size=5, max_size=5, unique=True)
         )
-        triple = median_triple(g, u)
-        order = sorted(u, key=lambda v: (g.degree(v), v))
-        assert triple is not None
-        assert order[2] in triple
-        assert set(triple) <= set(u)
-        assert classify_triple(g, triple).condition is not None
+        assert median_covered(g, u)
+        assert feasible_through_median(g, u)
 
 
 class TestP4Structure:

@@ -1,12 +1,15 @@
 import io
 import json
 import os
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from rep3 import enumeration, errors, harness, solver
+from rep3 import enumeration, errors, feasible, harness, solver
 from rep3.enumeration import catalogue_records, read_graph6_records
 from rep3.graphcore import from_edge_list, parse_graph6, write_graph6
+from rep3.feasible import TripleClassification, budget, classify_triple, equalize_triple
 from rep3.harness import (
     VerificationReport,
     counting_identity_suite,
@@ -15,6 +18,82 @@ from rep3.harness import (
     verify_theorem,
 )
 from rep3.solver import min_deletion_for_rep3
+
+SUITES = ("induced_path", "paired_degree_gap", "median_feasible", "feasible_budget")
+
+
+def reference_lemma_scan(rec):
+    """_lemma_worker(rec) rebuilt from the public classify_triple,
+    budget and equalize_triple in the record's own labels, one 4-set and
+    one 5-set at a time, with no relabeling and no cover masks.  The
+    oracle is read through harness, as the worker reads it."""
+    g = parse_graph6(rec)
+    n, degs = g.n, g.degrees
+    head = {"n": n, "graph": rec.decode("ascii")}
+    oracle_min = None
+    if n >= 3:
+        cert = harness.min_deletion_for_rep3(g, n - 3)
+        oracle_min = None if cert is None else len(cert.deleted)
+    tc = {s: classify_triple(g, s) for s in combinations(range(n), 3)}
+    found = {suite: [] for suite in SUITES}
+
+    paired = []
+    for x in combinations(range(n), 4):
+        low = sorted(degs[v] for v in x)
+        if any(tc[s].balanceable for s in combinations(x, 3)):
+            if low[0] == low[1] and low[2] == low[3] == low[0] + 2:
+                paired.append(x)
+            continue
+        edges = {frozenset(e) for e in combinations(x, 2) if g.has_edge(*e)}
+        paths = [
+            p for p in permutations(x)
+            if edges == {frozenset(p[i:i + 2]) for i in range(3)}
+        ]
+        if not any(sorted((degs[p[0]], degs[p[3]])) == low[:2] for p in paths):
+            found["induced_path"].append({**head, "subset": list(x)})
+    if oracle_min is None or oracle_min > min(3, n - 3):
+        found["paired_degree_gap"] = [
+            {**head, "subset": list(x), "oracle_min": oracle_min} for x in paired
+        ]
+
+    for u in combinations(range(n), 5):
+        m = sorted(u, key=lambda v: (degs[v], v))[2]
+        if not any(tc[s].feasible for s in combinations(u, 3) if m in s):
+            found["median_feasible"].append({**head, "subset": list(u)})
+
+    budgeted = failures = 0
+    for s, c in tc.items():
+        if not c.feasible or budget(c) > n - 3:
+            continue
+        budgeted += 1
+        failures += equalize_triple(g, s, budget(c)) is None
+        if oracle_min is None or oracle_min > budget(c):
+            found["feasible_budget"].append(
+                {**head, "triple": list(s), "budget": budget(c), "oracle_min": oracle_min}
+            )
+    violations = tuple((suite, v) for suite in SUITES for v in found[suite])
+    return n, budgeted, len(paired), failures, violations
+
+
+def only_triangles_feasible(mp):
+    """Plant violations in every suite through the verdict source: every
+    3-set but a triangle (shape C2; the shape is a function of the
+    signature) reads as infeasible and not balanceable, and the oracle
+    finds no deletion set.  Then every triangle-free 4-set reaches the
+    induced-path test, including induced paths whose ends do not carry
+    the set's two smallest degrees, which no real class sends there.
+    The verdict memo starts empty, so nothing planted outlives mp."""
+    real_classify = feasible._classify
+
+    def classify(g, s3):
+        tc = real_classify(g, s3)
+        if tc.condition == "C2":
+            return tc
+        return TripleClassification(None, None, False, tc.p, tc.q)
+
+    mp.setattr(feasible, "_VERDICTS", {})
+    mp.setattr(feasible, "_classify", classify)
+    mp.setattr(harness, "min_deletion_for_rep3", lambda g, k: None)
 
 
 class TestVerifyTheorem:
@@ -147,39 +226,52 @@ class TestVerifyLemmas:
             verify_lemmas(9)
 
     def test_violations_reach_report(self, monkeypatch):
-        # no real class violates a lemma, so plant one 4-set and one
-        # 5-set violation in every class that has them
-        real_p4 = harness._p4
-        real_median = harness._median_triple
-
-        def p4(g, x, table):
-            if x == (0, 1, 2, 3):
-                return "violation"
-            return real_p4(g, x, table)
-
-        def median(u, table, keys):
-            if u == (0, 1, 2, 3, 4):
-                return None
-            return real_median(u, table, keys)
-
-        monkeypatch.setattr(harness, "_p4", p4)
-        monkeypatch.setattr(harness, "_median_triple", median)
-        expected = {
-            "induced_path": [
-                (n, rec.decode("ascii"), [0, 1, 2, 3])
-                for n in (4, 5)
-                for rec in catalogue_records(n)
-            ],
-            "median_feasible": [
-                (5, rec.decode("ascii"), [0, 1, 2, 3, 4]) for rec in catalogue_records(5)
-            ],
-        }
+        # no real class violates a lemma, so plant violations in every
+        # suite; each suite lists them in catalogue order, and each
+        # class's in its lexicographic scan order
+        only_triangles_feasible(monkeypatch)
+        expected = {suite: [] for suite in SUITES}
+        for n in range(1, 6):
+            for rec in catalogue_records(n):
+                for suite, v in reference_lemma_scan(rec)[4]:
+                    expected[suite].append(v)
+        assert all(expected.values())
         for jobs in (1, 2):
             r = verify_lemmas(5, jobs=jobs)
             assert not r.verified
-            for name, suite in r.lemma_results.items():
-                named = [(v["n"], v["graph"], v["subset"]) for v in suite["violations"]]
-                assert named == expected.get(name, [])
+            for suite in SUITES:
+                assert r.lemma_results[suite]["violations"] == expected[suite]
+
+
+def labeled_graph(data, n):
+    """A labeled graph of order n whose degrees do not rise with the
+    labels, so the lemma worker must relabel it and map its sets back."""
+    pairs = list(combinations(range(n), 2))
+    g = from_edge_list(n, [p for p in pairs if data.draw(st.booleans())])
+    assume(list(g.degrees) != sorted(g.degrees))
+    return g
+
+
+class TestLemmaWorker:
+    @given(st.integers(4, 8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_labeled_input_matches_reference(self, n, data):
+        rec = write_graph6(labeled_graph(data, n))
+        assert harness._lemma_worker(rec) == reference_lemma_scan(rec)
+        with pytest.MonkeyPatch.context() as mp:
+            only_triangles_feasible(mp)
+            planted = reference_lemma_scan(rec)
+            assert harness._lemma_worker(rec) == planted
+
+    def test_catalogue_through_order_6_matches_reference(self):
+        for n in range(1, 7):
+            for rec in catalogue_records(n):
+                assert harness._lemma_worker(rec) == reference_lemma_scan(rec)
+
+    @pytest.mark.extended
+    def test_order_8_matches_reference(self):
+        for rec in catalogue_records(8):
+            assert harness._lemma_worker(rec) == reference_lemma_scan(rec)
 
 
 class TestCountingIdentity:
@@ -339,20 +431,38 @@ def test_pool_never_exceeds_the_cores(opened_pools, jobs):
     assert opened_pools == [(2,)]
 
 
+@pytest.mark.parametrize("count", [0, 1])
+def test_tiny_source_starts_nothing(opened_pools, count):
+    # a pool costs more than mapping one record in this process
+    source = catalogue_records(5)[:count]
+    opened_pools.clear()
+    report = verify_theorem(5, 8, source=source, jobs=2)
+    assert opened_pools == []
+    assert report.checked == count
+
+
 def test_each_4_set_is_checked_once(monkeypatch):
-    # the induced_path and paired_degree_gap suites share one _p4 call
-    # per 4-set
+    # the induced-path test runs once on each 4-set with no
+    # balanceable 3-subset, and on no other; catalogue classes are
+    # degree-sorted, so the worker scans them in their own labels
     calls = []
-    real_p4 = harness._p4
+    real = harness._induced_path_ok
 
-    def p4(g, x, table):
-        calls.append(x)
-        return real_p4(g, x, table)
+    def induced_path_ok(h, x):
+        calls.append((h, x))
+        return real(h, x)
 
-    monkeypatch.setattr(harness, "_p4", p4)
+    monkeypatch.setattr(harness, "_induced_path_ok", induced_path_ok)
     report = verify_lemmas(7, jobs=1)
-    assert len(calls) == report.lemma_results["induced_path"]["instances_checked"]
-    assert len(calls) == 39061
+    expected = [
+        (g, x)
+        for n in range(4, 8)
+        for g in map(parse_graph6, catalogue_records(n))
+        for x in combinations(range(n), 4)
+        if not any(classify_triple(g, s).balanceable for s in combinations(x, 3))
+    ]
+    assert calls == expected
+    assert 0 < len(calls) < report.lemma_results["induced_path"]["instances_checked"]
 
 
 class TestReport:
