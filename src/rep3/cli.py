@@ -244,6 +244,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
+    argv = list(argv)
+    if "--graph" in argv[:-1]:
+        # argparse takes a value that begins with "-" for an option;
+        # joined to its flag, graph text that does stays a value
+        i = argv.index("--graph")
+        argv[i:i + 2] = ["--graph=" + argv[i + 1]]
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

@@ -4,7 +4,8 @@ A Graph stores one adjacency row per vertex as a Python int used as a bit
 mask, so neighborhood algebra (intersection, difference, popcount) is a
 couple of machine-word operations for any order up to 64.  All operations
 are pure: deletion and complement build new values and never touch their
-input.  A deletion set is an iterable of vertex indices.
+input.  A deletion set is an iterable of vertex indices; each deleted
+index is shifted out of every kept row, highest index first.
 
 graph6 records are the usual ASCII encoding of small graphs: one byte
 63+n for the order (single-byte form only, n <= 62), then the upper
@@ -12,9 +13,10 @@ triangle of the adjacency matrix read column by column, packed into 6-bit
 groups most significant bit first, zero-padded to a whole group, each
 group emitted as one byte offset by 63.  parse_graph6 takes the record as
 bytes and is strict: wrong record length, a data byte outside [63, 126],
-or a nonzero padding bit all reject the record.  from_edge_json reads
-{"n": ..., "edges": [[u, v], ...]} text and checks its shape and every
-endpoint.
+or a nonzero padding bit all reject the record.  It reads column j as
+one j-bit field and walks only that field's set bits, one step per
+edge.  from_edge_json reads {"n": ..., "edges": [[u, v], ...]} text and
+checks its shape and every endpoint.
 """
 
 import json
@@ -120,15 +122,12 @@ def delete_vertices(g: Graph, d):
     if not keep:
         raise EmptyResult("deletion set equals the whole vertex set")
     remap = {old: new for new, old in enumerate(keep)}
-    rows = []
-    for old in keep:
-        r = g.rows[old] & ~dmask
-        packed = 0
-        while r:
-            low = r & -r
-            packed |= 1 << remap[low.bit_length() - 1]
-            r ^= low
-        rows.append(packed)
+    rows = [g.rows[v] for v in keep] if dmask else g.rows
+    while dmask:  # highest deleted index first, so lower ones stay put
+        v = dmask.bit_length() - 1
+        low = (1 << v) - 1
+        rows = [(r & low) | ((r >> (v + 1)) << v) for r in rows]
+        dmask ^= 1 << v
     return Graph(len(keep), tuple(rows)), remap
 
 
@@ -200,11 +199,14 @@ def parse_graph6(record: bytes) -> Graph:
     rows = [0] * n
     bit = n * (n - 1) // 2
     for j in range(1, n):
-        for i in range(j):
-            bit -= 1
-            if (code >> bit) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+        bit -= j
+        col = (code >> bit) & ((1 << j) - 1)  # bit j-1-i: is i joined to j
+        while col:
+            low = col & -col
+            i = j - low.bit_length()
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+            col ^= low
     return Graph(n, tuple(rows))
 
 

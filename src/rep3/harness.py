@@ -63,6 +63,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
+from . import enumeration
 from .enumeration import _fill, _pool
 from .errors import OrderOutOfRange, OrderTooLarge, TheoremViolation
 from .feasible import _cover_tables, _covers, _degree_sorted, _induced_path_ok
@@ -150,8 +151,11 @@ def _sweep(worker, jobs, orders, records=None):
 
     One ordered map, _pool(jobs), serves the whole call: catalogue
     orders not memoised yet are generated with it before the sweep.
-    Fewer than two records are mapped in this process, with no pool.
+    Fewer than two records, given or memoised, are mapped in this
+    process, with no pool.
     """
+    if records is None and all(n in enumeration._catalogue for n in orders):
+        records = [rec for n in orders for rec in enumeration._catalogue[n]]
     if records is not None and len(records) < 2:
         jobs = 1
     with _pool(jobs) as imap:

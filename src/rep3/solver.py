@@ -6,11 +6,12 @@ order, so the first hit is a minimum and the same on every run.  solve3
 is that search at the theorem's allowance min(3, n-3), with a miss
 raised as TheoremViolation.
 
-Each deletion set is tested on its bit mask alone: a survivor's reduced
-degree is its degree less its deleted neighbours, and the set is a hit
-once three survivors share one.  The certificate is read off the same
-mask: its witness is the first three survivors, by index, of the
-smallest reduced degree that three or more survivors share.
+Each deletion set is tested on its bit mask alone, in one pass over
+the survivors: a survivor's reduced degree is its degree less its
+deleted neighbours, and the set is a hit once three survivors share
+one.  The same pass reads the certificate's witness: the first three
+survivors, by index, of the smallest reduced degree that three or more
+survivors share.
 Certificates carry original vertex indices and can be re-checked from
 scratch by check_certificate, which builds the reduced graph with
 delete_vertices and shares no code with the search.
@@ -39,33 +40,23 @@ class DeletionCertificate:
         }
 
 
-def _rep3_after(g: Graph, mask: int) -> bool:
-    # cheap filter: reduced degrees from bit masks, no graph built
-    counts = {}
+def _witness_after(g: Graph, mask: int):
+    """(witness, degree) once deleting mask leaves three equal degrees,
+    else None: the first three survivors, by index, of the smallest
+    reduced degree that three or more survivors share.  One pass over
+    the survivors, on bit masks alone; no graph is built."""
+    by_degree = {}
+    best = None
     rows = g.rows
     degrees = g.degrees
     for v in range(g.n):
-        if (mask >> v) & 1:
-            continue
-        d = degrees[v] - (rows[v] & mask).bit_count()
-        c = counts.get(d, 0) + 1
-        if c == 3:
-            return True
-        counts[d] = c
-    return False
-
-
-def _certificate_for(g: Graph, combo, mask: int) -> DeletionCertificate:
-    """The certificate for a deletion set _rep3_after accepted: the first
-    three survivors, by index, of the smallest reduced degree that three
-    or more survivors share."""
-    by_degree = {}
-    for v in range(g.n):
         if not (mask >> v) & 1:
-            d = g.degrees[v] - (g.rows[v] & mask).bit_count()
-            by_degree.setdefault(d, []).append(v)
-    d = min(d for d, vs in by_degree.items() if len(vs) >= 3)
-    return DeletionCertificate(g.n, combo, tuple(by_degree[d][:3]), d)
+            d = degrees[v] - (rows[v] & mask).bit_count()
+            vs = by_degree.setdefault(d, [])
+            vs.append(v)
+            if len(vs) == 3 and (best is None or d < best):
+                best = d
+    return None if best is None else (tuple(by_degree[best][:3]), best)
 
 
 def allowance(n: int) -> int:
@@ -89,8 +80,9 @@ def min_deletion_for_rep3(g: Graph, max_k: int):
             mask = 0
             for v in combo:
                 mask |= 1 << v
-            if _rep3_after(g, mask):
-                return _certificate_for(g, combo, mask)
+            hit = _witness_after(g, mask)
+            if hit is not None:
+                return DeletionCertificate(g.n, combo, *hit)
     return None
 
 
@@ -115,11 +107,8 @@ def check_certificate(g: Graph, c: DeletionCertificate) -> bool:
     witness = tuple(c.witness)
     if c.original_order != g.n:
         return False
-    if len(witness) != 3 or len(set(witness)) != 3:
-        return False
-    if len(set(deleted)) != len(deleted):
-        return False
-    if set(deleted) & set(witness):
+    # distinct witnesses, distinct deletions, and no vertex in both
+    if len(witness) != 3 or len(set(deleted + witness)) != len(deleted) + 3:
         return False
     if any(not (0 <= v < g.n) for v in deleted + witness):
         return False

@@ -115,6 +115,19 @@ def test_solve_non_ascii_graph_is_malformed(capsys):
     assert capsys.readouterr().err == "error: non-ascii record\n"
 
 
+@pytest.mark.parametrize(
+    "spec,err",
+    [
+        ("-\x80H??????", "error: non-ascii record\n"),
+        ("-abc", "error: order byte decodes to -18, outside [1, 62]\n"),
+    ],
+)
+def test_solve_graph_text_may_begin_with_a_dash(capsys, spec, err):
+    # the text is the graph, not an option, and gets the typed error
+    assert run(["solve", "--graph", spec]) == 2
+    assert capsys.readouterr().err == err
+
+
 def test_solve_non_utf8_edge_file_is_malformed(capsys, tmp_path):
     # an edge-list file must be UTF-8 text; a stray 0xff byte is typed
     f = tmp_path / "bad.json"

@@ -34,6 +34,21 @@ G6_CASES = [
 ]
 
 
+def random_graph(n, data):
+    """An order-n graph whose vertex pairs are drawn as one bit field."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    code = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+    return from_edge_list(n, [p for k, p in enumerate(pairs) if code >> k & 1])
+
+
+def reference_parse(record):
+    """Decode a header-free graph6 record one vertex pair at a time."""
+    n = record[0] - 63
+    bits = "".join(format(byte - 63, "06b") for byte in record[1:])
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return from_edge_list(n, [p for p, bit in zip(pairs, bits) if bit == "1"])
+
+
 def edge_set(g):
     return {(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)}
 
@@ -123,6 +138,26 @@ class TestDeletion:
         with pytest.raises(errors.VertexOutOfRange):
             delete_vertices(helpers.k3(), [5])
 
+    @given(st.integers(1, 64), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_edge_list_reference(self, n, data):
+        # the reduced graph rebuilt from the surviving pairs, relabeled
+        # in order; deletions may repeat and come in any order
+        g = random_graph(n, data)
+        size = data.draw(st.integers(0, n))
+        d = data.draw(st.permutations(range(n)))[:size]
+        d += data.draw(st.lists(st.sampled_from(d), max_size=2)) if d else []
+        keep = [v for v in range(n) if v not in d]
+        if not keep:
+            with pytest.raises(errors.EmptyResult):
+                delete_vertices(g, d)
+            return
+        new = {old: i for i, old in enumerate(keep)}
+        expected = from_edge_list(
+            len(keep), [(new[u], new[v]) for u, v in g.edges() if u in new and v in new]
+        )
+        assert delete_vertices(g, d) == (expected, new)
+
 
 class TestComplement:
     def test_k3_complement_empty(self):
@@ -203,6 +238,13 @@ class TestGraph6:
         assert edge_set(parse_graph6(write_graph6(g))) == set(edges)
         code = data.draw(st.integers(0, (1 << len(pairs)) - 1))
         assert _unpack(_pack(n, code)) == (n, code)
+
+    @given(st.integers(1, 62), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_parse_matches_pair_reference(self, n, data):
+        record = write_graph6(random_graph(n, data))
+        assert parse_graph6(record) == reference_parse(record)
+        assert write_graph6(parse_graph6(record)) == record
 
 
 class TestEdgeJson:

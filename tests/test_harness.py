@@ -441,6 +441,19 @@ def test_tiny_source_starts_nothing(opened_pools, count):
     assert report.checked == count
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: verify_lemmas(1, jobs=2), id="verify_lemmas"),
+        pytest.param(lambda: counting_identity_suite(1), id="identity"),
+    ],
+)
+def test_one_class_catalogue_starts_nothing(opened_pools, call):
+    # order 1 is memoised from the start and holds one class, K1
+    call()
+    assert opened_pools == []
+
+
 def test_each_4_set_is_checked_once(monkeypatch):
     # the induced-path test runs once on each 4-set with no
     # balanceable 3-subset, and on no other; catalogue classes are

@@ -1,10 +1,14 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from itertools import combinations
 
 from rep3 import errors, solver
-from rep3.graphcore import complement, delete_vertices, from_edge_list
+from rep3.enumeration import catalogue_records
+from rep3.graphcore import complement, delete_vertices, from_edge_list, parse_graph6
 from rep3.repetition import profile
 from rep3.solver import (
     DeletionCertificate,
@@ -14,6 +18,11 @@ from rep3.solver import (
 )
 
 import helpers
+
+# SHA-256 of json.dumps([solve3(g).to_dict() for g in every class of
+# orders 5..8]), classes in catalogue_records order: every certificate
+# solve3 returns there, byte for byte
+CERTIFICATES_5_8_SHA256 = "92dca1b266d21e9eb9080fd7ea3aa99a6339c2f4d5b8c030a53bc91ed70fa36a"
 
 
 def random_graph(n, data):
@@ -96,6 +105,7 @@ class TestOracle:
         c = min_deletion_for_rep3(g, n - 3)
         assert c is not None  # guaranteed at these orders
         assert check_certificate(g, c)
+        assert c == reference_certificate(g, n - 3)
 
 
 class TestSolve3:
@@ -124,6 +134,15 @@ class TestSolve3:
     def test_is_the_oracle_on_every_class(self, n, graphs_by_n):
         for g in graphs_by_n(n):
             assert solve3(g) == min_deletion_for_rep3(g, min(3, n - 3))
+
+    def test_certificates_pinned(self):
+        certs = [
+            solve3(parse_graph6(rec)).to_dict()
+            for n in range(5, 9)
+            for rec in catalogue_records(n)
+        ]
+        digest = hashlib.sha256(json.dumps(certs).encode()).hexdigest()
+        assert digest == CERTIFICATES_5_8_SHA256
 
     def test_oracle_miss_raises(self, monkeypatch):
         monkeypatch.setattr(solver, "min_deletion_for_rep3", lambda g, k: None)
@@ -187,6 +206,12 @@ class TestCheckCertificate:
     def test_short_witness_rejected(self):
         g = helpers.c5()
         assert not check_certificate(g, DeletionCertificate(5, (), (0, 1, 1), 2))
+        assert not check_certificate(g, DeletionCertificate(5, (), (0, 1), 2))
+
+    def test_repeated_deletion_rejected(self):
+        g = helpers.antiregular5()
+        assert check_certificate(g, DeletionCertificate(5, (1,), (2, 3, 4), 1))
+        assert not check_certificate(g, DeletionCertificate(5, (1, 1), (2, 3, 4), 1))
 
     def test_unequal_degrees_rejected(self):
         g = helpers.antiregular5()
