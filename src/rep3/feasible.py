@@ -21,29 +21,30 @@ labeling) pair reproducible.
 Input is checked once, at the public boundary: classify_triple and
 equalize_triple validate their triple and then call one private core
 that takes a sorted tuple of three distinct in-range vertices.
-The verdict table, whose sets come from walking every 3-set of
-range(n) and so are valid by construction, calls the cores directly.
+The lemma scan, whose sets come from walking every 3-set of range(n)
+and so are valid by construction, calls the cores directly.
 
-The lemma suites read the verdicts of every 3-set, _triple_verdicts(g):
-whether the set is feasible and balanceable, its budget when that is at
-most n - 3, and whether _equalize finds a set within that budget.
-These depend only on the triple's signature (its edge pattern and how
-many other vertices lie in each of the eight adjacency regions around
-it), so _triple_verdicts runs _classify and _equalize on the first
-triple of each signature and reuses the answer for every later triple,
-in any graph, that shares it.  Through order 8 the 731,424 triples have
+The lemma suites ask the same of every 3-set: whether it is feasible
+and balanceable, its budget when that is at most n - 3, and whether
+_equalize finds a set within that budget.  The answers depend only on
+the triple's signature (its edge pattern and how many other vertices
+lie in each of the eight adjacency regions around it), so _verdict
+runs _classify and _equalize on the first triple of each signature
+and the memo _VERDICTS hands the answer to every later triple, in any
+graph, that shares it.  Through order 8 the 731,424 triples have
 2,946 signatures.
 
 The 4-set and 5-set checks are bit masks over the sets' indices in
 combinations order.  _cover_tables(n) holds, for each 3-set t, the mask
 of the 4-sets that contain t and the mask of the 5-sets that contain t
-and whose median position lies in t.  The worker relabels a graph by
-(degree, index) with _degree_sorted, so that a 5-set's median-degree
-vertex is its median position, and _covers walks its 3-sets once: each
-balanceable one ORs its 4-set mask into one cover and each feasible one
-its 5-set mask into another.  Only the 4-sets left uncovered reach the
-induced-path test, _induced_path_ok, and the 5-sets left uncovered are
-the violations.
+and whose median position lies in t.  One private entry point,
+_lemma_scan, owns these masks.  It reads a graph in its own labels,
+which must be sorted by degree, as every catalogue record is, so that
+a 5-set's median-degree vertex is its median position.  It walks the
+3-sets once: each balanceable one ORs its 4-set mask into one cover
+and each feasible one its 5-set mask into another.  Only the 4-sets
+left uncovered reach the induced-path test, _induced_path_ok, and the
+5-sets left uncovered are the violations.
 """
 
 from dataclasses import dataclass
@@ -235,17 +236,6 @@ def _triple_signatures(g: Graph):
                 )
 
 
-def _triple_verdicts(g: Graph):
-    """(s, verdict) for every 3-set s of g, in lexicographic order, each
-    verdict computed once per signature."""
-    memo = _VERDICTS
-    for s, key in _triple_signatures(g):
-        v = memo.get(key)
-        if v is None:
-            v = memo[key] = _verdict(g, s)
-        yield s, v
-
-
 class CoverTables(NamedTuple):
     """The 4-sets and 5-sets of range(n) in combinations order, and what
     the t-th 3-set in that order covers of them, as masks over their
@@ -275,52 +265,92 @@ def _cover_tables(n: int) -> CoverTables:
     )
 
 
-def _degree_sorted(g: Graph):
-    """(h, order): g relabeled so that h's vertex i is order[i], the i-th
-    vertex of g by (degree, index).  A canonical record is already
-    degree-sorted, and then h is g."""
-    order = sorted(range(g.n), key=g.degrees.__getitem__)
-    if order == list(range(g.n)):
-        return g, order
-    pos = {v: i for i, v in enumerate(order)}
-    rows = [sum(1 << pos[w] for w in range(g.n) if g.rows[v] >> w & 1) for v in order]
-    return Graph(g.n, tuple(rows)), order
 
 
-def _covers(h: Graph):
-    """One pass over the 3-sets of the degree-sorted graph h.
-
-    Returns (cov4, cov5, budgeted): the masks of the 4-sets holding a
-    balanceable 3-set and of the 5-sets holding a feasible 3-set through
-    their median-degree vertex, which in h is the median position, and
-    the (s, verdict) pairs whose budget is at most n - 3.
-    """
-    tables = _cover_tables(h.n)
-    cov4 = cov5 = 0
-    budgeted = []
-    for t, (s, v) in enumerate(_triple_verdicts(h)):
-        if v.condition is None:
-            continue
-        cov5 |= tables.m5[t]
-        if v.balanceable:
-            cov4 |= tables.m4[t]
-        if v.budget is not None:
-            budgeted.append((s, v))
-    return cov4, cov5, budgeted
-
-
-def _induced_path_ok(h: Graph, x) -> bool:
-    """Whether the sorted 4-set x of the degree-sorted graph h induces a
+def _induced_path_ok(g: Graph, x) -> bool:
+    """Whether the sorted 4-set x of the degree-sorted graph g induces a
     path whose endpoints carry the two smallest degrees of the set
     (compared as a multiset, so ties are accepted either way round)."""
     inside = 0
     for v in x:
         inside |= 1 << v
-    counts = [(h.rows[v] & inside).bit_count() for v in x]
+    counts = [(g.rows[v] & inside).bit_count() for v in x]
     # 3 edges on 4 vertices with degree multiset (1,1,2,2) is a path
     if sorted(counts) != [1, 1, 2, 2]:
         return False
-    # in h, degrees do not fall as labels rise
-    degs = h.degrees
+    # in g, degrees do not fall as labels rise
+    degs = g.degrees
     ends = [degs[v] for v, k in zip(x, counts) if k == 1]
     return ends == [degs[x[0]], degs[x[1]]]
+
+
+def _clear_bits(mask, sets):
+    """The members of sets whose bit in mask is clear, in index order."""
+    rest = ~mask & ((1 << len(sets)) - 1)
+    while rest:
+        low = rest & -rest
+        yield sets[low.bit_length() - 1]
+        rest ^= low
+
+
+def _paired_gap_sets(degs):
+    """The 4-sets with degrees (d, d, d+2, d+2) of a degree-sorted
+    graph, in lexicographic order: vertices of a lower degree carry
+    lower labels, so each set is pair + high, already sorted."""
+    by_degree = {}
+    for v, d in enumerate(degs):
+        by_degree.setdefault(d, []).append(v)
+    return [
+        pair + high
+        for d, low in by_degree.items()
+        for pair in combinations(low, 2)
+        for high in combinations(by_degree.get(d + 2, ()), 2)
+    ]
+
+
+def _lemma_scan(g: Graph, oracle_min):
+    """The lemma suites' findings in g, from one pass over its 3-sets.
+
+    g's degrees must not fall as its labels rise, as in every catalogue
+    record; then a 5-set's median-degree vertex is its median position.
+    oracle_min is g's minimum deletion size, None if no set of at most
+    n - 3 deletions works.  Each 3-set's verdict is read from the
+    signature memo, computed on its first sighting.  Each balanceable
+    3-set ORs the mask of the 4-sets containing it into one cover and
+    each feasible 3-set the mask of the 5-sets whose median it holds
+    into another.
+
+    Returns (budgeted, failures, low, paths, medians, paired): how many
+    3-sets have a budget of at most n - 3, and how many of those
+    _equalize cannot equalize within it; the (s, budget) pairs among
+    them whose budget lies below oracle_min; the 4-sets no balanceable
+    3-set covers that fail the induced-path test; the 5-sets left
+    uncovered; and the 4-sets with degrees (d, d, d+2, d+2) holding a
+    balanceable 3-set.  Each list is in lexicographic order.
+    """
+    tables = _cover_tables(g.n)
+    memo = _VERDICTS
+    cov4 = cov5 = budgeted = failures = 0
+    low = []
+    for m4, m5, (s, key) in zip(tables.m4, tables.m5, _triple_signatures(g)):
+        v = memo.get(key)
+        if v is None:
+            v = memo[key] = _verdict(g, s)
+        if v.condition is None:
+            continue
+        cov5 |= m5
+        if v.balanceable:
+            cov4 |= m4
+        if v.budget is not None:
+            budgeted += 1
+            failures += v.unequalizable
+            if oracle_min is None or oracle_min > v.budget:
+                low.append((s, v.budget))
+    return (
+        budgeted,
+        failures,
+        low,
+        [x for x in _clear_bits(cov4, tables.fours) if not _induced_path_ok(g, x)],
+        list(_clear_bits(cov5, tables.fives)),
+        [x for x in _paired_gap_sets(g.degrees) if cov4 >> tables.four_index[x] & 1],
+    )

@@ -31,20 +31,14 @@ catalogue order the sweep needs and is not memoised yet, then runs the
 worker once over all the sweep's records.  Each result carries its
 class's order and is folded in as it arrives.
 
-The lemma worker walks a graph's 3-sets once, reading each verdict
-from feasible._triple_verdicts (shape, balanceability, budget and
-strong-form answer, worked out once per triple signature and shared by
-every graph with that signature).  Each balanceable 3-set ORs the mask
-of the 4-sets containing it into one cover, and each feasible 3-set
-the mask of the 5-sets whose median it holds into another, so the
-induced-path test runs only on the 4-sets no balanceable 3-set covers,
-the 5-sets left uncovered are the median_feasible violations, and the
-paired_degree_gap suite reads its 4-sets' bits from the first cover.
-The worker scans the graph relabeled by (degree, index), which leaves
-every catalogue class as it is, and maps every set it reports back to
-the record's labels in lexicographic scan order.  It returns its
-counts and a tuple of (suite, violation) pairs, so the parent holds
-little per class while the pool runs.
+The lemma worker hands its parsed record and the oracle's minimum
+deletion size to feasible._lemma_scan, which walks the graph's 3-sets
+once in the record's own labels; catalogue records are sorted by
+degree, which the scan needs, and the worker rejects a record that is
+not.  The scan returns its counts and the sets each suite reports, in
+lexicographic order; the worker turns them into violation records and
+returns its counts and a tuple of (suite, violation) pairs, so the
+parent holds little per class while the pool runs.
 
 find_extremal runs the headline sweep's worker over the catalogue, so
 both solve and check each class the same way; each worker returns its
@@ -60,13 +54,12 @@ order, so any jobs count produces the same report, elapsed time aside.
 import json
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from . import enumeration
 from .enumeration import _fill, _pool
-from .errors import OrderOutOfRange, OrderTooLarge, TheoremViolation
-from .feasible import _cover_tables, _covers, _degree_sorted, _induced_path_ok
+from .errors import MalformedRecord, OrderOutOfRange, OrderTooLarge, TheoremViolation
+from .feasible import _lemma_scan
 from .graphcore import _unpack, parse_graph6
 from .repetition import profile
 from .solver import allowance, check_certificate, min_deletion_for_rep3, solve3
@@ -233,73 +226,41 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
     return VerificationReport(per_n, {}, time.perf_counter() - t0, skipped)
 
 
-def _paired_gap_sets(degs):
-    """The 4-sets with degrees (d, d, d+2, d+2), as sorted tuples."""
-    by_degree = {}
-    for v, d in enumerate(degs):
-        by_degree.setdefault(d, []).append(v)
-    return {
-        tuple(sorted(pair + high))
-        for d, low in by_degree.items()
-        for pair in combinations(low, 2)
-        for high in combinations(by_degree.get(d + 2, ()), 2)
-    }
-
-
-def _clear_bits(mask, sets):
-    """The members of sets whose bit in mask is clear, in index order."""
-    rest = ~mask & ((1 << len(sets)) - 1)
-    while rest:
-        low = rest & -rest
-        yield sets[low.bit_length() - 1]
-        rest ^= low
-
-
 def _lemma_worker(rec: bytes):
     """One class's lemma results: (n, feasible_budget instances,
     paired_degree_gap instances, strong-form failures, violations).
 
-    Every 4-set and 5-set is checked, so those suites' instance counts
-    are C(n, 4) and C(n, 5), added by the caller.  violations is a
-    tuple of (suite, violation) pairs, each suite's in scan order.
+    The record is scanned in its own labels, which must be sorted by
+    degree, as every catalogue record's are; a record whose degrees
+    fall raises MalformedRecord.  Every 4-set and 5-set is checked, so
+    those suites' instance counts are C(n, 4) and C(n, 5), added by the
+    caller.  violations is a tuple of (suite, violation) pairs, each
+    suite's in lexicographic scan order.
     """
     g = parse_graph6(rec)
     n = g.n
+    name = rec.decode("ascii")
+    if list(g.degrees) != sorted(g.degrees):
+        raise MalformedRecord(f"{name}: degrees {g.degrees} fall, as in no catalogue record")
     oracle_min = None
     if n >= 3:
         cert = min_deletion_for_rep3(g, n - 3)
         oracle_min = None if cert is None else len(cert.deleted)
 
-    # the scans run on h, where a 5-set's median-degree vertex is its
-    # median position; every set found goes back to g's labels
-    h, order = _degree_sorted(g)
-    tables = _cover_tables(n)
-    cov4, cov5, budgeted = _covers(h)
-    paired = [x for x in _paired_gap_sets(h.degrees) if cov4 >> tables.four_index[x] & 1]
-    suites = {
-        "induced_path": [
-            (x, {}) for x in _clear_bits(cov4, tables.fours) if not _induced_path_ok(h, x)
-        ],
-        "paired_degree_gap": [],
-        "median_feasible": [(u, {}) for u in _clear_bits(cov5, tables.fives)],
-        "feasible_budget": [
-            (s, {"budget": v.budget, "oracle_min": oracle_min})
-            for s, v in budgeted
-            if oracle_min is None or oracle_min > v.budget
-        ],
-    }
+    budgeted, failures, low, paths, medians, paired = _lemma_scan(g, oracle_min)
+    head = {"n": n, "graph": name}
+    found = [("induced_path", {**head, "subset": list(x)}) for x in paths]
     if oracle_min is None or oracle_min > allowance(n):
-        suites["paired_degree_gap"] = [(x, {"oracle_min": oracle_min}) for x in paired]
-
-    name = rec.decode("ascii")
-    found = []
-    for suite, hits in suites.items():
-        key = "triple" if suite == "feasible_budget" else "subset"
-        back = [(sorted(order[v] for v in s), extra) for s, extra in hits]
-        for s, extra in sorted(back, key=lambda hit: hit[0]):
-            found.append((suite, {"n": n, "graph": name, key: s, **extra}))
-    failures = sum(v.unequalizable for _, v in budgeted)
-    return n, len(budgeted), len(paired), failures, tuple(found)
+        found += [
+            ("paired_degree_gap", {**head, "subset": list(x), "oracle_min": oracle_min})
+            for x in paired
+        ]
+    found += [("median_feasible", {**head, "subset": list(u)}) for u in medians]
+    found += [
+        ("feasible_budget", {**head, "triple": list(s), "budget": b, "oracle_min": oracle_min})
+        for s, b in low
+    ]
+    return n, budgeted, len(paired), failures, tuple(found)
 
 
 def verify_lemmas(max_n: int, jobs=None) -> VerificationReport:

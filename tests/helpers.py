@@ -66,3 +66,13 @@ def empty(n):
 def neighbor_sets(g):
     """The neighbourhood of each vertex of g as a plain set."""
     return [{w for w in range(g.n) if g.has_edge(v, w)} for v in range(g.n)]
+
+
+def degree_sorted(g):
+    """(h, order): g relabeled by (degree, index), so that h's vertex i
+    is order[i], the i-th vertex of g by degree with ties broken by
+    index.  Catalogue records come in this form, and the lemma scan
+    reads graphs only in it."""
+    order = sorted(range(g.n), key=lambda v: (g.degrees[v], v))
+    pos = {v: i for i, v in enumerate(order)}
+    return from_edge_list(g.n, [(pos[u], pos[v]) for u, v in g.edges()]), order

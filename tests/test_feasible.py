@@ -8,12 +8,8 @@ from rep3.enumeration import enumerate_graphs
 from rep3.feasible import (
     TripleClassification,
     TripleVerdict,
-    _cover_tables,
-    _covers,
-    _degree_sorted,
-    _induced_path_ok,
+    _lemma_scan,
     _triple_signatures,
-    _triple_verdicts,
     budget,
     classify_triple,
     equalize_triple,
@@ -203,16 +199,17 @@ def region_signature(g, nbr, s):
 def check_signature_exactness(graphs):
     """The table's signature and the region signature fix each other;
     triples sharing a signature get the same direct answers, at every
-    allowance 0..n-3; and the verdict table equals the direct answer for
-    every triple."""
+    allowance 0..n-3; and the memo entry the lemma scan reads for each
+    triple equals the direct answer."""
     region_of, key_of, answer_of = {}, {}, {}
     for g in graphs:
         nbr = helpers.neighbor_sets(g)
+        _lemma_scan(g, None)
         keys = dict(_triple_signatures(g))
-        table = dict(_triple_verdicts(g))
-        assert list(table) == list(keys) == list(itertools.combinations(range(g.n), 3))
-        for s, verdict in table.items():
-            key, region = keys[s], region_signature(g, nbr, s)
+        assert list(keys) == list(itertools.combinations(range(g.n), 3))
+        for s, key in keys.items():
+            verdict = feasible._VERDICTS[key]
+            region = region_signature(g, nbr, s)
             assert region_of.setdefault(key, region) == region
             assert key_of.setdefault(region, key) == key
             tc = classify_triple(g, s)
@@ -314,14 +311,25 @@ class TestEqualize:
 
 def cover_bit(g, x):
     """The bit of the set x of g (a 4-set or a 5-set) in the cover mask
-    the lemma worker builds, and x relabeled as the worker scans it."""
-    h, order = _degree_sorted(g)
+    _lemma_scan builds on g relabeled by (degree, index), and whether x
+    failed the induced-path test.  The scan reports a 5-set when its bit
+    is clear and runs the test on exactly the 4-sets whose bit is clear,
+    so the bit is read from the scan's answer and its calls."""
+    h, order = helpers.degree_sorted(g)
     y = tuple(sorted(order.index(v) for v in x))
-    cov4, cov5, _ = _covers(h)
-    tables = _cover_tables(g.n)
+    asked = []
+    real = feasible._induced_path_ok
+
+    def induced_path_ok(h, x):
+        asked.append(x)
+        return real(h, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(feasible, "_induced_path_ok", induced_path_ok)
+        paths, medians = _lemma_scan(h, None)[3:5]
     if len(y) == 4:
-        return cov4 >> tables.four_index[y] & 1, h, y
-    return cov5 >> tables.fives.index(y) & 1, h, y
+        return int(y not in asked), y in paths
+    return int(y not in medians), False
 
 
 def median_covered(g, u):
@@ -344,10 +352,10 @@ def p4_kind(g, x):
     """The structure kind of the 4-set x of g, as the lemma worker reads
     it: covered by a balanceable 3-subset, or else the induced-path test
     on the relabeled graph."""
-    bit, h, y = cover_bit(g, x)
+    bit, failed = cover_bit(g, x)
     if bit:
         return "has_balanceable"
-    return "induced_path_ok" if _induced_path_ok(h, y) else "violation"
+    return "violation" if failed else "induced_path_ok"
 
 
 class TestFindFeasibleInFive:

@@ -4,7 +4,7 @@ import os
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rep3 import enumeration, errors, feasible, harness, solver
 from rep3.enumeration import catalogue_records, read_graph6_records
@@ -18,6 +18,8 @@ from rep3.harness import (
     verify_theorem,
 )
 from rep3.solver import min_deletion_for_rep3
+
+import helpers
 
 SUITES = ("induced_path", "paired_degree_gap", "median_feasible", "feasible_budget")
 
@@ -243,25 +245,28 @@ class TestVerifyLemmas:
                 assert r.lemma_results[suite]["violations"] == expected[suite]
 
 
-def labeled_graph(data, n):
-    """A labeled graph of order n whose degrees do not rise with the
-    labels, so the lemma worker must relabel it and map its sets back."""
-    pairs = list(combinations(range(n), 2))
-    g = from_edge_list(n, [p for p in pairs if data.draw(st.booleans())])
-    assume(list(g.degrees) != sorted(g.degrees))
-    return g
-
-
 class TestLemmaWorker:
     @given(st.integers(4, 8), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_labeled_input_matches_reference(self, n, data):
-        rec = write_graph6(labeled_graph(data, n))
+    def test_degree_sorted_input_matches_reference(self, n, data):
+        # any graph relabeled by (degree, index), not only catalogue
+        # classes, scans in its own labels as the reference does
+        pairs = list(combinations(range(n), 2))
+        g = from_edge_list(n, [p for p in pairs if data.draw(st.booleans())])
+        rec = write_graph6(helpers.degree_sorted(g)[0])
         assert harness._lemma_worker(rec) == reference_lemma_scan(rec)
         with pytest.MonkeyPatch.context() as mp:
             only_triangles_feasible(mp)
             planted = reference_lemma_scan(rec)
             assert harness._lemma_worker(rec) == planted
+
+    def test_falling_degrees_rejected(self):
+        # the star K1,3 with its hub first is no catalogue record: the
+        # scan reads medians and path ends by position, so the worker
+        # refuses it, naming the record
+        assert parse_graph6(b"Cs").degrees == (3, 1, 1, 1)
+        with pytest.raises(errors.MalformedRecord, match="^Cs: "):
+            harness._lemma_worker(b"Cs")
 
     def test_catalogue_through_order_6_matches_reference(self):
         for n in range(1, 7):
@@ -459,13 +464,13 @@ def test_each_4_set_is_checked_once(monkeypatch):
     # balanceable 3-subset, and on no other; catalogue classes are
     # degree-sorted, so the worker scans them in their own labels
     calls = []
-    real = harness._induced_path_ok
+    real = feasible._induced_path_ok
 
     def induced_path_ok(h, x):
         calls.append((h, x))
         return real(h, x)
 
-    monkeypatch.setattr(harness, "_induced_path_ok", induced_path_ok)
+    monkeypatch.setattr(feasible, "_induced_path_ok", induced_path_ok)
     report = verify_lemmas(7, jobs=1)
     expected = [
         (g, x)
