@@ -17,11 +17,16 @@ with three cuts:
   * a prefix that compares worse than the best full string found so far
     is abandoned.
 
-The search carries its state down one recursive function: each call
-gets acc, the adjacency bits of each unplaced vertex toward the placed
-prefix, as a fresh list built from its caller's, and the best string so
-far is one integer, whose prefix after k placed vertices is a right
-shift of it.
+The search carries its state down one recursive function, and the
+first cut is a partition refinement on vertex masks.  A shared stack
+holds the complemented row of each placed vertex, in placement order.
+At each position the call starts from the unplaced vertices of the
+position's degree and, placed vertex by placed vertex, keeps those not
+adjacent to it when any are (a 0 bit) and all of them otherwise (a 1
+bit): one AND per placed vertex leaves exactly the candidates whose
+bits toward the prefix are least, and spells those bits.  No per-vertex
+bit list is built at any node.  The best string so far is one integer,
+whose prefix after k placed vertices is a right shift of it.
 
 The same search also yields the last orbit: the vertices that sit last
 in some optimal ordering.  Two optimal orderings spell the same string,
@@ -75,11 +80,13 @@ from contextlib import contextmanager
 from itertools import combinations
 from multiprocessing import get_context
 
-from .errors import MalformedRecord, OrderTooLarge, UnsupportedOrder
+from .errors import IncompleteCatalogue, MalformedRecord, OrderTooLarge, UnsupportedOrder
 from .graphcore import _HEADER, Graph, _pack, _unpack, parse_graph6
 
 MAX_CANON = 10
 MAX_ENUM = 9
+# OEIS A000088: the number of graphs on n unlabeled vertices, n = 0..9
+A000088 = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
 
 
 def _canonical_search(g: Graph):
@@ -102,19 +109,20 @@ def _canonical_search(g: Graph):
     last = 0  # last vertices of the optimal orderings visited so far
     twins = set()  # skipped twin pairs as masks; each swap is in Aut(g)
 
-    def dfs(level, code, used, acc):
-        # acc[w]: adjacency bits of an unplaced w toward the placed prefix
+    prefix = []  # ~row of each placed vertex, in placement order
+
+    def dfs(level, code, used):
         nonlocal best, last
+        # refine the pool to the candidates whose bits toward the prefix,
+        # first placed first, are least, and append those bits to code
         cm = poolmask[position_degree[level]] & ~used
-        m = -1
-        t = cm
-        while t:
-            low = t & -t
-            a = acc[low.bit_length() - 1]
-            if m < 0 or a < m:
-                m = a
-            t ^= low
-        code = (code << level) | m
+        for r in prefix:
+            code <<= 1
+            c = cm & r
+            if c:
+                cm = c
+            else:
+                code |= 1
         if code > best >> shift[level + 1]:
             return
         if level == n - 1:
@@ -130,8 +138,6 @@ def _canonical_search(g: Graph):
             low = t & -t
             v = low.bit_length() - 1
             t ^= low
-            if acc[v] != m:
-                continue
             merged = rows[v] | low
             for u in kept:
                 bu = 1 << u
@@ -140,11 +146,11 @@ def _canonical_search(g: Graph):
                     break
             else:
                 kept.append(v)
-                rv = rows[v]
-                dfs(level + 1, code, used | low,
-                    [(a << 1) | (rv >> w) & 1 for w, a in enumerate(acc)])
+                prefix.append(~rows[v])
+                dfs(level + 1, code, used | low)
+                prefix.pop()
 
-    dfs(0, 0, 0, [0] * n)
+    dfs(0, 0, 0)
     del dfs  # dfs is its own closure cycle; free it now, not at gc
 
     grown = True
@@ -201,13 +207,20 @@ def catalogue_records(n: int) -> tuple:
 
 def _fill(n, imap):
     """catalogue_records(n), generating each order up to n that is not
-    memoised yet with the ordered map imap."""
+    memoised yet with the ordered map imap.  A generated order whose
+    class count is not A000088's raises IncompleteCatalogue and is not
+    memoised."""
     if n not in _catalogue:
         levels = [[] for _ in range(n * (n - 1) // 2 + 1)]  # records by edge count
         for children in imap(_children, _fill(n - 1, imap)):
             for edges, forms in children:
                 levels[edges] += forms
-        _catalogue[n] = tuple(form for level in levels for form in sorted(level))
+        records = tuple(form for level in levels for form in sorted(level))
+        if len(records) != A000088[n]:
+            raise IncompleteCatalogue(
+                f"order {n}: generated {len(records)} classes, A000088 counts {A000088[n]}"
+            )
+        _catalogue[n] = records
     return _catalogue[n]
 
 

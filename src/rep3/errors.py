@@ -72,3 +72,15 @@ class TheoremViolation(Rep3Error):
 
 class OrderTooLarge(Rep3Error, ValueError):
     """Enumeration / canonical forms are guarded to small orders."""
+
+
+class IncompleteCatalogue(Rep3Error):
+    """A generated catalogue order holds another number of classes than
+    OEIS A000088 counts; a generation bug, never a property of the input.
+    """
+
+
+class WorkerCrash(Rep3Error):
+    """A sweep worker failed on one record with an error that is not a
+    Rep3Error; the message names the record and the original error.
+    """

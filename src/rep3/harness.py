@@ -29,7 +29,9 @@ All four sweeps fold over one driver, _sweep, which opens one ordered
 map from enumeration._pool per call: that map first generates any
 catalogue order the sweep needs and is not memoised yet, then runs the
 worker once over all the sweep's records.  Each result carries its
-class's order and is folded in as it arrives.
+class's order and is folded in as it arrives.  A worker that fails on
+a record with anything but a Rep3Error surfaces as a WorkerCrash naming
+that record, at any jobs count; a Rep3Error keeps its own message.
 
 The lemma worker hands its parsed record and the oracle's minimum
 deletion size to feasible._lemma_scan, which walks the graph's 3-sets
@@ -54,11 +56,19 @@ order, so any jobs count produces the same report, elapsed time aside.
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 from . import enumeration
 from .enumeration import _fill, _pool
-from .errors import MalformedRecord, OrderOutOfRange, OrderTooLarge, TheoremViolation
+from .errors import (
+    MalformedRecord,
+    OrderOutOfRange,
+    OrderTooLarge,
+    Rep3Error,
+    TheoremViolation,
+    WorkerCrash,
+)
 from .feasible import _lemma_scan
 from .graphcore import _unpack, parse_graph6
 from .repetition import profile
@@ -154,7 +164,19 @@ def _sweep(worker, jobs, orders, records=None):
     with _pool(jobs) as imap:
         if records is None:
             records = [rec for n in orders for rec in _fill(n, imap)]
-        yield from zip(records, imap(worker, records))
+        yield from zip(records, imap(partial(_guarded, worker), records))
+
+
+def _guarded(worker, rec):
+    """worker(rec), with any error but a Rep3Error raised again as a
+    WorkerCrash that names the record; module level, so it pickles."""
+    try:
+        return worker(rec)
+    except Rep3Error:
+        raise
+    except Exception as exc:
+        name = rec.decode("ascii", "replace")
+        raise WorkerCrash(f"{name}: {worker.__name__} raised {exc!r}") from exc
 
 
 def _theorem_worker(rec: bytes):

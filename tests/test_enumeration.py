@@ -111,10 +111,21 @@ def assert_search_matches_brute_force(g):
     assert {v for v in range(g.n) if (orbit >> v) & 1} == last
 
 
+def cycle(n):
+    return from_edge_list(n, [(v, (v + 1) % n) for v in range(n)])
+
+
 class TestLastOrbit:
     def test_twin_heavy_graphs(self):
         k23 = from_edge_list(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
-        for g in [k23, helpers.empty(5), helpers.star(4), helpers.c5(), helpers.paw()]:
+        # regular graphs of orders 7 and 8: every one of the n! orderings
+        # is degree-sorted, so the refinement, the twin cut and the prune
+        # meet the most ties; the parts of K4,4 and 2K4 interleave labels
+        cube = from_edge_list(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
+        k44 = from_edge_list(8, [(u, v) for u in range(0, 8, 2) for v in range(1, 8, 2)])
+        two_k4 = from_edge_list(8, [(u, v) for u in range(8) for v in range(u + 2, 8, 2)])
+        for g in [k23, helpers.empty(5), helpers.star(4), helpers.c5(), helpers.paw(),
+                  cycle(7), cycle(8), cube, k44, two_k4]:
             assert_search_matches_brute_force(g)
 
     @given(st.integers(1, 6), st.data())

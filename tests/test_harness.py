@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rep3 import enumeration, errors, feasible, harness, solver
+from rep3.cli import run
 from rep3.enumeration import catalogue_records, read_graph6_records
 from rep3.graphcore import from_edge_list, parse_graph6, write_graph6
 from rep3.feasible import TripleClassification, budget, classify_triple, equalize_triple
@@ -457,6 +458,75 @@ def test_one_class_catalogue_starts_nothing(opened_pools, call):
     # order 1 is memoised from the start and holds one class, K1
     call()
     assert opened_pools == []
+
+
+_real_children = enumeration._children
+_real_theorem_worker = harness._theorem_worker
+K6 = b"E~~w"
+
+
+def _children_dropping_one(rec):
+    """_children, except that the edgeless order-5 parent loses its
+    first child, the edgeless graph of order 6."""
+    out = _real_children(rec)
+    if rec == b"D??":
+        (edges, forms), *rest = out
+        return [(edges, forms[1:]), *rest]
+    return out
+
+
+def _theorem_worker_dividing_by_zero(rec):
+    """_theorem_worker, except on K6, where it raises ZeroDivisionError."""
+    if rec == K6:
+        raise ZeroDivisionError("planted")
+    return _real_theorem_worker(rec)
+
+
+def _theorem_worker_rejecting(rec):
+    """_theorem_worker, except on K6, which it calls malformed."""
+    if rec == K6:
+        raise errors.MalformedRecord("K6 rejected on purpose")
+    return _real_theorem_worker(rec)
+
+
+def test_dropped_class_fails_the_completeness_gate(opened_pools, monkeypatch, capsys):
+    monkeypatch.setattr(enumeration, "_children", _children_dropping_one)
+    message = "order 6: generated 155 classes, A000088 counts 156"
+    cold(monkeypatch)
+    with pytest.raises(errors.IncompleteCatalogue, match=message):
+        catalogue_records(6)
+    assert opened_pools == [(2,)]
+    assert 6 not in enumeration._catalogue
+    capsys.readouterr()
+    assert run(["verify", "--min-n", "5", "--max-n", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "worker,message",
+    [
+        pytest.param(
+            _theorem_worker_dividing_by_zero,
+            "E~~w: _theorem_worker_dividing_by_zero raised ZeroDivisionError('planted')",
+            id="crash",
+        ),
+        pytest.param(_theorem_worker_rejecting, "K6 rejected on purpose", id="rep3error"),
+    ],
+)
+def test_worker_error_names_its_record(opened_pools, monkeypatch, capsys, jobs, worker, message):
+    # a crash becomes a typed error naming the record; a Rep3Error the
+    # worker raises keeps its own message; both exit 2 at any jobs count
+    catalogue_records(6)
+    opened_pools.clear()
+    monkeypatch.setattr(harness, "_theorem_worker", worker)
+    assert run(["verify", "--min-n", "5", "--max-n", "6", "--jobs", str(jobs)]) == 2
+    assert opened_pools == ([(2,)] if jobs == 2 else [])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_each_4_set_is_checked_once(monkeypatch):
