@@ -69,6 +69,8 @@ record), so its bytes do not depend on jobs, on the shard each parent
 went to or on the order in which shards finish.  _pool opens that map
 once per public call, so one worker pool, of at most one worker per
 core, serves every order the call generates and the sweep after them.
+Both map their workers through _guarded, so a crash in generation or in
+a sweep is a WorkerCrash that names the record it failed on.
 
 read_graph6_records turns the byte lines of a graph6 file, as iterating
 the open binary file gives them, into validated record bytes without
@@ -77,11 +79,13 @@ building a graph.
 
 import os
 from contextlib import contextmanager
+from functools import partial
 from itertools import combinations
 from multiprocessing import get_context
 
-from .errors import IncompleteCatalogue, MalformedRecord, OrderTooLarge, UnsupportedOrder
-from .graphcore import _HEADER, Graph, _pack, _unpack, parse_graph6
+from .errors import IncompleteCatalogue, MalformedRecord, OrderTooLarge, Rep3Error
+from .errors import UnsupportedOrder, WorkerCrash
+from .graphcore import _HEADER, Graph, _check, _pack, parse_graph6
 
 MAX_CANON = 10
 MAX_ENUM = 9
@@ -190,6 +194,18 @@ def _pool(jobs):
         )
 
 
+def _guarded(worker, rec):
+    """worker(rec), with any error but a Rep3Error raised again as a
+    WorkerCrash that names the record; module level, so it pickles."""
+    try:
+        return worker(rec)
+    except Rep3Error:
+        raise
+    except Exception as exc:
+        name = rec.decode("ascii", "replace")
+        raise WorkerCrash(f"{name}: {worker.__name__} raised {exc!r}") from exc
+
+
 def catalogue_records(n: int) -> tuple:
     """The canonical graph6 record of every class of order n, 1 <= n <= 9.
 
@@ -209,10 +225,11 @@ def _fill(n, imap):
     """catalogue_records(n), generating each order up to n that is not
     memoised yet with the ordered map imap.  A generated order whose
     class count is not A000088's raises IncompleteCatalogue and is not
-    memoised."""
+    memoised; a parent whose extension fails with anything but a
+    Rep3Error raises WorkerCrash naming that parent."""
     if n not in _catalogue:
         levels = [[] for _ in range(n * (n - 1) // 2 + 1)]  # records by edge count
-        for children in imap(_children, _fill(n - 1, imap)):
+        for children in imap(partial(_guarded, _children), _fill(n - 1, imap)):
             for edges, forms in children:
                 levels[edges] += forms
         records = tuple(form for level in levels for form in sorted(level))
@@ -280,8 +297,8 @@ def read_graph6_records(lines):
     leading ">>graph6<<" header are tolerated; anything else malformed,
     non-ASCII bytes and multi-byte orders included, is a MalformedRecord
     naming its 1-based line.  A record is the line's own bytes without
-    the header and surrounding whitespace, checked as strictly as
-    parse_graph6 but not parsed.
+    the header and surrounding whitespace, checked by graphcore._check
+    as strictly as parse_graph6 checks it, but not decoded.
     """
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip().removeprefix(_HEADER)
@@ -292,7 +309,7 @@ def read_graph6_records(lines):
         # parse_graph6 drops one more header of its own
         rec = line.removeprefix(_HEADER)
         try:
-            _unpack(rec)
+            _check(rec)
         except (MalformedRecord, UnsupportedOrder) as exc:
             raise MalformedRecord(str(exc), line=lineno) from None
         yield rec

@@ -3,9 +3,11 @@
 A Graph stores one adjacency row per vertex as a Python int used as a bit
 mask, so neighborhood algebra (intersection, difference, popcount) is a
 couple of machine-word operations for any order up to 64.  All operations
-are pure: deletion and complement build new values and never touch their
-input.  A deletion set is an iterable of vertex indices; each deleted
-index is shifted out of every kept row, highest index first.
+are pure and never touch their input: deletion and complement build new
+values, except that deleting nothing returns the input graph itself,
+which is safe since a Graph is immutable.  A deletion set is an iterable
+of vertex indices; each deleted index is shifted out of every kept row,
+highest index first.
 
 graph6 records are the usual ASCII encoding of small graphs: one byte
 63+n for the order (single-byte form only, n <= 62), then the upper
@@ -13,10 +15,12 @@ triangle of the adjacency matrix read column by column, packed into 6-bit
 groups most significant bit first, zero-padded to a whole group, each
 group emitted as one byte offset by 63.  parse_graph6 takes the record as
 bytes and is strict: wrong record length, a data byte outside [63, 126],
-or a nonzero padding bit all reject the record.  It reads column j as
-one j-bit field and walks only that field's set bits, one step per
-edge.  from_edge_json reads {"n": ..., "edges": [[u, v], ...]} text and
-checks its shape and every endpoint.
+or a nonzero padding bit all reject the record.  _check is that one
+strict validator, and it decodes nothing, so a record can be checked
+without being parsed.  parse_graph6 reads column j as one j-bit field
+and walks only that field's set bits, one step per edge.
+from_edge_json reads {"n": ..., "edges": [[u, v], ...]} text and checks
+its shape and every endpoint.
 """
 
 import json
@@ -48,7 +52,7 @@ class Graph:
     def __init__(self, n, rows):
         self.n = n
         self.rows = rows
-        self.degrees = tuple(r.bit_count() for r in rows)
+        self.degrees = tuple(map(int.bit_count, rows))
 
     def degree(self, v: int) -> int:
         return self.degrees[v]
@@ -109,20 +113,22 @@ def delete_vertices(g: Graph, d):
     """Induced subgraph on the survivors of g after removing d.
 
     d is an iterable of vertex indices.  Returns (reduced graph, map old
-    index -> new index).  The map is order preserving.  Removing every
-    vertex is rejected because a graph here always has at least one
-    vertex.
+    index -> new index).  The map is order preserving.  An empty d
+    returns g itself and the identity map.  Removing every vertex is
+    rejected because a graph here always has at least one vertex.
     """
     dmask = 0
     for v in d:
         if not 0 <= v < g.n:
             raise VertexOutOfRange(f"vertex {v} outside 0..{g.n - 1}")
         dmask |= 1 << v
+    if not dmask:
+        return g, {v: v for v in range(g.n)}
     keep = [v for v in range(g.n) if not (dmask >> v) & 1]
     if not keep:
         raise EmptyResult("deletion set equals the whole vertex set")
     remap = {old: new for new, old in enumerate(keep)}
-    rows = [g.rows[v] for v in keep] if dmask else g.rows
+    rows = [g.rows[v] for v in keep]
     while dmask:  # highest deleted index first, so lower ones stay put
         v = dmask.bit_length() - 1
         low = (1 << v) - 1
@@ -162,9 +168,15 @@ def write_graph6(g: Graph) -> bytes:
     return _pack(g.n, code)
 
 
-def _unpack(record: bytes):
-    """(n, code) of a header-free graph6 record: the strict inverse of
-    _pack."""
+_DATA_BYTES = bytes(range(63, 127))
+
+
+def _check(record: bytes) -> int:
+    """The order n of a header-free graph6 record, checked as strictly
+    as parse_graph6 checks it but not decoded: the order byte, the
+    length, every byte against [63, 126] in one translate, and the
+    padding bits of the last byte.  A bad record raises MalformedRecord,
+    or UnsupportedOrder for the multi-byte order form."""
     if not record:
         raise MalformedRecord("empty record")
     if record[0] == 126:
@@ -178,15 +190,22 @@ def _unpack(record: bytes):
         raise MalformedRecord(
             f"expected {need} data bytes for order {n}, got {len(record) - 1}"
         )
+    bad = record.translate(None, _DATA_BYTES)  # the order byte is in range
+    if bad:
+        raise MalformedRecord(f"data byte {bad[0]} outside [63, 126]")
+    if (record[-1] - 63) & ((1 << (6 * need - nbits)) - 1):
+        raise MalformedRecord("nonzero padding bits")
+    return n
+
+
+def _unpack(record: bytes):
+    """(n, code) of a header-free graph6 record: the strict inverse of
+    _pack."""
+    n = _check(record)
     code = 0
     for byte in record[1:]:
-        if not 63 <= byte <= 126:
-            raise MalformedRecord(f"data byte {byte} outside [63, 126]")
         code = (code << 6) | (byte - 63)
-    pad = 6 * need - nbits
-    if code & ((1 << pad) - 1):
-        raise MalformedRecord("nonzero padding bits")
-    return n, code >> pad
+    return n, code >> (-(n * (n - 1) // 2) % 6)  # drop the padding
 
 
 def parse_graph6(record: bytes) -> Graph:

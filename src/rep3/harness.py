@@ -60,17 +60,10 @@ from functools import partial
 from math import comb
 
 from . import enumeration
-from .enumeration import _fill, _pool
-from .errors import (
-    MalformedRecord,
-    OrderOutOfRange,
-    OrderTooLarge,
-    Rep3Error,
-    TheoremViolation,
-    WorkerCrash,
-)
+from .enumeration import _fill, _guarded, _pool
+from .errors import MalformedRecord, OrderOutOfRange, OrderTooLarge, TheoremViolation
 from .feasible import _lemma_scan
-from .graphcore import _unpack, parse_graph6
+from .graphcore import _check, parse_graph6
 from .repetition import profile
 from .solver import allowance, check_certificate, min_deletion_for_rep3, solve3
 
@@ -167,18 +160,6 @@ def _sweep(worker, jobs, orders, records=None):
         yield from zip(records, imap(partial(_guarded, worker), records))
 
 
-def _guarded(worker, rec):
-    """worker(rec), with any error but a Rep3Error raised again as a
-    WorkerCrash that names the record; module level, so it pickles."""
-    try:
-        return worker(rec)
-    except Rep3Error:
-        raise
-    except Exception as exc:
-        name = rec.decode("ascii", "replace")
-        raise WorkerCrash(f"{name}: {worker.__name__} raised {exc!r}") from exc
-
-
 def _theorem_worker(rec: bytes):
     """(n, minimum deletion size, None) for a class of order n the
     theorem holds on, or (n, None, violation)."""
@@ -225,7 +206,7 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
             if rec and rec[0] - 63 in orders:
                 records.append(rec)
             else:
-                _unpack(rec)  # raises unless a well-formed record of another order
+                _check(rec)  # raises unless a well-formed record of another order
                 skipped += 1
     per_n = {
         n: {

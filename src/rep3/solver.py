@@ -108,9 +108,12 @@ def check_certificate(g: Graph, c: DeletionCertificate) -> bool:
     if c.original_order != g.n:
         return False
     # distinct witnesses, distinct deletions, and no vertex in both
-    if len(witness) != 3 or len(set(deleted + witness)) != len(deleted) + 3:
+    named = deleted + witness
+    if len(witness) != 3 or len(set(named)) != len(named):
         return False
-    if any(not (0 <= v < g.n) for v in deleted + witness):
+    if min(named) < 0 or max(named) >= g.n:
         return False
     h, remap = delete_vertices(g, deleted)
-    return all(h.degree(remap[v]) == c.witness_degree for v in witness)
+    degrees = h.degrees
+    u, v, w = witness
+    return degrees[remap[u]] == degrees[remap[v]] == degrees[remap[w]] == c.witness_degree

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rep3 import errors
+from rep3.errors import MalformedRecord, UnsupportedOrder
 from rep3.graphcore import (
     Graph,
+    _check,
     _pack,
     _unpack,
     complement,
@@ -47,6 +49,49 @@ def reference_parse(record):
     bits = "".join(format(byte - 63, "06b") for byte in record[1:])
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
     return from_edge_list(n, [p for p, bit in zip(pairs, bits) if bit == "1"])
+
+
+def reference_unpack(record):
+    """(n, code) of a header-free graph6 record, each data byte checked
+    as it is decoded: the reference for _check, which decodes nothing."""
+    if not record:
+        raise MalformedRecord("empty record")
+    if record[0] == 126:
+        raise UnsupportedOrder("multi-byte order encoding not supported")
+    n = record[0] - 63
+    if n < 1 or n > 62:
+        raise MalformedRecord(f"order byte decodes to {n}, outside [1, 62]")
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    if len(record) - 1 != need:
+        raise MalformedRecord(
+            f"expected {need} data bytes for order {n}, got {len(record) - 1}"
+        )
+    code = 0
+    for byte in record[1:]:
+        if not 63 <= byte <= 126:
+            raise MalformedRecord(f"data byte {byte} outside [63, 126]")
+        code = (code << 6) | (byte - 63)
+    pad = 6 * need - nbits
+    if code & ((1 << pad) - 1):
+        raise MalformedRecord("nonzero padding bits")
+    return n, code >> pad
+
+
+@st.composite
+def near_records(draw):
+    """An order byte and a data length that is right or one off, with
+    data bytes in range but for up to two: records that get past the
+    early checks."""
+    head = draw(st.one_of(st.integers(60, 76), st.sampled_from([124, 125, 126, 127])))
+    n = head - 63
+    need = (n * (n - 1) // 2 + 5) // 6 if 1 <= n <= 62 else draw(st.integers(0, 4))
+    size = max(0, need + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    data = bytearray(63 + b % 64 for b in draw(st.binary(min_size=size, max_size=size)))
+    for i, byte in draw(st.lists(st.tuples(st.integers(0, 316), st.integers(0, 255)), max_size=2)):
+        if size:
+            data[i % size] = byte
+    return bytes([head]) + bytes(data)
 
 
 def edge_set(g):
@@ -112,6 +157,9 @@ class TestDeletion:
         assert g.degrees == g0.degrees
         assert edge_set(g) == edge_set(g0)
         assert remap == {0: 0, 1: 1, 2: 2}
+        # a Graph is immutable, so deleting nothing returns g itself
+        assert delete_vertices(g0, ()) == (g0, {0: 0, 1: 1, 2: 2})
+        assert delete_vertices(g0, ())[0] is g0
 
     def test_star_minus_center(self):
         g, _ = delete_vertices(helpers.star(3), [0])
@@ -224,6 +272,22 @@ class TestGraph6:
     def test_multibyte_order_unsupported(self):
         with pytest.raises(errors.UnsupportedOrder):
             parse_graph6(b"~??" + b"?" * 100)
+
+    @given(st.one_of(st.binary(max_size=24), near_records()))
+    @settings(max_examples=500, deadline=None)
+    def test_check_agrees_with_reference_decoder(self, record):
+        # _check raises exactly when the decoding check does, with the
+        # same type and message, and otherwise returns the same order
+        try:
+            expected = reference_unpack(record)
+        except (MalformedRecord, UnsupportedOrder) as exc:
+            with pytest.raises(type(exc)) as caught:
+                _check(record)
+            assert type(caught.value) is type(exc)
+            assert str(caught.value) == str(exc)
+            return
+        assert _check(record) == expected[0]
+        assert _unpack(record) == expected
 
     def test_write_order_cap(self):
         with pytest.raises(errors.UnsupportedOrder):

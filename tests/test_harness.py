@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -18,11 +20,32 @@ from rep3.harness import (
     verify_lemmas,
     verify_theorem,
 )
-from rep3.solver import min_deletion_for_rep3
+from rep3.solver import min_deletion_for_rep3, solve3
 
 import helpers
 
 SUITES = ("induced_path", "paired_degree_gap", "median_feasible", "feasible_budget")
+
+# SHA-256 of json.dumps([solve3(g).to_dict() for g in labeled_records()])
+# and of json.dumps(verify_theorem(5, 9, source=...).comparable(),
+# sort_keys=True) over the same records: labeled input, byte for byte
+LABELED_CERTIFICATES_SHA256 = "f4d08908c2f8f70e0a96502575ae5cfcfe1397bc72e531dc14aeab10982a4ce4"
+LABELED_REPORT_SHA256 = "ae3bc47fcc167e6117a1bc68f1e394876d77cc0a7345bc11ec96bba780f9e7e0"
+
+
+def labeled_records(seed=2026, count=2000):
+    """Seeded labeled graphs as graph6 records: each draws an order in
+    5..9 and an edge probability in [0, 1), so few come degree-sorted
+    as catalogue records do."""
+    rng = random.Random(seed)
+    records = []
+    for _ in range(count):
+        n = rng.randint(5, 9)
+        p = rng.random()
+        pairs = [(u, v) for v in range(1, n) for u in range(v)]
+        edges = [e for e in pairs if rng.random() < p]
+        records.append(write_graph6(from_edge_list(n, edges)))
+    return records
 
 
 def reference_lemma_scan(rec):
@@ -164,6 +187,17 @@ class TestVerifyTheorem:
         # typed across it
         with pytest.raises(errors.MalformedRecord):
             verify_theorem(5, 5, source=[rec] * jobs, jobs=jobs)
+
+    def test_labeled_input_pinned(self):
+        # the catalogue pins cover degree-sorted records only
+        records = labeled_records()
+        certs = [solve3(parse_graph6(rec)).to_dict() for rec in records]
+        digest = hashlib.sha256(json.dumps(certs).encode()).hexdigest()
+        assert digest == LABELED_CERTIFICATES_SHA256
+        for jobs in (1, 2):
+            report = verify_theorem(5, 9, source=records, jobs=jobs)
+            text = json.dumps(report.comparable(), sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == LABELED_REPORT_SHA256
 
     def test_jobs_equivalent(self):
         serial = verify_theorem(5, 5, jobs=1)
@@ -475,6 +509,14 @@ def _children_dropping_one(rec):
     return out
 
 
+def _children_dividing_by_zero(rec):
+    """_children, except on the edgeless order-5 parent, where it raises
+    ZeroDivisionError."""
+    if rec == b"D??":
+        raise ZeroDivisionError("planted")
+    return _real_children(rec)
+
+
 def _theorem_worker_dividing_by_zero(rec):
     """_theorem_worker, except on K6, where it raises ZeroDivisionError."""
     if rec == K6:
@@ -501,6 +543,21 @@ def test_dropped_class_fails_the_completeness_gate(opened_pools, monkeypatch, ca
     assert run(["verify", "--min-n", "5", "--max-n", "6"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_generation_crash_names_its_parent(opened_pools, monkeypatch, capsys, jobs):
+    # a crash while a parent is extended is a typed error naming that
+    # parent, as a sweep worker's is, and exits 2 at any jobs count
+    monkeypatch.setattr(enumeration, "_children", _children_dividing_by_zero)
+    cold(monkeypatch)
+    assert run(["verify", "--min-n", "5", "--max-n", "6", "--jobs", str(jobs)]) == 2
+    assert opened_pools == ([(2,)] if jobs == 2 else [])
+    assert 6 not in enumeration._catalogue
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "D??: _children_dividing_by_zero raised ZeroDivisionError('planted')"
     assert captured.err == f"error: {message}\n"
 
 

@@ -184,6 +184,11 @@ class TestCheckCertificate:
     def test_wrong_degree(self):
         g = helpers.k3()
         assert not check_certificate(g, DeletionCertificate(3, (), (0, 1, 2), 1))
+        # nothing deleted: each witness degree is read from g itself
+        g = helpers.c5()
+        assert check_certificate(g, DeletionCertificate(5, (), (0, 2, 4), 2))
+        assert not check_certificate(g, DeletionCertificate(5, (), (0, 2, 4), 1))
+        assert not check_certificate(g, DeletionCertificate(5, (), (0, 2, 4), 3))
 
     def test_antiregular5_explicit(self):
         g = helpers.antiregular5()
@@ -197,15 +202,20 @@ class TestCheckCertificate:
     def test_wrong_order_rejected(self):
         g = helpers.c5()
         assert not check_certificate(g, DeletionCertificate(4, (), (0, 1, 2), 2))
+        assert not check_certificate(g, DeletionCertificate(6, (), (0, 1, 2), 2))
 
     def test_out_of_range_rejected(self):
         g = helpers.c5()
         assert not check_certificate(g, DeletionCertificate(5, (9,), (0, 1, 2), 2))
         assert not check_certificate(g, DeletionCertificate(5, (), (0, 1, 9), 2))
+        assert not check_certificate(g, DeletionCertificate(5, (), (0, 1, 5), 2))
+        assert not check_certificate(g, DeletionCertificate(5, (), (-1, 0, 1), 2))
+        assert not check_certificate(g, DeletionCertificate(5, (-1,), (0, 1, 2), 2))
 
     def test_short_witness_rejected(self):
         g = helpers.c5()
         assert not check_certificate(g, DeletionCertificate(5, (), (0, 1, 1), 2))
+        assert not check_certificate(g, DeletionCertificate(5, (), (2, 2, 2), 2))
         assert not check_certificate(g, DeletionCertificate(5, (), (0, 1), 2))
 
     def test_repeated_deletion_rejected(self):
@@ -216,6 +226,8 @@ class TestCheckCertificate:
     def test_unequal_degrees_rejected(self):
         g = helpers.antiregular5()
         assert not check_certificate(g, DeletionCertificate(5, (), (0, 1, 2), 2))
+        # degrees 2, 2, 1: only the last witness is off
+        assert not check_certificate(g, DeletionCertificate(5, (), (2, 3, 4), 2))
 
     def test_json_shape(self):
         c = DeletionCertificate(5, (1,), (2, 3, 4), 1)
