@@ -63,12 +63,13 @@ Since each class has exactly one parent class and duplicates only
 arise among one parent's children, the parents of an order are
 independent shards, as in the res/mod splitting of nauty's geng:
 _fill maps the per-parent worker _children over the order n-1 records
-with the ordered map it is given, and needs no state shared between
-shards.  The stream of each order is then sorted by (edge count,
-record), so its bytes do not depend on jobs, on the shard each parent
-went to or on the order in which shards finish.  _pool opens that map
-once per public call, so one worker pool, of at most one worker per
-core, serves every order the call generates and the sweep after them.
+with the map it is given, unordered, folds each parent's children in
+as they finish and needs no state shared between shards.  The stream
+of each order is then sorted by (edge count, record), so its bytes do
+not depend on jobs, on the shard each parent went to or on the order
+in which shards finish.  _pool opens that map once per public call, so
+one worker pool, of at most one worker per core, serves every order the
+call generates and the sweep after them.
 Both map their workers through _guarded, so a crash in generation or in
 a sweep is a WorkerCrash that names the record it failed on.
 
@@ -174,24 +175,32 @@ _catalogue = {1: (b"@",)}  # n -> canonical records in stream order; K1 seeds it
 
 @contextmanager
 def _pool(jobs):
-    """An ordered map, imap(worker, records), for one public call.
+    """A map, imap(worker, records, ordered=True), for one public call.
 
     jobs None means os.cpu_count(), and no more workers start than there
-    are cores; jobs 1 is the builtin map, which starts none.  Otherwise
+    are cores; jobs 1 maps in this process and starts none.  Otherwise
     one worker pool serves every imap call inside the context.  Results
-    are yielded as they arrive, for callers to fold, not kept.
+    are yielded as they arrive, for callers to fold, not kept: in input
+    order, or with ordered=False in the order they finish, in chunks of
+    32 records, so a slow chunk holds back no finished one and no one
+    result message is large.
     """
     cores = os.cpu_count() or 1
     jobs = min(max(1, int(cores if jobs is None else jobs)), cores)
     if jobs < 2:
-        yield map
+        yield lambda worker, records, ordered=True: map(worker, records)
         return
-    # fork keeps the imported module state; imap preserves input order,
-    # so the merged result is independent of scheduling
+    # fork keeps the imported module state
     with get_context("fork").Pool(jobs) as pool:
-        yield lambda worker, records: pool.imap(
-            worker, records, chunksize=max(1, len(records) // (jobs * 4))
-        )
+
+        def imap(worker, records, ordered=True):
+            if ordered:
+                chunk = max(1, len(records) // (jobs * 4))
+                return pool.imap(worker, records, chunksize=chunk)
+            # small chunks, so one result message stays small too
+            return pool.imap_unordered(worker, records, chunksize=32)
+
+        yield imap
 
 
 def _guarded(worker, rec):
@@ -223,13 +232,16 @@ def catalogue_records(n: int) -> tuple:
 
 def _fill(n, imap):
     """catalogue_records(n), generating each order up to n that is not
-    memoised yet with the ordered map imap.  A generated order whose
-    class count is not A000088's raises IncompleteCatalogue and is not
-    memoised; a parent whose extension fails with anything but a
-    Rep3Error raises WorkerCrash naming that parent."""
+    memoised yet with the map imap of _pool, unordered: each order is
+    sorted, so its parents' children are folded as they finish.  A
+    generated order whose class count is not A000088's raises
+    IncompleteCatalogue and is not memoised; a parent whose extension
+    fails with anything but a Rep3Error raises WorkerCrash naming that
+    parent."""
     if n not in _catalogue:
         levels = [[] for _ in range(n * (n - 1) // 2 + 1)]  # records by edge count
-        for children in imap(partial(_guarded, _children), _fill(n - 1, imap)):
+        parents = _fill(n - 1, imap)
+        for children in imap(partial(_guarded, _children), parents, ordered=False):
             for edges, forms in children:
                 levels[edges] += forms
         records = tuple(form for level in levels for form in sorted(level))

@@ -25,8 +25,8 @@ entirely are one fewer than those hit exactly twice.
 
 Sweeps move graph6 records only, as the catalogue and
 read_graph6_records hand them out; each worker parses its own record.
-All four sweeps fold over one driver, _sweep, which opens one ordered
-map from enumeration._pool per call: that map first generates any
+All four sweeps fold over one driver, _sweep, which opens one map
+from enumeration._pool per call: that map first generates any
 catalogue order the sweep needs and is not memoised yet, then runs the
 worker once over all the sweep's records.  Each result carries its
 class's order and is folded in as it arrives.  A worker that fails on
@@ -145,8 +145,9 @@ def _sweep(worker, jobs, orders, records=None):
     """(record, worker(record)) pairs in record order, over records or,
     when records is None, over the catalogue of each of orders.
 
-    One ordered map, _pool(jobs), serves the whole call: catalogue
-    orders not memoised yet are generated with it before the sweep.
+    One map, _pool(jobs), serves the whole call: catalogue orders not
+    memoised yet are generated with it before the sweep, which maps in
+    record order.
     Fewer than two records, given or memoised, are mapped in this
     process, with no pool.
     """

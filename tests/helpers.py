@@ -4,6 +4,8 @@ Each constructor returns a fresh Graph value; vertex labels follow the
 edge lists written out here so tests can assert exact indices.
 """
 
+import random
+
 from rep3.graphcore import from_edge_list
 
 
@@ -76,3 +78,12 @@ def degree_sorted(g):
     order = sorted(range(g.n), key=lambda v: (g.degrees[v], v))
     pos = {v: i for i, v in enumerate(order)}
     return from_edge_list(g.n, [(pos[u], pos[v]) for u, v in g.edges()]), order
+
+
+def seeded_graph(n, seed):
+    """Each pair (i, j), column by column, is an edge when the next
+    random.Random(seed).random() falls below 1/2."""
+    rng = random.Random(seed)
+    return from_edge_list(
+        n, [(i, j) for j in range(1, n) for i in range(j) if rng.random() < 0.5]
+    )

@@ -47,6 +47,23 @@ def test_solve_order_five_exact(capsys):
     assert json.loads(out_of(capsys)) == solve3(helpers.antiregular5()).to_dict()
 
 
+# helpers.seeded_graph(62, 62) as graph6, whose 316 data bytes reach
+# every position of the graph6 decode table
+ORDER_62 = (
+    r"}Uhqw\uNCvLTgBMlupdPsuO?EtTPWPnF|FaCrb\E|rqV]ERGGJT|Ea|xezUNRuU_"
+    r"mnCz[llrkGwPWDSzQcDiEGentctKUsFTzw|PDgeH|j?]Nfcjx]cqbCy{N]Xpv\Iy"
+    r"R??wmGSHl@Ide_AWikHKrUoA_fGqb\X?beMAnhSx~cY_D{i|aHQa_vGex]EHzH`B"
+    r"^EhHs^LxOsR_oQRQbxk`vCuPdpqw~wKpkDEL\EXPqGkJ]cx|gv[VrSeEYFe`^Ug`"
+    r"VjkVltwTd]jqAYuiU||UPRI?A}O~gVQX_riN[TN~H}GycRLAU{A^MbJbTnWj?"
+)
+
+
+def test_solve_order_62_record(capsys):
+    assert write_graph6(helpers.seeded_graph(62, 62)).decode("ascii") == ORDER_62
+    assert run(["solve", "--graph", ORDER_62]) == 0
+    assert out_of(capsys) == '{"n":62,"deleted":[],"witness":[24,37,39],"degree":26}\n'
+
+
 def test_solve_byte_identical_across_runs(capsys):
     run(["solve", "--graph", TRIANGLE])
     first = out_of(capsys)

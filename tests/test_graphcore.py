@@ -1,14 +1,17 @@
 import json
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rep3 import errors
+from rep3 import errors, graphcore
+from rep3.enumeration import catalogue_records
 from rep3.errors import MalformedRecord, UnsupportedOrder
 from rep3.graphcore import (
     Graph,
     _check,
     _pack,
-    _unpack,
     complement,
     delete_vertices,
     from_edge_json,
@@ -51,6 +54,14 @@ def reference_parse(record):
     return from_edge_list(n, [p for p, bit in zip(pairs, bits) if bit == "1"])
 
 
+def graph_of(n, code):
+    """The order-n graph whose upper-triangle bits, column by column, are
+    those of code, the first bit most significant."""
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    top = len(pairs) - 1
+    return from_edge_list(n, [p for k, p in enumerate(pairs) if code >> (top - k) & 1])
+
+
 def reference_unpack(record):
     """(n, code) of a header-free graph6 record, each data byte checked
     as it is decoded: the reference for _check, which decodes nothing."""
@@ -76,6 +87,24 @@ def reference_unpack(record):
     if code & ((1 << pad) - 1):
         raise MalformedRecord("nonzero padding bits")
     return n, code >> pad
+
+
+def reference_column_parse(record):
+    """The column-walk decoder parse_graph6 had before its byte table,
+    checks and messages included: the reference for the table decode."""
+    n, code = reference_unpack(record.removeprefix(b">>graph6<<"))
+    rows = [0] * n
+    bit = n * (n - 1) // 2
+    for j in range(1, n):
+        bit -= j
+        col = (code >> bit) & ((1 << j) - 1)  # bit j-1-i: is i joined to j
+        while col:
+            low = col & -col
+            i = j - low.bit_length()
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+            col ^= low
+    return Graph(n, tuple(rows))
 
 
 @st.composite
@@ -287,7 +316,26 @@ class TestGraph6:
             assert str(caught.value) == str(exc)
             return
         assert _check(record) == expected[0]
-        assert _unpack(record) == expected
+        assert parse_graph6(record) == graph_of(*expected)
+        assert write_graph6(parse_graph6(record)) == _pack(*expected)
+
+    @given(
+        st.sampled_from([b"", b">>graph6<<"]),
+        st.one_of(st.binary(max_size=24), near_records()),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_parse_agrees_with_column_decoder(self, header, record):
+        # the table decode raises exactly when the column walk did, with
+        # the same type and message, and otherwise builds the same graph
+        try:
+            expected = reference_column_parse(header + record)
+        except (MalformedRecord, UnsupportedOrder) as exc:
+            with pytest.raises(type(exc)) as caught:
+                parse_graph6(header + record)
+            assert type(caught.value) is type(exc)
+            assert str(caught.value) == str(exc)
+            return
+        assert parse_graph6(header + record) == expected
 
     def test_write_order_cap(self):
         with pytest.raises(errors.UnsupportedOrder):
@@ -301,7 +349,8 @@ class TestGraph6:
         g = from_edge_list(n, edges)
         assert edge_set(parse_graph6(write_graph6(g))) == set(edges)
         code = data.draw(st.integers(0, (1 << len(pairs)) - 1))
-        assert _unpack(_pack(n, code)) == (n, code)
+        assert parse_graph6(_pack(n, code)) == graph_of(n, code)
+        assert write_graph6(parse_graph6(_pack(n, code))) == _pack(n, code)
 
     @given(st.integers(1, 62), st.data())
     @settings(max_examples=200, deadline=None)
@@ -309,6 +358,52 @@ class TestGraph6:
         record = write_graph6(random_graph(n, data))
         assert parse_graph6(record) == reference_parse(record)
         assert write_graph6(parse_graph6(record)) == record
+
+    @pytest.mark.parametrize("large_first", [True, False])
+    def test_table_growth_order(self, monkeypatch, large_first):
+        # every catalogue record of orders 1..8 and one order-62 record
+        # decode as the per-pair reference does, whichever grows the table
+        # first; orders up to 9 need six positions, order 62 all 316
+        small = [rec for n in range(1, 9) for rec in catalogue_records(n)]
+        small.append(write_graph6(helpers.seeded_graph(9, 9)))
+        large = write_graph6(helpers.seeded_graph(62, 62))
+        monkeypatch.setattr(graphcore, "_TABLE", [])
+        for rec in [large] + small if large_first else small:
+            assert parse_graph6(rec) == reference_parse(rec)
+        assert len(graphcore._TABLE) == (316 if large_first else 6)
+        assert parse_graph6(large) == reference_parse(large)
+        assert len(graphcore._TABLE) == 316
+
+    def test_table_grown_by_many_threads(self, monkeypatch):
+        # threads that grow the table at once append each position once
+        records = [write_graph6(helpers.seeded_graph(n, n)) for n in (9, 30, 45, 62)]
+        expected = [reference_parse(rec) for rec in records]
+        failures = []
+
+        def decode_all(shift):
+            for k in range(len(records)):
+                rec = records[(k + shift) % len(records)]
+                if parse_graph6(rec) != reference_parse(rec):
+                    failures.append(rec)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                monkeypatch.setattr(graphcore, "_TABLE", [])
+                threads = [
+                    threading.Thread(target=decode_all, args=(t,)) for t in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert len(graphcore._TABLE) == 316
+        finally:
+            sys.setswitchinterval(switch)
+        assert failures == []
+        assert [parse_graph6(rec) for rec in records] == expected
 
 
 class TestEdgeJson:

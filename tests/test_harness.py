@@ -468,6 +468,9 @@ def test_pool_never_exceeds_the_cores(opened_pools, jobs):
     # two cores, so at most two processes start
     with enumeration._pool(jobs) as imap:
         assert list(imap(abs, list(range(-5, 5)))) == [abs(v) for v in range(-5, 5)]
+        assert sorted(imap(abs, list(range(-50, 50)), ordered=False)) == sorted(
+            abs(v) for v in range(-50, 50)
+        )
     assert opened_pools == [(2,)]
 
 
