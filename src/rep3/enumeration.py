@@ -28,36 +28,57 @@ bits toward the prefix are least, and spells those bits.  No per-vertex
 bit list is built at any node.  The best string so far is one integer,
 whose prefix after k placed vertices is a right shift of it.
 
-The same search also yields the last orbit: the vertices that sit last
-in some optimal ordering.  Two optimal orderings spell the same string,
-so one maps onto the other by an automorphism; the last vertices of all
-optimal orderings are therefore exactly one orbit of Aut(g).  Leaves
-hidden by the twin cut are images of visited ones under the skipped
-twin transposition, so the visited last vertices closed under those
-transpositions give the whole orbit.
+A full ordering is a leaf of that search.  A forced position, one
+candidate left after refinement, is placed in the same call, with no
+recursion; this visits the same nodes.
+
+The same search also yields a last W-orbit.  W is a vertex mask that
+Aut(g) maps onto itself (all vertices by default), and the last W-orbit
+holds the vertices that sit last among W's in some optimal ordering.
+Two optimal orderings spell the same string, so one maps onto the other
+by an automorphism, which keeps W; W's positions are therefore the same
+in every optimal ordering, and the vertices at the last of them form
+exactly one orbit of Aut(g).  The search carries the last W-vertex
+placed down each branch.  Leaves hidden by the twin cut are images of
+visited ones under the skipped twin transposition, so the visited last
+W-vertices closed under those transpositions give the whole orbit.
 
 catalogue_records builds order n by canonical vertex augmentation
 (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998)
 over the memoised order n-1 catalogue, which K1 seeds.  A child is a
-parent P plus a new vertex v = n-1 joined to a subset S, and it is
-accepted only if v lies in its last orbit.  Every class G arises this
-way from exactly one parent class, namely G minus any last-orbit vertex
-(one orbit, so one class).
+parent P plus a new vertex v = n-1 joined to a subset S.  Its W is an
+invariant in the manner of nauty's geng (McKay & Piperno 2014): the
+vertices of maximum degree whose neighbour-degree sum is largest.  A
+child is accepted only if v lies in its last W-orbit.  That orbit is
+one orbit of the child, so every class G arises this way from exactly
+one parent class, namely G minus any vertex of the orbit.
 Two accepted children of the same parent that are isomorphic are
 related by an isomorphism fixing v (compose with an automorphism moving
-one last-orbit vertex onto the other), i.e. by an automorphism of P
-carrying one S onto the other; so duplicates only arise among one
-parent's children, and a per-parent set of records removes them.  No
-level-wide seen-set exists.
+one orbit vertex onto the other), i.e. by an automorphism of P carrying
+one S onto the other; so duplicates only arise among one parent's
+children, and a per-parent set of records removes them.  No level-wide
+seen-set exists.
 
 Because degree-sorted orderings end on a vertex of maximum degree, v
-can only be last if |S| = k >= max degree of P and every member of S
+can only be in W if |S| = k >= max degree of P and every member of S
 has parent degree below k; only those subsets are generated.  Twins of
 P (vertices with equal neighborhoods outside their pair, an equivalence
 relation) are swapped by an automorphism of P, which, fixing v, maps
 the child for S onto the child for the swapped S.  So S is also
 required to meet each twin class in a prefix of its members; the
-subsets skipped that way only repeat children.
+subsets skipped that way only repeat children.  Each parent vertex's
+neighbour-degree sum is taken once, so a child's sums cost one AND and
+one popcount per vertex of degree k, and a child with v outside W is
+rejected without a search.
+
+Complement maps the classes with e edges one to one onto those with
+total - e, total = n(n-1)/2.  So only children of at most total // 2
+edges are generated, and the complement of each accepted child below
+half, built from the child's rows in hand, is searched and returned at
+its own edge count.  Each class below half is accepted once, hence so
+is each class above it.  _fill checks each order's class count against
+A000088, then each edge count's records, distinct, against Polya's
+count (OEIS A008406).
 
 Since each class has exactly one parent class and duplicates only
 arise among one parent's children, the parents of an order are
@@ -67,9 +88,11 @@ with the map it is given, unordered, folds each parent's children in
 as they finish and needs no state shared between shards.  The stream
 of each order is then sorted by (edge count, record), so its bytes do
 not depend on jobs, on the shard each parent went to or on the order
-in which shards finish.  _pool opens that map once per public call, so
-one worker pool, of at most one worker per core, serves every order the
-call generates and the sweep after them.
+in which shards finish.  _pool gives one map per public call.  A map of
+at most 32 records, one unordered chunk that a second worker could not
+share, runs in this process; the first larger map opens a worker pool,
+of at most one worker per core, that serves every later map of the
+call, the orders it generates and the sweep after them.
 Both map their workers through _guarded, so a crash in generation or in
 a sweep is a WorkerCrash that names the record it failed on.
 
@@ -79,10 +102,12 @@ building a graph.
 """
 
 import os
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from functools import partial
 from itertools import combinations
+from math import factorial, gcd
 from multiprocessing import get_context
+from operator import eq
 
 from .errors import IncompleteCatalogue, MalformedRecord, OrderTooLarge, Rep3Error
 from .errors import UnsupportedOrder, WorkerCrash
@@ -94,68 +119,94 @@ MAX_ENUM = 9
 A000088 = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
 
 
-def _canonical_search(g: Graph):
-    """(canonical record, last orbit as a vertex mask) from one search."""
+# the code of the first k placed vertices of n is the full code >> _SHIFTS[n][k]
+_SHIFTS = [
+    [n * (n - 1) // 2 - k * (k - 1) // 2 for k in range(n + 1)] for n in range(MAX_CANON + 1)
+]
+
+
+def _canonical_search(g: Graph, w=None):
+    """(canonical record, last W-orbit as a vertex mask) from one search.
+
+    w is a vertex mask closed under Aut(g), all vertices by default; the
+    last W-orbit holds the vertices that sit last among w's in some
+    optimal ordering, which by default is the last orbit."""
     if g.n > MAX_CANON:
         raise OrderTooLarge(f"canonical form capped at order {MAX_CANON}")
     n = g.n
     rows = g.rows
     degs = g.degrees
-    position_degree = sorted(degs)
+    if w is None:
+        w = (1 << n) - 1
 
-    poolmask = {}
+    cellmask = {}
     for v, d in enumerate(degs):
-        poolmask[d] = poolmask.get(d, 0) | (1 << v)
+        cellmask[d] = cellmask.get(d, 0) | (1 << v)
+    # the vertices of the degree each position takes, in position order
+    cells = [cellmask[d] for d in sorted(degs)]
 
     total = n * (n - 1) // 2
-    # the code of the first k placed vertices is the full code >> shift[k]
-    shift = [total - k * (k - 1) // 2 for k in range(n + 1)]
+    shift = _SHIFTS[n]
     best = 1 << total  # the best code so far; above every code at first
-    last = 0  # last vertices of the optimal orderings visited so far
+    last = 0  # last w-vertices of the optimal orderings visited so far
     twins = set()  # skipped twin pairs as masks; each swap is in Aut(g)
 
     prefix = []  # ~row of each placed vertex, in placement order
 
-    def dfs(level, code, used):
+    def dfs(level, code, used, lastw):
+        # lastw is the last w-vertex placed so far, as a mask
         nonlocal best, last
-        # refine the pool to the candidates whose bits toward the prefix,
-        # first placed first, are least, and append those bits to code
-        cm = poolmask[position_degree[level]] & ~used
-        for r in prefix:
-            code <<= 1
-            c = cm & r
-            if c:
-                cm = c
-            else:
-                code |= 1
-        if code > best >> shift[level + 1]:
-            return
-        if level == n - 1:
-            # a full ordering, ended by the one vertex left in cm
-            if code < best:
-                best = code
-                last = 0
-            last |= cm
-            return
-        kept = []
-        t = cm
-        while t:
-            low = t & -t
-            v = low.bit_length() - 1
-            t ^= low
-            merged = rows[v] | low
-            for u in kept:
-                bu = 1 << u
-                if (rows[u] | bu | low) == (merged | bu):
-                    twins.add(bu | low)
-                    break
-            else:
-                kept.append(v)
-                prefix.append(~rows[v])
-                dfs(level + 1, code, used | low)
-                prefix.pop()
+        start = level
+        while True:
+            # refine the pool to the candidates whose bits toward the
+            # prefix, first placed first, are least, and append those
+            # bits to code
+            cm = cells[level] & ~used
+            for r in prefix:
+                code <<= 1
+                c = cm & r
+                if c:
+                    cm = c
+                else:
+                    code |= 1
+            if code > best >> shift[level + 1]:
+                break
+            if level == n - 1:
+                # a full ordering, ended by the one vertex left in cm
+                if code < best:
+                    best = code
+                    last = 0
+                last |= cm if cm & w else lastw
+                break
+            if cm & (cm - 1) == 0:
+                # one candidate: place it without a call of its own
+                prefix.append(~rows[cm.bit_length() - 1])
+                used |= cm
+                if cm & w:
+                    lastw = cm
+                level += 1
+                continue
+            kept = []
+            t = cm
+            while t:
+                low = t & -t
+                v = low.bit_length() - 1
+                t ^= low
+                merged = rows[v] | low
+                for u in kept:
+                    bu = 1 << u
+                    if (rows[u] | bu | low) == (merged | bu):
+                        twins.add(bu | low)
+                        break
+                else:
+                    kept.append(v)
+                    prefix.append(~rows[v])
+                    dfs(level + 1, code, used | low, low if low & w else lastw)
+                    prefix.pop()
+            break
+        del prefix[start:]
 
-    dfs(0, 0, 0)
+    dfs(0, 0, 0, 0)
     del dfs  # dfs is its own closure cycle; free it now, not at gc
 
     grown = True
@@ -173,32 +224,40 @@ def _canonical_search(g: Graph):
 _catalogue = {1: (b"@",)}  # n -> canonical records in stream order; K1 seeds it
 
 
+_CHUNK = 32  # records per unordered chunk; a map this small runs here
+
+
 @contextmanager
 def _pool(jobs):
     """A map, imap(worker, records, ordered=True), for one public call.
 
     jobs None means os.cpu_count(), and no more workers start than there
-    are cores; jobs 1 maps in this process and starts none.  Otherwise
-    one worker pool serves every imap call inside the context.  Results
-    are yielded as they arrive, for callers to fold, not kept: in input
+    are cores.  A map of at most _CHUNK records, one unordered chunk that
+    no second worker could share, runs in this process, and so does
+    every map at one job.  The first larger map opens one worker pool,
+    which serves every later map inside the context.  Results are
+    yielded as they arrive, for callers to fold, not kept: in input
     order, or with ordered=False in the order they finish, in chunks of
-    32 records, so a slow chunk holds back no finished one and no one
+    _CHUNK records, so a slow chunk holds back no finished one and no one
     result message is large.
     """
     cores = os.cpu_count() or 1
     jobs = min(max(1, int(cores if jobs is None else jobs)), cores)
-    if jobs < 2:
-        yield lambda worker, records, ordered=True: map(worker, records)
-        return
-    # fork keeps the imported module state
-    with get_context("fork").Pool(jobs) as pool:
+    with ExitStack() as stack:
+        pool = None
 
         def imap(worker, records, ordered=True):
+            nonlocal pool
+            if jobs < 2 or len(records) <= _CHUNK:
+                return map(worker, records)
+            if pool is None:
+                # fork keeps the imported module state
+                pool = stack.enter_context(get_context("fork").Pool(jobs))
             if ordered:
                 chunk = max(1, len(records) // (jobs * 4))
                 return pool.imap(worker, records, chunksize=chunk)
             # small chunks, so one result message stays small too
-            return pool.imap_unordered(worker, records, chunksize=32)
+            return pool.imap_unordered(worker, records, chunksize=_CHUNK)
 
         yield imap
 
@@ -221,47 +280,99 @@ def catalogue_records(n: int) -> tuple:
     Sorted by (edge count, record) and memoised together with every
     lower order, so callers that only pass records on (to a worker pool,
     to a file) need not parse and re-encode them.  Orders not yet
-    memoised are generated over one worker per core; a memoised order
-    starts no process.
+    memoised are generated over up to one worker per core; a memoised
+    order starts no process.
     """
     if not 1 <= n <= MAX_ENUM:
         raise OrderTooLarge(f"enumeration supports orders 1..{MAX_ENUM}, got {n}")
-    with _pool(1 if n in _catalogue else None) as imap:
+    with _pool(None) as imap:
         return _fill(n, imap)
+
+
+def _partitions(n, most=None):
+    """The partitions of n into parts of at most most, largest first."""
+    if n == 0:
+        yield ()
+    for a in range(min(n, most or n), 0, -1):
+        for rest in _partitions(n - a, a):
+            yield (a, *rest)
+
+
+def _level_counts(n):
+    """The number of classes of order n at each edge count (OEIS A008406):
+    Polya's count over the cycle types of S_n, each weighted by its class
+    size, of the pair cycles each type induces (Harary & Palmer,
+    Graphical Enumeration, 1973, ch. 4)."""
+    counts = [0] * (n * (n - 1) // 2 + 1)
+    for parts in _partitions(n):
+        cycles = []  # lengths of the cycles induced on vertex pairs
+        for i, a in enumerate(parts):
+            cycles += [a] * ((a - 1) // 2) + [a // 2] * (1 - a % 2)
+            for b in parts[i + 1 :]:
+                cycles += [a * b // gcd(a, b)] * gcd(a, b)
+        poly = [1]  # edge sets fixed by the type, by size: prod of (1 + x^c)
+        for c in cycles:
+            poly = [a + b for a, b in zip(poly + [0] * c, [0] * c + poly)]
+        size = factorial(n)
+        for a in set(parts):
+            size //= a ** parts.count(a) * factorial(parts.count(a))
+        for e, x in enumerate(poly):
+            counts[e] += size * x
+    return [c // factorial(n) for c in counts]
 
 
 def _fill(n, imap):
     """catalogue_records(n), generating each order up to n that is not
     memoised yet with the map imap of _pool, unordered: each order is
     sorted, so its parents' children are folded as they finish.  A
-    generated order whose class count is not A000088's raises
-    IncompleteCatalogue and is not memoised; a parent whose extension
-    fails with anything but a Rep3Error raises WorkerCrash naming that
-    parent."""
+    generated order is checked twice before it is memoised: its class
+    count against A000088, then each edge count's records against
+    A008406, distinct; a miss raises IncompleteCatalogue.  A parent whose
+    extension fails with anything but a Rep3Error raises WorkerCrash
+    naming that parent."""
     if n not in _catalogue:
         levels = [[] for _ in range(n * (n - 1) // 2 + 1)]  # records by edge count
         parents = _fill(n - 1, imap)
         for children in imap(partial(_guarded, _children), parents, ordered=False):
             for edges, forms in children:
                 levels[edges] += forms
-        records = tuple(form for level in levels for form in sorted(level))
-        if len(records) != A000088[n]:
+        for level in levels:
+            level.sort()
+        total = sum(map(len, levels))
+        if total != A000088[n]:
             raise IncompleteCatalogue(
-                f"order {n}: generated {len(records)} classes, A000088 counts {A000088[n]}"
+                f"order {n}: generated {total} classes, A000088 counts {A000088[n]}"
             )
-        _catalogue[n] = records
+        for edges, (level, count) in enumerate(zip(levels, _level_counts(n))):
+            distinct = len(level) - sum(map(eq, level, level[1:]))
+            if len(level) != count or distinct != count:
+                raise IncompleteCatalogue(
+                    f"order {n}, {edges} edges: generated {len(level)} records,"
+                    f" {distinct} distinct, A008406 counts {count}"
+                )
+        _catalogue[n] = tuple(form for level in levels for form in level)
     return _catalogue[n]
 
 
 def _children(rec):
     """The accepted children of one parent class, each once, as
-    (edge count, canonical records) pairs, one per edge count."""
+    (edge count, canonical records) pairs: those of at most half the
+    edges, and the complement of each one below half."""
     parent = parse_graph6(rec)
     n = parent.n + 1
     top = 1 << (n - 1)
+    full = (1 << n) - 1
+    total = n * (n - 1) // 2
     rows = parent.rows
     degs = parent.degrees
     edges = parent.edge_count()
+    # v's degree k is at least P's largest, and the child has at most
+    # half the edges
+    sizes = range(max(degs), min(n, total // 2 - edges + 1))
+    if not sizes:
+        return []
+    # each parent vertex's neighbour-degree sum
+    sums = [sum(degs[x] for x in range(n - 1) if r >> x & 1) for r in rows]
     seen = set()  # isomorphic children of one parent only
     out = []
     links = []  # (u, w) masks, u the previous twin of w in P
@@ -270,23 +381,48 @@ def _children(rec):
             if rows[u] & ~(1 << w) == rows[w] & ~(1 << u):
                 links.append((1 << u, 1 << w))
                 break
-    for k in range(max(degs), n):
+    for k in sizes:
         pool = [u for u in range(n - 1) if degs[u] < k]
+        # the parent vertices of degree k in the child: (mask, row, sum,
+        # whether they reach k only by joining v)
+        heavy = [
+            (1 << u, rows[u], sums[u], degs[u] < k) for u in range(n - 1) if degs[u] >= k - 1
+        ]
         forms = []
+        upper = []
         for s in combinations(pool, k):
             mask = 0
             for u in s:
                 mask |= 1 << u
             if any(mask & b and not mask & a for a, b in links):
                 continue
-            child = tuple(
-                r | top if (mask >> u) & 1 else r for u, r in enumerate(rows)
-            )
-            form, orbit = _canonical_search(Graph(n, child + (mask,)))
-            if orbit & top and form not in seen:
-                seen.add(form)
-                forms.append(form)
+            # W: the child's vertices of degree k of greatest neighbour-
+            # degree sum; v must be one of them
+            vsum = k + sum(map(degs.__getitem__, s))
+            wmask = top
+            for bit, row, base, joins in heavy:
+                if joins:
+                    if not mask & bit:
+                        continue
+                    base += k
+                base += (row & mask).bit_count()
+                if base > vsum:
+                    break
+                if base == vsum:
+                    wmask |= bit
+            else:
+                child = tuple(
+                    r | top if (mask >> u) & 1 else r for u, r in enumerate(rows)
+                ) + (mask,)
+                form, orbit = _canonical_search(Graph(n, child), wmask)
+                if orbit & top and form not in seen:
+                    seen.add(form)
+                    forms.append(form)
+                    if 2 * (edges + k) < total:
+                        comp = tuple(full ^ r ^ (1 << u) for u, r in enumerate(child))
+                        upper.append(_canonical_search(Graph(n, comp))[0])
         out.append((edges + k, forms))
+        out.append((total - edges - k, upper))
     return out
 
 

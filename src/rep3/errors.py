@@ -76,7 +76,9 @@ class OrderTooLarge(Rep3Error, ValueError):
 
 class IncompleteCatalogue(Rep3Error):
     """A generated catalogue order holds another number of classes than
-    OEIS A000088 counts; a generation bug, never a property of the input.
+    OEIS A000088 counts, or an edge count of it holds a repeated record
+    or another number of records than OEIS A008406 counts; a generation
+    bug, never a property of the input.
     """
 
 

@@ -59,7 +59,6 @@ from dataclasses import dataclass
 from functools import partial
 from math import comb
 
-from . import enumeration
 from .enumeration import _fill, _guarded, _pool
 from .errors import MalformedRecord, OrderOutOfRange, OrderTooLarge, TheoremViolation
 from .feasible import _lemma_scan
@@ -148,13 +147,7 @@ def _sweep(worker, jobs, orders, records=None):
     One map, _pool(jobs), serves the whole call: catalogue orders not
     memoised yet are generated with it before the sweep, which maps in
     record order.
-    Fewer than two records, given or memoised, are mapped in this
-    process, with no pool.
     """
-    if records is None and all(n in enumeration._catalogue for n in orders):
-        records = [rec for n in orders for rec in enumeration._catalogue[n]]
-    if records is not None and len(records) < 2:
-        jobs = 1
     with _pool(jobs) as imap:
         if records is None:
             records = [rec for n in orders for rec in _fill(n, imap)]

@@ -12,7 +12,7 @@ from rep3.enumeration import (
     enumerate_graphs,
     read_graph6_records,
 )
-from rep3.graphcore import _pack, from_edge_list, parse_graph6, write_graph6
+from rep3.graphcore import _pack, complement, from_edge_list, parse_graph6, write_graph6
 
 import helpers
 
@@ -85,10 +85,12 @@ class TestCanonicalForm:
         assert (_canonical_search(g)[0] == _canonical_search(h)[0]) == isomorphic_naive(g, h)
 
 
-def last_orbit_naive(g):
-    """(least code, vertices ending an ordering that spells it) over the
-    degree-sorted orderings, by brute force.  A code is the ordering's
+def last_orbit_naive(g, w=None):
+    """(least code, vertices at the last W-position of an ordering that
+    spells it) over the degree-sorted orderings, by brute force; W is
+    the vertex set w, all vertices by default.  A code is the ordering's
     upper-triangle bits, column by column, the first bit most significant."""
+    w = set(range(g.n)) if w is None else w
     best, last = None, set()
     for perm in itertools.permutations(range(g.n)):
         if any(g.degrees[a] > g.degrees[b] for a, b in zip(perm, perm[1:])):
@@ -100,13 +102,26 @@ def last_orbit_naive(g):
         if best is None or code < best:
             best, last = code, set()
         if code == best:
-            last.add(perm[-1])
+            last.add([v for v in perm if v in w][-1])
     return best, last
 
 
-def assert_search_matches_brute_force(g):
-    form, orbit = _canonical_search(g)
-    code, last = last_orbit_naive(g)
+def heaviest(g):
+    """The vertices of maximum degree whose neighbour-degree sum is
+    largest, the W that generation passes to the search."""
+    top = max(g.degrees)
+    sums = {
+        v: sum(g.degrees[u] for u in range(g.n) if g.has_edge(u, v))
+        for v in range(g.n)
+        if g.degrees[v] == top
+    }
+    return {v for v, s in sums.items() if s == max(sums.values())}
+
+
+def assert_search_matches_brute_force(g, w=None):
+    mask = None if w is None else sum(1 << v for v in w)
+    form, orbit = _canonical_search(g, mask)
+    code, last = last_orbit_naive(g, w)
     assert form == _pack(g.n, code)
     assert {v for v in range(g.n) if (orbit >> v) & 1} == last
 
@@ -115,18 +130,29 @@ def cycle(n):
     return from_edge_list(n, [(v, (v + 1) % n) for v in range(n)])
 
 
+def twin_heavy_graphs():
+    k23 = from_edge_list(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
+    # regular graphs of orders 7 and 8: every one of the n! orderings
+    # is degree-sorted, so the refinement, the twin cut and the prune
+    # meet the most ties; the parts of K4,4 and 2K4 interleave labels
+    cube = from_edge_list(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
+    k44 = from_edge_list(8, [(u, v) for u in range(0, 8, 2) for v in range(1, 8, 2)])
+    two_k4 = from_edge_list(8, [(u, v) for u in range(8) for v in range(u + 2, 8, 2)])
+    # a triangle and a star joined by an edge: of its two vertices of
+    # degree 3, only the triangle's is in W
+    tied = from_edge_list(7, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (4, 6), (1, 2)])
+    return [k23, helpers.empty(5), helpers.star(4), helpers.c5(), helpers.paw(),
+            cycle(7), cycle(8), cube, k44, two_k4, tied]
+
+
 class TestLastOrbit:
     def test_twin_heavy_graphs(self):
-        k23 = from_edge_list(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
-        # regular graphs of orders 7 and 8: every one of the n! orderings
-        # is degree-sorted, so the refinement, the twin cut and the prune
-        # meet the most ties; the parts of K4,4 and 2K4 interleave labels
-        cube = from_edge_list(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
-        k44 = from_edge_list(8, [(u, v) for u in range(0, 8, 2) for v in range(1, 8, 2)])
-        two_k4 = from_edge_list(8, [(u, v) for u in range(8) for v in range(u + 2, 8, 2)])
-        for g in [k23, helpers.empty(5), helpers.star(4), helpers.c5(), helpers.paw(),
-                  cycle(7), cycle(8), cube, k44, two_k4]:
+        for g in twin_heavy_graphs():
             assert_search_matches_brute_force(g)
+
+    def test_twin_heavy_graphs_last_w_orbit(self):
+        for g in twin_heavy_graphs():
+            assert_search_matches_brute_force(g, heaviest(g))
 
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=150, deadline=None)
@@ -134,6 +160,13 @@ class TestLastOrbit:
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         g = from_edge_list(n, [p for p in pairs if data.draw(st.booleans())])
         assert_search_matches_brute_force(g)
+
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_last_w_orbit_matches_brute_force(self, n, data):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = from_edge_list(n, [p for p in pairs if data.draw(st.booleans())])
+        assert_search_matches_brute_force(g, heaviest(g))
 
 
 class TestEnumerate:
@@ -228,6 +261,49 @@ def test_order_9_records_do_not_depend_on_jobs(monkeypatch):
     assert sha256_lines(serial) == (
         "47ac6131c6d03adcd6babbb21a5790596207baa263d8bc6378fbcfe5f6d01c2e"
     )
+
+
+def assert_closed_under_complement(records):
+    """The complement of every record, canonically searched, is one of
+    the records."""
+    known = set(records)
+    for rec in records:
+        assert _canonical_search(complement(parse_graph6(rec)))[0] in known
+
+
+def test_catalogue_closed_under_complement():
+    # half of each order is generated as complements; this checks the
+    # middle edge count, generated directly, against that half too
+    for n in range(1, 9):
+        assert_closed_under_complement(catalogue_records(n))
+
+
+@pytest.mark.extended
+def test_order_9_closed_under_complement():
+    assert_closed_under_complement(catalogue_records(9))
+
+
+class TestLevelCounts:
+    def test_orders_sum_to_a000088(self):
+        for n, count in enumerate(enumeration.A000088):
+            assert sum(enumeration._level_counts(n)) == count
+
+    def test_rows_are_oeis_a008406(self):
+        assert enumeration._level_counts(4) == [1, 1, 2, 3, 2, 1, 1]
+        assert enumeration._level_counts(5) == [1, 1, 2, 4, 6, 6, 6, 4, 2, 1, 1]
+        row9 = enumeration._level_counts(9)
+        assert row9[:5] == [1, 1, 2, 5, 11] and row9[18] == 34040
+
+    def test_rows_are_symmetric(self):
+        for n in range(1, 10):
+            row = enumeration._level_counts(n)
+            assert row == row[::-1]
+
+    def test_catalogue_levels(self):
+        for n in range(1, 9):
+            edges = [parse_graph6(rec).edge_count() for rec in catalogue_records(n)]
+            row = enumeration._level_counts(n)
+            assert [edges.count(e) for e in range(len(row))] == row
 
 
 class TestReadStream:

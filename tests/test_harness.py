@@ -467,11 +467,29 @@ def test_pool_never_exceeds_the_cores(opened_pools, jobs):
     # a huge --jobs must not ask for a huge pool; opened_pools reports
     # two cores, so at most two processes start
     with enumeration._pool(jobs) as imap:
-        assert list(imap(abs, list(range(-5, 5)))) == [abs(v) for v in range(-5, 5)]
+        assert list(imap(abs, list(range(-50, 50)))) == [abs(v) for v in range(-50, 50)]
         assert sorted(imap(abs, list(range(-50, 50)), ordered=False)) == sorted(
             abs(v) for v in range(-50, 50)
         )
     assert opened_pools == [(2,)]
+
+
+def test_small_cold_catalogue_starts_nothing(opened_pools, monkeypatch):
+    # orders 2..5 extend at most 11 parents each, one chunk
+    cold(monkeypatch)
+    assert len(catalogue_records(5)) == 34
+    assert opened_pools == []
+    assert len(catalogue_records(6)) == 156  # 34 order-5 parents
+    assert opened_pools == [(2,)]
+
+
+@pytest.mark.parametrize("count,pools", [(32, []), (33, [(2,)])])
+def test_sweep_pools_past_one_chunk(opened_pools, count, pools):
+    source = catalogue_records(6)[:count]
+    opened_pools.clear()
+    report = verify_theorem(5, 8, source=source, jobs=2)
+    assert opened_pools == pools
+    assert report.checked == count
 
 
 @pytest.mark.parametrize("count", [0, 1])
@@ -510,6 +528,50 @@ def _children_dropping_one(rec):
         (edges, forms), *rest = out
         return [(edges, forms[1:]), *rest]
     return out
+
+
+def _children_repeating_a_class(rec):
+    """_children, except that the edgeless order-5 parent's child with
+    two edges, P3 + 3K1, is swapped for a copy of 2K2 + 2K1, the other
+    class of order 6 with two edges."""
+    out = _real_children(rec)
+    if rec == b"D??":
+        return [(edges, [b"E?C_"] if forms == [b"E??W"] else forms) for edges, forms in out]
+    return out
+
+
+def _children_moving_a_class(rec):
+    """_children, except that the edgeless order-5 parent's child with
+    two edges is filed under three edges."""
+    out = _real_children(rec)
+    if rec == b"D??":
+        return [(3 if forms == [b"E??W"] else edges, forms) for edges, forms in out]
+    return out
+
+
+@pytest.mark.parametrize(
+    "children,message",
+    [
+        pytest.param(
+            _children_repeating_a_class,
+            "order 6, 2 edges: generated 2 records, 1 distinct, A008406 counts 2",
+            id="repeated",
+        ),
+        pytest.param(
+            _children_moving_a_class,
+            "order 6, 2 edges: generated 1 records, 1 distinct, A008406 counts 2",
+            id="moved",
+        ),
+    ],
+)
+def test_class_count_kept_fails_the_level_gate(monkeypatch, children, message):
+    # each order still holds A000088's number of records; only the
+    # count and the distinctness per edge count see the fault
+    monkeypatch.setattr(enumeration, "_children", children)
+    cold(monkeypatch)
+    with pytest.raises(errors.IncompleteCatalogue, match=message):
+        catalogue_records(6)
+    assert 6 not in enumeration._catalogue
 
 
 def _children_dividing_by_zero(rec):
