@@ -9,11 +9,13 @@ seed, and records per workload and end-to-end metric:
     change won (every metric here is better lower);
   * every raw value, the seeds, and whether every run was correct.
 
-Alongside: the core count, the Python version, a fixed pure-Python
-loop timed before and after the runs (the benchmark's
-host.ref_loop_s yardstick), and each side's git commit and a SHA-256 of
-its src/ tree.  Standard library only.  From the root of a rep3 git
-checkout:
+Alongside: the core count, the Python version, whether
+PYTHONDONTWRITEBYTECODE was set (when it is, run.py's warm-up import
+writes no bytecode, so every child's setup_s includes compiling src/),
+a fixed pure-Python loop timed before and after the runs (the
+benchmark's host.ref_loop_s yardstick), and each side's git commit and
+a SHA-256 of its src/ tree.  Standard library only.  From the root of a
+rep3 git checkout:
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --out BENCH.json \\
         --workload suites8_warm --workload sweep8_cold --pairs 10 --seed 301
@@ -184,6 +186,8 @@ def measure(args, work: str) -> dict:
         "cores": os.cpu_count(),
         "python": platform.python_version(),
         "machine": platform.machine(),
+        # Python treats any non-empty value as set
+        "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         "host_ref_loop_s": {"median": statistics.median(ref), "min": min(ref), "max": max(ref)},
         "parent": {k: v for k, v in sides["parent"].items() if k != "root"},
         "change": {k: v for k, v in sides["change"].items() if k != "root"},

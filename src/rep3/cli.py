@@ -14,10 +14,10 @@ import argparse
 import json
 import sys
 
-from .enumeration import catalogue_records, read_graph6_records
+from .enumeration import catalogue_records
 from .errors import MalformedRecord, NotFeasible, Rep3Error, TheoremViolation
 from .feasible import budget, classify_triple, equalize_triple
-from .graphcore import from_edge_json, parse_graph6
+from .graphcore import from_edge_json, parse_graph6, read_graph6_records
 from .harness import (
     counting_identity_suite,
     find_extremal,
@@ -71,17 +71,22 @@ def _kv(pairs) -> str:
     return "\n".join(f"{key:<{width}}  {value}" for key, value in pairs)
 
 
-def _print_certificate(cert, fmt: str) -> None:
+def _print_certificate(cert, fmt: str) -> int:
+    """Print cert, or "none" when there is none; the exit code."""
+    if cert is None:
+        print("none")
+        return 1
     d = cert.to_dict()
     if fmt == "json":
         _emit(d)
-        return
-    print(_kv([
-        ("order", d["n"]),
-        ("deleted", " ".join(map(str, d["deleted"])) or "-"),
-        ("witness", " ".join(map(str, d["witness"]))),
-        ("degree", d["degree"]),
-    ]))
+    else:
+        print(_kv([
+            ("order", d["n"]),
+            ("deleted", " ".join(map(str, d["deleted"])) or "-"),
+            ("witness", " ".join(map(str, d["witness"]))),
+            ("degree", d["degree"]),
+        ]))
+    return 0
 
 
 def _cmd_solve(args) -> int:
@@ -94,21 +99,12 @@ def _cmd_solve(args) -> int:
         cert = min_deletion_for_rep3(g, g.n - 3)
     else:
         cert = None
-    if cert is None:
-        print("none")
-        return 1
-    _print_certificate(cert, args.format)
-    return 0
+    return _print_certificate(cert, args.format)
 
 
 def _cmd_oracle(args) -> int:
     g = _load_graph(args.graph)
-    cert = min_deletion_for_rep3(g, args.max_k)
-    if cert is None:
-        print("none")
-        return 1
-    _print_certificate(cert, args.format)
-    return 0
+    return _print_certificate(min_deletion_for_rep3(g, args.max_k), args.format)
 
 
 def _cmd_classify(args) -> int:

@@ -74,11 +74,11 @@ rejected without a search.
 Complement maps the classes with e edges one to one onto those with
 total - e, total = n(n-1)/2.  So only children of at most total // 2
 edges are generated, and the complement of each accepted child below
-half, built from the child's rows in hand, is searched and returned at
-its own edge count.  Each class below half is accepted once, hence so
-is each class above it.  _fill checks each order's class count against
-A000088, then each edge count's records, distinct, against Polya's
-count (OEIS A008406).
+half, built by graphcore.complement from the child in hand, is searched
+and returned at its own edge count.  Each class below half is accepted
+once, hence so is each class above it.  _fill checks each order's class
+count against A000088, then each edge count's records, distinct,
+against Polya's count (OEIS A008406).
 
 Since each class has exactly one parent class and duplicates only
 arise among one parent's children, the parents of an order are
@@ -93,12 +93,12 @@ at most 32 records, one unordered chunk that a second worker could not
 share, runs in this process; the first larger map opens a worker pool,
 of at most one worker per core, that serves every later map of the
 call, the orders it generates and the sweep after them.
-Both map their workers through _guarded, so a crash in generation or in
-a sweep is a WorkerCrash that names the record it failed on.
 
-read_graph6_records turns the byte lines of a graph6 file, as iterating
-the open binary file gives them, into validated record bytes without
-building a graph.
+_sweep is the one driver of harness's sweeps: it opens that map, fills
+any catalogue order the sweep needs and is not memoised yet, then maps
+the sweep's worker over its records in record order.  The map runs
+every worker through _guarded, so a crash in generation or in a sweep
+is a WorkerCrash that names the record it failed on, at any jobs count.
 """
 
 import os
@@ -109,9 +109,8 @@ from math import factorial, gcd
 from multiprocessing import get_context
 from operator import eq
 
-from .errors import IncompleteCatalogue, MalformedRecord, OrderTooLarge, Rep3Error
-from .errors import UnsupportedOrder, WorkerCrash
-from .graphcore import _HEADER, Graph, _check, _pack, parse_graph6
+from .errors import IncompleteCatalogue, OrderTooLarge, Rep3Error, WorkerCrash
+from .graphcore import Graph, _pack, complement, parse_graph6
 
 MAX_CANON = 10
 MAX_ENUM = 9
@@ -239,7 +238,7 @@ def _pool(jobs):
     yielded as they arrive, for callers to fold, not kept: in input
     order, or with ordered=False in the order they finish, in chunks of
     _CHUNK records, so a slow chunk holds back no finished one and no one
-    result message is large.
+    result message is large.  Each worker runs through _guarded.
     """
     cores = os.cpu_count() or 1
     jobs = min(max(1, int(cores if jobs is None else jobs)), cores)
@@ -248,6 +247,7 @@ def _pool(jobs):
 
         def imap(worker, records, ordered=True):
             nonlocal pool
+            worker = partial(_guarded, worker)
             if jobs < 2 or len(records) <= _CHUNK:
                 return map(worker, records)
             if pool is None:
@@ -287,6 +287,20 @@ def catalogue_records(n: int) -> tuple:
         raise OrderTooLarge(f"enumeration supports orders 1..{MAX_ENUM}, got {n}")
     with _pool(None) as imap:
         return _fill(n, imap)
+
+
+def _sweep(worker, jobs, orders, records=None):
+    """(record, worker(record)) pairs in record order, over records or,
+    when records is None, over the catalogue of each of orders.
+
+    One map, _pool(jobs), serves the whole call: catalogue orders not
+    memoised yet are generated with it before the sweep, which maps in
+    record order.
+    """
+    with _pool(jobs) as imap:
+        if records is None:
+            records = [rec for n in orders for rec in _fill(n, imap)]
+        yield from zip(records, imap(worker, records))
 
 
 def _partitions(n, most=None):
@@ -329,11 +343,11 @@ def _fill(n, imap):
     count against A000088, then each edge count's records against
     A008406, distinct; a miss raises IncompleteCatalogue.  A parent whose
     extension fails with anything but a Rep3Error raises WorkerCrash
-    naming that parent."""
+    naming that parent, as imap runs every worker through _guarded."""
     if n not in _catalogue:
         levels = [[] for _ in range(n * (n - 1) // 2 + 1)]  # records by edge count
         parents = _fill(n - 1, imap)
-        for children in imap(partial(_guarded, _children), parents, ordered=False):
+        for children in imap(_children, parents, ordered=False):
             for edges, forms in children:
                 levels[edges] += forms
         for level in levels:
@@ -361,7 +375,6 @@ def _children(rec):
     parent = parse_graph6(rec)
     n = parent.n + 1
     top = 1 << (n - 1)
-    full = (1 << n) - 1
     total = n * (n - 1) // 2
     rows = parent.rows
     degs = parent.degrees
@@ -411,16 +424,15 @@ def _children(rec):
                 if base == vsum:
                     wmask |= bit
             else:
-                child = tuple(
+                child = Graph(n, tuple(
                     r | top if (mask >> u) & 1 else r for u, r in enumerate(rows)
-                ) + (mask,)
-                form, orbit = _canonical_search(Graph(n, child), wmask)
+                ) + (mask,))
+                form, orbit = _canonical_search(child, wmask)
                 if orbit & top and form not in seen:
                     seen.add(form)
                     forms.append(form)
                     if 2 * (edges + k) < total:
-                        comp = tuple(full ^ r ^ (1 << u) for u, r in enumerate(child))
-                        upper.append(_canonical_search(Graph(n, comp))[0])
+                        upper.append(_canonical_search(complement(child))[0])
         out.append((edges + k, forms))
         out.append((total - edges - k, upper))
     return out
@@ -435,29 +447,3 @@ def enumerate_graphs(n: int):
     for form in catalogue_records(n):
         yield parse_graph6(form)
 
-
-def read_graph6_records(lines):
-    """The graph6 records of an iterable of byte lines, as bytes, in
-    line order.
-
-    lines is what iterating a binary file gives: each line ends at
-    b"\n", so a lone b"\r" stays inside its line.  Blank lines and a
-    leading ">>graph6<<" header are tolerated; anything else malformed,
-    non-ASCII bytes and multi-byte orders included, is a MalformedRecord
-    naming its 1-based line.  A record is the line's own bytes without
-    the header and surrounding whitespace, checked by graphcore._check
-    as strictly as parse_graph6 checks it, but not decoded.
-    """
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip().removeprefix(_HEADER)
-        if not line:
-            continue
-        if not line.isascii():
-            raise MalformedRecord("non-ascii record", line=lineno)
-        # parse_graph6 drops one more header of its own
-        rec = line.removeprefix(_HEADER)
-        try:
-            _check(rec)
-        except (MalformedRecord, UnsupportedOrder) as exc:
-            raise MalformedRecord(str(exc), line=lineno) from None
-        yield rec

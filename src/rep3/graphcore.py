@@ -1,4 +1,5 @@
-"""Immutable bitset graphs, graph6 records in and out, edge-list JSON in.
+"""Immutable bitset graphs, graph6 records in and out, graph6 files and
+edge-list JSON in.
 
 A Graph stores one adjacency row per vertex as a Python int used as a bit
 mask, so neighborhood algebra (intersection, difference, popcount) is a
@@ -17,7 +18,9 @@ group emitted as one byte offset by 63.  parse_graph6 takes the record as
 bytes and is strict: wrong record length, a data byte outside [63, 126],
 or a nonzero padding bit all reject the record.  _check is that one
 strict validator, and it decodes nothing, so a record can be checked
-without being parsed.
+without being parsed.  read_graph6_records runs it on each line of a
+graph6 file, as iterating the open binary file gives them, and yields
+validated record bytes without building a graph.
 
 parse_graph6 decodes by a byte table.  Bit k of the triangle is the
 pair (i, j) with k = j(j-1)/2 + i at every order, so data byte p with
@@ -254,6 +257,33 @@ def parse_graph6(record: bytes) -> Graph:
     for cell, byte in zip(_TABLE, data):
         code |= cell[byte]
     return Graph(n, _ROWS[n].unpack(code.to_bytes(8 * n, "little")))
+
+
+def read_graph6_records(lines):
+    """The graph6 records of an iterable of byte lines, as bytes, in
+    line order.
+
+    lines is what iterating a binary file gives: each line ends at
+    b"\n", so a lone b"\r" stays inside its line.  Blank lines and a
+    leading ">>graph6<<" header are tolerated; anything else malformed,
+    non-ASCII bytes and multi-byte orders included, is a MalformedRecord
+    naming its 1-based line.  A record is the line's own bytes without
+    the header and surrounding whitespace, checked by _check as
+    strictly as parse_graph6 checks it, but not decoded.
+    """
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip().removeprefix(_HEADER)
+        if not line:
+            continue
+        if not line.isascii():
+            raise MalformedRecord("non-ascii record", line=lineno)
+        # parse_graph6 drops one more header of its own
+        rec = line.removeprefix(_HEADER)
+        try:
+            _check(rec)
+        except (MalformedRecord, UnsupportedOrder) as exc:
+            raise MalformedRecord(str(exc), line=lineno) from None
+        yield rec
 
 
 def from_edge_json(text: str) -> Graph:

@@ -23,15 +23,16 @@ plus the counting identity suite: in a graph where no degree repeats
 three times and no vertex is isolated, the degrees in [1, n-1] missed
 entirely are one fewer than those hit exactly twice.
 
-Sweeps move graph6 records only, as the catalogue and
-read_graph6_records hand them out; each worker parses its own record.
-All four sweeps fold over one driver, _sweep, which opens one map
-from enumeration._pool per call: that map first generates any
-catalogue order the sweep needs and is not memoised yet, then runs the
-worker once over all the sweep's records.  Each result carries its
-class's order and is folded in as it arrives.  A worker that fails on
-a record with anything but a Rep3Error surfaces as a WorkerCrash naming
-that record, at any jobs count; a Rep3Error keeps its own message.
+This module holds the reports, the workers and the folds.  Sweeps move
+graph6 records only, as the catalogue and graphcore.read_graph6_records
+hand them out; each worker parses its own record.  All four sweeps fold
+over enumeration._sweep, which opens one map per call: that map first
+generates any catalogue order the sweep needs and is not memoised yet,
+then runs the worker once over all the sweep's records.  Each result
+carries its class's order and is folded in as it arrives.  A worker
+that fails on a record with anything but a Rep3Error surfaces as a
+WorkerCrash naming that record, at any jobs count; a Rep3Error keeps
+its own message.
 
 The lemma worker hands its parsed record and the oracle's minimum
 deletion size to feasible._lemma_scan, which walks the graph's 3-sets
@@ -56,10 +57,9 @@ order, so any jobs count produces the same report, elapsed time aside.
 import json
 import time
 from dataclasses import dataclass
-from functools import partial
 from math import comb
 
-from .enumeration import _fill, _guarded, _pool
+from .enumeration import _sweep
 from .errors import MalformedRecord, OrderOutOfRange, OrderTooLarge, TheoremViolation
 from .feasible import _lemma_scan
 from .graphcore import _check, parse_graph6
@@ -140,20 +140,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _sweep(worker, jobs, orders, records=None):
-    """(record, worker(record)) pairs in record order, over records or,
-    when records is None, over the catalogue of each of orders.
-
-    One map, _pool(jobs), serves the whole call: catalogue orders not
-    memoised yet are generated with it before the sweep, which maps in
-    record order.
-    """
-    with _pool(jobs) as imap:
-        if records is None:
-            records = [rec for n in orders for rec in _fill(n, imap)]
-        yield from zip(records, imap(partial(_guarded, worker), records))
-
-
 def _theorem_worker(rec: bytes):
     """(n, minimum deletion size, None) for a class of order n the
     theorem holds on, or (n, None, violation)."""
@@ -177,10 +163,10 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
     """Solve and re-check every graph of each order in [min_n, max_n].
 
     source None sweeps the catalogue; otherwise it is any iterable of
-    graph6 records as read_graph6_records yields them.  Records whose
-    order byte lies outside the range are validated, counted in the
-    report's skipped field and never solved; the rest go to one worker
-    pool, which parses each record itself.  A malformed record raises
+    graph6 records as graphcore.read_graph6_records yields them.
+    Records whose order byte lies outside the range are validated,
+    counted in the report's skipped field and never solved; the rest go
+    to one worker pool, which parses each record itself.  A malformed record raises
     MalformedRecord either way (UnsupportedOrder for the multi-byte
     order form).  jobs also sets the worker count for any catalogue
     order not yet generated, and one pool serves that generation and

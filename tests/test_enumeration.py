@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rep3 import enumeration, errors
-from rep3.enumeration import (
-    _canonical_search,
-    catalogue_records,
-    enumerate_graphs,
+from rep3.enumeration import _canonical_search, catalogue_records, enumerate_graphs
+from rep3.graphcore import (
+    _pack,
+    complement,
+    from_edge_list,
+    parse_graph6,
     read_graph6_records,
+    write_graph6,
 )
-from rep3.graphcore import _pack, complement, from_edge_list, parse_graph6, write_graph6
 
 import helpers
 

@@ -15,9 +15,8 @@ import json
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rep3.cli import run
-from rep3.enumeration import read_graph6_records
 from rep3.errors import Rep3Error
-from rep3.graphcore import Graph, from_edge_json, parse_graph6, write_graph6
+from rep3.graphcore import Graph, from_edge_json, parse_graph6, read_graph6_records, write_graph6
 
 # orders kept small so that solving a decoded graph stays quick
 _small_order = st.integers(1, 9)

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from rep3 import enumeration, errors, feasible, harness, solver
 from rep3.cli import run
-from rep3.enumeration import catalogue_records, read_graph6_records
-from rep3.graphcore import from_edge_list, parse_graph6, write_graph6
+from rep3.enumeration import catalogue_records
+from rep3.graphcore import from_edge_list, parse_graph6, read_graph6_records, write_graph6
 from rep3.feasible import TripleClassification, budget, classify_triple, equalize_triple
 from rep3.harness import (
     VerificationReport,
@@ -517,6 +517,8 @@ def test_one_class_catalogue_starts_nothing(opened_pools, call):
 
 _real_children = enumeration._children
 _real_theorem_worker = harness._theorem_worker
+_real_lemma_worker = harness._lemma_worker
+_real_identity_worker = harness._identity_worker
 K6 = b"E~~w"
 
 
@@ -589,6 +591,20 @@ def _theorem_worker_dividing_by_zero(rec):
     return _real_theorem_worker(rec)
 
 
+def _lemma_worker_dividing_by_zero(rec):
+    """_lemma_worker, except on K6, where it raises ZeroDivisionError."""
+    if rec == K6:
+        raise ZeroDivisionError("planted")
+    return _real_lemma_worker(rec)
+
+
+def _identity_worker_dividing_by_zero(rec):
+    """_identity_worker, except on K6, where it raises ZeroDivisionError."""
+    if rec == K6:
+        raise ZeroDivisionError("planted")
+    return _real_identity_worker(rec)
+
+
 def _theorem_worker_rejecting(rec):
     """_theorem_worker, except on K6, which it calls malformed."""
     if rec == K6:
@@ -649,6 +665,47 @@ def test_worker_error_names_its_record(opened_pools, monkeypatch, capsys, jobs, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize(
+    "name,worker,call",
+    [
+        pytest.param(
+            "_lemma_worker",
+            _lemma_worker_dividing_by_zero,
+            lambda cores: verify_lemmas(6, jobs=cores),
+            id="lemmas",
+        ),
+        pytest.param(
+            "_identity_worker",
+            _identity_worker_dividing_by_zero,
+            lambda cores: counting_identity_suite(6),
+            id="identity",
+        ),
+        pytest.param(
+            "_theorem_worker",
+            _theorem_worker_dividing_by_zero,
+            lambda cores: find_extremal(6),
+            id="extremal",
+        ),
+    ],
+)
+def test_every_sweep_names_the_record_a_worker_crashed_on(
+    opened_pools, monkeypatch, cores, name, worker, call
+):
+    # each sweep's map guards its worker, pooled on two cores and in
+    # this process on one; identity and extremal take their pool size
+    # from the core count alone
+    catalogue_records(6)
+    opened_pools.clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(harness, name, worker)
+    message = f"E~~w: {worker.__name__} raised ZeroDivisionError('planted')"
+    with pytest.raises(errors.WorkerCrash) as caught:
+        call(cores)
+    assert str(caught.value) == message
+    assert opened_pools == ([(2,)] if cores == 2 else [])
 
 
 def test_each_4_set_is_checked_once(monkeypatch):
