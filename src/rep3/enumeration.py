@@ -109,10 +109,9 @@ from math import factorial, gcd
 from multiprocessing import get_context
 from operator import eq
 
-from .errors import IncompleteCatalogue, OrderTooLarge, Rep3Error, WorkerCrash
+from .errors import IncompleteCatalogue, OrderOutOfRange, Rep3Error, WorkerCrash
 from .graphcore import Graph, _pack, complement, parse_graph6
 
-MAX_CANON = 10
 MAX_ENUM = 9
 # OEIS A000088: the number of graphs on n unlabeled vertices, n = 0..9
 A000088 = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
@@ -120,18 +119,17 @@ A000088 = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
 
 # the code of the first k placed vertices of n is the full code >> _SHIFTS[n][k]
 _SHIFTS = [
-    [n * (n - 1) // 2 - k * (k - 1) // 2 for k in range(n + 1)] for n in range(MAX_CANON + 1)
+    [n * (n - 1) // 2 - k * (k - 1) // 2 for k in range(n + 1)] for n in range(MAX_ENUM + 1)
 ]
 
 
 def _canonical_search(g: Graph, w=None):
-    """(canonical record, last W-orbit as a vertex mask) from one search.
+    """(canonical record, last W-orbit as a vertex mask) from one search
+    of g, whose order is at most MAX_ENUM.
 
     w is a vertex mask closed under Aut(g), all vertices by default; the
     last W-orbit holds the vertices that sit last among w's in some
     optimal ordering, which by default is the last orbit."""
-    if g.n > MAX_CANON:
-        raise OrderTooLarge(f"canonical form capped at order {MAX_CANON}")
     n = g.n
     rows = g.rows
     degs = g.degrees
@@ -284,7 +282,7 @@ def catalogue_records(n: int) -> tuple:
     order starts no process.
     """
     if not 1 <= n <= MAX_ENUM:
-        raise OrderTooLarge(f"enumeration supports orders 1..{MAX_ENUM}, got {n}")
+        raise OrderOutOfRange(f"enumeration supports orders 1..{MAX_ENUM}, got {n}")
     with _pool(None) as imap:
         return _fill(n, imap)
 

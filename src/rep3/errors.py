@@ -11,19 +11,18 @@ class Rep3Error(Exception):
 
 
 class OrderOutOfRange(Rep3Error, ValueError):
-    """Graph order outside the supported range [1, 64]."""
+    """An order outside the range the call supports: 1..64 for a graph,
+    at most 62 for graph6, 1..9 for the catalogue, at least 5 for the
+    three-deletion solver, or a suite's own range of orders."""
 
 
 class LoopEdge(Rep3Error, ValueError):
     """An edge (v, v) was supplied; loops are not representable."""
 
 
-class EndpointOutOfRange(Rep3Error, ValueError):
-    """An edge endpoint is not a vertex of the graph."""
-
-
 class VertexOutOfRange(Rep3Error, ValueError):
-    """A vertex-set argument mentions an index outside the graph."""
+    """An index that is not a vertex of the graph, as an edge endpoint
+    or in a vertex-set argument."""
 
 
 class EmptyResult(Rep3Error, ValueError):
@@ -43,10 +42,6 @@ class MalformedRecord(Rep3Error, ValueError):
         self.line = line
 
 
-class UnsupportedOrder(Rep3Error, ValueError):
-    """graph6 I/O is limited to single-byte orders (n <= 62)."""
-
-
 class NotATriple(Rep3Error, ValueError):
     """A 3-set argument did not contain exactly three distinct vertices."""
 
@@ -56,11 +51,8 @@ class NotFeasible(Rep3Error, ValueError):
 
 
 class BudgetExceedsOrder(Rep3Error, ValueError):
-    """A deletion budget would leave fewer than three vertices."""
-
-
-class OrderTooSmall(Rep3Error, ValueError):
-    """The three-deletion solver needs at least five vertices."""
+    """A deletion budget is negative or would leave fewer than three
+    vertices."""
 
 
 class TheoremViolation(Rep3Error):
@@ -68,10 +60,6 @@ class TheoremViolation(Rep3Error):
     degrees.  Impossible if the implementation is correct; the harness
     records it as a fatal finding rather than masking it.
     """
-
-
-class OrderTooLarge(Rep3Error, ValueError):
-    """Enumeration / canonical forms are guarded to small orders."""
 
 
 class IncompleteCatalogue(Rep3Error):

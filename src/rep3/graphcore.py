@@ -44,15 +44,7 @@ import struct
 import threading
 from math import isqrt
 
-from .errors import (
-    EmptyResult,
-    EndpointOutOfRange,
-    LoopEdge,
-    MalformedRecord,
-    OrderOutOfRange,
-    UnsupportedOrder,
-    VertexOutOfRange,
-)
+from .errors import EmptyResult, LoopEdge, MalformedRecord, OrderOutOfRange, VertexOutOfRange
 
 MAX_ORDER = 64
 _G6_MAX = 62
@@ -118,11 +110,11 @@ def from_edge_list(n: int, edges) -> Graph:
     rows = [0] * n
     for u, v in edges:
         if not (_is_index(u) and _is_index(v)):
-            raise EndpointOutOfRange(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
+            raise VertexOutOfRange(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
         if u == v:
             raise LoopEdge(f"loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
-            raise EndpointOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
+            raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, tuple(rows))
@@ -178,7 +170,7 @@ def _pack(n: int, code: int) -> bytes:
 def write_graph6(g: Graph) -> bytes:
     """Encode as a canonical single-byte-order graph6 record."""
     if g.n > _G6_MAX:
-        raise UnsupportedOrder(f"graph6 single-byte form caps at {_G6_MAX}, got {g.n}")
+        raise OrderOutOfRange(f"graph6 single-byte form caps at {_G6_MAX}, got {g.n}")
     code = 0
     for j in range(1, g.n):
         col = g.rows[j]
@@ -195,11 +187,11 @@ def _check(record: bytes) -> int:
     as parse_graph6 checks it but not decoded: the order byte, the
     length, every byte against [63, 126] in one translate, and the
     padding bits of the last byte.  A bad record raises MalformedRecord,
-    or UnsupportedOrder for the multi-byte order form."""
+    or OrderOutOfRange for the multi-byte order form."""
     if not record:
         raise MalformedRecord("empty record")
     if record[0] == 126:
-        raise UnsupportedOrder("multi-byte order encoding not supported")
+        raise OrderOutOfRange("multi-byte order encoding not supported")
     n = record[0] - 63
     if n < 1 or n > _G6_MAX:
         raise MalformedRecord(f"order byte decodes to {n}, outside [1, {_G6_MAX}]")
@@ -281,7 +273,7 @@ def read_graph6_records(lines):
         rec = line.removeprefix(_HEADER)
         try:
             _check(rec)
-        except (MalformedRecord, UnsupportedOrder) as exc:
+        except (MalformedRecord, OrderOutOfRange) as exc:
             raise MalformedRecord(str(exc), line=lineno) from None
         yield rec
 

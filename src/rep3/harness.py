@@ -59,8 +59,8 @@ import time
 from dataclasses import dataclass
 from math import comb
 
-from .enumeration import _sweep
-from .errors import MalformedRecord, OrderOutOfRange, OrderTooLarge, TheoremViolation
+from .enumeration import MAX_ENUM, _sweep
+from .errors import MalformedRecord, OrderOutOfRange, TheoremViolation
 from .feasible import _lemma_scan
 from .graphcore import _check, parse_graph6
 from .repetition import profile
@@ -167,15 +167,17 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
     Records whose order byte lies outside the range are validated,
     counted in the report's skipped field and never solved; the rest go
     to one worker pool, which parses each record itself.  A malformed record raises
-    MalformedRecord either way (UnsupportedOrder for the multi-byte
+    MalformedRecord either way (OrderOutOfRange for the multi-byte
     order form).  jobs also sets the worker count for any catalogue
     order not yet generated, and one pool serves that generation and
     the sweep.  A sweep that checks no graph at all is not verified.
     Graphs with minimum deletion 3 are collected as lower-bound
     witnesses.
     """
-    if not 5 <= min_n <= max_n <= 9:
-        raise OrderOutOfRange(f"need 5 <= min_n <= max_n <= 9, got {min_n}..{max_n}")
+    if not 5 <= min_n <= max_n <= MAX_ENUM:
+        raise OrderOutOfRange(
+            f"need 5 <= min_n <= max_n <= {MAX_ENUM}, got {min_n}..{max_n}"
+        )
     t0 = time.perf_counter()
     orders = range(min_n, max_n + 1)
     records = None  # the catalogue of each order
@@ -249,7 +251,7 @@ def _lemma_worker(rec: bytes):
 def verify_lemmas(max_n: int, jobs=None) -> VerificationReport:
     """Run the four structural suites over every class up to max_n."""
     if not 1 <= max_n <= 8:
-        raise OrderTooLarge(f"lemma suites cover orders 1..8, got {max_n}")
+        raise OrderOutOfRange(f"lemma suites cover orders 1..8, got {max_n}")
     t0 = time.perf_counter()
     results = {
         "induced_path": {"instances_checked": 0, "violations": []},
@@ -284,7 +286,7 @@ def _identity_worker(rec: bytes):
 def counting_identity_suite(max_n: int) -> VerificationReport:
     """Check |missing degrees| = |doubled degrees| - 1 where it applies."""
     if not 1 <= max_n <= 8:
-        raise OrderTooLarge(f"identity suite covers orders 1..8, got {max_n}")
+        raise OrderOutOfRange(f"identity suite covers orders 1..8, got {max_n}")
     t0 = time.perf_counter()
     checked = 0
     violations = []
@@ -310,8 +312,8 @@ def find_extremal(n: int):
     of the listing.  Output is exploratory: which orders contain
     maximal-cost classes is recorded, not asserted.
     """
-    if not 5 <= n <= 9:
-        raise OrderOutOfRange(f"extremal search covers orders 5..9, got {n}")
+    if not 5 <= n <= MAX_ENUM:
+        raise OrderOutOfRange(f"extremal search covers orders 5..{MAX_ENUM}, got {n}")
     target = allowance(n)
     hits = []
     for rec, (_, size, viol) in _sweep(_theorem_worker, None, [n]):

@@ -20,7 +20,7 @@ delete_vertices and shares no code with the search.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import BudgetExceedsOrder, OrderTooSmall, TheoremViolation
+from .errors import BudgetExceedsOrder, OrderOutOfRange, TheoremViolation
 from .graphcore import Graph, delete_vertices
 
 
@@ -93,7 +93,7 @@ def solve3(g: Graph) -> DeletionCertificate:
     signals a bug and raises TheoremViolation instead of returning.
     """
     if g.n < 5:
-        raise OrderTooSmall(f"need at least 5 vertices, got {g.n}")
+        raise OrderOutOfRange(f"need at least 5 vertices, got {g.n}")
     k = allowance(g.n)
     cert = min_deletion_for_rep3(g, k)
     if cert is None:

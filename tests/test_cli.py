@@ -336,6 +336,41 @@ def test_usage_errors(capsys, argv):
     capsys.readouterr()
 
 
+# every order or index out of range: exit 2 and one typed error line; an
+# argument that begins with "{" is an edge-list document, passed as @FILE
+RANGE_ERRORS = [
+    (["gen", "--n", "0"], "enumeration supports orders 1..9, got 0"),
+    (["gen", "--n", "10"], "enumeration supports orders 1..9, got 10"),
+    (["lemmas", "--max-n", "9"], "lemma suites cover orders 1..8, got 9"),
+    (["lemmas", "--max-n", "0"], "lemma suites cover orders 1..8, got 0"),
+    (["identity", "--max-n", "9"], "identity suite covers orders 1..8, got 9"),
+    (["extremal", "--n", "4"], "extremal search covers orders 5..9, got 4"),
+    (["extremal", "--n", "10"], "extremal search covers orders 5..9, got 10"),
+    (["verify", "--min-n", "4", "--max-n", "8"], "need 5 <= min_n <= max_n <= 9, got 4..8"),
+    (["verify", "--min-n", "5", "--max-n", "10"], "need 5 <= min_n <= max_n <= 9, got 5..10"),
+    (["solve", "--graph", "~????????????"], "multi-byte order encoding not supported"),
+    (["solve", "--graph", "?"], "order byte decodes to 0, outside [1, 62]"),
+    (["solve", "--graph", '{"n": 65, "edges": []}'], "order must be an int in [1, 64], got 65"),
+    (["solve", "--graph", '{"n": 3, "edges": [[0, 3]]}'], "edge (0, 3) outside 0..2"),
+    (["solve", "--graph", '{"n": 3, "edges": [[0, 1.5]]}'],
+     "edge (0, 1.5) has a non-integer endpoint"),
+    (["equalize", "--graph", TRIANGLE, "--triple", "0,1,9"], "(0, 1, 9) outside 0..2"),
+    (["oracle", "--graph", TRIANGLE, "--max-k", "1"], "max_k 1 outside [0, 0] for order 3"),
+]
+
+
+@pytest.mark.parametrize("argv,err", RANGE_ERRORS, ids=[" ".join(a) for a, _ in RANGE_ERRORS])
+def test_range_errors(capsys, tmp_path, argv, err):
+    if argv[-1].startswith("{"):
+        f = tmp_path / "edges.json"
+        f.write_text(argv[-1])
+        argv = [*argv[:-1], "@" + str(f)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 def test_help_lists_subcommands(capsys):
     assert run(["--help"]) == 0
     text = out_of(capsys)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from rep3 import errors, graphcore
 from rep3.enumeration import catalogue_records
-from rep3.errors import MalformedRecord, UnsupportedOrder
+from rep3.errors import MalformedRecord, OrderOutOfRange
 from rep3.graphcore import (
     Graph,
     _check,
@@ -68,7 +68,7 @@ def reference_unpack(record):
     if not record:
         raise MalformedRecord("empty record")
     if record[0] == 126:
-        raise UnsupportedOrder("multi-byte order encoding not supported")
+        raise OrderOutOfRange("multi-byte order encoding not supported")
     n = record[0] - 63
     if n < 1 or n > 62:
         raise MalformedRecord(f"order byte decodes to {n}, outside [1, 62]")
@@ -163,9 +163,9 @@ class TestConstruction:
             from_edge_list(3, [(1, 1)])
 
     def test_endpoint_out_of_range(self):
-        with pytest.raises(errors.EndpointOutOfRange):
+        with pytest.raises(errors.VertexOutOfRange):
             from_edge_list(3, [(0, 3)])
-        with pytest.raises(errors.EndpointOutOfRange):
+        with pytest.raises(errors.VertexOutOfRange):
             from_edge_list(3, [(-1, 2)])
 
     def test_degree_sum_even(self):
@@ -299,7 +299,7 @@ class TestGraph6:
             parse_graph6(b"?")
 
     def test_multibyte_order_unsupported(self):
-        with pytest.raises(errors.UnsupportedOrder):
+        with pytest.raises(errors.OrderOutOfRange):
             parse_graph6(b"~??" + b"?" * 100)
 
     @given(st.one_of(st.binary(max_size=24), near_records()))
@@ -309,7 +309,7 @@ class TestGraph6:
         # same type and message, and otherwise returns the same order
         try:
             expected = reference_unpack(record)
-        except (MalformedRecord, UnsupportedOrder) as exc:
+        except (MalformedRecord, OrderOutOfRange) as exc:
             with pytest.raises(type(exc)) as caught:
                 _check(record)
             assert type(caught.value) is type(exc)
@@ -329,7 +329,7 @@ class TestGraph6:
         # the same type and message, and otherwise builds the same graph
         try:
             expected = reference_column_parse(header + record)
-        except (MalformedRecord, UnsupportedOrder) as exc:
+        except (MalformedRecord, OrderOutOfRange) as exc:
             with pytest.raises(type(exc)) as caught:
                 parse_graph6(header + record)
             assert type(caught.value) is type(exc)
@@ -338,7 +338,7 @@ class TestGraph6:
         assert parse_graph6(header + record) == expected
 
     def test_write_order_cap(self):
-        with pytest.raises(errors.UnsupportedOrder):
+        with pytest.raises(errors.OrderOutOfRange):
             write_graph6(from_edge_list(63, []))
 
     @given(st.integers(1, 8), st.data())

@@ -4,6 +4,7 @@ import json
 import os
 import random
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -259,7 +260,7 @@ class TestVerifyLemmas:
         assert verify_lemmas(5, jobs=1).comparable() == verify_lemmas(5, jobs=2).comparable()
 
     def test_cap(self):
-        with pytest.raises(errors.OrderTooLarge):
+        with pytest.raises(errors.OrderOutOfRange):
             verify_lemmas(9)
 
     def test_violations_reach_report(self, monkeypatch):
@@ -329,8 +330,59 @@ class TestCountingIdentity:
         assert r.lemma_results["counting_identity"]["instances_checked"] == 1
 
     def test_cap(self):
-        with pytest.raises(errors.OrderTooLarge):
+        with pytest.raises(errors.OrderOutOfRange):
             counting_identity_suite(9)
+
+
+# json.dumps(order_9_suites(), sort_keys=True): each suite's counts and
+# violation lists over the order-9 catalogue, byte for byte
+SUITES_9_SHA256 = "d2e6e58f229077f83af7c7f4562cb0f30b91d33da322af31948dd20a19335897"
+
+
+def order_9_suites():
+    """The lemma and identity suites over every order-9 class, their
+    workers mapped by enumeration._sweep at jobs 2 and folded as the
+    results stream, as verify_lemmas and counting_identity_suite fold
+    them below order 9."""
+    results = {s: {"instances_checked": 0, "violations": []} for s in SUITES}
+    results["feasible_budget"]["strong_form_failures"] = 0
+    for _, (n, budgeted, paired, failures, found) in enumeration._sweep(
+        harness._lemma_worker, 2, [9]
+    ):
+        results["induced_path"]["instances_checked"] += comb(n, 4)
+        results["median_feasible"]["instances_checked"] += comb(n, 5)
+        results["feasible_budget"]["instances_checked"] += budgeted
+        results["feasible_budget"]["strong_form_failures"] += failures
+        results["paired_degree_gap"]["instances_checked"] += paired
+        for suite, violation in found:
+            results[suite]["violations"].append(violation)
+    identity = results["counting_identity"] = {"instances_checked": 0, "violations": []}
+    for rec, (n, applies, s_size, t_size) in enumeration._sweep(
+        harness._identity_worker, 2, [9]
+    ):
+        identity["instances_checked"] += applies
+        if applies and t_size != s_size - 1:
+            graph = rec.decode("ascii")
+            violation = {"n": n, "graph": graph, "s_size": s_size, "t_size": t_size}
+            identity["violations"].append(violation)
+    return results
+
+
+@pytest.mark.extended
+def test_lemma_and_identity_suites_over_order_9():
+    # the public suites stop at order 8; their workers reach order 9 here
+    results = order_9_suites()
+    assert all(not suite["violations"] for suite in results.values())
+    assert {s: r["instances_checked"] for s, r in results.items()} == {
+        "induced_path": 274668 * 126,
+        "median_feasible": 274668 * 126,
+        "feasible_budget": 16843452,
+        "paired_degree_gap": 865842,
+        "counting_identity": 13649,
+    }
+    assert results["feasible_budget"]["strong_form_failures"] == 0
+    text = json.dumps(results, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITES_9_SHA256
 
 
 class TestFindExtremal:

@@ -122,7 +122,7 @@ class TestSolve3:
 
     def test_small_orders_rejected(self):
         for g in [helpers.p4(), helpers.k3(), helpers.k1()]:
-            with pytest.raises(errors.OrderTooSmall):
+            with pytest.raises(errors.OrderOutOfRange):
                 solve3(g)
 
     def test_budget_respected_at_n5(self):
