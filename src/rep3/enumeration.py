@@ -234,9 +234,11 @@ def _pool(jobs):
     every map at one job.  The first larger map opens one worker pool,
     which serves every later map inside the context.  Results are
     yielded as they arrive, for callers to fold, not kept: in input
-    order, or with ordered=False in the order they finish, in chunks of
-    _CHUNK records, so a slow chunk holds back no finished one and no one
-    result message is large.  Each worker runs through _guarded.
+    order, in chunks of at most _CHUNK * 128 records, so the results
+    that wait behind an unfinished chunk stay few; or with ordered=False
+    in the order they finish, in chunks of _CHUNK records, so a slow
+    chunk holds back no finished one and no one result message is
+    large.  Each worker runs through _guarded.
     """
     cores = os.cpu_count() or 1
     jobs = min(max(1, int(cores if jobs is None else jobs)), cores)
@@ -252,7 +254,7 @@ def _pool(jobs):
                 # fork keeps the imported module state
                 pool = stack.enter_context(get_context("fork").Pool(jobs))
             if ordered:
-                chunk = max(1, len(records) // (jobs * 4))
+                chunk = max(1, min(len(records) // (jobs * 4), _CHUNK * 128))
                 return pool.imap(worker, records, chunksize=chunk)
             # small chunks, so one result message stays small too
             return pool.imap_unordered(worker, records, chunksize=_CHUNK)

@@ -47,7 +47,6 @@ left uncovered reach the induced-path test, _induced_path_ok, and the
 5-sets left uncovered are the violations.
 """
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
 from typing import NamedTuple, Optional
@@ -56,8 +55,7 @@ from .errors import NotATriple, NotFeasible, VertexOutOfRange
 from .graphcore import Graph
 
 
-@dataclass(frozen=True)
-class TripleClassification:
+class TripleClassification(NamedTuple):
     condition: Optional[str]
     labeling: Optional[tuple]
     balanceable: bool

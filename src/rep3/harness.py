@@ -56,8 +56,8 @@ order, so any jobs count produces the same report, elapsed time aside.
 
 import json
 import time
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .enumeration import MAX_ENUM, _sweep
 from .errors import MalformedRecord, OrderOutOfRange, TheoremViolation
@@ -66,8 +66,8 @@ from .graphcore import _check, parse_graph6
 from .repetition import profile
 from .solver import allowance, check_certificate, min_deletion_for_rep3, solve3
 
-@dataclass
-class VerificationReport:
+
+class VerificationReport(NamedTuple):
     per_n: dict
     lemma_results: dict
     elapsed: float

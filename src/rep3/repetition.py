@@ -9,13 +9,12 @@ tracked.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphcore import Graph
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     rep: int
     s_set: frozenset
     t_set: frozenset

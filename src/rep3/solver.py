@@ -17,15 +17,14 @@ scratch by check_certificate, which builds the reduced graph with
 delete_vertices and shares no code with the search.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import BudgetExceedsOrder, OrderOutOfRange, TheoremViolation
 from .graphcore import Graph, delete_vertices
 
 
-@dataclass(frozen=True)
-class DeletionCertificate:
+class DeletionCertificate(NamedTuple):
     original_order: int
     deleted: tuple
     witness: tuple

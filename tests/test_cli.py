@@ -89,11 +89,6 @@ def test_oracle_hit(capsys):
     assert json.loads(out_of(capsys))["witness"] == [0, 1, 2]
 
 
-def test_oracle_budget_over_order(capsys):
-    assert run(["oracle", "--graph", TRIANGLE, "--max-k", "3"]) == 2
-    assert capsys.readouterr().err != ""
-
-
 # ------------------------------------------------------------- classify
 
 def test_classify_edge_file(capsys, tmp_path):
@@ -204,10 +199,6 @@ def test_gen_to_file(capsys, tmp_path):
     assert run(["gen", "--n", "4", "--out", str(target)]) == 0
     assert out_of(capsys) == ""
     assert len(target.read_text().splitlines()) == 11
-
-
-def test_gen_order_out_of_range(capsys):
-    assert run(["gen", "--n", "10"]) == 2
 
 
 # --------------------------------------------------------------- verify
@@ -356,6 +347,7 @@ RANGE_ERRORS = [
      "edge (0, 1.5) has a non-integer endpoint"),
     (["equalize", "--graph", TRIANGLE, "--triple", "0,1,9"], "(0, 1, 9) outside 0..2"),
     (["oracle", "--graph", TRIANGLE, "--max-k", "1"], "max_k 1 outside [0, 0] for order 3"),
+    (["oracle", "--graph", TRIANGLE, "--max-k", "3"], "max_k 3 outside [0, 0] for order 3"),
 ]
 
 
@@ -387,16 +379,32 @@ def test_main_exit_status(capsys, monkeypatch):
     assert exc.value.code == 1
 
 
-def test_module_entry_point():
+def _src_env():
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point():
     done = subprocess.run(
         [sys.executable, "-m", "rep3.cli", "gen", "--n", "3"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_src_env(), timeout=60,
     )
     assert done.returncode == 0
     assert len(done.stdout.splitlines()) == 4
     assert done.stdout.splitlines() == [
         write_graph6(g).decode("ascii") for g in enumerate_graphs(3)
     ]
+
+
+def test_import_stays_lean():
+    # four records once pulled in dataclasses, and with it inspect, in
+    # every rep3 process
+    probe = "import sys, rep3.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -1,6 +1,9 @@
 import hashlib
 import io
 import itertools
+import multiprocessing.pool
+import os
+from operator import neg
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -278,6 +281,54 @@ def test_catalogue_closed_under_complement():
 @pytest.mark.extended
 def test_order_9_closed_under_complement():
     assert_closed_under_complement(catalogue_records(9))
+
+
+@pytest.fixture
+def asked_chunks(monkeypatch):
+    """(ordered, records, chunksize) for every map a worker pool is
+    asked for while the test runs, on a host taken to have two cores."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    real_get_context = enumeration.get_context
+    asked = []
+
+    class SpyPool(multiprocessing.pool.Pool):
+        def imap(self, func, iterable, chunksize=1):
+            asked.append((True, len(iterable), chunksize))
+            return super().imap(func, iterable, chunksize)
+
+        def imap_unordered(self, func, iterable, chunksize=1):
+            asked.append((False, len(iterable), chunksize))
+            return super().imap_unordered(func, iterable, chunksize)
+
+    class SpyContext:
+        def __init__(self, method):
+            self.ctx = real_get_context(method)
+
+        def Pool(self, jobs):
+            return SpyPool(jobs, context=self.ctx)
+
+    monkeypatch.setattr(enumeration, "get_context", SpyContext)
+    return asked
+
+
+def test_ordered_chunks_are_bounded(asked_chunks):
+    # an order-9 sweep maps 274,668 records; the main process holds the
+    # results that wait behind an unfinished chunk, so chunks stay small
+    big = range(300_000)
+    with enumeration._pool(2) as imap:
+        assert list(imap(neg, big)) == [-x for x in big]
+        for size in (33, 1_000, 32_775, 40_000):
+            assert list(imap(neg, range(size))) == [-x for x in range(size)]
+        assert sorted(imap(neg, range(1_000), ordered=False)) == sorted(-x for x in range(1_000))
+    assert enumeration._CHUNK * 128 == 4_096
+    assert asked_chunks == [
+        (True, 300_000, 4_096),
+        (True, 33, 4),  # small maps keep a quarter of each worker's share
+        (True, 1_000, 125),
+        (True, 32_775, 4_096),
+        (True, 40_000, 4_096),
+        (False, 1_000, enumeration._CHUNK),
+    ]
 
 
 class TestLevelCounts:
