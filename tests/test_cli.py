@@ -201,6 +201,10 @@ def test_gen_to_file(capsys, tmp_path):
     assert len(target.read_text().splitlines()) == 11
 
 
+def test_gen_order_out_of_range(capsys):
+    assert run(["gen", "--n", "10"]) == 2
+
+
 # --------------------------------------------------------------- verify
 
 def test_verify_json_report(capsys):
