@@ -106,7 +106,6 @@ from contextlib import ExitStack, contextmanager
 from functools import partial
 from itertools import combinations
 from math import factorial, gcd
-from multiprocessing import get_context
 from operator import eq
 
 from .errors import IncompleteCatalogue, OrderOutOfRange, Rep3Error, WorkerCrash
@@ -222,6 +221,15 @@ _catalogue = {1: (b"@",)}  # n -> canonical records in stream order; K1 seeds it
 
 
 _CHUNK = 32  # records per unordered chunk; a map this small runs here
+
+
+def get_context(method):
+    """multiprocessing.get_context(method), with multiprocessing
+    imported only when the first pool opens: a process that opens none,
+    as rep3 solve or any --jobs 1 sweep, never loads it."""
+    import multiprocessing
+
+    return multiprocessing.get_context(method)
 
 
 @contextmanager

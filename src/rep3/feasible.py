@@ -27,31 +27,39 @@ and so are valid by construction, calls the cores directly.
 The lemma suites ask the same of every 3-set: whether it is feasible
 and balanceable, its budget when that is at most n - 3, and whether
 _equalize finds a set within that budget.  The answers depend only on
-the triple's signature (its edge pattern and how many other vertices
-lie in each of the eight adjacency regions around it), so _verdict
-runs _classify and _equalize on the first triple of each signature
-and the memo _VERDICTS hands the answer to every later triple, in any
-graph, that shares it.  Through order 8 the 731,424 triples have
-2,946 signatures.
+the order and the triple's signature (its edge pattern and how many
+other vertices lie in each of the eight adjacency regions around it),
+so _verdict runs _classify and _equalize on the first triple of each
+signature and the memo _VERDICTS, one dict per order, hands its answer
+as a one-byte code to every later triple, in any graph, that shares
+it.  Through order 8 the 731,424 triples have 2,946 signatures.
 
-The 4-set and 5-set checks are bit masks over the sets' indices in
-combinations order.  _cover_tables(n) holds, for each 3-set t, the mask
-of the 4-sets that contain t and the mask of the 5-sets that contain t
-and whose median position lies in t.  One private entry point,
-_lemma_scan, owns these masks.  It reads a graph in its own labels,
+One private entry point, _lemma_scan, reads a graph in its own labels,
 which must be sorted by degree, as every catalogue record is, so that
-a 5-set's median-degree vertex is its median position.  It walks the
-3-sets once: each balanceable one ORs its 4-set mask into one cover
-and each feasible one its 5-set mask into another.  Only the 4-sets
-left uncovered reach the induced-path test, _induced_path_ok, and the
-5-sets left uncovered are the violations.
+a 5-set's median-degree vertex is its median position.  Past a
+signature's first sighting, no Python code runs per 3-set.  _tables(n)
+holds, per order up to 9, two lookup tables indexed by a vertex's row;
+their entries summed over the graph's vertices make one big int with
+every 3-set's signature in a 32-bit field, which _signatures unpacks
+with one struct call.  The verdict codes then form one bytes object,
+and bytes.translate turns it into per-triple flags.  The 4-set and 5-set
+checks are bit masks over the sets' indices in combinations order:
+for each 3-set t, the mask of the 4-sets that contain t and the mask
+of the 5-sets that contain t and whose median position lies in t.
+itertools.compress picks the masks of the balanceable and of the
+feasible 3-sets, and functools.reduce ORs each set of masks into a
+cover.  Only the 4-sets left uncovered reach the induced-path test,
+_induced_path_ok, a lookup of the set's induced edges and degree ties
+in a 512-entry table; the 5-sets left uncovered are the violations.
 """
 
-from functools import cache
-from itertools import combinations, permutations
+import struct
+from functools import cache, reduce
+from itertools import combinations, compress, permutations
+from operator import or_
 from typing import NamedTuple, Optional
 
-from .errors import NotATriple, NotFeasible, VertexOutOfRange
+from .errors import NotATriple, NotFeasible, OrderOutOfRange, VertexOutOfRange
 from .graphcore import Graph
 
 
@@ -172,73 +180,89 @@ def equalize_triple(g: Graph, s, max_delete: int):
     return _equalize(g, _distinct_sorted(g, s), max_delete)
 
 
-class TripleVerdict(NamedTuple):
-    """What the lemma suites ask of a 3-set."""
+# a verdict's byte code: what the lemma suites ask of a 3-set, with
+# the budget in bits 4..6 when _BUDGETED is set
+_FEASIBLE, _BALANCEABLE, _BUDGETED, _UNEQUALIZABLE = 1, 2, 4, 8
 
-    condition: Optional[str]
-    balanceable: bool
-    budget: Optional[int]  # the allowance of a feasible set, if at most n - 3
-    unequalizable: bool  # _equalize finds no set within that budget
-
-
-# verdicts by signature, shared by every graph: a verdict is a pure
-# function of its signature, so an entry never goes stale
+# verdict codes by order, then by packed signature, shared by every
+# graph: a verdict is a pure function of its signature, so an entry
+# never goes stale
 _VERDICTS = {}
 
 
-def _verdict(g: Graph, s3) -> TripleVerdict:
+def _verdict(g: Graph, s3) -> int:
+    """The byte code of the 3-set s3 of g."""
     tc = _classify(g, s3)
-    b = budget(tc) if tc.feasible else None
-    if b is None or b > g.n - 3:
-        return TripleVerdict(tc.condition, tc.balanceable, None, False)
-    return TripleVerdict(tc.condition, tc.balanceable, b, _equalize(g, s3, b) is None)
+    if tc.condition is None:
+        return 0
+    code = _FEASIBLE | _BALANCEABLE * tc.balanceable
+    b = budget(tc)
+    if b > g.n - 3:
+        return code
+    return code | _BUDGETED | _UNEQUALIZABLE * (_equalize(g, s3, b) is None) | b << 4
 
 
-def _triple_signatures(g: Graph):
-    """(s, signature) for every 3-set s = (a, b, c) of g, in
-    lexicographic order.
-
-    The signature is n, the three internal edge bits, the three degrees
-    and the common-neighbour counts of ab, ac, bc and abc.  By
-    inclusion-exclusion these fix, and are fixed by, the counts of the
-    other vertices in each of the eight adjacency regions relative to
-    the triple.  A deletion set changes the three degrees only through
-    how many vertices it takes from each region, and every shape's
-    neighbourhood clause asks whether some regions are all empty, so
-    the signature decides _verdict.
-    """
-    n = g.n
-    rows = g.rows
-    degs = g.degrees
-    for a in range(n - 2):
-        ra = rows[a]
-        for b in range(a + 1, n - 1):
-            rb = rows[b]
-            rab = ra & rb
-            eab = (ra >> b) & 1
-            cab = rab.bit_count()
-            for c in range(b + 1, n):
-                rc = rows[c]
-                yield (a, b, c), (
-                    n,
-                    eab,
-                    (ra >> c) & 1,
-                    (rb >> c) & 1,
-                    degs[a],
-                    degs[b],
-                    degs[c],
-                    cab,
-                    (ra & rc).bit_count(),
-                    (rb & rc).bit_count(),
-                    (rab & rc).bit_count(),
-                )
+def _flags(test) -> bytes:
+    """A bytes.translate table sending each verdict code to 1 where
+    test(code) holds and to 0 elsewhere."""
+    return bytes(1 if test(code) else 0 for code in range(256))
 
 
-class CoverTables(NamedTuple):
-    """The 4-sets and 5-sets of range(n) in combinations order, and what
-    the t-th 3-set in that order covers of them, as masks over their
-    indices."""
+_IS_FEASIBLE = _flags(lambda code: code & _FEASIBLE)
+_IS_BALANCEABLE = _flags(lambda code: code & _BALANCEABLE)
+_IS_BUDGETED = _flags(lambda code: code & _BUDGETED)
+_IS_UNEQUALIZABLE = _flags(lambda code: code & _UNEQUALIZABLE)
 
+
+@cache
+def _budget_below(limit: int) -> bytes:
+    return _flags(lambda code: code & _BUDGETED and code >> 4 < limit)
+
+
+# A 3-set (a, b, c)'s signature packs into one 32-bit field, low bit
+# first: the edge bits ab, ac and bc, then 4-bit fields from bits 3, 7
+# and 11 for the degrees of a, b and c, and from bits 15, 19, 23 and 27
+# for the common-neighbour counts of ab, ac, bc and abc.  Through
+# order 9 a degree is at most 8 and a common count at most 7, so no
+# field carries into the next.
+_MAX_PACKED = 9
+
+# what one row adds to the degree and common-count fields of (a, b, c),
+# indexed by the row's bits at a, b and c read as the number
+# 4*c + 2*b + a: a vertex counts once towards the degree of each of
+# a, b, c it is adjacent to, and once towards the common count of each
+# pair and of the triple it is adjacent to all of
+_ROW_FIELD = tuple(
+    xa << 3 | xb << 7 | xc << 11
+    | (xa & xb) << 15 | (xa & xc) << 19 | (xb & xc) << 23 | (xa & xb & xc) << 27
+    for xc in (0, 1) for xb in (0, 1) for xa in (0, 1)
+)
+
+
+def _edge_field(t, v, upper):
+    """The edge bits of the 3-set t read from vertex v's row above v,
+    whose bit i is the edge from v to v + 1 + i: ab and ac from a's
+    row, bc from b's."""
+    a, b, c = t
+    if v == a:
+        return (upper >> (b - a - 1) & 1) | (upper >> (c - a - 1) & 1) << 1
+    if v == b:
+        return (upper >> (c - b - 1) & 1) << 2
+    return 0
+
+
+class ScanTables(NamedTuple):
+    """What _lemma_scan reads at order n.  The 3-sets, 4-sets and
+    5-sets of range(n) are in combinations order.  A graph's packed
+    signatures are the sum, over its vertices v with row r, of
+    by_row[r] and by_upper[v][r >> (v + 1)], each holding the t-th
+    3-set's field at bit 32 * t.  m4 and m5 hold, for the t-th 3-set,
+    masks over set indices."""
+
+    triples: tuple
+    unpack: object  # the packed signatures' bytes to one int per 3-set
+    by_row: tuple
+    by_upper: tuple
     fours: tuple
     four_index: dict  # each 4-set to its index
     fives: tuple
@@ -247,39 +271,103 @@ class CoverTables(NamedTuple):
 
 
 @cache
-def _cover_tables(n: int) -> CoverTables:
-    triples = [set(t) for t in combinations(range(n), 3)]
+def _tables(n: int) -> ScanTables:
+    if n > _MAX_PACKED:
+        raise OrderOutOfRange(f"lemma scan packs orders up to {_MAX_PACKED}, got {n}")
+    triples = tuple(combinations(range(n), 3))
+    fields = struct.Struct(f"<{len(triples)}I")
+
+    def packed(values):
+        return int.from_bytes(fields.pack(*values), "little")
+
     fours = tuple(combinations(range(n), 4))
     fives = tuple(combinations(range(n), 5))
-    return CoverTables(
+    return ScanTables(
+        triples,
+        fields.unpack,
+        tuple(
+            packed([_ROW_FIELD[(r >> a & 1) | (r >> b & 1) << 1 | (r >> c & 1) << 2]
+                    for a, b, c in triples])
+            for r in range(1 << n)
+        ),
+        tuple(
+            tuple(
+                packed([_edge_field(t, v, upper) for t in triples])
+                for upper in range(1 << (n - 1 - v))
+            )
+            for v in range(n)
+        ),
         fours,
         {x: i for i, x in enumerate(fours)},
         fives,
-        tuple(sum(1 << i for i, x in enumerate(fours) if t.issubset(x)) for t in triples),
+        tuple(
+            sum(1 << i for i, x in enumerate(fours) if t.issubset(x)) for t in map(set, triples)
+        ),
         tuple(
             sum(1 << i for i, u in enumerate(fives) if u[2] in t and t.issubset(u))
-            for t in triples
+            for t in map(set, triples)
         ),
     )
 
 
+def _signatures(g: Graph) -> tuple:
+    """The packed signature of every 3-set s = (a, b, c) of g, in
+    combinations order.
+
+    The signature holds the three internal edge bits, the three degrees
+    and the common-neighbour counts of ab, ac, bc and abc.  With n, by
+    inclusion-exclusion, these fix, and are fixed by, the counts of the
+    other vertices in each of the eight adjacency regions relative to
+    the triple.  A deletion set changes the three degrees only through
+    how many vertices it takes from each region, and every shape's
+    neighbourhood clause asks whether some regions are all empty, so
+    the order and the signature decide _verdict.
+    """
+    tables = _tables(g.n)
+    by_row, by_upper = tables.by_row, tables.by_upper
+    total = 0
+    for v, r in enumerate(g.rows):
+        total += by_row[r] + by_upper[v][r >> (v + 1)]
+    return tables.unpack(total.to_bytes(4 * len(tables.triples), "little"))
+
+
+def _path_table() -> bytes:
+    """1 at each index _induced_path_ok packs whose six edge bits form
+    a path with its ends at the set's two smallest degrees."""
+    pairs = list(combinations(range(4), 2))  # the edge bits' order
+    table = bytearray(512)
+    for p in permutations(range(4)):
+        if p[0] > p[3]:
+            continue  # each path once, read from its lower end
+        edges = sum(1 << pairs.index(tuple(sorted(p[k:k + 2]))) for k in range(3))
+        i, j = p[0], p[3]
+        for ties in range(8):
+            # degrees do not fall along the positions, so the end at i
+            # has the smallest degree when ties join i to position 0,
+            # and the end at j the second smallest when they join j to 1
+            if all(ties >> k & 1 for k in range(i)) and all(ties >> k & 1 for k in range(1, j)):
+                table[edges | ties << 6] = 1
+    return bytes(table)
+
+
+_PATH_OK = _path_table()
 
 
 def _induced_path_ok(g: Graph, x) -> bool:
     """Whether the sorted 4-set x of the degree-sorted graph g induces a
     path whose endpoints carry the two smallest degrees of the set
-    (compared as a multiset, so ties are accepted either way round)."""
-    inside = 0
-    for v in x:
-        inside |= 1 << v
-    counts = [(g.rows[v] & inside).bit_count() for v in x]
-    # 3 edges on 4 vertices with degree multiset (1,1,2,2) is a path
-    if sorted(counts) != [1, 1, 2, 2]:
-        return False
-    # in g, degrees do not fall as labels rise
-    degs = g.degrees
-    ends = [degs[v] for v, k in zip(x, counts) if k == 1]
-    return ends == [degs[x[0]], degs[x[1]]]
+    (compared as a multiset, so ties are accepted either way round).
+
+    The set packs into 9 bits: its six induced edge bits in pair order
+    ab, ac, ad, bc, bd, cd, then whether ab, bc and cd tie in degree."""
+    a, b, c, d = x
+    rows, degs = g.rows, g.degrees
+    ra, rb = rows[a], rows[b]
+    return _PATH_OK[
+        (ra >> b & 1) | (ra >> c & 1) << 1 | (ra >> d & 1) << 2
+        | (rb >> c & 1) << 3 | (rb >> d & 1) << 4 | (rows[c] >> d & 1) << 5
+        | (degs[a] == degs[b]) << 6 | (degs[b] == degs[c]) << 7 | (degs[c] == degs[d]) << 8
+    ] == 1
 
 
 def _clear_bits(mask, sets):
@@ -295,28 +383,33 @@ def _paired_gap_sets(degs):
     """The 4-sets with degrees (d, d, d+2, d+2) of a degree-sorted
     graph, in lexicographic order: vertices of a lower degree carry
     lower labels, so each set is pair + high, already sorted."""
-    by_degree = {}
-    for v, d in enumerate(degs):
-        by_degree.setdefault(d, []).append(v)
-    return [
-        pair + high
-        for d, low in by_degree.items()
-        for pair in combinations(low, 2)
-        for high in combinations(by_degree.get(d + 2, ()), 2)
-    ]
+    # sorted degrees repeat side by side, each over one run of labels
+    twice = {d for d, e in zip(degs, degs[1:]) if d == e}
+
+    def run(d):
+        first = degs.index(d)
+        return range(first, first + degs.count(d))
+
+    found = []
+    for d in sorted(twice):
+        if d + 2 in twice:
+            highs = list(combinations(run(d + 2), 2))
+            found += [pair + high for pair in combinations(run(d), 2) for high in highs]
+    return found
 
 
 def _lemma_scan(g: Graph, oracle_min):
-    """The lemma suites' findings in g, from one pass over its 3-sets.
+    """The lemma suites' findings in g, from its packed signatures.
 
     g's degrees must not fall as its labels rise, as in every catalogue
     record; then a 5-set's median-degree vertex is its median position.
-    oracle_min is g's minimum deletion size, None if no set of at most
-    n - 3 deletions works.  Each 3-set's verdict is read from the
-    signature memo, computed on its first sighting.  Each balanceable
-    3-set ORs the mask of the 4-sets containing it into one cover and
-    each feasible 3-set the mask of the 5-sets whose median it holds
-    into another.
+    g's order is at most 9, where the packing is exact; OrderOutOfRange
+    otherwise.  oracle_min is g's minimum deletion size, None if no set
+    of at most n - 3 deletions works.  Each 3-set's verdict code is read
+    from the memo, computed by _verdict on its signature's first
+    sighting.  Each balanceable 3-set ORs the mask of the 4-sets
+    containing it into one cover and each feasible 3-set the mask of the
+    5-sets whose median it holds into another.
 
     Returns (budgeted, failures, low, paths, medians, paired): how many
     3-sets have a budget of at most n - 3, and how many of those
@@ -326,28 +419,24 @@ def _lemma_scan(g: Graph, oracle_min):
     uncovered; and the 4-sets with degrees (d, d, d+2, d+2) holding a
     balanceable 3-set.  Each list is in lexicographic order.
     """
-    tables = _cover_tables(g.n)
-    memo = _VERDICTS
-    cov4 = cov5 = budgeted = failures = 0
-    low = []
-    for m4, m5, (s, key) in zip(tables.m4, tables.m5, _triple_signatures(g)):
-        v = memo.get(key)
-        if v is None:
-            v = memo[key] = _verdict(g, s)
-        if v.condition is None:
-            continue
-        cov5 |= m5
-        if v.balanceable:
-            cov4 |= m4
-        if v.budget is not None:
-            budgeted += 1
-            failures += v.unequalizable
-            if oracle_min is None or oracle_min > v.budget:
-                low.append((s, v.budget))
+    tables = _tables(g.n)
+    keys = _signatures(g)
+    memo = _VERDICTS.setdefault(g.n, {})
+    try:
+        codes = bytes(map(memo.__getitem__, keys))
+    except KeyError:
+        for key in set(keys).difference(memo):
+            memo[key] = _verdict(g, tables.triples[keys.index(key)])
+        codes = bytes(map(memo.__getitem__, keys))
+    cov4 = reduce(or_, compress(tables.m4, codes.translate(_IS_BALANCEABLE)), 0)
+    cov5 = reduce(or_, compress(tables.m5, codes.translate(_IS_FEASIBLE)), 0)
+    # with no minimum found, every budget (at most 6) counts as below it
+    low = codes.translate(_budget_below(8 if oracle_min is None else oracle_min))
     return (
-        budgeted,
-        failures,
-        low,
+        codes.translate(_IS_BUDGETED).count(1),
+        codes.translate(_IS_UNEQUALIZABLE).count(1),
+        [(s, code >> 4) for s, code in compress(zip(tables.triples, codes), low)]
+        if 1 in low else [],
         [x for x in _clear_bits(cov4, tables.fours) if not _induced_path_ok(g, x)],
         list(_clear_bits(cov5, tables.fives)),
         [x for x in _paired_gap_sets(g.degrees) if cov4 >> tables.four_index[x] & 1],

@@ -29,6 +29,10 @@ def k5():
     return from_edge_list(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
 
 
+def k9():
+    return from_edge_list(9, [(u, v) for u in range(9) for v in range(u + 1, 9)])
+
+
 def p3():
     return from_edge_list(3, [(0, 1), (1, 2)])
 
@@ -87,3 +91,41 @@ def seeded_graph(n, seed):
     return from_edge_list(
         n, [(i, j) for j in range(1, n) for i in range(j) if rng.random() < 0.5]
     )
+
+
+def triple_signatures(g):
+    """(s, signature) for every 3-set s = (a, b, c) of g, in
+    lexicographic order: the reference the lemma scan's packed
+    signatures are checked against.
+
+    The signature is n, the three internal edge bits, the three degrees
+    and the common-neighbour counts of ab, ac, bc and abc.  By
+    inclusion-exclusion these fix, and are fixed by, the counts of the
+    other vertices in each of the eight adjacency regions relative to
+    the triple.
+    """
+    n = g.n
+    rows = g.rows
+    degs = g.degrees
+    for a in range(n - 2):
+        ra = rows[a]
+        for b in range(a + 1, n - 1):
+            rb = rows[b]
+            rab = ra & rb
+            eab = (ra >> b) & 1
+            cab = rab.bit_count()
+            for c in range(b + 1, n):
+                rc = rows[c]
+                yield (a, b, c), (
+                    n,
+                    eab,
+                    (ra >> c) & 1,
+                    (rb >> c) & 1,
+                    degs[a],
+                    degs[b],
+                    degs[c],
+                    cab,
+                    (ra & rc).bit_count(),
+                    (rb & rc).bit_count(),
+                    (rab & rc).bit_count(),
+                )

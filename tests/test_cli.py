@@ -404,8 +404,11 @@ def test_module_entry_point():
 
 def test_import_stays_lean():
     # four records once pulled in dataclasses, and with it inspect, in
-    # every rep3 process
-    probe = "import sys, rep3.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # every rep3 process; multiprocessing loads when a pool first opens
+    probe = (
+        "import sys, rep3.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'multiprocessing'} & set(sys.modules)))"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, text=True, env=_src_env(), timeout=60,

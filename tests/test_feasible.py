@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +8,9 @@ from rep3 import errors, feasible
 from rep3.enumeration import enumerate_graphs
 from rep3.feasible import (
     TripleClassification,
-    TripleVerdict,
     _lemma_scan,
-    _triple_signatures,
+    _paired_gap_sets,
+    _signatures,
     budget,
     classify_triple,
     equalize_triple,
@@ -196,19 +197,62 @@ def region_signature(g, nbr, s):
     return (b in nbr[a], c in nbr[a], c in nbr[b], *regions)
 
 
+# where each entry of the reference signature after n sits in a packed
+# signature: (shift, width), edge bits first, then degrees, then
+# common-neighbour counts
+PACKED_FIELDS = (
+    (0, 1), (1, 1), (2, 1), (3, 4), (7, 4), (11, 4), (15, 4), (19, 4), (23, 4), (27, 4)
+)
+
+
+def unpack_signature(n, key):
+    """The reference signature a packed one encodes at order n."""
+    assert 0 <= key < 1 << 31
+    return (n, *(key >> shift & (1 << width) - 1 for shift, width in PACKED_FIELDS))
+
+
+def check_packed_fields(graphs):
+    """Each 3-set's packed signature decodes, field by field, to its
+    reference signature; returns the largest degree and common count
+    seen, so a caller can tell the widest fields were reached."""
+    widest = (0, 0)
+    for g in graphs:
+        reference = list(helpers.triple_signatures(g))
+        assert [s for s, _ in reference] == list(itertools.combinations(range(g.n), 3))
+        packed = _signatures(g)
+        assert len(packed) == len(reference)
+        for (_, sig), key in zip(reference, packed):
+            assert unpack_signature(g.n, key) == sig
+            widest = max(widest[0], *sig[4:7]), max(widest[1], *sig[7:])
+    return widest
+
+
+def unpack_verdict(code):
+    """A verdict code's fields: feasible, balanceable, the budget when
+    it is at most n - 3 (else None), and unequalizable within it."""
+    budgeted = code & feasible._BUDGETED
+    return (
+        bool(code & feasible._FEASIBLE),
+        bool(code & feasible._BALANCEABLE),
+        code >> 4 if budgeted else None,
+        bool(code & feasible._UNEQUALIZABLE),
+    )
+
+
 def check_signature_exactness(graphs):
-    """The table's signature and the region signature fix each other;
-    triples sharing a signature get the same direct answers, at every
-    allowance 0..n-3; and the memo entry the lemma scan reads for each
-    triple equals the direct answer."""
+    """The packed signature (with n) and the region signature fix each
+    other; triples sharing a signature get the same direct answers, at
+    every allowance 0..n-3; and the memo code the lemma scan reads for
+    each triple decodes to the direct answer."""
     region_of, key_of, answer_of = {}, {}, {}
     for g in graphs:
         nbr = helpers.neighbor_sets(g)
         _lemma_scan(g, None)
-        keys = dict(_triple_signatures(g))
-        assert list(keys) == list(itertools.combinations(range(g.n), 3))
-        for s, key in keys.items():
-            verdict = feasible._VERDICTS[key]
+        memo = feasible._VERDICTS.get(g.n, {})
+        triples = itertools.combinations(range(g.n), 3)
+        for s, packed in zip(triples, _signatures(g), strict=True):
+            code = memo[packed]
+            key = (g.n, packed)
             region = region_signature(g, nbr, s)
             assert region_of.setdefault(key, region) == region
             assert key_of.setdefault(region, key) == key
@@ -223,7 +267,52 @@ def check_signature_exactness(graphs):
             if b is not None and b > g.n - 3:
                 b = None
             strong_fail = b is not None and unequalizable[b]
-            assert verdict == TripleVerdict(tc.condition, tc.balanceable, b, strong_fail)
+            assert unpack_verdict(code) == (tc.feasible, tc.balanceable, b, strong_fail)
+
+
+def order_9_degree_sorted(count=300, seed=25):
+    """Seeded order-9 graphs relabeled by (degree, index), each with an
+    edge probability drawn from [0, 1), and K9: dense ones reach the
+    widest fields, degree 8 and common count 7."""
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(9), 2))
+    graphs = [helpers.k9()]
+    for _ in range(count):
+        p = rng.random()
+        graphs.append(from_edge_list(9, [e for e in pairs if rng.random() < p]))
+    return [helpers.degree_sorted(g)[0] for g in graphs]
+
+
+class TestPackedSignatures:
+    def test_fields_through_order_7(self, graphs_by_n):
+        check_packed_fields(g for n in range(1, 8) for g in graphs_by_n(n))
+
+    def test_fields_at_order_9(self):
+        # degree 8 sets a 4-bit field's top bit, common count 7 its other three
+        assert check_packed_fields(order_9_degree_sorted()) == (8, 7)
+
+    def test_scan_stops_above_order_9(self):
+        # 4-bit fields and tables of 2^n rows end the exact packing at 9
+        g = helpers.degree_sorted(helpers.seeded_graph(10, 10))[0]
+        with pytest.raises(errors.OrderOutOfRange, match="got 10$"):
+            _lemma_scan(g, None)
+
+
+@pytest.mark.parametrize(
+    "degs",
+    [
+        (), (0, 1, 2, 3), (2, 2, 2, 2), (0, 0, 2, 2),
+        (1, 1, 3, 3, 3, 5, 5, 6), (0, 0, 1, 2, 2, 2, 3, 4, 4),
+    ],
+)
+def test_paired_gap_sets_match_brute_force(degs):
+    # chained gaps (d, d+2, d+4) and repeated middles list every set in
+    # lexicographic order, as the report lists them
+    expected = [
+        x for x in itertools.combinations(range(len(degs)), 4)
+        if degs[x[0]] == degs[x[1]] and degs[x[2]] == degs[x[3]] == degs[x[0]] + 2
+    ]
+    assert _paired_gap_sets(degs) == expected
 
 
 class TestTripleVerdicts:
