@@ -84,15 +84,14 @@ Since each class has exactly one parent class and duplicates only
 arise among one parent's children, the parents of an order are
 independent shards, as in the res/mod splitting of nauty's geng:
 _fill maps the per-parent worker _children over the order n-1 records
-with the map it is given, unordered, folds each parent's children in
-as they finish and needs no state shared between shards.  The stream
-of each order is then sorted by (edge count, record), so its bytes do
-not depend on jobs, on the shard each parent went to or on the order
-in which shards finish.  _pool gives one map per public call.  A map of
-at most 32 records, one unordered chunk that a second worker could not
-share, runs in this process; the first larger map opens a worker pool,
-of at most one worker per core, that serves every later map of the
-call, the orders it generates and the sweep after them.
+with the map it is given, folds each parent's children in parent order
+and needs no state shared between shards.  The stream of each order is
+then sorted by (edge count, record), so its bytes do not depend on jobs
+or on the shard each parent went to.  _pool gives one map per public
+call.  A map of at most 32 records, too few to share between workers,
+runs in this process; the first larger map opens a worker pool, of at
+most one worker per core, that serves every later map of the call, the
+orders it generates and the sweep after them.
 
 _sweep is the one driver of harness's sweeps: it opens that map, fills
 any catalogue order the sweep needs and is not memoised yet, then maps
@@ -220,7 +219,7 @@ def _canonical_search(g: Graph, w=None):
 _catalogue = {1: (b"@",)}  # n -> canonical records in stream order; K1 seeds it
 
 
-_CHUNK = 32  # records per unordered chunk; a map this small runs here
+_CHUNK = 32  # a map of at most this many records runs here
 
 
 def get_context(method):
@@ -234,26 +233,23 @@ def get_context(method):
 
 @contextmanager
 def _pool(jobs):
-    """A map, imap(worker, records, ordered=True), for one public call.
+    """A map, imap(worker, records), for one public call.
 
     jobs None means os.cpu_count(), and no more workers start than there
-    are cores.  A map of at most _CHUNK records, one unordered chunk that
-    no second worker could share, runs in this process, and so does
-    every map at one job.  The first larger map opens one worker pool,
-    which serves every later map inside the context.  Results are
-    yielded as they arrive, for callers to fold, not kept: in input
-    order, in chunks of at most _CHUNK * 128 records, so the results
-    that wait behind an unfinished chunk stay few; or with ordered=False
-    in the order they finish, in chunks of _CHUNK records, so a slow
-    chunk holds back no finished one and no one result message is
-    large.  Each worker runs through _guarded.
+    are cores.  A map of at most _CHUNK records, too few to share
+    between workers, runs in this process, and so does every map at one
+    job.  The first larger map opens one worker pool, which serves every
+    later map inside the context.  Results are yielded in input order as
+    they arrive, for callers to fold, not kept, in chunks of at most
+    _CHUNK * 128 records, so the results that wait behind an unfinished
+    chunk stay few.  Each worker runs through _guarded.
     """
     cores = os.cpu_count() or 1
     jobs = min(max(1, int(cores if jobs is None else jobs)), cores)
     with ExitStack() as stack:
         pool = None
 
-        def imap(worker, records, ordered=True):
+        def imap(worker, records):
             nonlocal pool
             worker = partial(_guarded, worker)
             if jobs < 2 or len(records) <= _CHUNK:
@@ -261,11 +257,8 @@ def _pool(jobs):
             if pool is None:
                 # fork keeps the imported module state
                 pool = stack.enter_context(get_context("fork").Pool(jobs))
-            if ordered:
-                chunk = max(1, min(len(records) // (jobs * 4), _CHUNK * 128))
-                return pool.imap(worker, records, chunksize=chunk)
-            # small chunks, so one result message stays small too
-            return pool.imap_unordered(worker, records, chunksize=_CHUNK)
+            chunk = max(1, min(len(records) // (jobs * 4), _CHUNK * 128))
+            return pool.imap(worker, records, chunksize=chunk)
 
         yield imap
 
@@ -345,17 +338,17 @@ def _level_counts(n):
 
 def _fill(n, imap):
     """catalogue_records(n), generating each order up to n that is not
-    memoised yet with the map imap of _pool, unordered: each order is
-    sorted, so its parents' children are folded as they finish.  A
-    generated order is checked twice before it is memoised: its class
-    count against A000088, then each edge count's records against
-    A008406, distinct; a miss raises IncompleteCatalogue.  A parent whose
+    memoised yet with the map imap of _pool: each parent's children are
+    folded in in parent order, then the order is sorted.  A generated
+    order is checked twice before it is memoised: its class count
+    against A000088, then each edge count's records against A008406,
+    distinct; a miss raises IncompleteCatalogue.  A parent whose
     extension fails with anything but a Rep3Error raises WorkerCrash
     naming that parent, as imap runs every worker through _guarded."""
     if n not in _catalogue:
         levels = [[] for _ in range(n * (n - 1) // 2 + 1)]  # records by edge count
         parents = _fill(n - 1, imap)
-        for children in imap(_children, parents, ordered=False):
+        for children in imap(_children, parents):
             for edges, forms in children:
                 levels[edges] += forms
         for level in levels:

@@ -65,12 +65,6 @@ class Graph:
         self.rows = rows
         self.degrees = tuple(map(int.bit_count, rows))
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (self.rows[u] >> v) & 1 == 1
-
     def edges(self):
         """All edges as (u, v) pairs with u < v, lexicographically."""
         return [

@@ -35,13 +35,14 @@ WorkerCrash naming that record, at any jobs count; a Rep3Error keeps
 its own message.
 
 The lemma worker hands its parsed record and the oracle's minimum
-deletion size to feasible._lemma_scan, which walks the graph's 3-sets
-once in the record's own labels; catalogue records are sorted by
-degree, which the scan needs, and the worker rejects a record that is
-not.  The scan returns its counts and the sets each suite reports, in
-lexicographic order; the worker turns them into violation records and
-returns its counts and a tuple of (suite, violation) pairs, so the
-parent holds little per class while the pool runs.
+deletion size to feasible._lemma_scan, which reads every 3-set's
+signature off one sum of packed per-vertex table entries, in the
+record's own labels; catalogue records are sorted by degree, which the
+scan needs, and the worker rejects a record that is not.  The scan
+returns its counts and the sets each suite reports, in lexicographic
+order; the worker turns them into violation records and returns its
+counts and a tuple of (suite, violation) pairs, so the parent holds
+little per class while the pool runs.
 
 find_extremal runs the headline sweep's worker over the catalogue, so
 both solve and check each class the same way; each worker returns its
@@ -250,8 +251,8 @@ def _lemma_worker(rec: bytes):
 
 def verify_lemmas(max_n: int, jobs=None) -> VerificationReport:
     """Run the four structural suites over every class up to max_n."""
-    if not 1 <= max_n <= 8:
-        raise OrderOutOfRange(f"lemma suites cover orders 1..8, got {max_n}")
+    if not 1 <= max_n <= MAX_ENUM:
+        raise OrderOutOfRange(f"lemma suites cover orders 1..{MAX_ENUM}, got {max_n}")
     t0 = time.perf_counter()
     results = {
         "induced_path": {"instances_checked": 0, "violations": []},
@@ -285,8 +286,8 @@ def _identity_worker(rec: bytes):
 
 def counting_identity_suite(max_n: int) -> VerificationReport:
     """Check |missing degrees| = |doubled degrees| - 1 where it applies."""
-    if not 1 <= max_n <= 8:
-        raise OrderOutOfRange(f"identity suite covers orders 1..8, got {max_n}")
+    if not 1 <= max_n <= MAX_ENUM:
+        raise OrderOutOfRange(f"identity suite covers orders 1..{MAX_ENUM}, got {max_n}")
     t0 = time.perf_counter()
     checked = 0
     violations = []

@@ -71,7 +71,7 @@ def empty(n):
 
 def neighbor_sets(g):
     """The neighbourhood of each vertex of g as a plain set."""
-    return [{w for w in range(g.n) if g.has_edge(v, w)} for v in range(g.n)]
+    return [{w for w in range(g.n) if g.rows[v] >> w & 1} for v in range(g.n)]
 
 
 def degree_sorted(g):

@@ -336,9 +336,9 @@ def test_usage_errors(capsys, argv):
 RANGE_ERRORS = [
     (["gen", "--n", "0"], "enumeration supports orders 1..9, got 0"),
     (["gen", "--n", "10"], "enumeration supports orders 1..9, got 10"),
-    (["lemmas", "--max-n", "9"], "lemma suites cover orders 1..8, got 9"),
-    (["lemmas", "--max-n", "0"], "lemma suites cover orders 1..8, got 0"),
-    (["identity", "--max-n", "9"], "identity suite covers orders 1..8, got 9"),
+    (["lemmas", "--max-n", "10"], "lemma suites cover orders 1..9, got 10"),
+    (["lemmas", "--max-n", "0"], "lemma suites cover orders 1..9, got 0"),
+    (["identity", "--max-n", "10"], "identity suite covers orders 1..9, got 10"),
     (["extremal", "--n", "4"], "extremal search covers orders 5..9, got 4"),
     (["extremal", "--n", "10"], "extremal search covers orders 5..9, got 10"),
     (["verify", "--min-n", "4", "--max-n", "8"], "need 5 <= min_n <= max_n <= 9, got 4..8"),

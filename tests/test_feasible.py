@@ -36,9 +36,9 @@ def naive_classify(g, s):
 
     def holds(cond, x, y, z):
         edges = {
-            frozenset(e)
-            for e in [(x, y), (x, z), (y, z)]
-            if g.has_edge(*e)
+            frozenset((a, b))
+            for a, b in [(x, y), (x, z), (y, z)]
+            if g.rows[a] >> b & 1
         }
         e = lambda a, b: frozenset((a, b)) in edges
         if cond == 1:
@@ -71,7 +71,7 @@ def naive_classify(g, s):
     for cond in range(1, 9):
         for perm in itertools.permutations(sorted(s)):
             x, y, z = perm
-            if not (g.degree(x) <= g.degree(y) <= g.degree(z)):
+            if not (g.degrees[x] <= g.degrees[y] <= g.degrees[z]):
                 continue
             if holds(cond, x, y, z):
                 return f"C{cond}", perm
@@ -395,7 +395,7 @@ class TestEqualize:
         if d is not None:
             h, remap = delete_vertices(g, d)
             a, b, c = (remap[v] for v in s)
-            assert h.degree(a) == h.degree(b) == h.degree(c)
+            assert h.degrees[a] == h.degrees[b] == h.degrees[c]
 
 
 def cover_bit(g, x):
@@ -429,7 +429,7 @@ def median_covered(g, u):
 
 def feasible_through_median(g, u):
     """The classifier's answer to the same question, in g's labels."""
-    m = sorted(u, key=lambda v: (g.degree(v), v))[2]
+    m = sorted(u, key=lambda v: (g.degrees[v], v))[2]
     return any(
         classify_triple(g, s).feasible
         for s in itertools.combinations(sorted(u), 3)

@@ -4,7 +4,6 @@ import json
 import os
 import random
 from itertools import combinations, permutations
-from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,7 +70,7 @@ def reference_lemma_scan(rec):
             if low[0] == low[1] and low[2] == low[3] == low[0] + 2:
                 paired.append(x)
             continue
-        edges = {frozenset(e) for e in combinations(x, 2) if g.has_edge(*e)}
+        edges = {frozenset((a, b)) for a, b in combinations(x, 2) if g.rows[a] >> b & 1}
         paths = [
             p for p in permutations(x)
             if edges == {frozenset(p[i:i + 2]) for i in range(3)}
@@ -261,7 +260,7 @@ class TestVerifyLemmas:
 
     def test_cap(self):
         with pytest.raises(errors.OrderOutOfRange):
-            verify_lemmas(9)
+            verify_lemmas(10)
 
     def test_violations_reach_report(self, monkeypatch):
         # no real class violates a lemma, so plant violations in every
@@ -331,47 +330,33 @@ class TestCountingIdentity:
 
     def test_cap(self):
         with pytest.raises(errors.OrderOutOfRange):
-            counting_identity_suite(9)
+            counting_identity_suite(10)
 
 
-# json.dumps(order_9_suites(), sort_keys=True): each suite's counts and
-# violation lists over the order-9 catalogue, byte for byte
+# json.dumps of each suite's counts and violation lists over the
+# order-9 catalogue, byte for byte
 SUITES_9_SHA256 = "d2e6e58f229077f83af7c7f4562cb0f30b91d33da322af31948dd20a19335897"
-
-
-def order_9_suites():
-    """The lemma and identity suites over every order-9 class, their
-    workers mapped by enumeration._sweep at jobs 2 and folded as the
-    results stream, as verify_lemmas and counting_identity_suite fold
-    them below order 9."""
-    results = {s: {"instances_checked": 0, "violations": []} for s in SUITES}
-    results["feasible_budget"]["strong_form_failures"] = 0
-    for _, (n, budgeted, paired, failures, found) in enumeration._sweep(
-        harness._lemma_worker, 2, [9]
-    ):
-        results["induced_path"]["instances_checked"] += comb(n, 4)
-        results["median_feasible"]["instances_checked"] += comb(n, 5)
-        results["feasible_budget"]["instances_checked"] += budgeted
-        results["feasible_budget"]["strong_form_failures"] += failures
-        results["paired_degree_gap"]["instances_checked"] += paired
-        for suite, violation in found:
-            results[suite]["violations"].append(violation)
-    identity = results["counting_identity"] = {"instances_checked": 0, "violations": []}
-    for rec, (n, applies, s_size, t_size) in enumeration._sweep(
-        harness._identity_worker, 2, [9]
-    ):
-        identity["instances_checked"] += applies
-        if applies and t_size != s_size - 1:
-            graph = rec.decode("ascii")
-            violation = {"n": n, "graph": graph, "s_size": s_size, "t_size": t_size}
-            identity["violations"].append(violation)
-    return results
 
 
 @pytest.mark.extended
 def test_lemma_and_identity_suites_over_order_9():
-    # the public suites stop at order 8; their workers reach order 9 here
-    results = order_9_suites()
+    # each suite's order-9 share: its max_n=9 report less its max_n=8
+    # one, with the violations of order 9
+    upto = {
+        max_n: {
+            **verify_lemmas(max_n, jobs=2).lemma_results,
+            **counting_identity_suite(max_n).lemma_results,
+        }
+        for max_n in (8, 9)
+    }
+    results = {
+        suite: {
+            key: [v for v in value if v["n"] == 9] if key == "violations"
+            else value - upto[8][suite][key]
+            for key, value in counts.items()
+        }
+        for suite, counts in upto[9].items()
+    }
     assert all(not suite["violations"] for suite in results.values())
     assert {s: r["instances_checked"] for s, r in results.items()} == {
         "induced_path": 274668 * 126,
@@ -520,9 +505,6 @@ def test_pool_never_exceeds_the_cores(opened_pools, jobs):
     # two cores, so at most two processes start
     with enumeration._pool(jobs) as imap:
         assert list(imap(abs, list(range(-50, 50)))) == [abs(v) for v in range(-50, 50)]
-        assert sorted(imap(abs, list(range(-50, 50)), ordered=False)) == sorted(
-            abs(v) for v in range(-50, 50)
-        )
     assert opened_pools == [(2,)]
 
 

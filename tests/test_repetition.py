@@ -124,6 +124,6 @@ class TestHasThreeEqual:
             a, b, c = cert.witness
             assert cert.deleted == ()
             assert len({a, b, c}) == 3
-            assert g.degree(a) == g.degree(b) == g.degree(c) == cert.witness_degree
+            assert g.degrees[a] == g.degrees[b] == g.degrees[c] == cert.witness_degree
         else:
             assert cert is None

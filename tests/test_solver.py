@@ -41,7 +41,7 @@ def reference_certificate(g, max_k):
             by_degree = {}
             for v in range(g.n):
                 if v in remap:
-                    by_degree.setdefault(h.degree(remap[v]), []).append(v)
+                    by_degree.setdefault(h.degrees[remap[v]], []).append(v)
             shared = [deg for deg, vs in by_degree.items() if len(vs) >= 3]
             if shared:
                 deg = min(shared)
