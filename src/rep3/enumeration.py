@@ -88,10 +88,13 @@ with the map it is given, folds each parent's children in parent order
 and needs no state shared between shards.  The stream of each order is
 then sorted by (edge count, record), so its bytes do not depend on jobs
 or on the shard each parent went to.  _pool gives one map per public
-call.  A map of at most 32 records, too few to share between workers,
-runs in this process; the first larger map opens a worker pool, of at
-most one worker per core, that serves every later map of the call, the
-orders it generates and the sweep after them.
+call.  Every map is cut into 16 chunks per worker, so the results that
+wait behind an unfinished chunk are a fixed share of the map, whether
+each result is one small tuple (a sweep) or a parent's children (the
+fill).  A map too small for 16 records per worker runs in this
+process; the first larger map opens a worker pool, of at most one
+worker per core, that serves every later map of the call, the orders
+it generates and the sweep after them.
 
 _sweep is the one driver of harness's sweeps: it opens that map, fills
 any catalogue order the sweep needs and is not memoised yet, then maps
@@ -219,7 +222,7 @@ def _canonical_search(g: Graph, w=None):
 _catalogue = {1: (b"@",)}  # n -> canonical records in stream order; K1 seeds it
 
 
-_CHUNK = 32  # a map of at most this many records runs here
+_CHUNKS = 16  # chunks per worker in every pooled map
 
 
 def get_context(method):
@@ -236,13 +239,14 @@ def _pool(jobs):
     """A map, imap(worker, records), for one public call.
 
     jobs None means os.cpu_count(), and no more workers start than there
-    are cores.  A map of at most _CHUNK records, too few to share
-    between workers, runs in this process, and so does every map at one
-    job.  The first larger map opens one worker pool, which serves every
-    later map inside the context.  Results are yielded in input order as
-    they arrive, for callers to fold, not kept, in chunks of at most
-    _CHUNK * 128 records, so the results that wait behind an unfinished
-    chunk stay few.  Each worker runs through _guarded.
+    are cores.  Each map is cut into _CHUNKS chunks per worker.  A map
+    with fewer records than that, too few to share between workers, runs
+    in this process, and so does every map at one job.  The first larger
+    map opens one worker pool, which serves every later map inside the
+    context.  Results are yielded in input order as they arrive, for
+    callers to fold, not kept; the results that wait behind an
+    unfinished chunk are at most a 1/(_CHUNKS * jobs) share of the map,
+    however large each result is.  Each worker runs through _guarded.
     """
     cores = os.cpu_count() or 1
     jobs = min(max(1, int(cores if jobs is None else jobs)), cores)
@@ -252,12 +256,12 @@ def _pool(jobs):
         def imap(worker, records):
             nonlocal pool
             worker = partial(_guarded, worker)
-            if jobs < 2 or len(records) <= _CHUNK:
+            chunk = len(records) // (jobs * _CHUNKS)
+            if jobs < 2 or not chunk:
                 return map(worker, records)
             if pool is None:
                 # fork keeps the imported module state
                 pool = stack.enter_context(get_context("fork").Pool(jobs))
-            chunk = max(1, min(len(records) // (jobs * 4), _CHUNK * 128))
             return pool.imap(worker, records, chunksize=chunk)
 
         yield imap

@@ -313,19 +313,18 @@ def asked_chunks(monkeypatch):
 
 def test_ordered_chunks_are_bounded(asked_chunks):
     # an order-9 sweep maps 274,668 records; the main process holds the
-    # results that wait behind an unfinished chunk, so chunks stay small
+    # results that wait behind an unfinished chunk, so every map is cut
+    # into 16 chunks per worker
     big = range(300_000)
     with enumeration._pool(2) as imap:
         assert list(imap(neg, big)) == [-x for x in big]
-        for size in (33, 1_000, 32_775, 40_000):
+        for size in (31, 32, 1_000):
             assert list(imap(neg, range(size))) == [-x for x in range(size)]
-    assert enumeration._CHUNK * 128 == 4_096
     assert asked_chunks == [
-        (True, 300_000, 4_096),
-        (True, 33, 4),  # small maps keep a quarter of each worker's share
-        (True, 1_000, 125),
-        (True, 32_775, 4_096),
-        (True, 40_000, 4_096),
+        (True, 300_000, 9_375),
+        # 31 records, under 16 per worker, ran in this process
+        (True, 32, 1),
+        (True, 1_000, 31),
     ]
 
 
@@ -337,7 +336,7 @@ def test_fill_maps_parents_in_order(asked_chunks, monkeypatch):
     monkeypatch.setattr(enumeration, "_catalogue", {n: warm[n] for n in range(1, 6)})
     assert catalogue_records(7) == warm[7]
     assert enumeration._catalogue[6] == warm[6]
-    assert asked_chunks == [(True, size, max(1, size // 8)) for size in (34, 156)]
+    assert asked_chunks == [(True, 34, 1), (True, 156, 4)]
 
 
 class TestLevelCounts:

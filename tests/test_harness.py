@@ -517,13 +517,31 @@ def test_small_cold_catalogue_starts_nothing(opened_pools, monkeypatch):
     assert opened_pools == [(2,)]
 
 
-@pytest.mark.parametrize("count,pools", [(32, []), (33, [(2,)])])
+@pytest.mark.parametrize("count,pools", [(31, []), (32, [(2,)])])
 def test_sweep_pools_past_one_chunk(opened_pools, count, pools):
     source = catalogue_records(6)[:count]
     opened_pools.clear()
     report = verify_theorem(5, 8, source=source, jobs=2)
     assert opened_pools == pools
     assert report.checked == count
+
+
+def test_oversized_deletion_set_is_a_violation(opened_pools, monkeypatch):
+    # a search that deletes more than allowance(5) = 2 vertices is a
+    # violation before the certificate is checked, in this process and
+    # in the pool that 34 records open at two jobs
+    monkeypatch.setattr(
+        harness, "solve3", lambda g: solver.DeletionCertificate(g.n, (0, 1, 2), (3, 4), 0)
+    )
+    for jobs in (1, 2):
+        report = verify_theorem(5, 5, jobs=jobs)
+        assert not report.verified
+        reasons = {viol["reason"] for viol in report.per_n[5]["violations"]}
+        assert reasons == {"deletion set (0, 1, 2) exceeds allowance 2"}
+        assert len(report.per_n[5]["violations"]) == 34
+    with pytest.raises(errors.TheoremViolation, match="exceeds allowance 2"):
+        find_extremal(5)
+    assert opened_pools == [(2,), (2,)]
 
 
 @pytest.mark.parametrize("count", [0, 1])
