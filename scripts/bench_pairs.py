@@ -144,6 +144,8 @@ def main() -> int:
     ap.add_argument("--work", default=None, help="directory for extracted trees")
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
+    if args.work is not None and not os.path.isdir(args.work):
+        ap.error(f"--work {args.work}: no such directory")
 
     work = tempfile.mkdtemp(prefix="bench-pairs-", dir=args.work)
     try:

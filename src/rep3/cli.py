@@ -170,11 +170,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
-    return _report_exit(verify_lemmas(args.max_n), args.format)
+    return _report_exit(verify_lemmas(args.max_n, jobs=args.jobs), args.format)
 
 
 def _cmd_identity(args) -> int:
-    return _report_exit(counting_identity_suite(args.max_n), args.format)
+    return _report_exit(counting_identity_suite(args.max_n, jobs=args.jobs), args.format)
 
 
 def _cmd_extremal(args) -> int:
@@ -229,12 +229,14 @@ def _parser() -> argparse.ArgumentParser:
 
     p = command("lemmas", _cmd_lemmas, "run the structural suites up to an order")
     p.add_argument("--max-n", required=True, type=int)
+    p.add_argument("--jobs", type=_positive, default=None)
 
     p = command("extremal", _cmd_extremal, "classes needing the full allowance")
     p.add_argument("--n", required=True, type=int)
 
     p = command("identity", _cmd_identity, "missing-degree counting identity sweep")
     p.add_argument("--max-n", required=True, type=int)
+    p.add_argument("--jobs", type=_positive, default=None)
 
     return ap
 

@@ -83,30 +83,37 @@ against Polya's count (OEIS A008406).
 Since each class has exactly one parent class and duplicates only
 arise among one parent's children, the parents of an order are
 independent shards, as in the res/mod splitting of nauty's geng:
-_fill maps the per-parent worker _children over the order n-1 records
-with the map it is given, folds each parent's children in parent order
-and needs no state shared between shards.  The stream of each order is
-then sorted by (edge count, record), so its bytes do not depend on jobs
-or on the shard each parent went to.  _pool gives one map per public
-call.  Every map is cut into 16 chunks per worker, so the results that
-wait behind an unfinished chunk are a fixed share of the map, whether
-each result is one small tuple (a sweep) or a parent's children (the
-fill).  A map too small for 16 records per worker runs in this
-process; the first larger map opens a worker pool, of at most one
-worker per core, that serves every later map of the call, the orders
-it generates and the sweep after them.
+_fill maps the worker _children, which extends each parent of its chunk
+with _extend, over the order n-1 records with the map it is given,
+folds each parent's children in parent order and needs no state shared
+between shards.  The stream of each order is then sorted by (edge
+count, record), so its bytes do not depend on jobs or on the shard each
+parent went to.  _pool gives one map per public call, and every map hands each worker call a whole chunk: a slice of
+the records, which the worker maps to a list of results, one per
+record, in order.  The map yields those results one by one, in record
+order.  Every map is cut into 16 chunks per worker, made one at a time
+as they are handed out, so the results that wait behind an unfinished
+chunk are a fixed share of the map, whether each result is one small
+tuple (a sweep) or a parent's children (the fill).  A map too small
+for 16 records per worker runs in this process, with the same chunk
+rule; the first larger map opens a worker pool, of at most one worker
+per core, that serves every later map of the call, the orders it
+generates and the sweep after them.  A worker that takes a chunk can
+answer for all its records at once, as the lemma scan does.
 
 _sweep is the one driver of harness's sweeps: it opens that map, fills
 any catalogue order the sweep needs and is not memoised yet, then maps
 the sweep's worker over its records in record order.  The map runs
 every worker through _guarded, so a crash in generation or in a sweep
-is a WorkerCrash that names the record it failed on, at any jobs count.
+is a WorkerCrash that names the record it failed on, at any jobs count:
+only when a chunk fails with anything but a Rep3Error are its records
+run again one at a time, to find the first that fails alone.
 """
 
 import os
 from contextlib import ExitStack, contextmanager
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations
 from math import factorial, gcd
 from operator import eq
 
@@ -238,13 +245,17 @@ def get_context(method):
 def _pool(jobs):
     """A map, imap(worker, records), for one public call.
 
+    The worker takes a chunk, a slice of records, and returns one result
+    per record, in order; imap yields those results one by one, in
+    record order, as they arrive, for callers to fold, not keep.
+
     jobs None means os.cpu_count(), and no more workers start than there
-    are cores.  Each map is cut into _CHUNKS chunks per worker.  A map
-    with fewer records than that, too few to share between workers, runs
-    in this process, and so does every map at one job.  The first larger
-    map opens one worker pool, which serves every later map inside the
-    context.  Results are yielded in input order as they arrive, for
-    callers to fold, not kept; the results that wait behind an
+    are cores.  Each map is cut into _CHUNKS chunks per worker, made
+    one at a time as they are handed out; a map with fewer records than
+    that holds one record per chunk.  Such a map, too small to share
+    between workers, runs in this process, and so does every map at one
+    job.  The first larger map opens one worker pool, which serves every
+    later map inside the context.  The results that wait behind an
     unfinished chunk are at most a 1/(_CHUNKS * jobs) share of the map,
     however large each result is.  Each worker runs through _guarded.
     """
@@ -256,27 +267,46 @@ def _pool(jobs):
         def imap(worker, records):
             nonlocal pool
             worker = partial(_guarded, worker)
-            chunk = len(records) // (jobs * _CHUNKS)
-            if jobs < 2 or not chunk:
-                return map(worker, records)
+            size = len(records) // (jobs * _CHUNKS)
+            step = max(1, size)
+            chunks = (records[i:i + step] for i in range(0, len(records), step))
+            if jobs < 2 or not size:
+                return chain.from_iterable(map(worker, chunks))
             if pool is None:
                 # fork keeps the imported module state
                 pool = stack.enter_context(get_context("fork").Pool(jobs))
-            return pool.imap(worker, records, chunksize=chunk)
+            return chain.from_iterable(pool.imap(worker, chunks))
 
         yield imap
 
 
-def _guarded(worker, rec):
-    """worker(rec), with any error but a Rep3Error raised again as a
-    WorkerCrash that names the record; module level, so it pickles."""
+def _guarded(worker, chunk):
+    """worker(chunk), with any error but a Rep3Error raised again as a
+    WorkerCrash that names a record; module level, so it pickles.  Only
+    then are the chunk's records run again one at a time, and the first
+    that fails alone is named (the chunk's first and last when none
+    does)."""
     try:
-        return worker(rec)
+        return worker(chunk)
     except Rep3Error:
         raise
     except Exception as exc:
-        name = rec.decode("ascii", "replace")
-        raise WorkerCrash(f"{name}: {worker.__name__} raised {exc!r}") from exc
+        crash = exc
+    name = f"{_name(chunk[0])}..{_name(chunk[-1])}"
+    for rec in chunk:
+        try:
+            worker([rec])
+        except Rep3Error:
+            raise
+        except Exception as exc:
+            crash, name = exc, _name(rec)
+            break
+    raise WorkerCrash(f"{name}: {worker.__name__} raised {crash!r}") from crash
+
+
+def _name(rec):
+    """A record as text for a message."""
+    return rec.decode("ascii", "replace")
 
 
 def catalogue_records(n: int) -> tuple:
@@ -373,7 +403,13 @@ def _fill(n, imap):
     return _catalogue[n]
 
 
-def _children(rec):
+def _children(parents):
+    """The accepted children of each parent class of a chunk, in parent
+    order, as _extend gives them."""
+    return list(map(_extend, parents))
+
+
+def _extend(rec):
     """The accepted children of one parent class, each once, as
     (edge count, canonical records) pairs: those of at most half the
     edges, and the complement of each one below half."""

@@ -34,29 +34,37 @@ signature and the memo _VERDICTS, one dict per order, hands its answer
 as a one-byte code to every later triple, in any graph, that shares
 it.  Through order 8 the 731,424 triples have 2,946 signatures.
 
-One private entry point, _lemma_scan, reads a graph in its own labels,
-which must be sorted by degree, as every catalogue record is, so that
-a 5-set's median-degree vertex is its median position.  Past a
-signature's first sighting, no Python code runs per 3-set.  _tables(n)
-holds, per order up to 9, two lookup tables indexed by a vertex's row;
-their entries summed over the graph's vertices make one big int with
-every 3-set's signature in a 32-bit field, which _signatures unpacks
-with one struct call.  The verdict codes then form one bytes object,
-and bytes.translate turns it into per-triple flags.  The 4-set and 5-set
-checks are bit masks over the sets' indices in combinations order:
-for each 3-set t, the mask of the 4-sets that contain t and the mask
-of the 5-sets that contain t and whose median position lies in t.
-itertools.compress picks the masks of the balanceable and of the
-feasible 3-sets, and functools.reduce ORs each set of masks into a
-cover.  Only the 4-sets left uncovered reach the induced-path test,
+One private entry point, _lemma_scan, reads a run of graphs of one
+order, each in its own labels, which must be sorted by degree, as every
+catalogue record is, so that a 5-set's median-degree vertex is its
+median position.  Per graph it computes only the signatures and their
+memo lookup: _tables(n) holds, per order up to 9, two lookup tables
+indexed by a vertex's row; their entries summed over the graph's
+vertices make one big int with every 3-set's signature in a 32-bit
+field, which _signatures unpacks with one struct call, and the verdict
+codes form one bytes object per graph.  Past a signature's first
+sighting, no Python code runs per 3-set.
+
+Everything else is answered for the whole run at once, bit-sliced
+(Biham, "A fast new DES implementation in software", FSE 1997) with one
+byte lane per graph.  bytes.translate turns the run's codes into
+per-triple flags, and one strided slice per 3-set gathers its flag from
+every graph into one int.  A 4-set is covered where any of its four
+3-sets is balanceable, and a 5-set where any of its six 3-sets through
+its median position is feasible: one OR per set, of the ints of the
+3-sets that _tables lists for it, answers it for every graph of the run.  The covers are
+joined into one bytes object per size, and bytes.find walks its zero
+bytes, the uncovered (set, graph) pairs.  Uncovered 5-sets are the
+violations; uncovered 4-sets reach the induced-path test,
 _induced_path_ok, a lookup of the set's induced edges and degree ties
-in a 512-entry table; the 5-sets left uncovered are the violations.
+in a 512-entry table, graph by graph in lexicographic order.  Byte
+counts over each graph's span of the flags give its budgeted and
+unequalizable 3-set counts.
 """
 
 import struct
-from functools import cache, reduce
-from itertools import combinations, compress, permutations
-from operator import or_
+from functools import cache
+from itertools import combinations, permutations
 from typing import NamedTuple, Optional
 
 from .errors import NotATriple, NotFeasible, OrderOutOfRange, VertexOutOfRange
@@ -256,8 +264,8 @@ class ScanTables(NamedTuple):
     5-sets of range(n) are in combinations order.  A graph's packed
     signatures are the sum, over its vertices v with row r, of
     by_row[r] and by_upper[v][r >> (v + 1)], each holding the t-th
-    3-set's field at bit 32 * t.  m4 and m5 hold, for the t-th 3-set,
-    masks over set indices."""
+    3-set's field at bit 32 * t.  four_triples and five_triples hold,
+    for each 4-set and 5-set, the indices of the 3-sets that cover it."""
 
     triples: tuple
     unpack: object  # the packed signatures' bytes to one int per 3-set
@@ -266,8 +274,8 @@ class ScanTables(NamedTuple):
     fours: tuple
     four_index: dict  # each 4-set to its index
     fives: tuple
-    m4: tuple  # m4[t]: the 4-sets containing the 3-set
-    m5: tuple  # m5[t]: the 5-sets containing it whose median position it holds
+    four_triples: tuple  # each 4-set's four 3-sets
+    five_triples: tuple  # each 5-set's six 3-sets holding its median position
 
 
 @cache
@@ -275,6 +283,7 @@ def _tables(n: int) -> ScanTables:
     if n > _MAX_PACKED:
         raise OrderOutOfRange(f"lemma scan packs orders up to {_MAX_PACKED}, got {n}")
     triples = tuple(combinations(range(n), 3))
+    index = {t: i for i, t in enumerate(triples)}
     fields = struct.Struct(f"<{len(triples)}I")
 
     def packed(values):
@@ -300,12 +309,9 @@ def _tables(n: int) -> ScanTables:
         fours,
         {x: i for i, x in enumerate(fours)},
         fives,
+        tuple(tuple(map(index.__getitem__, combinations(x, 3))) for x in fours),
         tuple(
-            sum(1 << i for i, x in enumerate(fours) if t.issubset(x)) for t in map(set, triples)
-        ),
-        tuple(
-            sum(1 << i for i, u in enumerate(fives) if u[2] in t and t.issubset(u))
-            for t in map(set, triples)
+            tuple(index[t] for t in combinations(u, 3) if u[2] in t) for u in fives
         ),
     )
 
@@ -370,13 +376,15 @@ def _induced_path_ok(g: Graph, x) -> bool:
     ] == 1
 
 
-def _clear_bits(mask, sets):
-    """The members of sets whose bit in mask is clear, in index order."""
-    rest = ~mask & ((1 << len(sets)) - 1)
-    while rest:
-        low = rest & -rest
-        yield sets[low.bit_length() - 1]
-        rest ^= low
+def _positions(data: bytes, value: int, start=0, stop=None):
+    """The positions of the bytes equal to value in data[start:stop],
+    in order."""
+    if stop is None:
+        stop = len(data)
+    pos = data.find(value, start, stop)
+    while pos >= 0:
+        yield pos
+        pos = data.find(value, pos + 1, stop)
 
 
 def _paired_gap_sets(degs):
@@ -398,46 +406,94 @@ def _paired_gap_sets(degs):
     return found
 
 
-def _lemma_scan(g: Graph, oracle_min):
-    """The lemma suites' findings in g, from its packed signatures.
+def _lemma_scan(graphs, oracle_mins):
+    """The lemma suites' findings in each of graphs, one order, from
+    their packed signatures.
 
-    g's degrees must not fall as its labels rise, as in every catalogue
-    record; then a 5-set's median-degree vertex is its median position.
-    g's order is at most 9, where the packing is exact; OrderOutOfRange
-    otherwise.  oracle_min is g's minimum deletion size, None if no set
-    of at most n - 3 deletions works.  Each 3-set's verdict code is read
-    from the memo, computed by _verdict on its signature's first
-    sighting.  Each balanceable 3-set ORs the mask of the 4-sets
-    containing it into one cover and each feasible 3-set the mask of the
-    5-sets whose median it holds into another.
+    Each graph's degrees must not fall as its labels rise, as in every
+    catalogue record; then a 5-set's median-degree vertex is its median
+    position.  The order is at most 9, where the packing is exact;
+    OrderOutOfRange otherwise.  oracle_mins holds each graph's minimum
+    deletion size, None if no set of at most n - 3 deletions works.
+    Each 3-set's verdict code is read from the memo, computed by
+    _verdict on its signature's first sighting.  The codes of the whole
+    run are then read set by set: byte lane i of each cover below
+    belongs to graphs[i], a 4-set's cover is the OR of its four 3-sets'
+    balanceable lanes, and a 5-set's the OR of the feasible lanes of its
+    six 3-sets through the median.
 
-    Returns (budgeted, failures, low, paths, medians, paired): how many
-    3-sets have a budget of at most n - 3, and how many of those
-    _equalize cannot equalize within it; the (s, budget) pairs among
-    them whose budget lies below oracle_min; the 4-sets no balanceable
-    3-set covers that fail the induced-path test; the 5-sets left
-    uncovered; and the 4-sets with degrees (d, d, d+2, d+2) holding a
-    balanceable 3-set.  Each list is in lexicographic order.
+    Returns, per graph, (budgeted, failures, low, paths, medians,
+    paired): how many 3-sets have a budget of at most n - 3, and how
+    many of those _equalize cannot equalize within it; the (s, budget)
+    pairs among them whose budget lies below the oracle minimum; the
+    4-sets no balanceable 3-set covers that fail the induced-path test;
+    the 5-sets left uncovered; and the 4-sets with degrees
+    (d, d, d+2, d+2) holding a balanceable 3-set.  Each list is in
+    lexicographic order.
     """
-    tables = _tables(g.n)
-    keys = _signatures(g)
-    memo = _VERDICTS.setdefault(g.n, {})
-    try:
-        codes = bytes(map(memo.__getitem__, keys))
-    except KeyError:
-        for key in set(keys).difference(memo):
-            memo[key] = _verdict(g, tables.triples[keys.index(key)])
-        codes = bytes(map(memo.__getitem__, keys))
-    cov4 = reduce(or_, compress(tables.m4, codes.translate(_IS_BALANCEABLE)), 0)
-    cov5 = reduce(or_, compress(tables.m5, codes.translate(_IS_FEASIBLE)), 0)
-    # with no minimum found, every budget (at most 6) counts as below it
-    low = codes.translate(_budget_below(8 if oracle_min is None else oracle_min))
-    return (
-        codes.translate(_IS_BUDGETED).count(1),
-        codes.translate(_IS_UNEQUALIZABLE).count(1),
-        [(s, code >> 4) for s, code in compress(zip(tables.triples, codes), low)]
-        if 1 in low else [],
-        [x for x in _clear_bits(cov4, tables.fours) if not _induced_path_ok(g, x)],
-        list(_clear_bits(cov5, tables.fives)),
-        [x for x in _paired_gap_sets(g.degrees) if cov4 >> tables.four_index[x] & 1],
+    count = len(graphs)
+    n = graphs[0].n
+    tables = _tables(n)
+    triples = tables.triples
+    width = len(triples)
+    memo = _VERDICTS.setdefault(n, {})
+    codes = []
+    for g in graphs:
+        keys = _signatures(g)
+        try:
+            codes.append(bytes(map(memo.__getitem__, keys)))
+        except KeyError:
+            for s, key in zip(triples, keys):
+                if key not in memo:
+                    memo[key] = _verdict(g, s)
+            codes.append(bytes(map(memo.__getitem__, keys)))
+    codes = b"".join(codes)
+
+    # one int per 3-set, byte lane i holding graphs[i]'s flag
+    flags = codes.translate(_IS_BALANCEABLE)
+    bal = [int.from_bytes(flags[t::width], "little") for t in range(width)]
+    flags = codes.translate(_IS_FEASIBLE)
+    feas = [int.from_bytes(flags[t::width], "little") for t in range(width)]
+    cover4 = b"".join(
+        (bal[a] | bal[b] | bal[c] | bal[d]).to_bytes(count, "little")
+        for a, b, c, d in tables.four_triples
     )
+    cover5 = b"".join(
+        (feas[a] | feas[b] | feas[c] | feas[d] | feas[e] | feas[f]).to_bytes(count, "little")
+        for a, b, c, d, e, f in tables.five_triples
+    )
+    uncovered = [[] for _ in graphs]
+    for pos in _positions(cover4, 0):
+        uncovered[pos % count].append(tables.fours[pos // count])
+    medians = [[] for _ in graphs]
+    for pos in _positions(cover5, 0):
+        medians[pos % count].append(tables.fives[pos // count])
+
+    budgeted = codes.translate(_IS_BUDGETED)
+    unequalizable = codes.translate(_IS_UNEQUALIZABLE)
+    below = {}  # budget-below flags by limit
+    gaps = {}  # each degree sequence's paired-gap sets, with their cover offsets
+    out = []
+    for i, (g, oracle_min) in enumerate(zip(graphs, oracle_mins)):
+        start, stop = i * width, (i + 1) * width
+        # with no minimum found, every budget (at most 6) counts as below
+        # it; no budget lies below 0
+        limit = 8 if oracle_min is None else oracle_min
+        low = []
+        if limit:
+            if limit not in below:
+                below[limit] = codes.translate(_budget_below(limit))
+            low = [(triples[pos - start], codes[pos] >> 4)
+                   for pos in _positions(below[limit], 1, start, stop)]
+        degs = g.degrees
+        if degs not in gaps:
+            gaps[degs] = [(x, tables.four_index[x] * count) for x in _paired_gap_sets(degs)]
+        out.append((
+            budgeted.count(1, start, stop),
+            unequalizable.count(1, start, stop),
+            low,
+            [x for x in uncovered[i] if not _induced_path_ok(g, x)],
+            medians[i],
+            [x for x, offset in gaps[degs] if cover4[offset + i]],
+        ))
+    return out

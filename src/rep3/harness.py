@@ -25,24 +25,27 @@ entirely are one fewer than those hit exactly twice.
 
 This module holds the reports, the workers and the folds.  Sweeps move
 graph6 records only, as the catalogue and graphcore.read_graph6_records
-hand them out; each worker parses its own record.  All four sweeps fold
-over enumeration._sweep, which opens one map per call: that map first
-generates any catalogue order the sweep needs and is not memoised yet,
-then runs the worker once over all the sweep's records.  Each result
-carries its class's order and is folded in as it arrives.  A worker
-that fails on a record with anything but a Rep3Error surfaces as a
-WorkerCrash naming that record, at any jobs count; a Rep3Error keeps
-its own message.
+hand them out; each worker parses its own records.  All four sweeps
+fold over enumeration._sweep, which opens one map per call: that map
+first generates any catalogue order the sweep needs and is not memoised
+yet, then hands the worker the sweep's records a chunk at a time.  Each
+worker takes a chunk and returns one result per record, in order; each
+result carries its class's order and is folded in as it arrives.  A
+worker that fails on a record with anything but a Rep3Error surfaces
+as a WorkerCrash naming that record, at any jobs count; a Rep3Error
+keeps its own message.
 
-The lemma worker hands its parsed record and the oracle's minimum
-deletion size to feasible._lemma_scan, which reads every 3-set's
-signature off one sum of packed per-vertex table entries, in the
-record's own labels; catalogue records are sorted by degree, which the
-scan needs, and the worker rejects a record that is not.  The scan
-returns its counts and the sets each suite reports, in lexicographic
-order; the worker turns them into violation records and returns its
-counts and a tuple of (suite, violation) pairs, so the parent holds
-little per class while the pool runs.
+The lemma worker parses each record of its chunk, checks that its
+degrees are sorted, as catalogue records are and the scan needs, and
+asks the oracle for its minimum deletion size, one record at a time.
+It then hands each run of records of one order to feasible._lemma_scan,
+which answers the cover questions for the whole run at once, in each
+record's own labels.  verify_lemmas builds the scan's tables for every
+swept order before the sweep opens its pool, so forked workers inherit
+them.  The scan returns, per record, its counts and the sets each suite
+reports, in lexicographic order; the worker turns them into violation
+records and returns its counts and a tuple of (suite, violation) pairs,
+so the parent holds little per class while the pool runs.
 
 find_extremal runs the headline sweep's worker over the catalogue, so
 both solve and check each class the same way; each worker returns its
@@ -57,12 +60,13 @@ order, so any jobs count produces the same report, elapsed time aside.
 
 import json
 import time
+from itertools import groupby
 from math import comb
 from typing import NamedTuple
 
 from .enumeration import MAX_ENUM, _sweep
 from .errors import MalformedRecord, OrderOutOfRange, TheoremViolation
-from .feasible import _lemma_scan
+from .feasible import _lemma_scan, _tables
 from .graphcore import _check, parse_graph6
 from .repetition import profile
 from .solver import allowance, check_certificate, min_deletion_for_rep3, solve3
@@ -141,7 +145,12 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _theorem_worker(rec: bytes):
+def _theorem_worker(records):
+    """_theorem_result of each record of a chunk."""
+    return list(map(_theorem_result, records))
+
+
+def _theorem_result(rec: bytes):
     """(n, minimum deletion size, None) for a class of order n the
     theorem holds on, or (n, None, violation)."""
     g = parse_graph6(rec)
@@ -212,41 +221,66 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
     return VerificationReport(per_n, {}, time.perf_counter() - t0, skipped)
 
 
-def _lemma_worker(rec: bytes):
-    """One class's lemma results: (n, feasible_budget instances,
+_SCAN_RUN = 512  # records the lemma worker scans together at most
+
+
+def _lemma_worker(records):
+    """Each record's lemma results: (n, feasible_budget instances,
     paired_degree_gap instances, strong-form failures, violations).
 
-    The record is scanned in its own labels, which must be sorted by
-    degree, as every catalogue record's are; a record whose degrees
-    fall raises MalformedRecord.  Every 4-set and 5-set is checked, so
-    those suites' instance counts are C(n, 4) and C(n, 5), added by the
-    caller.  violations is a tuple of (suite, violation) pairs, each
-    suite's in lexicographic scan order.
+    Each record is parsed, checked and put to the oracle alone, then
+    every run of records of one order is scanned at once.  A record is
+    scanned in its own labels, which must be sorted by degree, as every
+    catalogue record's are; a record whose degrees fall raises
+    MalformedRecord.  Every 4-set and 5-set is checked, so those suites'
+    instance counts are C(n, 4) and C(n, 5), added by the caller.
+    violations is a tuple of (suite, violation) pairs, each suite's in
+    lexicographic scan order.  A chunk longer than _SCAN_RUN records is
+    taken _SCAN_RUN records at a time, which bounds the scan's memory
+    whatever the chunk size.
     """
-    g = parse_graph6(rec)
-    n = g.n
-    name = rec.decode("ascii")
-    if list(g.degrees) != sorted(g.degrees):
-        raise MalformedRecord(f"{name}: degrees {g.degrees} fall, as in no catalogue record")
-    oracle_min = None
-    if n >= 3:
-        cert = min_deletion_for_rep3(g, n - 3)
-        oracle_min = None if cert is None else len(cert.deleted)
-
-    budgeted, failures, low, paths, medians, paired = _lemma_scan(g, oracle_min)
-    head = {"n": n, "graph": name}
-    found = [("induced_path", {**head, "subset": list(x)}) for x in paths]
-    if oracle_min is None or oracle_min > allowance(n):
-        found += [
-            ("paired_degree_gap", {**head, "subset": list(x), "oracle_min": oracle_min})
-            for x in paired
+    if len(records) > _SCAN_RUN:
+        return [
+            result
+            for i in range(0, len(records), _SCAN_RUN)
+            for result in _lemma_worker(records[i:i + _SCAN_RUN])
         ]
-    found += [("median_feasible", {**head, "subset": list(u)}) for u in medians]
-    found += [
-        ("feasible_budget", {**head, "triple": list(s), "budget": b, "oracle_min": oracle_min})
-        for s, b in low
-    ]
-    return n, budgeted, len(paired), failures, tuple(found)
+    graphs, minima = [], []
+    for rec in records:
+        g = parse_graph6(rec)
+        n = g.n
+        if list(g.degrees) != sorted(g.degrees):
+            name = rec.decode("ascii")
+            raise MalformedRecord(f"{name}: degrees {g.degrees} fall, as in no catalogue record")
+        oracle_min = None
+        if n >= 3:
+            cert = min_deletion_for_rep3(g, n - 3)
+            oracle_min = None if cert is None else len(cert.deleted)
+        graphs.append(g)
+        minima.append(oracle_min)
+    scans = []
+    for _, run in groupby(zip(graphs, minima), key=lambda pair: pair[0].n):
+        scans += _lemma_scan(*zip(*run))
+
+    out = []
+    for rec, g, oracle_min, scan in zip(records, graphs, minima, scans):
+        n = g.n
+        budgeted, failures, low, paths, medians, paired = scan
+        gaps = paired if oracle_min is None or oracle_min > allowance(n) else ()
+        found = ()
+        if paths or gaps or medians or low:
+            head = {"n": n, "graph": rec.decode("ascii")}
+            found = (
+                *[("induced_path", {**head, "subset": list(x)}) for x in paths],
+                *[("paired_degree_gap", {**head, "subset": list(x), "oracle_min": oracle_min})
+                  for x in gaps],
+                *[("median_feasible", {**head, "subset": list(u)}) for u in medians],
+                *[("feasible_budget",
+                   {**head, "triple": list(s), "budget": b, "oracle_min": oracle_min})
+                  for s, b in low],
+            )
+        out.append((n, budgeted, len(paired), failures, found))
+    return out
 
 
 def verify_lemmas(max_n: int, jobs=None) -> VerificationReport:
@@ -265,6 +299,8 @@ def verify_lemmas(max_n: int, jobs=None) -> VerificationReport:
         "paired_degree_gap": {"instances_checked": 0, "violations": []},
     }
     orders = range(1, max_n + 1)
+    for n in orders:
+        _tables(n)  # built once here, and inherited by forked workers
     for _, (n, budgeted, paired, failures, found) in _sweep(_lemma_worker, jobs, orders):
         results["induced_path"]["instances_checked"] += comb(n, 4)
         results["median_feasible"]["instances_checked"] += comb(n, 5)
@@ -276,15 +312,19 @@ def verify_lemmas(max_n: int, jobs=None) -> VerificationReport:
     return VerificationReport({}, results, time.perf_counter() - t0)
 
 
-def _identity_worker(rec: bytes):
-    """(n, whether the identity applies, |doubled|, |missing|) for one
-    class: it applies with no degree tripled and no isolated vertex."""
-    g = parse_graph6(rec)
-    p = profile(g)
-    return g.n, p.rep <= 2 and min(g.degrees) >= 1, len(p.s_set), len(p.t_set)
+def _identity_worker(records):
+    """(n, whether the identity applies, |doubled|, |missing|) for each
+    class of a chunk: it applies with no degree tripled and no isolated
+    vertex."""
+    out = []
+    for rec in records:
+        g = parse_graph6(rec)
+        p = profile(g)
+        out.append((g.n, p.rep <= 2 and min(g.degrees) >= 1, len(p.s_set), len(p.t_set)))
+    return out
 
 
-def counting_identity_suite(max_n: int) -> VerificationReport:
+def counting_identity_suite(max_n: int, jobs=None) -> VerificationReport:
     """Check |missing degrees| = |doubled degrees| - 1 where it applies."""
     if not 1 <= max_n <= MAX_ENUM:
         raise OrderOutOfRange(f"identity suite covers orders 1..{MAX_ENUM}, got {max_n}")
@@ -292,7 +332,7 @@ def counting_identity_suite(max_n: int) -> VerificationReport:
     checked = 0
     violations = []
     orders = range(1, max_n + 1)
-    for rec, (n, applies, s_size, t_size) in _sweep(_identity_worker, None, orders):
+    for rec, (n, applies, s_size, t_size) in _sweep(_identity_worker, jobs, orders):
         checked += applies
         if applies and t_size != s_size - 1:
             graph = rec.decode("ascii")

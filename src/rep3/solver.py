@@ -6,7 +6,9 @@ order, so the first hit is a minimum and the same on every run.  solve3
 is that search at the theorem's allowance min(3, n-3), with a miss
 raised as TheoremViolation.
 
-Each deletion set is tested on its bit mask alone, in one pass over
+Size 0 is read off the sorted degree tuple: the smallest degree held
+three times, and its first three vertices, are the certificate.  Each
+larger deletion set is tested on its bit mask alone, in one pass over
 the survivors: a survivor's reduced degree is its degree less its
 deleted neighbours, and the set is a hit once three survivors share
 one.  The same pass reads the certificate's witness: the first three
@@ -68,13 +70,24 @@ def min_deletion_for_rep3(g: Graph, max_k: int):
 
     Sizes are tried in increasing order, sets of one size in
     lexicographic order; the first hit is returned as a certificate.
-    None when the budget does not suffice.
+    None when the budget does not suffice.  Size 0, which most graphs
+    need, reads the degrees once and tries no set.
     """
     if not 0 <= max_k <= g.n - 3:
         raise BudgetExceedsOrder(
             f"max_k {max_k} outside [0, {g.n - 3}] for order {g.n}"
         )
-    for k in range(max_k + 1):
+    degrees = g.degrees
+    ranked = sorted(degrees)
+    for d, e in zip(ranked, ranked[2:]):
+        if d == e:
+            # no deletion: the first three vertices of the smallest
+            # degree held three times, as _witness_after reads mask 0
+            u = degrees.index(d)
+            v = degrees.index(d, u + 1)
+            witness = (u, v, degrees.index(d, v + 1))
+            return DeletionCertificate(g.n, (), witness, d)
+    for k in range(1, max_k + 1):
         for combo in combinations(range(g.n), k):
             mask = 0
             for v in combo:

@@ -5,8 +5,10 @@ edge lists written out here so tests can assert exact indices.
 """
 
 import random
+from itertools import combinations
 
-from rep3.graphcore import from_edge_list
+from rep3.graphcore import from_edge_list, write_graph6
+from rep3.solver import DeletionCertificate
 
 
 def k1():
@@ -129,3 +131,39 @@ def triple_signatures(g):
                     (rb & rc).bit_count(),
                     (rab & rc).bit_count(),
                 )
+
+
+def labeled_records(seed=2026, count=2000):
+    """Seeded labeled graphs as graph6 records: each draws an order in
+    5..9 and an edge probability in [0, 1), so few come degree-sorted
+    as catalogue records do."""
+    rng = random.Random(seed)
+    records = []
+    for _ in range(count):
+        n = rng.randint(5, 9)
+        p = rng.random()
+        pairs = [(u, v) for v in range(1, n) for u in range(v)]
+        edges = [e for e in pairs if rng.random() < p]
+        records.append(write_graph6(from_edge_list(n, edges)))
+    return records
+
+
+def mask_search_certificate(g, max_k):
+    """min_deletion_for_rep3 as a plain mask search from size 0: sets by
+    increasing size, then lexicographically, each tested in one pass
+    over the survivors; the witness is the first three survivors, by
+    index, of the smallest reduced degree that three or more share.
+    The reference for the search's shortcut at zero deletions."""
+    for k in range(max_k + 1):
+        for combo in combinations(range(g.n), k):
+            mask = sum(1 << v for v in combo)
+            by_degree = {}
+            for v in range(g.n):
+                if not mask >> v & 1:
+                    d = g.degrees[v] - (g.rows[v] & mask).bit_count()
+                    by_degree.setdefault(d, []).append(v)
+            shared = [d for d, vs in by_degree.items() if len(vs) >= 3]
+            if shared:
+                d = min(shared)
+                return DeletionCertificate(g.n, combo, tuple(by_degree[d][:3]), d)
+    return None

@@ -292,6 +292,19 @@ def test_identity_report(capsys):
     assert report["lemma_results"]["counting_identity"]["instances_checked"] == 2
 
 
+@pytest.mark.parametrize("command", ["lemmas", "identity"])
+def test_lemmas_and_identity_take_jobs(capsys, command):
+    # the report, elapsed time aside, does not depend on the worker count
+    reports = []
+    for jobs in ("1", "2"):
+        assert run([command, "--max-n", "6", "--jobs", jobs]) == 0
+        report = json.loads(out_of(capsys))
+        del report["elapsed"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["verified"] is True
+
+
 def test_lemmas_and_identity_over_nothing_exit_1(capsys):
     assert run(["identity", "--max-n", "1"]) == 1
     assert json.loads(out_of(capsys))["verified"] is False
@@ -325,6 +338,8 @@ def test_extremal_table(capsys):
     ["classify", "--graph", TRIANGLE, "--triple", "0,1,five"],
     ["verify", "--min-n", "5", "--max-n", "5", "--jobs", "0"],
     ["verify", "--min-n", "4", "--max-n", "5"],
+    ["lemmas", "--max-n", "5", "--jobs", "0"],
+    ["identity", "--max-n", "5", "--jobs", "0"],
 ])
 def test_usage_errors(capsys, argv):
     assert run(argv) == 2

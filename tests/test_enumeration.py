@@ -3,7 +3,6 @@ import io
 import itertools
 import multiprocessing.pool
 import os
-from operator import neg
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -285,20 +284,28 @@ def test_order_9_closed_under_complement():
 
 @pytest.fixture
 def asked_chunks(monkeypatch):
-    """(ordered, records, chunksize) for every map a worker pool is
-    asked for while the test runs, on a host taken to have two cores."""
+    """(ordered, chunk sizes) for every map a worker pool is asked for
+    while the test runs, on a host taken to have two cores."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     real_get_context = enumeration.get_context
     asked = []
 
+    def spy(ordered, iterable, chunksize):
+        # each map hands out its chunks one at a time, as the pool takes
+        # them, from an iterator: no list of every chunk is made
+        assert iter(iterable) is iterable and chunksize == 1
+        sizes = []
+        asked.append((ordered, sizes))
+        for chunk in iterable:
+            sizes.append(len(chunk))
+            yield chunk
+
     class SpyPool(multiprocessing.pool.Pool):
         def imap(self, func, iterable, chunksize=1):
-            asked.append((True, len(iterable), chunksize))
-            return super().imap(func, iterable, chunksize)
+            return super().imap(func, spy(True, iterable, chunksize), chunksize)
 
         def imap_unordered(self, func, iterable, chunksize=1):
-            asked.append((False, len(iterable), chunksize))
-            return super().imap_unordered(func, iterable, chunksize)
+            return super().imap_unordered(func, spy(False, iterable, chunksize), chunksize)
 
     class SpyContext:
         def __init__(self, method):
@@ -311,21 +318,43 @@ def asked_chunks(monkeypatch):
     return asked
 
 
+def negate(chunk):
+    """A chunk worker: each record's negation, in order."""
+    return [-x for x in chunk]
+
+
 def test_ordered_chunks_are_bounded(asked_chunks):
     # an order-9 sweep maps 274,668 records; the main process holds the
     # results that wait behind an unfinished chunk, so every map is cut
-    # into 16 chunks per worker
+    # into 16 chunks per worker, and each worker call takes one chunk
     big = range(300_000)
     with enumeration._pool(2) as imap:
-        assert list(imap(neg, big)) == [-x for x in big]
+        assert list(imap(negate, big)) == [-x for x in big]
         for size in (31, 32, 1_000):
-            assert list(imap(neg, range(size))) == [-x for x in range(size)]
+            assert list(imap(negate, range(size))) == [-x for x in range(size)]
     assert asked_chunks == [
-        (True, 300_000, 9_375),
+        (True, [9_375] * 32),
         # 31 records, under 16 per worker, ran in this process
-        (True, 32, 1),
-        (True, 1_000, 31),
+        (True, [1] * 32),
+        (True, [31] * 32 + [8]),
     ]
+
+
+@pytest.mark.parametrize("jobs,sizes", [(1, [62] * 16 + [8]), (2, [1] * 31)])
+def test_maps_in_this_process_cut_the_same_chunks(asked_chunks, jobs, sizes):
+    # at one job, or with under 16 records per worker, the map runs here
+    # with the chunk rule of a pooled map
+    seen = []
+
+    def negate_here(chunk):
+        seen.append(len(chunk))
+        return negate(chunk)
+
+    records = range(sum(sizes))
+    with enumeration._pool(jobs) as imap:
+        assert list(imap(negate_here, records)) == [-x for x in records]
+    assert seen == sizes
+    assert asked_chunks == []
 
 
 def test_fill_maps_parents_in_order(asked_chunks, monkeypatch):
@@ -336,7 +365,7 @@ def test_fill_maps_parents_in_order(asked_chunks, monkeypatch):
     monkeypatch.setattr(enumeration, "_catalogue", {n: warm[n] for n in range(1, 6)})
     assert catalogue_records(7) == warm[7]
     assert enumeration._catalogue[6] == warm[6]
-    assert asked_chunks == [(True, 34, 1), (True, 156, 4)]
+    assert asked_chunks == [(True, [1] * 34), (True, [4] * 39)]
 
 
 class TestLevelCounts:

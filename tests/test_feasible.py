@@ -247,7 +247,7 @@ def check_signature_exactness(graphs):
     region_of, key_of, answer_of = {}, {}, {}
     for g in graphs:
         nbr = helpers.neighbor_sets(g)
-        _lemma_scan(g, None)
+        _lemma_scan([g], [None])
         memo = feasible._VERDICTS.get(g.n, {})
         triples = itertools.combinations(range(g.n), 3)
         for s, packed in zip(triples, _signatures(g), strict=True):
@@ -295,7 +295,7 @@ class TestPackedSignatures:
         # 4-bit fields and tables of 2^n rows end the exact packing at 9
         g = helpers.degree_sorted(helpers.seeded_graph(10, 10))[0]
         with pytest.raises(errors.OrderOutOfRange, match="got 10$"):
-            _lemma_scan(g, None)
+            _lemma_scan([g], [None])
 
 
 @pytest.mark.parametrize(
@@ -415,7 +415,7 @@ def cover_bit(g, x):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(feasible, "_induced_path_ok", induced_path_ok)
-        paths, medians = _lemma_scan(h, None)[3:5]
+        paths, medians = _lemma_scan([h], [None])[0][3:5]
     if len(y) == 4:
         return int(y not in asked), y in paths
     return int(y not in medians), False

@@ -2,7 +2,6 @@ import hashlib
 import io
 import json
 import os
-import random
 from itertools import combinations, permutations
 
 import pytest
@@ -26,26 +25,11 @@ import helpers
 
 SUITES = ("induced_path", "paired_degree_gap", "median_feasible", "feasible_budget")
 
-# SHA-256 of json.dumps([solve3(g).to_dict() for g in labeled_records()])
+# SHA-256 of json.dumps([solve3(g).to_dict() for g in helpers.labeled_records()])
 # and of json.dumps(verify_theorem(5, 9, source=...).comparable(),
 # sort_keys=True) over the same records: labeled input, byte for byte
 LABELED_CERTIFICATES_SHA256 = "f4d08908c2f8f70e0a96502575ae5cfcfe1397bc72e531dc14aeab10982a4ce4"
 LABELED_REPORT_SHA256 = "ae3bc47fcc167e6117a1bc68f1e394876d77cc0a7345bc11ec96bba780f9e7e0"
-
-
-def labeled_records(seed=2026, count=2000):
-    """Seeded labeled graphs as graph6 records: each draws an order in
-    5..9 and an edge probability in [0, 1), so few come degree-sorted
-    as catalogue records do."""
-    rng = random.Random(seed)
-    records = []
-    for _ in range(count):
-        n = rng.randint(5, 9)
-        p = rng.random()
-        pairs = [(u, v) for v in range(1, n) for u in range(v)]
-        edges = [e for e in pairs if rng.random() < p]
-        records.append(write_graph6(from_edge_list(n, edges)))
-    return records
 
 
 def reference_lemma_scan(rec):
@@ -190,7 +174,7 @@ class TestVerifyTheorem:
 
     def test_labeled_input_pinned(self):
         # the catalogue pins cover degree-sorted records only
-        records = labeled_records()
+        records = helpers.labeled_records()
         certs = [solve3(parse_graph6(rec)).to_dict() for rec in records]
         digest = hashlib.sha256(json.dumps(certs).encode()).hexdigest()
         assert digest == LABELED_CERTIFICATES_SHA256
@@ -280,6 +264,11 @@ class TestVerifyLemmas:
                 assert r.lemma_results[suite]["violations"] == expected[suite]
 
 
+def chunks(records, size):
+    """records cut into consecutive chunks of size records."""
+    return [records[i:i + size] for i in range(0, len(records), size)]
+
+
 class TestLemmaWorker:
     @given(st.integers(4, 8), st.data())
     @settings(max_examples=60, deadline=None)
@@ -289,29 +278,44 @@ class TestLemmaWorker:
         pairs = list(combinations(range(n), 2))
         g = from_edge_list(n, [p for p in pairs if data.draw(st.booleans())])
         rec = write_graph6(helpers.degree_sorted(g)[0])
-        assert harness._lemma_worker(rec) == reference_lemma_scan(rec)
+        assert harness._lemma_worker([rec]) == [reference_lemma_scan(rec)]
         with pytest.MonkeyPatch.context() as mp:
             only_triangles_feasible(mp)
             planted = reference_lemma_scan(rec)
-            assert harness._lemma_worker(rec) == planted
+            assert harness._lemma_worker([rec]) == [planted]
 
     def test_falling_degrees_rejected(self):
         # the star K1,3 with its hub first is no catalogue record: the
         # scan reads medians and path ends by position, so the worker
-        # refuses it, naming the record
+        # refuses it, naming the record, wherever it lies in its chunk
         assert parse_graph6(b"Cs").degrees == (3, 1, 1, 1)
-        with pytest.raises(errors.MalformedRecord, match="^Cs: "):
-            harness._lemma_worker(b"Cs")
+        for chunk in ([b"Cs"], [b"Bw", b"Cs", b"C~"]):
+            with pytest.raises(errors.MalformedRecord, match="^Cs: "):
+                harness._lemma_worker(chunk)
 
     def test_catalogue_through_order_6_matches_reference(self):
         for n in range(1, 7):
-            for rec in catalogue_records(n):
-                assert harness._lemma_worker(rec) == reference_lemma_scan(rec)
+            records = catalogue_records(n)
+            assert harness._lemma_worker(records) == list(map(reference_lemma_scan, records))
+
+    @pytest.mark.parametrize("planted", [False, True], ids=["real", "planted"])
+    def test_chunks_match_reference(self, planted):
+        # chunks of 1, 2 and 7 records, and every class of orders 1..7
+        # in one chunk of mixed orders, each scanned by order run, give
+        # the reference's result record by record
+        records = [rec for n in range(1, 8) for rec in catalogue_records(n)]
+        with pytest.MonkeyPatch.context() as mp:
+            if planted:
+                only_triangles_feasible(mp)
+            expected = list(map(reference_lemma_scan, records))
+            for size in (1, 2, 7, len(records)):
+                got = [r for chunk in chunks(records, size) for r in harness._lemma_worker(chunk)]
+                assert got == expected
 
     @pytest.mark.extended
     def test_order_8_matches_reference(self):
-        for rec in catalogue_records(8):
-            assert harness._lemma_worker(rec) == reference_lemma_scan(rec)
+        records = catalogue_records(8)
+        assert harness._lemma_worker(records) == list(map(reference_lemma_scan, records))
 
 
 class TestCountingIdentity:
@@ -321,6 +325,10 @@ class TestCountingIdentity:
         assert suite["violations"] == []
         assert suite["instances_checked"] > 0
         assert r.verified
+
+    def test_jobs_equivalent(self):
+        serial = counting_identity_suite(7, jobs=1)
+        assert counting_identity_suite(7, jobs=2).comparable() == serial.comparable()
 
     def test_instance_filter(self):
         # hypothesis demands no repeated-degree class above two and no
@@ -423,9 +431,9 @@ def opened_pools(monkeypatch):
     return opened
 
 
-def _no_lemma_work(rec):
-    """_lemma_worker's result shape for a class, with nothing checked."""
-    return rec[0] - 63, 0, 0, 0, ()
+def _no_lemma_work(records):
+    """_lemma_worker's result shape for each class, with nothing checked."""
+    return [(rec[0] - 63, 0, 0, 0, ()) for rec in records]
 
 
 def cold(monkeypatch):
@@ -499,12 +507,17 @@ def test_one_worker_per_core_opens_one_pool(opened_pools, monkeypatch, call):
     assert opened_pools == [(2,)]
 
 
+def absolute(chunk):
+    """A chunk worker: each record's absolute value, in order."""
+    return list(map(abs, chunk))
+
+
 @pytest.mark.parametrize("jobs", [3, 1000, None])
 def test_pool_never_exceeds_the_cores(opened_pools, jobs):
     # a huge --jobs must not ask for a huge pool; opened_pools reports
     # two cores, so at most two processes start
     with enumeration._pool(jobs) as imap:
-        assert list(imap(abs, list(range(-50, 50)))) == [abs(v) for v in range(-50, 50)]
+        assert list(imap(absolute, list(range(-50, 50)))) == [abs(v) for v in range(-50, 50)]
     assert opened_pools == [(2,)]
 
 
@@ -574,33 +587,45 @@ _real_identity_worker = harness._identity_worker
 K6 = b"E~~w"
 
 
-def _children_dropping_one(rec):
+def _children_editing(parents, edit):
+    """_children over a chunk of parents, with edit applied to the
+    children of the edgeless order-5 parent."""
+    return [
+        edit(out) if rec == b"D??" else out
+        for rec, out in zip(parents, _real_children(parents))
+    ]
+
+
+def _children_dropping_one(parents):
     """_children, except that the edgeless order-5 parent loses its
     first child, the edgeless graph of order 6."""
-    out = _real_children(rec)
-    if rec == b"D??":
+
+    def edit(out):
         (edges, forms), *rest = out
         return [(edges, forms[1:]), *rest]
-    return out
+
+    return _children_editing(parents, edit)
 
 
-def _children_repeating_a_class(rec):
+def _children_repeating_a_class(parents):
     """_children, except that the edgeless order-5 parent's child with
     two edges, P3 + 3K1, is swapped for a copy of 2K2 + 2K1, the other
     class of order 6 with two edges."""
-    out = _real_children(rec)
-    if rec == b"D??":
+
+    def edit(out):
         return [(edges, [b"E?C_"] if forms == [b"E??W"] else forms) for edges, forms in out]
-    return out
+
+    return _children_editing(parents, edit)
 
 
-def _children_moving_a_class(rec):
+def _children_moving_a_class(parents):
     """_children, except that the edgeless order-5 parent's child with
     two edges is filed under three edges."""
-    out = _real_children(rec)
-    if rec == b"D??":
+
+    def edit(out):
         return [(3 if forms == [b"E??W"] else edges, forms) for edges, forms in out]
-    return out
+
+    return _children_editing(parents, edit)
 
 
 @pytest.mark.parametrize(
@@ -628,40 +653,65 @@ def test_class_count_kept_fails_the_level_gate(monkeypatch, children, message):
     assert 6 not in enumeration._catalogue
 
 
-def _children_dividing_by_zero(rec):
-    """_children, except on the edgeless order-5 parent, where it raises
+def _children_dividing_by_zero(parents):
+    """_children, except on a chunk holding the edgeless order-5
+    parent, where it raises ZeroDivisionError."""
+    if b"D??" in parents:
+        raise ZeroDivisionError("planted")
+    return _real_children(parents)
+
+
+def _theorem_worker_dividing_by_zero(records):
+    """_theorem_worker, except on a chunk holding K6, where it raises
     ZeroDivisionError."""
-    if rec == b"D??":
+    if K6 in records:
         raise ZeroDivisionError("planted")
-    return _real_children(rec)
+    return _real_theorem_worker(records)
 
 
-def _theorem_worker_dividing_by_zero(rec):
-    """_theorem_worker, except on K6, where it raises ZeroDivisionError."""
-    if rec == K6:
+def _lemma_worker_dividing_by_zero(records):
+    """_lemma_worker, except on a chunk holding K6, where it raises
+    ZeroDivisionError."""
+    if K6 in records:
         raise ZeroDivisionError("planted")
-    return _real_theorem_worker(rec)
+    return _real_lemma_worker(records)
 
 
-def _lemma_worker_dividing_by_zero(rec):
-    """_lemma_worker, except on K6, where it raises ZeroDivisionError."""
-    if rec == K6:
+def _identity_worker_dividing_by_zero(records):
+    """_identity_worker, except on a chunk holding K6, where it raises
+    ZeroDivisionError."""
+    if K6 in records:
         raise ZeroDivisionError("planted")
-    return _real_lemma_worker(rec)
+    return _real_identity_worker(records)
 
 
-def _identity_worker_dividing_by_zero(rec):
-    """_identity_worker, except on K6, where it raises ZeroDivisionError."""
-    if rec == K6:
-        raise ZeroDivisionError("planted")
-    return _real_identity_worker(rec)
-
-
-def _theorem_worker_rejecting(rec):
-    """_theorem_worker, except on K6, which it calls malformed."""
-    if rec == K6:
+def _theorem_worker_rejecting(records):
+    """_theorem_worker, except on a chunk holding K6, which it calls
+    malformed."""
+    if K6 in records:
         raise errors.MalformedRecord("K6 rejected on purpose")
-    return _real_theorem_worker(rec)
+    return _real_theorem_worker(records)
+
+
+# the 58th of the 190 classes of orders 5 and 6: third of a 5-record
+# chunk at two jobs (190 // 32) and of an 11-record chunk at one (190 // 16)
+MID_CHUNK = 57
+
+
+def _theorem_worker_failing_mid_chunk(records):
+    """_theorem_worker, except on a chunk holding the class MID_CHUNK
+    of orders 5 and 6, where it raises ZeroDivisionError."""
+    if [*catalogue_records(5), *catalogue_records(6)][MID_CHUNK] in records:
+        raise ZeroDivisionError("planted")
+    return _real_theorem_worker(records)
+
+
+def _theorem_worker_failing_together(records):
+    """_theorem_worker, except on chunks of more than one record, where
+    it raises ZeroDivisionError: no record fails alone."""
+    if len(records) > 1:
+        raise ZeroDivisionError("planted")
+    return _real_theorem_worker(records)
 
 
 def test_dropped_class_fails_the_completeness_gate(opened_pools, monkeypatch, capsys):
@@ -717,6 +767,34 @@ def test_worker_error_names_its_record(opened_pools, monkeypatch, capsys, jobs, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("jobs,size", [(1, 11), (2, 5)])
+def test_crash_mid_chunk_names_its_record(opened_pools, monkeypatch, jobs, size):
+    # the planted record sits inside its chunk, neither first nor last;
+    # the chunk fails, and only its records run again one at a time
+    records = [*catalogue_records(5), *catalogue_records(6)]
+    assert len(records) // (16 * jobs) == size and 0 < MID_CHUNK % size < size - 1
+    opened_pools.clear()
+    monkeypatch.setattr(harness, "_theorem_worker", _theorem_worker_failing_mid_chunk)
+    name = records[MID_CHUNK].decode("ascii")
+    message = f"{name}: _theorem_worker_failing_mid_chunk raised ZeroDivisionError('planted')"
+    with pytest.raises(errors.WorkerCrash) as caught:
+        verify_theorem(5, 6, jobs=jobs)
+    assert str(caught.value) == message
+    assert opened_pools == ([(2,)] if jobs == 2 else [])
+
+
+def test_crash_no_record_repeats_alone_names_its_chunk(monkeypatch):
+    # the first chunk, records 0..10 of orders 5 and 6 at one job, fails
+    # while each of its records passes alone
+    records = [*catalogue_records(5), *catalogue_records(6)]
+    monkeypatch.setattr(harness, "_theorem_worker", _theorem_worker_failing_together)
+    first, last = records[0].decode("ascii"), records[10].decode("ascii")
+    message = f"{first}..{last}: _theorem_worker_failing_together raised ZeroDivisionError('planted')"
+    with pytest.raises(errors.WorkerCrash) as caught:
+        verify_theorem(5, 6, jobs=1)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("cores", [1, 2])

@@ -98,6 +98,15 @@ class TestOracle:
         for (g, k), cert in expected.items():
             assert min_deletion_for_rep3(g, k) == cert
 
+    def test_matches_the_mask_search_at_every_budget(self, graphs_by_n):
+        # the zero-deletion answer read off the sorted degrees, and the
+        # set loop from size 1, give the plain search's certificate
+        graphs = [parse_graph6(rec) for rec in helpers.labeled_records()]
+        graphs += [g for n in range(3, 8) for g in graphs_by_n(n)]
+        for g in graphs:
+            for k in range(g.n - 2):
+                assert min_deletion_for_rep3(g, k) == helpers.mask_search_certificate(g, k)
+
     @given(st.integers(5, 7), st.data())
     @settings(max_examples=100, deadline=None)
     def test_certificate_checks_out(self, n, data):
