@@ -51,6 +51,13 @@ def ref_loop_s() -> float:
     return perf_counter() - start
 
 
+def workloads() -> list:
+    """The workload names BENCHMARK.json declares, beside scripts/."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCHMARK.json")
+    with open(path, encoding="utf-8") as fh:
+        return [w["name"] for w in json.load(fh)["workloads"]]
+
+
 def git(*args) -> str:
     return subprocess.run(["git", *args], check=True, capture_output=True,
                           text=True).stdout.strip()
@@ -137,7 +144,8 @@ def main() -> int:
     ap.add_argument("--parent", required=True, help="git revision of the parent")
     ap.add_argument("--change", default=WORKING_TREE,
                     help=f"git revision of the change (default {WORKING_TREE}: as on disk)")
-    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--workload", action="append", required=True, choices=workloads(),
+                    help="a workload of BENCHMARK.json; repeat for more")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     ap.add_argument("--seconds", type=float, default=10)
@@ -146,6 +154,8 @@ def main() -> int:
     args = ap.parse_args()
     if args.work is not None and not os.path.isdir(args.work):
         ap.error(f"--work {args.work}: no such directory")
+    if args.pairs < 2:
+        ap.error(f"--pairs {args.pairs}: need at least 2 pairs for medians and quartiles")
 
     work = tempfile.mkdtemp(prefix="bench-pairs-", dir=args.work)
     try:

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .enumeration import catalogue_records
+from .enumeration import catalogue_lines
 from .errors import MalformedRecord, NotFeasible, Rep3Error, TheoremViolation
 from .feasible import budget, classify_triple, equalize_triple
 from .graphcore import from_edge_json, parse_graph6, read_graph6_records
@@ -144,7 +144,7 @@ def _cmd_equalize(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    text = "".join(rec.decode("ascii") + "\n" for rec in catalogue_records(args.n))
+    text = catalogue_lines(args.n).decode("ascii")
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)

@@ -88,9 +88,22 @@ with _extend, over the order n-1 records with the map it is given,
 folds each parent's children in parent order and needs no state shared
 between shards.  The stream of each order is then sorted by (edge
 count, record), so its bytes do not depend on jobs or on the shard each
-parent went to.  _pool gives one map per public call, and every map hands each worker call a whole chunk: a slice of
-the records, which the worker maps to a list of results, one per
-record, in order.  The map yields those results one by one, in record
+parent went to.
+
+The catalogue keeps each order in a compact form: one bytes holding
+its records, which all have the same width at one order, joined in
+stream order.  At order 9 that is 1.83 MiB, where one bytes object per
+record took 10.5 MiB (sys.getsizeof summed).  Neither the fill nor a
+sweep holds an order as one object per record: _extend returns each
+edge count's records joined, _fill appends them to one bytearray per
+edge count and splits one edge count at a time to sort it, and a
+_Records view hands _pool slices of the compact forms as lists of
+bytes records.  catalogue_records, enumerate_graphs and
+catalogue_lines read the compact form.
+
+_pool gives one map per public call, and every map hands each worker
+call a whole chunk: a slice of the records, which the worker maps to a
+list of results, one per record, in order.  The map yields those results one by one, in record
 order.  Every map is cut into 16 chunks per worker, made one at a time
 as they are handed out, so the results that wait behind an unfinished
 chunk are a fixed share of the map, whether each result is one small
@@ -103,11 +116,12 @@ answer for all its records at once, as the lemma scan does.
 
 _sweep is the one driver of harness's sweeps: it opens that map, fills
 any catalogue order the sweep needs and is not memoised yet, then maps
-the sweep's worker over its records in record order.  The map runs
-every worker through _guarded, so a crash in generation or in a sweep
-is a WorkerCrash that names the record it failed on, at any jobs count:
-only when a chunk fails with anything but a Rep3Error are its records
-run again one at a time, to find the first that fails alone.
+the sweep's worker over a _Records view of their records in record
+order.  The map runs every worker through _guarded, so a crash in
+generation or in a sweep is a WorkerCrash that names the record it
+failed on, at any jobs count: only when a chunk fails with anything
+but a Rep3Error are its records run again one at a time, to find the
+first that fails alone.
 """
 
 import os
@@ -116,6 +130,7 @@ from functools import partial
 from itertools import chain, combinations
 from math import factorial, gcd
 from operator import eq
+from struct import iter_unpack
 
 from .errors import IncompleteCatalogue, OrderOutOfRange, Rep3Error, WorkerCrash
 from .graphcore import Graph, _pack, complement, parse_graph6
@@ -226,7 +241,54 @@ def _canonical_search(g: Graph, w=None):
     return _pack(n, best), last
 
 
-_catalogue = {1: (b"@",)}  # n -> canonical records in stream order; K1 seeds it
+_catalogue = {1: b"@"}  # n -> its canonical records in stream order, joined; K1 seeds it
+
+
+def _width(n):
+    """The bytes of each graph6 record of order n: the order byte, then
+    six upper-triangle bits a byte."""
+    return 1 + (n * (n - 1) // 2 + 5) // 6
+
+
+def _split(blob, width):
+    """The width-byte records of blob, a bytes-like object, in order, as
+    bytes."""
+    return [rec for rec, in iter_unpack(f"{width}s", blob)]
+
+
+class _Records:
+    """A read-only view of catalogue orders, each one bytes of fixed-width
+    records (_catalogue's form), as _pool's map takes records: its
+    length, a slice (of step 1) as a list of bytes records, and
+    iteration, in order.  Only a slice or an iteration step holds
+    records as objects."""
+
+    def __init__(self, blobs):
+        # (bytes, record width, index of its first record) per order;
+        # a record's first byte spells its order, hence its width
+        self._parts = []
+        self._len = 0
+        for blob in blobs:
+            width = _width(blob[0] - 63)
+            self._parts.append((blob, width, self._len))
+            self._len += len(blob) // width
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, window):
+        start, stop, _ = window.indices(self._len)
+        out = []
+        for blob, width, first in self._parts:
+            lo, hi = max(start - first, 0), min(stop - first, len(blob) // width)
+            if lo < hi:
+                out += _split(memoryview(blob)[lo * width:hi * width], width)
+        return out
+
+    def __iter__(self):
+        for blob, width, _ in self._parts:
+            for rec, in iter_unpack(f"{width}s", blob):
+                yield rec
 
 
 _CHUNKS = 16  # chunks per worker in every pooled map
@@ -312,12 +374,31 @@ def _name(rec):
 def catalogue_records(n: int) -> tuple:
     """The canonical graph6 record of every class of order n, 1 <= n <= 9.
 
-    Sorted by (edge count, record) and memoised together with every
-    lower order, so callers that only pass records on (to a worker pool,
-    to a file) need not parse and re-encode them.  Orders not yet
-    memoised are generated over up to one worker per core; a memoised
-    order starts no process.
+    Sorted by (edge count, record), and built on each call from the
+    memoised compact form of order n (see _fill), so callers that only
+    pass records on (to a worker pool, to a file) need not parse and
+    re-encode them.  Orders not yet memoised are generated over up to
+    one worker per core; a memoised order starts no process.
     """
+    return tuple(_Records([_compact(n)]))
+
+
+def catalogue_lines(n: int) -> bytes:
+    """The records of catalogue_records(n), each ended by a newline, as
+    rep3 gen prints them: a copy of the compact form with one newline
+    after every record, made without a record object."""
+    blob = _compact(n)
+    width = _width(n)
+    count = len(blob) // width
+    lines = bytearray(b"\n" * (count * (width + 1)))
+    for i in range(width):
+        lines[i::width + 1] = blob[i::width]
+    return bytes(lines)
+
+
+def _compact(n):
+    """The compact form of order n, generated over up to one worker per
+    core unless memoised."""
     if not 1 <= n <= MAX_ENUM:
         raise OrderOutOfRange(f"enumeration supports orders 1..{MAX_ENUM}, got {n}")
     with _pool(None) as imap:
@@ -330,11 +411,11 @@ def _sweep(worker, jobs, orders, records=None):
 
     One map, _pool(jobs), serves the whole call: catalogue orders not
     memoised yet are generated with it before the sweep, which maps in
-    record order.
+    record order over a _Records view of their compact forms.
     """
     with _pool(jobs) as imap:
         if records is None:
-            records = [rec for n in orders for rec in _fill(n, imap)]
+            records = _Records([_fill(n, imap) for n in orders])
         yield from zip(records, imap(worker, records))
 
 
@@ -371,35 +452,52 @@ def _level_counts(n):
 
 
 def _fill(n, imap):
-    """catalogue_records(n), generating each order up to n that is not
-    memoised yet with the map imap of _pool: each parent's children are
-    folded in in parent order, then the order is sorted.  A generated
-    order is checked twice before it is memoised: its class count
-    against A000088, then each edge count's records against A008406,
-    distinct; a miss raises IncompleteCatalogue.  A parent whose
-    extension fails with anything but a Rep3Error raises WorkerCrash
-    naming that parent, as imap runs every worker through _guarded."""
+    """The compact form of order n, generating each order up to n that is
+    not memoised yet with the map imap of _pool.
+
+    The compact form of an order is one bytes: its records, all
+    _width(n) bytes long, joined in stream order.  _extend gives each
+    parent's children at one edge count as one joined bytes, and they
+    are appended, in parent order, to one bytearray per edge count.  A
+    generated order is checked before it is memoised: each edge count's
+    bytes must split into whole records that spell order n, the class
+    count must match A000088, and then, one edge count at a time, the
+    records are split off, sorted, checked against A008406, distinct,
+    and joined.  A miss raises IncompleteCatalogue.  No order is ever
+    held as one object per record.  A parent whose extension fails with
+    anything but a Rep3Error raises WorkerCrash naming that parent, as
+    imap runs every worker through _guarded."""
     if n not in _catalogue:
-        levels = [[] for _ in range(n * (n - 1) // 2 + 1)]  # records by edge count
-        parents = _fill(n - 1, imap)
+        width = _width(n)
+        levels = [bytearray() for _ in range(n * (n - 1) // 2 + 1)]  # records by edge count
+        parents = _Records([_fill(n - 1, imap)])
         for children in imap(_children, parents):
             for edges, forms in children:
                 levels[edges] += forms
-        for level in levels:
-            level.sort()
-        total = sum(map(len, levels))
+        for edges, level in enumerate(levels):
+            # width bytes for every record start that spells order n
+            if len(level) != width * level[::width].count(63 + n):
+                raise IncompleteCatalogue(
+                    f"order {n}, {edges} edges: generated {len(level)} bytes,"
+                    f" not whole {width}-byte records of order {n}"
+                )
+        total = sum(map(len, levels)) // width
         if total != A000088[n]:
             raise IncompleteCatalogue(
                 f"order {n}: generated {total} classes, A000088 counts {A000088[n]}"
             )
-        for edges, (level, count) in enumerate(zip(levels, _level_counts(n))):
+        joined = []
+        for edges, count in enumerate(_level_counts(n)):
+            level = sorted(_split(levels[edges], width))
+            levels[edges] = None  # each edge count's bytes freed once split
             distinct = len(level) - sum(map(eq, level, level[1:]))
             if len(level) != count or distinct != count:
                 raise IncompleteCatalogue(
                     f"order {n}, {edges} edges: generated {len(level)} records,"
                     f" {distinct} distinct, A008406 counts {count}"
                 )
-        _catalogue[n] = tuple(form for level in levels for form in level)
+            joined.append(b"".join(level))
+        _catalogue[n] = b"".join(joined)
     return _catalogue[n]
 
 
@@ -411,8 +509,8 @@ def _children(parents):
 
 def _extend(rec):
     """The accepted children of one parent class, each once, as
-    (edge count, canonical records) pairs: those of at most half the
-    edges, and the complement of each one below half."""
+    (edge count, canonical records joined) pairs: those of at most half
+    the edges, and the complement of each one below half."""
     parent = parse_graph6(rec)
     n = parent.n + 1
     top = 1 << (n - 1)
@@ -474,17 +572,17 @@ def _extend(rec):
                     forms.append(form)
                     if 2 * (edges + k) < total:
                         upper.append(_canonical_search(complement(child))[0])
-        out.append((edges + k, forms))
-        out.append((total - edges - k, upper))
+        out.append((edges + k, b"".join(forms)))
+        out.append((total - edges - k, b"".join(upper)))
     return out
 
 
 def enumerate_graphs(n: int):
     """One representative per isomorphism class of order n, 1 <= n <= 9.
 
-    Yields the graphs of catalogue_records(n), parsed in stream order,
-    so the sequence is canonically labeled and identical across calls.
+    Yields the graphs of catalogue_records(n), parsed in stream order
+    from the compact form, so the sequence is canonically labeled and
+    identical across calls.
     """
-    for form in catalogue_records(n):
-        yield parse_graph6(form)
+    yield from map(parse_graph6, _Records([_compact(n)]))
 

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rep3 import enumeration, errors
-from rep3.enumeration import _canonical_search, catalogue_records, enumerate_graphs
+from rep3.enumeration import (
+    _canonical_search,
+    catalogue_lines,
+    catalogue_records,
+    enumerate_graphs,
+)
 from rep3.graphcore import (
     _pack,
     complement,
@@ -222,10 +227,42 @@ class TestEnumerate:
 
 
 def generated(monkeypatch, max_n, jobs):
-    """Orders 1..max_n generated afresh through one _pool(jobs) map."""
-    monkeypatch.setattr(enumeration, "_catalogue", {1: (b"@",)})
+    """The records of orders 1..max_n generated afresh through one
+    _pool(jobs) map, split from their compact forms."""
+    monkeypatch.setattr(enumeration, "_catalogue", {1: b"@"})
     with enumeration._pool(jobs) as imap:
-        return [enumeration._fill(n, imap) for n in range(1, max_n + 1)]
+        compact = [enumeration._fill(n, imap) for n in range(1, max_n + 1)]
+    return [list(enumeration._Records([blob])) for blob in compact]
+
+
+def test_each_order_is_stored_as_one_bytes(monkeypatch):
+    # a fill leaves each order as its records joined: one object, not one
+    # per record, in catalogue_records order
+    compact = generated(monkeypatch, 7, 2)
+    for n, records in enumerate(compact, 1):
+        stored = enumeration._catalogue[n]
+        assert type(stored) is bytes
+        assert len(stored) == enumeration.A000088[n] * enumeration._width(n)
+        assert stored == b"".join(records)
+        assert {len(rec) for rec in records} == {enumeration._width(n)}
+
+
+def test_records_view_slices_across_orders():
+    # _pool's map takes the view as it takes a list: len, slices of bytes
+    # records (across an order boundary too) and iteration
+    records = [*catalogue_records(5), *catalogue_records(6)]
+    view = enumeration._Records([b"".join(catalogue_records(n)) for n in (5, 6)])
+    assert len(view) == 190
+    assert list(view) == records
+    for start, stop in [(0, 190), (30, 40), (33, 35), (34, 34), (189, 300), (0, 1)]:
+        window = view[start:stop]
+        assert type(window) is list and window == records[start:stop]
+    assert all(type(rec) is bytes for rec in view[30:40])
+
+
+def test_lines_are_the_records():
+    for n in range(1, 9):
+        assert catalogue_lines(n) == b"".join(rec + b"\n" for rec in catalogue_records(n))
 
 
 def sha256_lines(records):
@@ -362,9 +399,9 @@ def test_fill_maps_parents_in_order(asked_chunks, monkeypatch):
     # the sweeps use; orders 6 and 7 extend 34 and 156 parents
     warm = {n: catalogue_records(n) for n in range(1, 8)}
     asked_chunks.clear()
-    monkeypatch.setattr(enumeration, "_catalogue", {n: warm[n] for n in range(1, 6)})
+    monkeypatch.setattr(enumeration, "_catalogue", {n: b"".join(warm[n]) for n in range(1, 6)})
     assert catalogue_records(7) == warm[7]
-    assert enumeration._catalogue[6] == warm[6]
+    assert enumeration._catalogue[6] == b"".join(warm[6])
     assert asked_chunks == [(True, [1] * 34), (True, [4] * 39)]
 
 

@@ -438,7 +438,7 @@ def _no_lemma_work(records):
 
 def cold(monkeypatch):
     """Empty the catalogue down to its order-1 seed, as in a new process."""
-    monkeypatch.setattr(enumeration, "_catalogue", {1: (b"@",)})
+    monkeypatch.setattr(enumeration, "_catalogue", {1: b"@"})
 
 
 def test_each_sweep_opens_at_most_one_pool(opened_pools):
@@ -602,7 +602,7 @@ def _children_dropping_one(parents):
 
     def edit(out):
         (edges, forms), *rest = out
-        return [(edges, forms[1:]), *rest]
+        return [(edges, forms[enumeration._width(6):]), *rest]
 
     return _children_editing(parents, edit)
 
@@ -613,7 +613,7 @@ def _children_repeating_a_class(parents):
     class of order 6 with two edges."""
 
     def edit(out):
-        return [(edges, [b"E?C_"] if forms == [b"E??W"] else forms) for edges, forms in out]
+        return [(edges, b"E?C_" if forms == b"E??W" else forms) for edges, forms in out]
 
     return _children_editing(parents, edit)
 
@@ -623,14 +623,45 @@ def _children_moving_a_class(parents):
     two edges is filed under three edges."""
 
     def edit(out):
-        return [(3 if forms == [b"E??W"] else edges, forms) for edges, forms in out]
+        return [(3 if forms == b"E??W" else edges, forms) for edges, forms in out]
 
     return _children_editing(parents, edit)
+
+
+def _children_widening_a_record(parents):
+    """_children, except that the edgeless order-5 parent's child with
+    two edges, P3 + 3K1, comes one byte too long."""
+
+    def edit(out):
+        return [(edges, b"E??W?" if forms == b"E??W" else forms) for edges, forms in out]
+
+    return _children_editing(parents, edit)
+
+
+def _children_misaligning_two(parents):
+    """_children, except that the two children of order 6 with two
+    edges come one byte too long (P3 + 3K1) and one too short (2K2 +
+    2K1): together a whole number of records, split at the wrong bytes."""
+    swap = {b"E??W": b"E??W?", b"E?C_": b"E?C"}
+    return [
+        [(edges, swap.get(forms, forms)) for edges, forms in out]
+        for out in _real_children(parents)
+    ]
 
 
 @pytest.mark.parametrize(
     "children,message",
     [
+        pytest.param(
+            _children_widening_a_record,
+            "order 6, 2 edges: generated 9 bytes, not whole 4-byte records of order 6",
+            id="widened",
+        ),
+        pytest.param(
+            _children_misaligning_two,
+            "order 6, 2 edges: generated 8 bytes, not whole 4-byte records of order 6",
+            id="misaligned",
+        ),
         pytest.param(
             _children_repeating_a_class,
             "order 6, 2 edges: generated 2 records, 1 distinct, A008406 counts 2",
@@ -836,6 +867,45 @@ def test_every_sweep_names_the_record_a_worker_crashed_on(
         call(cores)
     assert str(caught.value) == message
     assert opened_pools == ([(2,)] if cores == 2 else [])
+
+
+class BytesOnly:
+    """A chunk worker: the real worker name, after checking that each
+    record it is handed is a bytes object; picklable, as the real one is
+    looked up by name in this module."""
+
+    def __init__(self, name):
+        self.__name__ = name
+
+    def __call__(self, records):
+        if not all(type(rec) is bytes for rec in records):
+            raise TypeError(f"{self.__name__} handed {sorted({type(r).__name__ for r in records})}")
+        return _REAL_WORKERS[self.__name__](records)
+
+
+_REAL_WORKERS = {
+    "_children": _real_children,
+    "_theorem_worker": _real_theorem_worker,
+    "_lemma_worker": _real_lemma_worker,
+    "_identity_worker": _real_identity_worker,
+}
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_every_map_hands_its_workers_bytes_records(opened_pools, monkeypatch, cores):
+    # the catalogue is held as one bytes per order; the fill and each
+    # sweep still hand every worker a chunk of bytes records, in this
+    # process and in a pool
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(enumeration, "_children", BytesOnly("_children"))
+    for name in ("_theorem_worker", "_lemma_worker", "_identity_worker"):
+        monkeypatch.setattr(harness, name, BytesOnly(name))
+    cold(monkeypatch)
+    assert verify_theorem(5, 6, jobs=cores).verified
+    assert verify_lemmas(6, jobs=cores).verified
+    assert counting_identity_suite(6).verified
+    find_extremal(6)
+    assert opened_pools == ([(2,)] * 4 if cores == 2 else [])
 
 
 def test_each_4_set_is_checked_once(monkeypatch):
