@@ -675,8 +675,9 @@ def _children_misaligning_two(parents):
     ],
 )
 def test_class_count_kept_fails_the_level_gate(monkeypatch, children, message):
-    # each order still holds A000088's number of records; only the
-    # count and the distinctness per edge count see the fault
+    # each order still holds A000088's number of records; only the gates
+    # per edge count (whole records, then count and distinctness) see
+    # the fault
     monkeypatch.setattr(enumeration, "_children", children)
     cold(monkeypatch)
     with pytest.raises(errors.IncompleteCatalogue, match=message):
