@@ -117,11 +117,13 @@ answer for all its records at once, as the lemma scan does.
 _sweep is the one driver of harness's sweeps: it opens that map, fills
 any catalogue order the sweep needs and is not memoised yet, then maps
 the sweep's worker over a _Records view of their records in record
-order.  The map runs every worker through _guarded, so a crash in
-generation or in a sweep is a WorkerCrash that names the record it
-failed on, at any jobs count: only when a chunk fails with anything
-but a Rep3Error are its records run again one at a time, to find the
-first that fails alone.
+order.  It takes records in the compact form only, the catalogue's own
+or a caller's (harness packs an input file's records so), so no sweep
+holds its records as one object each.  The map runs every worker
+through _guarded, so a crash in generation or in a sweep is a
+WorkerCrash that names the record it failed on, at any jobs count:
+only when a chunk fails with anything but a Rep3Error are its records
+run again one at a time, to find the first that fails alone.
 """
 
 import os
@@ -257,8 +259,9 @@ def _split(blob, width):
 
 
 class _Records:
-    """A read-only view of catalogue orders, each one bytes of fixed-width
-    records (_catalogue's form), as _pool's map takes records: its
+    """A read-only view of orders, each one bytes-like object of
+    fixed-width records (_catalogue's form, which harness also packs
+    input records into), as _pool's map takes records: its
     length, a slice (of step 1) as a list of bytes records, and
     iteration, in order.  Only a slice or an iteration step holds
     records as objects."""
@@ -268,7 +271,7 @@ class _Records:
         # a record's first byte spells its order, hence its width
         self._parts = []
         self._len = 0
-        for blob in blobs:
+        for blob in filter(None, blobs):  # an empty one has no order byte
             width = _width(blob[0] - 63)
             self._parts.append((blob, width, self._len))
             self._len += len(blob) // width
@@ -320,6 +323,8 @@ def _pool(jobs):
     later map inside the context.  The results that wait behind an
     unfinished chunk are at most a 1/(_CHUNKS * jobs) share of the map,
     however large each result is.  Each worker runs through _guarded.
+    records has a length and slices that are lists of records, as a
+    _Records view over compact forms gives them.
     """
     cores = os.cpu_count() or 1
     jobs = min(max(1, int(cores if jobs is None else jobs)), cores)
@@ -405,17 +410,19 @@ def _compact(n):
         return _fill(n, imap)
 
 
-def _sweep(worker, jobs, orders, records=None):
-    """(record, worker(record)) pairs in record order, over records or,
-    when records is None, over the catalogue of each of orders.
+def _sweep(worker, jobs, orders, blobs=None):
+    """(record, worker(record)) pairs in record order, over blobs or,
+    when blobs is None, over the catalogue of each of orders.
 
-    One map, _pool(jobs), serves the whole call: catalogue orders not
-    memoised yet are generated with it before the sweep, which maps in
-    record order over a _Records view of their compact forms.
+    blobs holds records in the catalogue's compact form: per order, one
+    bytes-like object of fixed-width records of that order, joined; an
+    empty one is skipped.  One map, _pool(jobs), serves the whole call:
+    catalogue orders not memoised yet are generated with it before the
+    sweep, which maps in record order over a _Records view of the
+    compact forms, so no sweep holds its records as one object each.
     """
     with _pool(jobs) as imap:
-        if records is None:
-            records = _Records([_fill(n, imap) for n in orders])
+        records = _Records(blobs if blobs is not None else [_fill(n, imap) for n in orders])
         yield from zip(records, imap(worker, records))
 
 

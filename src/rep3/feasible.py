@@ -376,15 +376,12 @@ def _induced_path_ok(g: Graph, x) -> bool:
     ] == 1
 
 
-def _positions(data: bytes, value: int, start=0, stop=None):
-    """The positions of the bytes equal to value in data[start:stop],
-    in order."""
-    if stop is None:
-        stop = len(data)
-    pos = data.find(value, start, stop)
+def _positions(data: bytes, value: int):
+    """The positions of the bytes equal to value in data, in order."""
+    pos = data.find(value)
     while pos >= 0:
         yield pos
-        pos = data.find(value, pos + 1, stop)
+        pos = data.find(value, pos + 1)
 
 
 def _paired_gap_sets(degs):
@@ -420,7 +417,9 @@ def _lemma_scan(graphs, oracle_mins):
     run are then read set by set: byte lane i of each cover below
     belongs to graphs[i], a 4-set's cover is the OR of its four 3-sets'
     balanceable lanes, and a 5-set's the OR of the feasible lanes of its
-    six 3-sets through the median.
+    six 3-sets through the median.  Each graph's counts and low budgets
+    are read from its own span of the codes, which alone is translated
+    for that graph's oracle minimum.
 
     Returns, per graph, (budgeted, failures, low, paths, medians,
     paired): how many 3-sets have a budget of at most n - 3, and how
@@ -471,7 +470,6 @@ def _lemma_scan(graphs, oracle_mins):
 
     budgeted = codes.translate(_IS_BUDGETED)
     unequalizable = codes.translate(_IS_UNEQUALIZABLE)
-    below = {}  # budget-below flags by limit
     gaps = {}  # each degree sequence's paired-gap sets, with their cover offsets
     out = []
     for i, (g, oracle_min) in enumerate(zip(graphs, oracle_mins)):
@@ -481,10 +479,9 @@ def _lemma_scan(graphs, oracle_mins):
         limit = 8 if oracle_min is None else oracle_min
         low = []
         if limit:
-            if limit not in below:
-                below[limit] = codes.translate(_budget_below(limit))
-            low = [(triples[pos - start], codes[pos] >> 4)
-                   for pos in _positions(below[limit], 1, start, stop)]
+            span = codes[start:stop]
+            low = [(triples[pos], span[pos] >> 4)
+                   for pos in _positions(span.translate(_budget_below(limit)), 1)]
         degs = g.degrees
         if degs not in gaps:
             gaps[degs] = [(x, tables.four_index[x] * count) for x in _paired_gap_sets(degs)]

@@ -24,9 +24,11 @@ three times and no vertex is isolated, the degrees in [1, n-1] missed
 entirely are one fewer than those hit exactly twice.
 
 This module holds the reports, the workers and the folds.  Sweeps move
-graph6 records only, as the catalogue and graphcore.read_graph6_records
-hand them out; each worker parses its own records.  All four sweeps
-fold over enumeration._sweep, which opens one map per call: that map
+graph6 records only, each order's joined in the catalogue's compact
+form: the catalogue keeps them so, and verify_theorem packs the records
+graphcore.read_graph6_records hands out into the same form, one
+bytearray per order.  Each worker parses its own records.  All four
+sweeps fold over enumeration._sweep, which opens one map per call: that map
 first generates any catalogue order the sweep needs and is not memoised
 yet, then hands the worker the sweep's records a chunk at a time.  Each
 worker takes a chunk and returns one result per record, in order; each
@@ -64,7 +66,7 @@ from itertools import groupby
 from math import comb
 from typing import NamedTuple
 
-from .enumeration import MAX_ENUM, _sweep
+from .enumeration import MAX_ENUM, _sweep, _width
 from .errors import MalformedRecord, OrderOutOfRange, TheoremViolation
 from .feasible import _lemma_scan, _tables
 from .graphcore import _check, parse_graph6
@@ -173,16 +175,23 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
     """Solve and re-check every graph of each order in [min_n, max_n].
 
     source None sweeps the catalogue; otherwise it is any iterable of
-    graph6 records as graphcore.read_graph6_records yields them.
-    Records whose order byte lies outside the range are validated,
-    counted in the report's skipped field and never solved; the rest go
-    to one worker pool, which parses each record itself.  A malformed record raises
-    MalformedRecord either way (OrderOutOfRange for the multi-byte
-    order form).  jobs also sets the worker count for any catalogue
-    order not yet generated, and one pool serves that generation and
-    the sweep.  A sweep that checks no graph at all is not verified.
-    Graphs with minimum deletion 3 are collected as lower-bound
-    witnesses.
+    graph6 records as graphcore.read_graph6_records yields them.  Each
+    record of a swept order n and of _width(n) bytes is packed into one
+    bytearray per order, the catalogue's compact form, in input order;
+    the orders are then swept in turn, which leaves the report as it
+    would be in input order, since each order's entry keeps its
+    records' order.  Every other record is validated first:
+    one of another order is counted in the report's skipped field and
+    never solved, and a malformed one raises MalformedRecord
+    (OrderOutOfRange for the multi-byte order form), as does one of a
+    swept order but of another width, before the sweep starts.  The
+    packed records go to one worker pool, which parses each record
+    itself, so a malformed one of the right width raises
+    MalformedRecord there.  jobs also sets the worker count for any
+    catalogue order not yet generated, and one pool serves that
+    generation and the sweep.  A sweep that checks no graph at all is
+    not verified.  Graphs with minimum deletion 3 are collected as
+    lower-bound witnesses.
     """
     if not 5 <= min_n <= max_n <= MAX_ENUM:
         raise OrderOutOfRange(
@@ -190,16 +199,20 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
         )
     t0 = time.perf_counter()
     orders = range(min_n, max_n + 1)
-    records = None  # the catalogue of each order
+    blobs = None  # the catalogue of each order
     skipped = 0
     if source is not None:
-        records = []
+        # keyed by order byte and width: a record of a swept order but of
+        # another width finds no blob
+        packed = {(63 + n, _width(n)): bytearray() for n in orders}
         for rec in source:
-            if rec and rec[0] - 63 in orders:
-                records.append(rec)
+            blob = packed.get((rec[0] if rec else 0, len(rec)))
+            if blob is not None:
+                blob += rec
             else:
                 _check(rec)  # raises unless a well-formed record of another order
                 skipped += 1
+        blobs = packed.values()
     per_n = {
         n: {
             "graph_count": 0,
@@ -209,7 +222,7 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
         }
         for n in orders
     }
-    for rec, (n, size, viol) in _sweep(_theorem_worker, jobs, orders, records):
+    for rec, (n, size, viol) in _sweep(_theorem_worker, jobs, orders, blobs):
         entry = per_n[n]
         entry["graph_count"] += 1
         if viol is not None:

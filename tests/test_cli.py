@@ -12,8 +12,10 @@ import sys
 
 import pytest
 
+from rep3 import cli, harness, solver
 from rep3.cli import main, run
 from rep3.enumeration import enumerate_graphs
+from rep3.errors import TheoremViolation
 from rep3.graphcore import write_graph6
 from rep3.solver import solve3
 
@@ -56,6 +58,17 @@ ORDER_62 = (
     r"^EhHs^LxOsR_oQRQbxk`vCuPdpqw~wKpkDEL\EXPqGkJ]cx|gv[VrSeEYFe`^Ug`"
     r"VjkVltwTd]jqAYuiU||UPRI?A}O~gVQX_riN[TN~H}GycRLAU{A^MbJbTnWj?"
 )
+
+
+def test_solve_theorem_violation_exits_1(capsys, monkeypatch):
+    def solve3(g):
+        raise TheoremViolation("planted miss")
+
+    monkeypatch.setattr(cli, "solve3", solve3)
+    assert run(["solve", "--graph", "DQo"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "theorem violation: planted miss\n"
 
 
 def test_solve_order_62_record(capsys):
@@ -169,6 +182,12 @@ def test_equalize_default_budget(capsys):
     assert out_of(capsys) == '{"deleted":[3]}\n'
 
 
+def test_equalize_table(capsys):
+    rec = write_graph6(helpers.paw()).decode("ascii")
+    assert run(["equalize", "--graph", rec, "--triple", "0,1,2", "--format", "table"]) == 0
+    assert out_of(capsys) == "delete 3\n"
+
+
 def test_equalize_miss(capsys):
     assert run(["equalize", "--graph", PATH4, "--triple", "0,1,3",
                 "--budget", "1"]) == 1
@@ -219,6 +238,18 @@ def test_verify_table_report(capsys):
                 "--format", "table"]) == 0
     text = out_of(capsys)
     assert "34" in text and "verified" in text
+
+
+def test_verify_table_reports_violations(capsys, monkeypatch):
+    # a search that deletes past allowance(5) = 2 fails every class
+    monkeypatch.setattr(
+        harness, "solve3", lambda g: solver.DeletionCertificate(g.n, (0, 1, 2), (3, 4), 0)
+    )
+    assert run(["verify", "--min-n", "5", "--max-n", "5", "--jobs", "1",
+                "--format", "table"]) == 1
+    lines = out_of(capsys).splitlines()
+    assert lines[1].split() == ["5", "34", "0/0/0/0", "0", "34"]
+    assert lines[-1] == "status: VIOLATIONS FOUND"
 
 
 def test_verify_input_file_filters_by_order(capsys, tmp_path):

@@ -433,6 +433,9 @@ class TestValueSemantics:
         assert hash(a) == hash(b)
         assert a != helpers.c4()
 
+    def test_not_equal_to_other_types(self):
+        assert helpers.p4().__eq__("Ch") is NotImplemented and helpers.p4() != "Ch"
+
     def test_deletion_does_not_mutate(self):
         g = helpers.p4()
         before = edge_set(g)

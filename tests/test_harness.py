@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -19,6 +20,7 @@ from rep3.harness import (
     verify_lemmas,
     verify_theorem,
 )
+from rep3.repetition import profile
 from rep3.solver import min_deletion_for_rep3, solve3
 
 import helpers
@@ -30,6 +32,10 @@ SUITES = ("induced_path", "paired_degree_gap", "median_feasible", "feasible_budg
 # sort_keys=True) over the same records: labeled input, byte for byte
 LABELED_CERTIFICATES_SHA256 = "f4d08908c2f8f70e0a96502575ae5cfcfe1397bc72e531dc14aeab10982a4ce4"
 LABELED_REPORT_SHA256 = "ae3bc47fcc167e6117a1bc68f1e394876d77cc0a7345bc11ec96bba780f9e7e0"
+# the same report digest over test_shuffled_input_with_absent_orders_pinned's
+# input: seeded labeled records of orders 5, 7 and 9 and the order-7
+# catalogue, shuffled together
+SHUFFLED_REPORT_SHA256 = "61ac6ce7084e2318562f4e902e8a57d98ec3aec663a2f7472a6ab92600e51a30"
 
 
 def reference_lemma_scan(rec):
@@ -161,16 +167,62 @@ class TestVerifyTheorem:
                 ("order_3_bad_bytes", b"B!!!!"),
                 ("order_64", b"\x7f"),
                 ("order_5_bad_bytes", b"D!!!"),
+                ("order_5_packed_bad_bytes", b"D!!"),
             ]
         ],
     )
     def test_malformed_source_record_raises(self, rec, jobs):
-        # records outside the swept orders are validated before skipping;
-        # a bad record of a swept order fails in the worker that parses
-        # it, which at jobs 2 runs in a pool, so the error must arrive
-        # typed across it
+        # records outside the swept orders, and records of a swept order
+        # but of another width, are validated before the sweep; a record
+        # of a swept order's width is packed and fails in the worker that
+        # parses it, which at jobs 2 runs in a pool, so the error must
+        # arrive typed across it
         with pytest.raises(errors.MalformedRecord):
             verify_theorem(5, 5, source=[rec] * jobs, jobs=jobs)
+
+    def test_input_reaches_the_sweep_packed_per_order(self, monkeypatch):
+        # each swept order's records reach _sweep as one bytes-like
+        # object of _width(n) bytes a record, in input order; no list of
+        # records is built
+        seen = []
+        real_sweep = harness._sweep
+
+        def sweep(worker, jobs, orders, blobs=None):
+            seen.extend(blobs)
+            return real_sweep(worker, jobs, orders, seen)
+
+        monkeypatch.setattr(harness, "_sweep", sweep)
+        records = helpers.labeled_records(count=300)
+        report = verify_theorem(5, 9, source=records, jobs=1)
+        assert report.checked == 300
+        assert all(isinstance(blob, bytearray) for blob in seen)
+        by_order = [[rec for rec in records if rec[0] - 63 == n] for n in range(5, 10)]
+        assert [len(blob) for blob in seen] == [
+            enumeration._width(n) * len(recs) for n, recs in zip(range(5, 10), by_order)
+        ]
+        assert seen == [b"".join(recs) for recs in by_order]
+
+    def test_shuffled_input_with_absent_orders_pinned(self):
+        # orders 5, 7 and 9 interleaved, none of 6 or 8: each order is
+        # swept in its input order, and both absent orders report zero
+        records = [r for r in helpers.labeled_records(seed=30, count=900) if r[0] - 63 in (5, 7, 9)]
+        records += catalogue_records(7)
+        random.Random(30).shuffle(records)
+        for jobs in (1, 2):
+            report = verify_theorem(5, 9, source=records, jobs=jobs)
+            assert report.per_n[6]["graph_count"] == report.per_n[8]["graph_count"] == 0
+            text = json.dumps(report.comparable(), sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == SHUFFLED_REPORT_SHA256
+
+    def test_short_record_of_a_swept_order_raises_before_any_pool(self, opened_pools):
+        # a record one byte short of its order's width is not packed: the
+        # reader's own check rejects it before the sweep opens a pool
+        source = [*catalogue_records(6), catalogue_records(7)[0][:-1]]
+        opened_pools.clear()
+        message = "expected 4 data bytes for order 7, got 3"
+        with pytest.raises(errors.MalformedRecord, match=message):
+            verify_theorem(5, 7, source=source, jobs=2)
+        assert opened_pools == []
 
     def test_labeled_input_pinned(self):
         # the catalogue pins cover degree-sorted records only
@@ -318,6 +370,12 @@ class TestLemmaWorker:
         assert harness._lemma_worker(records) == list(map(reference_lemma_scan, records))
 
 
+def _profile_missing_more_in_k2(g):
+    """profile(g), with one more missing degree in K2's profile only."""
+    p = profile(g)
+    return p._replace(t_set=p.t_set | {0}) if g.degrees == (1, 1) else p
+
+
 class TestCountingIdentity:
     def test_max6_clean(self):
         r = counting_identity_suite(6)
@@ -339,6 +397,20 @@ class TestCountingIdentity:
     def test_cap(self):
         with pytest.raises(errors.OrderOutOfRange):
             counting_identity_suite(10)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_violation_names_its_class(self, opened_pools, monkeypatch, jobs):
+        # K2 planted with one more missing degree than the identity
+        # allows; orders 1..5 hold 52 classes, pooled at two jobs
+        catalogue_records(5)
+        opened_pools.clear()
+        monkeypatch.setattr(harness, "profile", _profile_missing_more_in_k2)
+        report = counting_identity_suite(5, jobs=jobs)
+        assert report.lemma_results["counting_identity"]["violations"] == [
+            {"n": 2, "graph": "A_", "s_size": 1, "t_size": 1}
+        ]
+        assert not report.verified
+        assert opened_pools == ([(2,)] if jobs == 2 else [])
 
 
 # json.dumps of each suite's counts and violation lists over the
@@ -539,22 +611,56 @@ def test_sweep_pools_past_one_chunk(opened_pools, count, pools):
     assert report.checked == count
 
 
-def test_oversized_deletion_set_is_a_violation(opened_pools, monkeypatch):
+def _solve3_missing(g):
+    """A solve3 that finds no deletion set."""
+    raise errors.TheoremViolation("planted miss")
+
+
+@pytest.mark.parametrize(
+    "solve,reason",
+    [
+        pytest.param(
+            lambda g: solver.DeletionCertificate(g.n, (0, 1, 2), (3, 4), 0),
+            "deletion set (0, 1, 2) exceeds allowance 2",
+            id="oversized",
+        ),
+        pytest.param(_solve3_missing, "planted miss", id="missing"),
+        pytest.param(
+            lambda g: solver.DeletionCertificate(g.n, (), (0, 1, 2), -1),
+            "certificate {'n': 5, 'deleted': [], 'witness': [0, 1, 2], 'degree': -1}"
+            " failed the independent check",
+            id="unchecked",
+        ),
+    ],
+)
+def test_oversized_deletion_set_is_a_violation(opened_pools, monkeypatch, solve, reason):
     # a search that deletes more than allowance(5) = 2 vertices is a
-    # violation before the certificate is checked, in this process and
-    # in the pool that 34 records open at two jobs
-    monkeypatch.setattr(
-        harness, "solve3", lambda g: solver.DeletionCertificate(g.n, (0, 1, 2), (3, 4), 0)
-    )
+    # violation before the certificate is checked, and so are a search
+    # that raises and a certificate the independent check refuses, in
+    # this process and in the pool that 34 records open at two jobs
+    monkeypatch.setattr(harness, "solve3", solve)
     for jobs in (1, 2):
         report = verify_theorem(5, 5, jobs=jobs)
         assert not report.verified
-        reasons = {viol["reason"] for viol in report.per_n[5]["violations"]}
-        assert reasons == {"deletion set (0, 1, 2) exceeds allowance 2"}
-        assert len(report.per_n[5]["violations"]) == 34
-    with pytest.raises(errors.TheoremViolation, match="exceeds allowance 2"):
+        reasons = [viol["reason"] for viol in report.per_n[5]["violations"]]
+        assert reasons == [reason] * 34
+        assert report.to_table().endswith("\nstatus: VIOLATIONS FOUND")
+    with pytest.raises(errors.TheoremViolation) as caught:
         find_extremal(5)
+    assert str(caught.value).endswith(": " + reason)
     assert opened_pools == [(2,), (2,)]
+
+
+def test_guarded_keeps_a_rep3_error_of_the_one_record_rerun():
+    # a chunk that crashes is run again a record at a time; a Rep3Error
+    # raised then keeps its own type and message
+    def worker(chunk):
+        if len(chunk) > 1:
+            raise ZeroDivisionError("planted")
+        raise errors.MalformedRecord("alone")
+
+    with pytest.raises(errors.MalformedRecord, match="^alone$"):
+        enumeration._guarded(worker, [b"D??", b"D?_"])
 
 
 @pytest.mark.parametrize("count", [0, 1])
