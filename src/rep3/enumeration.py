@@ -43,7 +43,7 @@ placed down each branch.  Leaves hidden by the twin cut are images of
 visited ones under the skipped twin transposition, so the visited last
 W-vertices closed under those transpositions give the whole orbit.
 
-catalogue_records builds order n by canonical vertex augmentation
+_fill builds order n by canonical vertex augmentation
 (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998)
 over the memoised order n-1 catalogue, which K1 seeds.  A child is a
 parent P plus a new vertex v = n-1 joined to a subset S.  Its W is an
@@ -84,7 +84,7 @@ Since each class has exactly one parent class and duplicates only
 arise among one parent's children, the parents of an order are
 independent shards, as in the res/mod splitting of nauty's geng:
 _fill maps the worker _children, which extends each parent of its chunk
-with _extend, over the order n-1 records with the map it is given,
+with _extend, over the compact form of order n-1 with the map it is given,
 folds each parent's children in parent order and needs no state shared
 between shards.  The stream of each order is then sorted by (edge
 count, record), so its bytes do not depend on jobs or on the shard each
@@ -96,34 +96,37 @@ stream order.  At order 9 that is 1.83 MiB, where one bytes object per
 record took 10.5 MiB (sys.getsizeof summed).  Neither the fill nor a
 sweep holds an order as one object per record: _extend returns each
 edge count's records joined, _fill appends them to one bytearray per
-edge count and splits one edge count at a time to sort it, and a
-_Records view hands _pool slices of the compact forms as lists of
-bytes records.  catalogue_records, enumerate_graphs and
-catalogue_lines read the compact form.
+edge count and splits one edge count at a time to sort it, and _pool
+maps over the compact forms themselves.  catalogue_lines and
+enumerate_graphs read the compact form.
 
-_pool gives one map per public call, and every map hands each worker
-call a whole chunk: a slice of the records, which the worker maps to a
-list of results, one per record, in order.  The map yields those results one by one, in record
-order.  Every map is cut into 16 chunks per worker, made one at a time
-as they are handed out, so the results that wait behind an unfinished
-chunk are a fixed share of the map, whether each result is one small
-tuple (a sweep) or a parent's children (the fill).  A map too small
-for 16 records per worker runs in this process, with the same chunk
-rule; the first larger map opens a worker pool, of at most one worker
-per core, that serves every later map of the call, the orders it
-generates and the sweep after them.  A worker that takes a chunk can
-answer for all its records at once, as the lemma scan does.
+_pool gives one map per public call, over compact forms, and every map
+hands each worker call a whole chunk: a slice of one order's compact
+form, which _guarded splits into a list of records, of one order, for
+the worker to map to a list of results, one per record, in order.  The
+map yields those results one by one, in record order.  Every map is
+cut into 16 chunks per worker, counted over all its records, and each
+order is cut on its own, so no chunk spans two orders.  The chunks are
+made one at a time as they are handed out, so the results that wait
+behind an unfinished chunk are a fixed share of the map, whether each
+result is one small tuple (a sweep) or a parent's children (the fill).
+A map too small for 16 records per worker runs in this process, with
+the same chunk rule; the first larger map opens a worker pool, of at
+most one worker per core, that serves every later map of the call, the
+orders it generates and the sweep after them.  A worker that takes a
+chunk can answer for all its records at once, as the lemma scan does.
 
 _sweep is the one driver of harness's sweeps: it opens that map, fills
 any catalogue order the sweep needs and is not memoised yet, then maps
-the sweep's worker over a _Records view of their records in record
-order.  It takes records in the compact form only, the catalogue's own
-or a caller's (harness packs an input file's records so), so no sweep
-holds its records as one object each.  The map runs every worker
-through _guarded, so a crash in generation or in a sweep is a
-WorkerCrash that names the record it failed on, at any jobs count:
-only when a chunk fails with anything but a Rep3Error are its records
-run again one at a time, to find the first that fails alone.
+the sweep's worker over the compact forms of their records, in record
+order, and pairs each result with its record as it unpacks them.  It
+takes records in the compact form only, the catalogue's own or a
+caller's (harness packs an input file's records so), so no sweep holds
+its records as one object each.  The map runs every worker through
+_guarded, so a crash in generation or in a sweep is a WorkerCrash that
+names the record it failed on, at any jobs count: only when a chunk
+fails with anything but a Rep3Error are its records run again one at a
+time, to find the first that fails alone.
 """
 
 import os
@@ -135,7 +138,7 @@ from operator import eq
 from struct import iter_unpack
 
 from .errors import IncompleteCatalogue, OrderOutOfRange, Rep3Error, WorkerCrash
-from .graphcore import Graph, _pack, complement, parse_graph6
+from .graphcore import Graph, _pack, _width, complement, parse_graph6
 
 MAX_ENUM = 9
 # OEIS A000088: the number of graphs on n unlabeled vertices, n = 0..9
@@ -246,52 +249,10 @@ def _canonical_search(g: Graph, w=None):
 _catalogue = {1: b"@"}  # n -> its canonical records in stream order, joined; K1 seeds it
 
 
-def _width(n):
-    """The bytes of each graph6 record of order n: the order byte, then
-    six upper-triangle bits a byte."""
-    return 1 + (n * (n - 1) // 2 + 5) // 6
-
-
 def _split(blob, width):
     """The width-byte records of blob, a bytes-like object, in order, as
     bytes."""
     return [rec for rec, in iter_unpack(f"{width}s", blob)]
-
-
-class _Records:
-    """A read-only view of orders, each one bytes-like object of
-    fixed-width records (_catalogue's form, which harness also packs
-    input records into), as _pool's map takes records: its
-    length, a slice (of step 1) as a list of bytes records, and
-    iteration, in order.  Only a slice or an iteration step holds
-    records as objects."""
-
-    def __init__(self, blobs):
-        # (bytes, record width, index of its first record) per order;
-        # a record's first byte spells its order, hence its width
-        self._parts = []
-        self._len = 0
-        for blob in filter(None, blobs):  # an empty one has no order byte
-            width = _width(blob[0] - 63)
-            self._parts.append((blob, width, self._len))
-            self._len += len(blob) // width
-
-    def __len__(self):
-        return self._len
-
-    def __getitem__(self, window):
-        start, stop, _ = window.indices(self._len)
-        out = []
-        for blob, width, first in self._parts:
-            lo, hi = max(start - first, 0), min(stop - first, len(blob) // width)
-            if lo < hi:
-                out += _split(memoryview(blob)[lo * width:hi * width], width)
-        return out
-
-    def __iter__(self):
-        for blob, width, _ in self._parts:
-            for rec, in iter_unpack(f"{width}s", blob):
-                yield rec
 
 
 _CHUNKS = 16  # chunks per worker in every pooled map
@@ -308,35 +269,45 @@ def get_context(method):
 
 @contextmanager
 def _pool(jobs):
-    """A map, imap(worker, records), for one public call.
+    """A map, imap(worker, blobs), for one public call.
 
-    The worker takes a chunk, a slice of records, and returns one result
-    per record, in order; imap yields those results one by one, in
-    record order, as they arrive, for callers to fold, not keep.
+    blobs are compact forms: per order, one bytes-like object of
+    fixed-width records of that order, joined; an empty one is skipped.
+    The worker takes a chunk, a list of records of one order, and
+    returns one result per record, in order; imap yields those results
+    one by one, in record order, as they arrive, for callers to fold,
+    not keep.
 
     jobs None means os.cpu_count(), and no more workers start than there
-    are cores.  Each map is cut into _CHUNKS chunks per worker, made
-    one at a time as they are handed out; a map with fewer records than
-    that holds one record per chunk.  Such a map, too small to share
-    between workers, runs in this process, and so does every map at one
-    job.  The first larger map opens one worker pool, which serves every
-    later map inside the context.  The results that wait behind an
-    unfinished chunk are at most a 1/(_CHUNKS * jobs) share of the map,
-    however large each result is.  Each worker runs through _guarded.
-    records has a length and slices that are lists of records, as a
-    _Records view over compact forms gives them.
+    are cores.  Each map is cut into _CHUNKS chunks per worker, counted
+    over the records of all its blobs, and each blob is cut on its own,
+    so no chunk spans two orders; a map with fewer records than that
+    holds one record per chunk.  The chunks are made one at a time as
+    they are handed out, each a slice of its blob, which _guarded splits
+    into records for the worker.  A map too small to share between
+    workers runs in this process, and so does every map at one job.
+    The first larger map opens one worker pool, which serves every later
+    map inside the context.  The results that wait behind an unfinished
+    chunk are at most a 1/(_CHUNKS * jobs) share of the map, however
+    large each result is.
     """
     cores = os.cpu_count() or 1
     jobs = min(max(1, int(cores if jobs is None else jobs)), cores)
     with ExitStack() as stack:
         pool = None
 
-        def imap(worker, records):
+        def imap(worker, blobs):
             nonlocal pool
             worker = partial(_guarded, worker)
-            size = len(records) // (jobs * _CHUNKS)
+            # a record's first byte spells its order, hence its width
+            blobs = [(blob, _width(blob[0] - 63)) for blob in blobs if blob]
+            size = sum(len(blob) // width for blob, width in blobs) // (jobs * _CHUNKS)
             step = max(1, size)
-            chunks = (records[i:i + step] for i in range(0, len(records), step))
+            chunks = (
+                blob[i:i + step * width]
+                for blob, width in blobs
+                for i in range(0, len(blob), step * width)
+            )
             if jobs < 2 or not size:
                 return chain.from_iterable(map(worker, chunks))
             if pool is None:
@@ -347,12 +318,13 @@ def _pool(jobs):
         yield imap
 
 
-def _guarded(worker, chunk):
-    """worker(chunk), with any error but a Rep3Error raised again as a
+def _guarded(worker, span):
+    """worker(records), the records of span, a slice of one order's
+    compact form, with any error but a Rep3Error raised again as a
     WorkerCrash that names a record; module level, so it pickles.  Only
-    then are the chunk's records run again one at a time, and the first
-    that fails alone is named (the chunk's first and last when none
-    does)."""
+    then are the records run again one at a time, and the first that
+    fails alone is named (the chunk's first and last when none does)."""
+    chunk = _split(span, _width(span[0] - 63))
     try:
         return worker(chunk)
     except Rep3Error:
@@ -376,22 +348,15 @@ def _name(rec):
     return rec.decode("ascii", "replace")
 
 
-def catalogue_records(n: int) -> tuple:
-    """The canonical graph6 record of every class of order n, 1 <= n <= 9.
-
-    Sorted by (edge count, record), and built on each call from the
-    memoised compact form of order n (see _fill), so callers that only
-    pass records on (to a worker pool, to a file) need not parse and
-    re-encode them.  Orders not yet memoised are generated over up to
-    one worker per core; a memoised order starts no process.
-    """
-    return tuple(_Records([_compact(n)]))
-
-
 def catalogue_lines(n: int) -> bytes:
-    """The records of catalogue_records(n), each ended by a newline, as
-    rep3 gen prints them: a copy of the compact form with one newline
-    after every record, made without a record object."""
+    """The canonical graph6 record of every class of order n,
+    1 <= n <= 9, each ended by a newline, as rep3 gen prints them.
+
+    Sorted by (edge count, record): a copy of the memoised compact form
+    of order n (see _fill) with one newline after every record, made
+    without a record object.  Orders not yet memoised are generated over
+    up to one worker per core; a memoised order starts no process.
+    """
     blob = _compact(n)
     width = _width(n)
     count = len(blob) // width
@@ -418,12 +383,17 @@ def _sweep(worker, jobs, orders, blobs=None):
     bytes-like object of fixed-width records of that order, joined; an
     empty one is skipped.  One map, _pool(jobs), serves the whole call:
     catalogue orders not memoised yet are generated with it before the
-    sweep, which maps in record order over a _Records view of the
-    compact forms, so no sweep holds its records as one object each.
+    sweep, which maps over the compact forms themselves and pairs each
+    result with its record as it unpacks them, blob by blob, so no sweep
+    holds its records as one object each.
     """
     with _pool(jobs) as imap:
-        records = _Records(blobs if blobs is not None else [_fill(n, imap) for n in orders])
-        yield from zip(records, imap(worker, records))
+        if blobs is None:
+            blobs = [_fill(n, imap) for n in orders]
+        results = imap(worker, blobs)
+        for blob in filter(None, blobs):
+            for (rec,), result in zip(iter_unpack(f"{_width(blob[0] - 63)}s", blob), results):
+                yield rec, result
 
 
 def _partitions(n, most=None):
@@ -477,8 +447,7 @@ def _fill(n, imap):
     if n not in _catalogue:
         width = _width(n)
         levels = [bytearray() for _ in range(n * (n - 1) // 2 + 1)]  # records by edge count
-        parents = _Records([_fill(n - 1, imap)])
-        for children in imap(_children, parents):
+        for children in imap(_children, [_fill(n - 1, imap)]):
             for edges, forms in children:
                 levels[edges] += forms
         for edges, level in enumerate(levels):
@@ -587,9 +556,11 @@ def _extend(rec):
 def enumerate_graphs(n: int):
     """One representative per isomorphism class of order n, 1 <= n <= 9.
 
-    Yields the graphs of catalogue_records(n), parsed in stream order
-    from the compact form, so the sequence is canonically labeled and
-    identical across calls.
+    Yields the graphs of catalogue_lines(n), parsed one at a time in
+    stream order from the compact form, so the sequence is canonically
+    labeled and identical across calls.
     """
-    yield from map(parse_graph6, _Records([_compact(n)]))
+    blob = _compact(n)
+    for rec, in iter_unpack(f"{_width(n)}s", blob):
+        yield parse_graph6(rec)
 

@@ -176,6 +176,12 @@ def write_graph6(g: Graph) -> bytes:
 _DATA_BYTES = bytes(range(63, 127))
 
 
+def _width(n: int) -> int:
+    """The bytes of each graph6 record of order n: the order byte, then
+    six upper-triangle bits a byte."""
+    return 1 + (n * (n - 1) // 2 + 5) // 6
+
+
 def _check(record: bytes) -> int:
     """The order n of a header-free graph6 record, checked as strictly
     as parse_graph6 checks it but not decoded: the order byte, the
@@ -190,7 +196,7 @@ def _check(record: bytes) -> int:
     if n < 1 or n > _G6_MAX:
         raise MalformedRecord(f"order byte decodes to {n}, outside [1, {_G6_MAX}]")
     nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
+    need = _width(n) - 1
     if len(record) - 1 != need:
         raise MalformedRecord(
             f"expected {need} data bytes for order {n}, got {len(record) - 1}"

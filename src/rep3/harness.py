@@ -27,27 +27,28 @@ This module holds the reports, the workers and the folds.  Sweeps move
 graph6 records only, each order's joined in the catalogue's compact
 form: the catalogue keeps them so, and verify_theorem packs the records
 graphcore.read_graph6_records hands out into the same form, one
-bytearray per order.  Each worker parses its own records.  All four
-sweeps fold over enumeration._sweep, which opens one map per call: that map
-first generates any catalogue order the sweep needs and is not memoised
-yet, then hands the worker the sweep's records a chunk at a time.  Each
-worker takes a chunk and returns one result per record, in order; each
-result carries its class's order and is folded in as it arrives.  A
-worker that fails on a record with anything but a Rep3Error surfaces
-as a WorkerCrash naming that record, at any jobs count; a Rep3Error
-keeps its own message.
+bytearray per order.  All four sweeps fold over enumeration._sweep,
+which opens one map per call: that map first generates any catalogue
+order the sweep needs and is not memoised yet, then hands the worker
+the sweep's records a chunk at a time, each chunk a list of records of
+one order.  Each worker parses its own records and returns one result
+per record, in order; each result carries its class's order and is
+folded in as it arrives.  A worker that fails on a record with anything
+but a Rep3Error surfaces as a WorkerCrash naming that record, at any
+jobs count; a Rep3Error keeps its own message.
 
 The lemma worker parses each record of its chunk, checks that its
 degrees are sorted, as catalogue records are and the scan needs, and
 asks the oracle for its minimum deletion size, one record at a time.
-It then hands each run of records of one order to feasible._lemma_scan,
-which answers the cover questions for the whole run at once, in each
-record's own labels.  verify_lemmas builds the scan's tables for every
-swept order before the sweep opens its pool, so forked workers inherit
-them.  The scan returns, per record, its counts and the sets each suite
-reports, in lexicographic order; the worker turns them into violation
-records and returns its counts and a tuple of (suite, violation) pairs,
-so the parent holds little per class while the pool runs.
+It then hands the chunk, of one order as every chunk is, to
+feasible._lemma_scan, which answers the cover questions for all its
+records at once, in each record's own labels.  verify_lemmas builds the
+scan's tables for every swept order before the sweep opens its pool, so
+forked workers inherit them.  The scan returns, per record, its counts
+and the sets each suite reports, in lexicographic order; the worker
+turns them into violation records and returns its counts and a tuple of
+(suite, violation) pairs, so the parent holds little per class while
+the pool runs.
 
 find_extremal runs the headline sweep's worker over the catalogue, so
 both solve and check each class the same way; each worker returns its
@@ -62,14 +63,13 @@ order, so any jobs count produces the same report, elapsed time aside.
 
 import json
 import time
-from itertools import groupby
 from math import comb
 from typing import NamedTuple
 
-from .enumeration import MAX_ENUM, _sweep, _width
+from .enumeration import MAX_ENUM, _sweep
 from .errors import MalformedRecord, OrderOutOfRange, TheoremViolation
 from .feasible import _lemma_scan, _tables
-from .graphcore import _check, parse_graph6
+from .graphcore import _check, _width, parse_graph6
 from .repetition import profile
 from .solver import allowance, check_certificate, min_deletion_for_rep3, solve3
 
@@ -241,11 +241,11 @@ def _lemma_worker(records):
     """Each record's lemma results: (n, feasible_budget instances,
     paired_degree_gap instances, strong-form failures, violations).
 
-    Each record is parsed, checked and put to the oracle alone, then
-    every run of records of one order is scanned at once.  A record is
-    scanned in its own labels, which must be sorted by degree, as every
-    catalogue record's are; a record whose degrees fall raises
-    MalformedRecord.  Every 4-set and 5-set is checked, so those suites'
+    records are all of one order, as every chunk of _pool's is.  Each
+    record is parsed, checked and put to the oracle alone, then all are
+    scanned at once.  A record is scanned in its own labels, which must
+    be sorted by degree, as every catalogue record's are; a record whose
+    degrees fall raises MalformedRecord.  Every 4-set and 5-set is checked, so those suites'
     instance counts are C(n, 4) and C(n, 5), added by the caller.
     violations is a tuple of (suite, violation) pairs, each suite's in
     lexicographic scan order.  A chunk longer than _SCAN_RUN records is
@@ -271,12 +271,8 @@ def _lemma_worker(records):
             oracle_min = None if cert is None else len(cert.deleted)
         graphs.append(g)
         minima.append(oracle_min)
-    scans = []
-    for _, run in groupby(zip(graphs, minima), key=lambda pair: pair[0].n):
-        scans += _lemma_scan(*zip(*run))
-
     out = []
-    for rec, g, oracle_min, scan in zip(records, graphs, minima, scans):
+    for rec, g, oracle_min, scan in zip(records, graphs, minima, _lemma_scan(graphs, minima)):
         n = g.n
         budgeted, failures, low, paths, medians, paired = scan
         gaps = paired if oracle_min is None or oracle_min > allowance(n) else ()

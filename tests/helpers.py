@@ -7,6 +7,7 @@ edge lists written out here so tests can assert exact indices.
 import random
 from itertools import combinations
 
+from rep3.enumeration import catalogue_lines
 from rep3.graphcore import from_edge_list, write_graph6
 from rep3.solver import DeletionCertificate
 
@@ -131,6 +132,12 @@ def triple_signatures(g):
                     (rb & rc).bit_count(),
                     (rab & rc).bit_count(),
                 )
+
+
+def catalogue_records(n):
+    """The canonical record of every class of order n, in catalogue
+    order, as rep3 gen prints them, one a line."""
+    return tuple(catalogue_lines(n).split())
 
 
 def labeled_records(seed=2026, count=2000):

@@ -7,15 +7,15 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rep3 import enumeration, errors
+from rep3 import enumeration, errors, harness
 from rep3.enumeration import (
     _canonical_search,
     catalogue_lines,
-    catalogue_records,
     enumerate_graphs,
 )
 from rep3.graphcore import (
     _pack,
+    _width,
     complement,
     from_edge_list,
     parse_graph6,
@@ -24,6 +24,7 @@ from rep3.graphcore import (
 )
 
 import helpers
+from helpers import catalogue_records
 
 
 def relabel(g, perm):
@@ -216,7 +217,7 @@ class TestEnumerate:
             list(enumerate_graphs(10))
         for n in (0, 10):
             with pytest.raises(errors.OrderOutOfRange):
-                catalogue_records(n)
+                catalogue_lines(n)
 
     def test_records_are_the_stream(self, graphs_by_n):
         for n in range(1, 8):
@@ -232,37 +233,27 @@ def generated(monkeypatch, max_n, jobs):
     monkeypatch.setattr(enumeration, "_catalogue", {1: b"@"})
     with enumeration._pool(jobs) as imap:
         compact = [enumeration._fill(n, imap) for n in range(1, max_n + 1)]
-    return [list(enumeration._Records([blob])) for blob in compact]
+    return [enumeration._split(blob, _width(n)) for n, blob in enumerate(compact, 1)]
 
 
 def test_each_order_is_stored_as_one_bytes(monkeypatch):
     # a fill leaves each order as its records joined: one object, not one
-    # per record, in catalogue_records order
+    # per record, in catalogue order
     compact = generated(monkeypatch, 7, 2)
     for n, records in enumerate(compact, 1):
         stored = enumeration._catalogue[n]
         assert type(stored) is bytes
-        assert len(stored) == enumeration.A000088[n] * enumeration._width(n)
+        assert len(stored) == enumeration.A000088[n] * _width(n)
         assert stored == b"".join(records)
-        assert {len(rec) for rec in records} == {enumeration._width(n)}
-
-
-def test_records_view_slices_across_orders():
-    # _pool's map takes the view as it takes a list: len, slices of bytes
-    # records (across an order boundary too) and iteration
-    records = [*catalogue_records(5), *catalogue_records(6)]
-    view = enumeration._Records([b"".join(catalogue_records(n)) for n in (5, 6)])
-    assert len(view) == 190
-    assert list(view) == records
-    for start, stop in [(0, 190), (30, 40), (33, 35), (34, 34), (189, 300), (0, 1)]:
-        window = view[start:stop]
-        assert type(window) is list and window == records[start:stop]
-    assert all(type(rec) is bytes for rec in view[30:40])
+        assert len(records) == enumeration.A000088[n]
+        assert all(rec[0] == 63 + n for rec in records)
 
 
 def test_lines_are_the_records():
+    # the lines rep3 gen prints are the records of the enumeration stream
     for n in range(1, 9):
-        assert catalogue_lines(n) == b"".join(rec + b"\n" for rec in catalogue_records(n))
+        stream = [write_graph6(g) for g in enumerate_graphs(n)]
+        assert catalogue_lines(n) == b"".join(rec + b"\n" for rec in stream)
 
 
 def sha256_lines(records):
@@ -329,12 +320,18 @@ def asked_chunks(monkeypatch):
 
     def spy(ordered, iterable, chunksize):
         # each map hands out its chunks one at a time, as the pool takes
-        # them, from an iterator: no list of every chunk is made
+        # them, from an iterator: no list of every chunk is made; each
+        # chunk is one slice of one order's compact form, whose records
+        # are counted
         assert iter(iterable) is iterable and chunksize == 1
         sizes = []
         asked.append((ordered, sizes))
         for chunk in iterable:
-            sizes.append(len(chunk))
+            width = _width(chunk[0] - 63)
+            count, rest = divmod(len(chunk), width)
+            assert type(chunk) in (bytes, bytearray) and not rest
+            assert chunk[::width] == chunk[:1] * count
+            sizes.append(count)
             yield chunk
 
     class SpyPool(multiprocessing.pool.Pool):
@@ -355,25 +352,38 @@ def asked_chunks(monkeypatch):
     return asked
 
 
-def negate(chunk):
-    """A chunk worker: each record's negation, in order."""
-    return [-x for x in chunk]
+def compact(n, count):
+    """A compact form of count distinct records of order n, each its
+    order byte, then its index in data bytes that no map reads."""
+    return b"".join(bytes([63 + n]) + i.to_bytes(_width(n) - 1, "big") for i in range(count))
+
+
+def records_back(chunk):
+    """A chunk worker: each record itself, in order."""
+    return chunk
 
 
 def test_ordered_chunks_are_bounded(asked_chunks):
     # an order-9 sweep maps 274,668 records; the main process holds the
     # results that wait behind an unfinished chunk, so every map is cut
     # into 16 chunks per worker, and each worker call takes one chunk
-    big = range(300_000)
+    big = compact(9, 300_000)
     with enumeration._pool(2) as imap:
-        assert list(imap(negate, big)) == [-x for x in big]
+        assert list(imap(records_back, [big])) == enumeration._split(big, _width(9))
         for size in (31, 32, 1_000):
-            assert list(imap(negate, range(size))) == [-x for x in range(size)]
+            blob = compact(5, size)
+            assert list(imap(records_back, [blob])) == enumeration._split(blob, _width(5))
+        # two orders share the rule, counted over both, and each is cut
+        # on its own: 1,500 records make chunks of 46
+        nine, five = compact(9, 1_000), compact(5, 500)
+        expected = enumeration._split(nine, _width(9)) + enumeration._split(five, _width(5))
+        assert list(imap(records_back, [nine, b"", five])) == expected
     assert asked_chunks == [
         (True, [9_375] * 32),
         # 31 records, under 16 per worker, ran in this process
         (True, [1] * 32),
         (True, [31] * 32 + [8]),
+        (True, [46] * 21 + [34] + [46] * 10 + [40]),
     ]
 
 
@@ -383,13 +393,13 @@ def test_maps_in_this_process_cut_the_same_chunks(asked_chunks, jobs, sizes):
     # with the chunk rule of a pooled map
     seen = []
 
-    def negate_here(chunk):
+    def records_here(chunk):
         seen.append(len(chunk))
-        return negate(chunk)
+        return records_back(chunk)
 
-    records = range(sum(sizes))
+    blob = compact(5, sum(sizes))
     with enumeration._pool(jobs) as imap:
-        assert list(imap(negate_here, records)) == [-x for x in records]
+        assert list(imap(records_here, [blob])) == enumeration._split(blob, _width(5))
     assert seen == sizes
     assert asked_chunks == []
 
@@ -403,6 +413,45 @@ def test_fill_maps_parents_in_order(asked_chunks, monkeypatch):
     assert catalogue_records(7) == warm[7]
     assert enumeration._catalogue[6] == b"".join(warm[6])
     assert asked_chunks == [(True, [1] * 34), (True, [4] * 39)]
+
+
+class OneOrder:
+    """A chunk worker: the real worker of its name, after checking that
+    it is handed a list of bytes records of one order; picklable, as the
+    real one is looked up by name in this module."""
+
+    def __init__(self, name):
+        self.__name__ = name
+
+    def __call__(self, records):
+        order = records[0][0]
+        if type(records) is not list or any(type(r) is not bytes or r[0] != order
+                                            for r in records):
+            raise TypeError(f"{self.__name__} handed records of more than one order")
+        return _REAL_WORKERS[self.__name__](records)
+
+
+_REAL_WORKERS = {"_children": enumeration._children, "_theorem_worker": harness._theorem_worker}
+
+
+def test_pooled_chunks_are_spans_of_one_order(asked_chunks, monkeypatch):
+    # a cold fill of orders 6 and 7, then a sweep of orders 5..7, through
+    # one pool: each task is one slice of one order's compact form (the
+    # spy checks it), and each worker call takes records of one order
+    catalogue_lines(5)
+    warm = {n: enumeration._catalogue[n] for n in range(1, 6)}
+    monkeypatch.setattr(enumeration, "_catalogue", warm)
+    monkeypatch.setattr(enumeration, "_children", OneOrder("_children"))
+    monkeypatch.setattr(harness, "_theorem_worker", OneOrder("_theorem_worker"))
+    asked_chunks.clear()
+    report = harness.verify_theorem(5, 7, jobs=2)
+    assert report.verified and report.checked == 34 + 156 + 1044
+    assert asked_chunks == [
+        (True, [1] * 34),
+        (True, [4] * 39),
+        # 1,234 records make chunks of 38, and each order is cut on its own
+        (True, [34] + [38] * 4 + [4] + [38] * 27 + [18]),
+    ]
 
 
 class TestLevelCounts:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rep3 import errors, graphcore
-from rep3.enumeration import catalogue_records
 from rep3.errors import MalformedRecord, OrderOutOfRange
 from rep3.graphcore import (
     Graph,
@@ -21,6 +20,7 @@ from rep3.graphcore import (
 )
 
 import helpers
+from helpers import catalogue_records
 
 
 # hand-encoded graph6 records: bits are the upper triangle read column by

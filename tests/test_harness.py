@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from rep3 import enumeration, errors, feasible, harness, solver
 from rep3.cli import run
-from rep3.enumeration import catalogue_records
-from rep3.graphcore import from_edge_list, parse_graph6, read_graph6_records, write_graph6
+from rep3.enumeration import catalogue_lines
+from rep3.graphcore import _width, from_edge_list, parse_graph6, read_graph6_records, write_graph6
 from rep3.feasible import TripleClassification, budget, classify_triple, equalize_triple
 from rep3.harness import (
     VerificationReport,
@@ -24,6 +24,7 @@ from rep3.repetition import profile
 from rep3.solver import min_deletion_for_rep3, solve3
 
 import helpers
+from helpers import catalogue_records
 
 SUITES = ("induced_path", "paired_degree_gap", "median_feasible", "feasible_budget")
 
@@ -198,7 +199,7 @@ class TestVerifyTheorem:
         assert all(isinstance(blob, bytearray) for blob in seen)
         by_order = [[rec for rec in records if rec[0] - 63 == n] for n in range(5, 10)]
         assert [len(blob) for blob in seen] == [
-            enumeration._width(n) * len(recs) for n, recs in zip(range(5, 10), by_order)
+            _width(n) * len(recs) for n, recs in zip(range(5, 10), by_order)
         ]
         assert seen == [b"".join(recs) for recs in by_order]
 
@@ -316,6 +317,42 @@ class TestVerifyLemmas:
                 assert r.lemma_results[suite]["violations"] == expected[suite]
 
 
+def _oracle_past_the_allowance_at_order_5(g, k):
+    """min_deletion_for_rep3, except that an order-5 hit reads three
+    deletions, one above allowance(5)."""
+    cert = min_deletion_for_rep3(g, k)
+    if cert is not None and g.n == 5:
+        return solver.DeletionCertificate(5, (0, 1, 2), (), 0)
+    return cert
+
+
+class TestPlantedLemmaFaults:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_minimum_above_the_allowance_reports_paired_gaps(self, monkeypatch, jobs):
+        # a paired-gap set is a violation when the oracle finds no set
+        # and also when its minimum exceeds the allowance
+        monkeypatch.setattr(harness, "min_deletion_for_rep3", _oracle_past_the_allowance_at_order_5)
+        expected = [
+            v
+            for rec in catalogue_records(5)
+            for suite, v in reference_lemma_scan(rec)[4]
+            if suite == "paired_degree_gap"
+        ]
+        gaps = verify_lemmas(5, jobs=jobs).lemma_results["paired_degree_gap"]["violations"]
+        assert gaps == expected
+        assert gaps and all(v["n"] == 5 and v["oracle_min"] == 3 for v in gaps)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_strong_form_failures_are_counted(self, monkeypatch, jobs):
+        # an _equalize that never finds a set within the budget makes
+        # every budgeted triple a strong-form failure; the verdict memo
+        # starts empty, so nothing planted outlives the test
+        monkeypatch.setattr(feasible, "_VERDICTS", {})
+        monkeypatch.setattr(feasible, "_equalize", lambda g, s3, max_delete: None)
+        suite = verify_lemmas(6, jobs=jobs).lemma_results["feasible_budget"]
+        assert suite["strong_form_failures"] == suite["instances_checked"] > 0
+
+
 def chunks(records, size):
     """records cut into consecutive chunks of size records."""
     return [records[i:i + size] for i in range(0, len(records), size)]
@@ -352,16 +389,22 @@ class TestLemmaWorker:
 
     @pytest.mark.parametrize("planted", [False, True], ids=["real", "planted"])
     def test_chunks_match_reference(self, planted):
-        # chunks of 1, 2 and 7 records, and every class of orders 1..7
-        # in one chunk of mixed orders, each scanned by order run, give
-        # the reference's result record by record
-        records = [rec for n in range(1, 8) for rec in catalogue_records(n)]
+        # each order of 1..7 cut into chunks of 1, 2 and 7 records, and
+        # whole (order 7's 1,044 records in _SCAN_RUN runs), as _pool cuts
+        # each order on its own, gives the reference's result record by
+        # record
+        orders = [catalogue_records(n) for n in range(1, 8)]
         with pytest.MonkeyPatch.context() as mp:
             if planted:
                 only_triangles_feasible(mp)
-            expected = list(map(reference_lemma_scan, records))
-            for size in (1, 2, 7, len(records)):
-                got = [r for chunk in chunks(records, size) for r in harness._lemma_worker(chunk)]
+            expected = [reference_lemma_scan(rec) for records in orders for rec in records]
+            for size in (1, 2, 7, None):
+                got = [
+                    r
+                    for records in orders
+                    for chunk in chunks(records, size or len(records))
+                    for r in harness._lemma_worker(chunk)
+                ]
                 assert got == expected
 
     @pytest.mark.extended
@@ -374,6 +417,13 @@ def _profile_missing_more_in_k2(g):
     """profile(g), with one more missing degree in K2's profile only."""
     p = profile(g)
     return p._replace(t_set=p.t_set | {0}) if g.degrees == (1, 1) else p
+
+
+def _profile_doubling_more_in_k2(g):
+    """profile(g), with one more doubled degree, n, in K2's profile
+    only: then one missing degree too few."""
+    p = profile(g)
+    return p._replace(s_set=p.s_set | {g.n}) if g.degrees == (1, 1) else p
 
 
 class TestCountingIdentity:
@@ -410,6 +460,19 @@ class TestCountingIdentity:
             {"n": 2, "graph": "A_", "s_size": 1, "t_size": 1}
         ]
         assert not report.verified
+        assert opened_pools == ([(2,)] if jobs == 2 else [])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_too_few_missing_degrees_is_a_violation(self, opened_pools, monkeypatch, jobs):
+        # the identity broken the other way: K2 planted with one missing
+        # degree fewer than the identity asks
+        catalogue_records(5)
+        opened_pools.clear()
+        monkeypatch.setattr(harness, "profile", _profile_doubling_more_in_k2)
+        report = counting_identity_suite(5, jobs=jobs)
+        assert report.lemma_results["counting_identity"]["violations"] == [
+            {"n": 2, "graph": "A_", "s_size": 2, "t_size": 0}
+        ]
         assert opened_pools == ([(2,)] if jobs == 2 else [])
 
 
@@ -530,7 +593,7 @@ def test_each_sweep_opens_at_most_one_pool(opened_pools):
     [
         pytest.param(lambda: verify_theorem(5, 8, jobs=2), id="verify_theorem"),
         pytest.param(lambda: verify_lemmas(8, jobs=2), id="verify_lemmas"),
-        pytest.param(lambda: catalogue_records(8), id="catalogue_records"),
+        pytest.param(lambda: catalogue_lines(8), id="catalogue_lines"),
     ],
 )
 def test_cold_call_opens_one_pool(opened_pools, monkeypatch, call):
@@ -579,17 +642,19 @@ def test_one_worker_per_core_opens_one_pool(opened_pools, monkeypatch, call):
     assert opened_pools == [(2,)]
 
 
-def absolute(chunk):
-    """A chunk worker: each record's absolute value, in order."""
-    return list(map(abs, chunk))
+def orders(chunk):
+    """A chunk worker: each record's order, in order."""
+    return [rec[0] - 63 for rec in chunk]
 
 
 @pytest.mark.parametrize("jobs", [3, 1000, None])
 def test_pool_never_exceeds_the_cores(opened_pools, jobs):
     # a huge --jobs must not ask for a huge pool; opened_pools reports
     # two cores, so at most two processes start
+    blobs = [catalogue_lines(n).replace(b"\n", b"") for n in (5, 6)]
+    opened_pools.clear()
     with enumeration._pool(jobs) as imap:
-        assert list(imap(absolute, list(range(-50, 50)))) == [abs(v) for v in range(-50, 50)]
+        assert list(imap(orders, blobs)) == [5] * 34 + [6] * 156
     assert opened_pools == [(2,)]
 
 
@@ -660,7 +725,7 @@ def test_guarded_keeps_a_rep3_error_of_the_one_record_rerun():
         raise errors.MalformedRecord("alone")
 
     with pytest.raises(errors.MalformedRecord, match="^alone$"):
-        enumeration._guarded(worker, [b"D??", b"D?_"])
+        enumeration._guarded(worker, b"D??D?_")
 
 
 @pytest.mark.parametrize("count", [0, 1])
@@ -708,7 +773,7 @@ def _children_dropping_one(parents):
 
     def edit(out):
         (edges, forms), *rest = out
-        return [(edges, forms[enumeration._width(6):]), *rest]
+        return [(edges, forms[_width(6):]), *rest]
 
     return _children_editing(parents, edit)
 
@@ -831,8 +896,10 @@ def _theorem_worker_rejecting(records):
     return _real_theorem_worker(records)
 
 
-# the 58th of the 190 classes of orders 5 and 6: third of a 5-record
-# chunk at two jobs (190 // 32) and of an 11-record chunk at one (190 // 16)
+# the 58th of the 190 classes of orders 5 and 6, the 24th of order 6,
+# whose records are cut into chunks on their own: fourth of a 5-record
+# chunk at two jobs (190 // 32) and second of an 11-record chunk at one
+# (190 // 16)
 MID_CHUNK = 57
 
 
@@ -912,7 +979,7 @@ def test_crash_mid_chunk_names_its_record(opened_pools, monkeypatch, jobs, size)
     # the planted record sits inside its chunk, neither first nor last;
     # the chunk fails, and only its records run again one at a time
     records = [*catalogue_records(5), *catalogue_records(6)]
-    assert len(records) // (16 * jobs) == size and 0 < MID_CHUNK % size < size - 1
+    assert len(records) // (16 * jobs) == size and 0 < (MID_CHUNK - 34) % size < size - 1
     opened_pools.clear()
     monkeypatch.setattr(harness, "_theorem_worker", _theorem_worker_failing_mid_chunk)
     name = records[MID_CHUNK].decode("ascii")

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from itertools import combinations
 
 from rep3 import errors, solver
-from rep3.enumeration import catalogue_records
 from rep3.graphcore import complement, delete_vertices, from_edge_list, parse_graph6
 from rep3.repetition import profile
 from rep3.solver import (
@@ -18,6 +17,7 @@ from rep3.solver import (
 )
 
 import helpers
+from helpers import catalogue_records
 
 # SHA-256 of json.dumps([solve3(g).to_dict() for g in every class of
 # orders 5..8]), classes in catalogue_records order: every certificate
