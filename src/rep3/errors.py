@@ -31,7 +31,8 @@ class EmptyResult(Rep3Error, ValueError):
 
 class MalformedRecord(Rep3Error, ValueError):
     """A graph6 record could not be decoded, or a reader that needs a
-    catalogue record (degrees sorted along the labels) got another.
+    catalogue record (degrees sorted along the labels) got another, or
+    a run of records read together holds more than one order.
 
     When raised while reading a stream, ``line`` holds the 1-based line
     number of the offending record.

@@ -35,6 +35,11 @@ table grows on demand, under a lock, to the longest record parsed:
 orders up to 9 need 6 positions, and the ceiling, 316 positions for
 order 62, costs about 7.6 MB of memory and 10 ms to build.
 
+_degree_lanes reads a list of records of one order at once, with one
+byte lane per record: it checks their joined bytes as strictly as _check
+checks each record, and sums every vertex's degrees from one strided
+slice and one translate per triangle bit, decoding no graph.
+
 from_edge_json reads {"n": ..., "edges": [[u, v], ...]} text and checks
 its shape and every endpoint.
 """
@@ -218,15 +223,19 @@ _GROWING = threading.Lock()
 _ROWS = [struct.Struct(f"<{n}Q") for n in range(_G6_MAX + 1)]
 
 
+def _pair(k: int):
+    """The pair (i, j), i < j, of triangle bit k = j(j-1)/2 + i."""
+    j = (1 + isqrt(1 + 8 * k)) // 2
+    return k - j * (j - 1) // 2, j
+
+
 def _grow(need: int) -> None:
     """Extend _TABLE to need data-byte positions."""
     with _GROWING:
         for p in range(len(_TABLE), need):
             entry = [0] * 64
             for b in range(6):  # bit b of the group is triangle bit 6p + 5 - b
-                k = 6 * p + 5 - b
-                j = (1 + isqrt(1 + 8 * k)) // 2
-                i = k - j * (j - 1) // 2
+                i, j = _pair(6 * p + 5 - b)
                 entry[1 << b] = (1 << (64 * i + j)) | (1 << (64 * j + i))
             for x in range(1, 64):
                 low = x & -x
@@ -249,6 +258,51 @@ def parse_graph6(record: bytes) -> Graph:
     for cell, byte in zip(_TABLE, data):
         code |= cell[byte]
     return Graph(n, _ROWS[n].unpack(code.to_bytes(8 * n, "little")))
+
+
+# _BIT[b] maps a data byte to bit b of its six; _CLEAN[pad] holds the data
+# bytes whose pad low bits, a last byte's padding, are zero
+_BIT = [bytes((x - 63) >> b & 1 for x in range(256)) for b in range(6)]
+_CLEAN = [bytes(x for x in _DATA_BYTES if not (x - 63) & ((1 << pad) - 1)) for pad in range(6)]
+
+
+def _degree_lanes(records):
+    """(n, lanes) for a list of graph6 records of one order n: byte i of
+    lanes[v], read little-endian, is vertex v's degree in records[i].
+
+    The records are joined into one span and checked together, in a few
+    C-level calls, as strictly as _check checks each one: every record
+    of the first's width, every order byte the first's, every byte in
+    [63, 126] and every padding bit zero.  Should any of that fail, each
+    record is put to _check, so a malformed one raises _check's own
+    error, and well-formed records of two orders raise MalformedRecord.
+    Then triangle bit k, the pair (i, j) of _pair(k), is read from every
+    record at once: a strided slice of the span gathers data byte
+    1 + k // 6 of each record, one translate takes its bit 5 - k % 6,
+    and the int of those bytes is added to lanes i and j.  A degree is
+    at most 61, so no byte carries into the next.
+    """
+    span = b"".join(records)
+    n = span[0] - 63 if span else 0
+    width = _width(n) if 1 <= n <= _G6_MAX else 0
+    if not (
+        width
+        and {*map(len, records)} == {width}
+        and span[::width] == span[:1] * len(records)
+        and not span.translate(None, _DATA_BYTES)
+        and not span[width - 1::width].translate(None, _CLEAN[6 * width - 6 - n * (n - 1) // 2])
+    ):
+        for rec in records:
+            _check(rec)
+        raise MalformedRecord(f"records of orders {sorted({rec[0] - 63 for rec in records})} in one run")
+    columns = [span[p::width] for p in range(1, width)]
+    lanes = [0] * n
+    for k in range(n * (n - 1) // 2):
+        i, j = _pair(k)
+        bits = int.from_bytes(columns[k // 6].translate(_BIT[5 - k % 6]), "little")
+        lanes[i] += bits
+        lanes[j] += bits
+    return n, lanes
 
 
 def read_graph6_records(lines):

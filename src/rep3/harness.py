@@ -31,11 +31,10 @@ bytearray per order.  All four sweeps fold over enumeration._sweep,
 which opens one map per call: that map first generates any catalogue
 order the sweep needs and is not memoised yet, then hands the worker
 the sweep's records a chunk at a time, each chunk a list of records of
-one order.  Each worker parses its own records and returns one result
-per record, in order; each result carries its class's order and is
-folded in as it arrives.  A worker that fails on a record with anything
-but a Rep3Error surfaces as a WorkerCrash naming that record, at any
-jobs count; a Rep3Error keeps its own message.
+one order.  Each worker reads its own records and returns one result
+per record, in order, folded in as it arrives.  A worker that fails on
+a record with anything but a Rep3Error surfaces as a WorkerCrash naming
+that record, at any jobs count; a Rep3Error keeps its own message.
 
 The lemma worker parses each record of its chunk, checks that its
 degrees are sorted, as catalogue records are and the scan needs, and
@@ -53,9 +52,15 @@ the pool runs.
 find_extremal runs the headline sweep's worker over the catalogue, so
 both solve and check each class the same way; each worker returns its
 class's minimum deletion size or a violation, and each fold names
-classes by the record _sweep pairs with the result.  The identity
-worker likewise returns only its counts, and its fold builds the
-violation.
+classes by the record _sweep pairs with the result.
+
+The identity worker is repetition._identity_codes, which parses
+nothing: it reads the degrees of a whole chunk at once, one byte lane
+per record, and returns one code byte per class, _EXEMPT where the
+counting identity does not apply (a degree held three times or an
+isolated vertex), else 16 * |doubled| + |missing|.  So the map yields
+one int per class, and the fold takes the order from the record's
+first byte and builds the violation.
 
 Reports are deterministic: the worker pool yields results in record
 order, so any jobs count produces the same report, elapsed time aside.
@@ -70,7 +75,7 @@ from .enumeration import MAX_ENUM, _sweep
 from .errors import MalformedRecord, OrderOutOfRange, TheoremViolation
 from .feasible import _lemma_scan, _tables
 from .graphcore import _check, _width, parse_graph6
-from .repetition import profile
+from .repetition import _EXEMPT, _identity_codes as _identity_worker
 from .solver import allowance, check_certificate, min_deletion_for_rep3, solve3
 
 
@@ -321,18 +326,6 @@ def verify_lemmas(max_n: int, jobs=None) -> VerificationReport:
     return VerificationReport({}, results, time.perf_counter() - t0)
 
 
-def _identity_worker(records):
-    """(n, whether the identity applies, |doubled|, |missing|) for each
-    class of a chunk: it applies with no degree tripled and no isolated
-    vertex."""
-    out = []
-    for rec in records:
-        g = parse_graph6(rec)
-        p = profile(g)
-        out.append((g.n, p.rep <= 2 and min(g.degrees) >= 1, len(p.s_set), len(p.t_set)))
-    return out
-
-
 def counting_identity_suite(max_n: int, jobs=None) -> VerificationReport:
     """Check |missing degrees| = |doubled degrees| - 1 where it applies."""
     if not 1 <= max_n <= MAX_ENUM:
@@ -341,11 +334,14 @@ def counting_identity_suite(max_n: int, jobs=None) -> VerificationReport:
     checked = 0
     violations = []
     orders = range(1, max_n + 1)
-    for rec, (n, applies, s_size, t_size) in _sweep(_identity_worker, jobs, orders):
-        checked += applies
-        if applies and t_size != s_size - 1:
+    for rec, code in _sweep(_identity_worker, jobs, orders):
+        if code == _EXEMPT:
+            continue
+        checked += 1
+        s_size, t_size = divmod(code, 16)
+        if t_size != s_size - 1:
             graph = rec.decode("ascii")
-            violations.append({"n": n, "graph": graph, "s_size": s_size, "t_size": t_size})
+            violations.append({"n": rec[0] - 63, "graph": graph, "s_size": s_size, "t_size": t_size})
     results = {
         "counting_identity": {"instances_checked": checked, "violations": violations}
     }

@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve checks, one test and one pass/fail line each.
+"""Acceptance gate: thirteen checks, one test and one pass/fail line each.
 
 Tolerances are exact throughout: zero violations, exact class counts,
 byte equality.  The order-9 leg of the first check runs under the
@@ -32,6 +32,8 @@ SUITE_COUNTS = {
 # SHA-256 of json.dumps(verify_lemmas(8).comparable(), sort_keys=True):
 # every count and violation list of the four suites, byte for byte
 LEMMAS_8_SHA256 = "754b6170868c62417c1e63f75e10227accac889dcf824e0742ba583a8fe7ee1b"
+# the same of counting_identity_suite(8), at one worker and at two
+IDENTITY_8_SHA256 = "b319b63a9aa8e280ca5e33a647c413c0a5baa1f657a1b8968b216daa20fc79e3"
 
 
 def assert_suite_counts(name, *reports):
@@ -169,3 +171,10 @@ def test_a11_report_identical_across_worker_counts(theorem_report):
 def test_a12_lemma_report_pinned(lemma_suite_8):
     text = json.dumps(lemma_suite_8.comparable(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == LEMMAS_8_SHA256
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a13_identity_report_pinned(jobs):
+    report = counting_identity_suite(8, jobs=jobs)
+    text = json.dumps(report.comparable(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == IDENTITY_8_SHA256

@@ -20,7 +20,6 @@ from rep3.harness import (
     verify_lemmas,
     verify_theorem,
 )
-from rep3.repetition import profile
 from rep3.solver import min_deletion_for_rep3, solve3
 
 import helpers
@@ -382,6 +381,14 @@ class TestLemmaWorker:
             with pytest.raises(errors.MalformedRecord, match="^Cs: "):
                 harness._lemma_worker(chunk)
 
+    def test_records_of_two_orders_rejected(self):
+        # K3 and K4 share a record width; scanned as one run of order 3,
+        # K4 read (4, 1, 0, 0, ()), where alone it reads (4, 4, 0, 0, ())
+        with pytest.raises(errors.MalformedRecord) as caught:
+            harness._lemma_worker([b"Bw", b"C~"])
+        assert str(caught.value) == "records of orders [3, 4] in one run"
+        assert harness._lemma_worker([b"C~"]) == [(4, 4, 0, 0, ())]
+
     def test_catalogue_through_order_6_matches_reference(self):
         for n in range(1, 7):
             records = catalogue_records(n)
@@ -413,17 +420,24 @@ class TestLemmaWorker:
         assert harness._lemma_worker(records) == list(map(reference_lemma_scan, records))
 
 
-def _profile_missing_more_in_k2(g):
-    """profile(g), with one more missing degree in K2's profile only."""
-    p = profile(g)
-    return p._replace(t_set=p.t_set | {0}) if g.degrees == (1, 1) else p
+def _identity_worker_editing_k2(records, edit):
+    """_identity_worker over a chunk, with edit applied to K2's code byte."""
+    codes = _real_identity_worker(records)
+    if b"A_" not in records:
+        return codes
+    i = records.index(b"A_")
+    return codes[:i] + bytes([edit(codes[i])]) + codes[i + 1:]
 
 
-def _profile_doubling_more_in_k2(g):
-    """profile(g), with one more doubled degree, n, in K2's profile
-    only: then one missing degree too few."""
-    p = profile(g)
-    return p._replace(s_set=p.s_set | {g.n}) if g.degrees == (1, 1) else p
+def _identity_worker_missing_more_in_k2(records):
+    """_identity_worker, with one more missing degree in K2's code only."""
+    return _identity_worker_editing_k2(records, lambda code: code + 1)
+
+
+def _identity_worker_doubling_more_in_k2(records):
+    """_identity_worker, with one more doubled degree in K2's code only:
+    then one missing degree too few."""
+    return _identity_worker_editing_k2(records, lambda code: code + 16)
 
 
 class TestCountingIdentity:
@@ -448,13 +462,20 @@ class TestCountingIdentity:
         with pytest.raises(errors.OrderOutOfRange):
             counting_identity_suite(10)
 
+    def test_records_of_two_orders_rejected(self):
+        # K3 and K4 share a record width, so only their order bytes differ
+        with pytest.raises(errors.MalformedRecord) as caught:
+            harness._identity_worker([b"Bw", b"C~"])
+        assert str(caught.value) == "records of orders [3, 4] in one run"
+        assert harness._identity_worker([b"C~"]) == bytes([255])
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_violation_names_its_class(self, opened_pools, monkeypatch, jobs):
         # K2 planted with one more missing degree than the identity
         # allows; orders 1..5 hold 52 classes, pooled at two jobs
         catalogue_records(5)
         opened_pools.clear()
-        monkeypatch.setattr(harness, "profile", _profile_missing_more_in_k2)
+        monkeypatch.setattr(harness, "_identity_worker", _identity_worker_missing_more_in_k2)
         report = counting_identity_suite(5, jobs=jobs)
         assert report.lemma_results["counting_identity"]["violations"] == [
             {"n": 2, "graph": "A_", "s_size": 1, "t_size": 1}
@@ -468,7 +489,7 @@ class TestCountingIdentity:
         # degree fewer than the identity asks
         catalogue_records(5)
         opened_pools.clear()
-        monkeypatch.setattr(harness, "profile", _profile_doubling_more_in_k2)
+        monkeypatch.setattr(harness, "_identity_worker", _identity_worker_doubling_more_in_k2)
         report = counting_identity_suite(5, jobs=jobs)
         assert report.lemma_results["counting_identity"]["violations"] == [
             {"n": 2, "graph": "A_", "s_size": 2, "t_size": 0}

@@ -1,9 +1,11 @@
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from rep3.graphcore import complement, from_edge_list
-from rep3.repetition import profile
+from rep3.errors import MalformedRecord, OrderOutOfRange
+from rep3.graphcore import _check, _degree_lanes, complement, from_edge_list, parse_graph6, write_graph6
+from rep3.repetition import _EXEMPT, _identity_codes, profile
 from rep3.solver import min_deletion_for_rep3
 
 import helpers
@@ -127,3 +129,78 @@ class TestHasThreeEqual:
             assert g.degrees[a] == g.degrees[b] == g.degrees[c] == cert.witness_degree
         else:
             assert cert is None
+
+
+def reference_code(rec):
+    """The code byte _identity_codes gives rec, from the public profile."""
+    g = parse_graph6(rec)
+    p = profile(g)
+    if p.rep > 2 or 0 in g.degrees:
+        return _EXEMPT
+    return 16 * len(p.s_set) + len(p.t_set)
+
+
+def chunked_codes(records, size):
+    """_identity_codes over records cut into chunks of size, joined."""
+    return b"".join(_identity_codes(records[i:i + size]) for i in range(0, len(records), size))
+
+
+class TestIdentityCodes:
+    @pytest.mark.parametrize("size", [1, 2, 7, None])
+    def test_catalogue_through_order_8_matches_profile(self, size):
+        for n in range(1, 9):
+            records = helpers.catalogue_records(n)
+            assert list(chunked_codes(records, size or len(records))) == [
+                reference_code(rec) for rec in records
+            ]
+
+    @given(st.integers(1, 9), st.integers(1, 12), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_labeled_records_match_profile(self, n, count, data):
+        # labeled graphs in any vertex order, not only catalogue classes
+        records = [write_graph6(random_graph(n, data)) for _ in range(count)]
+        assert list(_identity_codes(records)) == [reference_code(rec) for rec in records]
+        order, lanes = _degree_lanes(records)
+        assert order == n
+        assert [tuple(lane.to_bytes(count, "little")) for lane in lanes] == [
+            *zip(*(parse_graph6(rec).degrees for rec in records))
+        ]
+
+    @pytest.mark.extended
+    def test_order_9_matches_profile(self):
+        records = helpers.catalogue_records(9)
+        assert len(records) == 274668
+        assert list(_identity_codes(records)) == [reference_code(rec) for rec in records]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param(b"B%", id="data-byte"),
+            pytest.param(b"Bx", id="padding"),
+            pytest.param(b"?w", id="order-byte"),
+            pytest.param(b"Bww", id="length"),
+        ],
+    )
+    def test_a_bad_record_inside_a_chunk_raises_as_check_does(self, bad):
+        with pytest.raises(MalformedRecord) as alone:
+            _check(bad)
+        with pytest.raises(MalformedRecord) as caught:
+            _identity_codes([b"Bw", bad, b"Bo"])
+        assert str(caught.value) == str(alone.value)
+
+    @pytest.mark.parametrize(
+        "chunk,orders",
+        [([b"Bw", b"C~"], [3, 4]), ([b"Bw", b"DQc"], [3, 5])],
+        ids=["one-width", "two-widths"],
+    )
+    def test_records_of_two_orders_raise(self, chunk, orders):
+        # each record is well formed alone; read together as one order,
+        # K4 would be counted as a graph of order 3
+        with pytest.raises(MalformedRecord) as caught:
+            _identity_codes(chunk)
+        assert str(caught.value) == f"records of orders {orders} in one run"
+
+    def test_orders_past_31_raise(self):
+        assert _identity_codes([write_graph6(helpers.empty(31))]) == bytes([_EXEMPT])
+        with pytest.raises(OrderOutOfRange):
+            _identity_codes([write_graph6(helpers.empty(32))])
