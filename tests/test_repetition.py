@@ -173,19 +173,23 @@ class TestIdentityCodes:
         assert list(_identity_codes(records)) == [reference_code(rec) for rec in records]
 
     @pytest.mark.parametrize(
-        "bad",
+        "chunk,bad",
         [
-            pytest.param(b"B%", id="data-byte"),
-            pytest.param(b"Bx", id="padding"),
-            pytest.param(b"?w", id="order-byte"),
-            pytest.param(b"Bww", id="length"),
+            pytest.param([b"Bw", b"B%", b"Bo"], b"B%", id="data-byte"),
+            pytest.param([b"D??", b"D%{", b"D~{"], b"D%{", id="inner-data-byte"),
+            pytest.param([b"Bw", b"Bx", b"Bo"], b"Bx", id="padding"),
+            pytest.param([b"Bw", b"?w", b"Bo"], b"?w", id="order-byte"),
+            pytest.param([b"Bw", b"Bww", b"Bo"], b"Bww", id="length"),
+            # a long and a short record: the joined bytes read as whole
+            # records of order 3
+            pytest.param([b"Bw", b"BwB", b"w"], b"BwB", id="misaligned"),
         ],
     )
-    def test_a_bad_record_inside_a_chunk_raises_as_check_does(self, bad):
+    def test_a_bad_record_inside_a_chunk_raises_as_check_does(self, chunk, bad):
         with pytest.raises(MalformedRecord) as alone:
             _check(bad)
         with pytest.raises(MalformedRecord) as caught:
-            _identity_codes([b"Bw", bad, b"Bo"])
+            _identity_codes(chunk)
         assert str(caught.value) == str(alone.value)
 
     @pytest.mark.parametrize(
