@@ -101,20 +101,21 @@ maps over the compact forms themselves.  catalogue_lines and
 enumerate_graphs read the compact form.
 
 _pool gives one map per public call, over compact forms, and every map
-hands each worker call a whole chunk: a slice of one order's compact
-form, which _guarded splits into a list of records, of one order, for
-the worker to map to a list of results, one per record, in order.  The
-map yields those results one by one, in record order.  Every map is
-cut into 16 chunks per worker, counted over all its records, and each
-order is cut on its own, so no chunk spans two orders.  The chunks are
-made one at a time as they are handed out, so the results that wait
-behind an unfinished chunk are a fixed share of the map, whether each
-result is one small tuple (a sweep) or a parent's children (the fill).
-A map too small for 16 records per worker runs in this process, with
-the same chunk rule; the first larger map opens a worker pool, of at
-most one worker per core, that serves every later map of the call, the
-orders it generates and the sweep after them.  A worker that takes a
-chunk can answer for all its records at once, as the lemma scan does.
+hands each worker call a whole chunk as it is cut: a span, one slice of
+one order's compact form, which the worker reads itself, record by
+record through graphcore._records or all at once, and maps to a list of
+results, one per record, in order.  The map yields those results one
+by one, in record order.  Every map is cut into 16 chunks per worker,
+counted over all its records, and each order is cut on its own, so no
+chunk spans two orders.  The chunks are made one at a time as they are
+handed out, so the results that wait behind an unfinished chunk are a
+fixed share of the map, whether each result is one small tuple (a
+sweep) or a parent's children (the fill).  A map too small for 16
+records per worker runs in this process, with the same chunk rule; the
+first larger map opens a worker pool, of at most one worker per core,
+that serves every later map of the call, the orders it generates and
+the sweep after them.  A worker that takes a chunk can answer for all
+its records at once, as the lemma scan and the identity kernel do.
 
 _sweep is the one driver of harness's sweeps: it opens that map, fills
 any catalogue order the sweep needs and is not memoised yet, then maps
@@ -124,9 +125,9 @@ takes records in the compact form only, the catalogue's own or a
 caller's (harness packs an input file's records so), so no sweep holds
 its records as one object each.  The map runs every worker through
 _guarded, so a crash in generation or in a sweep is a WorkerCrash that
-names the record it failed on, at any jobs count: only when a chunk
-fails with anything but a Rep3Error are its records run again one at a
-time, to find the first that fails alone.
+names the record it failed on, at any jobs count: only when a span
+fails with anything but a Rep3Error is it cut into records, each run
+again alone as a one-record span, to find the first that fails alone.
 """
 
 import os
@@ -138,7 +139,7 @@ from operator import eq
 from struct import iter_unpack
 
 from .errors import IncompleteCatalogue, OrderOutOfRange, Rep3Error, WorkerCrash
-from .graphcore import Graph, _pack, _width, complement, parse_graph6
+from .graphcore import Graph, _pack, _records, _width, complement, parse_graph6
 
 MAX_ENUM = 9
 # OEIS A000088: the number of graphs on n unlabeled vertices, n = 0..9
@@ -249,12 +250,6 @@ def _canonical_search(g: Graph, w=None):
 _catalogue = {1: b"@"}  # n -> its canonical records in stream order, joined; K1 seeds it
 
 
-def _split(blob, width):
-    """The width-byte records of blob, a bytes-like object, in order, as
-    bytes."""
-    return [rec for rec, in iter_unpack(f"{width}s", blob)]
-
-
 _CHUNKS = 16  # chunks per worker in every pooled map
 
 
@@ -273,7 +268,7 @@ def _pool(jobs):
 
     blobs are compact forms: per order, one bytes-like object of
     fixed-width records of that order, joined; an empty one is skipped.
-    The worker takes a chunk, a list of records of one order, and
+    The worker takes a chunk, a span of whole records of one order, and
     returns one result per record, in order; imap yields those results
     one by one, in record order, as they arrive, for callers to fold,
     not keep.
@@ -283,8 +278,8 @@ def _pool(jobs):
     over the records of all its blobs, and each blob is cut on its own,
     so no chunk spans two orders; a map with fewer records than that
     holds one record per chunk.  The chunks are made one at a time as
-    they are handed out, each a slice of its blob, which _guarded splits
-    into records for the worker.  A map too small to share between
+    they are handed out, each a slice of its blob, and the worker reads
+    that span itself.  A map too small to share between
     workers runs in this process, and so does every map at one job.
     The first larger map opens one worker pool, which serves every later
     map inside the context.  The results that wait behind an unfinished
@@ -319,33 +314,30 @@ def _pool(jobs):
 
 
 def _guarded(worker, span):
-    """worker(records), the records of span, a slice of one order's
-    compact form, with any error but a Rep3Error raised again as a
-    WorkerCrash that names a record; module level, so it pickles.  Only
-    then are the records run again one at a time, and the first that
-    fails alone is named (the chunk's first and last when none does)."""
-    chunk = _split(span, _width(span[0] - 63))
+    """worker(span), span a slice of one order's compact form, with any
+    error but a Rep3Error raised again as a WorkerCrash that names a
+    record; module level, so it pickles.  Only then are the span's
+    records read through graphcore._records, which raises
+    MalformedRecord on a malformed span, and each is run again alone as
+    a one-record span; the first that fails alone is named (the span's
+    first and last records when none does)."""
     try:
-        return worker(chunk)
+        return worker(span)
     except Rep3Error:
         raise
     except Exception as exc:
         crash = exc
-    name = f"{_name(chunk[0])}..{_name(chunk[-1])}"
-    for rec in chunk:
+    records = _records(span)
+    name = f"{records[0].decode()}..{records[-1].decode()}"
+    for rec in records:
         try:
-            worker([rec])
+            worker(rec)
         except Rep3Error:
             raise
         except Exception as exc:
-            crash, name = exc, _name(rec)
+            crash, name = exc, rec.decode()
             break
     raise WorkerCrash(f"{name}: {worker.__name__} raised {crash!r}") from crash
-
-
-def _name(rec):
-    """A record as text for a message."""
-    return rec.decode("ascii", "replace")
 
 
 def catalogue_lines(n: int) -> bytes:
@@ -464,7 +456,7 @@ def _fill(n, imap):
             )
         joined = []
         for edges, count in enumerate(_level_counts(n)):
-            level = sorted(_split(levels[edges], width))
+            level = sorted(rec for rec, in iter_unpack(f"{width}s", levels[edges]))
             levels[edges] = None  # each edge count's bytes freed once split
             distinct = len(level) - sum(map(eq, level, level[1:]))
             if len(level) != count or distinct != count:
@@ -477,10 +469,10 @@ def _fill(n, imap):
     return _catalogue[n]
 
 
-def _children(parents):
-    """The accepted children of each parent class of a chunk, in parent
+def _children(span):
+    """The accepted children of each parent class of a span, in parent
     order, as _extend gives them."""
-    return list(map(_extend, parents))
+    return list(map(_extend, _records(span)))
 
 
 def _extend(rec):

@@ -67,7 +67,7 @@ from functools import cache
 from itertools import combinations, permutations
 from typing import NamedTuple, Optional
 
-from .errors import MalformedRecord, NotATriple, NotFeasible, OrderOutOfRange, VertexOutOfRange
+from .errors import NotATriple, NotFeasible, OrderOutOfRange, VertexOutOfRange
 from .graphcore import Graph
 
 
@@ -409,11 +409,11 @@ def _lemma_scan(graphs, oracle_mins):
 
     Each graph's degrees must not fall as its labels rise, as in every
     catalogue record; then a 5-set's median-degree vertex is its median
-    position.  The order is at most 9, where the packing is exact;
-    OrderOutOfRange otherwise.  A graph of a second order raises
-    MalformedRecord, as graphcore._degree_lanes does.  oracle_mins
-    holds each graph's minimum deletion size, None if no set of at most
-    n - 3 deletions works.
+    position.  Every graph is of one order, as graphcore._records
+    checks a span's records to be; that order is at most 9, where the
+    packing is exact, OrderOutOfRange otherwise.  oracle_mins holds each
+    graph's minimum deletion size, None if no set of at most n - 3
+    deletions works.
     Each 3-set's verdict code is read from the memo, computed by
     _verdict on its signature's first sighting.  The codes of the whole
     run are then read set by set: byte lane i of each cover below
@@ -434,8 +434,6 @@ def _lemma_scan(graphs, oracle_mins):
     """
     count = len(graphs)
     n = graphs[0].n
-    if any(g.n != n for g in graphs):
-        raise MalformedRecord(f"records of orders {sorted({g.n for g in graphs})} in one run")
     tables = _tables(n)
     triples = tables.triples
     width = len(triples)

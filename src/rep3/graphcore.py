@@ -35,10 +35,13 @@ table grows on demand, under a lock, to the longest record parsed:
 orders up to 9 need 6 positions, and the ceiling, 316 positions for
 order 62, costs about 7.6 MB of memory and 10 ms to build.
 
-_degree_lanes reads a list of records of one order at once, with one
-byte lane per record: it checks their joined bytes as strictly as _check
-checks each record, and sums every vertex's degrees from one strided
-slice and one translate per triangle bit, decoding no graph.
+A span is graph6 records of one order joined, as the catalogue's
+compact form holds them.  _shape is the one check that a span is whole
+records of one order, as strict as _check on each record; _records
+reads a span's records through it.  _degree_lanes reads a whole span
+at once, with one byte lane per record: it sums every vertex's degrees
+from one strided slice and one translate per triangle bit, decoding no
+graph.
 
 from_edge_json reads {"n": ..., "edges": [[u, v], ...]} text and checks
 its shape and every endpoint.
@@ -266,35 +269,55 @@ _BIT = [bytes((x - 63) >> b & 1 for x in range(256)) for b in range(6)]
 _CLEAN = [bytes(x for x in _DATA_BYTES if not (x - 63) & ((1 << pad) - 1)) for pad in range(6)]
 
 
-def _degree_lanes(records):
-    """(n, lanes) for a list of graph6 records of one order n: byte i of
-    lanes[v], read little-endian, is vertex v's degree in records[i].
+def _shape(span):
+    """(n, width) of span, a bytes-like object of whole graph6 records of
+    one order n, each width bytes long, joined.
 
-    The records are joined into one span and checked together, in a few
-    C-level calls, as strictly as _check checks each one: every record
-    of the first's width, every order byte the first's, every byte in
-    [63, 126] and every padding bit zero.  Should any of that fail, each
-    record is put to _check, so a malformed one raises _check's own
-    error, and well-formed records of two orders raise MalformedRecord.
-    Then triangle bit k, the pair (i, j) of _pair(k), is read from every
-    record at once: a strided slice of the span gathers data byte
-    1 + k // 6 of each record, one translate takes its bit 5 - k % 6,
-    and the int of those bytes is added to lanes i and j.  A degree is
-    at most 61, so no byte carries into the next.
+    The span is checked in a few C-level calls, as strictly as _check
+    checks each record: one comparison of its record starts, a strided
+    slice, against its first byte repeated once per whole record checks
+    both that it splits into whole records and that every order byte is
+    the first's; then every byte must lie in [63, 126] and every padding
+    bit be zero.  Should any of that fail, the span is walked record by
+    record, each as wide as its own order byte says, and each is put to
+    _check, so a malformed record, a trailing partial one included,
+    raises _check's own error; well-formed records of two orders raise
+    MalformedRecord.
     """
-    span = b"".join(records)
     n = span[0] - 63 if span else 0
-    width = _width(n) if 1 <= n <= _G6_MAX else 0
+    width = _width(n)
     if not (
-        width
-        and {*map(len, records)} == {width}
-        and span[::width] == span[:1] * len(records)
+        1 <= n <= _G6_MAX
+        and span[::width] == span[:1] * (len(span) // width)
         and not span.translate(None, _DATA_BYTES)
         and not span[width - 1::width].translate(None, _CLEAN[6 * width - 6 - n * (n - 1) // 2])
     ):
-        for rec in records:
-            _check(rec)
-        raise MalformedRecord(f"records of orders {sorted({rec[0] - 63 for rec in records})} in one run")
+        # an empty span or a bad first record raises here
+        orders, start = [_check(span[:width])], width
+        while start < len(span):
+            orders.append(_check(span[start:start + _width(span[start] - 63)]))
+            start += _width(orders[-1])
+        raise MalformedRecord(f"records of orders {sorted(set(orders))} in one run")
+    return n, width
+
+
+def _records(span):
+    """The records of span, checked by _shape, as bytes, in order."""
+    return [rec for rec, in struct.iter_unpack(f"{_shape(span)[1]}s", span)]
+
+
+def _degree_lanes(span):
+    """(n, lanes) for span, graph6 records of one order n joined: byte i
+    of lanes[v], read little-endian, is vertex v's degree in record i.
+
+    The span is checked by _shape.  Then triangle bit k, the pair
+    (i, j) of _pair(k), is read from every record at once: a strided
+    slice of the span gathers data byte 1 + k // 6 of each record, one
+    translate takes its bit 5 - k % 6, and the int of those bytes is
+    added to lanes i and j.  A degree is at most 61, so no byte carries
+    into the next.
+    """
+    n, width = _shape(span)
     columns = [span[p::width] for p in range(1, width)]
     lanes = [0] * n
     for k in range(n * (n - 1) // 2):

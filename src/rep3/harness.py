@@ -30,37 +30,40 @@ graphcore.read_graph6_records hands out into the same form, one
 bytearray per order.  All four sweeps fold over enumeration._sweep,
 which opens one map per call: that map first generates any catalogue
 order the sweep needs and is not memoised yet, then hands the worker
-the sweep's records a chunk at a time, each chunk a list of records of
-one order.  Each worker reads its own records and returns one result
-per record, in order, folded in as it arrives.  A worker that fails on
-a record with anything but a Rep3Error surfaces as a WorkerCrash naming
-that record, at any jobs count; a Rep3Error keeps its own message.
+the sweep's records a chunk at a time, each chunk a span: one slice of
+an order's compact form, as _pool cuts it.  Each worker reads the span
+itself: record by record through graphcore._records, which checks that
+the span is whole records of one order, or all at once, as the identity
+worker does.  It returns one result per record, in order, folded in as
+it arrives.  A worker that fails on a record with anything but a
+Rep3Error surfaces as a WorkerCrash naming that record, at any jobs
+count; a Rep3Error keeps its own message.
 
-The lemma worker parses each record of its chunk, checks that its
-degrees are sorted, as catalogue records are and the scan needs, and
-asks the oracle for its minimum deletion size, one record at a time.
-It then hands the chunk, of one order as every chunk is, to
-feasible._lemma_scan, which answers the cover questions for all its
-records at once, in each record's own labels.  verify_lemmas builds the
-scan's tables for every swept order before the sweep opens its pool, so
-forked workers inherit them.  The scan returns, per record, its counts
-and the sets each suite reports, in lexicographic order; the worker
-turns them into violation records and returns its counts and a tuple of
-(suite, violation) pairs, so the parent holds little per class while
-the pool runs.
+The lemma worker cuts its span's records into runs of at most _SCAN_RUN
+records, parses each record of a run, checks that its degrees are
+sorted, as catalogue records are and the scan needs, and asks the
+oracle for its minimum deletion size, one record at a time.  It then
+hands the run, of one order as every span is, to feasible._lemma_scan,
+which answers the cover questions for all its records at once, in each
+record's own labels.  verify_lemmas builds the scan's tables for every
+swept order before the sweep opens its pool, so forked workers inherit
+them.  The scan returns, per record, its counts and the sets each suite
+reports, in lexicographic order; the worker turns them into violation
+records and returns its counts and a tuple of (suite, violation) pairs,
+so the parent holds little per class while the pool runs.
 
 find_extremal runs the headline sweep's worker over the catalogue, so
 both solve and check each class the same way; each worker returns its
 class's minimum deletion size or a violation, and each fold names
 classes by the record _sweep pairs with the result.
 
-The identity worker is repetition._identity_codes, which parses
-nothing: it reads the degrees of a whole chunk at once, one byte lane
-per record, and returns one code byte per class, _EXEMPT where the
-counting identity does not apply (a degree held three times or an
-isolated vertex), else 16 * |doubled| + |missing|.  So the map yields
-one int per class, and the fold takes the order from the record's
-first byte and builds the violation.
+The identity worker is repetition._identity_codes, which parses nothing
+and splits no record off its span: it reads the degrees of the whole
+span at once, one byte lane per record, and returns one code byte per
+class, _EXEMPT where the counting identity does not apply (a degree
+held three times or an isolated vertex), else 16 * |doubled| +
+|missing|.  So the map yields one int per class, and the fold takes the
+order from the record's first byte and builds the violation.
 
 Reports are deterministic: the worker pool yields results in record
 order, so any jobs count produces the same report, elapsed time aside.
@@ -74,7 +77,7 @@ from typing import NamedTuple
 from .enumeration import MAX_ENUM, _sweep
 from .errors import MalformedRecord, OrderOutOfRange, TheoremViolation
 from .feasible import _lemma_scan, _tables
-from .graphcore import _check, _width, parse_graph6
+from .graphcore import _check, _records, _width, parse_graph6
 from .repetition import _EXEMPT, _identity_codes as _identity_worker
 from .solver import allowance, check_certificate, min_deletion_for_rep3, solve3
 
@@ -152,9 +155,9 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _theorem_worker(records):
-    """_theorem_result of each record of a chunk."""
-    return list(map(_theorem_result, records))
+def _theorem_worker(span):
+    """_theorem_result of each record of a span."""
+    return list(map(_theorem_result, _records(span)))
 
 
 def _theorem_result(rec: bytes):
@@ -242,58 +245,55 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
 _SCAN_RUN = 512  # records the lemma worker scans together at most
 
 
-def _lemma_worker(records):
+def _lemma_worker(span):
     """Each record's lemma results: (n, feasible_budget instances,
     paired_degree_gap instances, strong-form failures, violations).
 
-    records are all of one order, as every chunk of _pool's is.  Each
-    record is parsed, checked and put to the oracle alone, then all are
-    scanned at once.  A record is scanned in its own labels, which must
-    be sorted by degree, as every catalogue record's are; a record whose
-    degrees fall raises MalformedRecord.  Every 4-set and 5-set is checked, so those suites'
-    instance counts are C(n, 4) and C(n, 5), added by the caller.
-    violations is a tuple of (suite, violation) pairs, each suite's in
-    lexicographic scan order.  A chunk longer than _SCAN_RUN records is
-    taken _SCAN_RUN records at a time, which bounds the scan's memory
-    whatever the chunk size.
+    span holds records of one order, as every chunk of _pool's does;
+    its records are read through graphcore._records, which checks that,
+    and cut into runs of at most _SCAN_RUN records, which bounds the
+    scan's memory whatever the chunk size.  Each record is parsed,
+    checked and put to the oracle alone, then the whole run is scanned
+    at once.  A record is scanned in its own labels, which must be
+    sorted by degree, as every catalogue record's are; a record whose
+    degrees fall raises MalformedRecord.  Every 4-set and 5-set is
+    checked, so those suites' instance counts are C(n, 4) and C(n, 5),
+    added by the caller.  violations is a tuple of (suite, violation)
+    pairs, each suite's in lexicographic scan order.
     """
-    if len(records) > _SCAN_RUN:
-        return [
-            result
-            for i in range(0, len(records), _SCAN_RUN)
-            for result in _lemma_worker(records[i:i + _SCAN_RUN])
-        ]
-    graphs, minima = [], []
-    for rec in records:
-        g = parse_graph6(rec)
-        n = g.n
-        if list(g.degrees) != sorted(g.degrees):
-            name = rec.decode("ascii")
-            raise MalformedRecord(f"{name}: degrees {g.degrees} fall, as in no catalogue record")
-        oracle_min = None
-        if n >= 3:
-            cert = min_deletion_for_rep3(g, n - 3)
-            oracle_min = None if cert is None else len(cert.deleted)
-        graphs.append(g)
-        minima.append(oracle_min)
+    records = _records(span)
+    n = span[0] - 63
     out = []
-    for rec, g, oracle_min, scan in zip(records, graphs, minima, _lemma_scan(graphs, minima)):
-        n = g.n
-        budgeted, failures, low, paths, medians, paired = scan
-        gaps = paired if oracle_min is None or oracle_min > allowance(n) else ()
-        found = ()
-        if paths or gaps or medians or low:
-            head = {"n": n, "graph": rec.decode("ascii")}
-            found = (
-                *[("induced_path", {**head, "subset": list(x)}) for x in paths],
-                *[("paired_degree_gap", {**head, "subset": list(x), "oracle_min": oracle_min})
-                  for x in gaps],
-                *[("median_feasible", {**head, "subset": list(u)}) for u in medians],
-                *[("feasible_budget",
-                   {**head, "triple": list(s), "budget": b, "oracle_min": oracle_min})
-                  for s, b in low],
-            )
-        out.append((n, budgeted, len(paired), failures, found))
+    for start in range(0, len(records), _SCAN_RUN):
+        run = records[start:start + _SCAN_RUN]
+        graphs, minima = [], []
+        for rec in run:
+            g = parse_graph6(rec)
+            if list(g.degrees) != sorted(g.degrees):
+                name = rec.decode("ascii")
+                raise MalformedRecord(f"{name}: degrees {g.degrees} fall, as in no catalogue record")
+            oracle_min = None
+            if n >= 3:
+                cert = min_deletion_for_rep3(g, n - 3)
+                oracle_min = None if cert is None else len(cert.deleted)
+            graphs.append(g)
+            minima.append(oracle_min)
+        for rec, g, oracle_min, scan in zip(run, graphs, minima, _lemma_scan(graphs, minima)):
+            budgeted, failures, low, paths, medians, paired = scan
+            gaps = paired if oracle_min is None or oracle_min > allowance(n) else ()
+            found = ()
+            if paths or gaps or medians or low:
+                head = {"n": n, "graph": rec.decode("ascii")}
+                found = (
+                    *[("induced_path", {**head, "subset": list(x)}) for x in paths],
+                    *[("paired_degree_gap", {**head, "subset": list(x), "oracle_min": oracle_min})
+                      for x in gaps],
+                    *[("median_feasible", {**head, "subset": list(u)}) for u in medians],
+                    *[("feasible_budget",
+                       {**head, "triple": list(s), "budget": b, "oracle_min": oracle_min})
+                      for s, b in low],
+                )
+            out.append((n, budgeted, len(paired), failures, found))
     return out
 
 

@@ -7,20 +7,20 @@ degrees hit by exactly two vertices and t_set collects degrees hit by
 none.  Degree 0 and degree n-1 outside that range are deliberately not
 tracked.
 
-profile reads one graph.  The counting-identity sweep reads a whole
-chunk of records at once with _identity_codes, bit-sliced with one
-byte lane per record, as the lemma scan reads its covers: from
-graphcore._degree_lanes' degree lanes it counts the vertices of each
-degree value, and from those counts the sizes of both sets, each step
-one bytes.translate and one int.from_bytes per lane.  profile is its
-reference in the tests.
+profile reads one graph.  The counting-identity sweep reads the span
+_pool cuts, records of one order joined, all at once with
+_identity_codes, bit-sliced with one byte lane per record, as the lemma
+scan reads its covers: from graphcore._degree_lanes' degree lanes it
+counts the vertices of each degree value, and from those counts the
+sizes of both sets, each step one bytes.translate and one
+int.from_bytes per lane.  profile is its reference in the tests.
 """
 
 from collections import Counter
 from typing import NamedTuple
 
 from .errors import OrderOutOfRange
-from .graphcore import Graph, _degree_lanes
+from .graphcore import Graph, _degree_lanes, _width
 
 
 class DegreeProfile(NamedTuple):
@@ -45,23 +45,24 @@ _THRICE = bytes(3) + b"\1" * 253
 _ALL = b"\0" + b"\xff" * 255
 
 
-def _identity_codes(records) -> bytes:
-    """One code byte per record of a list of graph6 records of one
-    order, up to 31: _EXEMPT where a degree is held three times or a
+def _identity_codes(span) -> bytes:
+    """One code byte per record of span, graph6 records of one order, up
+    to 31, joined: _EXEMPT where a degree is held three times or a
     vertex is isolated, where the counting identity does not apply, and
     otherwise 16 * len(s_set) + len(t_set) of the record's profile.
 
-    Records are checked as graphcore._degree_lanes checks them.  Byte i
-    of every lane below belongs to records[i]: the count lane of degree
-    d sums, over the vertices, a translate of each degree lane to 1
-    where it reads d, and the sizes of both sets sum translates of the
-    count lanes of degrees 1..n-1.  No lane carries: a count is at most
-    n, and a code at most 15 * (n // 2) + n - 1, which is 255 at order 31.
+    _degree_lanes checks the span with graphcore._shape, and the span
+    holds len(span) // _width(n) records.  Byte i of every lane below
+    belongs to record i: the count lane of degree d sums, over the
+    vertices, a translate of each degree lane to 1 where it reads d, and
+    the sizes of both sets sum translates of the count lanes of degrees
+    1..n-1.  No lane carries: a count is at most n, and a code at most
+    15 * (n // 2) + n - 1, which is 255 at order 31.
     """
-    n, lanes = _degree_lanes(records)
+    n, lanes = _degree_lanes(span)
     if n > 31:
         raise OrderOutOfRange(f"identity codes cover orders up to 31, got {n}")
-    count = len(records)
+    count = len(span) // _width(n)
 
     def tally(table, lanes):
         """The sum of each lane translated by table, as one int."""

@@ -7,8 +7,9 @@ edge lists written out here so tests can assert exact indices.
 import random
 from itertools import combinations
 
+from rep3 import enumeration, harness
 from rep3.enumeration import catalogue_lines
-from rep3.graphcore import from_edge_list, write_graph6
+from rep3.graphcore import _width, from_edge_list, write_graph6
 from rep3.solver import DeletionCertificate
 
 
@@ -138,6 +139,62 @@ def catalogue_records(n):
     """The canonical record of every class of order n, in catalogue
     order, as rep3 gen prints them, one a line."""
     return tuple(catalogue_lines(n).split())
+
+
+def split(span):
+    """The records of span, records of one order joined, each as wide as
+    its first byte spells, as bytes; shares no code with the span
+    checks of graphcore."""
+    width = _width(span[0] - 63)
+    return [bytes(span[i:i + width]) for i in range(0, len(span), width)]
+
+
+# (id, span, the record _check rejects as the span reads it): spans of
+# order 3, or 5 for inner-data-byte, each with one bad record inside
+BAD_SPANS = [
+    ("data-byte", b"BwB%Bo", b"B%"),
+    ("inner-data-byte", b"D??D%{D~{", b"D%{"),
+    ("padding", b"BwBxBo", b"Bx"),
+    ("order-byte", b"Bw?wBo", b"?w"),
+    # a trailing partial record, its order byte alone
+    ("length", b"BwBoB", b"B"),
+    # a record cut short inside the span shifts every later one: the
+    # span reads its second record as b"BB", with padding bits set
+    ("misaligned", b"BwBBo", b"BB"),
+]
+
+
+# the fill's worker and each sweep's, taken before any test patches them
+REAL_WORKERS = {
+    "_children": enumeration._children,
+    "_theorem_worker": harness._theorem_worker,
+    "_lemma_worker": harness._lemma_worker,
+    "_identity_worker": harness._identity_worker,
+}
+
+
+class OneSpan:
+    """A stand-in for the real worker of its name: it requires one
+    bytes or bytearray span of whole records of one order, as _pool
+    cuts them, and then runs the real worker on that span.  With crash
+    set it raises ZeroDivisionError on a span of more than one record,
+    so only the one-record spans of _guarded's rerun reach the real
+    worker.  Picklable, as the real worker is looked up by name."""
+
+    def __init__(self, name, crash=False):
+        self.__name__ = name
+        self.crash = crash
+
+    def __call__(self, span):
+        if type(span) not in (bytes, bytearray) or not span:
+            raise TypeError(f"{self.__name__} handed a {type(span).__name__}, not a span")
+        width = _width(span[0] - 63)
+        count, rest = divmod(len(span), width)
+        if rest or span[::width] != span[:1] * count:
+            raise TypeError(f"{self.__name__} handed {bytes(span)!r}, not records of one order")
+        if self.crash and count > 1:
+            raise ZeroDivisionError("planted")
+        return REAL_WORKERS[self.__name__](span)
 
 
 def labeled_records(seed=2026, count=2000):

@@ -1,4 +1,4 @@
-"""Acceptance gate: thirteen checks, one test and one pass/fail line each.
+"""Acceptance gate: fourteen checks, one test and one pass/fail line each.
 
 Tolerances are exact throughout: zero violations, exact class counts,
 byte equality.  The order-9 leg of the first check runs under the
@@ -34,6 +34,9 @@ SUITE_COUNTS = {
 LEMMAS_8_SHA256 = "754b6170868c62417c1e63f75e10227accac889dcf824e0742ba583a8fe7ee1b"
 # the same of counting_identity_suite(8), at one worker and at two
 IDENTITY_8_SHA256 = "b319b63a9aa8e280ca5e33a647c413c0a5baa1f657a1b8968b216daa20fc79e3"
+# the same of verify_theorem(5, 8), at one worker and at two: the
+# histograms, witness lists and violations of orders 5..8
+VERIFY_5_8_SHA256 = "0d08e0a19a277f819714b2ad0255e9ac888983df88ebba3fd8a15248c44693ec"
 
 
 def assert_suite_counts(name, *reports):
@@ -178,3 +181,10 @@ def test_a13_identity_report_pinned(jobs):
     report = counting_identity_suite(8, jobs=jobs)
     text = json.dumps(report.comparable(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == IDENTITY_8_SHA256
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a14_theorem_report_pinned(theorem_report, jobs):
+    report = theorem_report if jobs == 1 else verify_theorem(5, 8, jobs=jobs)
+    text = json.dumps(report.comparable(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_5_8_SHA256

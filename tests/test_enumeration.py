@@ -233,7 +233,7 @@ def generated(monkeypatch, max_n, jobs):
     monkeypatch.setattr(enumeration, "_catalogue", {1: b"@"})
     with enumeration._pool(jobs) as imap:
         compact = [enumeration._fill(n, imap) for n in range(1, max_n + 1)]
-    return [enumeration._split(blob, _width(n)) for n, blob in enumerate(compact, 1)]
+    return [helpers.split(blob) for blob in compact]
 
 
 def test_each_order_is_stored_as_one_bytes(monkeypatch):
@@ -358,9 +358,9 @@ def compact(n, count):
     return b"".join(bytes([63 + n]) + i.to_bytes(_width(n) - 1, "big") for i in range(count))
 
 
-def records_back(chunk):
-    """A chunk worker: each record itself, in order."""
-    return chunk
+def records_back(span):
+    """A chunk worker: each record of its span itself, in order."""
+    return helpers.split(span)
 
 
 def test_ordered_chunks_are_bounded(asked_chunks):
@@ -369,14 +369,14 @@ def test_ordered_chunks_are_bounded(asked_chunks):
     # into 16 chunks per worker, and each worker call takes one chunk
     big = compact(9, 300_000)
     with enumeration._pool(2) as imap:
-        assert list(imap(records_back, [big])) == enumeration._split(big, _width(9))
+        assert list(imap(records_back, [big])) == helpers.split(big)
         for size in (31, 32, 1_000):
             blob = compact(5, size)
-            assert list(imap(records_back, [blob])) == enumeration._split(blob, _width(5))
+            assert list(imap(records_back, [blob])) == helpers.split(blob)
         # two orders share the rule, counted over both, and each is cut
         # on its own: 1,500 records make chunks of 46
         nine, five = compact(9, 1_000), compact(5, 500)
-        expected = enumeration._split(nine, _width(9)) + enumeration._split(five, _width(5))
+        expected = helpers.split(nine) + helpers.split(five)
         assert list(imap(records_back, [nine, b"", five])) == expected
     assert asked_chunks == [
         (True, [9_375] * 32),
@@ -393,13 +393,13 @@ def test_maps_in_this_process_cut_the_same_chunks(asked_chunks, jobs, sizes):
     # with the chunk rule of a pooled map
     seen = []
 
-    def records_here(chunk):
-        seen.append(len(chunk))
-        return records_back(chunk)
+    def records_here(span):
+        seen.append(len(span) // _width(5))
+        return records_back(span)
 
     blob = compact(5, sum(sizes))
     with enumeration._pool(jobs) as imap:
-        assert list(imap(records_here, [blob])) == enumeration._split(blob, _width(5))
+        assert list(imap(records_here, [blob])) == helpers.split(blob)
     assert seen == sizes
     assert asked_chunks == []
 
@@ -415,34 +415,15 @@ def test_fill_maps_parents_in_order(asked_chunks, monkeypatch):
     assert asked_chunks == [(True, [1] * 34), (True, [4] * 39)]
 
 
-class OneOrder:
-    """A chunk worker: the real worker of its name, after checking that
-    it is handed a list of bytes records of one order; picklable, as the
-    real one is looked up by name in this module."""
-
-    def __init__(self, name):
-        self.__name__ = name
-
-    def __call__(self, records):
-        order = records[0][0]
-        if type(records) is not list or any(type(r) is not bytes or r[0] != order
-                                            for r in records):
-            raise TypeError(f"{self.__name__} handed records of more than one order")
-        return _REAL_WORKERS[self.__name__](records)
-
-
-_REAL_WORKERS = {"_children": enumeration._children, "_theorem_worker": harness._theorem_worker}
-
-
 def test_pooled_chunks_are_spans_of_one_order(asked_chunks, monkeypatch):
     # a cold fill of orders 6 and 7, then a sweep of orders 5..7, through
     # one pool: each task is one slice of one order's compact form (the
-    # spy checks it), and each worker call takes records of one order
+    # spy checks it), and each worker call takes that span itself
     catalogue_lines(5)
     warm = {n: enumeration._catalogue[n] for n in range(1, 6)}
     monkeypatch.setattr(enumeration, "_catalogue", warm)
-    monkeypatch.setattr(enumeration, "_children", OneOrder("_children"))
-    monkeypatch.setattr(harness, "_theorem_worker", OneOrder("_theorem_worker"))
+    monkeypatch.setattr(enumeration, "_children", helpers.OneSpan("_children"))
+    monkeypatch.setattr(harness, "_theorem_worker", helpers.OneSpan("_theorem_worker"))
     asked_chunks.clear()
     report = harness.verify_theorem(5, 7, jobs=2)
     assert report.verified and report.checked == 34 + 156 + 1044

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 from itertools import combinations, permutations
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from rep3 import enumeration, errors, feasible, harness, solver
 from rep3.cli import run
 from rep3.enumeration import catalogue_lines
-from rep3.graphcore import _width, from_edge_list, parse_graph6, read_graph6_records, write_graph6
+from rep3.graphcore import _check, _width, from_edge_list, parse_graph6, read_graph6_records, write_graph6
 from rep3.feasible import TripleClassification, budget, classify_triple, equalize_triple
 from rep3.harness import (
     VerificationReport,
@@ -366,33 +367,50 @@ class TestLemmaWorker:
         pairs = list(combinations(range(n), 2))
         g = from_edge_list(n, [p for p in pairs if data.draw(st.booleans())])
         rec = write_graph6(helpers.degree_sorted(g)[0])
-        assert harness._lemma_worker([rec]) == [reference_lemma_scan(rec)]
+        assert harness._lemma_worker(rec) == [reference_lemma_scan(rec)]
         with pytest.MonkeyPatch.context() as mp:
             only_triangles_feasible(mp)
             planted = reference_lemma_scan(rec)
-            assert harness._lemma_worker([rec]) == [planted]
+            assert harness._lemma_worker(rec) == [planted]
 
     def test_falling_degrees_rejected(self):
         # the star K1,3 with its hub first is no catalogue record: the
         # scan reads medians and path ends by position, so the worker
-        # refuses it, naming the record, wherever it lies in its chunk
+        # refuses it, naming the record, wherever it lies in its span
         assert parse_graph6(b"Cs").degrees == (3, 1, 1, 1)
-        for chunk in ([b"Cs"], [b"Bw", b"Cs", b"C~"]):
+        for span in (b"Cs", b"C~CsC~"):
             with pytest.raises(errors.MalformedRecord, match="^Cs: "):
-                harness._lemma_worker(chunk)
+                harness._lemma_worker(span)
 
     def test_records_of_two_orders_rejected(self):
         # K3 and K4 share a record width; scanned as one run of order 3,
         # K4 read (4, 1, 0, 0, ()), where alone it reads (4, 4, 0, 0, ())
         with pytest.raises(errors.MalformedRecord) as caught:
-            harness._lemma_worker([b"Bw", b"C~"])
+            harness._lemma_worker(b"BwC~")
         assert str(caught.value) == "records of orders [3, 4] in one run"
-        assert harness._lemma_worker([b"C~"]) == [(4, 4, 0, 0, ())]
+        assert harness._lemma_worker(b"C~") == [(4, 4, 0, 0, ())]
+
+    def test_records_of_two_widths_rejected(self):
+        # K3 and the order-5 record DQc, each well formed alone, in one span
+        with pytest.raises(errors.MalformedRecord) as caught:
+            harness._lemma_worker(b"BwDQc")
+        assert str(caught.value) == "records of orders [3, 5] in one run"
+
+    @pytest.mark.parametrize(
+        "span,bad", [pytest.param(span, bad, id=name) for name, span, bad in helpers.BAD_SPANS]
+    )
+    def test_a_bad_record_inside_a_span_raises_as_check_does(self, span, bad):
+        with pytest.raises(errors.MalformedRecord) as alone:
+            _check(bad)
+        with pytest.raises(errors.MalformedRecord) as caught:
+            harness._lemma_worker(span)
+        assert str(caught.value) == str(alone.value)
 
     def test_catalogue_through_order_6_matches_reference(self):
         for n in range(1, 7):
             records = catalogue_records(n)
-            assert harness._lemma_worker(records) == list(map(reference_lemma_scan, records))
+            expected = list(map(reference_lemma_scan, records))
+            assert harness._lemma_worker(b"".join(records)) == expected
 
     @pytest.mark.parametrize("planted", [False, True], ids=["real", "planted"])
     def test_chunks_match_reference(self, planted):
@@ -410,19 +428,21 @@ class TestLemmaWorker:
                     r
                     for records in orders
                     for chunk in chunks(records, size or len(records))
-                    for r in harness._lemma_worker(chunk)
+                    for r in harness._lemma_worker(b"".join(chunk))
                 ]
                 assert got == expected
 
     @pytest.mark.extended
     def test_order_8_matches_reference(self):
         records = catalogue_records(8)
-        assert harness._lemma_worker(records) == list(map(reference_lemma_scan, records))
+        expected = list(map(reference_lemma_scan, records))
+        assert harness._lemma_worker(b"".join(records)) == expected
 
 
-def _identity_worker_editing_k2(records, edit):
-    """_identity_worker over a chunk, with edit applied to K2's code byte."""
-    codes = _real_identity_worker(records)
+def _identity_worker_editing_k2(span, edit):
+    """_identity_worker over a span, with edit applied to K2's code byte."""
+    codes = _real_identity_worker(span)
+    records = helpers.split(span)
     if b"A_" not in records:
         return codes
     i = records.index(b"A_")
@@ -465,9 +485,9 @@ class TestCountingIdentity:
     def test_records_of_two_orders_rejected(self):
         # K3 and K4 share a record width, so only their order bytes differ
         with pytest.raises(errors.MalformedRecord) as caught:
-            harness._identity_worker([b"Bw", b"C~"])
+            harness._identity_worker(b"BwC~")
         assert str(caught.value) == "records of orders [3, 4] in one run"
-        assert harness._identity_worker([b"C~"]) == bytes([255])
+        assert harness._identity_worker(b"C~") == bytes([255])
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_violation_names_its_class(self, opened_pools, monkeypatch, jobs):
@@ -587,9 +607,9 @@ def opened_pools(monkeypatch):
     return opened
 
 
-def _no_lemma_work(records):
+def _no_lemma_work(span):
     """_lemma_worker's result shape for each class, with nothing checked."""
-    return [(rec[0] - 63, 0, 0, 0, ()) for rec in records]
+    return [(rec[0] - 63, 0, 0, 0, ()) for rec in helpers.split(span)]
 
 
 def cold(monkeypatch):
@@ -663,9 +683,9 @@ def test_one_worker_per_core_opens_one_pool(opened_pools, monkeypatch, call):
     assert opened_pools == [(2,)]
 
 
-def orders(chunk):
+def orders(span):
     """A chunk worker: each record's order, in order."""
-    return [rec[0] - 63 for rec in chunk]
+    return [rec[0] - 63 for rec in helpers.split(span)]
 
 
 @pytest.mark.parametrize("jobs", [3, 1000, None])
@@ -738,15 +758,48 @@ def test_oversized_deletion_set_is_a_violation(opened_pools, monkeypatch, solve,
 
 
 def test_guarded_keeps_a_rep3_error_of_the_one_record_rerun():
-    # a chunk that crashes is run again a record at a time; a Rep3Error
+    # a span that crashes is run again a record at a time; a Rep3Error
     # raised then keeps its own type and message
-    def worker(chunk):
-        if len(chunk) > 1:
+    def worker(span):
+        if len(span) > _width(5):
             raise ZeroDivisionError("planted")
         raise errors.MalformedRecord("alone")
 
     with pytest.raises(errors.MalformedRecord, match="^alone$"):
         enumeration._guarded(worker, b"D??D?_")
+
+
+def _crashing(span):
+    """A worker that fails on every span."""
+    raise ZeroDivisionError("planted")
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=40),
+        st.sampled_from([span for _, span, _ in helpers.BAD_SPANS] + [b"BwC~", b"BwDQc"]),
+        st.integers(1, 6)
+        .flatmap(lambda n: st.lists(st.sampled_from(catalogue_records(n)), min_size=1))
+        .map(b"".join),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_guarded_crash_path_raises_only_typed_errors(span):
+    # the crash path reads any span's records through the one span
+    # check: a malformed span raises its typed error, and a span of
+    # whole records of one order a WorkerCrash naming its first record,
+    # which fails alone
+    with pytest.raises(errors.Rep3Error) as caught:
+        enumeration._guarded(_crashing, span)
+    try:
+        records = helpers.split(span)
+        whole = all(_check(rec) == span[0] - 63 for rec in records)
+    except (IndexError, errors.Rep3Error):  # an empty span, or a bad record
+        whole = False
+    if whole:
+        first = records[0].decode()
+        assert type(caught.value) is errors.WorkerCrash
+        assert str(caught.value) == f"{first}: _crashing raised ZeroDivisionError('planted')"
 
 
 @pytest.mark.parametrize("count", [0, 1])
@@ -780,11 +833,11 @@ K6 = b"E~~w"
 
 
 def _children_editing(parents, edit):
-    """_children over a chunk of parents, with edit applied to the
+    """_children over a span of parents, with edit applied to the
     children of the edgeless order-5 parent."""
     return [
         edit(out) if rec == b"D??" else out
-        for rec, out in zip(parents, _real_children(parents))
+        for rec, out in zip(helpers.split(parents), _real_children(parents))
     ]
 
 
@@ -878,43 +931,43 @@ def test_class_count_kept_fails_the_level_gate(monkeypatch, children, message):
 
 
 def _children_dividing_by_zero(parents):
-    """_children, except on a chunk holding the edgeless order-5
+    """_children, except on a span holding the edgeless order-5
     parent, where it raises ZeroDivisionError."""
-    if b"D??" in parents:
+    if b"D??" in helpers.split(parents):
         raise ZeroDivisionError("planted")
     return _real_children(parents)
 
 
-def _theorem_worker_dividing_by_zero(records):
-    """_theorem_worker, except on a chunk holding K6, where it raises
+def _theorem_worker_dividing_by_zero(span):
+    """_theorem_worker, except on a span holding K6, where it raises
     ZeroDivisionError."""
-    if K6 in records:
+    if K6 in helpers.split(span):
         raise ZeroDivisionError("planted")
-    return _real_theorem_worker(records)
+    return _real_theorem_worker(span)
 
 
-def _lemma_worker_dividing_by_zero(records):
-    """_lemma_worker, except on a chunk holding K6, where it raises
+def _lemma_worker_dividing_by_zero(span):
+    """_lemma_worker, except on a span holding K6, where it raises
     ZeroDivisionError."""
-    if K6 in records:
+    if K6 in helpers.split(span):
         raise ZeroDivisionError("planted")
-    return _real_lemma_worker(records)
+    return _real_lemma_worker(span)
 
 
-def _identity_worker_dividing_by_zero(records):
-    """_identity_worker, except on a chunk holding K6, where it raises
+def _identity_worker_dividing_by_zero(span):
+    """_identity_worker, except on a span holding K6, where it raises
     ZeroDivisionError."""
-    if K6 in records:
+    if K6 in helpers.split(span):
         raise ZeroDivisionError("planted")
-    return _real_identity_worker(records)
+    return _real_identity_worker(span)
 
 
-def _theorem_worker_rejecting(records):
-    """_theorem_worker, except on a chunk holding K6, which it calls
+def _theorem_worker_rejecting(span):
+    """_theorem_worker, except on a span holding K6, which it calls
     malformed."""
-    if K6 in records:
+    if K6 in helpers.split(span):
         raise errors.MalformedRecord("K6 rejected on purpose")
-    return _real_theorem_worker(records)
+    return _real_theorem_worker(span)
 
 
 # the 58th of the 190 classes of orders 5 and 6, the 24th of order 6,
@@ -924,20 +977,20 @@ def _theorem_worker_rejecting(records):
 MID_CHUNK = 57
 
 
-def _theorem_worker_failing_mid_chunk(records):
-    """_theorem_worker, except on a chunk holding the class MID_CHUNK
+def _theorem_worker_failing_mid_chunk(span):
+    """_theorem_worker, except on a span holding the class MID_CHUNK
     of orders 5 and 6, where it raises ZeroDivisionError."""
-    if [*catalogue_records(5), *catalogue_records(6)][MID_CHUNK] in records:
+    if [*catalogue_records(5), *catalogue_records(6)][MID_CHUNK] in helpers.split(span):
         raise ZeroDivisionError("planted")
-    return _real_theorem_worker(records)
+    return _real_theorem_worker(span)
 
 
-def _theorem_worker_failing_together(records):
-    """_theorem_worker, except on chunks of more than one record, where
+def _theorem_worker_failing_together(span):
+    """_theorem_worker, except on spans of more than one record, where
     it raises ZeroDivisionError: no record fails alone."""
-    if len(records) > 1:
+    if len(helpers.split(span)) > 1:
         raise ZeroDivisionError("planted")
-    return _real_theorem_worker(records)
+    return _real_theorem_worker(span)
 
 
 def test_dropped_class_fails_the_completeness_gate(opened_pools, monkeypatch, capsys):
@@ -1064,43 +1117,45 @@ def test_every_sweep_names_the_record_a_worker_crashed_on(
     assert opened_pools == ([(2,)] if cores == 2 else [])
 
 
-class BytesOnly:
-    """A chunk worker: the real worker name, after checking that each
-    record it is handed is a bytes object; picklable, as the real one is
-    looked up by name in this module."""
-
-    def __init__(self, name):
-        self.__name__ = name
-
-    def __call__(self, records):
-        if not all(type(rec) is bytes for rec in records):
-            raise TypeError(f"{self.__name__} handed {sorted({type(r).__name__ for r in records})}")
-        return _REAL_WORKERS[self.__name__](records)
-
-
-_REAL_WORKERS = {
-    "_children": _real_children,
-    "_theorem_worker": _real_theorem_worker,
-    "_lemma_worker": _real_lemma_worker,
-    "_identity_worker": _real_identity_worker,
-}
-
-
 @pytest.mark.parametrize("cores", [1, 2])
 def test_every_map_hands_its_workers_bytes_records(opened_pools, monkeypatch, cores):
     # the catalogue is held as one bytes per order; the fill and each
-    # sweep still hand every worker a chunk of bytes records, in this
-    # process and in a pool
+    # sweep hand every worker call one span, a bytes slice of whole
+    # records of one order, in this process and in a pool
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    monkeypatch.setattr(enumeration, "_children", BytesOnly("_children"))
+    monkeypatch.setattr(enumeration, "_children", helpers.OneSpan("_children"))
     for name in ("_theorem_worker", "_lemma_worker", "_identity_worker"):
-        monkeypatch.setattr(harness, name, BytesOnly(name))
+        monkeypatch.setattr(harness, name, helpers.OneSpan(name))
     cold(monkeypatch)
     assert verify_theorem(5, 6, jobs=cores).verified
     assert verify_lemmas(6, jobs=cores).verified
     assert counting_identity_suite(6).verified
     find_extremal(6)
     assert opened_pools == ([(2,)] * 4 if cores == 2 else [])
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize(
+    "module,name,call",
+    [
+        pytest.param(enumeration, "_children", lambda: catalogue_lines(7), id="fill"),
+        pytest.param(harness, "_theorem_worker", lambda: verify_theorem(5, 6), id="theorem"),
+        pytest.param(harness, "_lemma_worker", lambda: verify_lemmas(6), id="lemmas"),
+        pytest.param(harness, "_identity_worker", lambda: counting_identity_suite(6), id="identity"),
+        pytest.param(harness, "_theorem_worker", lambda: find_extremal(6), id="extremal"),
+    ],
+)
+def test_crash_rerun_hands_one_record_spans(monkeypatch, cores, module, name, call):
+    # every span of more than one record crashes; _guarded runs the
+    # first crashed span's records again, each as a one-record span that
+    # the spy checks and the real worker passes, so the crash names the
+    # span's first and last records
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(module, name, helpers.OneSpan(name, crash=True))
+    cold(monkeypatch)
+    with pytest.raises(errors.WorkerCrash) as caught:
+        call()
+    assert re.fullmatch(rf"\S+\.\.\S+: {name} raised ZeroDivisionError\('planted'\)", str(caught.value))
 
 
 def test_each_4_set_is_checked_once(monkeypatch):

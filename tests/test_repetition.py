@@ -141,8 +141,10 @@ def reference_code(rec):
 
 
 def chunked_codes(records, size):
-    """_identity_codes over records cut into chunks of size, joined."""
-    return b"".join(_identity_codes(records[i:i + size]) for i in range(0, len(records), size))
+    """_identity_codes over records cut into spans of size records."""
+    return b"".join(
+        _identity_codes(b"".join(records[i:i + size])) for i in range(0, len(records), size)
+    )
 
 
 class TestIdentityCodes:
@@ -159,8 +161,9 @@ class TestIdentityCodes:
     def test_labeled_records_match_profile(self, n, count, data):
         # labeled graphs in any vertex order, not only catalogue classes
         records = [write_graph6(random_graph(n, data)) for _ in range(count)]
-        assert list(_identity_codes(records)) == [reference_code(rec) for rec in records]
-        order, lanes = _degree_lanes(records)
+        span = b"".join(records)
+        assert list(_identity_codes(span)) == [reference_code(rec) for rec in records]
+        order, lanes = _degree_lanes(span)
         assert order == n
         assert [tuple(lane.to_bytes(count, "little")) for lane in lanes] == [
             *zip(*(parse_graph6(rec).degrees for rec in records))
@@ -170,41 +173,29 @@ class TestIdentityCodes:
     def test_order_9_matches_profile(self):
         records = helpers.catalogue_records(9)
         assert len(records) == 274668
-        assert list(_identity_codes(records)) == [reference_code(rec) for rec in records]
+        assert list(_identity_codes(b"".join(records))) == [reference_code(rec) for rec in records]
 
     @pytest.mark.parametrize(
-        "chunk,bad",
-        [
-            pytest.param([b"Bw", b"B%", b"Bo"], b"B%", id="data-byte"),
-            pytest.param([b"D??", b"D%{", b"D~{"], b"D%{", id="inner-data-byte"),
-            pytest.param([b"Bw", b"Bx", b"Bo"], b"Bx", id="padding"),
-            pytest.param([b"Bw", b"?w", b"Bo"], b"?w", id="order-byte"),
-            pytest.param([b"Bw", b"Bww", b"Bo"], b"Bww", id="length"),
-            # a long and a short record: the joined bytes read as whole
-            # records of order 3
-            pytest.param([b"Bw", b"BwB", b"w"], b"BwB", id="misaligned"),
-        ],
+        "span,bad", [pytest.param(span, bad, id=name) for name, span, bad in helpers.BAD_SPANS]
     )
-    def test_a_bad_record_inside_a_chunk_raises_as_check_does(self, chunk, bad):
+    def test_a_bad_record_inside_a_chunk_raises_as_check_does(self, span, bad):
         with pytest.raises(MalformedRecord) as alone:
             _check(bad)
         with pytest.raises(MalformedRecord) as caught:
-            _identity_codes(chunk)
+            _identity_codes(span)
         assert str(caught.value) == str(alone.value)
 
     @pytest.mark.parametrize(
-        "chunk,orders",
-        [([b"Bw", b"C~"], [3, 4]), ([b"Bw", b"DQc"], [3, 5])],
-        ids=["one-width", "two-widths"],
+        "span,orders", [(b"BwC~", [3, 4]), (b"BwDQc", [3, 5])], ids=["one-width", "two-widths"]
     )
-    def test_records_of_two_orders_raise(self, chunk, orders):
+    def test_records_of_two_orders_raise(self, span, orders):
         # each record is well formed alone; read together as one order,
         # K4 would be counted as a graph of order 3
         with pytest.raises(MalformedRecord) as caught:
-            _identity_codes(chunk)
+            _identity_codes(span)
         assert str(caught.value) == f"records of orders {orders} in one run"
 
     def test_orders_past_31_raise(self):
-        assert _identity_codes([write_graph6(helpers.empty(31))]) == bytes([_EXEMPT])
+        assert _identity_codes(write_graph6(helpers.empty(31))) == bytes([_EXEMPT])
         with pytest.raises(OrderOutOfRange):
-            _identity_codes([write_graph6(helpers.empty(32))])
+            _identity_codes(write_graph6(helpers.empty(32)))
