@@ -98,24 +98,27 @@ sweep holds an order as one object per record: _extend returns each
 edge count's records joined, _fill appends them to one bytearray per
 edge count and splits one edge count at a time to sort it, and _pool
 maps over the compact forms themselves.  catalogue_lines and
-enumerate_graphs read the compact form.
+enumerate_graphs read the compact form, the latter through
+graphcore._records, as the fill's worker _children does.
 
 _pool gives one map per public call, over compact forms, and every map
 hands each worker call a whole chunk as it is cut: a span, one slice of
-one order's compact form, which the worker reads itself, record by
-record through graphcore._records or all at once, and maps to a list of
-results, one per record, in order.  The map yields those results one
-by one, in record order.  Every map is cut into 16 chunks per worker,
-counted over all its records, and each order is cut on its own, so no
-chunk spans two orders.  The chunks are made one at a time as they are
-handed out, so the results that wait behind an unfinished chunk are a
-fixed share of the map, whether each result is one small tuple (a
+one order's compact form, which the worker reads itself, and maps to a
+list of results, one per record, in order.  It reads the span all at
+once or through graphcore._records, the one reader of a span's records,
+which checks the span once and hands out (record, Graph) pairs, so no
+worker parses or checks a record again.  The map yields those results
+one by one, in record order.  Every map is cut into 16 chunks per
+worker, counted over all its records, and each order is cut on its own,
+so no chunk spans two orders.  The chunks are made one at a time as they
+are handed out, so the results that wait behind an unfinished chunk are
+a fixed share of the map, whether each result is one small tuple (a
 sweep) or a parent's children (the fill).  A map too small for 16
 records per worker runs in this process, with the same chunk rule; the
 first larger map opens a worker pool, of at most one worker per core,
-that serves every later map of the call, the orders it generates and
-the sweep after them.  A worker that takes a chunk can answer for all
-its records at once, as the lemma scan and the identity kernel do.
+that serves every later map of the call, the orders it generates and the
+sweep after them.  A worker that takes a chunk can answer for all its
+records at once, as the lemma scan and the identity kernel do.
 
 _sweep is the one driver of harness's sweeps: it opens that map, fills
 any catalogue order the sweep needs and is not memoised yet, then maps
@@ -126,8 +129,9 @@ caller's (harness packs an input file's records so), so no sweep holds
 its records as one object each.  The map runs every worker through
 _guarded, so a crash in generation or in a sweep is a WorkerCrash that
 names the record it failed on, at any jobs count: only when a span
-fails with anything but a Rep3Error is it cut into records, each run
-again alone as a one-record span, to find the first that fails alone.
+fails with anything but a Rep3Error is it cut into records by the same
+reader, each run again alone as a one-record span, to find the first
+that fails alone.
 """
 
 import os
@@ -139,7 +143,7 @@ from operator import eq
 from struct import iter_unpack
 
 from .errors import IncompleteCatalogue, OrderOutOfRange, Rep3Error, WorkerCrash
-from .graphcore import Graph, _pack, _records, _width, complement, parse_graph6
+from .graphcore import Graph, _pack, _records, _width, complement
 
 MAX_ENUM = 9
 # OEIS A000088: the number of graphs on n unlabeled vertices, n = 0..9
@@ -318,16 +322,16 @@ def _guarded(worker, span):
     error but a Rep3Error raised again as a WorkerCrash that names a
     record; module level, so it pickles.  Only then are the span's
     records read through graphcore._records, which raises
-    MalformedRecord on a malformed span, and each is run again alone as
-    a one-record span; the first that fails alone is named (the span's
-    first and last records when none does)."""
+    MalformedRecord on a malformed span before it decodes any, and each
+    is run again alone as a one-record span; the first that fails alone
+    is named (the span's first and last records when none does)."""
     try:
         return worker(span)
     except Rep3Error:
         raise
     except Exception as exc:
         crash = exc
-    records = _records(span)
+    records = [rec for rec, _ in _records(span)]
     name = f"{records[0].decode()}..{records[-1].decode()}"
     for rec in records:
         try:
@@ -472,14 +476,13 @@ def _fill(n, imap):
 def _children(span):
     """The accepted children of each parent class of a span, in parent
     order, as _extend gives them."""
-    return list(map(_extend, _records(span)))
+    return [_extend(parent) for _, parent in _records(span)]
 
 
-def _extend(rec):
-    """The accepted children of one parent class, each once, as
-    (edge count, canonical records joined) pairs: those of at most half
-    the edges, and the complement of each one below half."""
-    parent = parse_graph6(rec)
+def _extend(parent):
+    """The accepted children of one parent class, the Graph parent, each
+    once, as (edge count, canonical records joined) pairs: those of at
+    most half the edges, and the complement of each one below half."""
     n = parent.n + 1
     top = 1 << (n - 1)
     total = n * (n - 1) // 2
@@ -548,11 +551,10 @@ def _extend(rec):
 def enumerate_graphs(n: int):
     """One representative per isomorphism class of order n, 1 <= n <= 9.
 
-    Yields the graphs of catalogue_lines(n), parsed one at a time in
-    stream order from the compact form, so the sequence is canonically
-    labeled and identical across calls.
+    Yields the graphs of catalogue_lines(n), read one at a time in
+    stream order from the compact form through graphcore._records, so
+    the sequence is canonically labeled and identical across calls.
     """
-    blob = _compact(n)
-    for rec, in iter_unpack(f"{_width(n)}s", blob):
-        yield parse_graph6(rec)
+    for _, g in _records(_compact(n)):
+        yield g
 

@@ -17,12 +17,13 @@ groups most significant bit first, zero-padded to a whole group, each
 group emitted as one byte offset by 63.  parse_graph6 takes the record as
 bytes and is strict: wrong record length, a data byte outside [63, 126],
 or a nonzero padding bit all reject the record.  _check is that one
-strict validator, and it decodes nothing, so a record can be checked
-without being parsed.  read_graph6_records runs it on each line of a
-graph6 file, as iterating the open binary file gives them, and yields
-validated record bytes without building a graph.
+strict validator of a record, and it decodes nothing; _decode decodes
+and checks nothing, so parse_graph6 is _check, then _decode.
+read_graph6_records runs _check on each line of a graph6 file, as
+iterating the open binary file gives them, and yields validated record
+bytes without building a graph.
 
-parse_graph6 decodes by a byte table.  Bit k of the triangle is the
+_decode reads a record by a byte table.  Bit k of the triangle is the
 pair (i, j) with k = j(j-1)/2 + i at every order, so data byte p with
 value x sets the same pairs in every record.  _TABLE[p][x] holds those
 pairs as packed rows, 64 bits per vertex (row v is bits 64v..64v+63), so
@@ -30,15 +31,18 @@ a record is decoded with one OR per data byte and one split of the
 packed integer into rows: to_bytes, then a little-endian unpack of n
 64-bit words, which reads the same rows on a host of either byte
 order.  A padding bit maps to a pair past the record's order, which is
-harmless, since _check has rejected any record that sets one.  The
-table grows on demand, under a lock, to the longest record parsed:
+harmless, since _check or _shape has rejected any record that sets
+one before it is decoded.  The table grows on demand, under a lock, to
+the longest record decoded:
 orders up to 9 need 6 positions, and the ceiling, 316 positions for
 order 62, costs about 7.6 MB of memory and 10 ms to build.
 
 A span is graph6 records of one order joined, as the catalogue's
 compact form holds them.  _shape is the one check that a span is whole
-records of one order, as strict as _check on each record; _records
-reads a span's records through it.  _degree_lanes reads a whole span
+records of one order, as strict as _check on each record.  _records is
+the one reader of a span's records: it runs _shape once when called,
+then decodes each record with _decode as it is reached, so no record
+of a span is checked twice.  _degree_lanes reads a whole span
 at once, with one byte lane per record: it sums every vertex's degrees
 from one strided slice and one translate per triangle bit, decoding no
 graph.
@@ -253,7 +257,12 @@ def parse_graph6(record: bytes) -> Graph:
     validated strictly.
     """
     record = record.removeprefix(_HEADER)
-    n = _check(record)
+    return _decode(record, _check(record))
+
+
+def _decode(record, n):
+    """The graph of a header-free graph6 record of order n that is
+    already checked: one OR per data byte, no check of its own."""
     data = record[1:]
     if len(data) > len(_TABLE):
         _grow(len(data))
@@ -302,8 +311,12 @@ def _shape(span):
 
 
 def _records(span):
-    """The records of span, checked by _shape, as bytes, in order."""
-    return [rec for rec, in struct.iter_unpack(f"{_shape(span)[1]}s", span)]
+    """(record, Graph) pairs of span's records, in order, the one reader
+    of a span: _shape checks the whole span when _records is called, so
+    a bad span raises before any record is decoded, and each record is
+    then decoded as it is reached, with no check of its own."""
+    n, width = _shape(span)
+    return ((rec, _decode(rec, n)) for rec, in struct.iter_unpack(f"{width}s", span))
 
 
 def _degree_lanes(span):

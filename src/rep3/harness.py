@@ -32,15 +32,17 @@ which opens one map per call: that map first generates any catalogue
 order the sweep needs and is not memoised yet, then hands the worker
 the sweep's records a chunk at a time, each chunk a span: one slice of
 an order's compact form, as _pool cuts it.  Each worker reads the span
-itself: record by record through graphcore._records, which checks that
-the span is whole records of one order, or all at once, as the identity
-worker does.  It returns one result per record, in order, folded in as
-it arrives.  A worker that fails on a record with anything but a
-Rep3Error surfaces as a WorkerCrash naming that record, at any jobs
-count; a Rep3Error keeps its own message.
+itself: record by record through graphcore._records, which checks once
+that the span is whole records of one order and then hands out each
+record with its decoded Graph, so no worker parses or checks a record
+again; or all at once, as the identity worker does.  It returns one
+result per record, in order, folded in as it arrives.  A worker that
+fails on a record with anything but a Rep3Error surfaces as a
+WorkerCrash naming that record, at any jobs count; a Rep3Error keeps its
+own message.
 
-The lemma worker cuts its span's records into runs of at most _SCAN_RUN
-records, parses each record of a run, checks that its degrees are
+The lemma worker takes its span's decoded records from graphcore._records
+in runs of at most _SCAN_RUN, checks that each graph's degrees are
 sorted, as catalogue records are and the scan needs, and asks the
 oracle for its minimum deletion size, one record at a time.  It then
 hands the run, of one order as every span is, to feasible._lemma_scan,
@@ -71,13 +73,14 @@ order, so any jobs count produces the same report, elapsed time aside.
 
 import json
 import time
+from itertools import islice, starmap
 from math import comb
 from typing import NamedTuple
 
 from .enumeration import MAX_ENUM, _sweep
 from .errors import MalformedRecord, OrderOutOfRange, TheoremViolation
 from .feasible import _lemma_scan, _tables
-from .graphcore import _check, _records, _width, parse_graph6
+from .graphcore import _check, _records, _width
 from .repetition import _EXEMPT, _identity_codes as _identity_worker
 from .solver import allowance, check_certificate, min_deletion_for_rep3, solve3
 
@@ -156,14 +159,15 @@ class VerificationReport(NamedTuple):
 
 
 def _theorem_worker(span):
-    """_theorem_result of each record of a span."""
-    return list(map(_theorem_result, _records(span)))
+    """_theorem_result of each record of a span, as graphcore._records
+    reads it."""
+    return list(starmap(_theorem_result, _records(span)))
 
 
-def _theorem_result(rec: bytes):
-    """(n, minimum deletion size, None) for a class of order n the
-    theorem holds on, or (n, None, violation)."""
-    g = parse_graph6(rec)
+def _theorem_result(rec: bytes, g):
+    """(n, minimum deletion size, None) for the class of record rec,
+    the Graph g of order n, when the theorem holds on it, or (n, None,
+    violation)."""
     cap = allowance(g.n)
     try:
         cert = solve3(g)
@@ -193,13 +197,13 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
     never solved, and a malformed one raises MalformedRecord
     (OrderOutOfRange for the multi-byte order form), as does one of a
     swept order but of another width, before the sweep starts.  The
-    packed records go to one worker pool, which parses each record
-    itself, so a malformed one of the right width raises
-    MalformedRecord there.  jobs also sets the worker count for any
-    catalogue order not yet generated, and one pool serves that
-    generation and the sweep.  A sweep that checks no graph at all is
-    not verified.  Graphs with minimum deletion 3 are collected as
-    lower-bound witnesses.
+    packed records go to one worker pool, whose workers check each span
+    they take once, through graphcore._records, so a malformed record of
+    the right width raises MalformedRecord there.  jobs also sets the
+    worker count for any catalogue order not yet generated, and one pool
+    serves that generation and the sweep.  A sweep that checks no graph
+    at all is not verified.  Graphs with minimum deletion 3 are
+    collected as lower-bound witnesses.
     """
     if not 5 <= min_n <= max_n <= MAX_ENUM:
         raise OrderOutOfRange(
@@ -250,25 +254,24 @@ def _lemma_worker(span):
     paired_degree_gap instances, strong-form failures, violations).
 
     span holds records of one order, as every chunk of _pool's does;
-    its records are read through graphcore._records, which checks that,
-    and cut into runs of at most _SCAN_RUN records, which bounds the
-    scan's memory whatever the chunk size.  Each record is parsed,
-    checked and put to the oracle alone, then the whole run is scanned
-    at once.  A record is scanned in its own labels, which must be
-    sorted by degree, as every catalogue record's are; a record whose
-    degrees fall raises MalformedRecord.  Every 4-set and 5-set is
-    checked, so those suites' instance counts are C(n, 4) and C(n, 5),
-    added by the caller.  violations is a tuple of (suite, violation)
-    pairs, each suite's in lexicographic scan order.
+    graphcore._records checks that once and hands out its records as
+    (record, Graph) pairs, taken in runs of at most _SCAN_RUN, so no
+    more decoded graphs are held at once, which bounds the scan's memory
+    whatever the chunk size.  Each graph's degrees are checked and it is
+    put to the oracle alone, then the whole run is scanned at once.  A
+    record is scanned in its own labels, which must be sorted by degree,
+    as every catalogue record's are; a record whose degrees fall raises
+    MalformedRecord.  Every 4-set and 5-set is checked, so those suites'
+    instance counts are C(n, 4) and C(n, 5), added by the caller.
+    violations is a tuple of (suite, violation) pairs, each suite's in
+    lexicographic scan order.
     """
-    records = _records(span)
+    pairs = _records(span)
     n = span[0] - 63
     out = []
-    for start in range(0, len(records), _SCAN_RUN):
-        run = records[start:start + _SCAN_RUN]
+    while run := list(islice(pairs, _SCAN_RUN)):
         graphs, minima = [], []
-        for rec in run:
-            g = parse_graph6(rec)
+        for rec, g in run:
             if list(g.degrees) != sorted(g.degrees):
                 name = rec.decode("ascii")
                 raise MalformedRecord(f"{name}: degrees {g.degrees} fall, as in no catalogue record")
@@ -278,7 +281,7 @@ def _lemma_worker(span):
                 oracle_min = None if cert is None else len(cert.deleted)
             graphs.append(g)
             minima.append(oracle_min)
-        for rec, g, oracle_min, scan in zip(run, graphs, minima, _lemma_scan(graphs, minima)):
+        for (rec, _), oracle_min, scan in zip(run, minima, _lemma_scan(graphs, minima)):
             budgeted, failures, low, paths, medians, paired = scan
             gaps = paired if oracle_min is None or oracle_min > allowance(n) else ()
             found = ()

@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -363,16 +364,25 @@ class TestGraph6:
     def test_table_growth_order(self, monkeypatch, large_first):
         # every catalogue record of orders 1..8 and one order-62 record
         # decode as the per-pair reference does, whichever grows the table
-        # first; orders up to 9 need six positions, order 62 all 316
+        # first, through parse_graph6 one record at a time and through
+        # _records one span per order; orders up to 9 need six
+        # positions, order 62 all 316
         small = [rec for n in range(1, 9) for rec in catalogue_records(n)]
         small.append(write_graph6(helpers.seeded_graph(9, 9)))
         large = write_graph6(helpers.seeded_graph(62, 62))
-        monkeypatch.setattr(graphcore, "_TABLE", [])
-        for rec in [large] + small if large_first else small:
-            assert parse_graph6(rec) == reference_parse(rec)
-        assert len(graphcore._TABLE) == (316 if large_first else 6)
-        assert parse_graph6(large) == reference_parse(large)
-        assert len(graphcore._TABLE) == 316
+        records = [large] + small if large_first else small
+        expected = list(map(reference_parse, records))
+
+        def through_spans(records):
+            spans = [b"".join(run) for _, run in groupby(records, key=lambda rec: rec[0])]
+            return [g for span in spans for _, g in graphcore._records(span)]
+
+        for decode in (lambda records: list(map(parse_graph6, records)), through_spans):
+            monkeypatch.setattr(graphcore, "_TABLE", [])
+            assert decode(records) == expected
+            assert len(graphcore._TABLE) == (316 if large_first else 6)
+            assert decode([large]) == [reference_parse(large)]
+            assert len(graphcore._TABLE) == 316
 
     def test_table_grown_by_many_threads(self, monkeypatch):
         # threads that grow the table at once append each position once
@@ -404,6 +414,50 @@ class TestGraph6:
             sys.setswitchinterval(switch)
         assert failures == []
         assert [parse_graph6(rec) for rec in records] == expected
+
+
+SPAN_ORDERS = [*range(1, 13), 30, 62]
+
+
+@st.composite
+def near_spans(draw):
+    """Valid records of one order joined, as a catalogue span, then one
+    byte changed, the span cut short, or a record of another order
+    appended; or left whole."""
+    n = draw(st.sampled_from(SPAN_ORDERS))
+    codes = st.integers(0, (1 << n * (n - 1) // 2) - 1)
+    span = bytearray(b"".join(_pack(n, code) for code in draw(st.lists(codes, min_size=1, max_size=4))))
+    change = draw(st.sampled_from(["whole", "byte", "cut", "append"]))
+    if change == "byte":
+        byte = draw(st.one_of(st.integers(63, 126), st.integers(0, 255)))
+        span[draw(st.integers(0, len(span) - 1))] = byte
+    elif change == "cut":
+        del span[draw(st.integers(0, len(span) - 1)):]
+    elif change == "append":
+        m = draw(st.sampled_from([m for m in SPAN_ORDERS if m != n]))
+        span += _pack(m, draw(st.integers(0, (1 << m * (m - 1) // 2) - 1)))
+    return bytes(span)
+
+
+class TestRecords:
+    @given(near_spans())
+    @settings(max_examples=400, deadline=None)
+    def test_near_valid_spans(self, span):
+        # _records checks the whole span when it is called and decodes
+        # its records with no check of their own: it raises exactly when
+        # some record, split at the first record's width, fails _check
+        # or spells another order, and otherwise reads what parse_graph6
+        # reads from each record
+        try:
+            records = helpers.split(span)
+            whole = all(_check(rec) == span[0] - 63 for rec in records)
+        except (IndexError, errors.Rep3Error):  # an empty span, or a bad record
+            whole = False
+        if whole:
+            assert list(graphcore._records(span)) == [(rec, parse_graph6(rec)) for rec in records]
+        else:
+            with pytest.raises(errors.Rep3Error):
+                graphcore._records(span)
 
 
 class TestEdgeJson:

@@ -9,7 +9,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rep3 import enumeration, errors, feasible, harness, solver
+from rep3 import enumeration, errors, feasible, graphcore, harness, solver
 from rep3.cli import run
 from rep3.enumeration import catalogue_lines
 from rep3.graphcore import _check, _width, from_edge_list, parse_graph6, read_graph6_records, write_graph6
@@ -400,11 +400,20 @@ class TestLemmaWorker:
         "span,bad", [pytest.param(span, bad, id=name) for name, span, bad in helpers.BAD_SPANS]
     )
     def test_a_bad_record_inside_a_span_raises_as_check_does(self, span, bad):
+        # so do the theorem and fill workers, which read a span through
+        # _records as this one does; _records raises when it is called,
+        # before any record is decoded, with nothing iterated
         with pytest.raises(errors.MalformedRecord) as alone:
             _check(bad)
-        with pytest.raises(errors.MalformedRecord) as caught:
-            harness._lemma_worker(span)
-        assert str(caught.value) == str(alone.value)
+        for read in (
+            harness._lemma_worker,
+            harness._theorem_worker,
+            enumeration._children,
+            graphcore._records,
+        ):
+            with pytest.raises(errors.MalformedRecord) as caught:
+                read(span)
+            assert str(caught.value) == str(alone.value)
 
     def test_catalogue_through_order_6_matches_reference(self):
         for n in range(1, 7):
@@ -755,6 +764,37 @@ def test_oversized_deletion_set_is_a_violation(opened_pools, monkeypatch, solve,
         find_extremal(5)
     assert str(caught.value).endswith(": " + reason)
     assert opened_pools == [(2,), (2,)]
+
+
+def test_no_record_is_checked_twice(monkeypatch):
+    # the fill and every sweep check each span once, with _shape, and
+    # decode its records with no _check of their own; only the file
+    # reader checks records one at a time, once each
+    calls = []
+    real_check = graphcore._check
+
+    def counted(rec):
+        calls.append(bytes(rec))
+        return real_check(rec)
+
+    catalogue_lines(8)  # warm, before anything is counted
+    warm = enumeration._catalogue[7]
+    monkeypatch.setattr(graphcore, "_check", counted)
+    monkeypatch.setattr(harness, "_check", counted)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    with monkeypatch.context() as mp:
+        mp.setattr(enumeration, "_catalogue", {1: b"@"})
+        assert enumeration._compact(7) == warm  # a cold fill, in this process
+    assert calls == []
+    assert verify_theorem(5, 8, jobs=1).verified
+    assert verify_lemmas(7, jobs=1).verified
+    find_extremal(7)
+    assert counting_identity_suite(8, jobs=1).verified
+    assert calls == []
+    records = catalogue_records(5) + catalogue_records(6)
+    fh = io.BytesIO(b"".join(rec + b"\n" for rec in records))
+    assert verify_theorem(5, 6, source=read_graph6_records(fh), jobs=1).checked == len(records)
+    assert calls == list(records)
 
 
 def test_guarded_keeps_a_rep3_error_of_the_one_record_rerun():
