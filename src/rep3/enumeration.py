@@ -109,16 +109,22 @@ once or through graphcore._records, the one reader of a span's records,
 which checks the span once and hands out (record, Graph) pairs, so no
 worker parses or checks a record again.  The map yields those results
 one by one, in record order.  Every map is cut into 16 chunks per
-worker, counted over all its records, and each order is cut on its own,
-so no chunk spans two orders.  The chunks are made one at a time as they
-are handed out, so the results that wait behind an unfinished chunk are
-a fixed share of the map, whether each result is one small tuple (a
-sweep) or a parent's children (the fill).  A map too small for 16
-records per worker runs in this process, with the same chunk rule; the
-first larger map opens a worker pool, of at most one worker per core,
-that serves every later map of the call, the orders it generates and the
-sweep after them.  A worker that takes a chunk can answer for all its
-records at once, as the lemma scan and the identity kernel do.
+process, counted over all its records, and each order is cut on its
+own, so no chunk spans two orders.  A map too small for 16 records per
+process runs in this process, with the same chunk rule, and so does
+every map at one job.  A larger map is sharded as geng shards by
+res/mod: of jobs processes, at most one per core, this one is process 0
+and the other jobs - 1 are children forked when the map starts, and
+chunk i goes to process i % jobs.  A child inherits every memoised order
+and memo as they stand, so nothing is sent to it: it cuts the same
+chunks, works its own, and writes each result, pickled, to its own
+pipe, which this process reads in chunk order between its own chunks.
+So a child runs ahead by at most its pipe's buffer and one chunk,
+whether each result is one small tuple (a sweep) or a parent's children
+(the fill).  The children end with their map; any still running when
+the call ends, however it ends, are killed, and all are reaped.  A
+worker that takes a chunk can answer for all its records at once, as
+the lemma scan and the identity kernel do.
 
 _sweep is the one driver of harness's sweeps: it opens that map, fills
 any catalogue order the sweep needs and is not memoised yet, then maps
@@ -131,13 +137,15 @@ _guarded, so a crash in generation or in a sweep is a WorkerCrash that
 names the record it failed on, at any jobs count: only when a span
 fails with anything but a Rep3Error is it cut into records by the same
 reader, each run again alone as a one-record span, to find the first
-that fails alone.
+that fails alone.  A child that dies, as one the OOM killer ends,
+shows as the end of its pipe, a WorkerCrash naming the first and last
+records of the chunk it owed.
 """
 
 import os
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager, suppress
 from functools import partial
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from math import factorial, gcd
 from operator import eq
 from struct import iter_unpack
@@ -254,16 +262,11 @@ def _canonical_search(g: Graph, w=None):
 _catalogue = {1: b"@"}  # n -> its canonical records in stream order, joined; K1 seeds it
 
 
-_CHUNKS = 16  # chunks per worker in every pooled map
-
-
-def get_context(method):
-    """multiprocessing.get_context(method), with multiprocessing
-    imported only when the first pool opens: a process that opens none,
-    as rep3 solve or any --jobs 1 sweep, never loads it."""
-    import multiprocessing
-
-    return multiprocessing.get_context(method)
+_CHUNKS = 16  # chunks per process in every shared map
+# the pipe buffer asked for each child: an order-9 fill's chunks pickle
+# to 64 KiB on average and up to 331 KiB, so Linux's default 64 KiB
+# would hold a child to the main process's pace chunk by chunk
+_PIPE_BYTES = 1 << 20
 
 
 @contextmanager
@@ -277,54 +280,123 @@ def _pool(jobs):
     one by one, in record order, as they arrive, for callers to fold,
     not keep.
 
-    jobs None means os.cpu_count(), and no more workers start than there
-    are cores.  Each map is cut into _CHUNKS chunks per worker, counted
-    over the records of all its blobs, and each blob is cut on its own,
-    so no chunk spans two orders; a map with fewer records than that
-    holds one record per chunk.  The chunks are made one at a time as
-    they are handed out, each a slice of its blob, and the worker reads
-    that span itself.  A map too small to share between
-    workers runs in this process, and so does every map at one job.
-    The first larger map opens one worker pool, which serves every later
-    map inside the context.  The results that wait behind an unfinished
-    chunk are at most a 1/(_CHUNKS * jobs) share of the map, however
-    large each result is.
+    jobs None means os.cpu_count(), and no more processes work a map
+    than there are cores.  Each map is cut into _CHUNKS chunks per
+    process, counted over the records of all its blobs, and each blob is
+    cut on its own, so no chunk spans two orders; a map with fewer
+    records than that holds one record per chunk.  The chunks are made
+    one at a time, each a slice of its blob, and the worker reads that
+    span itself.  A map too small to share runs in this process, and so
+    does every map at one job.  A larger map is shared as _shared
+    shares it, this process working one chunk in jobs and jobs - 1
+    forked children the rest; the children end with the map, and every
+    one still running when the context exits, however it exits, is
+    killed and reaped.
     """
     cores = os.cpu_count() or 1
     jobs = min(max(1, int(cores if jobs is None else jobs)), cores)
-    with ExitStack() as stack:
-        pool = None
+    children = []  # (pid, pipe) of every child not reaped yet
 
-        def imap(worker, blobs):
-            nonlocal pool
-            worker = partial(_guarded, worker)
-            # a record's first byte spells its order, hence its width
-            blobs = [(blob, _width(blob[0] - 63)) for blob in blobs if blob]
-            size = sum(len(blob) // width for blob, width in blobs) // (jobs * _CHUNKS)
-            step = max(1, size)
-            chunks = (
-                blob[i:i + step * width]
-                for blob, width in blobs
-                for i in range(0, len(blob), step * width)
-            )
-            if jobs < 2 or not size:
-                return chain.from_iterable(map(worker, chunks))
-            if pool is None:
-                # fork keeps the imported module state
-                pool = stack.enter_context(get_context("fork").Pool(jobs))
-            return chain.from_iterable(pool.imap(worker, chunks))
+    def imap(worker, blobs):
+        worker = partial(_guarded, worker)
+        # a record's first byte spells its order, hence its width
+        blobs = [(blob, _width(blob[0] - 63)) for blob in blobs if blob]
+        size = sum(len(blob) // width for blob, width in blobs) // (jobs * _CHUNKS)
+        step = max(1, size)
+        chunks = (
+            blob[i:i + step * width]
+            for blob, width in blobs
+            for i in range(0, len(blob), step * width)
+        )
+        if jobs < 2 or not size:
+            return chain.from_iterable(map(worker, chunks))
+        return chain.from_iterable(_shared(worker, chunks, jobs, children))
 
+    try:
         yield imap
+    finally:
+        _reap(children)
+
+
+def _shared(worker, chunks, jobs, children):
+    """worker(chunk) for each of chunks, in order, chunk i worked by
+    process i % jobs: this one is process 0, and jobs - 1 children,
+    forked when the map starts, are the rest.
+
+    A child inherits this process as it is then, every memoised order
+    and memo included, so nothing is sent to it: it cuts the same
+    chunks, works its own, and writes each result, or the Rep3Error
+    worker raised, pickled to its own pipe, then exits.  This process
+    works its own chunks in turn and reads the children's results in
+    chunk order, so a child runs ahead by at most its pipe's buffer,
+    _PIPE_BYTES where the host allows, and one chunk.  A child that dies
+    shows as the end of its pipe, raised as a WorkerCrash naming the
+    first and last records of the chunk it owed.  The children are
+    appended to children as (pid, pipe) and reaped when the map ends."""
+    import fcntl
+    import pickle
+
+    pipes = []
+    for k in range(1, jobs):
+        r, w = os.pipe()
+        if hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux
+            with suppress(OSError):  # where the host allows it
+                fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        pid = os.fork()
+        if not pid:
+            status = 1
+            try:
+                os.close(r)
+                with open(w, "wb") as out:
+                    for chunk in islice(chunks, k, None, jobs):
+                        try:
+                            result = worker(chunk)
+                        except Rep3Error as exc:
+                            result = exc
+                        pickle.dump(result, out)
+                        out.flush()
+                status = 0
+            finally:
+                os._exit(status)  # never return into the caller's frames
+        os.close(w)
+        pipes.append(open(r, "rb"))
+        children.append((pid, pipes[-1]))
+    for i, chunk in enumerate(chunks):
+        if not i % jobs:
+            yield worker(chunk)
+            continue
+        try:
+            result = pickle.load(pipes[i % jobs - 1])
+        except (EOFError, pickle.UnpicklingError):
+            width = _width(chunk[0] - 63)
+            first, last = (rec.decode("ascii", "replace") for rec in (chunk[:width], chunk[-width:]))
+            raise WorkerCrash(f"{first}..{last}: the worker process died") from None
+        if isinstance(result, Rep3Error):
+            raise result
+        yield result
+    _reap(children)
+
+
+def _reap(children):
+    """Kill every child of children that is still running, wait for
+    each, close its pipe and forget it."""
+    while children:
+        from signal import SIGKILL
+
+        pid, pipe = children.pop()
+        os.kill(pid, SIGKILL)
+        os.waitpid(pid, 0)
+        pipe.close()
 
 
 def _guarded(worker, span):
     """worker(span), span a slice of one order's compact form, with any
     error but a Rep3Error raised again as a WorkerCrash that names a
-    record; module level, so it pickles.  Only then are the span's
-    records read through graphcore._records, which raises
-    MalformedRecord on a malformed span before it decodes any, and each
-    is run again alone as a one-record span; the first that fails alone
-    is named (the span's first and last records when none does)."""
+    record.  Only then are the span's records read through
+    graphcore._records, which raises MalformedRecord on a malformed span
+    before it decodes any, and each is run again alone as a one-record
+    span; the first that fails alone is named (the span's first and last
+    records when none does)."""
     try:
         return worker(span)
     except Rep3Error:
@@ -351,7 +423,7 @@ def catalogue_lines(n: int) -> bytes:
     Sorted by (edge count, record): a copy of the memoised compact form
     of order n (see _fill) with one newline after every record, made
     without a record object.  Orders not yet memoised are generated over
-    up to one worker per core; a memoised order starts no process.
+    up to one process per core; a memoised order starts no process.
     """
     blob = _compact(n)
     width = _width(n)
@@ -363,7 +435,7 @@ def catalogue_lines(n: int) -> bytes:
 
 
 def _compact(n):
-    """The compact form of order n, generated over up to one worker per
+    """The compact form of order n, generated over up to one process per
     core unless memoised."""
     if not 1 <= n <= MAX_ENUM:
         raise OrderOutOfRange(f"enumeration supports orders 1..{MAX_ENUM}, got {n}")
@@ -377,11 +449,13 @@ def _sweep(worker, jobs, orders, blobs=None):
 
     blobs holds records in the catalogue's compact form: per order, one
     bytes-like object of fixed-width records of that order, joined; an
-    empty one is skipped.  One map, _pool(jobs), serves the whole call:
-    catalogue orders not memoised yet are generated with it before the
-    sweep, which maps over the compact forms themselves and pairs each
-    result with its record as it unpacks them, blob by blob, so no sweep
-    holds its records as one object each.
+    empty one is skipped.  One _pool(jobs) serves the whole call:
+    catalogue orders not memoised yet are generated with its map before
+    the sweep, which maps over the compact forms themselves and pairs
+    each result with its record as it unpacks them, blob by blob, so no
+    sweep holds its records as one object each.  A fold that stops
+    early, as by raising, drops this generator, which closes it and so
+    the _pool: any child still running is killed and reaped then.
     """
     with _pool(jobs) as imap:
         if blobs is None:

@@ -48,11 +48,13 @@ oracle for its minimum deletion size, one record at a time.  It then
 hands the run, of one order as every span is, to feasible._lemma_scan,
 which answers the cover questions for all its records at once, in each
 record's own labels.  verify_lemmas builds the scan's tables for every
-swept order before the sweep opens its pool, so forked workers inherit
-them.  The scan returns, per record, its counts and the sets each suite
-reports, in lexicographic order; the worker turns them into violation
-records and returns its counts and a tuple of (suite, violation) pairs,
-so the parent holds little per class while the pool runs.
+swept order before the sweep starts.  The children a shared map forks
+inherit them, and the verdict memo as this process has filled it so
+far, its own share of earlier sweeps included.  The scan returns, per
+record, its counts and the sets each suite reports, in lexicographic
+order; the worker turns them into violation records and returns its
+counts and a tuple of (suite, violation) pairs, so the main process
+holds little per class while the map runs.
 
 find_extremal runs the headline sweep's worker over the catalogue, so
 both solve and check each class the same way; each worker returns its
@@ -67,8 +69,8 @@ held three times or an isolated vertex), else 16 * |doubled| +
 |missing|.  So the map yields one int per class, and the fold takes the
 order from the record's first byte and builds the violation.
 
-Reports are deterministic: the worker pool yields results in record
-order, so any jobs count produces the same report, elapsed time aside.
+Reports are deterministic: every map yields results in record order,
+so any jobs count produces the same report, elapsed time aside.
 """
 
 import json
@@ -197,12 +199,12 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
     never solved, and a malformed one raises MalformedRecord
     (OrderOutOfRange for the multi-byte order form), as does one of a
     swept order but of another width, before the sweep starts.  The
-    packed records go to one worker pool, whose workers check each span
-    they take once, through graphcore._records, so a malformed record of
-    the right width raises MalformedRecord there.  jobs also sets the
-    worker count for any catalogue order not yet generated, and one pool
-    serves that generation and the sweep.  A sweep that checks no graph
-    at all is not verified.  Graphs with minimum deletion 3 are
+    packed records go to one map, whose workers check each span they
+    take once, through graphcore._records, so a malformed record of the
+    right width raises MalformedRecord there.  jobs also sets the
+    process count for any catalogue order not yet generated, and one
+    _pool serves that generation and the sweep.  A sweep that checks no
+    graph at all is not verified.  Graphs with minimum deletion 3 are
     collected as lower-bound witnesses.
     """
     if not 5 <= min_n <= max_n <= MAX_ENUM:
@@ -317,7 +319,7 @@ def verify_lemmas(max_n: int, jobs=None) -> VerificationReport:
     }
     orders = range(1, max_n + 1)
     for n in orders:
-        _tables(n)  # built once here, and inherited by forked workers
+        _tables(n)  # built once here, and inherited by forked children
     for _, (n, budgeted, paired, failures, found) in _sweep(_lemma_worker, jobs, orders):
         results["induced_path"]["instances_checked"] += comb(n, 4)
         results["median_feasible"]["instances_checked"] += comb(n, 5)
@@ -355,8 +357,8 @@ def find_extremal(n: int):
     """graph6 records of classes whose exact minimum deletion is
     min(3, n-3), the largest value the order allows.
 
-    Each class goes through the theorem sweep's worker, over a worker
-    pool, so a class the theorem misses, or whose certificate fails the
+    Each class goes through the theorem sweep's worker, over up to one
+    process per core, so a class the theorem misses, or whose certificate fails the
     independent check, raises TheoremViolation rather than dropping out
     of the listing.  Output is exploratory: which orders contain
     maximal-cost classes is recorded, not asserted.

@@ -4,6 +4,7 @@ Each constructor returns a fresh Graph value; vertex labels follow the
 edge lists written out here so tests can assert exact indices.
 """
 
+import os
 import random
 from itertools import combinations
 
@@ -179,7 +180,7 @@ class OneSpan:
     cuts them, and then runs the real worker on that span.  With crash
     set it raises ZeroDivisionError on a span of more than one record,
     so only the one-record spans of _guarded's rerun reach the real
-    worker.  Picklable, as the real worker is looked up by name."""
+    worker, which is looked up by name."""
 
     def __init__(self, name, crash=False):
         self.__name__ = name
@@ -195,6 +196,68 @@ class OneSpan:
         if self.crash and count > 1:
             raise ZeroDivisionError("planted")
         return REAL_WORKERS[self.__name__](span)
+
+
+class ForkSpy:
+    """Every map that enumeration._shared shares while a test runs, on a
+    host taken to have two cores, since no more processes than cores
+    work a map: per map, the pids of the children it forked and the
+    record count of each chunk it cut, in order.
+
+    Each chunk must be a bytes or bytearray slice of whole records of
+    one order, handed out one at a time from an iterator, and every
+    child a map forked must be reaped by the time the map ends."""
+
+    def __init__(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        self.maps = []
+        real_fork, real_shared = os.fork, enumeration._shared
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                self.maps[-1][0].append(pid)
+            return pid
+
+        def shared(worker, chunks, jobs, children):
+            pids, sizes = [], []
+            self.maps.append((pids, sizes))
+            yield from real_shared(worker, counted(chunks, sizes), jobs, children)
+            for pid in pids:
+                try:
+                    os.waitpid(pid, os.WNOHANG)
+                except ChildProcessError:
+                    continue
+                raise AssertionError(f"child {pid} outlived its map")
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(enumeration, "_shared", shared)
+
+    def clear(self):
+        self.maps.clear()
+
+    @property
+    def children(self):
+        """The number of children each map forked."""
+        return [len(pids) for pids, _ in self.maps]
+
+    @property
+    def chunks(self):
+        """(children forked, chunk sizes) of each map."""
+        return [(len(pids), sizes) for pids, sizes in self.maps]
+
+
+def counted(chunks, sizes):
+    """chunks, each checked to be a span of whole records of one order
+    as it passes, its record count appended to sizes."""
+    assert iter(chunks) is chunks  # no list of every chunk is made
+    for chunk in chunks:
+        width = _width(chunk[0] - 63)
+        count, rest = divmod(len(chunk), width)
+        assert type(chunk) in (bytes, bytearray) and not rest
+        assert chunk[::width] == chunk[:1] * count
+        sizes.append(count)
+        yield chunk
 
 
 def labeled_records(seed=2026, count=2000):

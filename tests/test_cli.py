@@ -7,6 +7,7 @@ asserted bytes are exactly what a shell would see.
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 
@@ -448,16 +449,75 @@ def test_module_entry_point():
     ]
 
 
+# A sweep of orders 5 and 6 at two jobs on a two-core host, over 190
+# records, cuts chunks of 5; the second chunk, order 5's records 5..9,
+# is the child's.  Its child exits on record 6, as one killed by a
+# signal or the OOM killer would end, with no result and no error sent.
+KILLED_CHILD = """
+import os, sys
+from rep3 import harness
+from rep3.cli import run
+from rep3.enumeration import catalogue_lines
+from rep3.errors import WorkerCrash
+from rep3.graphcore import _width
+
+os.cpu_count = lambda: 2
+catalogue_lines(6)  # orders 5 and 6 filled before the worker is planted
+main, real, width = os.getpid(), harness._theorem_worker, _width(5)
+victim = catalogue_lines(5).split()[6]
+
+def worker(span):
+    if os.getpid() != main and victim in [span[i:i + width] for i in range(0, len(span), width)]:
+        os._exit(1)
+    return real(span)
+
+harness._theorem_worker = worker
+try:
+    harness.verify_theorem(5, 6, jobs=2)
+except WorkerCrash as exc:
+    print(exc, flush=True)
+sys.exit(run(["verify", "--min-n", "5", "--max-n", "6", "--jobs", "2"]))
+"""
+
+
+def test_killed_child_ends_the_sweep():
+    # a child that dies is the end of its pipe: the sweep raises a
+    # WorkerCrash naming the chunk the child owed, and the CLI exits 2
+    # with one error line, where a pool waited forever; the timeout
+    # turns a regression into a failure, not a hang, and ends the
+    # probe's whole process group, whose children hold its pipes too
+    probe = subprocess.Popen(
+        [sys.executable, "-c", KILLED_CHILD], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env=_src_env(), start_new_session=True,
+    )
+    try:
+        out, err = probe.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(probe.pid, signal.SIGKILL)
+        probe.communicate()
+        raise
+    records = [write_graph6(g).decode("ascii") for g in enumerate_graphs(5)]
+    message = f"{records[5]}..{records[9]}: the worker process died"
+    assert out == message + "\n"
+    assert err == f"error: {message}\n"
+    assert probe.returncode == 2
+
+
 def test_import_stays_lean():
     # four records once pulled in dataclasses, and with it inspect, in
-    # every rep3 process; multiprocessing loads when a pool first opens
+    # every rep3 process; pickle loads only when a map first forks
+    # children, and multiprocessing never, not even by a shared sweep
     probe = (
         "import sys, rep3.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'multiprocessing'} & set(sys.modules)))"
+        "lean = lambda: print(sorted({'dataclasses', 'inspect', 'multiprocessing', 'pickle'}"
+        " & set(sys.modules))); "
+        "lean(); rep3.cli.run(['verify', '--min-n', '5', '--max-n', '6', '--jobs', '2']); lean()"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, text=True, env=_src_env(), timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    lines = done.stdout.splitlines()
+    # the sweep forks a child wherever there are two cores to share
+    assert lines[0] == "[]" and lines[-1] == ("['pickle']" if os.cpu_count() > 1 else "[]")

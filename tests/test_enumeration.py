@@ -1,7 +1,6 @@
 import hashlib
 import io
 import itertools
-import multiprocessing.pool
 import os
 
 import pytest
@@ -312,44 +311,10 @@ def test_order_9_closed_under_complement():
 
 @pytest.fixture
 def asked_chunks(monkeypatch):
-    """(ordered, chunk sizes) for every map a worker pool is asked for
-    while the test runs, on a host taken to have two cores."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    real_get_context = enumeration.get_context
-    asked = []
-
-    def spy(ordered, iterable, chunksize):
-        # each map hands out its chunks one at a time, as the pool takes
-        # them, from an iterator: no list of every chunk is made; each
-        # chunk is one slice of one order's compact form, whose records
-        # are counted
-        assert iter(iterable) is iterable and chunksize == 1
-        sizes = []
-        asked.append((ordered, sizes))
-        for chunk in iterable:
-            width = _width(chunk[0] - 63)
-            count, rest = divmod(len(chunk), width)
-            assert type(chunk) in (bytes, bytearray) and not rest
-            assert chunk[::width] == chunk[:1] * count
-            sizes.append(count)
-            yield chunk
-
-    class SpyPool(multiprocessing.pool.Pool):
-        def imap(self, func, iterable, chunksize=1):
-            return super().imap(func, spy(True, iterable, chunksize), chunksize)
-
-        def imap_unordered(self, func, iterable, chunksize=1):
-            return super().imap_unordered(func, spy(False, iterable, chunksize), chunksize)
-
-    class SpyContext:
-        def __init__(self, method):
-            self.ctx = real_get_context(method)
-
-        def Pool(self, jobs):
-            return SpyPool(jobs, context=self.ctx)
-
-    monkeypatch.setattr(enumeration, "get_context", SpyContext)
-    return asked
+    """The children forked and the chunk sizes cut for every map shared
+    with children while the test runs, on a host taken to have two
+    cores (helpers.ForkSpy)."""
+    return helpers.ForkSpy(monkeypatch)
 
 
 def compact(n, count):
@@ -364,9 +329,10 @@ def records_back(span):
 
 
 def test_ordered_chunks_are_bounded(asked_chunks):
-    # an order-9 sweep maps 274,668 records; the main process holds the
-    # results that wait behind an unfinished chunk, so every map is cut
-    # into 16 chunks per worker, and each worker call takes one chunk
+    # an order-9 sweep maps 274,668 records; a child runs ahead of the
+    # main process by at most its pipe's buffer and one chunk, so every
+    # map is cut into 16 chunks per process, each worker call takes one
+    # chunk, and each shared map forks one child at two jobs
     big = compact(9, 300_000)
     with enumeration._pool(2) as imap:
         assert list(imap(records_back, [big])) == helpers.split(big)
@@ -378,19 +344,19 @@ def test_ordered_chunks_are_bounded(asked_chunks):
         nine, five = compact(9, 1_000), compact(5, 500)
         expected = helpers.split(nine) + helpers.split(five)
         assert list(imap(records_back, [nine, b"", five])) == expected
-    assert asked_chunks == [
-        (True, [9_375] * 32),
+    assert asked_chunks.chunks == [
+        (1, [9_375] * 32),
         # 31 records, under 16 per worker, ran in this process
-        (True, [1] * 32),
-        (True, [31] * 32 + [8]),
-        (True, [46] * 21 + [34] + [46] * 10 + [40]),
+        (1, [1] * 32),
+        (1, [31] * 32 + [8]),
+        (1, [46] * 21 + [34] + [46] * 10 + [40]),
     ]
 
 
 @pytest.mark.parametrize("jobs,sizes", [(1, [62] * 16 + [8]), (2, [1] * 31)])
 def test_maps_in_this_process_cut_the_same_chunks(asked_chunks, jobs, sizes):
     # at one job, or with under 16 records per worker, the map runs here
-    # with the chunk rule of a pooled map
+    # with the chunk rule of a shared map, and forks nothing
     seen = []
 
     def records_here(span):
@@ -401,24 +367,26 @@ def test_maps_in_this_process_cut_the_same_chunks(asked_chunks, jobs, sizes):
     with enumeration._pool(jobs) as imap:
         assert list(imap(records_here, [blob])) == helpers.split(blob)
     assert seen == sizes
-    assert asked_chunks == []
+    assert asked_chunks.chunks == []
 
 
 def test_fill_maps_parents_in_order(asked_chunks, monkeypatch):
     # a cold fill maps each order's parents through the same ordered map
-    # the sweeps use; orders 6 and 7 extend 34 and 156 parents
+    # the sweeps use; orders 6 and 7 extend 34 and 156 parents, each
+    # order's map shared with one child
     warm = {n: catalogue_records(n) for n in range(1, 8)}
     asked_chunks.clear()
     monkeypatch.setattr(enumeration, "_catalogue", {n: b"".join(warm[n]) for n in range(1, 6)})
     assert catalogue_records(7) == warm[7]
     assert enumeration._catalogue[6] == b"".join(warm[6])
-    assert asked_chunks == [(True, [1] * 34), (True, [4] * 39)]
+    assert asked_chunks.chunks == [(1, [1] * 34), (1, [4] * 39)]
 
 
 def test_pooled_chunks_are_spans_of_one_order(asked_chunks, monkeypatch):
-    # a cold fill of orders 6 and 7, then a sweep of orders 5..7, through
-    # one pool: each task is one slice of one order's compact form (the
-    # spy checks it), and each worker call takes that span itself
+    # a cold fill of orders 6 and 7, then a sweep of orders 5..7, each
+    # map shared with one child: each chunk is one slice of one order's
+    # compact form (the spy checks it), and each worker call takes that
+    # span itself
     catalogue_lines(5)
     warm = {n: enumeration._catalogue[n] for n in range(1, 6)}
     monkeypatch.setattr(enumeration, "_catalogue", warm)
@@ -427,11 +395,11 @@ def test_pooled_chunks_are_spans_of_one_order(asked_chunks, monkeypatch):
     asked_chunks.clear()
     report = harness.verify_theorem(5, 7, jobs=2)
     assert report.verified and report.checked == 34 + 156 + 1044
-    assert asked_chunks == [
-        (True, [1] * 34),
-        (True, [4] * 39),
+    assert asked_chunks.chunks == [
+        (1, [1] * 34),
+        (1, [4] * 39),
         # 1,234 records make chunks of 38, and each order is cut on its own
-        (True, [34] + [38] * 4 + [4] + [38] * 27 + [18]),
+        (1, [34] + [38] * 4 + [4] + [38] * 27 + [18]),
     ]
 
 

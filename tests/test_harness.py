@@ -175,9 +175,8 @@ class TestVerifyTheorem:
     def test_malformed_source_record_raises(self, rec, jobs):
         # records outside the swept orders, and records of a swept order
         # but of another width, are validated before the sweep; a record
-        # of a swept order's width is packed and fails in the worker that
-        # parses it, which at jobs 2 runs in a pool, so the error must
-        # arrive typed across it
+        # of a swept order's width is packed and fails, typed, in the
+        # worker that parses it
         with pytest.raises(errors.MalformedRecord):
             verify_theorem(5, 5, source=[rec] * jobs, jobs=jobs)
 
@@ -215,15 +214,15 @@ class TestVerifyTheorem:
             text = json.dumps(report.comparable(), sort_keys=True)
             assert hashlib.sha256(text.encode()).hexdigest() == SHUFFLED_REPORT_SHA256
 
-    def test_short_record_of_a_swept_order_raises_before_any_pool(self, opened_pools):
+    def test_short_record_of_a_swept_order_raises_before_any_pool(self, forks):
         # a record one byte short of its order's width is not packed: the
-        # reader's own check rejects it before the sweep opens a pool
+        # reader's own check rejects it before the sweep forks a child
         source = [*catalogue_records(6), catalogue_records(7)[0][:-1]]
-        opened_pools.clear()
+        forks.clear()
         message = "expected 4 data bytes for order 7, got 3"
         with pytest.raises(errors.MalformedRecord, match=message):
             verify_theorem(5, 7, source=source, jobs=2)
-        assert opened_pools == []
+        assert forks.children == []
 
     def test_labeled_input_pinned(self):
         # the catalogue pins cover degree-sorted records only
@@ -499,31 +498,31 @@ class TestCountingIdentity:
         assert harness._identity_worker(b"C~") == bytes([255])
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_violation_names_its_class(self, opened_pools, monkeypatch, jobs):
+    def test_violation_names_its_class(self, forks, monkeypatch, jobs):
         # K2 planted with one more missing degree than the identity
         # allows; orders 1..5 hold 52 classes, pooled at two jobs
         catalogue_records(5)
-        opened_pools.clear()
+        forks.clear()
         monkeypatch.setattr(harness, "_identity_worker", _identity_worker_missing_more_in_k2)
         report = counting_identity_suite(5, jobs=jobs)
         assert report.lemma_results["counting_identity"]["violations"] == [
             {"n": 2, "graph": "A_", "s_size": 1, "t_size": 1}
         ]
         assert not report.verified
-        assert opened_pools == ([(2,)] if jobs == 2 else [])
+        assert forks.children == ([1] if jobs == 2 else [])
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_too_few_missing_degrees_is_a_violation(self, opened_pools, monkeypatch, jobs):
+    def test_too_few_missing_degrees_is_a_violation(self, forks, monkeypatch, jobs):
         # the identity broken the other way: K2 planted with one missing
         # degree fewer than the identity asks
         catalogue_records(5)
-        opened_pools.clear()
+        forks.clear()
         monkeypatch.setattr(harness, "_identity_worker", _identity_worker_doubling_more_in_k2)
         report = counting_identity_suite(5, jobs=jobs)
         assert report.lemma_results["counting_identity"]["violations"] == [
             {"n": 2, "graph": "A_", "s_size": 2, "t_size": 0}
         ]
-        assert opened_pools == ([(2,)] if jobs == 2 else [])
+        assert forks.children == ([1] if jobs == 2 else [])
 
 
 # json.dumps of each suite's counts and violation lists over the
@@ -596,24 +595,10 @@ class TestFindExtremal:
 
 
 @pytest.fixture
-def opened_pools(monkeypatch):
-    """The args of every worker pool opened while the test runs, on a
-    host taken to have two cores, since _pool starts at most one worker
-    per core."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    real_get_context = enumeration.get_context
-    opened = []
-
-    class CountingContext:
-        def __init__(self, method):
-            self.ctx = real_get_context(method)
-
-        def Pool(self, *args, **kwargs):
-            opened.append(args)
-            return self.ctx.Pool(*args, **kwargs)
-
-    monkeypatch.setattr(enumeration, "get_context", CountingContext)
-    return opened
+def forks(monkeypatch):
+    """The children forked by each map shared while the test runs, on a
+    host taken to have two cores (helpers.ForkSpy)."""
+    return helpers.ForkSpy(monkeypatch)
 
 
 def _no_lemma_work(span):
@@ -626,51 +611,55 @@ def cold(monkeypatch):
     monkeypatch.setattr(enumeration, "_catalogue", {1: b"@"})
 
 
-def test_each_sweep_opens_at_most_one_pool(opened_pools):
+def test_each_sweep_opens_at_most_one_pool(forks):
+    # over a warm catalogue a sweep is one map: one child at two jobs,
+    # reaped when the map ends, and none at one job
     catalogue_records(7)  # a warm catalogue: no generation below
-    opened_pools.clear()
+    forks.clear()
     lemmas = verify_lemmas(6, jobs=2)
-    assert len(opened_pools) == 1
+    assert forks.children == [1]
     theorem = verify_theorem(5, 7, jobs=2)
-    assert len(opened_pools) == 2
+    assert forks.children == [1, 1]
     assert lemmas.comparable() == verify_lemmas(6, jobs=1).comparable()
     assert theorem.comparable() == verify_theorem(5, 7, jobs=1).comparable()
-    assert len(opened_pools) == 2
+    assert forks.children == [1, 1]
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call,maps",
     [
-        pytest.param(lambda: verify_theorem(5, 8, jobs=2), id="verify_theorem"),
-        pytest.param(lambda: verify_lemmas(8, jobs=2), id="verify_lemmas"),
-        pytest.param(lambda: catalogue_lines(8), id="catalogue_lines"),
+        pytest.param(lambda: verify_theorem(5, 8, jobs=2), 4, id="verify_theorem"),
+        pytest.param(lambda: verify_lemmas(8, jobs=2), 4, id="verify_lemmas"),
+        pytest.param(lambda: catalogue_lines(8), 3, id="catalogue_lines"),
     ],
 )
-def test_cold_call_opens_one_pool(opened_pools, monkeypatch, call):
-    # generating orders 2..8 and the sweep after them share one pool;
-    # only pools are counted here, so the lemma suites check nothing
+def test_cold_call_opens_one_pool(forks, monkeypatch, call, maps):
+    # orders 2..5 are generated in this process; orders 6, 7 and 8, and
+    # the sweep after them, are one shared map each, with one child
+    # apiece; only children are counted here, so the lemma suites check
+    # nothing
     monkeypatch.setattr(harness, "_lemma_worker", _no_lemma_work)
     cold(monkeypatch)
     call()
-    assert opened_pools == [(2,)]
+    assert forks.children == [1] * maps
 
 
-def test_warm_catalogue_starts_nothing(opened_pools):
+def test_warm_catalogue_starts_nothing(forks):
     catalogue_records(8)
-    opened_pools.clear()
+    forks.clear()
     assert len(catalogue_records(8)) == 12346
-    assert opened_pools == []
+    assert forks.children == []
 
 
-def test_cold_catalogue_pools_only_when_jobs_allow(opened_pools, monkeypatch):
+def test_cold_catalogue_pools_only_when_jobs_allow(forks, monkeypatch):
     cold(monkeypatch)
     serial = verify_theorem(5, 6, jobs=1)
     cold(monkeypatch)
     serial_lemmas = verify_lemmas(6, jobs=1)
-    assert opened_pools == []
+    assert forks.children == []
     cold(monkeypatch)
     pooled = verify_theorem(5, 6, jobs=2)
-    assert opened_pools == [(2,)]
+    assert forks.children == [1, 1]  # the order-6 fill, then the sweep
     assert pooled.comparable() == serial.comparable()
     assert verify_lemmas(6, jobs=2).comparable() == serial_lemmas.comparable()
 
@@ -682,14 +671,16 @@ def test_cold_catalogue_pools_only_when_jobs_allow(opened_pools, monkeypatch):
         pytest.param(lambda: find_extremal(8), id="extremal"),
     ],
 )
-def test_one_worker_per_core_opens_one_pool(opened_pools, monkeypatch, call):
-    # these calls take no jobs: one pool on two cores, none on one,
-    # and the same result either way
+def test_one_worker_per_core_opens_one_pool(forks, monkeypatch, call):
+    # these calls take no jobs: over a warm catalogue, one child on two
+    # cores, none on one, and the same result either way
+    catalogue_records(8)
+    forks.clear()
     pooled = call()
-    assert opened_pools == [(2,)]
+    assert forks.children == [1]
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert call() == pooled
-    assert opened_pools == [(2,)]
+    assert forks.children == [1]
 
 
 def orders(span):
@@ -698,31 +689,31 @@ def orders(span):
 
 
 @pytest.mark.parametrize("jobs", [3, 1000, None])
-def test_pool_never_exceeds_the_cores(opened_pools, jobs):
-    # a huge --jobs must not ask for a huge pool; opened_pools reports
+def test_pool_never_exceeds_the_cores(forks, jobs):
+    # a huge --jobs must not fork a child per job; forks reports
     # two cores, so at most two processes start
     blobs = [catalogue_lines(n).replace(b"\n", b"") for n in (5, 6)]
-    opened_pools.clear()
+    forks.clear()
     with enumeration._pool(jobs) as imap:
         assert list(imap(orders, blobs)) == [5] * 34 + [6] * 156
-    assert opened_pools == [(2,)]
+    assert forks.children == [1]
 
 
-def test_small_cold_catalogue_starts_nothing(opened_pools, monkeypatch):
+def test_small_cold_catalogue_starts_nothing(forks, monkeypatch):
     # orders 2..5 extend at most 11 parents each, one chunk
     cold(monkeypatch)
     assert len(catalogue_records(5)) == 34
-    assert opened_pools == []
+    assert forks.children == []
     assert len(catalogue_records(6)) == 156  # 34 order-5 parents
-    assert opened_pools == [(2,)]
+    assert forks.children == [1]
 
 
-@pytest.mark.parametrize("count,pools", [(31, []), (32, [(2,)])])
-def test_sweep_pools_past_one_chunk(opened_pools, count, pools):
+@pytest.mark.parametrize("count,pools", [(31, []), (32, [1])])
+def test_sweep_pools_past_one_chunk(forks, count, pools):
     source = catalogue_records(6)[:count]
-    opened_pools.clear()
+    forks.clear()
     report = verify_theorem(5, 8, source=source, jobs=2)
-    assert opened_pools == pools
+    assert forks.children == pools
     assert report.checked == count
 
 
@@ -748,11 +739,11 @@ def _solve3_missing(g):
         ),
     ],
 )
-def test_oversized_deletion_set_is_a_violation(opened_pools, monkeypatch, solve, reason):
+def test_oversized_deletion_set_is_a_violation(forks, monkeypatch, solve, reason):
     # a search that deletes more than allowance(5) = 2 vertices is a
     # violation before the certificate is checked, and so are a search
     # that raises and a certificate the independent check refuses, in
-    # this process and in the pool that 34 records open at two jobs
+    # this process and in the map that 34 records share at two jobs
     monkeypatch.setattr(harness, "solve3", solve)
     for jobs in (1, 2):
         report = verify_theorem(5, 5, jobs=jobs)
@@ -763,7 +754,7 @@ def test_oversized_deletion_set_is_a_violation(opened_pools, monkeypatch, solve,
     with pytest.raises(errors.TheoremViolation) as caught:
         find_extremal(5)
     assert str(caught.value).endswith(": " + reason)
-    assert opened_pools == [(2,), (2,)]
+    assert forks.children == [1, 1]
 
 
 def test_no_record_is_checked_twice(monkeypatch):
@@ -843,12 +834,12 @@ def test_guarded_crash_path_raises_only_typed_errors(span):
 
 
 @pytest.mark.parametrize("count", [0, 1])
-def test_tiny_source_starts_nothing(opened_pools, count):
-    # a pool costs more than mapping one record in this process
+def test_tiny_source_starts_nothing(forks, count):
+    # a fork costs more than mapping one record in this process
     source = catalogue_records(5)[:count]
-    opened_pools.clear()
+    forks.clear()
     report = verify_theorem(5, 8, source=source, jobs=2)
-    assert opened_pools == []
+    assert forks.children == []
     assert report.checked == count
 
 
@@ -859,10 +850,10 @@ def test_tiny_source_starts_nothing(opened_pools, count):
         pytest.param(lambda: counting_identity_suite(1), id="identity"),
     ],
 )
-def test_one_class_catalogue_starts_nothing(opened_pools, call):
+def test_one_class_catalogue_starts_nothing(forks, call):
     # order 1 is memoised from the start and holds one class, K1
     call()
-    assert opened_pools == []
+    assert forks.children == []
 
 
 _real_children = enumeration._children
@@ -1033,13 +1024,13 @@ def _theorem_worker_failing_together(span):
     return _real_theorem_worker(span)
 
 
-def test_dropped_class_fails_the_completeness_gate(opened_pools, monkeypatch, capsys):
+def test_dropped_class_fails_the_completeness_gate(forks, monkeypatch, capsys):
     monkeypatch.setattr(enumeration, "_children", _children_dropping_one)
     message = "order 6: generated 155 classes, A000088 counts 156"
     cold(monkeypatch)
     with pytest.raises(errors.IncompleteCatalogue, match=message):
         catalogue_records(6)
-    assert opened_pools == [(2,)]
+    assert forks.children == [1]
     assert 6 not in enumeration._catalogue
     capsys.readouterr()
     assert run(["verify", "--min-n", "5", "--max-n", "6"]) == 2
@@ -1049,13 +1040,13 @@ def test_dropped_class_fails_the_completeness_gate(opened_pools, monkeypatch, ca
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_generation_crash_names_its_parent(opened_pools, monkeypatch, capsys, jobs):
+def test_generation_crash_names_its_parent(forks, monkeypatch, capsys, jobs):
     # a crash while a parent is extended is a typed error naming that
     # parent, as a sweep worker's is, and exits 2 at any jobs count
     monkeypatch.setattr(enumeration, "_children", _children_dividing_by_zero)
     cold(monkeypatch)
     assert run(["verify", "--min-n", "5", "--max-n", "6", "--jobs", str(jobs)]) == 2
-    assert opened_pools == ([(2,)] if jobs == 2 else [])
+    assert forks.children == ([1] if jobs == 2 else [])
     assert 6 not in enumeration._catalogue
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1075,33 +1066,33 @@ def test_generation_crash_names_its_parent(opened_pools, monkeypatch, capsys, jo
         pytest.param(_theorem_worker_rejecting, "K6 rejected on purpose", id="rep3error"),
     ],
 )
-def test_worker_error_names_its_record(opened_pools, monkeypatch, capsys, jobs, worker, message):
+def test_worker_error_names_its_record(forks, monkeypatch, capsys, jobs, worker, message):
     # a crash becomes a typed error naming the record; a Rep3Error the
     # worker raises keeps its own message; both exit 2 at any jobs count
     catalogue_records(6)
-    opened_pools.clear()
+    forks.clear()
     monkeypatch.setattr(harness, "_theorem_worker", worker)
     assert run(["verify", "--min-n", "5", "--max-n", "6", "--jobs", str(jobs)]) == 2
-    assert opened_pools == ([(2,)] if jobs == 2 else [])
+    assert forks.children == ([1] if jobs == 2 else [])
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("jobs,size", [(1, 11), (2, 5)])
-def test_crash_mid_chunk_names_its_record(opened_pools, monkeypatch, jobs, size):
+def test_crash_mid_chunk_names_its_record(forks, monkeypatch, jobs, size):
     # the planted record sits inside its chunk, neither first nor last;
     # the chunk fails, and only its records run again one at a time
     records = [*catalogue_records(5), *catalogue_records(6)]
     assert len(records) // (16 * jobs) == size and 0 < (MID_CHUNK - 34) % size < size - 1
-    opened_pools.clear()
+    forks.clear()
     monkeypatch.setattr(harness, "_theorem_worker", _theorem_worker_failing_mid_chunk)
     name = records[MID_CHUNK].decode("ascii")
     message = f"{name}: _theorem_worker_failing_mid_chunk raised ZeroDivisionError('planted')"
     with pytest.raises(errors.WorkerCrash) as caught:
         verify_theorem(5, 6, jobs=jobs)
     assert str(caught.value) == message
-    assert opened_pools == ([(2,)] if jobs == 2 else [])
+    assert forks.children == ([1] if jobs == 2 else [])
 
 
 def test_crash_no_record_repeats_alone_names_its_chunk(monkeypatch):
@@ -1141,27 +1132,27 @@ def test_crash_no_record_repeats_alone_names_its_chunk(monkeypatch):
     ],
 )
 def test_every_sweep_names_the_record_a_worker_crashed_on(
-    opened_pools, monkeypatch, cores, name, worker, call
+    forks, monkeypatch, cores, name, worker, call
 ):
-    # each sweep's map guards its worker, pooled on two cores and in
-    # this process on one; identity and extremal take their pool size
-    # from the core count alone
+    # each sweep's map guards its worker, shared with a child on two
+    # cores and in this process on one; identity and extremal take their
+    # process count from the core count alone
     catalogue_records(6)
-    opened_pools.clear()
+    forks.clear()
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     monkeypatch.setattr(harness, name, worker)
     message = f"E~~w: {worker.__name__} raised ZeroDivisionError('planted')"
     with pytest.raises(errors.WorkerCrash) as caught:
         call(cores)
     assert str(caught.value) == message
-    assert opened_pools == ([(2,)] if cores == 2 else [])
+    assert forks.children == ([1] if cores == 2 else [])
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-def test_every_map_hands_its_workers_bytes_records(opened_pools, monkeypatch, cores):
+def test_every_map_hands_its_workers_bytes_records(forks, monkeypatch, cores):
     # the catalogue is held as one bytes per order; the fill and each
     # sweep hand every worker call one span, a bytes slice of whole
-    # records of one order, in this process and in a pool
+    # records of one order, in this process and in a forked child
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     monkeypatch.setattr(enumeration, "_children", helpers.OneSpan("_children"))
     for name in ("_theorem_worker", "_lemma_worker", "_identity_worker"):
@@ -1171,7 +1162,87 @@ def test_every_map_hands_its_workers_bytes_records(opened_pools, monkeypatch, co
     assert verify_lemmas(6, jobs=cores).verified
     assert counting_identity_suite(6).verified
     find_extremal(6)
-    assert opened_pools == ([(2,)] * 4 if cores == 2 else [])
+    # the order-6 fill, then one map per sweep
+    assert forks.children == ([1] * 5 if cores == 2 else [])
+
+
+def _in_child(planted):
+    """A _theorem_worker that runs planted(span) in place of the real
+    worker in a forked child, and the real worker in this process."""
+    main = os.getpid()
+
+    def worker(span):
+        return (planted if os.getpid() != main else _real_theorem_worker)(span)
+
+    return worker
+
+
+def _in_main(planted):
+    """A _theorem_worker that runs planted(span) in place of the real
+    worker in this process, and the real worker in a forked child."""
+    main = os.getpid()
+
+    def worker(span):
+        return (planted if os.getpid() == main else _real_theorem_worker)(span)
+
+    return worker
+
+
+def _rejecting(span):
+    raise errors.MalformedRecord("rejected in a child")
+
+
+@pytest.mark.parametrize(
+    "patch,call,raised,message",
+    [
+        pytest.param(None, lambda: verify_theorem(5, 7, jobs=2), None, None, id="clean_theorem"),
+        pytest.param(None, lambda: verify_lemmas(6, jobs=2), None, None, id="clean_lemmas"),
+        pytest.param(None, lambda: counting_identity_suite(6), None, None, id="clean_identity"),
+        pytest.param(None, lambda: find_extremal(7), None, None, id="clean_extremal"),
+        pytest.param(None, None, None, None, id="clean_fill"),
+        pytest.param(
+            ("_theorem_worker", _in_child(_rejecting)),
+            lambda: verify_theorem(5, 7, jobs=2),
+            errors.MalformedRecord,
+            "rejected in a child",
+            id="rep3error_in_child",
+        ),
+        pytest.param(
+            ("_theorem_worker", _in_main(_crashing)),
+            lambda: verify_theorem(5, 7, jobs=2),
+            errors.WorkerCrash,
+            "D??: worker raised ZeroDivisionError('planted')",
+            id="crash_in_main_share",
+        ),
+        pytest.param(
+            ("solve3", _solve3_missing),
+            lambda: find_extremal(7),
+            errors.TheoremViolation,
+            "F????: planted miss",
+            id="fold_raises_mid_map",
+        ),
+    ],
+)
+def test_no_child_outlives_a_call(forks, monkeypatch, patch, call, raised, message):
+    # however a shared call ends, cleanly, by a Rep3Error a child sent,
+    # by a crash in this process's own chunks or by a fold that stops
+    # reading mid-map, every child it forked is gone when it returns;
+    # the fill is a cold one, of orders 6 and 7
+    catalogue_records(7)
+    if patch:
+        monkeypatch.setattr(harness, *patch)
+    if call is None:
+        cold(monkeypatch)
+        assert catalogue_lines(7).count(b"\n") == 1044
+    elif raised:
+        with pytest.raises(raised) as caught:
+            call()
+        assert str(caught.value) == message
+    else:
+        call()
+    assert forks.children and set(forks.children) == {1}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("cores", [1, 2])
