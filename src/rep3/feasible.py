@@ -22,7 +22,8 @@ Input is checked once, at the public boundary: classify_triple and
 equalize_triple validate their triple and then call one private core
 that takes a sorted tuple of three distinct in-range vertices.
 The lemma scan, whose sets come from walking every 3-set of range(n)
-and so are valid by construction, calls the cores directly.
+and so are valid by construction, calls the cores directly, through
+_verdict.
 
 The lemma suites ask the same of every 3-set: whether it is feasible
 and balanceable, its budget when that is at most n - 3, and whether
@@ -34,41 +35,43 @@ signature and the memo _VERDICTS, one dict per order, hands its answer
 as a one-byte code to every later triple, in any graph, that shares
 it.  Through order 8 the 731,424 triples have 2,946 signatures.
 
-One private entry point, _lemma_scan, reads a run of graphs of one
-order, each in its own labels, which must be sorted by degree, as every
-catalogue record is, so that a 5-set's median-degree vertex is its
-median position.  Per graph it computes only the signatures and their
-memo lookup: _tables(n) holds, per order up to 9, two lookup tables
-indexed by a vertex's row; their entries summed over the graph's
-vertices make one big int with every 3-set's signature in a 32-bit
-field, which _signatures unpacks with one struct call, and the verdict
-codes form one bytes object per graph.  Past a signature's first
-sighting, no Python code runs per 3-set.
-
-Everything else is answered for the whole run at once, bit-sliced
-(Biham, "A fast new DES implementation in software", FSE 1997) with one
-byte lane per graph.  bytes.translate turns the run's codes into
-per-triple flags, and one strided slice per 3-set gathers its flag from
-every graph into one int.  A 4-set is covered where any of its four
+One private entry point, _lemma_scan, is the lemma suites' span kernel:
+it reads a span of graph6 records of one order, as _pool cuts them, in
+runs of at most _SCAN_RUN records, each record in its own labels, which
+must be sorted by degree, as every catalogue record's are, so that a
+5-set's median-degree vertex is its median position.  A run is read
+bit-sliced (Biham, "A fast new DES implementation in software", FSE
+1997), with one byte lane per record, as repetition._identity_codes
+reads its spans: graphcore._lanes gives one edge lane per vertex pair
+from the triangle bits, with a strided slice and a translate, and the
+degree lanes as their sums; no graph is decoded but to raise, to fill
+the memo, or for the oracle.  One borrow test per pair of neighbouring
+degree lanes checks that no record's degrees fall.  Every 3-set's packed signature
+is assembled from ORs of edge, degree and common-count lanes, one key
+byte at a time, and the run's keys, laid out triple-major, are read
+with one memoryview cast and looked up in the memo with one map, so
+past a signature's first sighting no Python code runs per 3-set.  Translates of the codes give per-3-set flag lanes, each a
+contiguous slice, and the budgeted and unequalizable counts of every
+record are sums of lanes.  A 4-set is covered where any of its four
 3-sets is balanceable, and a 5-set where any of its six 3-sets through
-its median position is feasible: one OR per set, of the ints of the
-3-sets that _tables lists for it, answers it for every graph of the run.  The covers are
-joined into one bytes object per size, and bytes.find walks its zero
-bytes, the uncovered (set, graph) pairs.  Uncovered 5-sets are the
-violations; uncovered 4-sets reach the induced-path test,
-_induced_path_ok, a lookup of the set's induced edges and degree ties
-in a 512-entry table, graph by graph in lexicographic order.  Byte
-counts over each graph's span of the flags give its budgeted and
-unequalizable 3-set counts.
+its median position is feasible: one OR per set, of the lanes of the
+3-sets that _tables lists for it, answers it for every record of the
+run.  A 4-set's induced-path test is bit-sliced too: its edge bits and
+degree ties form one byte lane, translated through both halves of the
+512-entry table _PATH_OK at once, and its cd tie lane picks the half.
+Tie lanes and "differs by 2" lanes also find the paired-gap 4-sets.
+bytes.find walks only the zero bytes of the covers, uncovered 5-sets
+and uncovered 4-sets that fail the path test, which are the findings.
+A record with a degree held three times needs no deletion; only the
+others go to the oracle, and only their low budgets are read.
 """
 
-import struct
 from functools import cache
 from itertools import combinations, permutations
 from typing import NamedTuple, Optional
 
-from .errors import NotATriple, NotFeasible, OrderOutOfRange, VertexOutOfRange
-from .graphcore import Graph
+from .errors import MalformedRecord, NotATriple, NotFeasible, OrderOutOfRange, VertexOutOfRange
+from .graphcore import Graph, _decode, _lanes, _shape
 
 
 class TripleClassification(NamedTuple):
@@ -227,54 +230,34 @@ def _budget_below(limit: int) -> bytes:
     return _flags(lambda code: code & _BUDGETED and code >> 4 < limit)
 
 
-# A 3-set (a, b, c)'s signature packs into one 32-bit field, low bit
+# A 3-set (a, b, c)'s signature packs into one 32-bit key, low bit
 # first: the edge bits ab, ac and bc, then 4-bit fields from bits 3, 7
 # and 11 for the degrees of a, b and c, and from bits 15, 19, 23 and 27
 # for the common-neighbour counts of ab, ac, bc and abc.  Through
 # order 9 a degree is at most 8 and a common count at most 7, so no
-# field carries into the next.
+# field carries into the next.  The scan assembles each key a byte at a
+# time, one byte lane per record:
+#   byte 0: ab | ac << 1 | bc << 2 | d(a) << 3 | (d(b) & 1) << 7
+#   byte 1: d(b) >> 1 | d(c) << 3 | (c(ab) & 1) << 7
+#   byte 2: c(ab) >> 1 | c(ac) << 3 | (c(bc) & 1) << 7
+#   byte 3: c(bc) >> 1 | c(abc) << 3
 _MAX_PACKED = 9
 
-# what one row adds to the degree and common-count fields of (a, b, c),
-# indexed by the row's bits at a, b and c read as the number
-# 4*c + 2*b + a: a vertex counts once towards the degree of each of
-# a, b, c it is adjacent to, and once towards the common count of each
-# pair and of the triple it is adjacent to all of
-_ROW_FIELD = tuple(
-    xa << 3 | xb << 7 | xc << 11
-    | (xa & xb) << 15 | (xa & xc) << 19 | (xb & xc) << 23 | (xa & xb & xc) << 27
-    for xc in (0, 1) for xb in (0, 1) for xa in (0, 1)
-)
-
-
-def _edge_field(t, v, upper):
-    """The edge bits of the 3-set t read from vertex v's row above v,
-    whose bit i is the edge from v to v + 1 + i: ab and ac from a's
-    row, bc from b's."""
-    a, b, c = t
-    if v == a:
-        return (upper >> (b - a - 1) & 1) | (upper >> (c - a - 1) & 1) << 1
-    if v == b:
-        return (upper >> (c - b - 1) & 1) << 2
-    return 0
+_SCAN_RUN = 512  # records the lemma scan reads together at most
 
 
 class ScanTables(NamedTuple):
-    """What _lemma_scan reads at order n.  The 3-sets, 4-sets and
-    5-sets of range(n) are in combinations order.  A graph's packed
-    signatures are the sum, over its vertices v with row r, of
-    by_row[r] and by_upper[v][r >> (v + 1)], each holding the t-th
-    3-set's field at bit 32 * t.  four_triples and five_triples hold,
-    for each 4-set and 5-set, the indices of the 3-sets that cover it."""
+    """The sets _lemma_scan reads at order n.  The 3-sets, 4-sets and
+    5-sets of range(n) are in combinations order, and pairs in triangle
+    bit order, column by column, as graphcore._lanes reads them.
+    four_triples and five_triples hold, for each 4-set and 5-set, the
+    indices of the 3-sets that cover it."""
 
+    pairs: tuple
     triples: tuple
-    unpack: object  # the packed signatures' bytes to one int per 3-set
-    by_row: tuple
-    by_upper: tuple
     fours: tuple
-    four_index: dict  # each 4-set to its index
     fives: tuple
-    four_triples: tuple  # each 4-set's four 3-sets
+    four_triples: tuple  # each 4-set's four 3-sets, (a, b, c) first
     five_triples: tuple  # each 5-set's six 3-sets holding its median position
 
 
@@ -284,30 +267,12 @@ def _tables(n: int) -> ScanTables:
         raise OrderOutOfRange(f"lemma scan packs orders up to {_MAX_PACKED}, got {n}")
     triples = tuple(combinations(range(n), 3))
     index = {t: i for i, t in enumerate(triples)}
-    fields = struct.Struct(f"<{len(triples)}I")
-
-    def packed(values):
-        return int.from_bytes(fields.pack(*values), "little")
-
     fours = tuple(combinations(range(n), 4))
     fives = tuple(combinations(range(n), 5))
     return ScanTables(
+        tuple((i, j) for j in range(n) for i in range(j)),
         triples,
-        fields.unpack,
-        tuple(
-            packed([_ROW_FIELD[(r >> a & 1) | (r >> b & 1) << 1 | (r >> c & 1) << 2]
-                    for a, b, c in triples])
-            for r in range(1 << n)
-        ),
-        tuple(
-            tuple(
-                packed([_edge_field(t, v, upper) for t in triples])
-                for upper in range(1 << (n - 1 - v))
-            )
-            for v in range(n)
-        ),
         fours,
-        {x: i for i, x in enumerate(fours)},
         fives,
         tuple(tuple(map(index.__getitem__, combinations(x, 3))) for x in fours),
         tuple(
@@ -316,30 +281,11 @@ def _tables(n: int) -> ScanTables:
     )
 
 
-def _signatures(g: Graph) -> tuple:
-    """The packed signature of every 3-set s = (a, b, c) of g, in
-    combinations order.
-
-    The signature holds the three internal edge bits, the three degrees
-    and the common-neighbour counts of ab, ac, bc and abc.  With n, by
-    inclusion-exclusion, these fix, and are fixed by, the counts of the
-    other vertices in each of the eight adjacency regions relative to
-    the triple.  A deletion set changes the three degrees only through
-    how many vertices it takes from each region, and every shape's
-    neighbourhood clause asks whether some regions are all empty, so
-    the order and the signature decide _verdict.
-    """
-    tables = _tables(g.n)
-    by_row, by_upper = tables.by_row, tables.by_upper
-    total = 0
-    for v, r in enumerate(g.rows):
-        total += by_row[r] + by_upper[v][r >> (v + 1)]
-    return tables.unpack(total.to_bytes(4 * len(tables.triples), "little"))
-
-
 def _path_table() -> bytes:
-    """1 at each index _induced_path_ok packs whose six edge bits form
-    a path with its ends at the set's two smallest degrees."""
+    """1 at each index whose six edge bits, in pair order ab, ac, ad,
+    bc, bd, cd of a sorted 4-set, form a path with its ends at the set's
+    two smallest degrees, where bits 6, 7 and 8 say whether ab, bc and
+    cd tie in degree."""
     pairs = list(combinations(range(4), 2))  # the edge bits' order
     table = bytearray(512)
     for p in permutations(range(4)):
@@ -358,22 +304,10 @@ def _path_table() -> bytes:
 
 _PATH_OK = _path_table()
 
-
-def _induced_path_ok(g: Graph, x) -> bool:
-    """Whether the sorted 4-set x of the degree-sorted graph g induces a
-    path whose endpoints carry the two smallest degrees of the set
-    (compared as a multiset, so ties are accepted either way round).
-
-    The set packs into 9 bits: its six induced edge bits in pair order
-    ab, ac, ad, bc, bd, cd, then whether ab, bc and cd tie in degree."""
-    a, b, c, d = x
-    rows, degs = g.rows, g.degrees
-    ra, rb = rows[a], rows[b]
-    return _PATH_OK[
-        (ra >> b & 1) | (ra >> c & 1) << 1 | (ra >> d & 1) << 2
-        | (rb >> c & 1) << 3 | (rb >> d & 1) << 4 | (rows[c] >> d & 1) << 5
-        | (degs[a] == degs[b]) << 6 | (degs[b] == degs[c]) << 7 | (degs[c] == degs[d]) << 8
-    ] == 1
+# translate tables of a difference of two sorted degrees: 1 where it is
+# 0, a tie, and where it is 2
+_IS_TIE = b"\1" + bytes(255)
+_IS_TWO = bytes(2) + b"\1" + bytes(253)
 
 
 def _positions(data: bytes, value: int):
@@ -384,115 +318,185 @@ def _positions(data: bytes, value: int):
         pos = data.find(value, pos + 1)
 
 
-def _paired_gap_sets(degs):
-    """The 4-sets with degrees (d, d, d+2, d+2) of a degree-sorted
-    graph, in lexicographic order: vertices of a lower degree carry
-    lower labels, so each set is pair + high, already sorted."""
-    # sorted degrees repeat side by side, each over one run of labels
-    twice = {d for d, e in zip(degs, degs[1:]) if d == e}
+def _lemma_scan(span, oracle):
+    """The lemma suites' findings in each record of span, graph6 records
+    of one order n joined, in each record's own labels.
 
-    def run(d):
-        first = degs.index(d)
-        return range(first, first + degs.count(d))
+    span is checked once by graphcore._shape, then read in runs of at
+    most _SCAN_RUN records.  The first record whose degrees fall as its
+    labels rise raises MalformedRecord; past that check, an order above
+    9, where the packing ends, raises OrderOutOfRange.  oracle(g, n - 3)
+    is min_deletion_for_rep3, asked only about the graphs with no degree
+    held three times: the others need no deletion.
 
-    found = []
-    for d in sorted(twice):
-        if d + 2 in twice:
-            highs = list(combinations(run(d + 2), 2))
-            found += [pair + high for pair in combinations(run(d), 2) for high in highs]
-    return found
-
-
-def _lemma_scan(graphs, oracle_mins):
-    """The lemma suites' findings in each of graphs, one order, from
-    their packed signatures.
-
-    Each graph's degrees must not fall as its labels rise, as in every
-    catalogue record; then a 5-set's median-degree vertex is its median
-    position.  Every graph is of one order, as graphcore._records
-    checks a span's records to be; that order is at most 9, where the
-    packing is exact, OrderOutOfRange otherwise.  oracle_mins holds each
-    graph's minimum deletion size, None if no set of at most n - 3
-    deletions works.
-    Each 3-set's verdict code is read from the memo, computed by
-    _verdict on its signature's first sighting.  The codes of the whole
-    run are then read set by set: byte lane i of each cover below
-    belongs to graphs[i], a 4-set's cover is the OR of its four 3-sets'
-    balanceable lanes, and a 5-set's the OR of the feasible lanes of its
-    six 3-sets through the median.  Each graph's counts and low budgets
-    are read from its own span of the codes, which alone is translated
-    for that graph's oracle minimum.
-
-    Returns, per graph, (budgeted, failures, low, paths, medians,
-    paired): how many 3-sets have a budget of at most n - 3, and how
-    many of those _equalize cannot equalize within it; the (s, budget)
-    pairs among them whose budget lies below the oracle minimum; the
-    4-sets no balanceable 3-set covers that fail the induced-path test;
-    the 5-sets left uncovered; and the 4-sets with degrees
-    (d, d, d+2, d+2) holding a balanceable 3-set.  Each list is in
+    Returns (results, findings).  results holds, per record, (n,
+    budgeted, paired, failures, ()): how many 3-sets have a budget of
+    at most n - 3, how many 4-sets with degrees (d, d, d+2, d+2) hold a
+    balanceable 3-set, and how many budgeted 3-sets _equalize cannot
+    equalize within their budget.  findings lists, in record order, (i,
+    record, oracle minimum, paths, gaps, medians, low) for each record
+    i with anything to report: the 4-sets no balanceable 3-set covers
+    that fail the induced-path test; the paired-gap 4-sets above, when
+    the oracle minimum is None (no set of at most n - 3 deletions) or
+    above the allowance min(3, n - 3); the 5-sets with no feasible
+    3-set through their median; and the (s, budget) pairs of budgeted
+    3-sets whose budget lies below the oracle minimum.  Each list is in
     lexicographic order.
     """
-    count = len(graphs)
-    n = graphs[0].n
+    n, width = _shape(span)
+    step = _SCAN_RUN * width
+    results, findings = [], []
+    for start in range(0, len(span), step):
+        _scan_run(span[start:start + step], n, width, oracle, results, findings)
+    return results, findings
+
+
+def _codes(run, n, width, adj, degs):
+    """The verdict codes of the 3-sets of run, records of order n each
+    width bytes long, triple-major: code t * count + i is 3-set t's in
+    record i.  adj[u][v] is the edge lane of the pair (u, v) and degs[v]
+    the degree lane of v.  Each byte of a 3-set's packed signature is
+    one byte lane, laid out as above; the common count of (a, b, c)
+    sums c's edge lanes ANDed with a's and b's common neighbours' lanes.
+    The run's keys are read with one cast and looked up with one map;
+    on a memo miss, the graph that first shows the key fills it."""
+    count = len(run) // width
+    triples = _tables(n).triples
+    ones = int.from_bytes(b"\1" * count, "little")
+    low7 = ones * 0x7F
+    meet, common = {}, [[0] * n for _ in range(n)]
+    for u, v in _tables(n).pairs:
+        meet[u, v] = [x & y for x, y in zip(adj[u], adj[v])]
+        common[u][v] = sum(meet[u, v])
+    odd = [[(c & ones) << 7 for c in row] for row in common]
+    half = [[c >> 1 & low7 for c in row] for row in common]
+    packed = bytearray(4 * len(triples) * count)
+    for k, byte in enumerate((
+        lambda a, b, c: adj[a][b] | adj[a][c] << 1 | adj[b][c] << 2 | degs[a] << 3 | (degs[b] & ones) << 7,
+        lambda a, b, c: degs[b] >> 1 & low7 | degs[c] << 3 | odd[a][b],
+        lambda a, b, c: half[a][b] | common[a][c] << 3 | odd[b][c],
+        lambda a, b, c: half[b][c] | sum(map(int.__and__, meet[a, b], adj[c])) << 3,
+    )):
+        packed[k::4] = b"".join(byte(*t).to_bytes(count, "little") for t in triples)
+    keys = memoryview(packed).cast("I")
+    memo = _VERDICTS.setdefault(n, {})
+    try:
+        return bytes(map(memo.__getitem__, keys))
+    except KeyError:
+        for pos, key in enumerate(keys):
+            if key not in memo:
+                t, i = divmod(pos, count)
+                memo[key] = _verdict(_decode(run[i * width:(i + 1) * width], n), triples[t])
+        return bytes(map(memo.__getitem__, keys))
+
+
+def _scan_run(run, n, width, oracle, results, findings):
+    """Extend results and findings, as _lemma_scan lays them out, by the
+    records of run, each width bytes long, of order n.
+
+    A lane is an int with one byte per record, read little-endian.
+    Degrees do not fall where (d(v + 1) | 0x80) - d(v) keeps bit 7 of
+    each byte.  Sorted degrees make each d(v) - d(u), u < v, a lane with
+    no borrow, which one translate turns into a tie lane or a "differs
+    by 2" lane.  The run's keys and codes are triple-major: 3-set t's
+    codes are codes[t * count:(t + 1) * count].  No lane sum exceeds
+    126 per byte, so none carries.
+    """
+    count = len(run) // width
+
+    def record(i):
+        return bytes(run[i * width:(i + 1) * width])
+
+    edges, degs = _lanes(run, n, width)
+    ones = int.from_bytes(b"\1" * count, "little")
+    high = ones << 7
+    rising = high
+    for lo, hi in zip(degs, degs[1:]):
+        rising &= (hi | high) - lo
+    if rising & high != high:
+        fall = high & ~rising
+        rec = record(((fall & -fall).bit_length() - 1) // 8)  # the first to fall
+        raise MalformedRecord(
+            f"{rec.decode('ascii')}: degrees {_decode(rec, n).degrees} fall, as in no catalogue record"
+        )
     tables = _tables(n)
     triples = tables.triples
-    width = len(triples)
-    memo = _VERDICTS.setdefault(n, {})
-    codes = []
-    for g in graphs:
-        keys = _signatures(g)
-        try:
-            codes.append(bytes(map(memo.__getitem__, keys)))
-        except KeyError:
-            for s, key in zip(triples, keys):
-                if key not in memo:
-                    memo[key] = _verdict(g, s)
-            codes.append(bytes(map(memo.__getitem__, keys)))
-    codes = b"".join(codes)
+    size = len(triples)
 
-    # one int per 3-set, byte lane i holding graphs[i]'s flag
-    flags = codes.translate(_IS_BALANCEABLE)
-    bal = [int.from_bytes(flags[t::width], "little") for t in range(width)]
-    flags = codes.translate(_IS_FEASIBLE)
-    feas = [int.from_bytes(flags[t::width], "little") for t in range(width)]
-    cover4 = b"".join(
-        (bal[a] | bal[b] | bal[c] | bal[d]).to_bytes(count, "little")
-        for a, b, c, d in tables.four_triples
-    )
-    cover5 = b"".join(
+    adj = [[0] * n for _ in range(n)]
+    for (u, v), lane in zip(tables.pairs, edges):
+        adj[u][v] = adj[v][u] = lane
+    tie, two = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+    for u, v in tables.pairs:
+        gap = (degs[v] - degs[u]).to_bytes(count, "little")
+        tie[u][v] = int.from_bytes(gap.translate(_IS_TIE), "little")
+        two[u][v] = int.from_bytes(gap.translate(_IS_TWO), "little")
+
+    codes = _codes(run, n, width, adj, degs)
+
+    def flag_lanes(table):
+        flags = codes.translate(table)
+        return [int.from_bytes(flags[t * count:(t + 1) * count], "little") for t in range(size)]
+
+    bal = flag_lanes(_IS_BALANCEABLE)
+    feas = flag_lanes(_IS_FEASIBLE)
+    cover4 = [bal[a] | bal[b] | bal[c] | bal[d] for a, b, c, d in tables.four_triples]
+    # a 4-set's path lane packs its edge bits and its ab and bc ties as
+    # _PATH_OK indexes them; translated through both halves at once, it
+    # answers in bit 0 without a cd tie and in bit 1 with one, and a
+    # zero byte of its cover ORed with that answer is a finding
+    both = bytes(x | y << 1 for x, y in zip(_PATH_OK[:256], _PATH_OK[256:]))
+    paths = []
+    for cover, (a, b, c, d) in zip(cover4, tables.fours):
+        index = (adj[a][b] | adj[a][c] << 1 | adj[a][d] << 2 | adj[b][c] << 3 | adj[b][d] << 4
+                 | adj[c][d] << 5 | tie[a][b] << 6 | tie[b][c] << 7)
+        answer = int.from_bytes(index.to_bytes(count, "little").translate(both), "little")
+        paths.append((cover | answer & (ones + tie[c][d])).to_bytes(count, "little"))
+    paths = b"".join(paths)
+    medians = b"".join(
         (feas[a] | feas[b] | feas[c] | feas[d] | feas[e] | feas[f]).to_bytes(count, "little")
         for a, b, c, d, e, f in tables.five_triples
     )
-    uncovered = [[] for _ in graphs]
-    for pos in _positions(cover4, 0):
-        uncovered[pos % count].append(tables.fours[pos // count])
-    medians = [[] for _ in graphs]
-    for pos in _positions(cover5, 0):
-        medians[pos % count].append(tables.fives[pos // count])
+    paired = [
+        cover & tie[a][b] & two[b][c] & tie[c][d]
+        for cover, (a, b, c, d) in zip(cover4, tables.fours)
+    ]
 
-    budgeted = codes.translate(_IS_BUDGETED)
-    unequalizable = codes.translate(_IS_UNEQUALIZABLE)
-    gaps = {}  # each degree sequence's paired-gap sets, with their cover offsets
-    out = []
-    for i, (g, oracle_min) in enumerate(zip(graphs, oracle_mins)):
-        start, stop = i * width, (i + 1) * width
-        # with no minimum found, every budget (at most 6) counts as below
-        # it; no budget lies below 0
+    found = {}  # record index: its paths, gaps, medians and low lists
+    for pos in _positions(paths, 0):
+        found.setdefault(pos % count, ([], [], [], []))[0].append(tables.fours[pos // count])
+    for pos in _positions(medians, 0):
+        found.setdefault(pos % count, ([], [], [], []))[2].append(tables.fives[pos // count])
+    minima = {}  # record index: oracle minimum, for the records the oracle sees
+    if n >= 3:  # below order 3 there is no 3-set to report
+        # sorted degrees hold a degree three times where d(v) ties d(v + 2)
+        thrice = 0
+        for v in range(n - 2):
+            thrice |= tie[v][v + 2]
+        for i in _positions(thrice.to_bytes(count, "little"), 0):
+            cert = oracle(_decode(record(i), n), n - 3)
+            minima[i] = None if cert is None else len(cert.deleted)
+    cap = min(3, n - 3)
+    for i, oracle_min in minima.items():
+        gaps = low = ()
+        if oracle_min is None or oracle_min > cap:
+            gaps = [x for x, lane in zip(tables.fours, paired) if lane >> 8 * i & 1]
+        # with no minimum found, every budget (at most 6) counts as below it
         limit = 8 if oracle_min is None else oracle_min
-        low = []
         if limit:
-            span = codes[start:stop]
-            low = [(triples[pos], span[pos] >> 4)
-                   for pos in _positions(span.translate(_budget_below(limit)), 1)]
-        degs = g.degrees
-        if degs not in gaps:
-            gaps[degs] = [(x, tables.four_index[x] * count) for x in _paired_gap_sets(degs)]
-        out.append((
-            budgeted.count(1, start, stop),
-            unequalizable.count(1, start, stop),
-            low,
-            [x for x in uncovered[i] if not _induced_path_ok(g, x)],
-            medians[i],
-            [x for x, offset in gaps[degs] if cover4[offset + i]],
-        ))
-    return out
+            below = codes[i::count].translate(_budget_below(limit))
+            low = [(triples[t], codes[t * count + i] >> 4) for t in _positions(below, 1)]
+        if gaps or low:
+            entry = found.setdefault(i, ([], [], [], []))
+            entry[1].extend(gaps)
+            entry[3].extend(low)
+    base = len(results)
+    results += zip(
+        [n] * count,
+        sum(flag_lanes(_IS_BUDGETED)).to_bytes(count, "little"),
+        sum(paired).to_bytes(count, "little"),
+        sum(flag_lanes(_IS_UNEQUALIZABLE)).to_bytes(count, "little"),
+        [()] * count,
+    )
+    for i in sorted(found):
+        findings.append((base + i, record(i), minima.get(i, 0), *found[i]))

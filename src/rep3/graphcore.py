@@ -42,10 +42,11 @@ compact form holds them.  _shape is the one check that a span is whole
 records of one order, as strict as _check on each record.  _records is
 the one reader of a span's records: it runs _shape once when called,
 then decodes each record with _decode as it is reached, so no record
-of a span is checked twice.  _degree_lanes reads a whole span
-at once, with one byte lane per record: it sums every vertex's degrees
-from one strided slice and one translate per triangle bit, decoding no
-graph.
+of a span is checked twice.  _lanes reads a whole span at once, with
+one byte lane per record and no graph decoded: one strided slice and
+one translate per triangle bit give its edge lanes, and their sums its
+degree lanes.  The identity kernel and the lemma scan both read spans
+through it.
 
 from_edge_json reads {"n": ..., "edges": [[u, v], ...]} text and checks
 its shape and every endpoint.
@@ -319,26 +320,35 @@ def _records(span):
     return ((rec, _decode(rec, n)) for rec, in struct.iter_unpack(f"{width}s", span))
 
 
-def _degree_lanes(span):
-    """(n, lanes) for span, graph6 records of one order n joined: byte i
-    of lanes[v], read little-endian, is vertex v's degree in record i.
-
-    The span is checked by _shape.  Then triangle bit k, the pair
-    (i, j) of _pair(k), is read from every record at once: a strided
-    slice of the span gathers data byte 1 + k // 6 of each record, one
-    translate takes its bit 5 - k % 6, and the int of those bytes is
-    added to lanes i and j.  A degree is at most 61, so no byte carries
+def _lanes(span, n, width):
+    """(edges, degrees) of span, graph6 records of order n, each width
+    bytes long, joined, as _shape has checked it: byte i of each lane,
+    read little-endian, belongs to record i.  edges[k] holds triangle
+    bit k, the pair (i, j) of _pair(k), gathered from every record at
+    once by a strided slice of the span (data byte 1 + k // 6 of each
+    record) and one translate (its bit 5 - k % 6); degrees[v] is the sum
+    of the edge lanes at v.  A degree is at most 61, so no byte carries
     into the next.
     """
-    n, width = _shape(span)
     columns = [span[p::width] for p in range(1, width)]
-    lanes = [0] * n
-    for k in range(n * (n - 1) // 2):
+    edges = [
+        int.from_bytes(columns[k // 6].translate(_BIT[5 - k % 6]), "little")
+        for k in range(n * (n - 1) // 2)
+    ]
+    degrees = [0] * n
+    for k, bits in enumerate(edges):
         i, j = _pair(k)
-        bits = int.from_bytes(columns[k // 6].translate(_BIT[5 - k % 6]), "little")
-        lanes[i] += bits
-        lanes[j] += bits
-    return n, lanes
+        degrees[i] += bits
+        degrees[j] += bits
+    return edges, degrees
+
+
+def _degree_lanes(span):
+    """(n, lanes) for span, graph6 records of one order n joined, checked
+    by _shape: byte i of lanes[v], read little-endian, is vertex v's
+    degree in record i, as _lanes reads it."""
+    n, width = _shape(span)
+    return n, _lanes(span, n, width)[1]
 
 
 def read_graph6_records(lines):

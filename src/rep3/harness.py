@@ -25,36 +25,37 @@ entirely are one fewer than those hit exactly twice.
 
 This module holds the reports, the workers and the folds.  Sweeps move
 graph6 records only, each order's joined in the catalogue's compact
-form: the catalogue keeps them so, and verify_theorem packs the records
-graphcore.read_graph6_records hands out into the same form, one
-bytearray per order.  All four sweeps fold over enumeration._sweep,
-which opens one map per call: that map first generates any catalogue
-order the sweep needs and is not memoised yet, then hands the worker
-the sweep's records a chunk at a time, each chunk a span: one slice of
-an order's compact form, as _pool cuts it.  Each worker reads the span
-itself: record by record through graphcore._records, which checks once
-that the span is whole records of one order and then hands out each
-record with its decoded Graph, so no worker parses or checks a record
-again; or all at once, as the identity worker does.  It returns one
-result per record, in order, folded in as it arrives.  A worker that
-fails on a record with anything but a Rep3Error surfaces as a
-WorkerCrash naming that record, at any jobs count; a Rep3Error keeps its
-own message.
+form: the catalogue keeps them so, and verify_theorem packs the
+records graphcore.read_graph6_records hands out into the same form,
+one bytearray per order.  All four sweeps fold over
+enumeration._sweep, which opens one map per call: that map first
+generates any catalogue order the sweep needs and is not memoised yet,
+then hands the worker the sweep's records a chunk at a time, each
+chunk a span: one slice of an order's compact form, as _pool cuts it.
+Each worker reads the span itself: record by record through
+graphcore._records, which checks once that the span is whole records
+of one order and then hands out each record with its decoded Graph, so
+no worker parses or checks a record again; or all at once, as the
+identity and lemma workers do.  It returns one result per record, in
+order, folded in as it arrives.  A worker that fails on a record with
+anything but a Rep3Error surfaces as a WorkerCrash naming that record,
+at any jobs count; a Rep3Error keeps its own message.
 
-The lemma worker takes its span's decoded records from graphcore._records
-in runs of at most _SCAN_RUN, checks that each graph's degrees are
-sorted, as catalogue records are and the scan needs, and asks the
-oracle for its minimum deletion size, one record at a time.  It then
-hands the run, of one order as every span is, to feasible._lemma_scan,
-which answers the cover questions for all its records at once, in each
-record's own labels.  verify_lemmas builds the scan's tables for every
-swept order before the sweep starts.  The children a shared map forks
-inherit them, and the verdict memo as this process has filled it so
-far, its own share of earlier sweeps included.  The scan returns, per
-record, its counts and the sets each suite reports, in lexicographic
-order; the worker turns them into violation records and returns its
-counts and a tuple of (suite, violation) pairs, so the main process
-holds little per class while the map runs.
+The lemma worker hands its span to feasible._lemma_scan, a span kernel
+like the identity worker: it reads the span in runs of at most
+feasible._SCAN_RUN records, each run in byte lanes, one per record,
+checks that every record's degrees are sorted, as catalogue records
+are and the scan needs, and answers every suite for the whole run at
+once, in each record's own labels.  It asks the oracle,
+min_deletion_for_rep3, only about records with no degree held three
+times, whose minimum is not 0.  The children a shared map forks
+inherit the verdict memo as this process has filled it so far, its own
+share of earlier sweeps included.  The kernel returns, per record, its
+counts in one result tuple, and lists what each suite reports only for
+the records with a finding; the worker turns those into violation
+records, so the main process holds little per class while the map
+runs.  verify_lemmas counts the records of each order, whose 4-set and
+5-set instance counts it multiplies out once the sweep ends.
 
 find_extremal runs the headline sweep's worker over the catalogue, so
 both solve and check each class the same way; each worker returns its
@@ -75,13 +76,13 @@ so any jobs count produces the same report, elapsed time aside.
 
 import json
 import time
-from itertools import islice, starmap
+from itertools import starmap
 from math import comb
 from typing import NamedTuple
 
 from .enumeration import MAX_ENUM, _sweep
-from .errors import MalformedRecord, OrderOutOfRange, TheoremViolation
-from .feasible import _lemma_scan, _tables
+from .errors import OrderOutOfRange, TheoremViolation
+from .feasible import _lemma_scan
 from .graphcore import _check, _records, _width
 from .repetition import _EXEMPT, _identity_codes as _identity_worker
 from .solver import allowance, check_certificate, min_deletion_for_rep3, solve3
@@ -248,58 +249,35 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
     return VerificationReport(per_n, {}, time.perf_counter() - t0, skipped)
 
 
-_SCAN_RUN = 512  # records the lemma worker scans together at most
-
-
 def _lemma_worker(span):
     """Each record's lemma results: (n, feasible_budget instances,
     paired_degree_gap instances, strong-form failures, violations).
 
-    span holds records of one order, as every chunk of _pool's does;
-    graphcore._records checks that once and hands out its records as
-    (record, Graph) pairs, taken in runs of at most _SCAN_RUN, so no
-    more decoded graphs are held at once, which bounds the scan's memory
-    whatever the chunk size.  Each graph's degrees are checked and it is
-    put to the oracle alone, then the whole run is scanned at once.  A
-    record is scanned in its own labels, which must be sorted by degree,
-    as every catalogue record's are; a record whose degrees fall raises
-    MalformedRecord.  Every 4-set and 5-set is checked, so those suites'
-    instance counts are C(n, 4) and C(n, 5), added by the caller.
-    violations is a tuple of (suite, violation) pairs, each suite's in
-    lexicographic scan order.
+    feasible._lemma_scan reads the span, records of one order as every
+    chunk of _pool's is, in byte lanes, and asks min_deletion_for_rep3,
+    read here at call time, for the oracle minimum of the graphs that
+    need one.  A record is scanned in its own labels, which must be
+    sorted by degree, as every catalogue record's are; a record whose
+    degrees fall raises MalformedRecord.  Every 4-set and 5-set is
+    checked, so those suites' instance counts are C(n, 4) and C(n, 5),
+    added by the caller.  violations is a tuple of (suite, violation)
+    pairs, each suite's in lexicographic scan order; only the records
+    with one are touched here.
     """
-    pairs = _records(span)
-    n = span[0] - 63
-    out = []
-    while run := list(islice(pairs, _SCAN_RUN)):
-        graphs, minima = [], []
-        for rec, g in run:
-            if list(g.degrees) != sorted(g.degrees):
-                name = rec.decode("ascii")
-                raise MalformedRecord(f"{name}: degrees {g.degrees} fall, as in no catalogue record")
-            oracle_min = None
-            if n >= 3:
-                cert = min_deletion_for_rep3(g, n - 3)
-                oracle_min = None if cert is None else len(cert.deleted)
-            graphs.append(g)
-            minima.append(oracle_min)
-        for (rec, _), oracle_min, scan in zip(run, minima, _lemma_scan(graphs, minima)):
-            budgeted, failures, low, paths, medians, paired = scan
-            gaps = paired if oracle_min is None or oracle_min > allowance(n) else ()
-            found = ()
-            if paths or gaps or medians or low:
-                head = {"n": n, "graph": rec.decode("ascii")}
-                found = (
-                    *[("induced_path", {**head, "subset": list(x)}) for x in paths],
-                    *[("paired_degree_gap", {**head, "subset": list(x), "oracle_min": oracle_min})
-                      for x in gaps],
-                    *[("median_feasible", {**head, "subset": list(u)}) for u in medians],
-                    *[("feasible_budget",
-                       {**head, "triple": list(s), "budget": b, "oracle_min": oracle_min})
-                      for s, b in low],
-                )
-            out.append((n, budgeted, len(paired), failures, found))
-    return out
+    results, findings = _lemma_scan(span, min_deletion_for_rep3)
+    for i, rec, oracle_min, paths, gaps, medians, low in findings:
+        n, budgeted, paired, failures, _ = results[i]
+        head = {"n": n, "graph": rec.decode("ascii")}
+        results[i] = n, budgeted, paired, failures, (
+            *[("induced_path", {**head, "subset": list(x)}) for x in paths],
+            *[("paired_degree_gap", {**head, "subset": list(x), "oracle_min": oracle_min})
+              for x in gaps],
+            *[("median_feasible", {**head, "subset": list(u)}) for u in medians],
+            *[("feasible_budget",
+               {**head, "triple": list(s), "budget": b, "oracle_min": oracle_min})
+              for s, b in low],
+        )
+    return results
 
 
 def verify_lemmas(max_n: int, jobs=None) -> VerificationReport:
@@ -317,17 +295,20 @@ def verify_lemmas(max_n: int, jobs=None) -> VerificationReport:
         },
         "paired_degree_gap": {"instances_checked": 0, "violations": []},
     }
-    orders = range(1, max_n + 1)
-    for n in orders:
-        _tables(n)  # built once here, and inherited by forked children
-    for _, (n, budgeted, paired, failures, found) in _sweep(_lemma_worker, jobs, orders):
-        results["induced_path"]["instances_checked"] += comb(n, 4)
-        results["median_feasible"]["instances_checked"] += comb(n, 5)
-        results["feasible_budget"]["instances_checked"] += budgeted
-        results["feasible_budget"]["strong_form_failures"] += failures
-        results["paired_degree_gap"]["instances_checked"] += paired
+    classes = [0] * (max_n + 1)  # per order
+    budgeted = failures = paired = 0
+    for _, (n, b, p, f, found) in _sweep(_lemma_worker, jobs, range(1, max_n + 1)):
+        classes[n] += 1
+        budgeted += b
+        paired += p
+        failures += f
         for lemma, violation in found:
             results[lemma]["violations"].append(violation)
+    results["induced_path"]["instances_checked"] = sum(c * comb(n, 4) for n, c in enumerate(classes))
+    results["median_feasible"]["instances_checked"] = sum(c * comb(n, 5) for n, c in enumerate(classes))
+    results["feasible_budget"]["instances_checked"] = budgeted
+    results["feasible_budget"]["strong_form_failures"] = failures
+    results["paired_degree_gap"]["instances_checked"] = paired
     return VerificationReport({}, results, time.perf_counter() - t0)
 
 

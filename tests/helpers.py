@@ -136,6 +136,40 @@ def triple_signatures(g):
                 )
 
 
+def induced_path_ok(g, x):
+    """Whether the 4-set x of g induces a path whose endpoints carry
+    the two smallest degrees of the set, compared as a multiset, so
+    ties are accepted either way round: the reference for the lemma
+    scan's path lanes, read from the induced edges alone, with no
+    table."""
+    # four vertices induce a path exactly when they induce three edges
+    # and two of them, its ends, have one neighbour among the four
+    inside = [sum(g.rows[u] >> v & 1 for v in x) for u in x]
+    ends = [g.degrees[u] for u, k in zip(x, inside) if k == 1]
+    smallest = sorted(g.degrees[v] for v in x)[:2]
+    return sum(inside) == 6 and sorted(ends) == smallest
+
+
+def paired_gap_sets(degs):
+    """The 4-sets with degrees (d, d, d+2, d+2) of a degree-sorted
+    graph, in lexicographic order: vertices of a lower degree carry
+    lower labels, so each set is pair + high, already sorted.  The
+    reference for the lemma scan's paired-gap lanes."""
+    # sorted degrees repeat side by side, each over one run of labels
+    twice = {d for d, e in zip(degs, degs[1:]) if d == e}
+
+    def run(d):
+        first = degs.index(d)
+        return range(first, first + degs.count(d))
+
+    found = []
+    for d in sorted(twice):
+        if d + 2 in twice:
+            highs = list(combinations(run(d + 2), 2))
+            found += [pair + high for pair in combinations(run(d), 2) for high in highs]
+    return found
+
+
 def catalogue_records(n):
     """The canonical record of every class of order n, in catalogue
     order, as rep3 gen prints them, one a line."""

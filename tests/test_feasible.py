@@ -9,13 +9,12 @@ from rep3.enumeration import enumerate_graphs
 from rep3.feasible import (
     TripleClassification,
     _lemma_scan,
-    _paired_gap_sets,
-    _signatures,
     budget,
     classify_triple,
     equalize_triple,
 )
-from rep3.graphcore import from_edge_list
+from rep3.graphcore import from_edge_list, write_graph6
+from rep3.solver import min_deletion_for_rep3
 
 import helpers
 
@@ -211,15 +210,51 @@ def unpack_signature(n, key):
     return (n, *(key >> shift & (1 << width) - 1 for shift, width in PACKED_FIELDS))
 
 
+class KeyLog(dict):
+    """A verdict memo that logs every key the lemma scan looks up."""
+
+    def __init__(self, memo):
+        super().__init__(memo)
+        self.log = []
+
+    def __getitem__(self, key):
+        self.log.append(key)
+        return super().__getitem__(key)
+
+
+def scan(g, oracle=min_deletion_for_rep3):
+    """_lemma_scan of g's graph6 record alone: ((n, budgeted, paired,
+    failures, ()), paths, gaps, medians, low)."""
+    (result,), findings = _lemma_scan(write_graph6(g), oracle)
+    return (result, *(findings[0][3:] if findings else ([], [], [], [])))
+
+
+def packed_keys(graphs):
+    """(g, keys) for each g of graphs: the packed signature the lemma
+    scan looks up for each 3-set of g, in combinations order.  The
+    graphs of each order are joined into one span and read as one run,
+    whose keys are laid out triple-major; they are read from the memo's
+    traffic on a second scan, once the first has filled the memo."""
+    for n, group in itertools.groupby(graphs, key=lambda g: g.n):
+        group = list(group)
+        span = b"".join(map(write_graph6, group))
+        _lemma_scan(span, min_deletion_for_rep3)
+        memo = KeyLog(feasible._VERDICTS[n])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(feasible._VERDICTS, n, memo)
+            mp.setattr(feasible, "_SCAN_RUN", len(group))
+            _lemma_scan(span, min_deletion_for_rep3)
+        yield from zip(group, (memo.log[i::len(group)] for i in range(len(group))))
+
+
 def check_packed_fields(graphs):
     """Each 3-set's packed signature decodes, field by field, to its
     reference signature; returns the largest degree and common count
     seen, so a caller can tell the widest fields were reached."""
     widest = (0, 0)
-    for g in graphs:
+    for g, packed in packed_keys(graphs):
         reference = list(helpers.triple_signatures(g))
         assert [s for s, _ in reference] == list(itertools.combinations(range(g.n), 3))
-        packed = _signatures(g)
         assert len(packed) == len(reference)
         for (_, sig), key in zip(reference, packed):
             assert unpack_signature(g.n, key) == sig
@@ -245,12 +280,11 @@ def check_signature_exactness(graphs):
     every allowance 0..n-3; and the memo code the lemma scan reads for
     each triple decodes to the direct answer."""
     region_of, key_of, answer_of = {}, {}, {}
-    for g in graphs:
+    for g, keys in packed_keys(graphs):
         nbr = helpers.neighbor_sets(g)
-        _lemma_scan([g], [None])
         memo = feasible._VERDICTS.get(g.n, {})
         triples = itertools.combinations(range(g.n), 3)
-        for s, packed in zip(triples, _signatures(g), strict=True):
+        for s, packed in zip(triples, keys, strict=True):
             code = memo[packed]
             key = (g.n, packed)
             region = region_signature(g, nbr, s)
@@ -292,10 +326,10 @@ class TestPackedSignatures:
         assert check_packed_fields(order_9_degree_sorted()) == (8, 7)
 
     def test_scan_stops_above_order_9(self):
-        # 4-bit fields and tables of 2^n rows end the exact packing at 9
+        # 4-bit fields end the exact packing at 9
         g = helpers.degree_sorted(helpers.seeded_graph(10, 10))[0]
         with pytest.raises(errors.OrderOutOfRange, match="got 10$"):
-            _lemma_scan([g], [None])
+            scan(g)
 
 
 @pytest.mark.parametrize(
@@ -312,7 +346,91 @@ def test_paired_gap_sets_match_brute_force(degs):
         x for x in itertools.combinations(range(len(degs)), 4)
         if degs[x[0]] == degs[x[1]] and degs[x[2]] == degs[x[3]] == degs[x[0]] + 2
     ]
-    assert _paired_gap_sets(degs) == expected
+    assert helpers.paired_gap_sets(degs) == expected
+
+
+def balanceable_cover(g, x):
+    """Whether a balanceable 3-subset covers the 4-set x of g."""
+    return any(classify_triple(g, s).balanceable for s in itertools.combinations(x, 3))
+
+
+def test_paired_gaps_match_reference(graphs_by_n, monkeypatch):
+    # the reference's paired-gap 4-sets holding a balanceable 3-set are
+    # counted; with no deletion set found, they are also reported, unless
+    # a degree held three times makes the minimum 0 unasked
+    monkeypatch.setattr(feasible, "_VERDICTS", {})
+    graphs = [g for n in range(4, 8) for g in graphs_by_n(n)] + order_9_degree_sorted(60)
+    reached = 0
+    for g in graphs:
+        expected = [x for x in helpers.paired_gap_sets(g.degrees) if balanceable_cover(g, x)]
+        (_, _, paired, _, _), _, gaps, _, _ = scan(g, lambda h, k: None)
+        assert paired == len(expected)
+        if max(map(g.degrees.count, g.degrees)) >= 3:
+            assert gaps == []
+        else:
+            assert gaps == expected
+            reached += bool(expected)
+    assert reached > 0
+
+
+def path_index(g, x):
+    """The index of the sorted 4-set x of the degree-sorted graph g in
+    feasible._PATH_OK: its six induced edge bits in pair order ab, ac,
+    ad, bc, bd, cd, then whether ab, bc and cd tie in degree."""
+    a, b, c, d = x
+    rows, degs = g.rows, g.degrees
+    bits = [rows[u] >> v & 1 for u, v in itertools.combinations(x, 2)]
+    ties = [degs[a] == degs[b], degs[b] == degs[c], degs[c] == degs[d]]
+    return sum(bit << k for k, bit in enumerate(bits + ties))
+
+
+def path_failures(span, monkeypatch):
+    """Per record of span, the 4-sets whose path lane fails, with every
+    3-set read as neither feasible nor balanceable, so that no 4-set is
+    covered and every 4-set's path lane is reported."""
+    with monkeypatch.context() as mp:
+        mp.setattr(feasible, "_VERDICTS", {})
+        mp.setattr(feasible, "_verdict", lambda g, s3: 0)
+        results, findings = _lemma_scan(span, lambda g, k: None)
+    found = [[] for _ in results]
+    for i, _, _, paths, *_ in findings:
+        found[i] = paths
+    return found
+
+
+def path_reference(graphs):
+    """Per graph, the 4-sets that fail helpers.induced_path_ok."""
+    return [
+        [x for x in itertools.combinations(range(g.n), 4) if not helpers.induced_path_ok(g, x)]
+        for g in graphs
+    ]
+
+
+def test_path_lanes_match_reference(graphs_by_n, monkeypatch):
+    # every 4-set of every class through order 7, one span per order,
+    # and of the seeded order-9 graphs
+    spans = [list(graphs_by_n(n)) for n in range(4, 8)] + [order_9_degree_sorted()]
+    for graphs in spans:
+        span = b"".join(map(write_graph6, graphs))
+        assert path_failures(span, monkeypatch) == path_reference(graphs)
+
+
+def test_path_table_fault_is_caught(graphs_by_n, monkeypatch):
+    # each entry of _PATH_OK that a 4-set of a class through order 7
+    # reaches, flipped alone, changes that class's path lanes, so the
+    # comparison above fails under it
+    witness = {}
+    for n in range(4, 8):
+        for g in graphs_by_n(n):
+            for x in itertools.combinations(range(n), 4):
+                witness.setdefault(path_index(g, x), g)
+    assert len(witness) > 100
+    real = feasible._PATH_OK
+    for entry, g in witness.items():
+        planted = bytearray(real)
+        planted[entry] ^= 1
+        monkeypatch.setattr(feasible, "_PATH_OK", bytes(planted))
+        assert path_failures(write_graph6(g), monkeypatch) != path_reference([g])
 
 
 class TestTripleVerdicts:
@@ -399,25 +517,20 @@ class TestEqualize:
 
 
 def cover_bit(g, x):
-    """The bit of the set x of g (a 4-set or a 5-set) in the cover mask
-    _lemma_scan builds on g relabeled by (degree, index), and whether x
-    failed the induced-path test.  The scan reports a 5-set when its bit
-    is clear and runs the test on exactly the 4-sets whose bit is clear,
-    so the bit is read from the scan's answer and its calls."""
+    """The bit of the set x of g (a 4-set or a 5-set) in the cover
+    lanes _lemma_scan builds on g relabeled by (degree, index), and
+    whether x failed the induced-path test.  The scan reports a 5-set
+    when its bit is clear and a 4-set when its bit is clear and its path
+    lane fails, so the 4-set's bit is read from a scan with every path
+    lane failing, which reports exactly the 4-sets whose bit is clear."""
     h, order = helpers.degree_sorted(g)
     y = tuple(sorted(order.index(v) for v in x))
-    asked = []
-    real = feasible._induced_path_ok
-
-    def induced_path_ok(h, x):
-        asked.append(x)
-        return real(h, x)
-
+    _, paths, _, medians, _ = scan(h)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(feasible, "_induced_path_ok", induced_path_ok)
-        paths, medians = _lemma_scan([h], [None])[0][3:5]
+        mp.setattr(feasible, "_PATH_OK", bytes(512))
+        uncovered = scan(h)[1]
     if len(y) == 4:
-        return int(y not in asked), y in paths
+        return int(y not in uncovered), y in paths
     return int(y not in medians), False
 
 

@@ -96,10 +96,13 @@ def only_triangles_feasible(mp):
     """Plant violations in every suite through the verdict source: every
     3-set but a triangle (shape C2; the shape is a function of the
     signature) reads as infeasible and not balanceable, and the oracle
-    finds no deletion set.  Then every triangle-free 4-set reaches the
-    induced-path test, including induced paths whose ends do not carry
-    the set's two smallest degrees, which no real class sends there.
-    The verdict memo starts empty, so nothing planted outlives mp."""
+    finds no set of one deletion or more.  Then every triangle-free
+    4-set reaches the induced-path test, including induced paths whose
+    ends do not carry the set's two smallest degrees, which no real
+    class sends there.  A graph with a degree held three times keeps
+    its oracle minimum 0, which the worker reads off its degrees without
+    asking the oracle.  The verdict memo starts empty, so nothing
+    planted outlives mp."""
     real_classify = feasible._classify
 
     def classify(g, s3):
@@ -110,7 +113,7 @@ def only_triangles_feasible(mp):
 
     mp.setattr(feasible, "_VERDICTS", {})
     mp.setattr(feasible, "_classify", classify)
-    mp.setattr(harness, "min_deletion_for_rep3", lambda g, k: None)
+    mp.setattr(harness, "min_deletion_for_rep3", lambda g, k: min_deletion_for_rep3(g, 0))
 
 
 class TestVerifyTheorem:
@@ -301,27 +304,30 @@ class TestVerifyLemmas:
     def test_violations_reach_report(self, monkeypatch):
         # no real class violates a lemma, so plant violations in every
         # suite; each suite lists them in catalogue order, and each
-        # class's in its lexicographic scan order
+        # class's in its lexicographic scan order.  Order 6 is the first
+        # with a paired-gap violation: below it, every class with a
+        # paired-gap set holding a triangle has a degree held three times
         only_triangles_feasible(monkeypatch)
         expected = {suite: [] for suite in SUITES}
-        for n in range(1, 6):
+        for n in range(1, 7):
             for rec in catalogue_records(n):
                 for suite, v in reference_lemma_scan(rec)[4]:
                     expected[suite].append(v)
         assert all(expected.values())
         for jobs in (1, 2):
-            r = verify_lemmas(5, jobs=jobs)
+            r = verify_lemmas(6, jobs=jobs)
             assert not r.verified
             for suite in SUITES:
                 assert r.lemma_results[suite]["violations"] == expected[suite]
 
 
-def _oracle_past_the_allowance_at_order_5(g, k):
-    """min_deletion_for_rep3, except that an order-5 hit reads three
-    deletions, one above allowance(5)."""
+def _oracle_past_the_allowance_at_order_6(g, k):
+    """min_deletion_for_rep3, except that an order-6 hit of one deletion
+    or more reads four deletions, one above allowance(6); a hit of none
+    is read off the degrees, without asking the oracle."""
     cert = min_deletion_for_rep3(g, k)
-    if cert is not None and g.n == 5:
-        return solver.DeletionCertificate(5, (0, 1, 2), (), 0)
+    if cert is not None and cert.deleted and g.n == 6:
+        return solver.DeletionCertificate(6, (0, 1, 2, 3), (), 0)
     return cert
 
 
@@ -329,17 +335,19 @@ class TestPlantedLemmaFaults:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_minimum_above_the_allowance_reports_paired_gaps(self, monkeypatch, jobs):
         # a paired-gap set is a violation when the oracle finds no set
-        # and also when its minimum exceeds the allowance
-        monkeypatch.setattr(harness, "min_deletion_for_rep3", _oracle_past_the_allowance_at_order_5)
+        # and also when its minimum exceeds the allowance; order 6 is the
+        # first where a class with a paired-gap set holding a balanceable
+        # triple needs a deletion
+        monkeypatch.setattr(harness, "min_deletion_for_rep3", _oracle_past_the_allowance_at_order_6)
         expected = [
             v
-            for rec in catalogue_records(5)
+            for rec in catalogue_records(6)
             for suite, v in reference_lemma_scan(rec)[4]
             if suite == "paired_degree_gap"
         ]
-        gaps = verify_lemmas(5, jobs=jobs).lemma_results["paired_degree_gap"]["violations"]
+        gaps = verify_lemmas(6, jobs=jobs).lemma_results["paired_degree_gap"]["violations"]
         assert gaps == expected
-        assert gaps and all(v["n"] == 5 and v["oracle_min"] == 3 for v in gaps)
+        assert gaps and all(v["n"] == 6 and v["oracle_min"] == 4 for v in gaps)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_strong_form_failures_are_counted(self, monkeypatch, jobs):
@@ -380,6 +388,41 @@ class TestLemmaWorker:
         for span in (b"Cs", b"C~CsC~"):
             with pytest.raises(errors.MalformedRecord, match="^Cs: "):
                 harness._lemma_worker(span)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "after-a-run"])
+    def test_falling_record_named_wherever_its_lane_lies(self, where):
+        # the degree check reads a run's lanes at once; the record named
+        # is the first that falls, in its run's lanes or the next run's
+        size = 2 * feasible._SCAN_RUN + 3
+        at = {"first": 0, "middle": size // 2, "last": size - 1, "after-a-run": feasible._SCAN_RUN}[where]
+        later = write_graph6(from_edge_list(4, [(0, 1), (0, 2)]))  # degrees (2, 1, 1, 0)
+        records = [b"C~"] * size
+        records[at] = b"Cs"
+        records[at + 1:] = [later] * (size - at - 1)
+        with pytest.raises(errors.MalformedRecord) as caught:
+            harness._lemma_worker(b"".join(records))
+        assert str(caught.value) == "Cs: degrees (3, 1, 1, 1) fall, as in no catalogue record"
+
+    @given(st.integers(1, 9), st.integers(1, 5), st.integers(1, 3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_degree_sorted_spans_match_reference(self, n, count, run, data):
+        # records of one order, each any graph relabeled by (degree,
+        # index), joined and read in runs of run records, give the
+        # reference's result record by record, with the real verdicts
+        # and with violations planted in every suite: a lane that
+        # carried or borrowed into the next record's byte would show
+        pairs = list(combinations(range(n), 2))
+        records = [
+            write_graph6(helpers.degree_sorted(
+                from_edge_list(n, [p for p in pairs if data.draw(st.booleans())])
+            )[0])
+            for _ in range(count)
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(feasible, "_SCAN_RUN", run)
+            assert harness._lemma_worker(b"".join(records)) == list(map(reference_lemma_scan, records))
+            only_triangles_feasible(mp)
+            assert harness._lemma_worker(b"".join(records)) == list(map(reference_lemma_scan, records))
 
     def test_records_of_two_orders_rejected(self):
         # K3 and K4 share a record width; scanned as one run of order 3,
@@ -1270,27 +1313,46 @@ def test_crash_rerun_hands_one_record_spans(monkeypatch, cores, module, name, ca
 
 
 def test_each_4_set_is_checked_once(monkeypatch):
-    # the induced-path test runs once on each 4-set with no
-    # balanceable 3-subset, and on no other; catalogue classes are
-    # degree-sorted, so the worker scans them in their own labels
-    calls = []
-    real = feasible._induced_path_ok
-
-    def induced_path_ok(h, x):
-        calls.append((h, x))
-        return real(h, x)
-
-    monkeypatch.setattr(feasible, "_induced_path_ok", induced_path_ok)
+    # the induced-path test applies once to each 4-set with no
+    # balanceable 3-subset, and to no other: with every entry of its
+    # table planted as a failure, the violations are exactly those
+    # sets, each once; catalogue classes are degree-sorted, so the
+    # worker scans them in their own labels
+    monkeypatch.setattr(feasible, "_PATH_OK", bytes(512))
     report = verify_lemmas(7, jobs=1)
     expected = [
-        (g, x)
+        {"n": n, "graph": rec.decode("ascii"), "subset": list(x)}
         for n in range(4, 8)
-        for g in map(parse_graph6, catalogue_records(n))
+        for rec in catalogue_records(n)
+        for g in [parse_graph6(rec)]
         for x in combinations(range(n), 4)
         if not any(classify_triple(g, s).balanceable for s in combinations(x, 3))
     ]
-    assert calls == expected
-    assert 0 < len(calls) < report.lemma_results["induced_path"]["instances_checked"]
+    found = report.lemma_results["induced_path"]["violations"]
+    assert found == expected
+    assert 0 < len(found) < report.lemma_results["induced_path"]["instances_checked"]
+
+
+def test_oracle_sees_only_graphs_with_no_degree_held_three_times(monkeypatch):
+    # a degree held three times is a minimum of 0 deletions, read off the
+    # degree lanes; every other class, in catalogue order, goes to the
+    # oracle once
+    asked = []
+
+    def oracle(g, k):
+        asked.append((g, k))
+        return min_deletion_for_rep3(g, k)
+
+    monkeypatch.setattr(harness, "min_deletion_for_rep3", oracle)
+    verify_lemmas(7, jobs=1)
+    expected = [
+        (g, n - 3)
+        for n in range(3, 8)
+        for g in map(parse_graph6, catalogue_records(n))
+        if max(g.degrees.count(d) for d in g.degrees) < 3
+    ]
+    assert asked == expected
+    assert all(min_deletion_for_rep3(g, k).deleted for g, k in expected if g.n >= 5)
 
 
 class TestReport:
