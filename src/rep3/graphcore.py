@@ -45,8 +45,10 @@ then decodes each record with _decode as it is reached, so no record
 of a span is checked twice.  _lanes reads a whole span at once, with
 one byte lane per record and no graph decoded: one strided slice and
 one translate per triangle bit give its edge lanes, and their sums its
-degree lanes.  The identity kernel and the lemma scan both read spans
-through it.
+degree lanes.  All three sweep kernels read spans through it: the
+lemma scan directly, and the identity and theorem kernels through
+_degree_counts, the one reader of count lanes, which adds, per degree
+value, how many vertices of each record hold it.
 
 from_edge_json reads {"n": ..., "edges": [[u, v], ...]} text and checks
 its shape and every endpoint.
@@ -343,12 +345,27 @@ def _lanes(span, n, width):
     return edges, degrees
 
 
-def _degree_lanes(span):
-    """(n, lanes) for span, graph6 records of one order n joined, checked
-    by _shape: byte i of lanes[v], read little-endian, is vertex v's
-    degree in record i, as _lanes reads it."""
+# translate tables of a degree or count byte: _IS[d] maps d to 1 and
+# every other byte to 0, _THRICE each value from 3 up to 1
+_IS = [bytes(d) + b"\1" + bytes(255 - d) for d in range(_G6_MAX)]
+_THRICE = bytes(3) + b"\1" * 253
+
+
+def _degree_counts(span):
+    """(n, degrees, counts) of span, graph6 records of one order n
+    joined, checked by _shape: byte i of degrees[v] is vertex v's degree
+    in record i, as _lanes reads it, and byte i of counts[d], d < n, is
+    how many vertices of record i have degree d, the sum over the degree
+    lanes of a translate of each by _IS[d].  No count carries: it is at
+    most n."""
     n, width = _shape(span)
-    return n, _lanes(span, n, width)[1]
+    count = len(span) // width
+    degrees = [lane.to_bytes(count, "little") for lane in _lanes(span, n, width)[1]]
+    counts = [
+        sum(int.from_bytes(lane.translate(_IS[d]), "little") for lane in degrees).to_bytes(count, "little")
+        for d in range(n)
+    ]
+    return n, degrees, counts
 
 
 def read_graph6_records(lines):

@@ -32,12 +32,11 @@ enumeration._sweep, which opens one map per call: that map first
 generates any catalogue order the sweep needs and is not memoised yet,
 then hands the worker the sweep's records a chunk at a time, each
 chunk a span: one slice of an order's compact form, as _pool cuts it.
-Each worker reads the span itself: record by record through
-graphcore._records, which checks once that the span is whole records
-of one order and then hands out each record with its decoded Graph, so
-no worker parses or checks a record again; or all at once, as the
-identity and lemma workers do.  It returns one result per record, in
-order, folded in as it arrives.  A worker that fails on a record with
+Each worker is a span kernel: it checks the span once, with
+graphcore._shape, reads it at once in byte lanes, one per record,
+through graphcore._lanes, and decodes a record only where the lanes do
+not settle it.  It returns one result per record, in order, folded in
+as it arrives.  A worker that fails on a record with
 anything but a Rep3Error surfaces as a WorkerCrash naming that record,
 at any jobs count; a Rep3Error keeps its own message.
 
@@ -57,15 +56,25 @@ records, so the main process holds little per class while the map
 runs.  verify_lemmas counts the records of each order, whose 4-set and
 5-set instance counts it multiplies out once the sweep ends.
 
-find_extremal runs the headline sweep's worker over the catalogue, so
-both solve and check each class the same way; each worker returns its
-class's minimum deletion size or a violation, and each fold names
-classes by the record _sweep pairs with the result.
+The theorem worker reads its span's degree and count lanes once, with
+graphcore._degree_counts, and takes each record's certificate from one
+search seam, _search.  A record with a degree held three times needs
+no deletion: solver._thrice_certificates reads its certificate off the
+lanes, the first three vertices, by index, of the smallest degree held
+three or more times, as min_deletion_for_rep3 gives it, and
+solver.check_size_zero checks it against the record's own degree
+tuple, reading nothing else the search computed.  Every other record,
+14,841 of order 9's 274,668 classes, is decoded and goes to solve3,
+the allowance test and check_certificate, one record at a time.
+find_extremal runs the same worker over the catalogue, so both solve
+and check each class the same way; each worker returns its class's
+minimum deletion size or a violation, and each fold names classes by
+the record _sweep pairs with the result.
 
 The identity worker is repetition._identity_codes, which parses nothing
-and splits no record off its span: it reads the degrees of the whole
-span at once, one byte lane per record, and returns one code byte per
-class, _EXEMPT where the counting identity does not apply (a degree
+and splits no record off its span: it reads the count lanes of the
+whole span at once, as the theorem worker does, and returns one code
+byte per class, _EXEMPT where the counting identity does not apply (a degree
 held three times or an isolated vertex), else 16 * |doubled| +
 |missing|.  So the map yields one int per class, and the fold takes the
 order from the record's first byte and builds the violation.
@@ -76,16 +85,22 @@ so any jobs count produces the same report, elapsed time aside.
 
 import json
 import time
-from itertools import starmap
 from math import comb
 from typing import NamedTuple
 
 from .enumeration import MAX_ENUM, _sweep
 from .errors import OrderOutOfRange, TheoremViolation
 from .feasible import _lemma_scan
-from .graphcore import _check, _records, _width
+from .graphcore import _check, _decode, _degree_counts, _width
 from .repetition import _EXEMPT, _identity_codes as _identity_worker
-from .solver import allowance, check_certificate, min_deletion_for_rep3, solve3
+from .solver import (
+    _thrice_certificates,
+    allowance,
+    check_certificate,
+    check_size_zero,
+    min_deletion_for_rep3,
+    solve3,
+)
 
 
 class VerificationReport(NamedTuple):
@@ -162,28 +177,55 @@ class VerificationReport(NamedTuple):
 
 
 def _theorem_worker(span):
-    """_theorem_result of each record of a span, as graphcore._records
-    reads it."""
-    return list(starmap(_theorem_result, _records(span)))
+    """(n, minimum deletion size, None) for each record of span, graph6
+    records of one order n joined, when the theorem holds on it, or (n,
+    None, violation).
 
-
-def _theorem_result(rec: bytes, g):
-    """(n, minimum deletion size, None) for the class of record rec,
-    the Graph g of order n, when the theorem holds on it, or (n, None,
-    violation)."""
-    cap = allowance(g.n)
-    try:
-        cert = solve3(g)
-    except TheoremViolation as exc:
-        reason = str(exc)
-    else:
-        if len(cert.deleted) > cap:
+    graphcore._degree_counts checks the span and reads its lanes once.
+    Each certificate _search gives must keep to the allowance and pass
+    the check that fits it: check_size_zero, against the record's own
+    degree tuple, for one read off the lanes with no graph, and
+    check_certificate, against the decoded graph, for any other."""
+    n, degrees, counts = _degree_counts(span)
+    width = _width(n)
+    cap = allowance(n)
+    sized = [(n, size, None) for size in range(cap + 1)]  # one result per size
+    results = []
+    for degs, (cert, g) in zip(zip(*degrees), _search(span, n, degrees, counts)):
+        if isinstance(cert, TheoremViolation):
+            reason = str(cert)
+        elif len(cert.deleted) > cap:
             reason = f"deletion set {cert.deleted} exceeds allowance {cap}"
-        elif not check_certificate(g, cert):
+        elif not (check_size_zero(degs, cert) if g is None else check_certificate(g, cert)):
             reason = f"certificate {cert.to_dict()} failed the independent check"
         else:
-            return g.n, len(cert.deleted), None
-    return g.n, None, {"n": g.n, "graph": rec.decode("ascii"), "reason": reason}
+            results.append(sized[len(cert.deleted)])
+            continue
+        start = len(results) * width
+        graph = span[start:start + width].decode("ascii")
+        results.append((n, None, {"n": n, "graph": graph, "reason": reason}))
+    return results
+
+
+def _search(span, n, degrees, counts):
+    """One (certificate, graph) pair per record of span, records of order
+    n with degrees and counts as graphcore._degree_counts reads them, in
+    order: the theorem sweep's search.  A record with a degree held three
+    times takes its certificate from solver._thrice_certificates, with
+    no graph; any other is decoded and goes to solve3, and the
+    TheoremViolation solve3 raises, if it raises one, stands in for its
+    certificate."""
+    width = _width(n)
+    for i, cert in enumerate(_thrice_certificates(n, degrees, counts)):
+        if cert is not None:
+            yield cert, None
+            continue
+        g = _decode(span[i * width:(i + 1) * width], n)
+        try:
+            cert = solve3(g)
+        except TheoremViolation as exc:
+            cert = exc
+        yield cert, g
 
 
 def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> VerificationReport:
@@ -201,8 +243,11 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
     (OrderOutOfRange for the multi-byte order form), as does one of a
     swept order but of another width, before the sweep starts.  The
     packed records go to one map, whose workers check each span they
-    take once, through graphcore._records, so a malformed record of the
-    right width raises MalformedRecord there.  jobs also sets the
+    take once, with graphcore._shape, so a malformed record of the right
+    width raises MalformedRecord there.  A record with a degree held
+    three times is certified from its span's byte lanes and checked
+    against its own degree tuple, with no graph decoded; every other is
+    decoded, solved by solve3 and checked by check_certificate.  jobs also sets the
     process count for any catalogue order not yet generated, and one
     _pool serves that generation and the sweep.  A sweep that checks no
     graph at all is not verified.  Graphs with minimum deletion 3 are
@@ -339,9 +384,10 @@ def find_extremal(n: int):
     min(3, n-3), the largest value the order allows.
 
     Each class goes through the theorem sweep's worker, over up to one
-    process per core, so a class the theorem misses, or whose certificate fails the
-    independent check, raises TheoremViolation rather than dropping out
-    of the listing.  Output is exploratory: which orders contain
+    process per core, so a class the theorem misses, or whose
+    certificate fails its independent check (check_size_zero for a class
+    with a degree held three times, check_certificate for any other),
+    raises TheoremViolation rather than dropping out of the listing.  Output is exploratory: which orders contain
     maximal-cost classes is recorded, not asserted.
     """
     if not 5 <= n <= MAX_ENUM:

@@ -10,17 +10,17 @@ tracked.
 profile reads one graph.  The counting-identity sweep reads the span
 _pool cuts, records of one order joined, all at once with
 _identity_codes, bit-sliced with one byte lane per record, as the lemma
-scan reads its covers: from graphcore._degree_lanes' degree lanes it
-counts the vertices of each degree value, and from those counts the
-sizes of both sets, each step one bytes.translate and one
-int.from_bytes per lane.  profile is its reference in the tests.
+scan reads its covers: graphcore._degree_counts counts the vertices of
+each degree value, and from those counts it takes the sizes of both
+sets, each step one bytes.translate and one int.from_bytes per lane.
+profile is its reference in the tests.
 """
 
 from collections import Counter
 from typing import NamedTuple
 
 from .errors import OrderOutOfRange
-from .graphcore import Graph, _degree_lanes, _width
+from .graphcore import _IS, _THRICE, Graph, _degree_counts
 
 
 class DegreeProfile(NamedTuple):
@@ -38,10 +38,7 @@ def profile(g: Graph) -> DegreeProfile:
 
 _EXEMPT = 255  # the code of a record the counting identity does not apply to
 
-# translate tables: _IS[d] maps d to 1, _THRICE each value from 3 up to 1,
-# every other byte to 0; _ALL maps every nonzero byte to 255
-_IS = [bytes(d) + b"\1" + bytes(255 - d) for d in range(31)]
-_THRICE = bytes(3) + b"\1" * 253
+# a translate table that maps every nonzero byte to 255
 _ALL = b"\0" + b"\xff" * 255
 
 
@@ -51,25 +48,21 @@ def _identity_codes(span) -> bytes:
     vertex is isolated, where the counting identity does not apply, and
     otherwise 16 * len(s_set) + len(t_set) of the record's profile.
 
-    _degree_lanes checks the span with graphcore._shape, and the span
-    holds len(span) // _width(n) records.  Byte i of every lane below
-    belongs to record i: the count lane of degree d sums, over the
-    vertices, a translate of each degree lane to 1 where it reads d, and
-    the sizes of both sets sum translates of the count lanes of degrees
+    graphcore._degree_counts checks the span with graphcore._shape and
+    reads its count lanes: byte i of every lane belongs to record i.
+    The sizes of both sets sum translates of the count lanes of degrees
     1..n-1.  No lane carries: a count is at most n, and a code at most
     15 * (n // 2) + n - 1, which is 255 at order 31.
     """
-    n, lanes = _degree_lanes(span)
+    n, _, counts = _degree_counts(span)
     if n > 31:
         raise OrderOutOfRange(f"identity codes cover orders up to 31, got {n}")
-    count = len(span) // _width(n)
+    count = len(counts[0])
 
     def tally(table, lanes):
         """The sum of each lane translated by table, as one int."""
         return sum(int.from_bytes(lane.translate(table), "little") for lane in lanes)
 
-    degrees = [lane.to_bytes(count, "little") for lane in lanes]
-    counts = [tally(_IS[d], degrees).to_bytes(count, "little") for d in range(n)]
     # nonzero where a vertex is isolated or a degree held three times
     void = int.from_bytes(counts[0], "little") + tally(_THRICE, counts[1:])
     code = (16 * tally(_IS[2], counts[1:]) + tally(_IS[0], counts[1:])) | tally(

@@ -17,13 +17,25 @@ survivors share.
 Certificates carry original vertex indices and can be re-checked from
 scratch by check_certificate, which builds the reduced graph with
 delete_vertices and shares no code with the search.
+
+The theorem sweep reads size 0 for a whole span at once:
+_thrice_certificates takes a span's degree and count lanes, one byte
+per record, as graphcore._degree_counts reads them, and gives each
+record with a degree held three times the certificate
+min_deletion_for_rep3 would, with no graph decoded.  Those
+certificates, and only those, are checked by check_size_zero, against
+the record's degree tuple alone: its order, no deletion, and three
+witnesses u < v < w, each of the degree named.  It shares the degree
+lanes with the search, as check_certificate shares Graph.degrees with
+min_deletion_for_rep3, and nothing else.  Every certificate solve3
+returns is checked by check_certificate.
 """
 
 from itertools import combinations
 from typing import NamedTuple
 
 from .errors import BudgetExceedsOrder, OrderOutOfRange, TheoremViolation
-from .graphcore import Graph, delete_vertices
+from .graphcore import _IS, _THRICE, Graph, delete_vertices
 
 
 class DeletionCertificate(NamedTuple):
@@ -129,3 +141,51 @@ def check_certificate(g: Graph, c: DeletionCertificate) -> bool:
     degrees = h.degrees
     u, v, w = witness
     return degrees[remap[u]] == degrees[remap[v]] == degrees[remap[w]] == c.witness_degree
+
+
+def _thrice_certificates(n, degrees, counts):
+    """Per record of a span of order n, the certificate
+    min_deletion_for_rep3 returns when it deletes nothing, or None for a
+    record with no degree held three times; degrees and counts are the
+    span's lanes as graphcore._degree_counts reads them.
+
+    A lane here is an int with one byte per record, read little-endian.
+    target holds d + 1 in the byte of each record whose smallest degree
+    held three or more times is d, and 0 where there is none: walking
+    the count lanes up from degree 0, each record takes the first whose
+    translate by _THRICE reads 1 in its byte.  A degree lane plus one,
+    XORed with target, is 0 where its vertex holds that degree; seen,
+    the sum of those hits at lower vertices, ranks it, and witness lane
+    k sums v over the hits of vertices v that k hits precede.  No byte
+    carries: none exceeds 62.
+    """
+    count = len(degrees[0])
+    ones = int.from_bytes(b"\1" * count, "little")
+    left, target = ones, 0
+    for d, lane in enumerate(counts):
+        hit = int.from_bytes(lane.translate(_THRICE), "little") & left
+        target |= hit * (d + 1)
+        left ^= hit
+    witness, seen = [0, 0, 0], 0
+    for v, lane in enumerate(degrees):
+        held = ((int.from_bytes(lane, "little") + ones) ^ target).to_bytes(count, "little")
+        hits = int.from_bytes(held.translate(_IS[0]), "little")
+        ranks = seen.to_bytes(count, "little")
+        for k in range(3):
+            witness[k] += v * (hits & int.from_bytes(ranks.translate(_IS[k]), "little"))
+        seen += hits
+    return [
+        None if t == 0 else DeletionCertificate(n, (), (u, v, w), t - 1)
+        for t, u, v, w in zip(*(x.to_bytes(count, "little") for x in (target, *witness)))
+    ]
+
+
+def check_size_zero(degrees, c: DeletionCertificate) -> bool:
+    """Re-derive the claims of a certificate that deletes nothing from
+    the degree tuple of its graph alone: its order, no deletion, and
+    three witnesses u < v < w < n, each of the degree it names."""
+    n = len(degrees)
+    if c.original_order != n or len(c.deleted) or len(c.witness) != 3:
+        return False
+    u, v, w = c.witness
+    return 0 <= u < v < w < n and degrees[u] == degrees[v] == degrees[w] == c.witness_degree

@@ -10,8 +10,9 @@ from itertools import combinations
 
 from rep3 import enumeration, harness
 from rep3.enumeration import catalogue_lines
-from rep3.graphcore import _width, from_edge_list, write_graph6
-from rep3.solver import DeletionCertificate
+from rep3.errors import TheoremViolation
+from rep3.graphcore import _records, _width, from_edge_list, parse_graph6, write_graph6
+from rep3.solver import DeletionCertificate, allowance, check_certificate, solve3
 
 
 def k1():
@@ -328,3 +329,42 @@ def mask_search_certificate(g, max_k):
                 d = min(shared)
                 return DeletionCertificate(g.n, combo, tuple(by_degree[d][:3]), d)
     return None
+
+
+def theorem_result(rec):
+    """(n, minimum deletion size, None) for the class of graph6 record
+    rec when the theorem holds on it, or (n, None, violation), one
+    record at a time: parse_graph6, solve3, the allowance test and
+    check_certificate.  The reference for the theorem sweep's kernel."""
+    g = parse_graph6(rec)
+    cap = allowance(g.n)
+    try:
+        cert = solve3(g)
+    except TheoremViolation as exc:
+        reason = str(exc)
+    else:
+        if len(cert.deleted) > cap:
+            reason = f"deletion set {cert.deleted} exceeds allowance {cap}"
+        elif not check_certificate(g, cert):
+            reason = f"certificate {cert.to_dict()} failed the independent check"
+        else:
+            return g.n, len(cert.deleted), None
+    return g.n, None, {"n": g.n, "graph": rec.decode("ascii"), "reason": reason}
+
+
+def searching_with(solve):
+    """A stand-in for harness._search, the theorem sweep's search seam,
+    that answers every record of its span, whatever its degrees, with
+    solve(g) over the decoded graph g, or with the TheoremViolation
+    solve raises, paired with g: so a fault planted in solve reaches
+    every class the sweep sees."""
+
+    def search(span, n, degrees, counts):
+        for _, g in _records(span):
+            try:
+                cert = solve(g)
+            except TheoremViolation as exc:
+                cert = exc
+            yield cert, g
+
+    return search

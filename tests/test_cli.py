@@ -243,9 +243,8 @@ def test_verify_table_report(capsys):
 
 def test_verify_table_reports_violations(capsys, monkeypatch):
     # a search that deletes past allowance(5) = 2 fails every class
-    monkeypatch.setattr(
-        harness, "solve3", lambda g: solver.DeletionCertificate(g.n, (0, 1, 2), (3, 4), 0)
-    )
+    oversized = helpers.searching_with(lambda g: solver.DeletionCertificate(g.n, (0, 1, 2), (3, 4), 0))
+    monkeypatch.setattr(harness, "_search", oversized)
     assert run(["verify", "--min-n", "5", "--max-n", "5", "--jobs", "1",
                 "--format", "table"]) == 1
     lines = out_of(capsys).splitlines()

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+from functools import cache
 from itertools import combinations, permutations
 
 import pytest
@@ -21,7 +22,7 @@ from rep3.harness import (
     verify_lemmas,
     verify_theorem,
 )
-from rep3.solver import min_deletion_for_rep3, solve3
+from rep3.solver import check_certificate, min_deletion_for_rep3, solve3
 
 import helpers
 from helpers import catalogue_records
@@ -146,13 +147,12 @@ class TestVerifyTheorem:
 
     def test_other_orders_skipped_and_never_solved(self, monkeypatch):
         solved = []
-        real_solve3 = harness.solve3
 
         def solve3(g):
             solved.append(g.n)
-            return real_solve3(g)
+            return harness.solve3(g)
 
-        monkeypatch.setattr(harness, "solve3", solve3)
+        monkeypatch.setattr(harness, "_search", helpers.searching_with(solve3))
         source = [
             write_graph6(from_edge_list(n, [(0, 1)])) for n in (4, 5, 7, 6, 10)
         ]
@@ -258,6 +258,79 @@ class TestVerifyTheorem:
         assert "elapsed" in doc
         table = r.to_table()
         assert "graphs" in table and "5" in table
+
+
+@cache
+def labeled_pools():
+    """helpers.labeled_records() by (order, whether solve3 deletes
+    nothing): the records with a degree held three times and those with
+    none, of each order 5..9."""
+    pools = {(n, zero): [] for n in range(5, 10) for zero in (False, True)}
+    for rec in helpers.labeled_records():
+        pools[rec[0] - 63, not solve3(parse_graph6(rec)).deleted].append(rec)
+    return pools
+
+
+def thrice_certificates(span):
+    """solver._thrice_certificates over span, as the theorem worker
+    reads its lanes."""
+    return solver._thrice_certificates(*graphcore._degree_counts(span))
+
+
+def assert_kernel_matches_reference(records):
+    """The theorem worker over the span of records, one order's, against
+    helpers.theorem_result record by record; and each size-0 certificate
+    the lanes give against solve3's, which check_certificate accepts."""
+    span = b"".join(records)
+    for rec, cert in zip(records, thrice_certificates(span), strict=True):
+        g = parse_graph6(rec)
+        expected = solve3(g)
+        assert cert == (None if expected.deleted else expected), rec
+        assert cert is None or check_certificate(g, cert)
+    assert harness._theorem_worker(span) == list(map(helpers.theorem_result, records))
+
+
+class TestTheoremKernel:
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_catalogue_matches_reference(self, n):
+        assert_kernel_matches_reference(catalogue_records(n))
+
+    @pytest.mark.extended
+    def test_order_9_matches_reference(self):
+        records = catalogue_records(9)
+        assert len(records) == 274668
+        assert_kernel_matches_reference(records)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+    def test_labeled_records_match_reference(self, n):
+        # in input order, and as spans that all have, or all lack, a
+        # degree held three times
+        records = [rec for rec in helpers.labeled_records() if rec[0] - 63 == n]
+        assert_kernel_matches_reference(records)
+        pools = labeled_pools()
+        assert pools[n, True] and pools[n, False]
+        assert_kernel_matches_reference(pools[n, True])
+        assert_kernel_matches_reference(pools[n, False])
+
+    @given(st.integers(5, 9), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_labeled_spans_match_reference(self, n, data):
+        # spans of 1..12 labeled records, each drawn with or without a
+        # degree held three times, all-zero and no-zero spans included
+        pools = labeled_pools()
+        kinds = data.draw(st.lists(st.booleans(), min_size=1, max_size=12))
+        assert_kernel_matches_reference([data.draw(st.sampled_from(pools[n, zero])) for zero in kinds])
+
+    def test_witnesses_by_index(self):
+        # the path 0-1-2-3-4, degrees (1, 2, 2, 2, 1); the path 0-3-1-4-2,
+        # degrees (1, 2, 1, 2, 2); and antiregular5, whose degrees
+        # (4, 3, 2, 2, 1) hold none three times, read as one span
+        span = b"DhC" + b"DEW" + write_graph6(helpers.antiregular5())
+        assert thrice_certificates(span) == [
+            solver.DeletionCertificate(5, (), (1, 2, 3), 2),
+            solver.DeletionCertificate(5, (), (1, 3, 4), 2),
+            None,
+        ]
 
 
 class TestVerifyLemmas:
@@ -786,8 +859,9 @@ def test_oversized_deletion_set_is_a_violation(forks, monkeypatch, solve, reason
     # a search that deletes more than allowance(5) = 2 vertices is a
     # violation before the certificate is checked, and so are a search
     # that raises and a certificate the independent check refuses, in
-    # this process and in the map that 34 records share at two jobs
-    monkeypatch.setattr(harness, "solve3", solve)
+    # this process and in the map that 34 records share at two jobs;
+    # each fault is planted in the search seam, which every class passes
+    monkeypatch.setattr(harness, "_search", helpers.searching_with(solve))
     for jobs in (1, 2):
         report = verify_theorem(5, 5, jobs=jobs)
         assert not report.verified
@@ -798,6 +872,66 @@ def test_oversized_deletion_set_is_a_violation(forks, monkeypatch, solve, reason
         find_extremal(5)
     assert str(caught.value).endswith(": " + reason)
     assert forks.children == [1, 1]
+
+
+_real_thrice_certificates = harness._thrice_certificates
+
+
+def _another_degree(cert):
+    """cert naming a degree one above its witnesses'."""
+    return cert._replace(witness_degree=cert.witness_degree + 1)
+
+
+def _repeated_witness(cert):
+    """cert with its second witness in place of its third."""
+    u, v, _ = cert.witness
+    return cert._replace(witness=(u, v, v))
+
+
+def _thrice_certificates_editing(edit):
+    """harness._thrice_certificates with edit applied to every
+    certificate it gives."""
+    return lambda n, degrees, counts: [
+        cert and edit(cert) for cert in _real_thrice_certificates(n, degrees, counts)
+    ]
+
+
+@pytest.mark.parametrize(
+    "name,fault,edit",
+    [
+        pytest.param(
+            "_thrice_certificates",
+            _thrice_certificates_editing(_another_degree),
+            _another_degree,
+            id="another-degree",
+        ),
+        pytest.param(
+            "_thrice_certificates",
+            _thrice_certificates_editing(_repeated_witness),
+            _repeated_witness,
+            id="repeated-witness",
+        ),
+        pytest.param("check_size_zero", lambda degrees, c: False, lambda c: c, id="check-refuses"),
+    ],
+)
+def test_size_zero_fault_fails_every_size_zero_class(forks, monkeypatch, name, fault, edit):
+    # a search that names a degree its witnesses do not hold, or one
+    # witness twice, and a check that refuses everything each make every
+    # order-5 class with a degree held three times a violation, and no
+    # other class, in this process and in a shared map
+    certs = {rec: solve3(parse_graph6(rec)) for rec in catalogue_records(5)}
+    zero = [(rec.decode(), edit(c)) for rec, c in certs.items() if not c.deleted]
+    assert len(zero) == 25
+    monkeypatch.setattr(harness, name, fault)
+    for jobs in (1, 2):
+        report = verify_theorem(5, 5, jobs=jobs)
+        entry = report.per_n[5]
+        assert [(v["graph"], v["reason"]) for v in entry["violations"]] == [
+            (rec, f"certificate {c.to_dict()} failed the independent check") for rec, c in zero
+        ]
+        assert entry["min_deletion_histogram"] == [0, 6, 3, 0]
+        assert not report.verified
+    assert forks.children == [1]
 
 
 def test_no_record_is_checked_twice(monkeypatch):
@@ -1258,7 +1392,7 @@ def _rejecting(span):
             id="crash_in_main_share",
         ),
         pytest.param(
-            ("solve3", _solve3_missing),
+            ("_search", helpers.searching_with(_solve3_missing)),
             lambda: find_extremal(7),
             errors.TheoremViolation,
             "F????: planted miss",

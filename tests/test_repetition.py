@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rep3.errors import MalformedRecord, OrderOutOfRange
-from rep3.graphcore import _check, _degree_lanes, complement, from_edge_list, parse_graph6, write_graph6
+from rep3.graphcore import _check, _degree_counts, complement, from_edge_list, parse_graph6, write_graph6
 from rep3.repetition import _EXEMPT, _identity_codes, profile
 from rep3.solver import min_deletion_for_rep3
 
@@ -163,10 +163,12 @@ class TestIdentityCodes:
         records = [write_graph6(random_graph(n, data)) for _ in range(count)]
         span = b"".join(records)
         assert list(_identity_codes(span)) == [reference_code(rec) for rec in records]
-        order, lanes = _degree_lanes(span)
+        order, lanes, counts = _degree_counts(span)
         assert order == n
-        assert [tuple(lane.to_bytes(count, "little")) for lane in lanes] == [
-            *zip(*(parse_graph6(rec).degrees for rec in records))
+        degrees = [parse_graph6(rec).degrees for rec in records]
+        assert [tuple(lane) for lane in lanes] == [*zip(*degrees)]
+        assert [tuple(lane) for lane in counts] == [
+            tuple(degs.count(d) for degs in degrees) for d in range(n)
         ]
 
     @pytest.mark.extended

@@ -246,3 +246,33 @@ class TestCheckCertificate:
             "witness": [2, 3, 4],
             "degree": 1,
         }
+
+
+class TestCheckSizeZero:
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_agrees_with_check_certificate_on_sorted_witnesses(self, n):
+        # every class, every witness u < v < w, every degree from -1 to
+        # n, at the graph's order and either side of it
+        for rec in catalogue_records(n):
+            g = parse_graph6(rec)
+            for order in (n - 1, n, n + 1):
+                for witness in combinations(range(n), 3):
+                    for degree in range(-1, n + 1):
+                        c = DeletionCertificate(order, (), witness, degree)
+                        assert solver.check_size_zero(g.degrees, c) == check_certificate(g, c)
+
+    def test_refuses_what_it_does_not_certify(self):
+        degrees = helpers.c5().degrees  # (2, 2, 2, 2, 2)
+        assert solver.check_size_zero(degrees, DeletionCertificate(5, (), (0, 2, 4), 2))
+        for c in [
+            DeletionCertificate(5, (1,), (0, 2, 4), 2),  # a deletion
+            DeletionCertificate(5, (), (0, 2), 2),
+            DeletionCertificate(5, (), (0, 1, 2, 3), 2),
+            DeletionCertificate(5, (), (0, 2, 2), 2),
+            DeletionCertificate(5, (), (4, 2, 0), 2),  # not by index
+            DeletionCertificate(5, (), (-1, 0, 2), 2),
+            DeletionCertificate(5, (), (2, 3, 5), 2),
+            DeletionCertificate(4, (), (0, 1, 2), 2),
+            DeletionCertificate(5, (), (0, 2, 4), 3),
+        ]:
+            assert not solver.check_size_zero(degrees, c), c
