@@ -515,9 +515,9 @@ class TestLemmaWorker:
         "span,bad", [pytest.param(span, bad, id=name) for name, span, bad in helpers.BAD_SPANS]
     )
     def test_a_bad_record_inside_a_span_raises_as_check_does(self, span, bad):
-        # so do the theorem and fill workers, which read a span through
-        # _records as this one does; _records raises when it is called,
-        # before any record is decoded, with nothing iterated
+        # so do the theorem and fill workers, which check a span with
+        # _shape as this one does, the fill's through _records, which
+        # raises when it is called, before any record is decoded
         with pytest.raises(errors.MalformedRecord) as alone:
             _check(bad)
         for read in (
