@@ -17,7 +17,7 @@ import sys
 from .enumeration import catalogue_lines
 from .errors import MalformedRecord, NotFeasible, Rep3Error, TheoremViolation
 from .feasible import budget, classify_triple, equalize_triple
-from .graphcore import from_edge_json, parse_graph6, read_graph6_records
+from .graphcore import from_edge_json, parse_graph6
 from .harness import (
     counting_identity_suite,
     find_extremal,
@@ -161,9 +161,7 @@ def _report_exit(report, fmt: str) -> int:
 def _cmd_verify(args) -> int:
     if args.input:
         with open(args.input, "rb") as fh:
-            report = verify_theorem(
-                args.min_n, args.max_n, source=read_graph6_records(fh), jobs=args.jobs
-            )
+            report = verify_theorem(args.min_n, args.max_n, source=fh, jobs=args.jobs)
     else:
         report = verify_theorem(args.min_n, args.max_n, jobs=args.jobs)
     return _report_exit(report, args.format)

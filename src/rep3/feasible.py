@@ -41,7 +41,7 @@ runs of at most _SCAN_RUN records, each record in its own labels, which
 must be sorted by degree, as every catalogue record's are, so that a
 5-set's median-degree vertex is its median position.  A run is read
 bit-sliced (Biham, "A fast new DES implementation in software", FSE
-1997), with one byte lane per record, as repetition._identity_codes
+1997), with one byte lane per record, as harness._identity_worker
 reads its spans: graphcore._lanes gives one edge lane per vertex pair
 from the triangle bits, with a strided slice and a translate, and the
 degree lanes as their sums; no graph is decoded but to raise, to fill

@@ -71,13 +71,14 @@ and check each class the same way; each worker returns its class's
 minimum deletion size or a violation, and each fold names classes by
 the record _sweep pairs with the result.
 
-The identity worker is repetition._identity_codes, which parses nothing
-and splits no record off its span: it reads the count lanes of the
-whole span at once, as the theorem worker does, and returns one code
-byte per class, _EXEMPT where the counting identity does not apply (a degree
-held three times or an isolated vertex), else 16 * |doubled| +
-|missing|.  So the map yields one int per class, and the fold takes the
-order from the record's first byte and builds the violation.
+The identity worker, _identity_worker, parses nothing and splits no
+record off its span: it reads the count lanes of the whole span at
+once, as the theorem worker does, and returns one code byte per class,
+_EXEMPT where the counting identity does not apply (a degree held three
+times or an isolated vertex), else 16 * |doubled| + |missing|.  So the
+map yields one int per class, and the fold takes the order from the
+record's first byte and builds the violation.  Its reference in the
+tests is a per-graph degree profile that shares no code with it.
 
 Reports are deterministic: every map yields results in record order,
 so any jobs count produces the same report, elapsed time aside.
@@ -91,8 +92,7 @@ from typing import NamedTuple
 from .enumeration import MAX_ENUM, _sweep
 from .errors import OrderOutOfRange, TheoremViolation
 from .feasible import _lemma_scan
-from .graphcore import _check, _decode, _degree_counts, _width
-from .repetition import _EXEMPT, _identity_codes as _identity_worker
+from .graphcore import _IS, _THRICE, _decode, _degree_counts, _width, read_graph6_records
 from .solver import (
     _thrice_certificates,
     allowance,
@@ -231,27 +231,27 @@ def _search(span, n, degrees, counts):
 def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> VerificationReport:
     """Solve and re-check every graph of each order in [min_n, max_n].
 
-    source None sweeps the catalogue; otherwise it is any iterable of
-    graph6 records as graphcore.read_graph6_records yields them.  Each
-    record of a swept order n and of _width(n) bytes is packed into one
-    bytearray per order, the catalogue's compact form, in input order;
-    the orders are then swept in turn, which leaves the report as it
-    would be in input order, since each order's entry keeps its
-    records' order.  Every other record is validated first:
-    one of another order is counted in the report's skipped field and
-    never solved, and a malformed one raises MalformedRecord
-    (OrderOutOfRange for the multi-byte order form), as does one of a
-    swept order but of another width, before the sweep starts.  The
-    packed records go to one map, whose workers check each span they
-    take once, with graphcore._shape, so a malformed record of the right
-    width raises MalformedRecord there.  A record with a degree held
-    three times is certified from its span's byte lanes and checked
-    against its own degree tuple, with no graph decoded; every other is
-    decoded, solved by solve3 and checked by check_certificate.  jobs also sets the
-    process count for any catalogue order not yet generated, and one
-    _pool serves that generation and the sweep.  A sweep that checks no
-    graph at all is not verified.  Graphs with minimum deletion 3 are
-    collected as lower-bound witnesses.
+    source None sweeps the catalogue; otherwise it is an iterable of the
+    byte lines of a graph6 file, such as the open binary file itself,
+    which verify_theorem reads through graphcore.read_graph6_records.
+    That reader skips blank lines and a leading header, and checks each
+    record once, so a malformed one raises MalformedRecord naming its
+    line before the sweep starts.  A list of bare records is read the
+    same way.  Each record of a swept order is packed into one bytearray
+    per order, the catalogue's compact form, in input order; the orders
+    are then swept in turn, which leaves the report as it would be in
+    input order, since each order's entry keeps its records' order.  A
+    record of another order is counted in the report's skipped field
+    and never solved.  The packed records go to one map, whose workers
+    check each span they take once, with graphcore._shape.  A record
+    with a degree held three times is certified from its span's byte
+    lanes and checked against its own degree tuple, with no graph
+    decoded; every other is decoded, solved by solve3 and checked by
+    check_certificate.  jobs also sets the process count for any
+    catalogue order not yet generated, and one _pool serves that
+    generation and the sweep.  A sweep that checks no graph at all is
+    not verified.  Graphs with minimum deletion 3 are collected as
+    lower-bound witnesses.
     """
     if not 5 <= min_n <= max_n <= MAX_ENUM:
         raise OrderOutOfRange(
@@ -262,15 +262,14 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
     blobs = None  # the catalogue of each order
     skipped = 0
     if source is not None:
-        # keyed by order byte and width: a record of a swept order but of
-        # another width finds no blob
-        packed = {(63 + n, _width(n)): bytearray() for n in orders}
-        for rec in source:
-            blob = packed.get((rec[0] if rec else 0, len(rec)))
+        # keyed by order byte alone: the reader has checked each record,
+        # so one of a swept order has that order's width
+        packed = {63 + n: bytearray() for n in orders}
+        for rec in read_graph6_records(source):
+            blob = packed.get(rec[0])
             if blob is not None:
                 blob += rec
             else:
-                _check(rec)  # raises unless a well-formed record of another order
                 skipped += 1
         blobs = packed.values()
     per_n = {
@@ -355,6 +354,42 @@ def verify_lemmas(max_n: int, jobs=None) -> VerificationReport:
     results["feasible_budget"]["strong_form_failures"] = failures
     results["paired_degree_gap"]["instances_checked"] = paired
     return VerificationReport({}, results, time.perf_counter() - t0)
+
+
+_EXEMPT = 255  # the code of a record the counting identity does not apply to
+
+# a translate table that maps every nonzero byte to 255
+_ALL = b"\0" + b"\xff" * 255
+
+
+def _identity_worker(span) -> bytes:
+    """One code byte per record of span, graph6 records of one order, up
+    to 31, joined: _EXEMPT where a degree is held three times or a
+    vertex is isolated, where the counting identity does not apply, and
+    otherwise 16 * |s| + |t|, where s holds the degrees in [1, n-1] that
+    exactly two vertices have and t those that none has.
+
+    graphcore._degree_counts checks the span with graphcore._shape and
+    reads its count lanes: byte i of every lane belongs to record i.
+    The sizes of both sets sum translates of the count lanes of degrees
+    1..n-1.  No lane carries: a count is at most n, and a code at most
+    15 * (n // 2) + n - 1, which is 255 at order 31.
+    """
+    n, _, counts = _degree_counts(span)
+    if n > 31:
+        raise OrderOutOfRange(f"identity codes cover orders up to 31, got {n}")
+    count = len(counts[0])
+
+    def tally(table, lanes):
+        """The sum of each lane translated by table, as one int."""
+        return sum(int.from_bytes(lane.translate(table), "little") for lane in lanes)
+
+    # nonzero where a vertex is isolated or a degree held three times
+    void = int.from_bytes(counts[0], "little") + tally(_THRICE, counts[1:])
+    code = (16 * tally(_IS[2], counts[1:]) + tally(_IS[0], counts[1:])) | tally(
+        _ALL, [void.to_bytes(count, "little")]
+    )
+    return code.to_bytes(count, "little")
 
 
 def counting_identity_suite(max_n: int, jobs=None) -> VerificationReport:

@@ -6,12 +6,14 @@ edge lists written out here so tests can assert exact indices.
 
 import os
 import random
+from collections import Counter
 from itertools import combinations
+from typing import NamedTuple
 
 from rep3 import enumeration, harness
 from rep3.enumeration import catalogue_lines
 from rep3.errors import TheoremViolation
-from rep3.graphcore import _records, _width, from_edge_list, parse_graph6, write_graph6
+from rep3.graphcore import Graph, _records, _width, from_edge_list, parse_graph6, write_graph6
 from rep3.solver import DeletionCertificate, allowance, check_certificate, solve3
 
 
@@ -97,6 +99,28 @@ def seeded_graph(n, seed):
     return from_edge_list(
         n, [(i, j) for j in range(1, n) for i in range(j) if rng.random() < 0.5]
     )
+
+
+class DegreeProfile(NamedTuple):
+    rep: int
+    s_set: frozenset
+    t_set: frozenset
+
+
+def profile(g: Graph) -> DegreeProfile:
+    """g's degree profile, read from its degree histogram: the reference
+    the identity worker's code bytes are checked against.
+
+    rep is the repetition number, the largest number of vertices sharing
+    one degree value.  Over the value range [1, n-1], s_set collects the
+    degrees hit by exactly two vertices and t_set those hit by none.
+    Degree 0 and degree n-1 outside that range are deliberately not
+    tracked.
+    """
+    hist = Counter(g.degrees)
+    s = frozenset(d for d in range(1, g.n) if hist.get(d, 0) == 2)
+    t = frozenset(d for d in range(1, g.n) if d not in hist)
+    return DegreeProfile(max(hist.values()), s, t)
 
 
 def triple_signatures(g):

@@ -175,11 +175,17 @@ class TestVerifyTheorem:
             ]
         ],
     )
-    def test_malformed_source_record_raises(self, rec, jobs):
-        # records outside the swept orders, and records of a swept order
-        # but of another width, are validated before the sweep; a record
-        # of a swept order's width is packed and fails, typed, in the
-        # worker that parses it
+    def test_malformed_source_record_raises(self, rec, jobs, monkeypatch):
+        # the reader checks every line before the sweep, of whatever
+        # order or width; an empty one is a blank line, which it skips
+        # with no check, and which is not counted as skipped
+        calls = []
+        real_check = graphcore._check
+        monkeypatch.setattr(graphcore, "_check", lambda r: calls.append(r) or real_check(r))
+        if not rec:
+            report = verify_theorem(5, 5, source=[rec] * jobs, jobs=jobs)
+            assert (calls, report.skipped, report.checked) == ([], 0, 0)
+            return
         with pytest.raises(errors.MalformedRecord):
             verify_theorem(5, 5, source=[rec] * jobs, jobs=jobs)
 
@@ -937,7 +943,8 @@ def test_size_zero_fault_fails_every_size_zero_class(forks, monkeypatch, name, f
 def test_no_record_is_checked_twice(monkeypatch):
     # the fill and every sweep check each span once, with _shape, and
     # decode its records with no _check of their own; only the file
-    # reader checks records one at a time, once each
+    # reader checks records one at a time, once each, a record of an
+    # order outside the sweep too, and a blank line not at all
     calls = []
     real_check = graphcore._check
 
@@ -948,7 +955,6 @@ def test_no_record_is_checked_twice(monkeypatch):
     catalogue_lines(8)  # warm, before anything is counted
     warm = enumeration._catalogue[7]
     monkeypatch.setattr(graphcore, "_check", counted)
-    monkeypatch.setattr(harness, "_check", counted)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     with monkeypatch.context() as mp:
         mp.setattr(enumeration, "_catalogue", {1: b"@"})
@@ -960,9 +966,11 @@ def test_no_record_is_checked_twice(monkeypatch):
     assert counting_identity_suite(8, jobs=1).verified
     assert calls == []
     records = catalogue_records(5) + catalogue_records(6)
-    fh = io.BytesIO(b"".join(rec + b"\n" for rec in records))
-    assert verify_theorem(5, 6, source=read_graph6_records(fh), jobs=1).checked == len(records)
-    assert calls == list(records)
+    lines = [b"Bw", b"", *records]
+    fh = io.BytesIO(b"".join(line + b"\n" for line in lines))
+    report = verify_theorem(5, 6, source=fh, jobs=1)
+    assert (report.checked, report.skipped) == (len(records), 1)
+    assert calls == [line for line in lines if line]
 
 
 def test_guarded_keeps_a_rep3_error_of_the_one_record_rerun():

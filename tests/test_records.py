@@ -14,8 +14,9 @@ import pytest
 from rep3.feasible import TripleClassification, classify_triple
 from rep3.graphcore import parse_graph6
 from rep3.harness import VerificationReport
-from rep3.repetition import DegreeProfile, profile
 from rep3.solver import DeletionCertificate, solve3
+
+from helpers import DegreeProfile, profile
 
 EXTREMAL_8 = b"G?Cj|{"
 

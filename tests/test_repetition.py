@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from rep3.errors import MalformedRecord, OrderOutOfRange
 from rep3.graphcore import _check, _degree_counts, complement, from_edge_list, parse_graph6, write_graph6
-from rep3.repetition import _EXEMPT, _identity_codes, profile
+from rep3.harness import _EXEMPT, _identity_worker
 from rep3.solver import min_deletion_for_rep3
 
 import helpers
+from helpers import profile
 
 
 def random_graph(n, data):
@@ -132,7 +133,7 @@ class TestHasThreeEqual:
 
 
 def reference_code(rec):
-    """The code byte _identity_codes gives rec, from the public profile."""
+    """The code byte _identity_worker gives rec, from the public profile."""
     g = parse_graph6(rec)
     p = profile(g)
     if p.rep > 2 or 0 in g.degrees:
@@ -141,9 +142,9 @@ def reference_code(rec):
 
 
 def chunked_codes(records, size):
-    """_identity_codes over records cut into spans of size records."""
+    """_identity_worker over records cut into spans of size records."""
     return b"".join(
-        _identity_codes(b"".join(records[i:i + size])) for i in range(0, len(records), size)
+        _identity_worker(b"".join(records[i:i + size])) for i in range(0, len(records), size)
     )
 
 
@@ -162,7 +163,7 @@ class TestIdentityCodes:
         # labeled graphs in any vertex order, not only catalogue classes
         records = [write_graph6(random_graph(n, data)) for _ in range(count)]
         span = b"".join(records)
-        assert list(_identity_codes(span)) == [reference_code(rec) for rec in records]
+        assert list(_identity_worker(span)) == [reference_code(rec) for rec in records]
         order, lanes, counts = _degree_counts(span)
         assert order == n
         degrees = [parse_graph6(rec).degrees for rec in records]
@@ -175,7 +176,7 @@ class TestIdentityCodes:
     def test_order_9_matches_profile(self):
         records = helpers.catalogue_records(9)
         assert len(records) == 274668
-        assert list(_identity_codes(b"".join(records))) == [reference_code(rec) for rec in records]
+        assert list(_identity_worker(b"".join(records))) == [reference_code(rec) for rec in records]
 
     @pytest.mark.parametrize(
         "span,bad", [pytest.param(span, bad, id=name) for name, span, bad in helpers.BAD_SPANS]
@@ -184,7 +185,7 @@ class TestIdentityCodes:
         with pytest.raises(MalformedRecord) as alone:
             _check(bad)
         with pytest.raises(MalformedRecord) as caught:
-            _identity_codes(span)
+            _identity_worker(span)
         assert str(caught.value) == str(alone.value)
 
     @pytest.mark.parametrize(
@@ -194,10 +195,10 @@ class TestIdentityCodes:
         # each record is well formed alone; read together as one order,
         # K4 would be counted as a graph of order 3
         with pytest.raises(MalformedRecord) as caught:
-            _identity_codes(span)
+            _identity_worker(span)
         assert str(caught.value) == f"records of orders {orders} in one run"
 
     def test_orders_past_31_raise(self):
-        assert _identity_codes(write_graph6(helpers.empty(31))) == bytes([_EXEMPT])
+        assert _identity_worker(write_graph6(helpers.empty(31))) == bytes([_EXEMPT])
         with pytest.raises(OrderOutOfRange):
-            _identity_codes(write_graph6(helpers.empty(32)))
+            _identity_worker(write_graph6(helpers.empty(32)))
