@@ -178,11 +178,11 @@ class TestVerifyTheorem:
     def test_malformed_source_record_raises(self, rec, jobs, monkeypatch):
         # the reader checks every line before the sweep, of whatever
         # order or width; an empty one is a blank line, which it skips
-        # with no check, and which is not counted as skipped
-        calls = []
-        real_check = graphcore._check
-        monkeypatch.setattr(graphcore, "_check", lambda r: calls.append(r) or real_check(r))
+        # with no check and does not count as skipped
         if not rec:
+            calls = []
+            real_check = graphcore._check
+            monkeypatch.setattr(graphcore, "_check", lambda r: calls.append(r) or real_check(r))
             report = verify_theorem(5, 5, source=[rec] * jobs, jobs=jobs)
             assert (calls, report.skipped, report.checked) == ([], 0, 0)
             return
