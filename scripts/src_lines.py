@@ -2,14 +2,13 @@
 
 From the root of a rep3 checkout:
 
-    python3 scripts/src_lines.py [DIR]
+    python3 scripts/src_lines.py
 
-DIR defaults to src/.  Each .py file under DIR is parsed and written
-back with ast.unparse, with its module, class and function docstrings
-dropped; the non-blank lines of what remains are counted.  So comments,
-blank lines and line wrapping do not count, and a change to them moves
-no figure.  One line per module, then the total.  Standard library
-only.
+Each .py file under src/ is parsed and written back with ast.unparse,
+with its module, class and function docstrings dropped; the non-blank
+lines of what remains are counted.  So comments, blank lines and line
+wrapping do not count, and a change to them moves no figure.  One line
+per module, then the total.  Standard library only.
 """
 
 import ast
@@ -30,7 +29,7 @@ def count(source: str) -> int:
 
 
 def main() -> int:
-    root = Path(sys.argv[1] if len(sys.argv) > 1 else "src")
+    root = Path("src")
     total = 0
     for path in sorted(root.rglob("*.py")):
         lines = count(path.read_text(encoding="utf-8"))
