@@ -96,12 +96,12 @@ stream order.  At order 9 that is 1.83 MiB, where one bytes object per
 record took 10.5 MiB (sys.getsizeof summed).  Neither the fill nor a
 sweep holds an order as one object per record: _extend returns each
 edge count's records joined, _fill appends them to one bytearray per
-edge count and splits one edge count at a time to sort it, and _pool
+edge count and splits one edge count at a time to sort it, and _map
 maps over the compact forms themselves.  catalogue_lines and
 enumerate_graphs read the compact form, the latter through
 graphcore._records, as the fill's worker _children does.
 
-_pool gives one map per public call, over compact forms, and every map
+_map is the one map, over compact forms, of every fill and sweep.  It
 hands each worker call a whole chunk as it is cut: a span, one slice of
 one order's compact form, which the worker reads itself, and maps to a
 list of results, one per record, in order.  It reads the span all at
@@ -114,25 +114,26 @@ own, so no chunk spans two orders.  A map too small for 16 records per
 process runs in this process, with the same chunk rule, and so does
 every map at one job.  A larger map is sharded as geng shards by
 res/mod: of jobs processes, at most one per core, this one is process 0
-and the other jobs - 1 are children forked when the map starts, and
-chunk i goes to process i % jobs.  A child inherits every memoised order
-and memo as they stand, so nothing is sent to it: it cuts the same
-chunks, works its own, and writes each result, pickled, to its own
-pipe, which this process reads in chunk order between its own chunks.
-So a child runs ahead by at most its pipe's buffer and one chunk,
-whether each result is one small tuple (a sweep) or a parent's children
-(the fill).  The children end with their map; any still running when
-the call ends, however it ends, are killed, and all are reaped.  A
-worker that takes a chunk can answer for all its records at once, as
-the lemma scan and the identity kernel do.
+and the other jobs - 1 are children that _shared forks when the map
+starts, and chunk i goes to process i % jobs.  A child inherits every
+memoised order and memo as they stand, so nothing is sent to it: it
+cuts the same chunks, works its own, and writes each result, pickled,
+to its own pipe, which this process reads in chunk order between its
+own chunks.  So a child runs ahead by at most its pipe's buffer and one
+chunk, whether each result is one small tuple (a sweep) or a parent's
+children (the fill).  _shared owns the children it forks: however the
+map ends, run out, raising, or dropped unfinished, every child still
+running is killed, and each is reaped and its pipe closed.  A worker
+that takes a chunk can answer for all its records at once, as the lemma
+scan and the identity kernel do.
 
-_sweep is the one driver of harness's sweeps: it opens that map, fills
-any catalogue order the sweep needs and is not memoised yet, then maps
-the sweep's worker over the compact forms of their records, in record
-order, and pairs each result with its record as it unpacks them.  It
-takes records in the compact form only, the catalogue's own or a
+_sweep is the one driver of harness's sweeps: it fills any catalogue
+order the sweep needs and is not memoised yet, one map per order, then
+maps the sweep's worker over the compact forms of their records, in
+record order, and pairs each result with its record as it unpacks them.
+It takes records in the compact form only, the catalogue's own or a
 caller's (harness packs an input file's records so), so no sweep holds
-its records as one object each.  The map runs every worker through
+its records as one object each.  _map runs every worker through
 _guarded, so a crash in generation or in a sweep is a WorkerCrash that
 names the record it failed on, at any jobs count: only when a span
 fails with anything but a Rep3Error is it cut into records by the same
@@ -143,7 +144,7 @@ records of the chunk it owed.
 """
 
 import os
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from functools import partial
 from itertools import chain, combinations, islice
 from math import factorial, gcd
@@ -269,16 +270,14 @@ _CHUNKS = 16  # chunks per process in every shared map
 _PIPE_BYTES = 1 << 20
 
 
-@contextmanager
-def _pool(jobs):
-    """A map, imap(worker, blobs), for one public call.
+def _map(worker, blobs, jobs):
+    """worker's results over blobs, one by one, in record order, as they
+    arrive, for callers to fold, not keep.
 
     blobs are compact forms: per order, one bytes-like object of
     fixed-width records of that order, joined; an empty one is skipped.
     The worker takes a chunk, a span of whole records of one order, and
-    returns one result per record, in order; imap yields those results
-    one by one, in record order, as they arrive, for callers to fold,
-    not keep.
+    returns one result per record, in order; _guarded runs it.
 
     jobs None means os.cpu_count(), and no more processes work a map
     than there are cores.  Each map is cut into _CHUNKS chunks per
@@ -289,36 +288,26 @@ def _pool(jobs):
     span itself.  A map too small to share runs in this process, and so
     does every map at one job.  A larger map is shared as _shared
     shares it, this process working one chunk in jobs and jobs - 1
-    forked children the rest; the children end with the map, and every
-    one still running when the context exits, however it exits, is
-    killed and reaped.
+    forked children the rest.
     """
     cores = os.cpu_count() or 1
     jobs = min(max(1, int(cores if jobs is None else jobs)), cores)
-    children = []  # (pid, pipe) of every child not reaped yet
-
-    def imap(worker, blobs):
-        worker = partial(_guarded, worker)
-        # a record's first byte spells its order, hence its width
-        blobs = [(blob, _width(blob[0] - 63)) for blob in blobs if blob]
-        size = sum(len(blob) // width for blob, width in blobs) // (jobs * _CHUNKS)
-        step = max(1, size)
-        chunks = (
-            blob[i:i + step * width]
-            for blob, width in blobs
-            for i in range(0, len(blob), step * width)
-        )
-        if jobs < 2 or not size:
-            return chain.from_iterable(map(worker, chunks))
-        return chain.from_iterable(_shared(worker, chunks, jobs, children))
-
-    try:
-        yield imap
-    finally:
-        _reap(children)
+    worker = partial(_guarded, worker)
+    # a record's first byte spells its order, hence its width
+    blobs = [(blob, _width(blob[0] - 63)) for blob in blobs if blob]
+    size = sum(len(blob) // width for blob, width in blobs) // (jobs * _CHUNKS)
+    step = max(1, size)
+    chunks = (
+        blob[i:i + step * width]
+        for blob, width in blobs
+        for i in range(0, len(blob), step * width)
+    )
+    if jobs < 2 or not size:
+        return chain.from_iterable(map(worker, chunks))
+    return chain.from_iterable(_shared(worker, chunks, jobs))
 
 
-def _shared(worker, chunks, jobs, children):
+def _shared(worker, chunks, jobs):
     """worker(chunk) for each of chunks, in order, chunk i worked by
     process i % jobs: this one is process 0, and jobs - 1 children,
     forked when the map starts, are the rest.
@@ -331,62 +320,63 @@ def _shared(worker, chunks, jobs, children):
     chunk order, so a child runs ahead by at most its pipe's buffer,
     _PIPE_BYTES where the host allows, and one chunk.  A child that dies
     shows as the end of its pipe, raised as a WorkerCrash naming the
-    first and last records of the chunk it owed.  The children are
-    appended to children as (pid, pipe) and reaped when the map ends."""
+    first and last records of the chunk it owed.
+
+    The children are this generator's own: however it ends, run out,
+    raising (a fork that fails included), or closed unfinished, every
+    child is killed if still running and reaped, and every pipe end it
+    opened is closed."""
     import fcntl
     import pickle
 
-    pipes = []
-    for k in range(1, jobs):
-        r, w = os.pipe()
-        if hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux
-            with suppress(OSError):  # where the host allows it
-                fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        pid = os.fork()
-        if not pid:
-            status = 1
+    children, pipes = [], []  # every child's pid; every pipe's read end
+    try:
+        for k in range(1, jobs):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
             try:
-                os.close(r)
-                with open(w, "wb") as out:
-                    for chunk in islice(chunks, k, None, jobs):
-                        try:
-                            result = worker(chunk)
-                        except Rep3Error as exc:
-                            result = exc
-                        pickle.dump(result, out)
-                        out.flush()
-                status = 0
+                if hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux
+                    with suppress(OSError):  # where the host allows it
+                        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+                children.append(os.fork())
+                if not children[-1]:
+                    status = 1
+                    try:
+                        pipes[-1].close()
+                        with open(w, "wb") as out:
+                            for chunk in islice(chunks, k, None, jobs):
+                                try:
+                                    result = worker(chunk)
+                                except Rep3Error as exc:
+                                    result = exc
+                                pickle.dump(result, out)
+                                out.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)  # never return into the caller's frames
             finally:
-                os._exit(status)  # never return into the caller's frames
-        os.close(w)
-        pipes.append(open(r, "rb"))
-        children.append((pid, pipes[-1]))
-    for i, chunk in enumerate(chunks):
-        if not i % jobs:
-            yield worker(chunk)
-            continue
-        try:
-            result = pickle.load(pipes[i % jobs - 1])
-        except (EOFError, pickle.UnpicklingError):
-            width = _width(chunk[0] - 63)
-            first, last = (rec.decode("ascii", "replace") for rec in (chunk[:width], chunk[-width:]))
-            raise WorkerCrash(f"{first}..{last}: the worker process died") from None
-        if isinstance(result, Rep3Error):
-            raise result
-        yield result
-    _reap(children)
-
-
-def _reap(children):
-    """Kill every child of children that is still running, wait for
-    each, close its pipe and forget it."""
-    while children:
+                os.close(w)  # the child writes to its own copy
+        for i, chunk in enumerate(chunks):
+            if not i % jobs:
+                yield worker(chunk)
+                continue
+            try:
+                result = pickle.load(pipes[i % jobs - 1])
+            except (EOFError, pickle.UnpicklingError):
+                width = _width(chunk[0] - 63)
+                first, last = (rec.decode("ascii", "replace") for rec in (chunk[:width], chunk[-width:]))
+                raise WorkerCrash(f"{first}..{last}: the worker process died") from None
+            if isinstance(result, Rep3Error):
+                raise result
+            yield result
+    finally:
         from signal import SIGKILL
 
-        pid, pipe = children.pop()
-        os.kill(pid, SIGKILL)
-        os.waitpid(pid, 0)
-        pipe.close()
+        for pid in children:
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
 
 
 def _guarded(worker, span):
@@ -425,7 +415,7 @@ def catalogue_lines(n: int) -> bytes:
     without a record object.  Orders not yet memoised are generated over
     up to one process per core; a memoised order starts no process.
     """
-    blob = _compact(n)
+    blob = _fill(n, None)
     width = _width(n)
     count = len(blob) // width
     lines = bytearray(b"\n" * (count * (width + 1)))
@@ -434,36 +424,26 @@ def catalogue_lines(n: int) -> bytes:
     return bytes(lines)
 
 
-def _compact(n):
-    """The compact form of order n, generated over up to one process per
-    core unless memoised."""
-    if not 1 <= n <= MAX_ENUM:
-        raise OrderOutOfRange(f"enumeration supports orders 1..{MAX_ENUM}, got {n}")
-    with _pool(None) as imap:
-        return _fill(n, imap)
-
-
 def _sweep(worker, jobs, orders, blobs=None):
     """(record, worker(record)) pairs in record order, over blobs or,
     when blobs is None, over the catalogue of each of orders.
 
     blobs holds records in the catalogue's compact form: per order, one
     bytes-like object of fixed-width records of that order, joined; an
-    empty one is skipped.  One _pool(jobs) serves the whole call:
-    catalogue orders not memoised yet are generated with its map before
-    the sweep, which maps over the compact forms themselves and pairs
-    each result with its record as it unpacks them, blob by blob, so no
-    sweep holds its records as one object each.  A fold that stops
-    early, as by raising, drops this generator, which closes it and so
-    the _pool: any child still running is killed and reaped then.
+    empty one is skipped.  Catalogue orders not memoised yet are
+    generated first, each by a map of jobs processes, and the sweep is
+    one more: a _map over the compact forms themselves, whose results
+    are paired with their records as they are unpacked, blob by blob, so
+    no sweep holds its records as one object each.  A fold that stops
+    early, as by raising, drops this generator, and with it the map,
+    whose children are killed and reaped then.
     """
-    with _pool(jobs) as imap:
-        if blobs is None:
-            blobs = [_fill(n, imap) for n in orders]
-        results = imap(worker, blobs)
-        for blob in filter(None, blobs):
-            for (rec,), result in zip(iter_unpack(f"{_width(blob[0] - 63)}s", blob), results):
-                yield rec, result
+    if blobs is None:
+        blobs = [_fill(n, jobs) for n in orders]
+    results = _map(worker, blobs, jobs)
+    for blob in filter(None, blobs):
+        for (rec,), result in zip(iter_unpack(f"{_width(blob[0] - 63)}s", blob), results):
+            yield rec, result
 
 
 def _partitions(n, most=None):
@@ -498,9 +478,9 @@ def _level_counts(n):
     return [c // factorial(n) for c in counts]
 
 
-def _fill(n, imap):
-    """The compact form of order n, generating each order up to n that is
-    not memoised yet with the map imap of _pool.
+def _fill(n, jobs):
+    """The compact form of order n, 1 <= n <= 9, generating each order up
+    to n that is not memoised yet by a _map of jobs processes.
 
     The compact form of an order is one bytes: its records, all
     _width(n) bytes long, joined in stream order.  _extend gives each
@@ -513,11 +493,13 @@ def _fill(n, imap):
     and joined.  A miss raises IncompleteCatalogue.  No order is ever
     held as one object per record.  A parent whose extension fails with
     anything but a Rep3Error raises WorkerCrash naming that parent, as
-    imap runs every worker through _guarded."""
+    _map runs every worker through _guarded."""
+    if not 1 <= n <= MAX_ENUM:
+        raise OrderOutOfRange(f"enumeration supports orders 1..{MAX_ENUM}, got {n}")
     if n not in _catalogue:
         width = _width(n)
         levels = [bytearray() for _ in range(n * (n - 1) // 2 + 1)]  # records by edge count
-        for children in imap(_children, [_fill(n - 1, imap)]):
+        for children in _map(_children, [_fill(n - 1, jobs)], jobs):
             for edges, forms in children:
                 levels[edges] += forms
         for edges, level in enumerate(levels):
@@ -629,6 +611,6 @@ def enumerate_graphs(n: int):
     stream order from the compact form through graphcore._records, so
     the sequence is canonically labeled and identical across calls.
     """
-    for _, g in _records(_compact(n)):
+    for _, g in _records(_fill(n, None)):
         yield g
 

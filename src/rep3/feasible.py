@@ -36,7 +36,7 @@ as a one-byte code to every later triple, in any graph, that shares
 it.  Through order 8 the 731,424 triples have 2,946 signatures.
 
 One private entry point, _lemma_scan, is the lemma suites' span kernel:
-it reads a span of graph6 records of one order, as _pool cuts them, in
+it reads a span of graph6 records of one order, as _map cuts them, in
 runs of at most _SCAN_RUN records, each record in its own labels, which
 must be sorted by degree, as every catalogue record's are, so that a
 5-set's median-degree vertex is its median position.  A run is read

@@ -28,10 +28,10 @@ graph6 records only, each order's joined in the catalogue's compact
 form: the catalogue keeps them so, and verify_theorem packs the
 records graphcore.read_graph6_records hands out into the same form,
 one bytearray per order.  All four sweeps fold over
-enumeration._sweep, which opens one map per call: that map first
-generates any catalogue order the sweep needs and is not memoised yet,
-then hands the worker the sweep's records a chunk at a time, each
-chunk a span: one slice of an order's compact form, as _pool cuts it.
+enumeration._sweep, which first generates any catalogue order the
+sweep needs and is not memoised yet, then hands the worker the sweep's
+records through one enumeration._map, a chunk at a time, each chunk a
+span: one slice of an order's compact form, as _map cuts it.
 Each worker is a span kernel: it checks the span once, with
 graphcore._shape, reads it at once in byte lanes, one per record,
 through graphcore._lanes, and decodes a record only where the lanes do
@@ -248,8 +248,8 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
     lanes and checked against its own degree tuple, with no graph
     decoded; every other is decoded, solved by solve3 and checked by
     check_certificate.  jobs also sets the process count for any
-    catalogue order not yet generated, and one _pool serves that
-    generation and the sweep.  A sweep that checks no graph at all is
+    catalogue order not yet generated, whose fill is one map per
+    order before the sweep's own.  A sweep that checks no graph at all is
     not verified.  Graphs with minimum deletion 3 are collected as
     lower-bound witnesses.
     """
@@ -298,7 +298,7 @@ def _lemma_worker(span):
     paired_degree_gap instances, strong-form failures, violations).
 
     feasible._lemma_scan reads the span, records of one order as every
-    chunk of _pool's is, in byte lanes, and asks min_deletion_for_rep3,
+    chunk of _map's is, in byte lanes, and asks min_deletion_for_rep3,
     read here at call time, for the oracle minimum of the graphs that
     need one.  A record is scanned in its own labels, which must be
     sorted by degree, as every catalogue record's are; a record whose

@@ -235,7 +235,7 @@ REAL_WORKERS = {
 
 class OneSpan:
     """A stand-in for the real worker of its name: it requires one
-    bytes or bytearray span of whole records of one order, as _pool
+    bytes or bytearray span of whole records of one order, as _map
     cuts them, and then runs the real worker on that span.  With crash
     set it raises ZeroDivisionError on a span of more than one record,
     so only the one-record spans of _guarded's rerun reach the real
@@ -278,10 +278,10 @@ class ForkSpy:
                 self.maps[-1][0].append(pid)
             return pid
 
-        def shared(worker, chunks, jobs, children):
+        def shared(worker, chunks, jobs):
             pids, sizes = [], []
             self.maps.append((pids, sizes))
-            yield from real_shared(worker, counted(chunks, sizes), jobs, children)
+            yield from real_shared(worker, counted(chunks, sizes), jobs)
             for pid in pids:
                 try:
                     os.waitpid(pid, os.WNOHANG)

@@ -21,6 +21,7 @@ from rep3.graphcore import write_graph6
 from rep3.solver import solve3
 
 import helpers
+from test_acceptance import VERIFY_5_8_SHA256
 
 # labeled path 0-1-2-3; parses to degrees (1, 2, 2, 1)
 PATH4 = "Ch"
@@ -520,3 +521,15 @@ def test_import_stays_lean():
     lines = done.stdout.splitlines()
     # the sweep forks a child wherever there are two cores to share
     assert lines[0] == "[]" and lines[-1] == ("['pickle']" if os.cpu_count() > 1 else "[]")
+
+
+def test_report_digest_script_gives_the_pinned_digest():
+    # CI hashes the CLI's reports with scripts/report_digest.py, so the
+    # script must print the digest tier-1 pins for the same report
+    script = pathlib.Path(__file__).parent.parent / "scripts" / "report_digest.py"
+    done = subprocess.run(
+        [sys.executable, str(script)], input=harness.verify_theorem(5, 8).to_json(),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == VERIFY_5_8_SHA256 + "\n"

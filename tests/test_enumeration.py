@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import itertools
@@ -227,11 +228,10 @@ class TestEnumerate:
 
 
 def generated(monkeypatch, max_n, jobs):
-    """The records of orders 1..max_n generated afresh through one
-    _pool(jobs) map, split from their compact forms."""
+    """The records of orders 1..max_n generated afresh, each order by one
+    _map of jobs processes, split from their compact forms."""
     monkeypatch.setattr(enumeration, "_catalogue", {1: b"@"})
-    with enumeration._pool(jobs) as imap:
-        compact = [enumeration._fill(n, imap) for n in range(1, max_n + 1)]
+    compact = [enumeration._fill(n, jobs) for n in range(1, max_n + 1)]
     return [helpers.split(blob) for blob in compact]
 
 
@@ -334,16 +334,15 @@ def test_ordered_chunks_are_bounded(asked_chunks):
     # map is cut into 16 chunks per process, each worker call takes one
     # chunk, and each shared map forks one child at two jobs
     big = compact(9, 300_000)
-    with enumeration._pool(2) as imap:
-        assert list(imap(records_back, [big])) == helpers.split(big)
-        for size in (31, 32, 1_000):
-            blob = compact(5, size)
-            assert list(imap(records_back, [blob])) == helpers.split(blob)
-        # two orders share the rule, counted over both, and each is cut
-        # on its own: 1,500 records make chunks of 46
-        nine, five = compact(9, 1_000), compact(5, 500)
-        expected = helpers.split(nine) + helpers.split(five)
-        assert list(imap(records_back, [nine, b"", five])) == expected
+    assert list(enumeration._map(records_back, [big], 2)) == helpers.split(big)
+    for size in (31, 32, 1_000):
+        blob = compact(5, size)
+        assert list(enumeration._map(records_back, [blob], 2)) == helpers.split(blob)
+    # two orders share the rule, counted over both, and each is cut
+    # on its own: 1,500 records make chunks of 46
+    nine, five = compact(9, 1_000), compact(5, 500)
+    expected = helpers.split(nine) + helpers.split(five)
+    assert list(enumeration._map(records_back, [nine, b"", five], 2)) == expected
     assert asked_chunks.chunks == [
         (1, [9_375] * 32),
         # 31 records, under 16 per worker, ran in this process
@@ -364,10 +363,27 @@ def test_maps_in_this_process_cut_the_same_chunks(asked_chunks, jobs, sizes):
         return records_back(span)
 
     blob = compact(5, sum(sizes))
-    with enumeration._pool(jobs) as imap:
-        assert list(imap(records_here, [blob])) == helpers.split(blob)
+    assert list(enumeration._map(records_here, [blob], jobs)) == helpers.split(blob)
     assert seen == sizes
     assert asked_chunks.chunks == []
+
+
+def test_a_dropped_map_reaps_its_children_at_once(asked_chunks):
+    # a shared map owns its children: dropped unfinished, it kills and
+    # reaps them there and then, with no wait for the cycle collector
+    blob = compact(9, 3_000)
+    results = enumeration._map(records_back, [blob], 2)
+    assert next(results) == blob[:_width(9)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del results
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    finally:
+        if enabled:
+            gc.enable()
+    assert asked_chunks.children == [1]
 
 
 def test_fill_maps_parents_in_order(asked_chunks, monkeypatch):

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -545,7 +546,7 @@ class TestLemmaWorker:
     @pytest.mark.parametrize("planted", [False, True], ids=["real", "planted"])
     def test_chunks_match_reference(self, planted):
         # each order of 1..7 cut into chunks of 1, 2 and 7 records, and
-        # whole (order 7's 1,044 records in _SCAN_RUN runs), as _pool cuts
+        # whole (order 7's 1,044 records in _SCAN_RUN runs), as _map cuts
         # each order on its own, gives the reference's result record by
         # record
         orders = [catalogue_records(n) for n in range(1, 8)]
@@ -816,8 +817,7 @@ def test_pool_never_exceeds_the_cores(forks, jobs):
     # two cores, so at most two processes start
     blobs = [catalogue_lines(n).replace(b"\n", b"") for n in (5, 6)]
     forks.clear()
-    with enumeration._pool(jobs) as imap:
-        assert list(imap(orders, blobs)) == [5] * 34 + [6] * 156
+    assert list(enumeration._map(orders, blobs, jobs)) == [5] * 34 + [6] * 156
     assert forks.children == [1]
 
 
@@ -958,7 +958,7 @@ def test_no_record_is_checked_twice(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     with monkeypatch.context() as mp:
         mp.setattr(enumeration, "_catalogue", {1: b"@"})
-        assert enumeration._compact(7) == warm  # a cold fill, in this process
+        assert enumeration._fill(7, None) == warm  # a cold fill, in this process
     assert calls == []
     assert verify_theorem(5, 8, jobs=1).verified
     assert verify_lemmas(7, jobs=1).verified
@@ -1426,6 +1426,47 @@ def test_no_child_outlives_a_call(forks, monkeypatch, patch, call, raised, messa
     else:
         call()
     assert forks.children and set(forks.children) == {1}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_descriptors():
+    """This process's open file descriptors, or None where
+    /proc/self/fd is absent."""
+    fds = "/proc/self/fd"
+    return set(os.listdir(fds)) if os.path.isdir(fds) else None
+
+
+@pytest.mark.parametrize("good", [0, 1], ids=["first_fork_fails", "second_fork_fails"])
+def test_failed_fork_leaves_no_pipe_or_child(monkeypatch, capsys, good):
+    # a fork that fails, as with EAGAIN on a host out of processes,
+    # raises out of the sweep and is one error line from the CLI; the
+    # pipe made for it is closed, and a child forked before it is killed
+    # and reaped and its pipe closed too; three cores make two children
+    catalogue_records(7)  # a warm catalogue: the sweep is the one map
+    real_fork = os.fork
+    forked = []
+
+    def fork():
+        if len(forked) >= good:
+            raise OSError(errno.EAGAIN, "planted")
+        forked.append(real_fork())
+        return forked[-1]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "fork", fork)
+    before = open_descriptors()
+    with pytest.raises(OSError) as caught:
+        verify_theorem(5, 7)
+    assert caught.value.errno == errno.EAGAIN
+    assert len(forked) == good
+    assert open_descriptors() == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    capsys.readouterr()
+    assert run(["verify", "--min-n", "5", "--max-n", "7", "--jobs", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {caught.value}\n"
+    assert open_descriptors() == before
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
