@@ -21,7 +21,11 @@ strict validator of a record, and it decodes nothing; _decode decodes
 and checks nothing, so parse_graph6 is _check, then _decode.
 read_graph6_records runs _check on each line of a graph6 file, as
 iterating the open binary file gives them, and yields validated record
-bytes without building a graph.
+bytes without building a graph.  _pack_lines reads the same lines into
+one span per order it is asked for, checking each such line only for
+its width and then each span at once with _shape, and puts only the
+records of other orders to _check; either way, an error names the first
+bad line.
 
 _decode reads a record by a byte table.  Bit k of the triangle is the
 pair (i, j) with k = j(j-1)/2 + i at every order, so data byte p with
@@ -57,6 +61,7 @@ its shape and every endpoint.
 import json
 import struct
 import threading
+from array import array
 from math import isqrt
 
 from .errors import EmptyResult, LoopEdge, MalformedRecord, OrderOutOfRange, VertexOutOfRange
@@ -338,10 +343,12 @@ def _lanes(span, n, width):
         for k in range(n * (n - 1) // 2)
     ]
     degrees = [0] * n
-    for k, bits in enumerate(edges):
-        i, j = _pair(k)
-        degrees[i] += bits
-        degrees[j] += bits
+    bits = iter(edges)
+    for j in range(1, n):  # triangle bits k = j(j-1)/2 + i, in order
+        for i in range(j):
+            lane = next(bits)
+            degrees[i] += lane
+            degrees[j] += lane
     return edges, degrees
 
 
@@ -368,6 +375,29 @@ def _degree_counts(span):
     return n, degrees, counts
 
 
+def _lines(lines):
+    """(line number, record) for each non-blank line of lines, numbered
+    from 1: the line's own bytes without surrounding whitespace and a
+    leading ">>graph6<<" header, a MalformedRecord naming its line if
+    they are not ASCII."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip().removeprefix(_HEADER)
+        if not line:
+            continue
+        if not line.isascii():
+            raise MalformedRecord("non-ascii record", line=lineno)
+        # parse_graph6 drops one more header of its own
+        yield lineno, line.removeprefix(_HEADER)
+
+
+def _checked(lineno, rec):
+    """_check(rec), its error a MalformedRecord naming line lineno."""
+    try:
+        return _check(rec)
+    except (MalformedRecord, OrderOutOfRange) as exc:
+        raise MalformedRecord(str(exc), line=lineno) from None
+
+
 def read_graph6_records(lines):
     """The graph6 records of an iterable of byte lines, as bytes, in
     line order.
@@ -380,19 +410,63 @@ def read_graph6_records(lines):
     the header and surrounding whitespace, checked by _check as
     strictly as parse_graph6 checks it, but not decoded.
     """
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip().removeprefix(_HEADER)
-        if not line:
-            continue
-        if not line.isascii():
-            raise MalformedRecord("non-ascii record", line=lineno)
-        # parse_graph6 drops one more header of its own
-        rec = line.removeprefix(_HEADER)
-        try:
-            _check(rec)
-        except (MalformedRecord, OrderOutOfRange) as exc:
-            raise MalformedRecord(str(exc), line=lineno) from None
+    for lineno, rec in _lines(lines):
+        _checked(lineno, rec)
         yield rec
+
+
+def _pack_lines(lines, orders):
+    """(spans, skipped): the records of lines, read as
+    read_graph6_records reads them, packed per order of orders into one
+    bytearray each, the catalogue's compact form, in line order, and the
+    count of the records of other orders.
+
+    A line of a swept order is checked only for what packing needs: its
+    bytes are ASCII, and it is as wide as its order byte says.  Each
+    packed order is then checked once, by _shape; a record of any other
+    order is put to _check on its own line.  Whichever check fails first,
+    the error names the first bad line in file order, with _check's own
+    message: the packed orders are checked before any later line's error
+    is raised, and each packed record keeps its line number.
+    """
+    spans = {bytes([63 + n]): bytearray() for n in orders}
+    widths = {order: _width(order[0] - 63) for order in spans}
+    numbers = {order: array("L") for order in spans}  # each packed record's line
+    skipped = 0
+    try:
+        for lineno, rec in _lines(lines):
+            order = rec[:1]
+            if len(rec) == widths.get(order):
+                spans[order] += rec
+                numbers[order].append(lineno)
+            else:
+                _checked(lineno, rec)
+                skipped += 1
+    finally:
+        _check_packed(spans, numbers)
+    return list(spans.values()), skipped
+
+
+def _check_packed(spans, numbers):
+    """Check each of spans, whole records of one order, with _shape;
+    where one fails, raise _check's error for the first bad record of
+    all of them in line order, naming its line from numbers."""
+    bad = []
+    for order, span in spans.items():
+        try:
+            if span:
+                _shape(span)
+        except MalformedRecord:
+            records = struct.iter_unpack(f"{_width(order[0] - 63)}s", span)
+            for lineno, (rec,) in zip(numbers[order], records):
+                try:
+                    _check(rec)
+                except MalformedRecord as exc:
+                    bad.append((lineno, str(exc)))
+                    break
+    if bad:
+        lineno, message = min(bad)
+        raise MalformedRecord(message, line=lineno)
 
 
 def from_edge_json(text: str) -> Graph:

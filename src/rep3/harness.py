@@ -25,9 +25,9 @@ entirely are one fewer than those hit exactly twice.
 
 This module holds the reports, the workers and the folds.  Sweeps move
 graph6 records only, each order's joined in the catalogue's compact
-form: the catalogue keeps them so, and verify_theorem packs the
-records graphcore.read_graph6_records hands out into the same form,
-one bytearray per order.  All four sweeps fold over
+form: the catalogue keeps them so, and graphcore._pack_lines packs
+the records of verify_theorem's input file into the same form, one
+bytearray per order.  All four sweeps fold over
 enumeration._sweep, which first generates any catalogue order the
 sweep needs and is not memoised yet, then hands the worker the sweep's
 records through one enumeration._map, a chunk at a time, each chunk a
@@ -58,15 +58,17 @@ runs.  verify_lemmas counts the records of each order, whose 4-set and
 
 The theorem worker reads its span's degree and count lanes once, with
 graphcore._degree_counts, and takes each record's certificate from one
-search seam, _search.  A record with a degree held three times needs
-no deletion: solver._thrice_certificates reads its certificate off the
-lanes, the first three vertices, by index, of the smallest degree held
-three or more times, as min_deletion_for_rep3 gives it, and
-solver.check_size_zero checks it against the record's own degree
-tuple, reading nothing else the search computed.  Every other record,
-14,841 of order 9's 274,668 classes, is decoded and goes to solve3,
-the allowance test and check_certificate, one record at a time.
-find_extremal runs the same worker over the catalogue, so both solve
+search seam, _search, which hands the whole span to the lane kernel,
+solver._certificates: every record's certificate is the one
+min_deletion_for_rep3 gives at the allowance, found in byte lanes with
+no graph decoded.  A record with a degree held three times needs no
+deletion, and solver.check_size_zero checks its certificate against
+the record's own degree tuple, reading nothing else the search
+computed.  Every other record, 14,841 of order 9's 274,668 classes,
+is decoded only for the check: its certificate must keep to the
+allowance and pass check_certificate on the graph.  A record the
+kernel finds no set for is a violation, with the reason solve3 would
+give.  find_extremal runs the same worker over the catalogue, so both solve
 and check each class the same way; each worker returns its class's
 minimum deletion size or a violation, and each fold names classes by
 the record _sweep pairs with the result.
@@ -92,15 +94,8 @@ from typing import NamedTuple
 from .enumeration import MAX_ENUM, _sweep
 from .errors import OrderOutOfRange, TheoremViolation
 from .feasible import _lemma_scan
-from .graphcore import _IS, _THRICE, _decode, _degree_counts, _width, read_graph6_records
-from .solver import (
-    _thrice_certificates,
-    allowance,
-    check_certificate,
-    check_size_zero,
-    min_deletion_for_rep3,
-    solve3,
-)
+from .graphcore import _IS, _THRICE, _decode, _degree_counts, _pack_lines, _width
+from .solver import _certificates, allowance, check_certificate, check_size_zero, min_deletion_for_rep3
 
 
 class VerificationReport(NamedTuple):
@@ -210,22 +205,18 @@ def _theorem_worker(span):
 def _search(span, n, degrees, counts):
     """One (certificate, graph) pair per record of span, records of order
     n with degrees and counts as graphcore._degree_counts reads them, in
-    order: the theorem sweep's search.  A record with a degree held three
-    times takes its certificate from solver._thrice_certificates, with
-    no graph; any other is decoded and goes to solve3, and the
-    TheoremViolation solve3 raises, if it raises one, stands in for its
-    certificate."""
+    order: the theorem sweep's search.  solver._certificates searches
+    the whole span in byte lanes.  A certificate of size 0 comes with no
+    graph; any other record is decoded, and where the lanes find no set
+    within the allowance, the TheoremViolation solve3 raises on a miss,
+    word for word, stands in for its certificate."""
     width = _width(n)
-    for i, cert in enumerate(_thrice_certificates(n, degrees, counts)):
-        if cert is not None:
+    for i, cert in enumerate(_certificates(span, n, degrees, counts)):
+        if cert is not None and not cert.deleted:
             yield cert, None
             continue
         g = _decode(span[i * width:(i + 1) * width], n)
-        try:
-            cert = solve3(g)
-        except TheoremViolation as exc:
-            cert = exc
-        yield cert, g
+        yield cert or TheoremViolation(f"no deletion set of size <= {allowance(n)} found for {g!r}"), g
 
 
 def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> VerificationReport:
@@ -233,20 +224,25 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
 
     source None sweeps the catalogue; otherwise it is an iterable of the
     byte lines of a graph6 file, such as the open binary file itself,
-    which verify_theorem reads through graphcore.read_graph6_records.
-    That reader skips blank lines and a leading header, and checks each
-    record once, so a malformed one raises MalformedRecord naming its
-    line before the sweep starts.  A list of bare records is read the
-    same way.  Each record of a swept order is packed into one bytearray
-    per order, the catalogue's compact form, in input order; the orders
+    which verify_theorem reads through graphcore._pack_lines.  That
+    reader skips blank lines and a leading header, as
+    graphcore.read_graph6_records does, and packs each record of a
+    swept order into one bytearray per order, the catalogue's compact
+    form, in input order.  It checks each record once: a swept order's
+    for its width as it is packed, then all of that order at once with
+    graphcore._shape, and any other with graphcore._check; so a
+    malformed record raises MalformedRecord naming the first bad line
+    before the sweep starts.  A list of bare records is read the same
+    way.  The orders
     are then swept in turn, which leaves the report as it would be in
     input order, since each order's entry keeps its records' order.  A
     record of another order is counted in the report's skipped field
     and never solved.  The packed records go to one map, whose workers
-    check each span they take once, with graphcore._shape.  A record
-    with a degree held three times is certified from its span's byte
-    lanes and checked against its own degree tuple, with no graph
-    decoded; every other is decoded, solved by solve3 and checked by
+    check each span they take once, with graphcore._shape, and certify
+    every record of it from the span's byte lanes, by the lane kernel
+    solver._certificates.  A certificate of size 0 is checked against
+    its record's own degree tuple, with no graph decoded; any other
+    record is decoded only to check its certificate with
     check_certificate.  jobs also sets the process count for any
     catalogue order not yet generated, whose fill is one map per
     order before the sweep's own.  A sweep that checks no graph at all is
@@ -262,16 +258,7 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
     blobs = None  # the catalogue of each order
     skipped = 0
     if source is not None:
-        # keyed by order byte alone: the reader has checked each record,
-        # so one of a swept order has that order's width
-        packed = {63 + n: bytearray() for n in orders}
-        for rec in read_graph6_records(source):
-            blob = packed.get(rec[0])
-            if blob is not None:
-                blob += rec
-            else:
-                skipped += 1
-        blobs = packed.values()
+        blobs, skipped = _pack_lines(source, orders)
     per_n = {
         n: {
             "graph_count": 0,

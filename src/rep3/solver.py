@@ -1,10 +1,11 @@
 """Minimum-deletion search for three equal degrees.
 
-min_deletion_for_rep3 is the one search: plain brute force over
+min_deletion_for_rep3 searches one graph: plain brute force over
 deletion sets by increasing size, sets of one size in lexicographic
 order, so the first hit is a minimum and the same on every run.  solve3
 is that search at the theorem's allowance min(3, n-3), with a miss
-raised as TheoremViolation.
+raised as TheoremViolation; rep3 solve and the lemma suites' oracle
+use them.
 
 Size 0 is read off the sorted degree tuple: the smallest degree held
 three times, and its first three vertices, are the certificate.  Each
@@ -18,24 +19,26 @@ Certificates carry original vertex indices and can be re-checked from
 scratch by check_certificate, which builds the reduced graph with
 delete_vertices and shares no code with the search.
 
-The theorem sweep reads size 0 for a whole span at once:
-_thrice_certificates takes a span's degree and count lanes, one byte
-per record, as graphcore._degree_counts reads them, and gives each
-record with a degree held three times the certificate
-min_deletion_for_rep3 would, with no graph decoded.  Those
-certificates, and only those, are checked by check_size_zero, against
-the record's degree tuple alone: its order, no deletion, and three
-witnesses u < v < w, each of the degree named.  It shares the degree
-lanes with the search, as check_certificate shares Graph.degrees with
-min_deletion_for_rep3, and nothing else.  Every certificate solve3
-returns is checked by check_certificate.
+The theorem sweep searches a whole span at once, in byte lanes, one
+byte per record: _certificates takes the span's degree and count lanes
+as graphcore._degree_counts reads them, reads size 0 off them, and
+tries each larger size on the records still open, every set of that
+size side by side, by the same rule, so each record's certificate is
+the one min_deletion_for_rep3 gives at the allowance; no graph is
+decoded.  A certificate of size 0 is checked by check_size_zero,
+against the record's degree tuple alone: its order, no deletion, and
+three witnesses u < v < w, each of the degree named.  It shares the
+degree lanes with the search, as check_certificate shares Graph.degrees
+with min_deletion_for_rep3, and nothing else.  Every other certificate
+is checked by check_certificate, on the decoded graph.
 """
 
-from itertools import combinations
+from functools import cache
+from itertools import combinations, compress, repeat
 from typing import NamedTuple
 
 from .errors import BudgetExceedsOrder, OrderOutOfRange, TheoremViolation
-from .graphcore import _IS, _THRICE, Graph, delete_vertices
+from .graphcore import _IS, _THRICE, Graph, _lanes, _width, delete_vertices
 
 
 class DeletionCertificate(NamedTuple):
@@ -143,41 +146,131 @@ def check_certificate(g: Graph, c: DeletionCertificate) -> bool:
     return degrees[remap[u]] == degrees[remap[v]] == degrees[remap[w]] == c.witness_degree
 
 
-def _thrice_certificates(n, degrees, counts):
-    """Per record of a span of order n, the certificate
-    min_deletion_for_rep3 returns when it deletes nothing, or None for a
-    record with no degree held three times; degrees and counts are the
-    span's lanes as graphcore._degree_counts reads them.
+@cache
+def _sets(n, k):
+    """The k-sets of range(n), in combinations order, as indices, one
+    per set, into lists of lanes: for each place j, the j-th vertex of
+    every set; for each place j, v * n + the j-th vertex, for each
+    vertex v in turn, into a table of n * n lanes; and 2v + 1 where the
+    set holds v, else 2v, for each vertex v in turn."""
+    sets = list(combinations(range(n), k))
+    places = list(zip(*sets))
+    return (
+        places,
+        [[v * n + u for v in range(n) for u in p] for p in places],
+        [2 * v + (v in s) for v in range(n) for s in sets],
+    )
 
-    A lane here is an int with one byte per record, read little-endian.
-    target holds d + 1 in the byte of each record whose smallest degree
-    held three or more times is d, and 0 where there is none: walking
-    the count lanes up from degree 0, each record takes the first whose
-    translate by _THRICE reads 1 in its byte.  A degree lane plus one,
-    XORed with target, is 0 where its vertex holds that degree; seen,
-    the sum of those hits at lower vertices, ranks it, and witness lane
-    k sums v over the hits of vertices v that k hits precede.  No byte
-    carries: none exceeds 62.
+
+def _fold(x, size, blocks):
+    """The sum of the blocks, size bytes each, that x holds, blocks of
+    them; no byte carries where at most one block is nonzero in it."""
+    while blocks > 1:
+        half = (blocks + 1) // 2
+        x = (x & ((1 << 8 * size * half) - 1)) + (x >> 8 * size * half)
+        blocks = half
+    return x
+
+
+# the byte of a deleted vertex's degree, less its deleted neighbours:
+# above every degree, so no degree matches it
+_GONE = 192
+
+
+def _certificates(span, n, degrees, counts):
+    """Per record of span, graph6 records of order n joined, the
+    certificate min_deletion_for_rep3 returns at allowance(n), or None
+    where it finds none; degrees and counts are the span's lanes as
+    graphcore._degree_counts reads them.  The theorem sweep's search.
+
+    A lane here is an int, or its bytes, with one byte per record, read
+    little-endian.  Size 0 reads the span's own lanes.  Each larger size
+    k joins the records still open into a sub-span and reads its edge
+    and degree lanes once, with graphcore._lanes; then every k-set is
+    tried at once, in blocks: block i of a lane holds one byte per open
+    record for the i-th set in combinations order.  A survivor's block
+    is its degree less the edge lanes it shares with the set, a deleted
+    vertex's _GONE less the same, and each degree's count lane sums a
+    translate of those.
+
+    target holds d + 1 in the byte of each record and set whose
+    smallest degree held three or more times is d, and 0 where there is
+    none: walking the count lanes up from degree 0, each takes the first
+    whose translate by _THRICE reads 1 in its byte.  A record keeps only
+    the first set that hits, whose byte of seen, the OR of the blocks
+    that hit up to its own, doubling, is 0 in the block before.  A
+    degree lane plus one, XORed with target, is 0 where its vertex holds
+    that degree.  Walking the vertices up, need[j] holds the records
+    with j witnesses found, and witness lane j sums v over those hits
+    of v that find the (j + 1)-th: the first three survivors, by index,
+    as _witness_after reads them.  Each result lane then folds its
+    blocks into one, and the records that hit leave the search before
+    size k + 1.  No byte carries: none exceeds 193.
     """
-    count = len(degrees[0])
-    ones = int.from_bytes(b"\1" * count, "little")
-    left, target = ones, 0
-    for d, lane in enumerate(counts):
-        hit = int.from_bytes(lane.translate(_THRICE), "little") & left
-        target |= hit * (d + 1)
-        left ^= hit
-    witness, seen = [0, 0, 0], 0
-    for v, lane in enumerate(degrees):
-        held = ((int.from_bytes(lane, "little") + ones) ^ target).to_bytes(count, "little")
-        hits = int.from_bytes(held.translate(_IS[0]), "little")
-        ranks = seen.to_bytes(count, "little")
-        for k in range(3):
-            witness[k] += v * (hits & int.from_bytes(ranks.translate(_IS[k]), "little"))
-        seen += hits
-    return [
-        None if t == 0 else DeletionCertificate(n, (), (u, v, w), t - 1)
-        for t, u, v, w in zip(*(x.to_bytes(count, "little") for x in (target, *witness)))
-    ]
+    width = _width(n)
+    open_ = range(len(degrees[0]))
+    for k in range(allowance(n) + 1):
+        places, pairs, held = _sets(n, k)
+        size = len(open_)
+        blocks = len(held) // n
+        count = size * blocks
+        if k:
+            sub = b"".join([span[i * width:(i + 1) * width] for i in open_])
+            edges, lanes = _lanes(sub, n, width)
+            table = [bytes(size)] * (n * n)  # table[v * n + u]: the edge lane u, v
+            bits = iter(edges)
+            for v in range(1, n):  # edges[v(v-1)/2 + u] holds u < v
+                for u in range(v):
+                    table[u * n + v] = table[v * n + u] = next(bits).to_bytes(size, "little")
+            gone = bytes([_GONE]) * size
+            ends = [x for lane in lanes for x in (lane.to_bytes(size, "little"), gone)]
+            reduced = (
+                int.from_bytes(b"".join(map(ends.__getitem__, held)), "little")
+                - sum(int.from_bytes(b"".join(map(table.__getitem__, p)), "little") for p in pairs)
+            ).to_bytes(n * count, "little")
+            degrees = [reduced[v * count:(v + 1) * count] for v in range(n)]
+            counts = [
+                sum(map(int.from_bytes, map(bytes.translate, degrees, repeat(_IS[d])), repeat("little")))
+                .to_bytes(count, "little")
+                for d in range(n - k)
+            ]
+        ones = int.from_bytes(b"\1" * count, "little")
+        left, target = ones, 0
+        for d, lane in enumerate(counts):
+            hit = int.from_bytes(lane.translate(_THRICE), "little") & left
+            target |= hit * (d + 1)
+            left ^= hit
+        first = seen = ones ^ left
+        if blocks > 1:
+            shift = 8 * size
+            while shift < 8 * count:
+                seen |= seen << shift
+                shift *= 2
+            first &= ~(seen << 8 * size)
+            target &= first * 255
+        witness, need = [0, 0, 0], [first, 0, 0]
+        for v, lane in enumerate(degrees):
+            hits = ((int.from_bytes(lane, "little") + ones) ^ target).to_bytes(count, "little")
+            hits = int.from_bytes(hits.translate(_IS[0]), "little")
+            a, b, c = need[0] & hits, need[1] & hits, need[2] & hits
+            witness = [witness[0] + v * a, witness[1] + v * b, witness[2] + v * c]
+            need = [need[0] ^ a, need[1] ^ b | a, need[2] ^ c | b]
+        marks = [bytes([u]) * size for u in range(n)]
+        deleted = [int.from_bytes(b"".join(map(marks.__getitem__, p)), "little") & first * 255 for p in places]
+        found = [_fold(x, size, blocks).to_bytes(size, "little") for x in (target, *witness, *deleted)]
+        hits = [
+            DeletionCertificate(n, dropped, (u, v, w), t - 1) if t else None
+            for t, u, v, w, dropped in zip(*found[:4], zip(*found[4:]) if k else repeat(()))
+        ]
+        if k:
+            for i, cert in zip(open_, hits):
+                certs[i] = cert
+        else:
+            certs = hits
+        open_ = list(compress(open_, found[0].translate(_IS[0])))
+        if not open_:
+            break
+    return certs
 
 
 def check_size_zero(degrees, c: DeletionCertificate) -> bool:

@@ -6,6 +6,7 @@ edge lists written out here so tests can assert exact indices.
 
 import os
 import random
+import sys
 from collections import Counter
 from itertools import combinations
 from typing import NamedTuple
@@ -332,6 +333,18 @@ def labeled_records(seed=2026, count=2000):
         edges = [e for e in pairs if rng.random() < p]
         records.append(write_graph6(from_edge_list(n, edges)))
     return records
+
+
+def stream_records(count):
+    """The first count records of the seed-1 g6_stream input, as
+    perfbench/g6input.py writes them, as bytes."""
+    perfbench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import g6input
+    finally:
+        sys.path.remove(perfbench)
+    return [rec.encode("ascii") for rec in g6input.make_records(1)[:count]]
 
 
 def mask_search_certificate(g, max_k):

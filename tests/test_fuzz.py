@@ -3,7 +3,8 @@
 Whatever bytes arrive, parse_graph6 returns a Graph or raises a
 Rep3Error, and so does from_edge_json on any text.  Whatever byte lines
 arrive, read_graph6_records yields graph6 records (bytes that
-parse_graph6 accepts) or raises a Rep3Error.  `rep3 solve --graph`
+parse_graph6 accepts) or raises a Rep3Error, and verify --input's
+packing reader agrees with it.  `rep3 solve --graph`
 built from inline graph6 text or an edge-list JSON file exits 0, 1 or
 2 without raising, and names non-ASCII inline text and a file that is
 not UTF-8 with their typed errors.
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rep3.cli import run
 from rep3.errors import Rep3Error
-from rep3.graphcore import Graph, from_edge_json, parse_graph6, read_graph6_records, write_graph6
+from rep3.graphcore import Graph, _pack_lines, from_edge_json, parse_graph6, read_graph6_records, write_graph6
 
 # orders kept small so that solving a decoded graph stays quick
 _small_order = st.integers(1, 9)
@@ -141,6 +142,38 @@ def test_read_graph6_records_arbitrary_text(source):
         return
     for rec in records:
         assert isinstance(rec, bytes) and isinstance(parse_graph6(rec), Graph)
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=40),
+        st.lists(st.one_of(graph6_specs(), non_ascii_specs()), max_size=6).map("\n".join),
+    ),
+    st.integers(1, 9),
+    st.integers(0, 3),
+)
+@settings(max_examples=400, deadline=None)
+def test_packed_lines_agree_with_the_line_reader(source, low, count):
+    # verify --input's reader, which checks a swept order's lines only
+    # for their width and then each packed order at once, raises the
+    # line reader's error, naming the same first bad line, or packs the
+    # same records of the swept orders, in line order
+    if isinstance(source, str):
+        source = source.encode("utf-8", "surrogatepass")
+    orders = range(low, low + count)
+    try:
+        records = list(read_graph6_records(io.BytesIO(source)))
+    except Rep3Error as exc:
+        try:
+            _pack_lines(io.BytesIO(source), orders)
+        except Rep3Error as packed:
+            assert (type(packed), str(packed)) == (type(exc), str(exc))
+        else:
+            raise AssertionError(f"no error where the line reader raised {exc!r}")
+        return
+    spans, skipped = _pack_lines(io.BytesIO(source), orders)
+    assert spans == [b"".join(rec for rec in records if rec[0] - 63 == n) for n in orders]
+    assert skipped == sum(rec[0] - 63 not in orders for rec in records)
 
 
 @given(st.one_of(

@@ -149,11 +149,11 @@ class TestVerifyTheorem:
     def test_other_orders_skipped_and_never_solved(self, monkeypatch):
         solved = []
 
-        def solve3(g):
+        def solving(g):
             solved.append(g.n)
-            return harness.solve3(g)
+            return solve3(g)
 
-        monkeypatch.setattr(harness, "_search", helpers.searching_with(solve3))
+        monkeypatch.setattr(harness, "_search", helpers.searching_with(solving))
         source = [
             write_graph6(from_edge_list(n, [(0, 1)])) for n in (4, 5, 7, 6, 10)
         ]
@@ -224,6 +224,44 @@ class TestVerifyTheorem:
             text = json.dumps(report.comparable(), sort_keys=True)
             assert hashlib.sha256(text.encode()).hexdigest() == SHUFFLED_REPORT_SHA256
 
+    @pytest.mark.parametrize(
+        "lines,message",
+        [
+            pytest.param([b"Bw", b"D!!"], "line 2: data byte 33 outside [63, 126]", id="data-byte"),
+            pytest.param([b"Bw", b"DQ@"], "line 2: nonzero padding bits", id="padding"),
+            pytest.param(
+                [b"D??", b"E!!!", b"D!!", b"E???"], "line 2: data byte 33 outside [63, 126]", id="two-orders"
+            ),
+            pytest.param(
+                [b"D??", b"D?!", b"D?"], "line 2: data byte 33 outside [63, 126]", id="before-a-later-width"
+            ),
+            pytest.param(
+                [b"D??", b"DQ@", b"~abc"], "line 2: nonzero padding bits", id="before-a-later-order"
+            ),
+            pytest.param(
+                [b"D??", b"D?!", b"B!"], "line 2: data byte 33 outside [63, 126]", id="before-a-later-skip"
+            ),
+            pytest.param([b"D??", b"B!", b"D?!"], "line 2: data byte 33 outside [63, 126]", id="skip-first"),
+            pytest.param(
+                [b"D??", b"D?C", b"D?!", b"DQ@"], "line 3: data byte 33 outside [63, 126]", id="first-of-one-order"
+            ),
+        ],
+    )
+    def test_first_bad_line_is_named(self, forks, lines, message):
+        # a record of a swept order is packed once it is as wide as its
+        # order byte says; its data bytes and padding are checked with
+        # the rest of its order, before any later line's error is raised,
+        # and the error names the first bad line, as the line reader does,
+        # before the sweep forks a child
+        for source in (lines, read_graph6_records):
+            with pytest.raises(errors.MalformedRecord) as caught:
+                if source is read_graph6_records:
+                    list(source(lines))
+                else:
+                    verify_theorem(5, 6, source=source, jobs=2)
+            assert str(caught.value) == message
+        assert forks.children == []
+
     def test_short_record_of_a_swept_order_raises_before_any_pool(self, forks):
         # a record one byte short of its order's width is not packed: the
         # reader's own check rejects it before the sweep forks a child
@@ -278,22 +316,27 @@ def labeled_pools():
     return pools
 
 
-def thrice_certificates(span):
-    """solver._thrice_certificates over span, as the theorem worker
-    reads its lanes."""
-    return solver._thrice_certificates(*graphcore._degree_counts(span))
+def kernel_certificates(span):
+    """solver._certificates over span, as the theorem worker reads its
+    lanes."""
+    return solver._certificates(span, *graphcore._degree_counts(span))
 
 
 def assert_kernel_matches_reference(records):
-    """The theorem worker over the span of records, one order's, against
-    helpers.theorem_result record by record; and each size-0 certificate
-    the lanes give against solve3's, which check_certificate accepts."""
+    """The lane kernel over the span of records, one order's, against
+    min_deletion_for_rep3 at the allowance, record by record: the same
+    deleted set, witness and degree, which check_certificate accepts;
+    and the theorem worker over the span against helpers.theorem_result."""
     span = b"".join(records)
-    for rec, cert in zip(records, thrice_certificates(span), strict=True):
+    for rec, cert in zip(records, kernel_certificates(span), strict=True):
         g = parse_graph6(rec)
-        expected = solve3(g)
-        assert cert == (None if expected.deleted else expected), rec
-        assert cert is None or check_certificate(g, cert)
+        expected = min_deletion_for_rep3(g, solver.allowance(g.n))
+        assert (cert.deleted, cert.witness, cert.witness_degree) == (
+            expected.deleted,
+            expected.witness,
+            expected.witness_degree,
+        ), rec
+        assert cert == expected and check_certificate(g, cert)
     assert harness._theorem_worker(span) == list(map(helpers.theorem_result, records))
 
 
@@ -328,15 +371,39 @@ class TestTheoremKernel:
         kinds = data.draw(st.lists(st.booleans(), min_size=1, max_size=12))
         assert_kernel_matches_reference([data.draw(st.sampled_from(pools[n, zero])) for zero in kinds])
 
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+    def test_stream_records_match_reference(self, n):
+        # the first 3,000 records of the seed-1 g6_stream input, one span
+        # per order, relabelled G?Cj|{ copies among the order-8 ones
+        records = [rec for rec in helpers.stream_records(3000) if rec[0] - 63 == n]
+        sizes = [len(solve3(parse_graph6(rec)).deleted) for rec in records]
+        # orders 5..7 reach size 2, the G?Cj|{ copies size 3
+        assert {0, 1} <= set(sizes) and max(sizes) == {5: 2, 6: 2, 7: 2, 8: 3, 9: 1}[n]
+        assert_kernel_matches_reference(records)
+
+    def test_size_three_span_matches_reference(self):
+        # a span made only of relabellings of G?Cj|{, the one order-8
+        # class that needs three deletions, so every record reaches the
+        # search's last size
+        rng = random.Random(40)
+        g = parse_graph6(b"G?Cj|{")
+        records = []
+        for _ in range(300):
+            perm = rng.sample(range(8), 8)
+            records.append(write_graph6(from_edge_list(8, [(perm[u], perm[v]) for u, v in g.edges()])))
+        assert len(set(records)) > 250
+        assert all(len(solve3(parse_graph6(rec)).deleted) == 3 for rec in records)
+        assert_kernel_matches_reference(records)
+
     def test_witnesses_by_index(self):
         # the path 0-1-2-3-4, degrees (1, 2, 2, 2, 1); the path 0-3-1-4-2,
         # degrees (1, 2, 1, 2, 2); and antiregular5, whose degrees
         # (4, 3, 2, 2, 1) hold none three times, read as one span
         span = b"DhC" + b"DEW" + write_graph6(helpers.antiregular5())
-        assert thrice_certificates(span) == [
+        assert kernel_certificates(span) == [
             solver.DeletionCertificate(5, (), (1, 2, 3), 2),
             solver.DeletionCertificate(5, (), (1, 3, 4), 2),
-            None,
+            min_deletion_for_rep3(helpers.antiregular5(), 2),
         ]
 
 
@@ -699,8 +766,9 @@ class TestFindExtremal:
             assert len(min_deletion_for_rep3(g, 3).deleted) == 3
 
     def test_theorem_miss_raises(self, monkeypatch):
-        # a class the search cannot solve must not drop out of the listing
-        monkeypatch.setattr(solver, "min_deletion_for_rep3", lambda g, k: None)
+        # a class the search cannot solve must not drop out of the listing:
+        # the lane kernel finds no set for any class that needs a deletion
+        monkeypatch.setattr(harness, "_certificates", _certificates_missing)
         with pytest.raises(errors.TheoremViolation):
             find_extremal(5)
 
@@ -880,7 +948,7 @@ def test_oversized_deletion_set_is_a_violation(forks, monkeypatch, solve, reason
     assert forks.children == [1, 1]
 
 
-_real_thrice_certificates = harness._thrice_certificates
+_real_certificates = harness._certificates
 
 
 def _another_degree(cert):
@@ -894,26 +962,31 @@ def _repeated_witness(cert):
     return cert._replace(witness=(u, v, v))
 
 
-def _thrice_certificates_editing(edit):
-    """harness._thrice_certificates with edit applied to every
-    certificate it gives."""
-    return lambda n, degrees, counts: [
-        cert and edit(cert) for cert in _real_thrice_certificates(n, degrees, counts)
+def _certificates_editing(edit):
+    """harness._certificates with edit applied to every certificate of
+    size 0 it gives."""
+    return lambda span, n, degrees, counts: [
+        cert if cert.deleted else edit(cert) for cert in _real_certificates(span, n, degrees, counts)
     ]
+
+
+def _certificates_missing(span, n, degrees, counts):
+    """harness._certificates finding no set of one deletion or more."""
+    return [None if cert.deleted else cert for cert in _real_certificates(span, n, degrees, counts)]
 
 
 @pytest.mark.parametrize(
     "name,fault,edit",
     [
         pytest.param(
-            "_thrice_certificates",
-            _thrice_certificates_editing(_another_degree),
+            "_certificates",
+            _certificates_editing(_another_degree),
             _another_degree,
             id="another-degree",
         ),
         pytest.param(
-            "_thrice_certificates",
-            _thrice_certificates_editing(_repeated_witness),
+            "_certificates",
+            _certificates_editing(_repeated_witness),
             _repeated_witness,
             id="repeated-witness",
         ),
@@ -940,11 +1013,35 @@ def test_size_zero_fault_fails_every_size_zero_class(forks, monkeypatch, name, f
     assert forks.children == [1]
 
 
+def test_kernel_miss_gives_the_solve3_reason(forks, monkeypatch):
+    # where the lane kernel finds no set, the report gives, for each such
+    # class and no other, the reason solve3 raises when its search finds
+    # none, word for word, in this process and in a shared map
+    expected = []
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "min_deletion_for_rep3", lambda g, k: None)
+        for rec in catalogue_records(6):
+            g = parse_graph6(rec)
+            if min_deletion_for_rep3(g, 0) is None:
+                with pytest.raises(errors.TheoremViolation) as caught:
+                    solve3(g)
+                expected.append((rec.decode(), str(caught.value)))
+    assert len(expected) == 32
+    assert expected[0][1].startswith("no deletion set of size <= 3 found for Graph(n=6, edges=")
+    monkeypatch.setattr(harness, "_certificates", _certificates_missing)
+    for jobs in (1, 2):
+        report = verify_theorem(6, 6, jobs=jobs)
+        assert [(v["graph"], v["reason"]) for v in report.per_n[6]["violations"]] == expected
+        assert report.per_n[6]["min_deletion_histogram"] == [124, 0, 0, 0]
+    assert forks.children == [1]
+
+
 def test_no_record_is_checked_twice(monkeypatch):
     # the fill and every sweep check each span once, with _shape, and
-    # decode its records with no _check of their own; only the file
-    # reader checks records one at a time, once each, a record of an
-    # order outside the sweep too, and a blank line not at all
+    # decode its records with no _check of their own; the file reader
+    # checks each swept order's packed records with one _shape, and puts
+    # only a record of an order outside the sweep to _check, once, and a
+    # blank line not at all
     calls = []
     real_check = graphcore._check
 
@@ -970,7 +1067,7 @@ def test_no_record_is_checked_twice(monkeypatch):
     fh = io.BytesIO(b"".join(line + b"\n" for line in lines))
     report = verify_theorem(5, 6, source=fh, jobs=1)
     assert (report.checked, report.skipped) == (len(records), 1)
-    assert calls == [line for line in lines if line]
+    assert calls == [b"Bw"]
 
 
 def test_guarded_keeps_a_rep3_error_of_the_one_record_rerun():
