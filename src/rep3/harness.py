@@ -68,8 +68,8 @@ computed.  Every other record, 14,841 of order 9's 274,668 classes,
 is decoded only for the check: its certificate must keep to the
 allowance and pass check_certificate on the graph.  A record the
 kernel finds no set for is a violation, with the reason solve3 would
-give.  find_extremal runs the same worker over the catalogue, so both solve
-and check each class the same way; each worker returns its class's
+give.  find_extremal runs the same worker over the catalogue, so both
+solve and check each class the same way; each worker returns its class's
 minimum deletion size or a violation, and each fold names classes by
 the record _sweep pairs with the result.
 
@@ -406,11 +406,13 @@ def find_extremal(n: int):
     min(3, n-3), the largest value the order allows.
 
     Each class goes through the theorem sweep's worker, over up to one
-    process per core, so a class the theorem misses, or whose
-    certificate fails its independent check (check_size_zero for a class
-    with a degree held three times, check_certificate for any other),
-    raises TheoremViolation rather than dropping out of the listing.  Output is exploratory: which orders contain
-    maximal-cost classes is recorded, not asserted.
+    process per core: the lane kernel solver._certificates finds every
+    certificate, and a class it finds no set for, or whose certificate
+    fails its independent check (check_size_zero for a class with a
+    degree held three times, check_certificate on the decoded graph for
+    any other), raises TheoremViolation rather than dropping out of the
+    listing.  Output is exploratory: which orders contain maximal-cost
+    classes is recorded, not asserted.
     """
     if not 5 <= n <= MAX_ENUM:
         raise OrderOutOfRange(f"extremal search covers orders 5..{MAX_ENUM}, got {n}")

@@ -8,6 +8,7 @@ import os
 import random
 import sys
 from collections import Counter
+from functools import cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -335,6 +336,7 @@ def labeled_records(seed=2026, count=2000):
     return records
 
 
+@cache
 def stream_records(count):
     """The first count records of the seed-1 g6_stream input, as
     perfbench/g6input.py writes them, as bytes."""

@@ -398,12 +398,13 @@ class TestTheoremKernel:
     def test_witnesses_by_index(self):
         # the path 0-1-2-3-4, degrees (1, 2, 2, 2, 1); the path 0-3-1-4-2,
         # degrees (1, 2, 1, 2, 2); and antiregular5, whose degrees
-        # (4, 3, 2, 2, 1) hold none three times, read as one span
+        # (4, 3, 2, 2, 1) hold none three times, and which deleting vertex
+        # 1 leaves with degrees (3, -, 1, 1, 1), read as one span
         span = b"DhC" + b"DEW" + write_graph6(helpers.antiregular5())
         assert kernel_certificates(span) == [
             solver.DeletionCertificate(5, (), (1, 2, 3), 2),
             solver.DeletionCertificate(5, (), (1, 3, 4), 2),
-            min_deletion_for_rep3(helpers.antiregular5(), 2),
+            solver.DeletionCertificate(5, (1,), (2, 3, 4), 1),
         ]
 
 
