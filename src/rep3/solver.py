@@ -154,11 +154,11 @@ def _sets(n, k):
     vertex v in turn, into a table of n * n lanes; and 2v + 1 where the
     set holds v, else 2v, for each vertex v in turn."""
     sets = list(combinations(range(n), k))
-    places = list(zip(*sets))
+    places = tuple(zip(*sets))
     return (
         places,
-        [[v * n + u for v in range(n) for u in p] for p in places],
-        [2 * v + (v in s) for v in range(n) for s in sets],
+        tuple(tuple(v * n + u for v in range(n) for u in p) for p in places),
+        tuple(2 * v + (v in s) for v in range(n) for s in sets),
     )
 
 
@@ -258,15 +258,15 @@ def _certificates(span, n, degrees, counts):
         marks = [bytes([u]) * size for u in range(n)]
         deleted = [int.from_bytes(b"".join(map(marks.__getitem__, p)), "little") & first * 255 for p in places]
         found = [_fold(x, size, blocks).to_bytes(size, "little") for x in (target, *witness, *deleted)]
-        hits = [
+        made = [
             DeletionCertificate(n, dropped, (u, v, w), t - 1) if t else None
             for t, u, v, w, dropped in zip(*found[:4], zip(*found[4:]) if k else repeat(()))
         ]
         if k:
-            for i, cert in zip(open_, hits):
+            for i, cert in zip(open_, made):
                 certs[i] = cert
         else:
-            certs = hits
+            certs = made
         open_ = list(compress(open_, found[0].translate(_IS[0])))
         if not open_:
             break
