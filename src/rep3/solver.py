@@ -148,11 +148,11 @@ def check_certificate(g: Graph, c: DeletionCertificate) -> bool:
 
 @cache
 def _sets(n, k):
-    """The k-sets of range(n), in combinations order, as indices, one
-    per set, into lists of lanes: for each place j, the j-th vertex of
-    every set; for each place j, v * n + the j-th vertex, for each
-    vertex v in turn, into a table of n * n lanes; and 2v + 1 where the
-    set holds v, else 2v, for each vertex v in turn."""
+    """(places, pairs, held): the k-sets of range(n), in combinations
+    order, as indices.  places[j] holds the j-th vertex of each set;
+    pairs[j], for each vertex v in turn, v * n plus that vertex, an
+    index into a table of n * n lanes; and held, for each vertex v in
+    turn, 2v + 1 for each set that holds v and 2v for each other."""
     sets = list(combinations(range(n), k))
     places = tuple(zip(*sets))
     return (
