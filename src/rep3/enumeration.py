@@ -102,17 +102,17 @@ enumerate_graphs read the compact form, the latter through
 graphcore._records, as the fill's worker _children does.
 
 _map is the one map, over compact forms, of every fill and sweep.  It
-hands each worker call a whole chunk as it is cut: a span, one slice of
-one order's compact form, which the worker reads itself, and maps to a
-list of results, one per record, in order.  It reads the span all at
-once or through graphcore._records, the one reader of a span's records,
-which checks the span once and hands out (record, Graph) pairs, so no
-worker parses or checks a record again.  The map yields those results
-one by one, in record order.  Every map is cut into 16 chunks per
-process, counted over all its records, and each order is cut on its
-own, so no chunk spans two orders.  A map too small for 16 records per
-process runs in this process, with the same chunk rule, and so does
-every map at one job.  A larger map is sharded as geng shards by
+hands each worker call a whole chunk as _cut cuts it: a span, one slice
+of one order's compact form, which the worker reads itself, and answers
+with one result for the whole span.  It reads the span all at once or
+through graphcore._records, the one reader of a span's records, which
+checks the span once and hands out (record, Graph) pairs, so no worker
+parses or checks a record again.  The map yields one result per chunk,
+in chunk order, hence record order.  Every map is cut into 16 chunks
+per process, counted over all its records, and each order is cut on
+its own, so no chunk spans two orders.  A map too small for 16
+records per process runs in this process, with the same chunk rule,
+and so does every map at one job.  A larger map is sharded as geng shards by
 res/mod: of jobs processes, at most one per core, this one is process 0
 and the other jobs - 1 are children that _shared forks when the map
 starts, and chunk i goes to process i % jobs.  A child inherits every
@@ -120,17 +120,19 @@ memoised order and memo as they stand, so nothing is sent to it: it
 cuts the same chunks, works its own, and writes each result, pickled,
 to its own pipe, which this process reads in chunk order between its
 own chunks.  So a child runs ahead by at most its pipe's buffer and one
-chunk, whether each result is one small tuple (a sweep) or a parent's
-children (the fill).  _shared owns the children it forks: however the
-map ends, run out, raising, or dropped unfinished, every child still
-running is killed, and each is reaped and its pipe closed.  A worker
+chunk, whether each result is a few bytes a record (a sweep) or each
+parent's children (the fill).  _shared owns the children it forks:
+however the map ends, run out, raising, or dropped unfinished, every
+child still running is killed, and each is reaped and its pipe
+closed.  A worker
 that takes a chunk can answer for all its records at once, as the lemma
 scan and the identity kernel do.
 
 _sweep is the one driver of harness's sweeps: it fills any catalogue
 order the sweep needs and is not memoised yet, one map per order, then
 maps the sweep's worker over the compact forms of their records, in
-record order, and pairs each result with its record as it unpacks them.
+record order, and pairs each chunk's result with its span, which the
+fold reads a span at a time.
 It takes records in the compact form only, the catalogue's own or a
 caller's (harness packs an input file's records so), so no sweep holds
 its records as one object each.  _map runs every worker through
@@ -271,28 +273,37 @@ _PIPE_BYTES = 1 << 20
 
 
 def _map(worker, blobs, jobs):
-    """worker's results over blobs, one by one, in record order, as they
-    arrive, for callers to fold, not keep.
+    """worker's result for each chunk of blobs, one by one, in chunk
+    order, as they arrive, for callers to fold, not keep.
 
     blobs are compact forms: per order, one bytes-like object of
     fixed-width records of that order, joined; an empty one is skipped.
-    The worker takes a chunk, a span of whole records of one order, and
-    returns one result per record, in order; _guarded runs it.
+    The worker takes a chunk, a span of whole records of one order, as
+    _cut cuts it, and returns its result for the whole span; _guarded
+    runs it.  A map too small to share runs in this process, and so
+    does every map at one job.  A larger map is shared as _shared
+    shares it, this process working one chunk in jobs and jobs - 1
+    forked children the rest.
+    """
+    jobs, chunks = _cut(blobs, jobs)
+    worker = partial(_guarded, worker)
+    if jobs < 2:
+        return map(worker, chunks)
+    return _shared(worker, chunks, jobs)
+
+
+def _cut(blobs, jobs):
+    """(processes, chunks): how many processes work a map of blobs at
+    jobs, and its chunks, made one at a time, each a slice of its blob.
 
     jobs None means os.cpu_count(), and no more processes work a map
     than there are cores.  Each map is cut into _CHUNKS chunks per
     process, counted over the records of all its blobs, and each blob is
     cut on its own, so no chunk spans two orders; a map with fewer
-    records than that holds one record per chunk.  The chunks are made
-    one at a time, each a slice of its blob, and the worker reads that
-    span itself.  A map too small to share runs in this process, and so
-    does every map at one job.  A larger map is shared as _shared
-    shares it, this process working one chunk in jobs and jobs - 1
-    forked children the rest.
-    """
+    records than that holds one record per chunk and is worked by one
+    process."""
     cores = os.cpu_count() or 1
     jobs = min(max(1, int(cores if jobs is None else jobs)), cores)
-    worker = partial(_guarded, worker)
     # a record's first byte spells its order, hence its width
     blobs = [(blob, _width(blob[0] - 63)) for blob in blobs if blob]
     size = sum(len(blob) // width for blob, width in blobs) // (jobs * _CHUNKS)
@@ -302,9 +313,7 @@ def _map(worker, blobs, jobs):
         for blob, width in blobs
         for i in range(0, len(blob), step * width)
     )
-    if jobs < 2 or not size:
-        return chain.from_iterable(map(worker, chunks))
-    return chain.from_iterable(_shared(worker, chunks, jobs))
+    return (jobs if size else 1), chunks
 
 
 def _shared(worker, chunks, jobs):
@@ -425,25 +434,22 @@ def catalogue_lines(n: int) -> bytes:
 
 
 def _sweep(worker, jobs, orders, blobs=None):
-    """(record, worker(record)) pairs in record order, over blobs or,
-    when blobs is None, over the catalogue of each of orders.
+    """(span, worker(span)) pairs, one per chunk, in record order, over
+    blobs or, when blobs is None, over the catalogue of each of orders.
 
     blobs holds records in the catalogue's compact form: per order, one
     bytes-like object of fixed-width records of that order, joined; an
     empty one is skipped.  Catalogue orders not memoised yet are
     generated first, each by a map of jobs processes, and the sweep is
-    one more: a _map over the compact forms themselves, whose results
-    are paired with their records as they are unpacked, blob by blob, so
+    one more: a _map over the compact forms themselves, each result
+    paired with the span it answers, cut again here by _cut's rule, so
     no sweep holds its records as one object each.  A fold that stops
-    early, as by raising, drops this generator, and with it the map,
-    whose children are killed and reaped then.
+    early, as by raising, drops the pairs, and with them the map, whose
+    children are killed and reaped then.
     """
     if blobs is None:
         blobs = [_fill(n, jobs) for n in orders]
-    results = _map(worker, blobs, jobs)
-    for blob in filter(None, blobs):
-        for (rec,), result in zip(iter_unpack(f"{_width(blob[0] - 63)}s", blob), results):
-            yield rec, result
+    return zip(_cut(blobs, jobs)[1], _map(worker, blobs, jobs), strict=True)
 
 
 def _partitions(n, most=None):
@@ -499,7 +505,7 @@ def _fill(n, jobs):
     if n not in _catalogue:
         width = _width(n)
         levels = [bytearray() for _ in range(n * (n - 1) // 2 + 1)]  # records by edge count
-        for children in _map(_children, [_fill(n - 1, jobs)], jobs):
+        for children in chain.from_iterable(_map(_children, [_fill(n - 1, jobs)], jobs)):
             for edges, forms in children:
                 levels[edges] += forms
         for edges, level in enumerate(levels):

@@ -19,13 +19,11 @@ bytes and is strict: wrong record length, a data byte outside [63, 126],
 or a nonzero padding bit all reject the record.  _check is that one
 strict validator of a record, and it decodes nothing; _decode decodes
 and checks nothing, so parse_graph6 is _check, then _decode.
-read_graph6_records runs _check on each line of a graph6 file, as
-iterating the open binary file gives them, and yields validated record
-bytes without building a graph.  _pack_lines reads the same lines into
-one span per order it is asked for, checking each such line only for
-its width and then each span at once with _shape, and puts only the
-records of other orders to _check; either way, an error names the first
-bad line.
+_pack_lines reads the lines of a graph6 file, as iterating the open
+binary file gives them, into one span per order it is asked for,
+checking each such line only for its width and then each span at once
+with _shape, and puts only the records of other orders to _check; an
+error names the first bad line, as _checked names it.
 
 _decode reads a record by a byte table.  Bit k of the triangle is the
 pair (i, j) with k = j(j-1)/2 + i at every order, so data byte p with
@@ -398,28 +396,13 @@ def _checked(lineno, rec):
         raise MalformedRecord(str(exc), line=lineno) from None
 
 
-def read_graph6_records(lines):
-    """The graph6 records of an iterable of byte lines, as bytes, in
-    line order.
-
-    lines is what iterating a binary file gives: each line ends at
-    b"\n", so a lone b"\r" stays inside its line.  Blank lines and a
-    leading ">>graph6<<" header are tolerated; anything else malformed,
-    non-ASCII bytes and multi-byte orders included, is a MalformedRecord
-    naming its 1-based line.  A record is the line's own bytes without
-    the header and surrounding whitespace, checked by _check as
-    strictly as parse_graph6 checks it, but not decoded.
-    """
-    for lineno, rec in _lines(lines):
-        _checked(lineno, rec)
-        yield rec
-
-
 def _pack_lines(lines, orders):
-    """(spans, skipped): the records of lines, read as
-    read_graph6_records reads them, packed per order of orders into one
-    bytearray each, the catalogue's compact form, in line order, and the
-    count of the records of other orders.
+    """(spans, skipped): the records of lines, each a non-blank line as
+    _lines reads it, packed per order of orders into one bytearray
+    each, the catalogue's compact form, in line order, and the count of
+    the records of other orders.  lines is what iterating a binary file
+    gives: each line ends at b"\n", so a lone b"\r" stays inside its
+    line.
 
     A line of a swept order is checked only for what packing needs: its
     bytes are ASCII, and it is as wide as its order byte says.  Each

@@ -35,8 +35,9 @@ span: one slice of an order's compact form, as _map cuts it.
 Each worker is a span kernel: it checks the span once, with
 graphcore._shape, reads it at once in byte lanes, one per record,
 through graphcore._lanes, and decodes a record only where the lanes do
-not settle it.  It returns one result per record, in order, folded in
-as it arrives.  A worker that fails on a record with
+not settle it.  It returns one result for the whole span, which _sweep
+pairs with the span and the fold reads a span at a time, as it
+arrives.  A worker that fails on a record with
 anything but a Rep3Error surfaces as a WorkerCrash naming that record,
 at any jobs count; a Rep3Error keeps its own message.
 
@@ -57,30 +58,33 @@ runs.  verify_lemmas counts the records of each order, whose 4-set and
 5-set instance counts it multiplies out once the sweep ends.
 
 The theorem worker reads its span's degree and count lanes once, with
-graphcore._degree_counts, and takes each record's certificate from one
-search seam, _search, which hands the whole span to the lane kernel,
+graphcore._degree_counts, and hands the whole span to the lane kernel,
 solver._certificates: every record's certificate is the one
 min_deletion_for_rep3 gives at the allowance, found in byte lanes with
 no graph decoded.  A record with a degree held three times needs no
-deletion, and solver.check_size_zero checks its certificate against
-the record's own degree tuple, reading nothing else the search
-computed.  Every other record, 14,841 of order 9's 274,668 classes,
-is decoded only for the check: its certificate must keep to the
-allowance and pass check_certificate on the graph.  A record the
-kernel finds no set for is a violation, with the reason solve3 would
-give.  find_extremal runs the same worker over the catalogue, so both
-solve and check each class the same way; each worker returns its class's
-minimum deletion size or a violation, and each fold names classes by
-the record _sweep pairs with the result.
+deletion, and its certificate never leaves the lanes: four bytes, the
+degree named and three witnesses, which solver.check_size_zero checks
+for the whole span at once against the span's degree lanes, reading
+nothing else the search computed.  Every other record, 14,841 of order
+9's 274,668 classes, has a DeletionCertificate and is decoded only for
+the check: its certificate must keep to the allowance and pass
+check_certificate on the graph.  A record the kernel finds no set for
+is a violation, with the reason solve3 would give.  The worker answers
+a span with one size byte per record, written only from what passed a
+check, and a list of its violations; verify_theorem counts each size
+with bytes.count, and it and find_extremal find the records of one
+size with bytes.find.  find_extremal runs the same worker over the
+catalogue, so both solve and check each class the same way.
 
 The identity worker, _identity_worker, parses nothing and splits no
 record off its span: it reads the count lanes of the whole span at
 once, as the theorem worker does, and returns one code byte per class,
 _EXEMPT where the counting identity does not apply (a degree held three
-times or an isolated vertex), else 16 * |doubled| + |missing|.  So the
-map yields one int per class, and the fold takes the order from the
-record's first byte and builds the violation.  Its reference in the
-tests is a per-graph degree profile that shares no code with it.
+times or an isolated vertex), else 16 * |doubled| + |missing|.  The
+fold counts a span's _EXEMPT bytes, finds the codes the identity fails
+on through one translate by _BROKEN, and builds a violation for each.
+Its reference in the tests is a per-graph degree profile that shares no
+code with it.
 
 Reports are deterministic: every map yields results in record order,
 so any jobs count produces the same report, elapsed time aside.
@@ -88,6 +92,7 @@ so any jobs count produces the same report, elapsed time aside.
 
 import json
 import time
+from itertools import compress
 from math import comb
 from typing import NamedTuple
 
@@ -95,7 +100,18 @@ from .enumeration import MAX_ENUM, _sweep
 from .errors import OrderOutOfRange, TheoremViolation
 from .feasible import _lemma_scan
 from .graphcore import _IS, _THRICE, _decode, _degree_counts, _pack_lines, _width
-from .solver import _certificates, allowance, check_certificate, check_size_zero, min_deletion_for_rep3
+from .solver import (
+    DeletionCertificate,
+    _certificates,
+    allowance,
+    check_certificate,
+    check_size_zero,
+    min_deletion_for_rep3,
+)
+
+_FAILED = 255  # the size byte of a record the theorem sweep reports a violation for
+# a translate table of a lane of 0s and 1s: _FAILED for 0, 0 for 1
+_UNPASSED = bytes([_FAILED]) + bytes(255)
 
 
 class VerificationReport(NamedTuple):
@@ -172,51 +188,57 @@ class VerificationReport(NamedTuple):
 
 
 def _theorem_worker(span):
-    """(n, minimum deletion size, None) for each record of span, graph6
-    records of one order n joined, when the theorem holds on it, or (n,
-    None, violation).
+    """(sizes, violations) for span, graph6 records of one order n
+    joined: sizes holds one byte per record, its minimum deletion size
+    where the theorem holds on it and _FAILED where it does not, and
+    violations one violation record for each _FAILED byte, in record
+    order.
 
-    graphcore._degree_counts checks the span and reads its lanes once.
-    Each certificate _search gives must keep to the allowance and pass
-    the check that fits it: check_size_zero, against the record's own
-    degree tuple, for one read off the lanes with no graph, and
-    check_certificate, against the decoded graph, for any other."""
+    graphcore._degree_counts checks the span and reads its lanes once,
+    and solver._certificates searches it.  Each size byte is written
+    only for a certificate that passed the check that fits it:
+    check_size_zero, in lanes, for the size-0 certificates the search
+    leaves in lanes, and, for a record the search gives a
+    DeletionCertificate, the allowance and check_certificate against
+    the decoded graph.  A record with neither is a miss, whose reason is
+    the one solve3 gives, or the TheoremViolation a search hands in
+    place of a certificate."""
     n, degrees, counts = _degree_counts(span)
     width = _width(n)
     cap = allowance(n)
-    sized = [(n, size, None) for size in range(cap + 1)]  # one result per size
-    results = []
-    for degs, (cert, g) in zip(zip(*degrees), _search(span, n, degrees, counts)):
+    zero, certs = _certificates(span, n, degrees, counts)
+    failed = check_size_zero(degrees, zero).translate(_UNPASSED)
+    sizes = bytearray(failed)
+    violations = []
+    for i in compress(range(len(failed)), failed):
+        rec = span[i * width:(i + 1) * width]
+        t = zero[0][i]
+        if t:
+            cert = DeletionCertificate(n, (), (zero[1][i], zero[2][i], zero[3][i]), t - 1)
+        else:
+            cert = certs.get(i) or TheoremViolation(f"no deletion set of size <= {cap} found for {_decode(rec, n)!r}")
         if isinstance(cert, TheoremViolation):
             reason = str(cert)
         elif len(cert.deleted) > cap:
             reason = f"deletion set {cert.deleted} exceeds allowance {cap}"
-        elif not (check_size_zero(degs, cert) if g is None else check_certificate(g, cert)):
+        elif t or not check_certificate(_decode(rec, n), cert):
             reason = f"certificate {cert.to_dict()} failed the independent check"
         else:
-            results.append(sized[len(cert.deleted)])
+            sizes[i] = len(cert.deleted)
             continue
-        start = len(results) * width
-        graph = span[start:start + width].decode("ascii")
-        results.append((n, None, {"n": n, "graph": graph, "reason": reason}))
-    return results
+        violations.append({"n": n, "graph": rec.decode("ascii"), "reason": reason})
+    return sizes, violations
 
 
-def _search(span, n, degrees, counts):
-    """One (certificate, graph) pair per record of span, records of order
-    n with degrees and counts as graphcore._degree_counts reads them, in
-    order: the theorem sweep's search.  solver._certificates searches
-    the whole span in byte lanes.  A certificate of size 0 comes with no
-    graph; any other record is decoded, and where the lanes find no set
-    within the allowance, the TheoremViolation solve3 raises on a miss,
-    word for word, stands in for its certificate."""
-    width = _width(n)
-    for i, cert in enumerate(_certificates(span, n, degrees, counts)):
-        if cert is not None and not cert.deleted:
-            yield cert, None
-            continue
-        g = _decode(span[i * width:(i + 1) * width], n)
-        yield cert or TheoremViolation(f"no deletion set of size <= {allowance(n)} found for {g!r}"), g
+def _named(span, lane, value):
+    """The record of span at each byte of lane that reads value, as
+    text, in order: span is graph6 records of one order joined, and
+    lane holds one byte per record."""
+    width = _width(span[0] - 63)
+    i = lane.find(value)
+    while i >= 0:
+        yield span[i * width:(i + 1) * width].decode("ascii")
+        i = lane.find(value, i + 1)
 
 
 def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> VerificationReport:
@@ -225,13 +247,12 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
     source None sweeps the catalogue; otherwise it is an iterable of the
     byte lines of a graph6 file, such as the open binary file itself,
     which verify_theorem reads through graphcore._pack_lines.  That
-    reader skips blank lines and a leading header, as
-    graphcore.read_graph6_records does, and packs each record of a
-    swept order into one bytearray per order, the catalogue's compact
-    form, in input order.  It checks each record once: a swept order's
-    for its width as it is packed, then all of that order at once with
-    graphcore._shape, and any other with graphcore._check; so a
-    malformed record raises MalformedRecord naming the first bad line
+    reader skips blank lines and a leading header and packs each record
+    of a swept order into one bytearray per order, the catalogue's
+    compact form, in input order.  It checks each record once: a swept
+    order's for its width as it is packed, then all of that order at
+    once with graphcore._shape, and any other with graphcore._check; so
+    a malformed record raises MalformedRecord naming the first bad line
     before the sweep starts.  A list of bare records is read the same
     way.  The orders
     are then swept in turn, which leaves the report as it would be in
@@ -240,11 +261,12 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
     and never solved.  The packed records go to one map, whose workers
     check each span they take once, with graphcore._shape, and certify
     every record of it from the span's byte lanes, by the lane kernel
-    solver._certificates.  A certificate of size 0 is checked against
-    its record's own degree tuple, with no graph decoded; any other
-    record is decoded only to check its certificate with
-    check_certificate.  jobs also sets the process count for any
-    catalogue order not yet generated, whose fill is one map per
+    solver._certificates.  The certificates of size 0 are checked in
+    lanes, against the span's degree lanes, with no graph decoded; any
+    other record is decoded only to check its certificate with
+    check_certificate.  The histogram counts only records whose
+    certificate passed its check.  jobs also sets the process count for
+    any catalogue order not yet generated, whose fill is one map per
     order before the sweep's own.  A sweep that checks no graph at all is
     not verified.  Graphs with minimum deletion 3 are collected as
     lower-bound witnesses.
@@ -268,15 +290,14 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
         }
         for n in orders
     }
-    for rec, (n, size, viol) in _sweep(_theorem_worker, jobs, orders, blobs):
-        entry = per_n[n]
-        entry["graph_count"] += 1
-        if viol is not None:
-            entry["violations"].append(viol)
-            continue
-        entry["min_deletion_histogram"][size] += 1
-        if size == 3:
-            entry["extremal_witnesses"].append(rec.decode("ascii"))
+    for span, (sizes, violations) in _sweep(_theorem_worker, jobs, orders, blobs):
+        entry = per_n[span[0] - 63]
+        entry["graph_count"] += len(sizes)
+        histogram = entry["min_deletion_histogram"]
+        for size in range(4):
+            histogram[size] += sizes.count(size)
+        entry["violations"] += violations
+        entry["extremal_witnesses"] += _named(span, sizes, 3)
     return VerificationReport(per_n, {}, time.perf_counter() - t0, skipped)
 
 
@@ -328,13 +349,14 @@ def verify_lemmas(max_n: int, jobs=None) -> VerificationReport:
     }
     classes = [0] * (max_n + 1)  # per order
     budgeted = failures = paired = 0
-    for _, (n, b, p, f, found) in _sweep(_lemma_worker, jobs, range(1, max_n + 1)):
-        classes[n] += 1
-        budgeted += b
-        paired += p
-        failures += f
-        for lemma, violation in found:
-            results[lemma]["violations"].append(violation)
+    for _, chunk in _sweep(_lemma_worker, jobs, range(1, max_n + 1)):
+        for n, b, p, f, found in chunk:
+            classes[n] += 1
+            budgeted += b
+            paired += p
+            failures += f
+            for lemma, violation in found:
+                results[lemma]["violations"].append(violation)
     results["induced_path"]["instances_checked"] = sum(c * comb(n, 4) for n, c in enumerate(classes))
     results["median_feasible"]["instances_checked"] = sum(c * comb(n, 5) for n, c in enumerate(classes))
     results["feasible_budget"]["instances_checked"] = budgeted
@@ -347,6 +369,9 @@ _EXEMPT = 255  # the code of a record the counting identity does not apply to
 
 # a translate table that maps every nonzero byte to 255
 _ALL = b"\0" + b"\xff" * 255
+# a translate table that maps each code the counting identity fails on
+# to 1, and every other code, _EXEMPT included, to 0
+_BROKEN = bytes(c != _EXEMPT and c % 16 != c // 16 - 1 for c in range(256))
 
 
 def _identity_worker(span) -> bytes:
@@ -387,14 +412,12 @@ def counting_identity_suite(max_n: int, jobs=None) -> VerificationReport:
     checked = 0
     violations = []
     orders = range(1, max_n + 1)
-    for rec, code in _sweep(_identity_worker, jobs, orders):
-        if code == _EXEMPT:
-            continue
-        checked += 1
-        s_size, t_size = divmod(code, 16)
-        if t_size != s_size - 1:
-            graph = rec.decode("ascii")
-            violations.append({"n": rec[0] - 63, "graph": graph, "s_size": s_size, "t_size": t_size})
+    for span, codes in _sweep(_identity_worker, jobs, orders):
+        checked += len(codes) - codes.count(_EXEMPT)
+        broken = codes.translate(_BROKEN)
+        for graph, code in zip(_named(span, broken, 1), compress(codes, broken)):
+            s_size, t_size = divmod(code, 16)
+            violations.append({"n": span[0] - 63, "graph": graph, "s_size": s_size, "t_size": t_size})
     results = {
         "counting_identity": {"instances_checked": checked, "violations": violations}
     }
@@ -408,19 +431,18 @@ def find_extremal(n: int):
     Each class goes through the theorem sweep's worker, over up to one
     process per core: the lane kernel solver._certificates finds every
     certificate, and a class it finds no set for, or whose certificate
-    fails its independent check (check_size_zero for a class with a
-    degree held three times, check_certificate on the decoded graph for
-    any other), raises TheoremViolation rather than dropping out of the
-    listing.  Output is exploratory: which orders contain maximal-cost
+    fails its independent check (check_size_zero, in lanes, for a class
+    with a degree held three times, check_certificate on the decoded
+    graph for any other), raises TheoremViolation rather than dropping
+    out of the listing.  Output is exploratory: which orders contain maximal-cost
     classes is recorded, not asserted.
     """
     if not 5 <= n <= MAX_ENUM:
         raise OrderOutOfRange(f"extremal search covers orders 5..{MAX_ENUM}, got {n}")
     target = allowance(n)
     hits = []
-    for rec, (_, size, viol) in _sweep(_theorem_worker, None, [n]):
-        if viol is not None:
-            raise TheoremViolation(f"{viol['graph']}: {viol['reason']}")
-        if size == target:
-            hits.append(rec.decode("ascii"))
+    for span, (sizes, violations) in _sweep(_theorem_worker, None, [n]):
+        if violations:
+            raise TheoremViolation(f"{violations[0]['graph']}: {violations[0]['reason']}")
+        hits += _named(span, sizes, target)
     return hits

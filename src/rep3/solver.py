@@ -25,12 +25,15 @@ as graphcore._degree_counts reads them, reads size 0 off them, and
 tries each larger size on the records still open, every set of that
 size side by side, by the same rule, so each record's certificate is
 the one min_deletion_for_rep3 gives at the allowance; no graph is
-decoded.  A certificate of size 0 is checked by check_size_zero,
-against the record's degree tuple alone: its order, no deletion, and
-three witnesses u < v < w, each of the degree named.  It shares the
-degree lanes with the search, as check_certificate shares Graph.degrees
-with min_deletion_for_rep3, and nothing else.  Every other certificate
-is checked by check_certificate, on the decoded graph.
+decoded.  The certificates of size 0, most of any span's, never leave
+their lanes: one byte per record names the degree and one each the
+three witnesses.  check_size_zero checks all of them at once, in
+lanes, against the span's degree lanes alone: three witnesses
+u < v < w < n, each of the degree named.  It shares the degree lanes
+with the search, as check_certificate shares Graph.degrees with
+min_deletion_for_rep3, and nothing else.  Every other certificate is a
+DeletionCertificate, checked by check_certificate on the decoded
+graph.
 """
 
 from functools import cache
@@ -178,10 +181,17 @@ _GONE = 192
 
 
 def _certificates(span, n, degrees, counts):
-    """Per record of span, graph6 records of order n joined, the
-    certificate min_deletion_for_rep3 returns at allowance(n), or None
-    where it finds none; degrees and counts are the span's lanes as
+    """(zero, certs): the certificate min_deletion_for_rep3 returns at
+    allowance(n) for each record of span, graph6 records of order n
+    joined, with degrees and counts the span's lanes as
     graphcore._degree_counts reads them.  The theorem sweep's search.
+
+    zero holds the size-0 certificates as four lanes: the degree named
+    plus one, then the witnesses u, v and w, each 0 in the byte of a
+    record that needs a deletion; no object is built for them.  certs
+    maps the index of each record of size 1..allowance(n) to its
+    DeletionCertificate.  A record in neither is one the search finds
+    no set for.
 
     A lane here is an int, or its bytes, with one byte per record, read
     little-endian.  Size 0 reads the span's own lanes.  Each larger size
@@ -258,27 +268,37 @@ def _certificates(span, n, degrees, counts):
         marks = [bytes([u]) * size for u in range(n)]
         deleted = [int.from_bytes(b"".join(map(marks.__getitem__, p)), "little") & first * 255 for p in places]
         found = [_fold(x, size, blocks).to_bytes(size, "little") for x in (target, *witness, *deleted)]
-        made = [
-            DeletionCertificate(n, dropped, (u, v, w), t - 1) if t else None
-            for t, u, v, w, dropped in zip(*found[:4], zip(*found[4:]) if k else repeat(()))
-        ]
         if k:
-            for i, cert in zip(open_, made):
-                certs[i] = cert
+            for i, t, u, v, w, *dropped in compress(zip(open_, *found), found[0]):
+                certs[i] = DeletionCertificate(n, tuple(dropped), (u, v, w), t - 1)
         else:
-            certs = made
+            zero, certs = tuple(found), {}
         open_ = list(compress(open_, found[0].translate(_IS[0])))
         if not open_:
             break
-    return certs
+    return zero, certs
 
 
-def check_size_zero(degrees, c: DeletionCertificate) -> bool:
-    """Re-derive the claims of a certificate that deletes nothing from
-    the degree tuple of its graph alone: its order, no deletion, and
-    three witnesses u < v < w < n, each of the degree it names."""
-    n = len(degrees)
-    if c.original_order != n or len(c.deleted) or len(c.witness) != 3:
-        return False
-    u, v, w = c.witness
-    return 0 <= u < v < w < n and degrees[u] == degrees[v] == degrees[w] == c.witness_degree
+def check_size_zero(degrees, zero):
+    """A lane with 1 in the byte of each record whose size-0 claim holds,
+    and 0 in every other: degrees are a span's degree lanes, one per
+    vertex of its order n, and zero its size-0 lanes as _certificates
+    gives them, the named degree + 1, then the witnesses u, v and w.
+    A claim holds where the three witnesses are u < v < w < n, each of
+    the degree named; a record whose first lane reads 0 claims nothing.
+
+    Walking the vertices up, need[j] holds the records with j witnesses
+    confirmed: a vertex of the named degree moves a record from need[j]
+    to need[j + 1] when it is the record's (j + 1)-th witness, against
+    need as it stood before that vertex, so a witness named twice, or
+    out of order, never gets as far as need[3]."""
+    count = len(degrees[0])
+    ones = int.from_bytes(b"\1" * count, "little")
+    target = int.from_bytes(zero[0], "little")
+    need = [ones, 0, 0, 0]
+    for v, lane in enumerate(degrees):
+        held = ((int.from_bytes(lane, "little") + ones) ^ target).to_bytes(count, "little")
+        held = int.from_bytes(held.translate(_IS[0]), "little")
+        a, b, c = (held & need[j] & int.from_bytes(zero[j + 1].translate(_IS[v]), "little") for j in range(3))
+        need = [need[0] ^ a, need[1] ^ b | a, need[2] ^ c | b, need[3] | c]
+    return need[3].to_bytes(count, "little")

@@ -15,7 +15,16 @@ from typing import NamedTuple
 from rep3 import enumeration, harness
 from rep3.enumeration import catalogue_lines
 from rep3.errors import TheoremViolation
-from rep3.graphcore import Graph, _records, _width, from_edge_list, parse_graph6, write_graph6
+from rep3.graphcore import (
+    Graph,
+    _checked,
+    _lines,
+    _records,
+    _width,
+    from_edge_list,
+    parse_graph6,
+    write_graph6,
+)
 from rep3.solver import DeletionCertificate, allowance, check_certificate, solve3
 
 
@@ -391,19 +400,93 @@ def theorem_result(rec):
     return g.n, None, {"n": g.n, "graph": rec.decode("ascii"), "reason": reason}
 
 
+def theorem_worker_result(records):
+    """(sizes, violations) that the theorem worker gives a span of
+    records, one order's, from helpers.theorem_result, one record at a
+    time: 255 for a record with a violation."""
+    results = [theorem_result(rec) for rec in records]
+    sizes = bytes(255 if size is None else size for _, size, _ in results)
+    return sizes, [viol for _, _, viol in results if viol is not None]
+
+
+def lane_form(answers):
+    """(zero, certs) in solver._certificates' return shape, for one
+    answer per record of a span: a DeletionCertificate, None for a miss,
+    or a TheoremViolation in place of a certificate.
+
+    A certificate that deletes nothing, with three witnesses and a
+    degree from 0 to 254, each a byte, goes in the size-0 lanes: the
+    degree + 1, then the witnesses.  Every other answer but None is
+    keyed by its index in certs, as the kernel keys a certificate of
+    size 1 or more: a certificate with a deletion, or with two or four
+    witnesses, or naming degree -1, cannot be written in lanes."""
+    zero = [bytearray(len(answers)) for _ in range(4)]
+    certs = {}
+    for i, cert in enumerate(answers):
+        if (
+            isinstance(cert, DeletionCertificate)
+            and not cert.deleted
+            and len(cert.witness) == 3
+            and 0 <= cert.witness_degree < 255
+            and all(0 <= x < 256 for x in cert.witness)
+        ):
+            for lane, x in zip(zero, (cert.witness_degree + 1, *cert.witness)):
+                lane[i] = x
+        elif cert is not None:
+            certs[i] = cert
+    return tuple(map(bytes, zero)), certs
+
+
+def per_record(n, zero, certs):
+    """The answer for each record of a span of order n from (zero,
+    certs), solver._certificates' return shape: a DeletionCertificate
+    for a size-0 claim in the lanes, certs' own entry for every other
+    record, None where there is none."""
+    return [
+        DeletionCertificate(n, (), (u, v, w), t - 1) if t else certs.get(i)
+        for i, (t, u, v, w) in enumerate(zip(*zero))
+    ]
+
+
 def searching_with(solve):
-    """A stand-in for harness._search, the theorem sweep's search seam,
+    """A stand-in for harness._certificates, the theorem sweep's search,
     that answers every record of its span, whatever its degrees, with
     solve(g) over the decoded graph g, or with the TheoremViolation
-    solve raises, paired with g: so a fault planted in solve reaches
-    every class the sweep sees."""
+    solve raises, packed by lane_form into the kernel's return shape:
+    so a fault planted in solve reaches every class the sweep sees."""
 
     def search(span, n, degrees, counts):
+        answers = []
         for _, g in _records(span):
             try:
-                cert = solve(g)
+                answers.append(solve(g))
             except TheoremViolation as exc:
-                cert = exc
-            yield cert, g
+                answers.append(exc)
+        return lane_form(answers)
 
     return search
+
+
+def check_size_zero(degrees, c):
+    """Whether c, a certificate that deletes nothing, holds on the graph
+    of the degree tuple degrees, read from that tuple alone: its order,
+    no deletion, and three witnesses u < v < w < n, each of the degree
+    it names.  The reference for solver.check_size_zero, which checks a
+    whole span's size-0 lanes at once."""
+    n = len(degrees)
+    if c.original_order != n or len(c.deleted) or len(c.witness) != 3:
+        return False
+    u, v, w = c.witness
+    return 0 <= u < v < w < n and degrees[u] == degrees[v] == degrees[w] == c.witness_degree
+
+
+def read_graph6_records(lines):
+    """The graph6 records of an iterable of byte lines, as bytes, in
+    line order: each non-blank line as graphcore._lines reads it, put to
+    _check by graphcore._checked, so a malformed record is a
+    MalformedRecord naming its 1-based line.  The line reader that
+    graphcore._pack_lines, which checks a swept order's lines a span at
+    a time, is checked against."""
+    for lineno, rec in _lines(lines):
+        _checked(lineno, rec)
+        yield rec

@@ -19,12 +19,11 @@ from rep3.graphcore import (
     complement,
     from_edge_list,
     parse_graph6,
-    read_graph6_records,
     write_graph6,
 )
 
 import helpers
-from helpers import catalogue_records
+from helpers import catalogue_records, read_graph6_records
 
 
 def relabel(g, perm):
@@ -334,15 +333,15 @@ def test_ordered_chunks_are_bounded(asked_chunks):
     # map is cut into 16 chunks per process, each worker call takes one
     # chunk, and each shared map forks one child at two jobs
     big = compact(9, 300_000)
-    assert list(enumeration._map(records_back, [big], 2)) == helpers.split(big)
+    assert list(itertools.chain.from_iterable(enumeration._map(records_back, [big], 2))) == helpers.split(big)
     for size in (31, 32, 1_000):
         blob = compact(5, size)
-        assert list(enumeration._map(records_back, [blob], 2)) == helpers.split(blob)
+        assert list(itertools.chain.from_iterable(enumeration._map(records_back, [blob], 2))) == helpers.split(blob)
     # two orders share the rule, counted over both, and each is cut
     # on its own: 1,500 records make chunks of 46
     nine, five = compact(9, 1_000), compact(5, 500)
     expected = helpers.split(nine) + helpers.split(five)
-    assert list(enumeration._map(records_back, [nine, b"", five], 2)) == expected
+    assert list(itertools.chain.from_iterable(enumeration._map(records_back, [nine, b"", five], 2))) == expected
     assert asked_chunks.chunks == [
         (1, [9_375] * 32),
         # 31 records, under 16 per worker, ran in this process
@@ -363,7 +362,7 @@ def test_maps_in_this_process_cut_the_same_chunks(asked_chunks, jobs, sizes):
         return records_back(span)
 
     blob = compact(5, sum(sizes))
-    assert list(enumeration._map(records_here, [blob], jobs)) == helpers.split(blob)
+    assert list(itertools.chain.from_iterable(enumeration._map(records_here, [blob], jobs))) == helpers.split(blob)
     assert seen == sizes
     assert asked_chunks.chunks == []
 
@@ -373,7 +372,7 @@ def test_a_dropped_map_reaps_its_children_at_once(asked_chunks):
     # reaps them there and then, with no wait for the cycle collector
     blob = compact(9, 3_000)
     results = enumeration._map(records_back, [blob], 2)
-    assert next(results) == blob[:_width(9)]
+    assert next(results)[0] == blob[:_width(9)]
     enabled = gc.isenabled()
     gc.disable()
     try:

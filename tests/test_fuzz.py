@@ -2,9 +2,10 @@
 
 Whatever bytes arrive, parse_graph6 returns a Graph or raises a
 Rep3Error, and so does from_edge_json on any text.  Whatever byte lines
-arrive, read_graph6_records yields graph6 records (bytes that
-parse_graph6 accepts) or raises a Rep3Error, and verify --input's
-packing reader agrees with it.  `rep3 solve --graph`
+arrive, the tests' line reader read_graph6_records yields graph6
+records (bytes that parse_graph6 accepts) or raises a Rep3Error, and
+verify --input's packing reader agrees with it, raising no error but a
+MalformedRecord that names a line.  `rep3 solve --graph`
 built from inline graph6 text or an edge-list JSON file exits 0, 1 or
 2 without raising, and names non-ASCII inline text and a file that is
 not UTF-8 with their typed errors.
@@ -16,8 +17,10 @@ import json
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rep3.cli import run
-from rep3.errors import Rep3Error
-from rep3.graphcore import Graph, _pack_lines, from_edge_json, parse_graph6, read_graph6_records, write_graph6
+from rep3.errors import MalformedRecord, Rep3Error
+from rep3.graphcore import Graph, _pack_lines, from_edge_json, parse_graph6, write_graph6
+
+from helpers import read_graph6_records
 
 # orders kept small so that solving a decoded graph stays quick
 _small_order = st.integers(1, 9)
@@ -129,13 +132,19 @@ def test_from_edge_json_arbitrary_text(text):
 ))
 @settings(max_examples=400, deadline=None)
 def test_read_graph6_records_arbitrary_text(source):
-    # a file's bytes, text written as UTF-8, or a list of encoded lines
+    # a file's bytes, text written as UTF-8, or a list of encoded lines;
+    # verify --input's packing reader, over every order the line reader
+    # accepts, packs them or raises a MalformedRecord naming a line
     if isinstance(source, str):
         source = source.encode("utf-8", "surrogatepass")
     if isinstance(source, bytes):
-        lines = io.BytesIO(source)
+        lines = list(io.BytesIO(source))
     else:
         lines = [line.encode("utf-8", "surrogatepass") for line in source]
+    try:
+        _pack_lines(lines, range(1, 10))
+    except MalformedRecord as exc:
+        assert exc.line is not None
     try:
         records = list(read_graph6_records(lines))
     except Rep3Error:

@@ -6,7 +6,7 @@ import os
 import random
 import re
 from functools import cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from rep3 import enumeration, errors, feasible, graphcore, harness, solver
 from rep3.cli import run
 from rep3.enumeration import catalogue_lines
-from rep3.graphcore import _check, _width, from_edge_list, parse_graph6, read_graph6_records, write_graph6
+from rep3.graphcore import _check, _width, from_edge_list, parse_graph6, write_graph6
 from rep3.feasible import TripleClassification, budget, classify_triple, equalize_triple
 from rep3.harness import (
     VerificationReport,
@@ -26,7 +26,7 @@ from rep3.harness import (
 from rep3.solver import check_certificate, min_deletion_for_rep3, solve3
 
 import helpers
-from helpers import catalogue_records
+from helpers import catalogue_records, read_graph6_records
 
 SUITES = ("induced_path", "paired_degree_gap", "median_feasible", "feasible_budget")
 
@@ -153,7 +153,7 @@ class TestVerifyTheorem:
             solved.append(g.n)
             return solve3(g)
 
-        monkeypatch.setattr(harness, "_search", helpers.searching_with(solving))
+        monkeypatch.setattr(harness, "_certificates", helpers.searching_with(solving))
         source = [
             write_graph6(from_edge_list(n, [(0, 1)])) for n in (4, 5, 7, 6, 10)
         ]
@@ -318,8 +318,9 @@ def labeled_pools():
 
 def kernel_certificates(span):
     """solver._certificates over span, as the theorem worker reads its
-    lanes."""
-    return solver._certificates(span, *graphcore._degree_counts(span))
+    lanes, one answer per record, as helpers.per_record reads them."""
+    n, degrees, counts = graphcore._degree_counts(span)
+    return helpers.per_record(n, *solver._certificates(span, n, degrees, counts))
 
 
 def assert_kernel_matches_reference(records):
@@ -337,7 +338,7 @@ def assert_kernel_matches_reference(records):
             expected.witness_degree,
         ), rec
         assert cert == expected and check_certificate(g, cert)
-    assert harness._theorem_worker(span) == list(map(helpers.theorem_result, records))
+    assert harness._theorem_worker(span) == helpers.theorem_worker_result(records)
 
 
 class TestTheoremKernel:
@@ -886,7 +887,7 @@ def test_pool_never_exceeds_the_cores(forks, jobs):
     # two cores, so at most two processes start
     blobs = [catalogue_lines(n).replace(b"\n", b"") for n in (5, 6)]
     forks.clear()
-    assert list(enumeration._map(orders, blobs, jobs)) == [5] * 34 + [6] * 156
+    assert list(chain.from_iterable(enumeration._map(orders, blobs, jobs))) == [5] * 34 + [6] * 156
     assert forks.children == [1]
 
 
@@ -936,7 +937,7 @@ def test_oversized_deletion_set_is_a_violation(forks, monkeypatch, solve, reason
     # that raises and a certificate the independent check refuses, in
     # this process and in the map that 34 records share at two jobs;
     # each fault is planted in the search seam, which every class passes
-    monkeypatch.setattr(harness, "_search", helpers.searching_with(solve))
+    monkeypatch.setattr(harness, "_certificates", helpers.searching_with(solve))
     for jobs in (1, 2):
         report = verify_theorem(5, 5, jobs=jobs)
         assert not report.verified
@@ -965,15 +966,19 @@ def _repeated_witness(cert):
 
 def _certificates_editing(edit):
     """harness._certificates with edit applied to every certificate of
-    size 0 it gives."""
-    return lambda span, n, degrees, counts: [
-        cert if cert.deleted else edit(cert) for cert in _real_certificates(span, n, degrees, counts)
-    ]
+    size 0 it gives, in its lanes."""
+    return lambda span, n, degrees, counts: helpers.lane_form([
+        cert if cert.deleted else edit(cert)
+        for cert in helpers.per_record(n, *_real_certificates(span, n, degrees, counts))
+    ])
 
 
 def _certificates_missing(span, n, degrees, counts):
     """harness._certificates finding no set of one deletion or more."""
-    return [None if cert.deleted else cert for cert in _real_certificates(span, n, degrees, counts)]
+    return helpers.lane_form([
+        None if cert.deleted else cert
+        for cert in helpers.per_record(n, *_real_certificates(span, n, degrees, counts))
+    ])
 
 
 @pytest.mark.parametrize(
@@ -991,7 +996,7 @@ def _certificates_missing(span, n, degrees, counts):
             _repeated_witness,
             id="repeated-witness",
         ),
-        pytest.param("check_size_zero", lambda degrees, c: False, lambda c: c, id="check-refuses"),
+        pytest.param("check_size_zero", lambda degrees, zero: bytes(len(zero[0])), lambda c: c, id="check-refuses"),
     ],
 )
 def test_size_zero_fault_fails_every_size_zero_class(forks, monkeypatch, name, fault, edit):
@@ -1012,6 +1017,39 @@ def test_size_zero_fault_fails_every_size_zero_class(forks, monkeypatch, name, f
         assert entry["min_deletion_histogram"] == [0, 6, 3, 0]
         assert not report.verified
     assert forks.children == [1]
+
+
+def _claiming_size_zero(span, n, degrees, counts):
+    """harness._certificates, with a size-0 claim written into its lanes,
+    witnesses 0, 1 and 2 of degree 1, for every record it also gives a
+    certificate of one deletion or more."""
+    zero, certs = _real_certificates(span, n, degrees, counts)
+    claim = solver.DeletionCertificate(n, (), (0, 1, 2), 1)
+    answers = helpers.per_record(n, zero, {})
+    return helpers.lane_form([claim if i in certs else c for i, c in enumerate(answers)])[0], certs
+
+
+def test_unsupported_size_zero_claim_is_a_violation(forks, monkeypatch):
+    # a search that claims size 0 in its lanes for a class with no
+    # degree held three times, which its lanes cannot support, makes
+    # that class a violation with the independent check's reason, even
+    # beside the certificate that would have passed, in this process
+    # and in a shared map; the histogram counts no such class
+    needing = [rec.decode() for rec in catalogue_records(5) if solve3(parse_graph6(rec)).deleted]
+    assert len(needing) == 9
+    reason = "certificate {'n': 5, 'deleted': [], 'witness': [0, 1, 2], 'degree': 1} failed the independent check"
+    monkeypatch.setattr(harness, "_certificates", _claiming_size_zero)
+    for jobs in (1, 2):
+        report = verify_theorem(5, 5, jobs=jobs)
+        entry = report.per_n[5]
+        assert [(v["graph"], v["reason"]) for v in entry["violations"]] == [(rec, reason) for rec in needing]
+        assert entry["min_deletion_histogram"] == [25, 0, 0, 0]
+        assert entry["graph_count"] == 34
+        assert not report.verified
+    with pytest.raises(errors.TheoremViolation) as caught:
+        find_extremal(5)
+    assert str(caught.value) == f"{needing[0]}: {reason}"
+    assert forks.children == [1, 1]
 
 
 def test_kernel_miss_gives_the_solve3_reason(forks, monkeypatch):
@@ -1498,7 +1536,7 @@ def _rejecting(span):
             id="crash_in_main_share",
         ),
         pytest.param(
-            ("_search", helpers.searching_with(_solve3_missing)),
+            ("_certificates", helpers.searching_with(_solve3_missing)),
             lambda: find_extremal(7),
             errors.TheoremViolation,
             "F????: planted miss",

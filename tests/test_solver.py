@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -247,31 +248,119 @@ class TestCheckCertificate:
         }
 
 
+def size_zero_lanes(certs):
+    """The size-0 lanes of certs, one record each, as
+    solver._certificates writes them: the degree named + 1, then the
+    witnesses u, v and w, each one byte."""
+    return [bytes(c.witness_degree + 1 for c in certs), *(bytes(c.witness[j] for c in certs) for j in range(3))]
+
+
+def lane_check(degree_tuples, certs):
+    """solver.check_size_zero over one span whose record i has the
+    degree tuple degree_tuples[i], all of one order, and claims certs[i]
+    in its size-0 lanes: the lane it returns, as a list."""
+    degrees = [bytes(d[v] for d in degree_tuples) for v in range(len(degree_tuples[0]))]
+    return list(solver.check_size_zero(degrees, size_zero_lanes(certs)))
+
+
+def reference_lane(degree_tuples, certs):
+    """helpers.check_size_zero, the per-record reference, record by
+    record, as a lane of 0s and 1s."""
+    return [int(helpers.check_size_zero(d, c)) for d, c in zip(degree_tuples, certs)]
+
+
 class TestCheckSizeZero:
     @pytest.mark.parametrize("n", [5, 6])
     def test_agrees_with_check_certificate_on_sorted_witnesses(self, n):
-        # every class, every witness u < v < w, every degree from -1 to
-        # n, at the graph's order and either side of it
+        # every class, every witness u < v < w < n + 1, every degree from
+        # -1 (the empty target, 0 in its lane) to n, each case one record
+        # of one span per class, passing and failing records side by
+        # side; the reference agrees with check_certificate, at the
+        # graph's order and either side of it, which the lanes cannot
+        # name: a span's claims are read at the span's own order
         for rec in catalogue_records(n):
             g = parse_graph6(rec)
+            cases = [
+                DeletionCertificate(n, (), witness, degree)
+                for witness in combinations(range(n + 1), 3)
+                for degree in range(-1, n + 1)
+            ]
+            expected = reference_lane([g.degrees] * len(cases), cases)
+            assert 0 in expected and (1 in expected) == (max(profile(g).rep, 0) >= 3)
+            assert lane_check([g.degrees] * len(cases), cases) == expected
             for order in (n - 1, n, n + 1):
-                for witness in combinations(range(n), 3):
-                    for degree in range(-1, n + 1):
-                        c = DeletionCertificate(order, (), witness, degree)
-                        assert solver.check_size_zero(g.degrees, c) == check_certificate(g, c)
+                for c in cases:
+                    if max(c.witness) < n:
+                        c = c._replace(original_order=order)
+                        assert helpers.check_size_zero(g.degrees, c) == check_certificate(g, c)
 
     def test_refuses_what_it_does_not_certify(self):
         degrees = helpers.c5().degrees  # (2, 2, 2, 2, 2)
-        assert solver.check_size_zero(degrees, DeletionCertificate(5, (), (0, 2, 4), 2))
+        good = DeletionCertificate(5, (), (0, 2, 4), 2)
+        refused = [
+            DeletionCertificate(5, (), (0, 2, 2), 2),
+            DeletionCertificate(5, (), (0, 0, 2), 2),
+            DeletionCertificate(5, (), (4, 2, 0), 2),  # not by index
+            DeletionCertificate(5, (), (0, 4, 2), 2),
+            DeletionCertificate(5, (), (255, 0, 2), 2),  # -1 as a lane byte
+            DeletionCertificate(5, (), (2, 3, 5), 2),
+            DeletionCertificate(5, (), (0, 2, 4), 3),
+            DeletionCertificate(5, (), (0, 2, 4), 1),
+            DeletionCertificate(5, (), (0, 2, 4), -1),  # the empty target
+        ]
+        # each case alone, as a one-record span, and all in one span
+        assert lane_check([degrees], [good]) == [1]
+        for c in refused:
+            assert not helpers.check_size_zero(degrees, c)
+            assert lane_check([degrees], [c]) == [0], c
+        span = [good, *refused, good]
+        assert lane_check([degrees] * len(span), span) == [1] + [0] * len(refused) + [1]
+        # what the lanes cannot write is refused by the reference
         for c in [
             DeletionCertificate(5, (1,), (0, 2, 4), 2),  # a deletion
             DeletionCertificate(5, (), (0, 2), 2),
             DeletionCertificate(5, (), (0, 1, 2, 3), 2),
-            DeletionCertificate(5, (), (0, 2, 2), 2),
-            DeletionCertificate(5, (), (4, 2, 0), 2),  # not by index
             DeletionCertificate(5, (), (-1, 0, 2), 2),
-            DeletionCertificate(5, (), (2, 3, 5), 2),
-            DeletionCertificate(4, (), (0, 1, 2), 2),
-            DeletionCertificate(5, (), (0, 2, 4), 3),
+            DeletionCertificate(4, (), (0, 1, 2), 2),  # another order
+            DeletionCertificate(6, (), (0, 1, 2), 2),
         ]:
-            assert not solver.check_size_zero(degrees, c), c
+            assert not helpers.check_size_zero(degrees, c), c
+
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    def test_mixed_spans_agree_with_the_reference(self, n):
+        # seeded degree tuples, each with a claim that holds where one
+        # can, or that claim one step off (a witness repeated, two
+        # swapped, the last at n, the degree one off), beside claims of
+        # random bytes, the empty target and 255s, so a carry or borrow
+        # between bytes shows in the lane
+        rng = random.Random(41 + n)
+        near_misses = [
+            lambda u, v, w, d: ((u, u, w), d),
+            lambda u, v, w, d: ((u, v, v), d),
+            lambda u, v, w, d: ((v, u, w), d),
+            lambda u, v, w, d: ((u, w, v), d),
+            lambda u, v, w, d: ((u, v, n), d),
+            lambda u, v, w, d: ((u, v, w), d + 1),
+            lambda u, v, w, d: ((u, v, w), d - 1),
+        ]
+        degree_tuples, certs = [], []
+        for _ in range(3000):
+            degrees = tuple(rng.randrange(n) for _ in range(n))
+            kind = rng.randrange(4)
+            held = [d for d in set(degrees) if degrees.count(d) >= 3]
+            if kind == 0 and held:
+                d = rng.choice(held)
+                u, v, w = sorted(rng.sample([v for v in range(n) if degrees[v] == d], 3))
+                near = rng.choice(near_misses) if rng.randrange(2) else lambda u, v, w, d: ((u, v, w), d)
+                c = DeletionCertificate(n, (), *near(u, v, w, d))
+            elif kind == 1:
+                c = DeletionCertificate(n, (), (255, 255, 255), 254)
+            elif kind == 2:
+                c = DeletionCertificate(n, (), (0, 1, 2), -1)
+            else:
+                c = DeletionCertificate(n, (), tuple(rng.randrange(256) for _ in range(3)), rng.randrange(-1, 255))
+            degree_tuples.append(degrees)
+            certs.append(c)
+        expected = reference_lane(degree_tuples, certs)
+        assert 100 < sum(expected) < 1500
+        assert lane_check(degree_tuples, certs) == expected
