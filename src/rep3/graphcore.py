@@ -19,10 +19,11 @@ bytes and is strict: wrong record length, a data byte outside [63, 126],
 or a nonzero padding bit all reject the record.  _check is that one
 strict validator of a record, and it decodes nothing; _decode decodes
 and checks nothing, so parse_graph6 is _check, then _decode.
-_pack_lines reads the lines of a graph6 file, as iterating the open
-binary file gives them, into one span per order it is asked for,
-checking each such line only for its width and then each span at once
-with _shape, and puts only the records of other orders to _check; an
+_pack_lines reads an open binary graph6 file into one span per order it
+is asked for, _BLOCK bytes at a time: each block of whole lines is
+checked in a few C-level calls, each order's records only for their
+width and then at once with _shape, only the records of other orders
+put to _check.  A block that fails is walked again line by line, so an
 error names the first bad line, as _checked names it.
 
 _decode reads a record by a byte table.  Bit k of the triangle is the
@@ -59,8 +60,9 @@ its shape and every endpoint.
 import json
 import struct
 import threading
-from array import array
+from itertools import compress
 from math import isqrt
+from operator import itemgetter
 
 from .errors import EmptyResult, LoopEdge, MalformedRecord, OrderOutOfRange, VertexOutOfRange
 
@@ -373,12 +375,12 @@ def _degree_counts(span):
     return n, degrees, counts
 
 
-def _lines(lines):
+def _lines(lines, start=1):
     """(line number, record) for each non-blank line of lines, numbered
-    from 1: the line's own bytes without surrounding whitespace and a
-    leading ">>graph6<<" header, a MalformedRecord naming its line if
+    from start: the line's own bytes without surrounding whitespace and
+    a leading ">>graph6<<" header, a MalformedRecord naming its line if
     they are not ASCII."""
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start):
         line = raw.strip().removeprefix(_HEADER)
         if not line:
             continue
@@ -396,60 +398,97 @@ def _checked(lineno, rec):
         raise MalformedRecord(str(exc), line=lineno) from None
 
 
-def _pack_lines(lines, orders):
-    """(spans, skipped): the records of lines, each a non-blank line as
-    _lines reads it, packed per order of orders into one bytearray
-    each, the catalogue's compact form, in line order, and the count of
-    the records of other orders.  lines is what iterating a binary file
-    gives: each line ends at b"\n", so a lone b"\r" stays inside its
-    line.
+_BLOCK = 1 << 16  # the bytes _pack_lines reads at a time
+_SPACE = b" \t\r\x0b\x0c"  # what bytes.strip drops, b"\n" aside
 
-    A line of a swept order is checked only for what packing needs: its
-    bytes are ASCII, and it is as wide as its order byte says.  Each
-    packed order is then checked once, by _shape; a record of any other
-    order is put to _check on its own line.  Whichever check fails first,
-    the error names the first bad line in file order, with _check's own
-    message: the packed orders are checked before any later line's error
-    is raised, and each packed record keeps its line number.
+
+def _pack_lines(fh, orders):
+    """(spans, skipped): the records of fh, an open binary graph6 file,
+    each a non-blank line as _lines reads it, packed per order of orders
+    into one bytearray each, the catalogue's compact form, in line
+    order, and the count of the records of other orders.  A line ends
+    at b"\n", so a lone b"\r" stays inside its line.
+
+    fh is read _BLOCK bytes at a time, and each block, cut after its
+    last b"\n", is checked as one by _pack_block.  A block that fails
+    any of its checks is walked again line by line, each record put to
+    _checked, so the error is _check's own for the block's first bad
+    line, numbered from the lines of the blocks before it; blocks are
+    checked in file order, so that is the file's first bad line too.
     """
-    spans = {bytes([63 + n]): bytearray() for n in orders}
-    widths = {order: _width(order[0] - 63) for order in spans}
-    numbers = {order: array("L") for order in spans}  # each packed record's line
-    skipped = 0
+    spans = {63 + n: bytearray() for n in orders}
+    skipped = lineno = 0
+    parts = []
+    while True:
+        chunk = fh.read(_BLOCK)
+        cut = chunk.rfind(b"\n") + 1
+        if chunk and not cut:  # no line ends in it yet
+            parts.append(chunk)
+            continue
+        parts.append(chunk[:cut])
+        block = b"".join(parts)
+        parts = [chunk[cut:]]
+        lines = block.split(b"\n")
+        packed = _pack_block(block, lines, spans)
+        if packed is None:
+            for at, rec in _lines(lines, lineno + 1):
+                order = _checked(at, rec) + 63
+                if order in spans:
+                    spans[order] += rec
+                else:
+                    skipped += 1
+        else:
+            for order, span in packed[0]:
+                spans[order] += span
+            skipped += packed[1]
+        lineno += len(lines) - 1
+        if not chunk:
+            return list(spans.values()), skipped
+
+
+def _pack_block(block, lines, spans):
+    """(packed, skipped) for block, whole lines of a graph6 file, and
+    lines, its split at b"\n": packed holds (order byte, span) for each
+    order byte of spans that the block's records hold, span those
+    records joined, and skipped counts the block's records of other
+    orders.  None unless every line is one _lines and _checked accept.
+
+    A few C-level calls check the whole block: it is ASCII; its lines
+    are stripped and lose a leading header only where it holds a header
+    or whitespace other than b"\n"; and the order byte of each
+    non-blank line is read into one bytes.  Each order's records, one
+    compress by a translate of those bytes, must be as wide as the order
+    byte says, which the length of their b"\n" join and a strided slice
+    of it show, then pass _shape joined; each record of any other order
+    must pass _check."""
+    if not block.isascii():
+        return None
+    if _HEADER in block or any(map(block.__contains__, _SPACE)):
+        lines = [line.strip().removeprefix(_HEADER) for line in lines]
+    recs = list(filter(None, lines))
+    heads = bytes(map(itemgetter(0), recs))
+    packed = []
+    left = len(recs)
     try:
-        for lineno, rec in _lines(lines):
-            order = rec[:1]
-            if len(rec) == widths.get(order):
-                spans[order] += rec
-                numbers[order].append(lineno)
-            else:
-                _checked(lineno, rec)
-                skipped += 1
-    finally:
-        _check_packed(spans, numbers)
-    return list(spans.values()), skipped
-
-
-def _check_packed(spans, numbers):
-    """Check each of spans, whole records of one order, with _shape;
-    where one fails, raise _check's error for the first bad record of
-    all of them in line order, naming its line from numbers."""
-    bad = []
-    for order, span in spans.items():
-        try:
-            if span:
-                _shape(span)
-        except MalformedRecord:
-            records = struct.iter_unpack(f"{_width(order[0] - 63)}s", span)
-            for lineno, (rec,) in zip(numbers[order], records):
-                try:
-                    _check(rec)
-                except MalformedRecord as exc:
-                    bad.append((lineno, str(exc)))
-                    break
-    if bad:
-        lineno, message = min(bad)
-        raise MalformedRecord(message, line=lineno)
+        for order in spans:
+            group = list(compress(recs, heads.translate(bytes(order) + b"\1" + bytes(255 - order))))
+            if not group:
+                continue
+            width = _width(order - 63)
+            joined = b"\n".join(group)
+            ends = b"\n" * (len(group) - 1)
+            if len(joined) != len(group) * width + len(ends) or joined[width::width + 1] != ends:
+                return None
+            span = b"".join(group)
+            _shape(span)
+            packed.append((order, span))
+            left -= len(group)
+        if left:
+            for rec in compress(recs, heads.translate(bytes(order not in spans for order in range(256)))):
+                _check(rec)
+    except (MalformedRecord, OrderOutOfRange):
+        return None
+    return packed, left
 
 
 def from_edge_json(text: str) -> Graph:

@@ -244,17 +244,15 @@ def _named(span, lane, value):
 def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> VerificationReport:
     """Solve and re-check every graph of each order in [min_n, max_n].
 
-    source None sweeps the catalogue; otherwise it is an iterable of the
-    byte lines of a graph6 file, such as the open binary file itself,
-    which verify_theorem reads through graphcore._pack_lines.  That
-    reader skips blank lines and a leading header and packs each record
-    of a swept order into one bytearray per order, the catalogue's
-    compact form, in input order.  It checks each record once: a swept
-    order's for its width as it is packed, then all of that order at
-    once with graphcore._shape, and any other with graphcore._check; so
-    a malformed record raises MalformedRecord naming the first bad line
-    before the sweep starts.  A list of bare records is read the same
-    way.  The orders
+    source None sweeps the catalogue; otherwise it is a graph6 file
+    open for reading in binary mode, which verify_theorem reads through
+    graphcore._pack_lines.  That reader skips blank lines and a leading
+    header and packs each record of a swept order into one bytearray per
+    order, the catalogue's compact form, in input order.  It checks the
+    file a block at a time: a swept order's records of a block for their
+    width, then all at once with graphcore._shape, and any other with
+    graphcore._check; so a malformed record raises MalformedRecord
+    naming the first bad line before the sweep starts.  The orders
     are then swept in turn, which leaves the report as it would be in
     input order, since each order's entry keeps its records' order.  A
     record of another order is counted in the report's skipped field

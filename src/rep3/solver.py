@@ -16,8 +16,9 @@ one.  The same pass reads the certificate's witness: the first three
 survivors, by index, of the smallest reduced degree that three or more
 survivors share.
 Certificates carry original vertex indices and can be re-checked from
-scratch by check_certificate, which builds the reduced graph with
-delete_vertices and shares no code with the search.
+scratch by check_certificate, which reads each witness's reduced
+degree off its row, masked by the vertices kept, and shares no code
+with the search.
 
 The theorem sweep searches a whole span at once, in byte lanes, one
 byte per record: _certificates takes the span's degree and count lanes
@@ -30,7 +31,7 @@ their lanes: one byte per record names the degree and one each the
 three witnesses.  check_size_zero checks all of them at once, in
 lanes, against the span's degree lanes alone: three witnesses
 u < v < w < n, each of the degree named.  It shares the degree lanes
-with the search, as check_certificate shares Graph.degrees with
+with the search, as check_certificate shares Graph.rows with
 min_deletion_for_rep3, and nothing else.  Every other certificate is a
 DeletionCertificate, checked by check_certificate on the decoded
 graph.
@@ -41,7 +42,7 @@ from itertools import combinations, compress, repeat
 from typing import NamedTuple
 
 from .errors import BudgetExceedsOrder, OrderOutOfRange, TheoremViolation
-from .graphcore import _IS, _THRICE, Graph, _lanes, _width, delete_vertices
+from .graphcore import _IS, _THRICE, Graph, _lanes, _width
 
 
 class DeletionCertificate(NamedTuple):
@@ -132,7 +133,10 @@ def solve3(g: Graph) -> DeletionCertificate:
 
 
 def check_certificate(g: Graph, c: DeletionCertificate) -> bool:
-    """Re-derive every certificate claim from the graph alone."""
+    """Re-derive every certificate claim from the graph alone: the
+    order, three witnesses, no vertex named twice, every vertex in
+    range, and each witness's degree once the deleted vertices are
+    gone, its row masked by the vertices kept."""
     deleted = tuple(c.deleted)
     witness = tuple(c.witness)
     if c.original_order != g.n:
@@ -143,10 +147,15 @@ def check_certificate(g: Graph, c: DeletionCertificate) -> bool:
         return False
     if min(named) < 0 or max(named) >= g.n:
         return False
-    h, remap = delete_vertices(g, deleted)
-    degrees = h.degrees
+    kept = (1 << g.n) - 1
+    for x in deleted:
+        kept ^= 1 << x
+    rows = g.rows
     u, v, w = witness
-    return degrees[remap[u]] == degrees[remap[v]] == degrees[remap[w]] == c.witness_degree
+    return (
+        (rows[u] & kept).bit_count() == (rows[v] & kept).bit_count()
+        == (rows[w] & kept).bit_count() == c.witness_degree
+    )
 
 
 @cache

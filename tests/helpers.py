@@ -4,6 +4,7 @@ Each constructor returns a fresh Graph value; vertex labels follow the
 edge lists written out here so tests can assert exact indices.
 """
 
+import io
 import os
 import random
 import sys
@@ -21,6 +22,7 @@ from rep3.graphcore import (
     _lines,
     _records,
     _width,
+    delete_vertices,
     from_edge_list,
     parse_graph6,
     write_graph6,
@@ -467,6 +469,22 @@ def searching_with(solve):
     return search
 
 
+def check_certificate_by_deletion(g, c):
+    """Whether certificate c holds on g, checked by building the reduced
+    graph with delete_vertices: its order, three witnesses, no vertex
+    named twice, every vertex in range, and each witness of the degree c
+    names in the graph left.  The reference for solver.check_certificate,
+    which reads each witness's reduced degree off g's rows."""
+    deleted, witness = tuple(c.deleted), tuple(c.witness)
+    named = deleted + witness
+    if c.original_order != g.n or len(witness) != 3 or len(set(named)) != len(named):
+        return False
+    if not all(0 <= v < g.n for v in named):
+        return False
+    h, remap = delete_vertices(g, deleted)
+    return all(h.degrees[remap[x]] == c.witness_degree for x in witness)
+
+
 def check_size_zero(degrees, c):
     """Whether c, a certificate that deletes nothing, holds on the graph
     of the degree tuple degrees, read from that tuple alone: its order,
@@ -485,8 +503,14 @@ def read_graph6_records(lines):
     line order: each non-blank line as graphcore._lines reads it, put to
     _check by graphcore._checked, so a malformed record is a
     MalformedRecord naming its 1-based line.  The line reader that
-    graphcore._pack_lines, which checks a swept order's lines a span at
-    a time, is checked against."""
+    graphcore._pack_lines, which checks a file's lines a block at a
+    time, is checked against."""
     for lineno, rec in _lines(lines):
         _checked(lineno, rec)
         yield rec
+
+
+def g6_file(records):
+    """An open binary graph6 file of records, one a line, as verify
+    --input reads it."""
+    return io.BytesIO(b"\n".join(records))

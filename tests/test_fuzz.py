@@ -14,8 +14,10 @@ not UTF-8 with their typed errors.
 import io
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from rep3 import graphcore
 from rep3.cli import run
 from rep3.errors import MalformedRecord, Rep3Error
 from rep3.graphcore import Graph, _pack_lines, from_edge_json, parse_graph6, write_graph6
@@ -132,17 +134,18 @@ def test_from_edge_json_arbitrary_text(text):
 ))
 @settings(max_examples=400, deadline=None)
 def test_read_graph6_records_arbitrary_text(source):
-    # a file's bytes, text written as UTF-8, or a list of encoded lines;
-    # verify --input's packing reader, over every order the line reader
-    # accepts, packs them or raises a MalformedRecord naming a line
+    # a file's bytes, text written as UTF-8, or a list of encoded lines,
+    # each ended by b"\n"; verify --input's packing reader, over every
+    # order the line reader accepts, packs their file or raises a
+    # MalformedRecord naming a line
     if isinstance(source, str):
         source = source.encode("utf-8", "surrogatepass")
     if isinstance(source, bytes):
         lines = list(io.BytesIO(source))
     else:
-        lines = [line.encode("utf-8", "surrogatepass") for line in source]
+        lines = [line.encode("utf-8", "surrogatepass") + b"\n" for line in source]
     try:
-        _pack_lines(lines, range(1, 10))
+        _pack_lines(io.BytesIO(b"".join(lines)), range(1, 10))
     except MalformedRecord as exc:
         assert exc.line is not None
     try:
@@ -160,27 +163,30 @@ def test_read_graph6_records_arbitrary_text(source):
     ),
     st.integers(1, 9),
     st.integers(0, 3),
+    st.sampled_from([graphcore._BLOCK, 1, 7]),
 )
 @settings(max_examples=400, deadline=None)
-def test_packed_lines_agree_with_the_line_reader(source, low, count):
-    # verify --input's reader, which checks a swept order's lines only
-    # for their width and then each packed order at once, raises the
-    # line reader's error, naming the same first bad line, or packs the
-    # same records of the swept orders, in line order
+def test_packed_lines_agree_with_the_line_reader(source, low, count, block):
+    # verify --input's reader, which checks the file a block of block
+    # bytes at a time, raises the line reader's error, naming the same
+    # first bad line, or packs the same records of the swept orders, in
+    # line order
     if isinstance(source, str):
         source = source.encode("utf-8", "surrogatepass")
     orders = range(low, low + count)
-    try:
-        records = list(read_graph6_records(io.BytesIO(source)))
-    except Rep3Error as exc:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphcore, "_BLOCK", block)
         try:
-            _pack_lines(io.BytesIO(source), orders)
-        except Rep3Error as packed:
-            assert (type(packed), str(packed)) == (type(exc), str(exc))
-        else:
-            raise AssertionError(f"no error where the line reader raised {exc!r}")
-        return
-    spans, skipped = _pack_lines(io.BytesIO(source), orders)
+            records = list(read_graph6_records(io.BytesIO(source)))
+        except Rep3Error as exc:
+            try:
+                _pack_lines(io.BytesIO(source), orders)
+            except Rep3Error as packed:
+                assert (type(packed), str(packed)) == (type(exc), str(exc))
+            else:
+                raise AssertionError(f"no error where the line reader raised {exc!r}")
+            return
+        spans, skipped = _pack_lines(io.BytesIO(source), orders)
     assert spans == [b"".join(rec for rec in records if rec[0] - 63 == n) for n in orders]
     assert skipped == sum(rec[0] - 63 not in orders for rec in records)
 

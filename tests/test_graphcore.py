@@ -1,3 +1,4 @@
+import io
 import json
 import sys
 import threading
@@ -458,6 +459,62 @@ class TestRecords:
         else:
             with pytest.raises(errors.Rep3Error):
                 graphcore._records(span)
+
+
+def pack(data, orders, block, monkeypatch):
+    """graphcore._pack_lines over the file data, read block bytes at a
+    time."""
+    monkeypatch.setattr(graphcore, "_BLOCK", block)
+    return graphcore._pack_lines(io.BytesIO(data), orders)
+
+
+class TestPackLines:
+    # verify --input's reader, which checks a file a block at a time
+    BLOCKS = [graphcore._BLOCK, 1, 7]
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_record_straddles_a_block_boundary(self, block, monkeypatch):
+        # lines of 4 and 5 bytes: at 7-byte blocks the second line
+        # starts in the first block and ends in the second
+        records = [b"D??", b"E???", b"Bw", b"D~{", b"E~~w"] * 3
+        data = b"".join(rec + b"\n" for rec in records)
+        assert data[:7] == b"D??\nE??"
+        spans, skipped = pack(data, range(5, 7), block, monkeypatch)
+        assert spans == [b"D??D~{" * 3, b"E???E~~w" * 3]
+        assert skipped == 3
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_last_line_without_a_newline(self, block, monkeypatch):
+        assert pack(b"D??\nE???", range(5, 7), block, monkeypatch) == ([b"D??", b"E???"], 0)
+        with pytest.raises(MalformedRecord, match=r"^line 2: nonzero padding bits$"):
+            pack(b"D??\nDQ@", range(5, 7), block, monkeypatch)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_crlf_and_headers_pack_the_same(self, block, monkeypatch):
+        records = [*catalogue_records(5), *catalogue_records(6)[:50], b"Bw"]
+        plain = b"".join(rec + b"\n" for rec in records)
+        dressed = b"".join(b">>graph6<<" + rec + b"\r\n\r\n" for rec in records)
+        expected = pack(plain, range(5, 7), graphcore._BLOCK, monkeypatch)
+        assert expected == ([b"".join(catalogue_records(5)), b"".join(catalogue_records(6)[:50])], 1)
+        assert pack(dressed, range(5, 7), block, monkeypatch) == expected
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            pytest.param("D\u00e9".encode(), "non-ascii record", id="non_ascii"),
+            pytest.param(b"DQ@", "nonzero padding bits", id="padding"),
+        ],
+    )
+    def test_later_block_error_names_its_file_line(self, block, bad, message, monkeypatch):
+        # line 30,000, past the first 64 KiB, behind blank and skipped lines
+        lines = [b"D??", b"", b"Bw", b"E???"] * 10000
+        lines[29999] = bad
+        data = b"".join(line + b"\n" for line in lines)
+        assert data.index(bad) > graphcore._BLOCK
+        with pytest.raises(MalformedRecord) as caught:
+            pack(data, range(5, 7), block, monkeypatch)
+        assert str(caught.value) == f"line 30000: {message}"
 
 
 class TestEdgeJson:

@@ -138,12 +138,12 @@ class TestVerifyTheorem:
 
     def test_stream_source_equivalent(self):
         gen = verify_theorem(5, 5)
-        streamed = verify_theorem(5, 5, source=catalogue_records(5))
+        streamed = verify_theorem(5, 5, source=helpers.g6_file(catalogue_records(5)))
         assert gen.comparable() == streamed.comparable()
 
     def test_record_source_equivalent(self):
         text = b"".join(rec + b"\n" for rec in catalogue_records(5))
-        streamed = verify_theorem(5, 5, source=read_graph6_records(io.BytesIO(text)))
+        streamed = verify_theorem(5, 5, source=helpers.g6_file(read_graph6_records(io.BytesIO(text))))
         assert verify_theorem(5, 5).comparable() == streamed.comparable()
 
     def test_other_orders_skipped_and_never_solved(self, monkeypatch):
@@ -157,7 +157,7 @@ class TestVerifyTheorem:
         source = [
             write_graph6(from_edge_list(n, [(0, 1)])) for n in (4, 5, 7, 6, 10)
         ]
-        r = verify_theorem(5, 6, source=source, jobs=1)
+        r = verify_theorem(5, 6, source=helpers.g6_file(source), jobs=1)
         assert r.skipped == 3
         assert r.per_n[5]["graph_count"] == r.per_n[6]["graph_count"] == 1
         assert solved == [5, 6]
@@ -184,11 +184,11 @@ class TestVerifyTheorem:
             calls = []
             real_check = graphcore._check
             monkeypatch.setattr(graphcore, "_check", lambda r: calls.append(r) or real_check(r))
-            report = verify_theorem(5, 5, source=[rec] * jobs, jobs=jobs)
+            report = verify_theorem(5, 5, source=helpers.g6_file([rec] * jobs), jobs=jobs)
             assert (calls, report.skipped, report.checked) == ([], 0, 0)
             return
         with pytest.raises(errors.MalformedRecord):
-            verify_theorem(5, 5, source=[rec] * jobs, jobs=jobs)
+            verify_theorem(5, 5, source=helpers.g6_file([rec] * jobs), jobs=jobs)
 
     def test_input_reaches_the_sweep_packed_per_order(self, monkeypatch):
         # each swept order's records reach _sweep as one bytes-like
@@ -203,7 +203,7 @@ class TestVerifyTheorem:
 
         monkeypatch.setattr(harness, "_sweep", sweep)
         records = helpers.labeled_records(count=300)
-        report = verify_theorem(5, 9, source=records, jobs=1)
+        report = verify_theorem(5, 9, source=helpers.g6_file(records), jobs=1)
         assert report.checked == 300
         assert all(isinstance(blob, bytearray) for blob in seen)
         by_order = [[rec for rec in records if rec[0] - 63 == n] for n in range(5, 10)]
@@ -219,7 +219,7 @@ class TestVerifyTheorem:
         records += catalogue_records(7)
         random.Random(30).shuffle(records)
         for jobs in (1, 2):
-            report = verify_theorem(5, 9, source=records, jobs=jobs)
+            report = verify_theorem(5, 9, source=helpers.g6_file(records), jobs=jobs)
             assert report.per_n[6]["graph_count"] == report.per_n[8]["graph_count"] == 0
             text = json.dumps(report.comparable(), sort_keys=True)
             assert hashlib.sha256(text.encode()).hexdigest() == SHUFFLED_REPORT_SHA256
@@ -258,7 +258,7 @@ class TestVerifyTheorem:
                 if source is read_graph6_records:
                     list(source(lines))
                 else:
-                    verify_theorem(5, 6, source=source, jobs=2)
+                    verify_theorem(5, 6, source=helpers.g6_file(source), jobs=2)
             assert str(caught.value) == message
         assert forks.children == []
 
@@ -269,7 +269,7 @@ class TestVerifyTheorem:
         forks.clear()
         message = "expected 4 data bytes for order 7, got 3"
         with pytest.raises(errors.MalformedRecord, match=message):
-            verify_theorem(5, 7, source=source, jobs=2)
+            verify_theorem(5, 7, source=helpers.g6_file(source), jobs=2)
         assert forks.children == []
 
     def test_labeled_input_pinned(self):
@@ -279,7 +279,7 @@ class TestVerifyTheorem:
         digest = hashlib.sha256(json.dumps(certs).encode()).hexdigest()
         assert digest == LABELED_CERTIFICATES_SHA256
         for jobs in (1, 2):
-            report = verify_theorem(5, 9, source=records, jobs=jobs)
+            report = verify_theorem(5, 9, source=helpers.g6_file(records), jobs=jobs)
             text = json.dumps(report.comparable(), sort_keys=True)
             assert hashlib.sha256(text.encode()).hexdigest() == LABELED_REPORT_SHA256
 
@@ -904,7 +904,7 @@ def test_small_cold_catalogue_starts_nothing(forks, monkeypatch):
 def test_sweep_pools_past_one_chunk(forks, count, pools):
     source = catalogue_records(6)[:count]
     forks.clear()
-    report = verify_theorem(5, 8, source=source, jobs=2)
+    report = verify_theorem(5, 8, source=helpers.g6_file(source), jobs=2)
     assert forks.children == pools
     assert report.checked == count
 
@@ -1159,7 +1159,7 @@ def test_tiny_source_starts_nothing(forks, count):
     # a fork costs more than mapping one record in this process
     source = catalogue_records(5)[:count]
     forks.clear()
-    report = verify_theorem(5, 8, source=source, jobs=2)
+    report = verify_theorem(5, 8, source=helpers.g6_file(source), jobs=2)
     assert forks.children == []
     assert report.checked == count
 

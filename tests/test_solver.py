@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from itertools import combinations
 
-from rep3 import errors, solver
+from rep3 import errors, graphcore, solver
 from rep3.graphcore import complement, delete_vertices, from_edge_list, parse_graph6
 from rep3.solver import (
     DeletionCertificate,
@@ -82,8 +82,8 @@ class TestOracle:
         assert min_deletion_for_rep3(g, 2).deleted == ()
 
     def test_builds_no_reduced_graph(self, graphs_by_n, monkeypatch):
-        # the search reads its certificate off the accepted mask; only
-        # check_certificate builds reduced graphs
+        # the search reads its certificate off the accepted mask and
+        # builds no reduced graph; nor does check_certificate
         expected = {
             (g, k): reference_certificate(g, k)
             for n in (5, 6, 7)
@@ -94,7 +94,7 @@ class TestOracle:
         def refuse(g, d):
             raise AssertionError("the search built a reduced graph")
 
-        monkeypatch.setattr(solver, "delete_vertices", refuse)
+        monkeypatch.setattr(graphcore, "delete_vertices", refuse)
         for (g, k), cert in expected.items():
             assert min_deletion_for_rep3(g, k) == cert
 
@@ -237,6 +237,40 @@ class TestCheckCertificate:
         assert not check_certificate(g, DeletionCertificate(5, (), (0, 1, 2), 2))
         # degrees 2, 2, 1: only the last witness is off
         assert not check_certificate(g, DeletionCertificate(5, (), (2, 3, 4), 2))
+
+    def test_agrees_with_the_reduced_graph(self):
+        # every deletion set of size <= 3 and every witness triple of its
+        # survivors, on every class of orders 5 and 6, with the first
+        # witness's reduced degree and with one more
+        for n in (5, 6):
+            for rec in catalogue_records(n):
+                g = parse_graph6(rec)
+                for k in range(4):
+                    for d in combinations(range(n), k):
+                        kept = [v for v in range(n) if v not in d]
+                        h, remap = delete_vertices(g, d)
+                        for w in combinations(kept, 3):
+                            true = h.degrees[remap[w[0]]]
+                            for degree in (true, true + 1):
+                                c = DeletionCertificate(n, d, w, degree)
+                                assert check_certificate(g, c) == helpers.check_certificate_by_deletion(g, c)
+
+    @pytest.mark.parametrize(
+        "cert",
+        [
+            pytest.param(DeletionCertificate(5, (1,), (1, 3, 4), 1), id="witness_deleted"),
+            pytest.param(DeletionCertificate(5, (1,), (2, 2, 4), 1), id="witness_repeated"),
+            pytest.param(DeletionCertificate(5, (5,), (2, 3, 4), 1), id="deleted_out_of_range"),
+            pytest.param(DeletionCertificate(5, (1,), (2, 3, 5), 1), id="witness_out_of_range"),
+            pytest.param(DeletionCertificate(5, (-1,), (2, 3, 4), 1), id="negative"),
+            pytest.param(DeletionCertificate(6, (1,), (2, 3, 4), 1), id="wrong_order"),
+            pytest.param(DeletionCertificate(5, (1,), (2, 3, 4), 1), id="valid"),
+        ],
+    )
+    def test_malformed_claims_agree_with_the_reduced_graph(self, cert):
+        g = helpers.antiregular5()
+        expected = cert == DeletionCertificate(5, (1,), (2, 3, 4), 1)
+        assert check_certificate(g, cert) == helpers.check_certificate_by_deletion(g, cert) == expected
 
     def test_json_shape(self):
         c = DeletionCertificate(5, (1,), (2, 3, 4), 1)
