@@ -61,20 +61,22 @@ The theorem worker reads its span's degree and count lanes once, with
 graphcore._degree_counts, and hands the whole span to the lane kernel,
 solver._certificates: every record's certificate is the one
 min_deletion_for_rep3 gives at the allowance, found in byte lanes with
-no graph decoded.  A record with a degree held three times needs no
-deletion, and its certificate never leaves the lanes: four bytes, the
-degree named and three witnesses, which solver.check_size_zero checks
-for the whole span at once against the span's degree lanes, reading
-nothing else the search computed.  Every other record, 14,841 of order
-9's 274,668 classes, has a DeletionCertificate and is decoded only for
-the check: its certificate must keep to the allowance and pass
-check_certificate on the graph.  A record the kernel finds no set for
-is a violation, with the reason solve3 would give.  The worker answers
-a span with one size byte per record, written only from what passed a
-check, and a list of its violations; verify_theorem counts each size
-with bytes.count, and it and find_extremal find the records of one
-size with bytes.find.  find_extremal runs the same worker over the
-catalogue, so both solve and check each class the same way.
+no graph decoded.  No certificate leaves the lanes: for each size, the
+kernel names the records it searched and, one byte per record, the
+degree named, three witnesses and the deleted vertices, and
+solver.check_claims checks each size's claims at once, against the
+lanes of the records it joins from the span itself, reading nothing
+else the search computed.  A record passes only where its first claim
+holds within the allowance; no object is built and no graph decoded
+for it.  A record with no claim is a violation, with the reason solve3
+would give; a claim past the allowance, or one the check refuses, is
+one too, and only then is its DeletionCertificate built, for the
+report.  The worker answers a span with one size byte per record,
+written only from what passed the check, and a list of its
+violations; verify_theorem counts each size with bytes.count, and it
+and find_extremal find the records of one size with bytes.find.
+find_extremal runs the same worker over the catalogue, so both solve
+and check each class the same way.
 
 The identity worker, _identity_worker, parses nothing and splits no
 record off its span: it reads the count lanes of the whole span at
@@ -100,18 +102,15 @@ from .enumeration import MAX_ENUM, _sweep
 from .errors import OrderOutOfRange, TheoremViolation
 from .feasible import _lemma_scan
 from .graphcore import _IS, _THRICE, _decode, _degree_counts, _pack_lines, _width
-from .solver import (
-    DeletionCertificate,
-    _certificates,
-    allowance,
-    check_certificate,
-    check_size_zero,
-    min_deletion_for_rep3,
-)
+from .solver import DeletionCertificate, _certificates, allowance, check_claims, min_deletion_for_rep3
 
 _FAILED = 255  # the size byte of a record the theorem sweep reports a violation for
-# a translate table of a lane of 0s and 1s: _FAILED for 0, 0 for 1
-_UNPASSED = bytes([_FAILED]) + bytes(255)
+_OPEN = 254  # the size byte, while the worker runs, of a record no size has claimed
+# translate tables: _CLAIMED maps a target byte to 1 where it names a
+# degree, 0 where it is 0; _UNCLAIMED maps _OPEN to _FAILED and keeps
+# every other byte
+_CLAIMED = b"\0" + b"\1" * 255
+_UNCLAIMED = bytes(range(_OPEN)) + bytes([_FAILED, _FAILED])
 
 
 class VerificationReport(NamedTuple):
@@ -195,38 +194,53 @@ def _theorem_worker(span):
     order.
 
     graphcore._degree_counts checks the span and reads its lanes once,
-    and solver._certificates searches it.  Each size byte is written
-    only for a certificate that passed the check that fits it:
-    check_size_zero, in lanes, for the size-0 certificates the search
-    leaves in lanes, and, for a record the search gives a
-    DeletionCertificate, the allowance and check_certificate against
-    the decoded graph.  A record with neither is a miss, whose reason is
-    the one solve3 gives, or the TheoremViolation a search hands in
-    place of a certificate."""
+    solver._certificates searches it, and solver.check_claims checks
+    each size's claims in lanes, against the records it joins from the
+    span itself.  A record's claim is the first any size makes for it,
+    and its size byte is written only where that claim passed the check
+    within the allowance: for size 0, over every record at once, by one
+    translate; for each larger size, one record at a time, over the
+    records it claims.  Only a record with a violation has a
+    DeletionCertificate built, from its claim's lane bytes: a claim past
+    the allowance, or one the check refused, is reported so; a record
+    with no claim is a miss, whose reason is the one solve3 gives, and
+    the only record decoded."""
     n, degrees, counts = _degree_counts(span)
-    width = _width(n)
     cap = allowance(n)
-    zero, certs = _certificates(span, n, degrees, counts)
-    failed = check_size_zero(degrees, zero).translate(_UNPASSED)
-    sizes = bytearray(failed)
-    violations = []
-    for i in compress(range(len(failed)), failed):
-        rec = span[i * width:(i + 1) * width]
-        t = zero[0][i]
-        if t:
-            cert = DeletionCertificate(n, (), (zero[1][i], zero[2][i], zero[3][i]), t - 1)
-        else:
-            cert = certs.get(i) or TheoremViolation(f"no deletion set of size <= {cap} found for {_decode(rec, n)!r}")
-        if isinstance(cert, TheoremViolation):
-            reason = str(cert)
-        elif len(cert.deleted) > cap:
-            reason = f"deletion set {cert.deleted} exceeds allowance {cap}"
-        elif t or not check_certificate(_decode(rec, n), cert):
-            reason = f"certificate {cert.to_dict()} failed the independent check"
-        else:
-            sizes[i] = len(cert.deleted)
+    found = _certificates(span, n, degrees, counts)
+    sizes = bytearray([_OPEN]) * len(degrees[0])
+    for k, (open_, lanes) in enumerate(found):
+        claimed = lanes[0].translate(_CLAIMED)
+        passed = check_claims(span, n, open_, lanes) if k <= cap else bytes(len(open_))
+        # claimed + passed: 0 for no claim, 1 for a refused one, 2 for a pass
+        settled = (int.from_bytes(claimed, "little") + int.from_bytes(passed, "little")).to_bytes(
+            len(open_), "little"
+        ).translate(bytes([_OPEN, _FAILED, k]) + bytes(253))
+        if not k and open_ == range(len(sizes)):
+            sizes[:] = settled
             continue
-        violations.append({"n": n, "graph": rec.decode("ascii"), "reason": reason})
+        for i, size in compress(zip(open_, settled), claimed):
+            if sizes[i] == _OPEN:
+                sizes[i] = size
+    sizes = sizes.translate(_UNCLAIMED)
+    violations = []
+    if _FAILED in sizes:
+        # each failed record's first claim, None where it has none
+        failed = dict.fromkeys(i for i, size in enumerate(sizes) if size == _FAILED)
+        for open_, lanes in found:
+            for i, t, u, v, w, *dropped in compress(zip(open_, *lanes), lanes[0]):
+                if i in failed and failed[i] is None:
+                    failed[i] = DeletionCertificate(n, tuple(dropped), (u, v, w), t - 1)
+        width = _width(n)
+        for i, cert in failed.items():
+            rec = span[i * width:(i + 1) * width]
+            if cert is None:
+                reason = f"no deletion set of size <= {cap} found for {_decode(rec, n)!r}"
+            elif len(cert.deleted) > cap:
+                reason = f"deletion set {cert.deleted} exceeds allowance {cap}"
+            else:
+                reason = f"certificate {cert.to_dict()} failed the independent check"
+            violations.append({"n": n, "graph": rec.decode("ascii"), "reason": reason})
     return sizes, violations
 
 
@@ -259,10 +273,10 @@ def verify_theorem(min_n: int, max_n: int, source=None, jobs=None) -> Verificati
     and never solved.  The packed records go to one map, whose workers
     check each span they take once, with graphcore._shape, and certify
     every record of it from the span's byte lanes, by the lane kernel
-    solver._certificates.  The certificates of size 0 are checked in
-    lanes, against the span's degree lanes, with no graph decoded; any
-    other record is decoded only to check its certificate with
-    check_certificate.  The histogram counts only records whose
+    solver._certificates.  Every certificate, of any size, stays in
+    lanes and is checked there by solver.check_claims, against the lanes
+    of the records it joins from the span; no graph is decoded but a
+    miss's, for its reason.  The histogram counts only records whose
     certificate passed its check.  jobs also sets the process count for
     any catalogue order not yet generated, whose fill is one map per
     order before the sweep's own.  A sweep that checks no graph at all is
@@ -428,11 +442,10 @@ def find_extremal(n: int):
 
     Each class goes through the theorem sweep's worker, over up to one
     process per core: the lane kernel solver._certificates finds every
-    certificate, and a class it finds no set for, or whose certificate
-    fails its independent check (check_size_zero, in lanes, for a class
-    with a degree held three times, check_certificate on the decoded
-    graph for any other), raises TheoremViolation rather than dropping
-    out of the listing.  Output is exploratory: which orders contain maximal-cost
+    certificate, in lanes, and a class it finds no set for, or whose
+    certificate fails its independent check, solver.check_claims in
+    lanes, raises TheoremViolation rather than dropping out of the
+    listing.  Output is exploratory: which orders contain maximal-cost
     classes is recorded, not asserted.
     """
     if not 5 <= n <= MAX_ENUM:

@@ -26,19 +26,20 @@ as graphcore._degree_counts reads them, reads size 0 off them, and
 tries each larger size on the records still open, every set of that
 size side by side, by the same rule, so each record's certificate is
 the one min_deletion_for_rep3 gives at the allowance; no graph is
-decoded.  The certificates of size 0, most of any span's, never leave
-their lanes: one byte per record names the degree and one each the
-three witnesses.  check_size_zero checks all of them at once, in
-lanes, against the span's degree lanes alone: three witnesses
-u < v < w < n, each of the degree named.  It shares the degree lanes
-with the search, as check_certificate shares Graph.rows with
-min_deletion_for_rep3, and nothing else.  Every other certificate is a
-DeletionCertificate, checked by check_certificate on the decoded
-graph.
+decoded.  No certificate leaves its lanes: for each size searched, the
+indices of the records searched, then one byte per record for the
+degree named, one each for the three witnesses and one for each
+deleted vertex.  check_claims checks one size's claims at once, in
+lanes: it joins the records claimed from the span itself, reads their
+edge and degree lanes with graphcore._lanes, and re-derives each
+witness's reduced degree from them.  It shares graphcore._lanes and
+its _IS translate tables with the search, as check_certificate shares
+Graph.rows with min_deletion_for_rep3, and nothing else;
+check_certificate is its reference in the tests.
 """
 
 from functools import cache
-from itertools import combinations, compress, repeat
+from itertools import combinations, compress
 from typing import NamedTuple
 
 from .errors import BudgetExceedsOrder, OrderOutOfRange, TheoremViolation
@@ -187,20 +188,28 @@ def _fold(x, size, blocks):
 # the byte of a deleted vertex's degree, less its deleted neighbours:
 # above every degree, so no degree matches it
 _GONE = 192
+# translate tables of a reduced degree byte and of a bit-plane byte:
+# _ONE_HOT maps each degree d < 8 to bit d, and _GONE less anything to
+# 0; _LOWEST maps a byte to one plus the index of its lowest set bit, 0
+# to 0
+_ONE_HOT = bytes(1 << d if d < 8 else 0 for d in range(256))
+_LOWEST = bytes((b & -b).bit_length() for b in range(256))
 
 
 def _certificates(span, n, degrees, counts):
-    """(zero, certs): the certificate min_deletion_for_rep3 returns at
-    allowance(n) for each record of span, graph6 records of order n
-    joined, with degrees and counts the span's lanes as
-    graphcore._degree_counts reads them.  The theorem sweep's search.
+    """The certificate min_deletion_for_rep3 returns at allowance(n)
+    for each record of span, graph6 records of order n joined, with
+    degrees and counts the span's lanes as graphcore._degree_counts
+    reads them, all in byte lanes.  The theorem sweep's search.
 
-    zero holds the size-0 certificates as four lanes: the degree named
-    plus one, then the witnesses u, v and w, each 0 in the byte of a
-    record that needs a deletion; no object is built for them.  certs
-    maps the index of each record of size 1..allowance(n) to its
-    DeletionCertificate.  A record in neither is one the search finds
-    no set for.
+    It returns one (open_, lanes) pair for each size k it searched, in
+    order: open_ holds the indices of the records searched at size k,
+    range(len(degrees[0])) at size 0, and lanes, one byte per record of
+    open_, the degree a hit names plus one, then its witnesses u, v and
+    w, then its k deleted vertices, the first three lanes 0 in the byte
+    of a record that size k does not hit.  No object is built for any
+    record; a record that no size hits is one the search finds no set
+    for.  Orders above 9 raise OrderOutOfRange.
 
     A lane here is an int, or its bytes, with one byte per record, read
     little-endian.  Size 0 reads the span's own lanes.  Each larger size
@@ -209,30 +218,37 @@ def _certificates(span, n, degrees, counts):
     tried at once, in blocks: block i of a lane holds one byte per open
     record for the i-th set in combinations order.  A survivor's block
     is its degree less the edge lanes it shares with the set, a deleted
-    vertex's _GONE less the same, and each degree's count lane sums a
-    translate of those.
+    vertex's _GONE less the same.
 
     target holds d + 1 in the byte of each record and set whose
     smallest degree held three or more times is d, and 0 where there is
-    none: walking the count lanes up from degree 0, each takes the first
-    whose translate by _THRICE reads 1 in its byte.  A record keeps only
-    the first set that hits, whose byte of seen, the OR of the blocks
-    that hit up to its own, doubling, is 0 in the block before.  A
-    degree lane plus one, XORed with target, is 0 where its vertex holds
-    that degree.  Walking the vertices up, need[j] holds the records
-    with j witnesses found, and witness lane j sums v over those hits
-    of v that find the (j + 1)-th: the first three survivors, by index,
-    as _witness_after reads them.  Each result lane then folds its
-    blocks into one, and the records that hit leave the search before
-    size k + 1.  No byte carries: none exceeds 193.
+    none.  At size 0, walking the count lanes up from degree 0, each
+    takes the first whose translate by _THRICE reads 1 in its byte.  At
+    size k >= 1 a reduced degree is at most n - 1 - k <= 7, so each
+    survivor's byte translates by _ONE_HOT to one bit, and three
+    saturating bit-planes, c1, c2 and c3, hold the degrees seen once,
+    twice and three times; target is c3 translated by _LOWEST.  A record
+    keeps only the first set that hits, whose byte of seen, the OR of
+    the blocks that hit up to its own, doubling, is 0 in the block
+    before.  A degree lane plus one, XORed with target, is 0 where its
+    vertex holds that degree.  Walking the vertices up, need[j] holds
+    the records with j witnesses found, and witness lane j sums v over
+    those hits of v that find the (j + 1)-th: the first three
+    survivors, by index, as _witness_after reads them.  Each result lane
+    then folds its blocks into one, and the records that hit leave the
+    search before size k + 1.  No byte carries: none exceeds 193.
     """
+    if n > 9:
+        raise OrderOutOfRange(f"the lane search covers orders up to 9, got {n}")
     width = _width(n)
     open_ = range(len(degrees[0]))
+    found = []
     for k in range(allowance(n) + 1):
         places, pairs, held = _sets(n, k)
         size = len(open_)
         blocks = len(held) // n
         count = size * blocks
+        ones = int.from_bytes(b"\1" * count, "little")
         if k:
             sub = b"".join([span[i * width:(i + 1) * width] for i in open_])
             edges, lanes = _lanes(sub, n, width)
@@ -248,18 +264,22 @@ def _certificates(span, n, degrees, counts):
                 - sum(int.from_bytes(b"".join(map(table.__getitem__, p)), "little") for p in pairs)
             ).to_bytes(n * count, "little")
             degrees = [reduced[v * count:(v + 1) * count] for v in range(n)]
-            counts = [
-                sum(map(int.from_bytes, map(bytes.translate, degrees, repeat(_IS[d])), repeat("little")))
-                .to_bytes(count, "little")
-                for d in range(n - k)
-            ]
-        ones = int.from_bytes(b"\1" * count, "little")
-        left, target = ones, 0
-        for d, lane in enumerate(counts):
-            hit = int.from_bytes(lane.translate(_THRICE), "little") & left
-            target |= hit * (d + 1)
-            left ^= hit
-        first = seen = ones ^ left
+            c1 = c2 = c3 = 0
+            for lane in degrees:
+                x = int.from_bytes(lane.translate(_ONE_HOT), "little")
+                c3 |= c2 & x
+                c2 |= c1 & x
+                c1 |= x
+            target = c3.to_bytes(count, "little").translate(_LOWEST)
+            first = seen = ones ^ int.from_bytes(target.translate(_IS[0]), "little")
+            target = int.from_bytes(target, "little")
+        else:
+            left, target = ones, 0
+            for d, lane in enumerate(counts):
+                hit = int.from_bytes(lane.translate(_THRICE), "little") & left
+                target |= hit * (d + 1)
+                left ^= hit
+            first = seen = ones ^ left
         if blocks > 1:
             shift = 8 * size
             while shift < 8 * count:
@@ -276,38 +296,61 @@ def _certificates(span, n, degrees, counts):
             need = [need[0] ^ a, need[1] ^ b | a, need[2] ^ c | b]
         marks = [bytes([u]) * size for u in range(n)]
         deleted = [int.from_bytes(b"".join(map(marks.__getitem__, p)), "little") & first * 255 for p in places]
-        found = [_fold(x, size, blocks).to_bytes(size, "little") for x in (target, *witness, *deleted)]
-        if k:
-            for i, t, u, v, w, *dropped in compress(zip(open_, *found), found[0]):
-                certs[i] = DeletionCertificate(n, tuple(dropped), (u, v, w), t - 1)
-        else:
-            zero, certs = tuple(found), {}
-        open_ = list(compress(open_, found[0].translate(_IS[0])))
+        lanes = tuple(_fold(x, size, blocks).to_bytes(size, "little") for x in (target, *witness, *deleted))
+        found.append((open_, lanes))
+        open_ = list(compress(open_, lanes[0].translate(_IS[0])))
         if not open_:
             break
-    return zero, certs
+    return found
 
 
-def check_size_zero(degrees, zero):
-    """A lane with 1 in the byte of each record whose size-0 claim holds,
-    and 0 in every other: degrees are a span's degree lanes, one per
-    vertex of its order n, and zero its size-0 lanes as _certificates
-    gives them, the named degree + 1, then the witnesses u, v and w.
-    A claim holds where the three witnesses are u < v < w < n, each of
-    the degree named; a record whose first lane reads 0 claims nothing.
+def check_claims(span, n, open_, lanes):
+    """A lane with 1 in the byte of each record of open_ whose claim
+    holds, and 0 in every other: span is graph6 records of order n
+    joined, open_ the indices of some of them, and lanes a claim for
+    each, one byte per record of open_, as _certificates gives one size
+    k: the degree named + 1, the witnesses u, v and w, then k deleted
+    vertices.  A claim holds where its deleted vertices are distinct and
+    below n, no witness is deleted, the witnesses are u < v < w < n, and
+    each witness's degree less its deleted neighbours is the degree
+    named; a record whose first lane reads 0 claims nothing.
 
-    Walking the vertices up, need[j] holds the records with j witnesses
-    confirmed: a vertex of the named degree moves a record from need[j]
-    to need[j + 1] when it is the record's (j + 1)-th witness, against
-    need as it stood before that vertex, so a witness named twice, or
-    out of order, never gets as far as need[3]."""
-    count = len(degrees[0])
+    The records of open_ are joined from span itself, and their edge and
+    degree lanes read with graphcore._lanes; nothing else the search
+    computed is read.  gone[v] counts the deleted lanes that name v, so
+    the deletions are valid where exactly k vertices are named once.  A
+    vertex's reduced degree is its degree lane less the edge lanes it
+    shares with a vertex gone.  Walking the vertices up, need[j] holds
+    the records with j witnesses confirmed: a vertex kept, of the named
+    degree, moves a record from need[j] to need[j + 1] when it is the
+    record's (j + 1)-th witness, against need as it stood before that
+    vertex, so a witness named twice, or out of order, never gets as far
+    as need[3]."""
+    width = _width(n)
+    count = len(open_)
+    if open_ == range(len(span) // width):
+        sub = span
+    else:
+        sub = b"".join([span[i * width:(i + 1) * width] for i in open_])
+    edges, degrees = _lanes(sub, n, width)
     ones = int.from_bytes(b"\1" * count, "little")
-    target = int.from_bytes(zero[0], "little")
-    need = [ones, 0, 0, 0]
+    target, witnesses, dropped = int.from_bytes(lanes[0], "little"), lanes[1:4], lanes[4:]
+    valid = ones
+    gone = [0] * n
+    if dropped:
+        gone = [sum(int.from_bytes(x.translate(_IS[v]), "little") for x in dropped) for v in range(n)]
+        once = sum(int.from_bytes(lane.to_bytes(count, "little").translate(_IS[1]), "little") for lane in gone)
+        valid = int.from_bytes(once.to_bytes(count, "little").translate(_IS[len(dropped)]), "little")
+        bits = iter(edges)
+        for v in range(1, n):
+            for u in range(v):
+                edge = next(bits)
+                degrees[u] -= edge & gone[v]
+                degrees[v] -= edge & gone[u]
+    need = [valid, 0, 0, 0]
     for v, lane in enumerate(degrees):
-        held = ((int.from_bytes(lane, "little") + ones) ^ target).to_bytes(count, "little")
-        held = int.from_bytes(held.translate(_IS[0]), "little")
-        a, b, c = (held & need[j] & int.from_bytes(zero[j + 1].translate(_IS[v]), "little") for j in range(3))
+        held = ((lane + ones) ^ target).to_bytes(count, "little")
+        held = int.from_bytes(held.translate(_IS[0]), "little") & ~gone[v]
+        a, b, c = (held & need[j] & int.from_bytes(witnesses[j].translate(_IS[v]), "little") for j in range(3))
         need = [need[0] ^ a, need[1] ^ b | a, need[2] ^ c | b, need[3] | c]
     return need[3].to_bytes(count, "little")

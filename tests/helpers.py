@@ -10,7 +10,7 @@ import random
 import sys
 from collections import Counter
 from functools import cache
-from itertools import combinations
+from itertools import combinations, compress
 from typing import NamedTuple
 
 from rep3 import enumeration, harness
@@ -412,59 +412,53 @@ def theorem_worker_result(records):
 
 
 def lane_form(answers):
-    """(zero, certs) in solver._certificates' return shape, for one
-    answer per record of a span: a DeletionCertificate, None for a miss,
-    or a TheoremViolation in place of a certificate.
+    """solver._certificates' return shape for one answer per record of a
+    span: a DeletionCertificate, or None where the search finds no set.
 
-    A certificate that deletes nothing, with three witnesses and a
-    degree from 0 to 254, each a byte, goes in the size-0 lanes: the
-    degree + 1, then the witnesses.  Every other answer but None is
-    keyed by its index in certs, as the kernel keys a certificate of
-    size 1 or more: a certificate with a deletion, or with two or four
-    witnesses, or naming degree -1, cannot be written in lanes."""
-    zero = [bytearray(len(answers)) for _ in range(4)]
-    certs = {}
-    for i, cert in enumerate(answers):
-        if (
-            isinstance(cert, DeletionCertificate)
-            and not cert.deleted
-            and len(cert.witness) == 3
-            and 0 <= cert.witness_degree < 255
-            and all(0 <= x < 256 for x in cert.witness)
-        ):
-            for lane, x in zip(zero, (cert.witness_degree + 1, *cert.witness)):
-                lane[i] = x
-        elif cert is not None:
-            certs[i] = cert
-    return tuple(map(bytes, zero)), certs
+    Size k's entry searches the records that no smaller size answers,
+    every record at size 0, and claims there each answer that deletes k
+    vertices, in lane bytes: the degree + 1, the witnesses u, v and w,
+    then the deleted vertices.  The entries run up to the largest size
+    answered.  An answer the lanes cannot write, one whose degree + 1,
+    witness or deleted vertex is no byte, or that names other than three
+    witnesses, raises ValueError."""
+    found = []
+    open_ = range(len(answers))
+    sizes = [len(cert.deleted) for cert in answers if cert is not None]
+    for k in range(max(sizes, default=0) + 1):
+        lanes = [bytearray(len(open_)) for _ in range(4 + k)]
+        for j, i in enumerate(open_):
+            cert = answers[i]
+            if cert is not None and len(cert.deleted) == k:
+                u, v, w = cert.witness
+                for lane, x in zip(lanes, (cert.witness_degree + 1, u, v, w, *cert.deleted)):
+                    lane[j] = x
+        found.append((open_, tuple(map(bytes, lanes))))
+        open_ = [i for i in open_ if answers[i] is None or len(answers[i].deleted) != k]
+    return found
 
 
-def per_record(n, zero, certs):
-    """The answer for each record of a span of order n from (zero,
-    certs), solver._certificates' return shape: a DeletionCertificate
-    for a size-0 claim in the lanes, certs' own entry for every other
-    record, None where there is none."""
-    return [
-        DeletionCertificate(n, (), (u, v, w), t - 1) if t else certs.get(i)
-        for i, (t, u, v, w) in enumerate(zip(*zero))
-    ]
+def per_record(n, found):
+    """The answer for each record of a span of order n from found,
+    solver._certificates' return shape: a DeletionCertificate for the
+    first claim any size makes for the record, None where none does."""
+    answers = [None] * len(found[0][0])
+    for open_, lanes in found:
+        for i, t, u, v, w, *dropped in compress(zip(open_, *lanes), lanes[0]):
+            if answers[i] is None:
+                answers[i] = DeletionCertificate(n, tuple(dropped), (u, v, w), t - 1)
+    return answers
 
 
 def searching_with(solve):
     """A stand-in for harness._certificates, the theorem sweep's search,
     that answers every record of its span, whatever its degrees, with
-    solve(g) over the decoded graph g, or with the TheoremViolation
-    solve raises, packed by lane_form into the kernel's return shape:
-    so a fault planted in solve reaches every class the sweep sees."""
+    solve(g) over the decoded graph g, a certificate or None, packed by
+    lane_form into the kernel's return shape: so a fault planted in
+    solve reaches every class the sweep sees."""
 
     def search(span, n, degrees, counts):
-        answers = []
-        for _, g in _records(span):
-            try:
-                answers.append(solve(g))
-            except TheoremViolation as exc:
-                answers.append(exc)
-        return lane_form(answers)
+        return lane_form([solve(g) for _, g in _records(span)])
 
     return search
 

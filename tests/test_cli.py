@@ -244,7 +244,7 @@ def test_verify_table_report(capsys):
 
 def test_verify_table_reports_violations(capsys, monkeypatch):
     # a search that deletes past allowance(5) = 2 fails every class
-    oversized = helpers.searching_with(lambda g: solver.DeletionCertificate(g.n, (0, 1, 2), (3, 4), 0))
+    oversized = helpers.searching_with(lambda g: solver.DeletionCertificate(g.n, (0, 1, 2), (3, 4, 4), 0))
     monkeypatch.setattr(harness, "_certificates", oversized)
     assert run(["verify", "--min-n", "5", "--max-n", "5", "--jobs", "1",
                 "--format", "table"]) == 1

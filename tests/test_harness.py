@@ -320,7 +320,7 @@ def kernel_certificates(span):
     """solver._certificates over span, as the theorem worker reads its
     lanes, one answer per record, as helpers.per_record reads them."""
     n, degrees, counts = graphcore._degree_counts(span)
-    return helpers.per_record(n, *solver._certificates(span, n, degrees, counts))
+    return helpers.per_record(n, solver._certificates(span, n, degrees, counts))
 
 
 def assert_kernel_matches_reference(records):
@@ -395,6 +395,13 @@ class TestTheoremKernel:
         assert len(set(records)) > 250
         assert all(len(solve3(parse_graph6(rec)).deleted) == 3 for rec in records)
         assert_kernel_matches_reference(records)
+
+    def test_orders_above_nine_rejected(self):
+        # a reduced degree fits the bit-planes' byte only up to order 9
+        span = write_graph6(from_edge_list(10, [(0, 1)]))
+        n, degrees, counts = graphcore._degree_counts(span)
+        with pytest.raises(errors.OrderOutOfRange):
+            solver._certificates(span, n, degrees, counts)
 
     def test_witnesses_by_index(self):
         # the path 0-1-2-3-4, degrees (1, 2, 2, 2, 1); the path 0-3-1-4-2,
@@ -776,7 +783,7 @@ class TestFindExtremal:
 
     def test_failed_check_raises(self, monkeypatch):
         # every class goes through the theorem sweep's independent check
-        monkeypatch.setattr(harness, "check_certificate", lambda g, c: False)
+        monkeypatch.setattr(harness, "check_claims", lambda span, n, open_, lanes: bytes(len(open_)))
         with pytest.raises(errors.TheoremViolation):
             find_extremal(5)
 
@@ -910,22 +917,22 @@ def test_sweep_pools_past_one_chunk(forks, count, pools):
 
 
 def _solve3_missing(g):
-    """A solve3 that finds no deletion set."""
-    raise errors.TheoremViolation("planted miss")
+    """A search that finds no deletion set."""
+    return None
 
 
 @pytest.mark.parametrize(
     "solve,reason",
     [
         pytest.param(
-            lambda g: solver.DeletionCertificate(g.n, (0, 1, 2), (3, 4), 0),
-            "deletion set (0, 1, 2) exceeds allowance 2",
+            lambda g: solver.DeletionCertificate(g.n, (0, 1, 2), (3, 4, 4), 0),
+            lambda g: "deletion set (0, 1, 2) exceeds allowance 2",
             id="oversized",
         ),
-        pytest.param(_solve3_missing, "planted miss", id="missing"),
+        pytest.param(_solve3_missing, lambda g: f"no deletion set of size <= 2 found for {g!r}", id="missing"),
         pytest.param(
-            lambda g: solver.DeletionCertificate(g.n, (), (0, 1, 2), -1),
-            "certificate {'n': 5, 'deleted': [], 'witness': [0, 1, 2], 'degree': -1}"
+            lambda g: solver.DeletionCertificate(g.n, (), (0, 1, 2), 5),
+            lambda g: "certificate {'n': 5, 'deleted': [], 'witness': [0, 1, 2], 'degree': 5}"
             " failed the independent check",
             id="unchecked",
         ),
@@ -934,23 +941,61 @@ def _solve3_missing(g):
 def test_oversized_deletion_set_is_a_violation(forks, monkeypatch, solve, reason):
     # a search that deletes more than allowance(5) = 2 vertices is a
     # violation before the certificate is checked, and so are a search
-    # that raises and a certificate the independent check refuses, in
-    # this process and in the map that 34 records share at two jobs;
-    # each fault is planted in the search seam, which every class passes
+    # that claims nothing and a certificate the independent check
+    # refuses, in this process and in the map that 34 records share at
+    # two jobs; each fault is planted in the search seam, which every
+    # class passes; reason gives each class's reason from its graph
     monkeypatch.setattr(harness, "_certificates", helpers.searching_with(solve))
+    expected = [reason(parse_graph6(rec)) for rec in catalogue_records(5)]
     for jobs in (1, 2):
         report = verify_theorem(5, 5, jobs=jobs)
         assert not report.verified
         reasons = [viol["reason"] for viol in report.per_n[5]["violations"]]
-        assert reasons == [reason] * 34
+        assert reasons == expected
         assert report.to_table().endswith("\nstatus: VIOLATIONS FOUND")
     with pytest.raises(errors.TheoremViolation) as caught:
         find_extremal(5)
-    assert str(caught.value).endswith(": " + reason)
+    assert str(caught.value).endswith(": " + expected[0])
     assert forks.children == [1, 1]
 
 
+def _four_deleted(g):
+    """A certificate that holds on g, of order 7, past its allowance of
+    3: four vertices deleted, leaving a triangle or three vertices with
+    no edge, which every graph on six or more vertices holds."""
+    for kept in combinations(range(g.n), 3):
+        inside = sum(g.rows[u] >> v & 1 for u, v in combinations(kept, 2))
+        if inside in (0, 3):
+            deleted = tuple(v for v in range(g.n) if v not in kept)
+            return solver.DeletionCertificate(g.n, deleted, kept, inside and 2)
+    raise AssertionError(g)
+
+
+def test_valid_claim_past_the_allowance_is_a_violation(forks, monkeypatch):
+    # a search that deletes four vertices of an order-7 class, one more
+    # than allowance(7) = 3, is a violation even where the lane check
+    # passes the claim, in this process and in a shared map
+    records = catalogue_records(7)[:40]
+    certs = [_four_deleted(parse_graph6(rec)) for rec in records]
+    assert all(check_certificate(parse_graph6(rec), c) for rec, c in zip(records, certs))
+    forks.clear()
+    monkeypatch.setattr(harness, "_certificates", helpers.searching_with(_four_deleted))
+    for jobs in (1, 2):
+        report = verify_theorem(7, 7, source=helpers.g6_file(records), jobs=jobs)
+        assert [(v["graph"], v["reason"]) for v in report.per_n[7]["violations"]] == [
+            (rec.decode(), f"deletion set {c.deleted} exceeds allowance 3") for rec, c in zip(records, certs)
+        ]
+        assert report.per_n[7]["min_deletion_histogram"] == [0, 0, 0, 0]
+    assert forks.children == [1]
+
+
 _real_certificates = harness._certificates
+_real_check_claims = harness.check_claims
+
+
+def _refusing_size_zero(span, n, open_, lanes):
+    """harness.check_claims refusing every claim of size 0."""
+    return bytes(len(open_)) if len(lanes) == 4 else _real_check_claims(span, n, open_, lanes)
 
 
 def _another_degree(cert):
@@ -969,7 +1014,7 @@ def _certificates_editing(edit):
     size 0 it gives, in its lanes."""
     return lambda span, n, degrees, counts: helpers.lane_form([
         cert if cert.deleted else edit(cert)
-        for cert in helpers.per_record(n, *_real_certificates(span, n, degrees, counts))
+        for cert in helpers.per_record(n, _real_certificates(span, n, degrees, counts))
     ])
 
 
@@ -977,7 +1022,7 @@ def _certificates_missing(span, n, degrees, counts):
     """harness._certificates finding no set of one deletion or more."""
     return helpers.lane_form([
         None if cert.deleted else cert
-        for cert in helpers.per_record(n, *_real_certificates(span, n, degrees, counts))
+        for cert in helpers.per_record(n, _real_certificates(span, n, degrees, counts))
     ])
 
 
@@ -996,7 +1041,7 @@ def _certificates_missing(span, n, degrees, counts):
             _repeated_witness,
             id="repeated-witness",
         ),
-        pytest.param("check_size_zero", lambda degrees, zero: bytes(len(zero[0])), lambda c: c, id="check-refuses"),
+        pytest.param("check_claims", _refusing_size_zero, lambda c: c, id="check-refuses"),
     ],
 )
 def test_size_zero_fault_fails_every_size_zero_class(forks, monkeypatch, name, fault, edit):
@@ -1019,14 +1064,57 @@ def test_size_zero_fault_fails_every_size_zero_class(forks, monkeypatch, name, f
     assert forks.children == [1]
 
 
+def _deletion_faults(edit):
+    """harness._certificates with edit applied to every certificate it
+    gives that deletes a vertex, in its lanes."""
+    return lambda span, n, degrees, counts: helpers.lane_form([
+        edit(cert) if cert.deleted else cert
+        for cert in helpers.per_record(n, _real_certificates(span, n, degrees, counts))
+    ])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda c: c._replace(deleted=(c.witness[0], *c.deleted[1:])), id="deleted-witness"),
+        # the first deleted vertex in place of the last, or, alone, twice
+        pytest.param(lambda c: c._replace(deleted=c.deleted[:-1] + c.deleted[:1] if c.deleted[1:] else c.deleted * 2),
+                     id="deleted-twice"),
+        pytest.param(lambda c: c._replace(deleted=(c.original_order, *c.deleted[1:])), id="deleted-out-of-range"),
+        pytest.param(_another_degree, id="another-degree"),
+        pytest.param(_repeated_witness, id="repeated-witness"),
+    ],
+)
+def test_deletion_fault_fails_every_class_that_needs_one(forks, monkeypatch, edit):
+    # a search whose certificates of one deletion or more delete a
+    # witness, name a deleted vertex twice or past the order, name a
+    # degree their witnesses do not hold, or name one witness twice,
+    # makes every order-5 class that needs a deletion a violation with
+    # the independent check's reason, and no other class, in this
+    # process and in a shared map
+    certs = {rec: solve3(parse_graph6(rec)) for rec in catalogue_records(5)}
+    needing = [(rec.decode(), edit(c)) for rec, c in certs.items() if c.deleted]
+    assert len(needing) == 9
+    monkeypatch.setattr(harness, "_certificates", _deletion_faults(edit))
+    for jobs in (1, 2):
+        report = verify_theorem(5, 5, jobs=jobs)
+        entry = report.per_n[5]
+        assert [(v["graph"], v["reason"]) for v in entry["violations"]] == [
+            (rec, f"certificate {c.to_dict()} failed the independent check") for rec, c in needing
+        ]
+        assert entry["min_deletion_histogram"] == [25, 0, 0, 0]
+        assert not report.verified
+    assert forks.children == [1]
+
+
 def _claiming_size_zero(span, n, degrees, counts):
     """harness._certificates, with a size-0 claim written into its lanes,
     witnesses 0, 1 and 2 of degree 1, for every record it also gives a
     certificate of one deletion or more."""
-    zero, certs = _real_certificates(span, n, degrees, counts)
+    found = _real_certificates(span, n, degrees, counts)
     claim = solver.DeletionCertificate(n, (), (0, 1, 2), 1)
-    answers = helpers.per_record(n, zero, {})
-    return helpers.lane_form([claim if i in certs else c for i, c in enumerate(answers)])[0], certs
+    answers = [claim if c.deleted else c for c in helpers.per_record(n, found)]
+    return [helpers.lane_form(answers)[0], *found[1:]]
 
 
 def test_unsupported_size_zero_claim_is_a_violation(forks, monkeypatch):
@@ -1539,7 +1627,7 @@ def _rejecting(span):
             ("_certificates", helpers.searching_with(_solve3_missing)),
             lambda: find_extremal(7),
             errors.TheoremViolation,
-            "F????: planted miss",
+            "F????: no deletion set of size <= 3 found for Graph(n=7, edges=[])",
             id="fold_raises_mid_map",
         ),
     ],

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from itertools import combinations
 
 from rep3 import errors, graphcore, solver
-from rep3.graphcore import complement, delete_vertices, from_edge_list, parse_graph6
+from rep3.enumeration import catalogue_lines
+from rep3.graphcore import complement, delete_vertices, from_edge_list, parse_graph6, write_graph6
 from rep3.solver import (
     DeletionCertificate,
     check_certificate,
@@ -282,25 +283,25 @@ class TestCheckCertificate:
         }
 
 
-def size_zero_lanes(certs):
-    """The size-0 lanes of certs, one record each, as
-    solver._certificates writes them: the degree named + 1, then the
-    witnesses u, v and w, each one byte."""
-    return [bytes(c.witness_degree + 1 for c in certs), *(bytes(c.witness[j] for c in certs) for j in range(3))]
+def claim_lanes(certs):
+    """The lanes of certs, one record each, every one deleting the same
+    number k of vertices, as solver._certificates writes size k: the
+    degree named + 1, the witnesses u, v and w, then the deleted
+    vertices, each one byte."""
+    return tuple(map(bytes, zip(*((c.witness_degree + 1, *c.witness, *c.deleted) for c in certs), strict=True)))
 
 
-def lane_check(degree_tuples, certs):
-    """solver.check_size_zero over one span whose record i has the
-    degree tuple degree_tuples[i], all of one order, and claims certs[i]
-    in its size-0 lanes: the lane it returns, as a list."""
-    degrees = [bytes(d[v] for d in degree_tuples) for v in range(len(degree_tuples[0]))]
-    return list(solver.check_size_zero(degrees, size_zero_lanes(certs)))
+def lane_check(graphs, certs):
+    """solver.check_claims over one span of graphs, all of one order,
+    whose record i claims certs[i]: the lane it returns, as a list."""
+    span = b"".join(map(write_graph6, graphs))
+    return list(solver.check_claims(span, graphs[0].n, range(len(graphs)), claim_lanes(certs)))
 
 
-def reference_lane(degree_tuples, certs):
+def reference_lane(graphs, certs):
     """helpers.check_size_zero, the per-record reference, record by
     record, as a lane of 0s and 1s."""
-    return [int(helpers.check_size_zero(d, c)) for d, c in zip(degree_tuples, certs)]
+    return [int(helpers.check_size_zero(g.degrees, c)) for g, c in zip(graphs, certs)]
 
 
 class TestCheckSizeZero:
@@ -319,9 +320,9 @@ class TestCheckSizeZero:
                 for witness in combinations(range(n + 1), 3)
                 for degree in range(-1, n + 1)
             ]
-            expected = reference_lane([g.degrees] * len(cases), cases)
+            expected = reference_lane([g] * len(cases), cases)
             assert 0 in expected and (1 in expected) == (max(profile(g).rep, 0) >= 3)
-            assert lane_check([g.degrees] * len(cases), cases) == expected
+            assert lane_check([g] * len(cases), cases) == expected
             for order in (n - 1, n, n + 1):
                 for c in cases:
                     if max(c.witness) < n:
@@ -329,7 +330,7 @@ class TestCheckSizeZero:
                         assert helpers.check_size_zero(g.degrees, c) == check_certificate(g, c)
 
     def test_refuses_what_it_does_not_certify(self):
-        degrees = helpers.c5().degrees  # (2, 2, 2, 2, 2)
+        g = helpers.c5()  # degrees (2, 2, 2, 2, 2)
         good = DeletionCertificate(5, (), (0, 2, 4), 2)
         refused = [
             DeletionCertificate(5, (), (0, 2, 2), 2),
@@ -343,12 +344,12 @@ class TestCheckSizeZero:
             DeletionCertificate(5, (), (0, 2, 4), -1),  # the empty target
         ]
         # each case alone, as a one-record span, and all in one span
-        assert lane_check([degrees], [good]) == [1]
+        assert lane_check([g], [good]) == [1]
         for c in refused:
-            assert not helpers.check_size_zero(degrees, c)
-            assert lane_check([degrees], [c]) == [0], c
+            assert not helpers.check_size_zero(g.degrees, c)
+            assert lane_check([g], [c]) == [0], c
         span = [good, *refused, good]
-        assert lane_check([degrees] * len(span), span) == [1] + [0] * len(refused) + [1]
+        assert lane_check([g] * len(span), span) == [1] + [0] * len(refused) + [1]
         # what the lanes cannot write is refused by the reference
         for c in [
             DeletionCertificate(5, (1,), (0, 2, 4), 2),  # a deletion
@@ -358,15 +359,15 @@ class TestCheckSizeZero:
             DeletionCertificate(4, (), (0, 1, 2), 2),  # another order
             DeletionCertificate(6, (), (0, 1, 2), 2),
         ]:
-            assert not helpers.check_size_zero(degrees, c), c
+            assert not helpers.check_size_zero(g.degrees, c), c
 
     @pytest.mark.parametrize("n", [5, 7, 9])
     def test_mixed_spans_agree_with_the_reference(self, n):
-        # seeded degree tuples, each with a claim that holds where one
-        # can, or that claim one step off (a witness repeated, two
-        # swapped, the last at n, the degree one off), beside claims of
-        # random bytes, the empty target and 255s, so a carry or borrow
-        # between bytes shows in the lane
+        # seeded graphs, each with an edge probability of its own, each
+        # with a claim that holds where one can, or that claim one step
+        # off (a witness repeated, two swapped, the last at n, the degree
+        # one off), beside claims of random bytes, the empty target and
+        # 255s, so a carry or borrow between bytes shows in the lane
         rng = random.Random(41 + n)
         near_misses = [
             lambda u, v, w, d: ((u, u, w), d),
@@ -377,9 +378,12 @@ class TestCheckSizeZero:
             lambda u, v, w, d: ((u, v, w), d + 1),
             lambda u, v, w, d: ((u, v, w), d - 1),
         ]
-        degree_tuples, certs = [], []
+        pairs = list(combinations(range(n), 2))
+        graphs, certs = [], []
         for _ in range(3000):
-            degrees = tuple(rng.randrange(n) for _ in range(n))
+            p = rng.random()
+            g = from_edge_list(n, [e for e in pairs if rng.random() < p])
+            degrees = g.degrees
             kind = rng.randrange(4)
             held = [d for d in set(degrees) if degrees.count(d) >= 3]
             if kind == 0 and held:
@@ -393,8 +397,121 @@ class TestCheckSizeZero:
                 c = DeletionCertificate(n, (), (0, 1, 2), -1)
             else:
                 c = DeletionCertificate(n, (), tuple(rng.randrange(256) for _ in range(3)), rng.randrange(-1, 255))
-            degree_tuples.append(degrees)
+            graphs.append(g)
             certs.append(c)
-        expected = reference_lane(degree_tuples, certs)
+        expected = reference_lane(graphs, certs)
         assert 100 < sum(expected) < 1500
-        assert lane_check(degree_tuples, certs) == expected
+        assert lane_check(graphs, certs) == expected
+
+
+def claims_hold(span, n, rng, chance):
+    """(got, expected, changed) for every claim that solver._certificates
+    makes over span, graph6 records of order n joined, every size's,
+    after one random lane byte of each claim, by rng, with the given
+    chance, is set to a value in 0..n+1: got is what check_claims
+    reads, expected what check_certificate says of the claim on the
+    decoded graph, with its witnesses u < v < w, and changed how many
+    claims were changed.  A record whose target byte reads 0 claims
+    nothing, which holds on no graph."""
+    n, degrees, counts = graphcore._degree_counts(span)
+    width = graphcore._width(n)
+    got, expected, changed = [], [], 0
+    for open_, lanes in solver._certificates(span, n, degrees, counts):
+        lanes = [bytearray(lane) for lane in lanes]
+        for j in range(len(open_)):
+            if rng.random() < chance:
+                lanes[rng.randrange(len(lanes))][j] = rng.randrange(n + 2)
+                changed += 1
+        got += solver.check_claims(span, n, open_, tuple(map(bytes, lanes)))
+        for i, (t, u, v, w, *dropped) in zip(open_, zip(*lanes)):
+            g = parse_graph6(span[i * width:(i + 1) * width])
+            c = DeletionCertificate(n, tuple(dropped), (u, v, w), t - 1)
+            expected.append(int(t > 0 and u < v < w and check_certificate(g, c)))
+    return got, expected, changed
+
+
+class TestCheckClaims:
+    def test_agrees_with_check_certificate_on_every_claim(self):
+        # every claim the kernel makes over the seed-1 g6_stream input,
+        # one span per order, and over the catalogue of orders 5..8, at
+        # every size, about half of them changed in one lane byte
+        rng = random.Random(43)
+        spans = {n: [catalogue_lines(n).replace(b"\n", b"")] for n in range(5, 9)}
+        spans[9] = []
+        for n in range(5, 10):
+            spans[n].append(b"".join(rec for rec in helpers.stream_records(100000) if rec[0] - 63 == n))
+        held = refused = changed = 0
+        for n, group in spans.items():
+            for span in group:
+                got, expected, count = claims_hold(span, n, rng, 0.5)
+                assert got == expected
+                held += sum(expected)
+                refused += len(expected) - sum(expected)
+                changed += count
+        assert held > 60000 and refused > 60000 and changed > 55000
+
+    @given(st.integers(5, 9), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_check_certificate_on_labeled_graphs(self, n, data):
+        # spans of 1..8 labeled graphs, every claim changed in one lane
+        # byte with a drawn chance
+        graphs = [random_graph(n, data) for _ in range(data.draw(st.integers(1, 8)))]
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        chance = data.draw(st.sampled_from([0, 0.5, 1]))
+        got, expected, _ = claims_hold(b"".join(map(write_graph6, graphs)), n, rng, chance)
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "cert,holds",
+        [
+            pytest.param(DeletionCertificate(5, (1,), (2, 3, 4), 1), 1, id="valid"),
+            pytest.param(DeletionCertificate(5, (1,), (1, 3, 4), 1), 0, id="witness_deleted"),
+            pytest.param(DeletionCertificate(5, (1, 1), (2, 3, 4), 1), 0, id="deleted_twice"),
+            pytest.param(DeletionCertificate(5, (5,), (2, 3, 4), 1), 0, id="deleted_out_of_range"),
+            pytest.param(DeletionCertificate(5, (1,), (2, 3, 4), 2), 0, id="wrong_degree"),
+            pytest.param(DeletionCertificate(5, (1,), (2, 4, 4), 1), 0, id="witness_repeated"),
+            pytest.param(DeletionCertificate(5, (1,), (2, 4, 3), 1), 0, id="witness_out_of_order"),
+            pytest.param(DeletionCertificate(5, (1,), (2, 3, 5), 1), 0, id="witness_out_of_range"),
+            pytest.param(DeletionCertificate(5, (1,), (2, 3, 4), -1), 0, id="empty_target"),
+        ],
+    )
+    def test_deletion_claims(self, cert, holds):
+        # antiregular5, degrees (4, 3, 2, 2, 1), less vertex 1: (3, -, 1,
+        # 1, 1), and less 0 and 1: (-, -, 0, 0, 0); each claim alone and
+        # beside a valid one of its size
+        g = helpers.antiregular5()
+        valid = {
+            1: DeletionCertificate(5, (1,), (2, 3, 4), 1),
+            2: DeletionCertificate(5, (0, 1), (2, 3, 4), 0),
+        }[len(cert.deleted)]
+        assert lane_check([g], [cert]) == [holds]
+        assert lane_check([g] * 3, [valid, cert, valid]) == [1, holds, 1]
+        assert holds == int(min(cert.witness) >= 0 and cert.witness == tuple(sorted(cert.witness))
+                            and check_certificate(g, cert))
+
+    def test_refuses_deletions_that_reduce_nothing(self):
+        # c5, degrees (2, 2, 2, 2, 2): a deleted vertex past the order,
+        # or one named twice, reduces no witness's degree, which then
+        # reads as the degree named, yet no such claim holds
+        g = helpers.c5()
+        refused = [
+            DeletionCertificate(5, (5,), (0, 1, 2), 2),
+            DeletionCertificate(5, (255,), (0, 1, 2), 2),
+            DeletionCertificate(5, (4, 4), (0, 1, 2), 2),
+            DeletionCertificate(5, (3, 3, 4), (0, 1, 2), 2),
+        ]
+        for cert in refused:
+            assert not check_certificate(g, cert)
+            assert lane_check([g], [cert]) == [0], cert
+        # the same witnesses with nothing deleted hold
+        assert lane_check([g], [DeletionCertificate(5, (), (0, 1, 2), 2)]) == [1]
+
+    def test_reads_only_the_records_it_names(self):
+        # a claim is read against the record its index names, joined
+        # from the span, whatever sits beside it
+        g, h = helpers.antiregular5(), helpers.k5()
+        span = write_graph6(h) + write_graph6(g) + write_graph6(h)
+        lanes = claim_lanes([DeletionCertificate(5, (1,), (2, 3, 4), 1)])
+        assert list(solver.check_claims(span, 5, [1], lanes)) == [1]
+        assert list(solver.check_claims(span, 5, [0], lanes)) == [0]
+        assert list(solver.check_claims(span, 5, [2], lanes)) == [0]
