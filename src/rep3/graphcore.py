@@ -46,12 +46,13 @@ records of one order, as strict as _check on each record.  _records is
 the one reader of a span's records: it runs _shape once when called,
 then decodes each record with _decode as it is reached, so no record
 of a span is checked twice.  _lanes reads a whole span at once, with
-one byte lane per record and no graph decoded: one strided slice and
-one translate per triangle bit give its edge lanes, and their sums its
-degree lanes.  All three sweep kernels read spans through it: the
-lemma scan directly, and the identity and theorem kernels through
-_degree_counts, the one reader of count lanes, which adds, per degree
-value, how many vertices of each record hold it.
+one byte lane per record and no graph decoded: one strided slice per
+data byte, read as one int, and one shift and one AND per triangle bit
+give its edge lanes, and their sums its degree lanes.  All three sweep
+kernels read spans through it: the lemma scan and the theorem kernel
+directly, and the identity kernel through _degree_counts, the one
+reader of count lanes, which adds, per degree value, how many vertices
+of each record hold it.
 
 from_edge_json reads {"n": ..., "edges": [[u, v], ...]} text and checks
 its shape and every endpoint.
@@ -280,9 +281,8 @@ def _decode(record, n):
     return Graph(n, _ROWS[n].unpack(code.to_bytes(8 * n, "little")))
 
 
-# _BIT[b] maps a data byte to bit b of its six; _CLEAN[pad] holds the data
-# bytes whose pad low bits, a last byte's padding, are zero
-_BIT = [bytes((x - 63) >> b & 1 for x in range(256)) for b in range(6)]
+# _CLEAN[pad] holds the data bytes whose pad low bits, a last byte's
+# padding, are zero
 _CLEAN = [bytes(x for x in _DATA_BYTES if not (x - 63) & ((1 << pad) - 1)) for pad in range(6)]
 
 
@@ -332,16 +332,16 @@ def _lanes(span, n, width):
     bytes long, joined, as _shape has checked it: byte i of each lane,
     read little-endian, belongs to record i.  edges[k] holds triangle
     bit k, the pair (i, j) of _pair(k), gathered from every record at
-    once by a strided slice of the span (data byte 1 + k // 6 of each
-    record) and one translate (its bit 5 - k % 6); degrees[v] is the sum
-    of the edge lanes at v.  A degree is at most 61, so no byte carries
-    into the next.
+    once: a strided slice of the span (data byte 1 + k // 6 of each
+    record), read as one int less 63 in every byte, which no byte
+    borrows from since every data byte is at least 63, holds each
+    record's six bits, and bit 5 - k % 6 of each byte is one shift and
+    one AND away.  degrees[v] is the sum of the edge lanes at v.  A
+    degree is at most 61, so no byte carries into the next.
     """
-    columns = [span[p::width] for p in range(1, width)]
-    edges = [
-        int.from_bytes(columns[k // 6].translate(_BIT[5 - k % 6]), "little")
-        for k in range(n * (n - 1) // 2)
-    ]
+    ones = int.from_bytes(b"\1" * (len(span) // width), "little")
+    columns = [int.from_bytes(span[p::width], "little") - 63 * ones for p in range(1, width)]
+    edges = [columns[k // 6] >> 5 - k % 6 & ones for k in range(n * (n - 1) // 2)]
     degrees = [0] * n
     bits = iter(edges)
     for j in range(1, n):  # triangle bits k = j(j-1)/2 + i, in order

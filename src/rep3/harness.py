@@ -57,9 +57,9 @@ records, so the main process holds little per class while the map
 runs.  verify_lemmas counts the records of each order, whose 4-set and
 5-set instance counts it multiplies out once the sweep ends.
 
-The theorem worker reads its span's degree and count lanes once, with
-graphcore._degree_counts, and hands the whole span to the lane kernel,
-solver._certificates: every record's certificate is the one
+The theorem worker hands its whole span to the lane kernel,
+solver._certificates, which checks it with graphcore._shape and reads
+its lanes with graphcore._lanes: every record's certificate is the one
 min_deletion_for_rep3 gives at the allowance, found in byte lanes with
 no graph decoded.  No certificate leaves the lanes: for each size, the
 kernel names the records it searched and, one byte per record, the
@@ -193,8 +193,8 @@ def _theorem_worker(span):
     violations one violation record for each _FAILED byte, in record
     order.
 
-    graphcore._degree_counts checks the span and reads its lanes once,
-    solver._certificates searches it, and solver.check_claims checks
+    solver._certificates checks the span and searches it, and
+    solver.check_claims checks
     each size's claims in lanes, against the records it joins from the
     span itself.  A record's claim is the first any size makes for it,
     and its size byte is written only where that claim passed the check
@@ -205,10 +205,10 @@ def _theorem_worker(span):
     the allowance, or one the check refused, is reported so; a record
     with no claim is a miss, whose reason is the one solve3 gives, and
     the only record decoded."""
-    n, degrees, counts = _degree_counts(span)
+    found = _certificates(span)
+    n = span[0] - 63
     cap = allowance(n)
-    found = _certificates(span, n, degrees, counts)
-    sizes = bytearray([_OPEN]) * len(degrees[0])
+    sizes = bytearray([_OPEN]) * len(found[0][0])
     for k, (open_, lanes) in enumerate(found):
         claimed = lanes[0].translate(_CLAIMED)
         passed = check_claims(span, n, open_, lanes) if k <= cap else bytes(len(open_))

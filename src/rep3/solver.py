@@ -21,10 +21,10 @@ degree off its row, masked by the vertices kept, and shares no code
 with the search.
 
 The theorem sweep searches a whole span at once, in byte lanes, one
-byte per record: _certificates takes the span's degree and count lanes
-as graphcore._degree_counts reads them, reads size 0 off them, and
-tries each larger size on the records still open, every set of that
-size side by side, by the same rule, so each record's certificate is
+byte per record: _certificates reads the span's edge and degree lanes
+with graphcore._lanes, reads size 0 off them, and tries each larger
+size on the records still open, every set of that size side by side,
+by the same rule, so each record's certificate is
 the one min_deletion_for_rep3 gives at the allowance; no graph is
 decoded.  No certificate leaves its lanes: for each size searched, the
 indices of the records searched, then one byte per record for the
@@ -32,10 +32,10 @@ degree named, one each for the three witnesses and one for each
 deleted vertex.  check_claims checks one size's claims at once, in
 lanes: it joins the records claimed from the span itself, reads their
 edge and degree lanes with graphcore._lanes, and re-derives each
-witness's reduced degree from them.  It shares graphcore._lanes and
-its _IS translate tables with the search, as check_certificate shares
-Graph.rows with min_deletion_for_rep3, and nothing else;
-check_certificate is its reference in the tests.
+witness's reduced degree from them.  It shares graphcore._lanes with
+the search, as check_certificate shares Graph.rows with
+min_deletion_for_rep3, and nothing else; check_certificate is its
+reference in the tests.
 """
 
 from functools import cache
@@ -43,7 +43,7 @@ from itertools import combinations, compress
 from typing import NamedTuple
 
 from .errors import BudgetExceedsOrder, OrderOutOfRange, TheoremViolation
-from .graphcore import _IS, _THRICE, Graph, _lanes, _width
+from .graphcore import _IS, _THRICE, Graph, _lanes, _shape, _width
 
 
 class DeletionCertificate(NamedTuple):
@@ -186,62 +186,68 @@ def _fold(x, size, blocks):
 
 
 # the byte of a deleted vertex's degree, less its deleted neighbours:
-# above every degree, so no degree matches it
-_GONE = 192
-# translate tables of a reduced degree byte and of a bit-plane byte:
-# _ONE_HOT maps each degree d < 8 to bit d, and _GONE less anything to
-# 0; _LOWEST maps a byte to one plus the index of its lowest set bit, 0
-# to 0
+# above every degree, so no degree matches it, and below 127 less the
+# largest target, so a byte of the witness walk's zero test stays below
+# 128
+_GONE = 64
+# translate tables of a degree byte and of a bit-plane byte: _ONE_HOT
+# maps each degree d < 8 to bit d, and every other byte, _GONE less
+# anything included, to 0; _LOWEST maps a byte to one plus the index of
+# its lowest set bit, 0 to 0
 _ONE_HOT = bytes(1 << d if d < 8 else 0 for d in range(256))
 _LOWEST = bytes((b & -b).bit_length() for b in range(256))
 
 
-def _certificates(span, n, degrees, counts):
+def _certificates(span):
     """The certificate min_deletion_for_rep3 returns at allowance(n)
-    for each record of span, graph6 records of order n joined, with
-    degrees and counts the span's lanes as graphcore._degree_counts
-    reads them, all in byte lanes.  The theorem sweep's search.
+    for each record of span, graph6 records of one order n joined, all
+    in byte lanes.  The theorem sweep's search.  graphcore._shape checks
+    the span; orders above 9 raise OrderOutOfRange.
 
     It returns one (open_, lanes) pair for each size k it searched, in
     order: open_ holds the indices of the records searched at size k,
-    range(len(degrees[0])) at size 0, and lanes, one byte per record of
-    open_, the degree a hit names plus one, then its witnesses u, v and
-    w, then its k deleted vertices, the first three lanes 0 in the byte
-    of a record that size k does not hit.  No object is built for any
-    record; a record that no size hits is one the search finds no set
-    for.  Orders above 9 raise OrderOutOfRange.
+    range of the span's record count at size 0, and lanes, one byte per
+    record of open_, the degree a hit names plus one, then its witnesses
+    u, v and w, then its k deleted vertices, the first three lanes 0 in
+    the byte of a record that size k does not hit.  No object is built
+    for any record; a record that no size hits is one the search finds
+    no set for.
 
     A lane here is an int, or its bytes, with one byte per record, read
-    little-endian.  Size 0 reads the span's own lanes.  Each larger size
-    k joins the records still open into a sub-span and reads its edge
-    and degree lanes once, with graphcore._lanes; then every k-set is
-    tried at once, in blocks: block i of a lane holds one byte per open
-    record for the i-th set in combinations order.  A survivor's block
-    is its degree less the edge lanes it shares with the set, a deleted
+    little-endian.  Each size k joins the records still open into a
+    sub-span, the span itself at size 0, and reads its edge and degree
+    lanes once, with graphcore._lanes; then every k-set is tried at
+    once, in blocks: block i of a lane holds one byte per open record
+    for the i-th set in combinations order.  A survivor's block is its
+    degree less the edge lanes it shares with the set, a deleted
     vertex's _GONE less the same.
 
     target holds d + 1 in the byte of each record and set whose
     smallest degree held three or more times is d, and 0 where there is
-    none.  At size 0, walking the count lanes up from degree 0, each
-    takes the first whose translate by _THRICE reads 1 in its byte.  At
-    size k >= 1 a reduced degree is at most n - 1 - k <= 7, so each
-    survivor's byte translates by _ONE_HOT to one bit, and three
-    saturating bit-planes, c1, c2 and c3, hold the degrees seen once,
-    twice and three times; target is c3 translated by _LOWEST.  A record
-    keeps only the first set that hits, whose byte of seen, the OR of
-    the blocks that hit up to its own, doubling, is 0 in the block
-    before.  A degree lane plus one, XORed with target, is 0 where its
-    vertex holds that degree.  Walking the vertices up, need[j] holds
-    the records with j witnesses found, and witness lane j sums v over
-    those hits of v that find the (j + 1)-th: the first three
-    survivors, by index, as _witness_after reads them.  Each result lane
-    then folds its blocks into one, and the records that hit leave the
-    search before size k + 1.  No byte carries: none exceeds 193.
+    none.  Each byte of a degree below 8 translates by _ONE_HOT to one
+    bit, and _GONE less anything to 0, so three saturating bit-planes,
+    c1, c2 and c3, hold the degrees seen once, twice and three times,
+    and target is c3 translated by _LOWEST.  A degree is at most
+    n - 1 - k, so only degree 8, at size 0 of order 9, has no bit: it
+    is the target where three vertices hold it and no smaller degree
+    is.  A record keeps only the first set that hits, whose byte of
+    seen, the OR of the blocks that hit up to its own, doubling, is 0
+    in the block before.  A degree lane plus one, XORed with target, is
+    0 where its vertex holds that degree, and each of its bytes is below
+    128, so 127 added to it sets the top bit of every other byte and
+    carries into none: one add, AND, XOR and shift read the hits.
+    Walking the vertices up,
+    need[j] holds the records with j witnesses found, and witness lane
+    j sums v over those hits of v that find the (j + 1)-th: the first
+    three survivors, by index, as _witness_after reads them.  Each
+    result lane then folds its blocks into one, and the records that hit
+    leave the search before size k + 1.  No byte carries: a degree byte
+    is at most 65, and every other at most 255 only in the zero test.
     """
+    n, width = _shape(span)
     if n > 9:
         raise OrderOutOfRange(f"the lane search covers orders up to 9, got {n}")
-    width = _width(n)
-    open_ = range(len(degrees[0]))
+    open_ = range(len(span) // width)
     found = []
     for k in range(allowance(n) + 1):
         places, pairs, held = _sets(n, k)
@@ -249,37 +255,38 @@ def _certificates(span, n, degrees, counts):
         blocks = len(held) // n
         count = size * blocks
         ones = int.from_bytes(b"\1" * count, "little")
+        sub = b"".join([span[i * width:(i + 1) * width] for i in open_]) if k else span
+        edges, ints = _lanes(sub, n, width)
         if k:
-            sub = b"".join([span[i * width:(i + 1) * width] for i in open_])
-            edges, lanes = _lanes(sub, n, width)
             table = [bytes(size)] * (n * n)  # table[v * n + u]: the edge lane u, v
             bits = iter(edges)
             for v in range(1, n):  # edges[v(v-1)/2 + u] holds u < v
                 for u in range(v):
                     table[u * n + v] = table[v * n + u] = next(bits).to_bytes(size, "little")
             gone = bytes([_GONE]) * size
-            ends = [x for lane in lanes for x in (lane.to_bytes(size, "little"), gone)]
+            ends = [x for lane in ints for x in (lane.to_bytes(size, "little"), gone)]
             reduced = (
                 int.from_bytes(b"".join(map(ends.__getitem__, held)), "little")
                 - sum(int.from_bytes(b"".join(map(table.__getitem__, p)), "little") for p in pairs)
             ).to_bytes(n * count, "little")
             degrees = [reduced[v * count:(v + 1) * count] for v in range(n)]
-            c1 = c2 = c3 = 0
-            for lane in degrees:
-                x = int.from_bytes(lane.translate(_ONE_HOT), "little")
-                c3 |= c2 & x
-                c2 |= c1 & x
-                c1 |= x
-            target = c3.to_bytes(count, "little").translate(_LOWEST)
-            first = seen = ones ^ int.from_bytes(target.translate(_IS[0]), "little")
-            target = int.from_bytes(target, "little")
+            ints = [int.from_bytes(lane, "little") for lane in degrees]
         else:
-            left, target = ones, 0
-            for d, lane in enumerate(counts):
-                hit = int.from_bytes(lane.translate(_THRICE), "little") & left
-                target |= hit * (d + 1)
-                left ^= hit
-            first = seen = ones ^ left
+            degrees = [lane.to_bytes(count, "little") for lane in ints]
+        c1 = c2 = c3 = 0
+        for lane in degrees:
+            x = int.from_bytes(lane.translate(_ONE_HOT), "little")
+            c3 |= c2 & x
+            c2 |= c1 & x
+            c1 |= x
+        target = c3.to_bytes(count, "little").translate(_LOWEST)
+        first = seen = ones ^ int.from_bytes(target.translate(_IS[0]), "little")
+        target = int.from_bytes(target, "little")
+        if n - k > 8:
+            eights = sum(int.from_bytes(lane.translate(_IS[8]), "little") for lane in degrees)
+            eights = int.from_bytes(eights.to_bytes(count, "little").translate(_THRICE), "little") & ~first
+            target |= 9 * eights
+            first = seen = first | eights
         if blocks > 1:
             shift = 8 * size
             while shift < 8 * count:
@@ -287,10 +294,10 @@ def _certificates(span, n, degrees, counts):
                 shift *= 2
             first &= ~(seen << 8 * size)
             target &= first * 255
+        low, high = 127 * ones, 128 * ones
         witness, need = [0, 0, 0], [first, 0, 0]
-        for v, lane in enumerate(degrees):
-            hits = ((int.from_bytes(lane, "little") + ones) ^ target).to_bytes(count, "little")
-            hits = int.from_bytes(hits.translate(_IS[0]), "little")
+        for v, lane in enumerate(ints):
+            hits = ((((lane + ones) ^ target) + low) & high ^ high) >> 7
             a, b, c = need[0] & hits, need[1] & hits, need[2] & hits
             witness = [witness[0] + v * a, witness[1] + v * b, witness[2] + v * c]
             need = [need[0] ^ a, need[1] ^ b | a, need[2] ^ c | b]
@@ -302,6 +309,11 @@ def _certificates(span, n, degrees, counts):
         if not open_:
             break
     return found
+
+
+# a translate table that keeps every byte below 128 and maps every
+# other to 127, which names no vertex and no degree + 1 below 126
+_BELOW_128 = bytes(range(128)) + bytes([127]) * 128
 
 
 def check_claims(span, n, open_, lanes):
@@ -317,30 +329,40 @@ def check_claims(span, n, open_, lanes):
 
     The records of open_ are joined from span itself, and their edge and
     degree lanes read with graphcore._lanes; nothing else the search
-    computed is read.  gone[v] counts the deleted lanes that name v, so
-    the deletions are valid where exactly k vertices are named once.  A
-    vertex's reduced degree is its degree lane less the edge lanes it
-    shares with a vertex gone.  Walking the vertices up, need[j] holds
-    the records with j witnesses confirmed: a vertex kept, of the named
-    degree, moves a record from need[j] to need[j + 1] when it is the
-    record's (j + 1)-th witness, against need as it stood before that
-    vertex, so a witness named twice, or out of order, never gets as far
-    as need[3]."""
+    computed is read.  Every claim lane is read with its bytes of 128 or
+    more as 127, so each lane compared here has every byte below 128,
+    and zeros finds its 0 bytes with no translate: 127 added to any
+    other byte sets its top bit, and carries into no other byte.
+    named[j][v] marks the records whose lane j names vertex v, and
+    gone[v] counts the deleted lanes that name v, so the deletions are
+    valid where exactly k vertices are named once.  A vertex's reduced
+    degree is its degree lane less the edge lanes it shares with a
+    vertex gone.  Walking the vertices up, need[j] holds the records
+    with j witnesses confirmed: a vertex kept, of the named degree,
+    moves a record from need[j] to need[j + 1] when it is the record's
+    (j + 1)-th witness, against need as it stood before that vertex, so
+    a witness named twice, or out of order, never gets as far as
+    need[3]."""
     width = _width(n)
     count = len(open_)
-    if open_ == range(len(span) // width):
-        sub = span
-    else:
-        sub = b"".join([span[i * width:(i + 1) * width] for i in open_])
+    whole = open_ == range(len(span) // width)
+    sub = span if whole else b"".join([span[i * width:(i + 1) * width] for i in open_])
     edges, degrees = _lanes(sub, n, width)
     ones = int.from_bytes(b"\1" * count, "little")
-    target, witnesses, dropped = int.from_bytes(lanes[0], "little"), lanes[1:4], lanes[4:]
+    low, high = 127 * ones, 128 * ones
+
+    def zeros(x):
+        return ((x + low) & high ^ high) >> 7
+
+    target, *claimed = (int.from_bytes(lane.translate(_BELOW_128), "little") for lane in lanes)
+    vertices = [v * ones for v in range(n)]
+    named = [[zeros(x ^ v) for v in vertices] for x in claimed]
+    witnesses, dropped = named[:3], named[3:]
+    gone = [sum(lane[v] for lane in dropped) for v in range(n)]
     valid = ones
-    gone = [0] * n
     if dropped:
-        gone = [sum(int.from_bytes(x.translate(_IS[v]), "little") for x in dropped) for v in range(n)]
-        once = sum(int.from_bytes(lane.to_bytes(count, "little").translate(_IS[1]), "little") for lane in gone)
-        valid = int.from_bytes(once.to_bytes(count, "little").translate(_IS[len(dropped)]), "little")
+        once = sum(zeros(lane ^ ones) for lane in gone)
+        valid = zeros(once ^ len(dropped) * ones)
         bits = iter(edges)
         for v in range(1, n):
             for u in range(v):
@@ -349,8 +371,7 @@ def check_claims(span, n, open_, lanes):
                 degrees[v] -= edge & gone[u]
     need = [valid, 0, 0, 0]
     for v, lane in enumerate(degrees):
-        held = ((lane + ones) ^ target).to_bytes(count, "little")
-        held = int.from_bytes(held.translate(_IS[0]), "little") & ~gone[v]
-        a, b, c = (held & need[j] & int.from_bytes(witnesses[j].translate(_IS[v]), "little") for j in range(3))
+        held = zeros((lane + ones) ^ target) & ~gone[v]
+        a, b, c = (held & need[j] & witnesses[j][v] for j in range(3))
         need = [need[0] ^ a, need[1] ^ b | a, need[2] ^ c | b, need[3] | c]
     return need[3].to_bytes(count, "little")

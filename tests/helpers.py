@@ -457,7 +457,7 @@ def searching_with(solve):
     lane_form into the kernel's return shape: so a fault planted in
     solve reaches every class the sweep sees."""
 
-    def search(span, n, degrees, counts):
+    def search(span):
         return lane_form([solve(g) for _, g in _records(span)])
 
     return search
@@ -483,8 +483,8 @@ def check_size_zero(degrees, c):
     """Whether c, a certificate that deletes nothing, holds on the graph
     of the degree tuple degrees, read from that tuple alone: its order,
     no deletion, and three witnesses u < v < w < n, each of the degree
-    it names.  The reference for solver.check_size_zero, which checks a
-    whole span's size-0 lanes at once."""
+    it names.  The reference for solver.check_claims at size 0, which
+    checks a whole span's size-0 lanes at once."""
     n = len(degrees)
     if c.original_order != n or len(c.deleted) or len(c.witness) != 3:
         return False

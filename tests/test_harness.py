@@ -319,8 +319,7 @@ def labeled_pools():
 def kernel_certificates(span):
     """solver._certificates over span, as the theorem worker reads its
     lanes, one answer per record, as helpers.per_record reads them."""
-    n, degrees, counts = graphcore._degree_counts(span)
-    return helpers.per_record(n, solver._certificates(span, n, degrees, counts))
+    return helpers.per_record(span[0] - 63, solver._certificates(span))
 
 
 def assert_kernel_matches_reference(records):
@@ -398,10 +397,8 @@ class TestTheoremKernel:
 
     def test_orders_above_nine_rejected(self):
         # a reduced degree fits the bit-planes' byte only up to order 9
-        span = write_graph6(from_edge_list(10, [(0, 1)]))
-        n, degrees, counts = graphcore._degree_counts(span)
         with pytest.raises(errors.OrderOutOfRange):
-            solver._certificates(span, n, degrees, counts)
+            solver._certificates(write_graph6(from_edge_list(10, [(0, 1)])))
 
     def test_witnesses_by_index(self):
         # the path 0-1-2-3-4, degrees (1, 2, 2, 2, 1); the path 0-3-1-4-2,
@@ -1012,17 +1009,17 @@ def _repeated_witness(cert):
 def _certificates_editing(edit):
     """harness._certificates with edit applied to every certificate of
     size 0 it gives, in its lanes."""
-    return lambda span, n, degrees, counts: helpers.lane_form([
+    return lambda span: helpers.lane_form([
         cert if cert.deleted else edit(cert)
-        for cert in helpers.per_record(n, _real_certificates(span, n, degrees, counts))
+        for cert in helpers.per_record(span[0] - 63, _real_certificates(span))
     ])
 
 
-def _certificates_missing(span, n, degrees, counts):
+def _certificates_missing(span):
     """harness._certificates finding no set of one deletion or more."""
     return helpers.lane_form([
         None if cert.deleted else cert
-        for cert in helpers.per_record(n, _real_certificates(span, n, degrees, counts))
+        for cert in helpers.per_record(span[0] - 63, _real_certificates(span))
     ])
 
 
@@ -1067,9 +1064,9 @@ def test_size_zero_fault_fails_every_size_zero_class(forks, monkeypatch, name, f
 def _deletion_faults(edit):
     """harness._certificates with edit applied to every certificate it
     gives that deletes a vertex, in its lanes."""
-    return lambda span, n, degrees, counts: helpers.lane_form([
+    return lambda span: helpers.lane_form([
         edit(cert) if cert.deleted else cert
-        for cert in helpers.per_record(n, _real_certificates(span, n, degrees, counts))
+        for cert in helpers.per_record(span[0] - 63, _real_certificates(span))
     ])
 
 
@@ -1107,11 +1104,12 @@ def test_deletion_fault_fails_every_class_that_needs_one(forks, monkeypatch, edi
     assert forks.children == [1]
 
 
-def _claiming_size_zero(span, n, degrees, counts):
+def _claiming_size_zero(span):
     """harness._certificates, with a size-0 claim written into its lanes,
     witnesses 0, 1 and 2 of degree 1, for every record it also gives a
     certificate of one deletion or more."""
-    found = _real_certificates(span, n, degrees, counts)
+    found = _real_certificates(span)
+    n = span[0] - 63
     claim = solver.DeletionCertificate(n, (), (0, 1, 2), 1)
     answers = [claim if c.deleted else c for c in helpers.per_record(n, found)]
     return [helpers.lane_form(answers)[0], *found[1:]]

@@ -413,10 +413,9 @@ def claims_hold(span, n, rng, chance):
     decoded graph, with its witnesses u < v < w, and changed how many
     claims were changed.  A record whose target byte reads 0 claims
     nothing, which holds on no graph."""
-    n, degrees, counts = graphcore._degree_counts(span)
     width = graphcore._width(n)
     got, expected, changed = [], [], 0
-    for open_, lanes in solver._certificates(span, n, degrees, counts):
+    for open_, lanes in solver._certificates(span):
         lanes = [bytearray(lane) for lane in lanes]
         for j in range(len(open_)):
             if rng.random() < chance:
