@@ -194,17 +194,16 @@ def _theorem_worker(span):
     order.
 
     solver._certificates checks the span and searches it, and
-    solver.check_claims checks
-    each size's claims in lanes, against the records it joins from the
-    span itself.  A record's claim is the first any size makes for it,
-    and its size byte is written only where that claim passed the check
-    within the allowance: for size 0, over every record at once, by one
-    translate; for each larger size, one record at a time, over the
-    records it claims.  Only a record with a violation has a
-    DeletionCertificate built, from its claim's lane bytes: a claim past
-    the allowance, or one the check refused, is reported so; a record
-    with no claim is a miss, whose reason is the one solve3 gives, and
-    the only record decoded."""
+    solver.check_claims checks each size's claims in lanes, against the
+    records it joins from the span itself.  A record's claim is the
+    first any size makes for it, and its size byte is written only where
+    that claim passed the check within the allowance: for size 0, over
+    every record at once, by one translate; for each larger size, one
+    record at a time, over the records it claims.  Only a record with a
+    violation has a DeletionCertificate built, from its claim's lane
+    bytes: a claim past the allowance, or one the check refused, is
+    reported so; a record with no claim is a miss, whose reason is the
+    one solve3 gives, and the only record decoded."""
     found = _certificates(span)
     n = span[0] - 63
     cap = allowance(n)

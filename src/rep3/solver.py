@@ -186,9 +186,9 @@ def _fold(x, size, blocks):
 
 
 # the byte of a deleted vertex's degree, less its deleted neighbours:
-# above every degree, so no degree matches it, and below 127 less the
-# largest target, so a byte of the witness walk's zero test stays below
-# 128
+# above every degree, so no degree matches it, and low enough that it
+# plus one, XORed with any target, stays below 128, as the witness
+# walk's zero test needs
 _GONE = 64
 # translate tables of a degree byte and of a bit-plane byte: _ONE_HOT
 # maps each degree d < 8 to bit d, and every other byte, _GONE less
@@ -236,13 +236,13 @@ def _certificates(span):
     0 where its vertex holds that degree, and each of its bytes is below
     128, so 127 added to it sets the top bit of every other byte and
     carries into none: one add, AND, XOR and shift read the hits.
-    Walking the vertices up,
-    need[j] holds the records with j witnesses found, and witness lane
-    j sums v over those hits of v that find the (j + 1)-th: the first
-    three survivors, by index, as _witness_after reads them.  Each
-    result lane then folds its blocks into one, and the records that hit
-    leave the search before size k + 1.  No byte carries: a degree byte
-    is at most 65, and every other at most 255 only in the zero test.
+    Walking the vertices up, need[j] holds the records with j witnesses
+    found, and witness lane j sums v over those hits of v that find the
+    (j + 1)-th: the first three survivors, by index, as _witness_after
+    reads them.  Each result lane then folds its blocks into one, and
+    the records that hit leave the search before size k + 1.  No byte
+    carries: a degree byte is at most 65, and every other at most 255
+    only in the zero test.
     """
     n, width = _shape(span)
     if n > 9:
